@@ -28,7 +28,7 @@ from .encoding import (
     make_encoding,
 )
 from .engine import convert, prepare_kernels, run_kernel
-from .errors import OrderConflict, ParseError, SparsecError
+from .errors import OracleMismatch, OrderConflict, ParseError, SparsecError
 from .expr import expr_to_text, parse_kernel
 from .lattice import (
     access_display_names,
@@ -368,8 +368,8 @@ def _bench_correctness(kernel_text: str, bindings: dict) -> None:
     want = dense_eval(kernel, dense_inputs)
     got_dense = convert(got, None)
     for a, b in zip(got_dense.data, want.data):
-        scale = max(abs(a), abs(b), 1.0)
-        assert abs(a - b) <= 1e-10 * scale, "benchmark kernel disagrees with oracle"
+        if not abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0):  # NaN fails too
+            raise OracleMismatch(f"benchmark kernel disagrees with oracle: {a!r} != {b!r}")
 
 
 def cmd_bench(args) -> int:

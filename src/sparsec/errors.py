@@ -1,9 +1,11 @@
 """Exception hierarchy shared by all sparsec modules.
 
 Every error raised on a user-facing path derives from SparsecError so the
-CLI can catch one type and print a single-line diagnostic. Internal
-invariant violations use plain AssertionError: those indicate compiler
-bugs, not user mistakes.
+CLI can catch one type and print a single-line diagnostic. Storage
+invariants raise MalformedStorage rather than asserting, because storage
+can arrive from outside (binary dumps, hand-built arrays) and the checks
+must survive `python -O`. Other internal invariant violations use plain
+AssertionError: those indicate compiler bugs, not user mistakes.
 """
 
 
@@ -41,6 +43,14 @@ class OutOfOrderInsertion(SparsecError):
 
 class LevelIsDense(SparsecError):
     pass
+
+
+class MalformedStorage(SparsecError):
+    """Pointers, indices or values that break a storage-format invariant."""
+
+
+class OracleMismatch(SparsecError):
+    """A kernel result disagrees with the dense oracle."""
 
 
 class ParseError(SparsecError):

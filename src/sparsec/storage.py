@@ -7,21 +7,34 @@ position's segment in the next level's arrays -- a format concept, not
 machine addresses. Dense levels store nothing and materialize every
 position implicitly, which can introduce explicit zeros into the values
 array; explicit zeros are preserved throughout, never pruned.
+
+`CooTensor` stays the exchange form, but packing builds whole arrays with
+numpy: one sort-and-merge of the coordinates (`_sorted_unique`) feeds
+`pack`, `CooTensor.normalize` and `CooTensor.to_dense`. The element-wise
+`StorageBuilder` serves only outputs produced in order during execution.
+Arrays go back into `SparseStorage` as tuples of Python ints and floats.
 """
 
+import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Sequence, Tuple
+
+import numpy as np
 
 from .encoding import COMPRESSED, DENSE, Encoding, TensorType, make_encoding
 from .errors import (
     BitWidthOverflow,
     CoordOutOfBounds,
     LevelIsDense,
+    MalformedStorage,
     OutOfOrderInsertion,
     ParseError,
     RankMismatch,
     ShapeMismatch,
+    SparsecError,
 )
 
 
@@ -50,29 +63,68 @@ class CooTensor:
         return len(self.entries)
 
     def check_bounds(self):
-        for coords, _ in self.entries:
-            if len(coords) != self.rank:
-                raise RankMismatch(f"coordinate {coords} in a rank-{self.rank} tensor")
-            if any(c < 0 or c >= e for c, e in zip(coords, self.shape)):
-                raise CoordOutOfBounds(f"coordinate {coords} outside shape {self.shape}")
+        """Raise RankMismatch or CoordOutOfBounds for a bad coordinate."""
+        _coo_arrays(self)
 
     def normalize(self) -> "CooTensor":
         """Sorted unique-coordinate copy; duplicate coordinates are summed."""
-        self.check_bounds()
-        merged = {}
-        for coords, value in self.entries:
-            merged[coords] = merged.get(coords, 0.0) + value
-        return CooTensor(self.shape, sorted(merged.items()))
+        coords, values = _sorted_unique(self, range(self.rank))
+        return CooTensor(self.shape, zip(map(tuple, coords.tolist()), values.tolist()))
 
     def nonzero_entries(self) -> list:
         """Entries with value != 0, i.e. with explicit zeros dropped."""
         return [(c, v) for c, v in self.entries if v != 0.0]
 
     def to_dense(self) -> "DenseTensor":
-        out = DenseTensor.zeros(self.shape)
-        for coords, value in self.normalize().entries:
-            out.set(coords, value)
-        return out
+        coords, values = _sorted_unique(self, range(self.rank))
+        flat = np.zeros(len(values), np.int64)
+        for column, extent in zip(coords.T, self.shape):
+            flat = flat * extent + column
+        data = np.zeros(math.prod(self.shape))
+        data[flat] = values
+        return DenseTensor(self.shape, data.tolist())
+
+
+def _coo_arrays(coo: CooTensor):
+    """The entries as an (nnz, rank) int64 coordinate array and a float64
+    value array, after checking every coordinate's rank and bounds."""
+    d, n = coo.rank, coo.nnz
+    coord_tuples = list(map(itemgetter(0), coo.entries))
+    if n and set(map(len, coord_tuples)) != {d}:
+        bad = next(c for c in coord_tuples if len(c) != d)
+        raise RankMismatch(f"coordinate {bad} in a rank-{d} tensor")
+    try:
+        coords = np.fromiter(chain.from_iterable(coord_tuples), np.int64, n * d).reshape(n, d)
+        outside = (coords < 0) | (coords >= np.array(coo.shape, np.int64))
+    except OverflowError:
+        raise CoordOutOfBounds(f"coordinates of shape {coo.shape} exceed 64 bits") from None
+    if outside.any():
+        bad = coord_tuples[int(outside.any(axis=1).argmax())]
+        raise CoordOutOfBounds(f"coordinate {bad} outside shape {coo.shape}")
+    return coords, np.fromiter(map(itemgetter(1), coo.entries), np.float64, n)
+
+
+def _sorted_unique(coo: CooTensor, order):
+    """Entries sorted lexicographically by their coordinates taken in
+    `order` (a permutation of the dimensions), duplicates summed.
+
+    Coordinates come back in logical dimension order. The sort is stable
+    and `np.add.at` adds in index order, so duplicates are summed into 0.0
+    in entry order, exactly as a sequential loop would. (`np.add.reduceat`
+    sums long runs pairwise, which rounds differently.)
+    """
+    coords, values = _coo_arrays(coo)
+    n = len(values)
+    if n == 0:
+        return coords, values
+    if coo.rank:
+        perm = np.lexsort([coords[:, k] for k in reversed(order)])
+        coords, values = coords[perm], values[perm]
+    first = np.ones(n, bool)
+    first[1:] = (coords[1:] != coords[:-1]).any(axis=1)
+    merged = np.zeros(np.count_nonzero(first))
+    np.add.at(merged, np.cumsum(first) - 1, values)
+    return coords[first], merged
 
 
 @dataclass
@@ -137,13 +189,19 @@ class DenseTensor:
         return CooTensor(self.shape, entries)
 
 
-def _width_limit_check(values, width, what):
-    if width == 0:
+def _width_limit_check(values: np.ndarray, width: int, what: str):
+    if width == 0 or not values.size:
         return
-    limit = (1 << width) - 1
-    for v in values:
-        if v > limit:
-            raise BitWidthOverflow(f"{what} value {v} does not fit in {width} bits")
+    top = int(values.max())
+    if top > (1 << width) - 1:
+        raise BitWidthOverflow(f"{what} value {top} does not fit in {width} bits")
+
+
+def _level_array(values, level: int, what: str) -> np.ndarray:
+    try:
+        return np.fromiter(values, np.int64, len(values))
+    except (OverflowError, TypeError, ValueError):
+        raise MalformedStorage(f"level {level}: {what} must be 64-bit integers") from None
 
 
 @dataclass
@@ -181,6 +239,11 @@ class SparseStorage:
         return sum(1 for v in self.values if v != 0.0)
 
     def validate(self):
+        """Check every format invariant with whole-array operations.
+
+        Raises MalformedStorage (BitWidthOverflow for a narrow width), so
+        the checks hold under `python -O` too.
+        """
         enc = self.ttype.encoding
         if enc is None:
             raise ShapeMismatch("SparseStorage requires an encoding on its TensorType")
@@ -190,33 +253,40 @@ class SparseStorage:
             raise RankMismatch("need one pointers and one indices array per level")
         positions = 1
         for l in range(d):
-            ptrs, idxs = self.pointers[l], self.indices[l]
             if enc.levels[l] is DENSE:
-                assert not ptrs and not idxs, f"dense level {l} must keep empty arrays"
+                if len(self.pointers[l]) or len(self.indices[l]):
+                    raise MalformedStorage(f"dense level {l} must keep empty arrays")
                 positions *= sshape[l]
                 continue
-            assert len(ptrs) == positions + 1, (
-                f"level {l}: {len(ptrs)} pointers for {positions} parent positions"
-            )
-            assert ptrs[0] == 0, f"level {l}: pointers must start at 0"
-            assert all(a <= b for a, b in zip(ptrs, ptrs[1:])), (
-                f"level {l}: pointers must be non-decreasing"
-            )
-            assert ptrs[-1] == len(idxs), f"level {l}: pointers must cover the indices"
-            for p in range(positions):
-                segment = idxs[ptrs[p] : ptrs[p + 1]]
-                assert all(a < b for a, b in zip(segment, segment[1:])), (
-                    f"level {l}: indices within a segment must strictly increase"
+            if len(self.pointers[l]) != positions + 1:
+                raise MalformedStorage(
+                    f"level {l}: {len(self.pointers[l])} pointers for {positions} parent positions"
                 )
-                assert all(0 <= i < sshape[l] for i in segment), (
-                    f"level {l}: index outside extent {sshape[l]}"
-                )
+            ptrs = _level_array(self.pointers[l], l, "pointers")
+            idxs = _level_array(self.indices[l], l, "indices")
+            if ptrs[0] != 0:
+                raise MalformedStorage(f"level {l}: pointers must start at 0")
+            if (ptrs[1:] < ptrs[:-1]).any():
+                raise MalformedStorage(f"level {l}: pointers must be non-decreasing")
+            if ptrs[-1] != len(idxs):
+                raise MalformedStorage(f"level {l}: pointers must cover the indices")
+            if len(idxs):
+                # Each index must exceed its predecessor, except where a
+                # segment starts.
+                rising = idxs[1:] > idxs[:-1]
+                starts = ptrs[1:-1]
+                rising[starts[(starts > 0) & (starts < len(idxs))] - 1] = True
+                if not rising.all():
+                    raise MalformedStorage(
+                        f"level {l}: indices within a segment must strictly increase"
+                    )
+                if idxs.min() < 0 or idxs.max() >= sshape[l]:
+                    raise MalformedStorage(f"level {l}: index outside extent {sshape[l]}")
             _width_limit_check(ptrs, enc.pointer_width, "pointer")
             _width_limit_check(idxs, enc.index_width, "index")
             positions = len(idxs)
-        assert len(self.values) == positions, (
-            f"{len(self.values)} values for {positions} stored positions"
-        )
+        if len(self.values) != positions:
+            raise MalformedStorage(f"{len(self.values)} values for {positions} stored positions")
 
     def iterate(self) -> Iterator[Tuple[tuple, float]]:
         """Yield (logical coords, value) in storage-lexicographic order."""
@@ -283,6 +353,11 @@ class StorageBuilder:
     order (logical coordinates are permuted internally). The builder keeps
     per-level partial arrays and closes segments as coordinates advance, so
     finalize() is O(1) past the trailing dense fill.
+
+    The engine builds sparse outputs with it: direct-lex insertion calls
+    `insert` per element, and the workspace `compress` appends one whole
+    innermost segment at a time through `insert_segment`. `pack` does not
+    use it; the tests use it as the per-element reference for `pack`.
     """
 
     def __init__(self, ttype: TensorType):
@@ -339,6 +414,33 @@ class StorageBuilder:
         self.values.append(float(value))
         self._open = tuple(scoords)
 
+    def insert_segment(self, prefix: tuple, idxs: Sequence[int], row: Sequence[float]):
+        """Append the elements (prefix + (i,), row[i]) for the non-empty,
+        strictly increasing innermost indices `idxs` (storage order).
+
+        The first element goes through `insert_storage`, which closes and
+        fills the levels above; the rest extend the innermost level at once.
+        A dense innermost level takes `row` whole between the first and last
+        index, so `row` must hold 0.0 at the indices not listed.
+        """
+        first, last = idxs[0], idxs[-1]
+        self.insert_storage(prefix + (first,), row[first])
+        inner = self.d - 1
+        if last >= self.sshape[inner]:
+            raise CoordOutOfBounds(
+                f"storage coordinate {prefix + (last,)} outside {self.sshape}"
+            )
+        if self.enc.levels[inner] is DENSE:
+            self.values.extend(row[first + 1 : last + 1])
+        else:
+            if self._idx_limit is not None and last > self._idx_limit:
+                raise BitWidthOverflow(
+                    f"index {last} does not fit in {self.enc.index_width} bits"
+                )
+            self.indices[inner].extend(idxs[1:])
+            self.values.extend([row[i] for i in idxs[1:]])
+        self._open = prefix + (last,)
+
     def _close(self, level):
         # The open node at `level` is complete: dense levels owe their
         # remaining positions, compressed levels owe a pointer boundary.
@@ -391,19 +493,43 @@ def lex_insert(builder: StorageBuilder, coords, value: float):
 
 
 def pack(coo: CooTensor, enc: Encoding) -> SparseStorage:
-    """Materialize a COO tensor into the layout described by `enc`."""
+    """Materialize a COO tensor into the layout described by `enc`.
+
+    Entries are sorted and merged in storage order, then built level by
+    level: a dense level maps each entry to `parent * extent + coord`; a
+    compressed level keeps the coordinate where the storage prefix changes
+    and counts those per parent position into its pointers.
+    """
     if enc.rank != coo.rank:
         raise RankMismatch(f"rank-{enc.rank} encoding for a rank-{coo.rank} tensor")
     ttype = TensorType(coo.shape, enc)
-    normalized = coo.normalize()
-    builder = StorageBuilder(ttype)
-    keyed = sorted(
-        (tuple(c[enc.dim_of_level(l)] for l in range(enc.rank)), v)
-        for c, v in normalized.entries
-    )
-    for scoords, value in keyed:
-        builder.insert_storage(scoords, value)
-    return builder.finalize()
+    order = [enc.dim_of_level(l) for l in range(enc.rank)]
+    coords, values = _sorted_unique(coo, order)
+    n = len(values)
+    pos = np.zeros(n, np.int64)  # each entry's position at the current level
+    positions = 1
+    new = np.zeros(n, bool)  # entry starts a new storage prefix at this level
+    new[:1] = True
+    pointers, indices = [], []
+    for l, extent in enumerate(ttype.storage_shape()):
+        column = coords[:, order[l]]
+        new[1:] |= column[1:] != column[:-1]
+        if enc.levels[l] is DENSE:
+            pos = pos * extent + column
+            positions *= extent
+            pointers.append(())
+            indices.append(())
+            continue
+        starts = np.flatnonzero(new)
+        ptrs = np.zeros(positions + 1, np.int64)
+        np.cumsum(np.bincount(pos[starts], minlength=positions), out=ptrs[1:])
+        pointers.append(tuple(ptrs.tolist()))
+        indices.append(tuple(column[starts].tolist()))
+        pos = np.cumsum(new) - 1
+        positions = len(starts)
+    data = np.zeros(positions)
+    data[pos] = values
+    return SparseStorage(ttype, tuple(pointers), tuple(indices), tuple(data.tolist()))
 
 
 @dataclass
@@ -444,17 +570,20 @@ def expand(extent: int) -> Workspace:
 def compress(ws: Workspace, builder: StorageBuilder, prefix_scoords: Sequence[int]):
     """Drain the workspace into the builder under a storage-order prefix.
 
-    Touched indices are sorted and appended as (prefix, index) elements in
-    lexicographic order, then exactly the touched values/filled slots are
-    reset so the workspace is immediately reusable.
+    Touched indices are sorted and appended as one innermost segment under
+    the prefix, then exactly the touched values/filled slots are reset so
+    the workspace is immediately reusable.
     """
-    ws.added.sort()
-    prefix = tuple(prefix_scoords)
-    for idx in ws.added:
-        builder.insert_storage(prefix + (idx,), ws.values[idx])
-        ws.values[idx] = 0.0
-        ws.filled[idx] = False
-    ws.added.clear()
+    added = ws.added
+    if not added:
+        return
+    added.sort()
+    builder.insert_segment(tuple(prefix_scoords), added, ws.values)
+    values, filled = ws.values, ws.filled
+    for idx in added:
+        values[idx] = 0.0
+        filled[idx] = False
+    added.clear()
 
 
 def dump_binary(storage: SparseStorage) -> bytes:
@@ -488,38 +617,46 @@ def dump_binary(storage: SparseStorage) -> bytes:
 
 
 def load_binary(blob: bytes) -> SparseStorage:
-    """Inverse of dump_binary; used by tests and debugging sessions."""
-    if blob[:4] != b"SPST":
+    """Inverse of dump_binary; used by tests and debugging sessions.
+
+    A truncated or corrupt dump raises ParseError.
+    """
+    off = 0
+
+    def read(fmt: str, count: int = 1) -> tuple:
+        nonlocal off
+        size = count * struct.calcsize(fmt)
+        if size > len(blob) - off:
+            raise ParseError(f"binary storage dump truncated at byte {len(blob)}")
+        out = struct.unpack_from(f"<{count}{fmt}", blob, off)
+        off += size
+        return out
+
+    if read("s", 4) != (b"SPST",):
         raise ParseError("bad magic in binary storage dump")
-    off = 4
-    version, rank, ptr_w, idx_w = struct.unpack_from("<BBBB", blob, off)
-    off += 4
+    version, rank, ptr_w, idx_w = read("B", 4)
     if version != 1:
         raise ParseError(f"unsupported binary dump version {version}")
-    levels = tuple(COMPRESSED if b else DENSE for b in blob[off : off + rank])
-    off += rank
-    ordering = tuple(blob[off : off + rank])
-    off += rank
-    shape = struct.unpack_from(f"<{rank}Q", blob, off)
-    off += 8 * rank
-    enc = make_encoding(levels, ordering, ptr_w, idx_w)
+    levels = tuple(COMPRESSED if b else DENSE for b in read("B", rank))
+    ordering = read("B", rank)
+    shape = read("Q", rank)
+    try:
+        enc = make_encoding(levels, ordering, ptr_w, idx_w)
+    except SparsecError as e:
+        raise ParseError(f"corrupt binary storage dump: {e}") from e
     fmt_of = {0: "Q", 8: "B", 16: "H", 32: "I", 64: "Q"}
-    size_of = {"Q": 8, "B": 1, "H": 2, "I": 4}
     pointers, indices = [], []
     for l in range(rank):
         if levels[l] is DENSE:
             pointers.append(())
             indices.append(())
             continue
-        arrays = []
-        for fmt in (fmt_of[ptr_w], fmt_of[idx_w]):
-            (n,) = struct.unpack_from("<Q", blob, off)
-            off += 8
-            arrays.append(struct.unpack_from(f"<{n}{fmt}", blob, off))
-            off += n * size_of[fmt]
-        pointers.append(arrays[0])
-        indices.append(arrays[1])
-    (n,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    values = struct.unpack_from(f"<{n}d", blob, off)
-    return SparseStorage(TensorType(shape, enc), tuple(pointers), tuple(indices), values)
+        pointers.append(read(fmt_of[ptr_w], *read("Q")))
+        indices.append(read(fmt_of[idx_w], *read("Q")))
+    values = read("d", *read("Q"))
+    if off != len(blob):
+        raise ParseError(f"{len(blob) - off} trailing bytes in binary storage dump")
+    try:
+        return SparseStorage(TensorType(shape, enc), tuple(pointers), tuple(indices), values)
+    except SparsecError as e:
+        raise ParseError(f"corrupt binary storage dump: {e}") from e

@@ -294,3 +294,18 @@ def test_cmd_convert_dense_literal(tmp_path):
     )
     assert code == 0
     assert read_tensor(str(out)).entries == [((0,), 1.0), ((2,), 2.0)]
+
+
+def test_cmd_bench_oracle_mismatch_is_typed(monkeypatch, capsys):
+    # An explicit comparison, not an assert, so `python -O` keeps the check.
+    from sparsec import cli
+    from sparsec.storage import DenseTensor
+
+    def wrong_oracle(kernel, inputs):
+        out = kernel.output_type
+        return DenseTensor(out.shape, [1.0] * DenseTensor.zeros(out.shape).volume)
+
+    monkeypatch.setattr(cli, "dense_eval", wrong_oracle)
+    assert main(["bench", "--suite", "spmspm", "--scale", "64"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[OracleMismatch]: ")

@@ -1,11 +1,20 @@
 """Storage packing against the five worked layouts, plus builder/workspace
-behavior and randomized round-trips."""
+behavior, randomized round-trips, the whole-array paths against the
+per-element builder, and typed errors for malformed storage and dumps."""
 
+import math
+import os
 import random
+import struct
+import subprocess
+import sys
 
 import pytest
 
 import conftest as refs
+import sparsec
+from sparsec import engine
+from sparsec.codegen import StrategyKind, choose_output_strategy
 from sparsec.encoding import (
     COMPRESSED,
     DENSE,
@@ -19,10 +28,17 @@ from sparsec.errors import (
     BitWidthOverflow,
     CoordOutOfBounds,
     LevelIsDense,
+    MalformedStorage,
     OutOfOrderInsertion,
+    ParseError,
+    RankMismatch,
 )
+from sparsec.expr import parse_kernel
+from sparsec.lattice import build_iteration_graph, topo_sort
+from sparsec.oracle import GeneratorSpec, generate
 from sparsec.storage import (
     CooTensor,
+    SparseStorage,
     StorageBuilder,
     compress,
     dump_binary,
@@ -265,3 +281,270 @@ def test_binary_dump_header():
     blob = dump_binary(s)
     assert blob[:4] == b"SPST"
     assert blob[5] == 1  # rank
+
+
+# ----------------------------------------------------------------------------
+# Whole-array pack against the per-element builder
+
+
+def _merged_entries(coo):
+    """Duplicates summed into 0.0 by a sequential loop in entry order,
+    sorted by logical coordinates."""
+    merged = {}
+    for coords, value in coo.entries:
+        merged[coords] = merged.get(coords, 0.0) + value
+    return sorted(merged.items())
+
+
+def _reference_pack(coo, enc):
+    """The element-by-element reference for pack: one builder insert per
+    merged entry, in storage order."""
+    order = [enc.dim_of_level(l) for l in range(enc.rank)]
+    builder = StorageBuilder(TensorType(coo.shape, enc))
+    for scoords, value in sorted((tuple(c[k] for k in order), v) for c, v in _merged_entries(coo)):
+        builder.insert_storage(scoords, value)
+    return builder.finalize()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except BitWidthOverflow as e:
+        return type(e)
+
+
+def _layout(storage):
+    # repr of the values, so 0.0 and -0.0 count as different.
+    return storage.pointers, storage.indices, repr(storage.values)
+
+
+def _random_entries(rng, shape, n):
+    def value():
+        return rng.choice([0.0, -0.0, rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8)])
+
+    entries = [(tuple(rng.randrange(e) for e in shape), value()) for _ in range(n)]
+    if entries and rng.random() < 0.5:
+        # A run of 8 or more duplicates, interleaved with the rest.
+        spot = tuple(rng.randrange(e) for e in shape)
+        for _ in range(rng.randint(8, 16)):
+            entries.insert(rng.randrange(len(entries) + 1), (spot, value()))
+    return entries
+
+
+def _check_pack_matches_reference(coo, encodings):
+    for enc in encodings:
+        got = _outcome(lambda: _layout(pack(coo, enc)))
+        want = _outcome(lambda: _layout(_reference_pack(coo, enc)))
+        assert got == want, (coo, enc.describe())
+    assert repr(coo.normalize().entries) == repr(_merged_entries(coo))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_pack_equals_per_element_reference(rank):
+    rng = random.Random(2022 + rank)
+    encodings = list(enumerate_encodings(rank, include_bitwidths=(rank == 2)))
+    for trial in range(12 if rank == 2 else 30):
+        shape = tuple(rng.randint(1, 6) for _ in range(rank))
+        n = 0 if trial == 0 else rng.randrange(25)
+        _check_pack_matches_reference(CooTensor(shape, _random_entries(rng, shape, n)), encodings)
+
+
+def test_pack_width_overflow_matches_reference():
+    # Extents and counts past 255 overflow the 8-bit encodings on both paths.
+    rng = random.Random(5)
+    coo = CooTensor((3, 300), _random_entries(rng, (3, 300), 400))
+    _check_pack_matches_reference(coo, list(enumerate_encodings(2, include_bitwidths=True)))
+
+
+def test_duplicate_runs_sum_in_entry_order():
+    # Pairwise summation would round these differently from a left fold.
+    values = [1e16, 1.0, -1e16, 1.0, 3.0, 1e-3, 2.5, -7.0, 1e16, 0.1]
+    coo = CooTensor((2,), [((1,), v) for v in values])
+    total = 0.0
+    for v in values:
+        total += v
+    assert pack(coo, make_encoding([COMPRESSED])).values == (total,)
+    assert coo.normalize().entries == [((1,), total)]
+    assert coo.to_dense().data == [0.0, total]
+
+
+def test_to_dense_matches_scatter():
+    rng = random.Random(11)
+    for rank in (1, 2, 3):
+        shape = tuple(rng.randint(1, 5) for _ in range(rank))
+        coo = CooTensor(shape, _random_entries(rng, shape, 20))
+        want = [0.0] * math.prod(shape)
+        for coords, value in _merged_entries(coo):
+            flat = 0
+            for c, e in zip(coords, shape):
+                flat = flat * e + c
+            want[flat] = value
+        assert repr(coo.to_dense().data) == repr(want)
+
+
+def test_pack_rejects_bad_coordinates():
+    with pytest.raises(RankMismatch):
+        pack(CooTensor((3, 4), [((0, 0), 1.0), ((1,), 2.0)]), csr())
+    with pytest.raises(CoordOutOfBounds):
+        pack(CooTensor((3, 4), [((0, 0), 1.0), ((1, -1), 2.0)]), csr())
+    with pytest.raises(CoordOutOfBounds):
+        CooTensor((3, 4), [((2**70, 0), 1.0)]).normalize()
+
+
+# ----------------------------------------------------------------------------
+# Bulk workspace compress against per-element insertion
+
+
+def _compress_per_element(ws, builder, prefix_scoords):
+    ws.added.sort()
+    for idx in ws.added:
+        builder.insert_storage(tuple(prefix_scoords) + (idx,), ws.values[idx])
+        ws.values[idx] = 0.0
+        ws.filled[idx] = False
+    ws.added.clear()
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        (COMPRESSED,),
+        (DENSE,),
+        (DENSE, COMPRESSED),
+        (COMPRESSED, DENSE),
+        (COMPRESSED, COMPRESSED),
+        (COMPRESSED, DENSE, COMPRESSED),
+        (DENSE, COMPRESSED, DENSE),
+    ],
+)
+def test_bulk_compress_equals_per_element(levels):
+    rng = random.Random(len(levels))
+    shape = tuple(rng.randint(2, 7) for _ in levels)
+    ttype = TensorType(shape, make_encoding(list(levels)))
+    prefixes = sorted({tuple(rng.randrange(e) for e in shape[:-1]) for _ in range(6)})
+    # Deltas of 1.0 and -1.0 on one index can leave an explicit zero.
+    rows = [
+        [(rng.randrange(shape[-1]), rng.choice([1.0, -1.0, 0.5])) for _ in range(rng.randrange(6))]
+        for _ in prefixes
+    ]
+    built = []
+    for fn in (compress, _compress_per_element):
+        ws, builder = expand(shape[-1]), StorageBuilder(ttype)
+        for prefix, touches in zip(prefixes, rows):
+            for j, delta in touches:
+                ws.scatter(j, delta)
+            fn(ws, builder, prefix)
+            assert ws.count == 0 and not any(ws.filled)
+            assert all(repr(v) == "0.0" for v in ws.values)
+        built.append(_layout(builder.finalize()))
+    assert built[0] == built[1]
+
+
+def test_bulk_compress_checks_index_width():
+    enc = make_encoding([DENSE, COMPRESSED], None, 0, 8)
+    for touched in ([299], [1, 299]):  # the first element, then the bulk rest
+        ws, builder = expand(300), StorageBuilder(TensorType((2, 300), enc))
+        for j in touched:
+            ws.scatter(j, 1.0)
+        with pytest.raises(BitWidthOverflow):
+            compress(ws, builder, (0,))
+
+
+def test_bulk_compress_checks_extent():
+    ws, builder = expand(8), StorageBuilder(TensorType((2, 4), csr()))
+    ws.scatter(1, 1.0)
+    ws.scatter(6, 1.0)
+    with pytest.raises(CoordOutOfBounds):
+        compress(ws, builder, (0,))
+
+
+@pytest.mark.parametrize("c_format", ["compressed, dense", "dense, compressed", "compressed, compressed"])
+def test_expand_compress_kernel_equals_per_element(monkeypatch, c_format):
+    text = (
+        "tensor A(24, 20) format(dense, compressed)\n"
+        "tensor B(20, 28) format(dense, compressed)\n"
+        f"tensor C(24, 28) format({c_format})\n"
+        "C(i, j) = A(i, k) * B(k, j)\n"
+    )
+    kernel = parse_kernel(text)
+    order = topo_sort(build_iteration_graph(kernel))
+    assert choose_output_strategy(kernel, order).kind is StrategyKind.EXPAND_COMPRESS
+    bindings = {
+        "A": generate(GeneratorSpec((24, 20), "uniform", density=0.15, seed=1)),
+        "B": generate(GeneratorSpec((20, 28), "uniform", density=0.15, seed=2)),
+    }
+    bulk = engine.run_kernel(kernel, bindings)
+    monkeypatch.setattr(engine, "compress", _compress_per_element)
+    assert _layout(bulk) == _layout(engine.run_kernel(kernel, bindings))
+
+
+# ----------------------------------------------------------------------------
+# Typed errors for malformed storage and binary dumps
+
+
+def test_validate_rejects_each_malformed_layout():
+    t = TensorType((3, 4), csr())
+    cases = [
+        (((), (0, 1, 1, 2)), ((), (0, 9)), (1.0, 2.0)),  # index outside extent
+        (((), (0, 2, 1, 2)), ((), (0, 1)), (1.0, 2.0)),  # pointers decrease
+        (((), (1, 1, 1, 2)), ((), (0, 1)), (1.0, 2.0)),  # pointers start past 0
+        (((), (0, 1, 1, 3)), ((), (0, 1)), (1.0, 2.0)),  # pointers past the indices
+        (((), (0, 2, 2, 2)), ((), (1, 1)), (1.0, 2.0)),  # repeated index in a segment
+        (((), (0, 1, 2)), ((), (0, 1)), (1.0, 2.0)),  # too few pointers
+        (((), (0, 1, 1, 2)), ((), (0, 1)), (1.0,)),  # too few values
+        (((0,), (0, 1, 1, 2)), ((), (0, 1)), (1.0, 2.0)),  # array on a dense level
+    ]
+    for pointers, indices, values in cases:
+        with pytest.raises(MalformedStorage):
+            SparseStorage(t, pointers, indices, values)
+    # A new segment may restart lower than the previous one ended.
+    SparseStorage(t, ((), (0, 1, 2, 3)), ((), (3, 0, 2)), (1.0, 2.0, 3.0))
+
+
+def test_malformed_storage_is_typed_under_optimize():
+    # Under -O an assert would vanish; the check and the CLI line must not.
+    script = (
+        "import sys\n"
+        "from sparsec import cli\n"
+        "from sparsec.encoding import TensorType, csr\n"
+        "from sparsec.errors import MalformedStorage\n"
+        "from sparsec.storage import SparseStorage\n"
+        "def bad(*args):\n"
+        "    return SparseStorage(TensorType((3, 4), csr()), ((), (0, 1, 1, 2)), ((), (0, 9)), (1.0, 2.0))\n"
+        "try:\n"
+        "    bad()\n"
+        "    sys.exit('malformed storage accepted')\n"
+        "except MalformedStorage:\n"
+        "    pass\n"
+        "cli.cmd_convert = bad\n"
+        "sys.exit(cli.main(['convert', '--input', 'x', '--from', 'csr', '--to', 'csr', '--output', 'y']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sparsec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sparsec: error[MalformedStorage]: "), lines
+
+
+def test_load_binary_truncated_at_every_byte(mat_a, tensor_t):
+    for coo, enc in [
+        (mat_a, csr()),
+        (mat_a, make_encoding([COMPRESSED, DENSE], (1, 0), 16, 8)),
+        (tensor_t, make_encoding([COMPRESSED] * 3)),
+    ]:
+        blob = dump_binary(pack(coo, enc))
+        for cut in range(len(blob)):
+            with pytest.raises(ParseError):
+                load_binary(blob[:cut])
+
+
+def test_load_binary_corrupt_is_parse_error(mat_a):
+    blob = dump_binary(pack(mat_a, csr()))
+    with pytest.raises(ParseError):
+        load_binary(blob + b"\0")  # trailing bytes
+    with pytest.raises(ParseError):
+        load_binary(blob[:6] + bytes([7]) + blob[7:])  # width 7 is not allowed
+    with pytest.raises(ParseError):
+        load_binary(blob[:-40] + struct.pack("<Q", 9) + blob[-32:])  # index 9 >= extent 4
