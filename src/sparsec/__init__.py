@@ -4,7 +4,8 @@ Kernels are written in a sparsity-agnostic index notation; per-tensor
 format annotations choose dense or compressed storage per dimension, a
 dimension ordering, and overhead bit widths. The compiler orders loops via
 an iteration graph, builds merge lattices per index variable, lowers to an
-explicit loop IR, and interprets that IR directly over packed storage.
+explicit loop IR, and runs that IR over packed storage as one generated
+Python function per lowered program.
 """
 
 from .encoding import (

@@ -12,9 +12,9 @@ import re
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
-from .codegen import choose_output_strategy, emit_text, lower
+from .codegen import emit_text
 from .encoding import (
     COMPRESSED,
     DENSE,
@@ -27,7 +27,7 @@ from .encoding import (
     enumerate_encodings,
     make_encoding,
 )
-from .engine import convert, prepare_kernels, run_kernel
+from .engine import compile_kernel, convert, execute, prepare_kernels, run_kernel
 from .errors import OracleMismatch, OrderConflict, ParseError, SparsecError
 from .expr import expr_to_text, parse_kernel
 from .lattice import (
@@ -180,6 +180,9 @@ def cmd_convert(args) -> int:
 def cmd_emit(args) -> int:
     with open(args.kernel_file) as fh:
         kernel = parse_kernel(fh.read())
+    if args.emit == "ir":
+        sys.stdout.write("\n".join(emit_text(program) for program in compile_kernel(kernel)))
+        return 0
     pieces = prepare_kernels(kernel)
     chunks = []
     for piece in pieces:
@@ -202,9 +205,6 @@ def cmd_emit(args) -> int:
                 lat = build_lattice(piece, var)
                 lines.append(lattice_to_text(lat, names))
             chunks.append("\n".join(lines) + "\n")
-        elif args.emit == "ir":
-            lattices = {v: build_lattice(piece, v) for v in topo}
-            chunks.append(emit_text(lower(piece, topo, lattices)))
         else:
             raise ParseError(f"unknown emit target {args.emit!r} (ir|lattice|graph)")
     sys.stdout.write("\n".join(chunks))
@@ -247,13 +247,12 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
         swept = replace(kernel, tensors=tensors, analysis=None)
         started = time.perf_counter()
         try:
-            result = run_kernel(swept, coo_bindings)
+            programs = compile_kernel(swept)
         except OrderConflict:
             continue
+        result = execute(swept, programs, coo_bindings)
         elapsed_ms = (time.perf_counter() - started) * 1e3
-        final = prepare_kernels(swept)[-1]
-        topo = topo_sort(build_iteration_graph(final))
-        opt = choose_output_strategy(final, topo).describe()
+        opt = programs[-1].strategy.describe()
         rows.append(
             SearchRow(dict(zip(names, combo)), opt, elapsed_ms, result_checksum(result))
         )
@@ -334,28 +333,98 @@ def cmd_search(args) -> int:
 # ----------------------------------------------------------------------------
 # Benchmarks
 
-_SUITE_KERNELS = {
-    "spmspm": (
-        "tensor A({n}, {n}) format(dense, compressed)\n"
-        "tensor B({n}, {n}) format(dense, compressed)\n"
-        "tensor C({n}, {n}) format(dense, compressed)\n"
-        "C(i, j) = A(i, k) * B(k, j)\n"
+@dataclass(frozen=True)
+class _BenchSuite:
+    """One `sparsec bench` suite: a kernel checked against the dense oracle
+    at a small scale, then timed at the requested one.
+
+    `kernel`, the input specs, `header` and `line` are format strings over
+    a run's fields: `small` for the check, or `scale(n)` merged with one
+    of the `variants` for each timed run. The printed lines also see `ms`,
+    `rho_out` (the result's density) and `rho_<input>`. Input specs are
+    generators without a seed; the i-th input gets seed + i.
+    """
+
+    kernel: str
+    inputs: dict  # tensor name -> generator spec
+    small: dict
+    default_scale: int
+    scale: Callable[[int], dict]
+    line: str
+    header: str = ""
+    variants: tuple = ({},)
+
+
+_SPMSPM = (
+    "tensor A({n}, {n}) format(dense, compressed)\n"
+    "tensor B({n}, {n}) format(dense, compressed)\n"
+    "tensor C({n}, {n}) format(dense, compressed)\n"
+    "C(i, j) = A(i, k) * B(k, j)\n"
+)
+
+_BENCH_SUITES = {
+    "spmspm": _BenchSuite(
+        kernel=_SPMSPM,
+        inputs={"A": "uniform:{rho}", "B": "uniform:{rho}"},
+        small=dict(n=48, rho=0.1),
+        default_scale=1024,
+        scale=lambda n: dict(n=n, rho=0.01),
+        line="  n={n} rho_A,B={rho}  time {ms:9.1f} ms  rho_C={rho_out:.4f}",
     ),
-    "sddmm": (
-        "tensor S({n}, {n}) format(dense, compressed)\n"
-        "tensor A({n}, {k})\n"
-        "tensor B({k}, {n})\n"
-        "tensor X({n}, {n}) format(dense, compressed)\n"
-        "X(i, j) = S(i, j) * A(i, k) * B(k, j)\n"
+    "spmv": _BenchSuite(
+        kernel="tensor A({n}, {n}) {enc}\ntensor v({n})\ntensor x({n})\nx(i) = A(i, j) * v(j)\n",
+        inputs={"A": "rowband:{band}", "v": "uniform:1.0"},
+        small=dict(n=32, band=6, enc="format(compressed, dense)"),
+        default_scale=2048,
+        scale=lambda n: dict(n=n, band=min(1000, n)),
+        header="rowband A: n={n}, dense rows={band}, density={rho_A:.4f}",
+        line="  {label:5s} time {ms:9.1f} ms  output density {rho_out:.4f}",
+        variants=tuple(
+            dict(label=label, enc=enc.describe())
+            for label, enc in (
+                ("CSR", csr()),
+                ("DCSR", dcsr()),
+                ("CDR", make_encoding([COMPRESSED, DENSE])),
+            )
+        ),
     ),
-    "mttkrp": (
-        "tensor B({n}, {m}, {l}) format(dense, compressed, compressed)\n"
-        "tensor D({l}, {j})\n"
-        "tensor C({m}, {j})\n"
-        "tensor A({n}, {j})\n"
-        "A(i, j) = B(i, k, l) * D(l, j) * C(k, j)\n"
+    "sddmm": _BenchSuite(
+        kernel=(
+            "tensor S({n}, {n}) format(dense, compressed)\n"
+            "tensor A({n}, {k})\n"
+            "tensor B({k}, {n})\n"
+            "tensor X({n}, {n}) format(dense, compressed)\n"
+            "X(i, j) = S(i, j) * A(i, k) * B(k, j)\n"
+        ),
+        inputs={"S": "uniform:{rho}", "A": "uniform:1.0", "B": "uniform:1.0"},
+        small=dict(n=24, k=8, rho=0.2),
+        default_scale=512,
+        scale=lambda n: dict(n=n, k=64, rho=0.05),
+        line="  n={n} k={k}  time {ms:9.1f} ms  rho_X={rho_out:.4f}",
+    ),
+    "mttkrp": _BenchSuite(
+        kernel=(
+            "tensor B({n}, {m}, {l}) format(dense, compressed, compressed)\n"
+            "tensor D({l}, {j})\n"
+            "tensor C({m}, {j})\n"
+            "tensor A({n}, {j})\n"
+            "A(i, j) = B(i, k, l) * D(l, j) * C(k, j)\n"
+        ),
+        inputs={"B": "uniform:{rho}", "D": "uniform:1.0", "C": "uniform:1.0"},
+        small=dict(n=12, m=10, l=8, j=4, rho=0.1),
+        default_scale=96,
+        scale=lambda n: dict(n=n, m=n, l=n, j=16, rho=0.02),
+        line="  n={n} j={j}  time {ms:9.1f} ms  rho_A={rho_out:.4f}",
     ),
 }
+
+
+def _bench_inputs(suite: _BenchSuite, fields: dict, seed: int) -> dict:
+    shapes = parse_kernel(suite.kernel.format(**fields)).tensors
+    return {
+        name: parse_input_spec(spec.format(**fields), shapes[name].shape, seed + i)
+        for i, (name, spec) in enumerate(suite.inputs.items())
+    }
 
 
 def _bench_correctness(kernel_text: str, bindings: dict) -> None:
@@ -373,105 +442,24 @@ def _bench_correctness(kernel_text: str, bindings: dict) -> None:
 
 
 def cmd_bench(args) -> int:
-    suite = args.suite
-    seed = args.seed
-    print(f"suite {suite}: verifying against the dense oracle at small scale")
-    if suite == "spmv":
-        _bench_spmv_small_check(seed)
-        n = args.scale or 2048
-        band = min(1000, n)
-        coo = generate(GeneratorSpec((n, n), "rowband", dense_rows=band, seed=seed))
-        vec = generate(GeneratorSpec((n,), "uniform", density=1.0, seed=seed + 1))
-        print(f"rowband A: n={n}, dense rows={band}, density={density(coo):.4f}")
-        for label, enc in (("CSR", csr()), ("DCSR", dcsr()), ("CDR", make_encoding([COMPRESSED, DENSE]))):
-            text = (
-                f"tensor A({n}, {n}) {enc.describe()}\n"
-                f"tensor v({n})\n"
-                f"tensor x({n})\n"
-                "x(i) = A(i, j) * v(j)\n"
-            )
-            kernel = parse_kernel(text)
-            started = time.perf_counter()
-            result = run_kernel(kernel, {"A": coo, "v": vec})
-            elapsed_ms = (time.perf_counter() - started) * 1e3
-            print(f"  {label:5s} time {elapsed_ms:9.1f} ms  output density {density(result):.4f}")
-        return 0
-    if suite == "spmspm":
-        small = _SUITE_KERNELS[suite].format(n=48)
-        _bench_correctness(
-            small,
-            {
-                "A": generate(GeneratorSpec((48, 48), "uniform", density=0.1, seed=seed)),
-                "B": generate(GeneratorSpec((48, 48), "uniform", density=0.1, seed=seed + 1)),
-            },
-        )
-        n = args.scale or 1024
-        text = _SUITE_KERNELS[suite].format(n=n)
-        kernel = parse_kernel(text)
-        a = generate(GeneratorSpec((n, n), "uniform", density=0.01, seed=seed))
-        b = generate(GeneratorSpec((n, n), "uniform", density=0.01, seed=seed + 1))
+    if args.suite not in _BENCH_SUITES:
+        raise ParseError(f"unknown suite {args.suite!r} ({'|'.join(_BENCH_SUITES)})")
+    suite = _BENCH_SUITES[args.suite]
+    print(f"suite {args.suite}: verifying against the dense oracle at small scale")
+    small = suite.small
+    _bench_correctness(suite.kernel.format(**small), _bench_inputs(suite, small, args.seed))
+    fields = suite.scale(args.scale or suite.default_scale)
+    inputs = _bench_inputs(suite, {**fields, **suite.variants[0]}, args.seed)
+    rho = {f"rho_{name}": density(value) for name, value in inputs.items()}
+    if suite.header:
+        print(suite.header.format(**fields, **rho))
+    for variant in suite.variants:
+        kernel = parse_kernel(suite.kernel.format(**fields, **variant))
         started = time.perf_counter()
-        result = run_kernel(kernel, {"A": a, "B": b})
+        result = run_kernel(kernel, inputs)
         elapsed_ms = (time.perf_counter() - started) * 1e3
-        print(f"  n={n} rho_A,B=0.01  time {elapsed_ms:9.1f} ms  rho_C={density(result):.4f}")
-        return 0
-    if suite == "sddmm":
-        small = _SUITE_KERNELS[suite].format(n=24, k=8)
-        _bench_correctness(
-            small,
-            {
-                "S": generate(GeneratorSpec((24, 24), "uniform", density=0.2, seed=seed)),
-                "A": generate(GeneratorSpec((24, 8), "uniform", density=1.0, seed=seed + 1)),
-                "B": generate(GeneratorSpec((8, 24), "uniform", density=1.0, seed=seed + 2)),
-            },
-        )
-        n = args.scale or 512
-        k = 64
-        kernel = parse_kernel(_SUITE_KERNELS[suite].format(n=n, k=k))
-        s = generate(GeneratorSpec((n, n), "uniform", density=0.05, seed=seed))
-        a = generate(GeneratorSpec((n, k), "uniform", density=1.0, seed=seed + 1))
-        b = generate(GeneratorSpec((k, n), "uniform", density=1.0, seed=seed + 2))
-        started = time.perf_counter()
-        result = run_kernel(kernel, {"S": s, "A": a, "B": b})
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        print(f"  n={n} k={k}  time {elapsed_ms:9.1f} ms  rho_X={density(result):.4f}")
-        return 0
-    if suite == "mttkrp":
-        small = _SUITE_KERNELS[suite].format(n=12, m=10, l=8, j=4)
-        _bench_correctness(
-            small,
-            {
-                "B": generate(GeneratorSpec((12, 10, 8), "uniform", density=0.1, seed=seed)),
-                "D": generate(GeneratorSpec((8, 4), "uniform", density=1.0, seed=seed + 1)),
-                "C": generate(GeneratorSpec((10, 4), "uniform", density=1.0, seed=seed + 2)),
-            },
-        )
-        n = args.scale or 96
-        m, l, j = n, n, 16
-        kernel = parse_kernel(_SUITE_KERNELS[suite].format(n=n, m=m, l=l, j=j))
-        b = generate(GeneratorSpec((n, m, l), "uniform", density=0.02, seed=seed))
-        d = generate(GeneratorSpec((l, j), "uniform", density=1.0, seed=seed + 1))
-        c = generate(GeneratorSpec((m, j), "uniform", density=1.0, seed=seed + 2))
-        started = time.perf_counter()
-        result = run_kernel(kernel, {"B": b, "D": d, "C": c})
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        print(f"  n={n} j={j}  time {elapsed_ms:9.1f} ms  rho_A={density(result):.4f}")
-        return 0
-    raise ParseError(f"unknown suite {suite!r} (spmspm|spmv|sddmm|mttkrp)")
-
-
-def _bench_spmv_small_check(seed: int):
-    text = (
-        "tensor A(32, 32) format(compressed, dense)\n"
-        "tensor v(32)\n"
-        "tensor x(32)\n"
-        "x(i) = A(i, j) * v(j)\n"
-    )
-    bindings = {
-        "A": generate(GeneratorSpec((32, 32), "rowband", dense_rows=6, seed=seed)),
-        "v": generate(GeneratorSpec((32,), "uniform", density=1.0, seed=seed + 1)),
-    }
-    _bench_correctness(text, bindings)
+        print(suite.line.format(**fields, **variant, ms=elapsed_ms, rho_out=density(result)))
+    return 0
 
 
 # ----------------------------------------------------------------------------
@@ -519,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.set_defaults(func=cmd_search)
 
     bench = sub.add_parser("bench", help="desk-scale kernel benchmarks")
-    bench.add_argument("--suite", required=True, choices=["spmspm", "spmv", "sddmm", "mttkrp"])
+    bench.add_argument("--suite", required=True, choices=list(_BENCH_SUITES))
     bench.add_argument("--scale", type=int)
     bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(func=cmd_bench)

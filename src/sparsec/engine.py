@@ -1,19 +1,21 @@
-"""Execution: interpret loop IR over packed storage, end to end.
+"""Execution: run loop IR over packed storage, end to end.
 
-`run_kernel` is the library entry point: it normalizes the kernel
-(accumulating sparse outputs are rewritten to read the previous output;
-scoped reductions are split into temporaries), orders the loops, lowers to
-IR, and interprets. The interpreter links each IR node once into a Python
-closure over a small frame of index variables, iterator positions, and
-hoisted values, then runs the closure tree; there is no code generation
-beyond that, so results stay bit-auditable against the emitted IR text.
+`run_kernel` is the library entry point. `compile_kernel` normalizes the
+kernel (accumulating sparse outputs are rewritten to read the previous
+output; scoped reductions are split into temporaries), orders the loops
+and lowers each piece to an IR Program; `execute` coerces the inputs and
+interprets the Programs. The interpreter writes each Program, over the
+concrete bindings, as the source of one Python function whose loop
+variables and positions are locals, and `exec`s it once. That function is
+the Python form of the IR that `codegen.emit_text` prints, so results stay
+auditable against the emitted text.
 
 Tensors bound as inputs are never mutated; the in-place strategy writes
 into a fresh copy of the output's values array.
 """
 
 from dataclasses import replace
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from .codegen import (
     AccRef,
@@ -38,7 +40,7 @@ from .codegen import (
     lower,
 )
 from .encoding import COMPRESSED, Encoding, TensorType
-from .errors import ShapeMismatch, UnknownTensor
+from .errors import ShapeMismatch, UnknownTensor, UnsupportedKernel
 from .expr import (
     Access,
     Add,
@@ -107,43 +109,27 @@ def _shape_of(value: TensorValue) -> tuple:
 # ----------------------------------------------------------------------------
 # Interpreter
 
-
-class _Frame:
-    __slots__ = ("vars", "pos", "lo", "hi", "vals", "accs", "ws", "builder", "out", "out_values")
-
-    def __init__(self, n_vars, n_its, n_vals, n_accs):
-        self.vars = [0] * n_vars
-        self.pos = [0] * n_its
-        self.lo = [0] * n_its
-        self.hi = [0] * n_its
-        self.vals = [0.0] * n_vals
-        self.accs = [0.0] * n_accs
-        self.ws = None
-        self.builder = None
-        self.out = None
-        self.out_values = None
+# CPython compiles at most 20 statically nested loops into one function.
+_MAX_LOOP_DEPTH = 20
 
 
-class _Linker:
-    """Turns a Program plus concrete bindings into a closure tree."""
+class _Generator:
+    """Writes a Program over concrete bindings as the source of one function.
+
+    Loop variables, iterator positions and ends, range counters, hoisted
+    values and accumulators are plain locals; the bound arrays become
+    globals. Every name is a slot name (`v0` for the first loop variable,
+    `q3_1`/`h3_1` for the position and end of access 3 at level 1, `r0`,
+    `x3`, `a0`), so no identifier from the kernel text reaches the source.
+    """
 
     def __init__(self, program: Program, env: dict):
         self.p = program
         self.env = env
-        self.var_slot = {v: i for i, v in enumerate(program.topo)}
-        self.it_slot: Dict[tuple, int] = {}
-        for ref in program.accesses:
-            enc = program.kernel.tensors[ref.tensor].encoding
-            if enc is None:
-                continue
-            for level, lt in enumerate(enc.levels):
-                if lt is COMPRESSED:
-                    self.it_slot[(ref.uid, level)] = len(self.it_slot) + len(program.topo)
-        # Range counters live in the same pos/lo/hi arrays as iterators.
-        self.range_slot = {v: i for i, v in enumerate(program.topo)}
-        self.n_slots = len(program.topo) + len(self.it_slot)
-
-    # -- access plumbing
+        self.var = {v: f"v{i}" for i, v in enumerate(program.topo)}
+        self.globals = {"expand": expand, "compress": compress}
+        self.lines = ["def program():"]
+        self.loops = 0
 
     def _binding(self, uid: int):
         ref = self.p.accesses[uid]
@@ -152,330 +138,213 @@ class _Linker:
         except KeyError:
             raise UnknownTensor(f"no binding for tensor {ref.tensor!r}")
 
-    def _steps(self, uid: int, upto: Optional[int] = None) -> list:
-        """Per-level position recipe: ('d', extent, var slot) | ('c', slot)."""
+    def _global(self, name: str, array) -> str:
+        self.globals[name] = array
+        return name
+
+    def _position(self, uid: int, upto: Optional[int] = None) -> str:
+        """Flat position of access `uid` after its first `upto` levels."""
         ref = self.p.accesses[uid]
         value = self._binding(uid)
-        steps = []
+        # Positions at a compressed level are absolute, so the walk only
+        # needs the dense levels after the last compressed one.
+        src = None
         if isinstance(value, DenseTensor):
-            for v, extent in zip(ref.indices, value.shape):
-                steps.append(("d", extent, self.var_slot[v]))
+            steps = list(zip(ref.indices, value.shape))
         else:
             enc = value.encoding
             sshape = value.ttype.storage_shape()
-            for level in range(value.rank):
+            steps = []
+            for level in range(value.rank if upto is None else upto):
                 if enc.levels[level] is COMPRESSED:
-                    steps.append(("c", self.it_slot[(uid, level)], 0))
+                    src, steps = f"q{uid}_{level}", []
                 else:
-                    v = ref.indices[enc.dim_of_level(level)]
-                    steps.append(("d", sshape[level], self.var_slot[v]))
-        return steps if upto is None else steps[:upto]
-
-    # -- expressions
-    #
-    # Expressions and leaf sinks are specialized at link time by rendering
-    # them to a tiny Python source fragment and eval/exec-ing it into one
-    # closure. This is plain closure specialization over the IR, not a
-    # backend: positions and bindings come straight from the IR's slots.
-
-    def _position_src(self, steps) -> str:
-        # Positions at a compressed level are absolute, so the walk only
-        # needs the suffix after the last compressed step.
-        base = None
-        for i in range(len(steps) - 1, -1, -1):
-            if steps[i][0] == "c":
-                base = f"f.pos[{steps[i][1]}]"
-                steps = steps[i + 1 :]
-                break
-        src = base
-        for _, extent, vslot in steps:
-            term = f"f.vars[{vslot}]"
-            src = term if src is None else f"({src}*{extent}+{term})"
+                    steps.append((ref.indices[enc.dim_of_level(level)], sshape[level]))
+        for v, extent in steps:
+            src = self.var[v] if src is None else f"({src}*{extent}+{self.var[v]})"
         return src or "0"
 
-    def _value_src(self, uid: int, bind: dict) -> str:
-        value = self._binding(uid)
-        data = value.data if isinstance(value, DenseTensor) else value.values
-        name = f"d{uid}"
-        bind[name] = data
-        return f"{name}[{self._position_src(self._steps(uid))}]"
-
-    def _expr_src(self, node, inline: frozenset, bind: dict) -> str:
+    def _expr(self, node) -> str:
         if isinstance(node, ValRef):
-            if node.uid in inline:
-                return self._value_src(node.uid, bind)
-            return f"f.vals[{node.uid}]"
+            return f"x{node.uid}"
         if isinstance(node, AccRef):
-            return f"f.accs[{node.slot}]"
+            return f"a{node.slot}"
         if isinstance(node, Const):
             return repr(node.value)
         if isinstance(node, Neg):
-            return f"(-{self._expr_src(node.operand, inline, bind)})"
+            return f"(-{self._expr(node.operand)})"
         op = {Mul: "*", Add: "+", Sub: "-"}[type(node)]
-        lhs = self._expr_src(node.lhs, inline, bind)
-        rhs = self._expr_src(node.rhs, inline, bind)
-        return f"({lhs} {op} {rhs})"
+        return f"({self._expr(node.lhs)} {op} {self._expr(node.rhs)})"
 
-    def _compile(self, body_src: str, bind: dict):
-        namespace = dict(bind)
-        exec(f"def _linked(f):\n    {body_src}\n", namespace)
-        return namespace["_linked"]
+    def _tuple(self, variables) -> str:
+        names = [self.var[v] for v in variables]
+        return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
 
-    def link_expr(self, node, inline: frozenset = frozenset()):
-        bind: dict = {}
-        src = self._expr_src(node, inline, bind)
-        return eval(f"lambda f: {src}", bind)
+    def line(self, depth: int, text: str):
+        self.lines.append("    " * (depth + 1) + text)
 
-    # -- statements
-
-    _LEAF_SINKS = (StoreDense, ScatterWs, AccumAcc, InsertLex, StoreInPlace)
-
-    def link_block(self, stmts):
-        fused = self._try_fuse_leaf(stmts)
-        if fused is not None:
-            return fused
-        fns = [self.link_stmt(s) for s in stmts]
-        if len(fns) == 1:
-            return fns[0]
-
-        def run(f, _fns=tuple(fns)):
-            for fn in _fns:
-                fn(f)
-
-        return run
-
-    def _try_fuse_leaf(self, stmts):
-        # Innermost bodies are overwhelmingly `load*, sink`; folding the
-        # loads into the sink expression skips the per-element frame writes.
-        if not stmts or not isinstance(stmts[-1], self._LEAF_SINKS):
-            return None
-        loads = stmts[:-1]
-        if not all(isinstance(s, LoadVal) for s in loads):
-            return None
-        inline = frozenset(s.uid for s in loads)
-        sink = stmts[-1]
-        return getattr(self, f"_link_{type(sink).__name__}")(sink, inline)
-
-    def link_stmt(self, s):
-        return getattr(self, f"_link_{type(s).__name__}")(s)
-
-    def _link_LoadRange(self, s: LoadRange):
-        bind = {"ptrs": self._binding(s.uid).pointers[s.level]}
-        slot = self.it_slot[(s.uid, s.level)]
-        parent = self._position_src(self._steps(s.uid, upto=s.level))
-        body = (
-            f"p = {parent}\n"
-            f"    lo = ptrs[p]\n"
-            f"    f.pos[{slot}] = lo\n"
-            f"    f.lo[{slot}] = lo\n"
-            f"    f.hi[{slot}] = ptrs[p + 1]"
-        )
-        return self._compile(body, bind)
-
-    def _link_LoadVal(self, s: LoadVal):
-        bind: dict = {}
-        src = self._value_src(s.uid, bind)
-        return self._compile(f"f.vals[{s.uid}] = {src}", bind)
-
-    def _link_ForDense(self, s: ForDense):
-        body = self.link_block(s.body)
-        vs = self.var_slot[s.var]
-        extent = s.extent
-
-        def run(f, _body=body, _vs=vs, _n=extent):
-            fvars = f.vars
-            for i in range(_n):
-                fvars[_vs] = i
-                _body(f)
-
-        return run
-
-    def _link_ForPositions(self, s: ForPositions):
-        body = self.link_block(s.body)
-        slot = self.it_slot[(s.uid, s.level)]
-        vs = self.var_slot[s.var]
-        idx = self._binding(s.uid).indices[s.level]
-
-        def run(f, _body=body, _slot=slot, _vs=vs, _idx=idx):
-            fpos = f.pos
-            fvars = f.vars
-            for p in range(f.lo[_slot], f.hi[_slot]):
-                fpos[_slot] = p
-                fvars[_vs] = _idx[p]
-                _body(f)
-
-        return run
-
-    def _link_RangeInit(self, s: RangeInit):
-        slot = self.range_slot[s.var]
-
-        def run(f, _slot=slot):
-            f.pos[_slot] = 0
-
-        return run
-
-    def _link_WhileCoiter(self, s: WhileCoiter):
-        its = tuple(
-            (self.it_slot[(uid, level)], self._binding(uid).indices[level])
-            for uid, level in s.iterators
-        )
-        uid_index = {uid: i for i, (uid, _) in enumerate(s.iterators)}
-        cases = tuple(
-            (tuple(uid_index[u] for u in sorted(c.iterators)), self.link_block(c.body))
-            for c in s.cases
-        )
-        vs = self.var_slot[s.var]
-        has_range = s.has_range
-        rslot = self.range_slot[s.var]
-        extent = s.extent
-
-        def run(f):
-            fpos = f.pos
-            fhi = f.hi
-            fvars = f.vars
-            while True:
-                coords = []
-                for slot, idx in its:
-                    p = fpos[slot]
-                    if p >= fhi[slot]:
-                        return
-                    coords.append(idx[p])
-                if has_range:
-                    cand = fpos[rslot]
-                    if cand >= extent:
-                        return
-                else:
-                    cand = min(coords)
-                fvars[vs] = cand
-                for guard, body in cases:
-                    hit = True
-                    for gi in guard:
-                        if coords[gi] != cand:
-                            hit = False
-                            break
-                    if hit:
-                        body(f)
-                        break
-                i = 0
-                for slot, _ in its:
-                    if coords[i] == cand:
-                        fpos[slot] += 1
-                    i += 1
-                if has_range:
-                    fpos[rslot] += 1
-
-        return run
-
-    def _link_DeclAcc(self, s: DeclAcc):
-        slot = s.slot
-
-        def run(f, _s=slot):
-            f.accs[_s] = 0.0
-
-        return run
-
-    def _link_AccumAcc(self, s: AccumAcc, inline: frozenset = frozenset()):
-        bind: dict = {}
-        src = self._expr_src(s.expr, inline, bind)
-        return self._compile(f"f.accs[{s.slot}] += {src}", bind)
-
-    def _offset_src(self, coords) -> str:
-        shape = self.p.kernel.output_type.shape
-        strides = []
-        acc = 1
-        for extent in reversed(shape):
-            strides.append(acc)
-            acc *= extent
-        strides.reverse()
-        terms = []
-        for v, stride in zip(coords, strides):
-            vs = self.var_slot[v]
-            terms.append(f"f.vars[{vs}]*{stride}" if stride != 1 else f"f.vars[{vs}]")
-        return " + ".join(terms) if terms else "0"
-
-    def _link_StoreDense(self, s: StoreDense, inline: frozenset = frozenset()):
-        bind: dict = {}
-        src = self._expr_src(s.expr, inline, bind)
-        return self._compile(f"f.out[{self._offset_src(s.coords)}] += {src}", bind)
-
-    def _link_InsertLex(self, s: InsertLex, inline: frozenset = frozenset()):
-        slots = tuple(self.var_slot[v] for v in s.coords)
-        e = self.link_expr(s.expr, inline)
-
-        def run(f, _slots=slots, _e=e):
-            f.builder.insert(tuple(f.vars[vs] for vs in _slots), _e(f))
-
-        return run
-
-    def _link_ExpandWs(self, s: ExpandWs):
-        extent = s.extent
-
-        def run(f, _n=extent):
-            f.ws = expand(_n)
-
-        return run
-
-    def _link_ScatterWs(self, s: ScatterWs, inline: frozenset = frozenset()):
-        bind: dict = {}
-        src = self._expr_src(s.expr, inline, bind)
-        body = (
-            f"ws = f.ws\n"
-            f"    j = f.vars[{self.var_slot[s.var]}]\n"
-            f"    ws.values[j] += {src}\n"
-            f"    if not ws.filled[j]:\n"
-            f"        ws.filled[j] = True\n"
-            f"        ws.added.append(j)"
-        )
-        return self._compile(body, bind)
-
-    def _link_CompressWs(self, s: CompressWs):
-        slots = tuple(self.var_slot[v] for v in s.prefix)
-
-        def run(f, _slots=slots):
-            compress(f.ws, f.builder, tuple(f.vars[vs] for vs in _slots))
-
-        return run
-
-    def _link_StoreInPlace(self, s: StoreInPlace, inline: frozenset = frozenset()):
-        bind: dict = {}
-        src = self._expr_src(s.expr, inline, bind)
-        slot = self.it_slot[(s.uid, s.level)]
-        return self._compile(f"f.out_values[f.pos[{slot}]] = {src}", bind)
-
-    # -- entry
-
-    def run(self):
-        p = self.p
-        program_fn = self.link_block(p.body) if p.body else (lambda f: None)
-        frame = _Frame(len(p.topo), self.n_slots, len(p.accesses), p.acc_count)
-        kernel = p.kernel
-        out_type = kernel.output_type
-        out_name = kernel.lhs.tensor
-        strat = p.strategy.kind
-        if strat is StrategyKind.DENSE_STORE:
-            seed = self.env.get(out_name) if kernel.accumulate else None
-            if seed is not None:
-                frame.out = list(seed.data)
-            else:
-                frame.out = [0.0] * DenseTensor.zeros(out_type.shape).volume
-        elif strat is StrategyKind.IN_PLACE:
-            frame.out_values = list(self.env[out_name].values)
-        else:
-            frame.builder = StorageBuilder(out_type)
-        program_fn(frame)
-        if strat is StrategyKind.DENSE_STORE:
-            return DenseTensor(out_type.shape, frame.out)
-        if strat is StrategyKind.IN_PLACE:
-            base = self.env[out_name]
-            return SparseStorage(
-                base.ttype, base.pointers, base.indices, tuple(frame.out_values)
+    def loop(self, depth: int, header: str, body):
+        """Emit a loop header, then `body()` one level deeper."""
+        self.loops += 1
+        if self.loops > _MAX_LOOP_DEPTH:
+            raise UnsupportedKernel(
+                f"kernel needs more than {_MAX_LOOP_DEPTH} nested loops, the most "
+                "one generated Python function can hold"
             )
-        return frame.builder.finalize()
+        self.line(depth, header)
+        body()
+        self.loops -= 1
+
+    def block(self, stmts, depth: int):
+        for s in stmts:
+            getattr(self, f"_{type(s).__name__}")(s, depth)
+
+    def _LoadRange(self, s: LoadRange, depth):
+        it = f"{s.uid}_{s.level}"
+        ptrs = self._global(f"P{it}", self._binding(s.uid).pointers[s.level])
+        parent = self._position(s.uid, upto=s.level)
+        self.line(depth, f"q{it} = {ptrs}[{parent}]")
+        self.line(depth, f"h{it} = {ptrs}[{parent} + 1]")
+
+    def _LoadVal(self, s: LoadVal, depth):
+        value = self._binding(s.uid)
+        data = value.data if isinstance(value, DenseTensor) else value.values
+        name = self._global(f"V{s.uid}", data)
+        self.line(depth, f"x{s.uid} = {name}[{self._position(s.uid)}]")
+
+    def _ForDense(self, s: ForDense, depth):
+        header = f"for {self.var[s.var]} in range({s.extent}):"
+        self.loop(depth, header, lambda: self.block(s.body, depth + 1))
+
+    def _ForPositions(self, s: ForPositions, depth):
+        it = f"{s.uid}_{s.level}"
+        idx = self._global(f"I{it}", self._binding(s.uid).indices[s.level])
+
+        def body():
+            self.line(depth + 1, f"{self.var[s.var]} = {idx}[q{it}]")
+            self.block(s.body, depth + 1)
+
+        self.loop(depth, f"for q{it} in range(q{it}, h{it}):", body)
+
+    def _RangeInit(self, s: RangeInit, depth):
+        self.line(depth, f"r{self.var[s.var][1:]} = 0")
+
+    def _WhileCoiter(self, s: WhileCoiter, depth):
+        # Coordinates are named per (uid, level): a nested loop over a
+        # deeper level of the same access must not overwrite them.
+        its = [f"{uid}_{level}" for uid, level in s.iterators]
+        var = self.var[s.var]
+        counter = f"r{var[1:]}"
+        conds = [f"q{it} < h{it}" for it in its]
+        if s.has_range:
+            conds.append(f"{counter} < {s.extent}")
+        level_of = dict(s.iterators)
+
+        def body():
+            inner = depth + 1
+            for it, (uid, level) in zip(its, s.iterators):
+                idx = self._global(f"I{it}", self._binding(uid).indices[level])
+                self.line(inner, f"c{it} = {idx}[q{it}]")
+            if s.has_range:
+                self.line(inner, f"{var} = {counter}")
+            elif len(its) == 1:
+                self.line(inner, f"{var} = c{its[0]}")
+            else:
+                self.line(inner, f"{var} = min({', '.join(f'c{it}' for it in its)})")
+            # Cases in dominance order; the first whose iterators all hold
+            # the candidate runs, and a case with no iterators always does.
+            keyword = "if"
+            for case in s.cases:
+                guards = [f"c{uid}_{level_of[uid]} == {var}" for uid in sorted(case.iterators)]
+                if guards:
+                    self.line(inner, f"{keyword} {' and '.join(guards)}:")
+                    self.block(case.body, inner + 1)
+                    keyword = "elif"
+                elif keyword == "if":
+                    self.block(case.body, inner)
+                    break
+                else:
+                    self.line(inner, "else:")
+                    self.block(case.body, inner + 1)
+                    break
+            for it in its:
+                self.line(inner, f"if c{it} == {var}: q{it} += 1")
+            if s.has_range:
+                self.line(inner, f"{counter} += 1")
+
+        self.loop(depth, f"while {' and '.join(conds)}:", body)
+
+    def _DeclAcc(self, s: DeclAcc, depth):
+        self.line(depth, f"a{s.slot} = 0.0")
+
+    def _AccumAcc(self, s: AccumAcc, depth):
+        self.line(depth, f"a{s.slot} += {self._expr(s.expr)}")
+
+    def _StoreDense(self, s: StoreDense, depth):
+        stride, terms = 1, []
+        for v, extent in zip(reversed(s.coords), reversed(self.p.kernel.output_type.shape)):
+            terms.append(self.var[v] if stride == 1 else f"{self.var[v]}*{stride}")
+            stride *= extent
+        offset = " + ".join(reversed(terms)) or "0"
+        self.line(depth, f"out[{offset}] += {self._expr(s.expr)}")
+
+    def _InsertLex(self, s: InsertLex, depth):
+        self.line(depth, f"insert({self._tuple(s.coords)}, {self._expr(s.expr)})")
+
+    def _ExpandWs(self, s: ExpandWs, depth):
+        self.line(depth, f"ws = expand({s.extent})")
+        self.line(depth, "wv, wf, wa = ws.values, ws.filled, ws.added")
+
+    def _ScatterWs(self, s: ScatterWs, depth):
+        j = self.var[s.var]
+        self.line(depth, f"wv[{j}] += {self._expr(s.expr)}")
+        self.line(depth, f"if not wf[{j}]:")
+        self.line(depth + 1, f"wf[{j}] = True")
+        self.line(depth + 1, f"wa.append({j})")
+
+    def _CompressWs(self, s: CompressWs, depth):
+        self.line(depth, f"compress(ws, builder, {self._tuple(s.prefix)})")
+
+    def _StoreInPlace(self, s: StoreInPlace, depth):
+        self.line(depth, f"out[q{s.uid}_{s.level}] = {self._expr(s.expr)}")
+
+    def function(self, **bound):
+        """Generate the source, `exec` it once, and return the function."""
+        self.block(self.p.body, 0)
+        namespace = dict(self.globals, **bound)
+        exec("\n".join(self.lines) + "\n", namespace)
+        # Popped, so that the function and its globals form no cycle.
+        return namespace.pop("program")
 
 
 def interpret(program: Program, env: dict):
-    """Execute a lowered Program against concrete tensor bindings."""
-    return _Linker(program, env).run()
+    """Execute a lowered Program against concrete tensor bindings.
+
+    The Program runs as one generated Python function; the output is a
+    dense buffer, a copy of the in-place output's values, or a
+    StorageBuilder, according to the Program's output strategy.
+    """
+    kernel = program.kernel
+    out_type = kernel.output_type
+    out_name = kernel.lhs.tensor
+    strat = program.strategy.kind
+    generator = _Generator(program, env)
+    if strat is StrategyKind.DENSE_STORE:
+        seed = env.get(out_name) if kernel.accumulate else None
+        if seed is not None:
+            out = list(seed.data)
+        else:
+            out = [0.0] * DenseTensor.zeros(out_type.shape).volume
+        generator.function(out=out)()
+        return DenseTensor(out_type.shape, out)
+    if strat is StrategyKind.IN_PLACE:
+        base = env[out_name]
+        out = list(base.values)
+        generator.function(out=out)()
+        return SparseStorage(base.ttype, base.pointers, base.indices, tuple(out))
+    builder = StorageBuilder(out_type)
+    generator.function(builder=builder, insert=builder.insert)()
+    return builder.finalize()
 
 
 # ----------------------------------------------------------------------------
@@ -503,21 +372,6 @@ def _empty_value(ttype: TensorType) -> TensorValue:
     return DenseTensor.zeros(ttype.shape)
 
 
-def _execute_single(kernel: Kernel, env: dict):
-    if kernel.analysis is None:
-        kernel = analyze_reductions(kernel)
-    graph = build_iteration_graph(kernel)
-    topo = topo_sort(graph)
-    lattices = {v: build_lattice(kernel, v) for v in topo}
-    program = lower(kernel, topo, lattices)
-    result = interpret(program, env)
-    out_type = kernel.output_type
-    if out_type.is_sparse and isinstance(result, DenseTensor):
-        # Fallback path: computed densely, pack into the declared format.
-        result = convert(result, out_type)
-    return result
-
-
 def prepare_kernels(kernel: Kernel) -> list:
     """Normalize a kernel into directly executable pieces.
 
@@ -540,16 +394,31 @@ def prepare_kernels(kernel: Kernel) -> list:
     return split_for_whole_expr_reduction(kernel)
 
 
-def run_kernel(kernel: Kernel, inputs: dict):
-    """Compile and execute a kernel against the given tensor bindings.
+def compile_kernel(kernel: Kernel) -> tuple:
+    """Compile a kernel into one lowered Program per piece, in run order.
 
-    Inputs may be CooTensor, DenseTensor, or SparseStorage; each is
-    coerced to its declared type first. The output binding is optional and
-    only consulted when the kernel accumulates or reads its own output.
-    Returns SparseStorage when the output is format-annotated, otherwise a
-    DenseTensor.
+    Prepares the pieces (`prepare_kernels`), orders each one's loops,
+    builds its merge lattices and lowers it. Raises `OrderConflict` when a
+    piece's dimension orderings admit no loop order.
     """
-    pieces = prepare_kernels(kernel)
+    programs = []
+    for piece in prepare_kernels(kernel):
+        if piece.analysis is None:
+            piece = analyze_reductions(piece)
+        topo = topo_sort(build_iteration_graph(piece))
+        lattices = {v: build_lattice(piece, v) for v in topo}
+        programs.append(lower(piece, topo, lattices))
+    return tuple(programs)
+
+
+def execute(kernel: Kernel, programs: tuple, inputs: dict):
+    """Run the Programs `compile_kernel` made for `kernel` on the inputs.
+
+    Coerces the inputs, interprets each Program in turn (binding each
+    temporary for the next), and packs a dense-fallback result into the
+    declared sparse format. Inputs and the result are as in `run_kernel`.
+    """
+    pieces = [program.kernel for program in programs]
     out_name = kernel.lhs.tensor
     temp_names = {piece.lhs.tensor for piece in pieces[:-1]}
     env: dict = {}
@@ -573,7 +442,24 @@ def run_kernel(kernel: Kernel, inputs: dict):
         else:
             env[out_name] = _empty_value(declared)
     result = None
-    for piece in pieces:
-        result = _execute_single(piece, env)
-        env[piece.lhs.tensor] = result
+    for program in programs:
+        result = interpret(program, env)
+        out_type = program.kernel.output_type
+        if out_type.is_sparse and isinstance(result, DenseTensor):
+            # Fallback path: computed densely, pack into the declared format.
+            result = convert(result, out_type)
+        env[program.kernel.lhs.tensor] = result
     return result
+
+
+def run_kernel(kernel: Kernel, inputs: dict):
+    """Compile and execute a kernel against the given tensor bindings.
+
+    Inputs may be CooTensor, DenseTensor, or SparseStorage; each is
+    coerced to its declared type first. The output binding is optional and
+    only consulted when the kernel accumulates or reads its own output.
+    Returns SparseStorage when the output is format-annotated, otherwise a
+    DenseTensor. The same as `execute(kernel, compile_kernel(kernel),
+    inputs)`.
+    """
+    return execute(kernel, compile_kernel(kernel), inputs)

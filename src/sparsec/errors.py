@@ -33,6 +33,10 @@ class CoordOutOfBounds(SparsecError):
     pass
 
 
+class CoordNotInteger(SparsecError):
+    """A COO coordinate that is not an integer, such as 1.5."""
+
+
 class BitWidthOverflow(SparsecError):
     pass
 

@@ -18,6 +18,7 @@ uses, which `split_for_whole_expr_reduction` normalizes away by
 materializing temporaries.
 """
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Union
@@ -352,7 +353,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.next()
-            return Const(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                # No result is format-invariant: a dense operand visits its
+                # zeros (0 * inf = nan) where a compressed one skips them.
+                self.fail(f"numeric literal {tok.text} is not finite", tok)
+            return Const(value)
         if tok.text == "(":
             self.next()
             node = self.parse_expr(tensors)

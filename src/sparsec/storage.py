@@ -17,8 +17,10 @@ Arrays go back into `SparseStorage` as tuples of Python ints and floats.
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 from operator import itemgetter
 from typing import Iterator, Sequence, Tuple
 
@@ -27,6 +29,7 @@ import numpy as np
 from .encoding import COMPRESSED, DENSE, Encoding, TensorType, make_encoding
 from .errors import (
     BitWidthOverflow,
+    CoordNotInteger,
     CoordOutOfBounds,
     LevelIsDense,
     MalformedStorage,
@@ -87,15 +90,22 @@ class CooTensor:
 
 def _coo_arrays(coo: CooTensor):
     """The entries as an (nnz, rank) int64 coordinate array and a float64
-    value array, after checking every coordinate's rank and bounds."""
+    value array, after checking every coordinate's rank, type and bounds."""
     d, n = coo.rank, coo.nnz
     coord_tuples = list(map(itemgetter(0), coo.entries))
     if n and set(map(len, coord_tuples)) != {d}:
         bad = next(c for c in coord_tuples if len(c) != d)
         raise RankMismatch(f"coordinate {bad} in a rank-{d} tensor")
     try:
-        coords = np.fromiter(chain.from_iterable(coord_tuples), np.int64, n * d).reshape(n, d)
+        # A signed 64-bit array takes only integers (`np.int64` too) and
+        # raises TypeError on 1.5, which a numpy int64 conversion would
+        # truncate to 1.
+        flat = array("q", list(chain.from_iterable(coord_tuples)))
+        coords = np.asarray(flat).reshape(n, d)
         outside = (coords < 0) | (coords >= np.array(coo.shape, np.int64))
+    except TypeError:
+        bad = next(c for c in coord_tuples if not all(isinstance(x, Integral) for x in c))
+        raise CoordNotInteger(f"coordinate {bad} is not an integer") from None
     except OverflowError:
         raise CoordOutOfBounds(f"coordinates of shape {coo.shape} exceed 64 bits") from None
     if outside.any():

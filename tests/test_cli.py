@@ -93,6 +93,16 @@ def test_cmd_run_order_conflict_exit_code(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+def test_cmd_run_non_finite_literal_is_a_syntax_error(tmp_path, capsys):
+    # 1e999 overflows to inf, and a*inf has no format-invariant answer.
+    kfile = tmp_path / "inf.kernel"
+    kfile.write_text("tensor a(4) format(compressed)\ntensor x(4)\nx(i) = a(i) * 1e999\n")
+    code = main(["run", "--kernel-file", str(kfile), "--input", "a=uniform:0.5:1"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[KernelSyntaxError]: 3:")
+
+
 def test_cmd_convert_roundtrip(tmp_path, mat_a):
     src = tmp_path / "a.mtx"
     src.write_text(
@@ -296,7 +306,8 @@ def test_cmd_convert_dense_literal(tmp_path):
     assert read_tensor(str(out)).entries == [((0,), 1.0), ((2,), 2.0)]
 
 
-def test_cmd_bench_oracle_mismatch_is_typed(monkeypatch, capsys):
+@pytest.mark.parametrize("suite", ["spmspm", "spmv", "sddmm", "mttkrp"])
+def test_cmd_bench_oracle_mismatch_is_typed(monkeypatch, capsys, suite):
     # An explicit comparison, not an assert, so `python -O` keeps the check.
     from sparsec import cli
     from sparsec.storage import DenseTensor
@@ -306,6 +317,6 @@ def test_cmd_bench_oracle_mismatch_is_typed(monkeypatch, capsys):
         return DenseTensor(out.shape, [1.0] * DenseTensor.zeros(out.shape).volume)
 
     monkeypatch.setattr(cli, "dense_eval", wrong_oracle)
-    assert main(["bench", "--suite", "spmspm", "--scale", "64"]) == 1
+    assert main(["bench", "--suite", suite, "--scale", "16"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("sparsec: error[OracleMismatch]: ")

@@ -15,7 +15,7 @@ from sparsec.encoding import (
     make_encoding,
 )
 from sparsec.engine import convert, run_kernel
-from sparsec.errors import OrderConflict, ShapeMismatch, UnknownTensor
+from sparsec.errors import OrderConflict, ShapeMismatch, UnknownTensor, UnsupportedKernel
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.oracle import dense_eval
 from sparsec.storage import CooTensor, DenseTensor, SparseStorage, pack, unpack
@@ -309,3 +309,35 @@ def test_accumulate_kernels_match_oracle(decl, lhs, rhs):
     want = dense_eval(kernel, dense_in)
     for x, y in zip(got.data, want.data):
         assert abs(x - y) <= 1e-10 * max(abs(x), abs(y), 1.0), text
+
+
+# ----------------------------------------------------------------------------
+# Generated-function limits
+
+
+def _union_kernel(rank: int) -> str:
+    # C = A + B, every level compressed: one co-iteration loop per level,
+    # so the generated function nests `rank` loops.
+    shape = ", ".join(["1"] * (rank - 3) + ["2", "3", "2"])
+    idx = ", ".join(f"i{d}" for d in range(rank))
+    fmt = f"format({', '.join(['compressed'] * rank)})"
+    decls = "".join(f"tensor {t}({shape}) {fmt}\n" for t in "ABC")
+    return f"{decls}C({idx}) = A({idx}) + B({idx})\n"
+
+
+def test_deepest_supported_loop_nest_matches_oracle():
+    kernel = parse_kernel(_union_kernel(20))
+    pad = (0,) * 17
+    a = CooTensor(kernel.tensors["A"].shape, [(pad + (0, 1, 1), 2.0), (pad + (1, 2, 0), 3.0)])
+    b = CooTensor(kernel.tensors["B"].shape, [(pad + (0, 1, 1), 0.5), (pad + (1, 0, 1), 4.0)])
+    got = convert(run_kernel(kernel, {"A": a, "B": b}), None)
+    want = dense_eval(kernel, {"A": a.to_dense(), "B": b.to_dense()})
+    assert got.data == want.data
+    assert sorted(got.data)[-3:] == [2.5, 3.0, 4.0]
+
+
+def test_loop_nest_past_the_python_limit_is_unsupported():
+    kernel = parse_kernel(_union_kernel(21))
+    shape = kernel.tensors["A"].shape
+    with pytest.raises(UnsupportedKernel, match="more than 20 nested loops"):
+        run_kernel(kernel, {"A": CooTensor(shape), "B": CooTensor(shape)})

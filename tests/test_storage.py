@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import conftest as refs
@@ -26,6 +27,7 @@ from sparsec.encoding import (
 )
 from sparsec.errors import (
     BitWidthOverflow,
+    CoordNotInteger,
     CoordOutOfBounds,
     LevelIsDense,
     MalformedStorage,
@@ -380,6 +382,22 @@ def test_to_dense_matches_scatter():
                 flat = flat * e + c
             want[flat] = value
         assert repr(coo.to_dense().data) == repr(want)
+
+
+@pytest.mark.parametrize("coord", [1, np.int64(1), 1.5])
+def test_coordinates_must_be_integers(coord):
+    coo = CooTensor((4,), [((coord,), 2.0)])
+    steps = (
+        lambda: pack(coo, make_encoding([COMPRESSED])).indices,
+        lambda: coo.normalize().entries,
+        lambda: coo.to_dense().data,
+    )
+    if isinstance(coord, float):
+        for step in steps:
+            with pytest.raises(CoordNotInteger):
+                step()
+    else:
+        assert [step() for step in steps] == [((1,),), [((1,), 2.0)], [0.0, 2.0, 0.0, 0.0]]
 
 
 def test_pack_rejects_bad_coordinates():
