@@ -27,7 +27,7 @@ from .encoding import (
     enumerate_encodings,
     make_encoding,
 )
-from .engine import compile_kernel, convert, execute, prepare_kernels, run_kernel
+from .engine import _coerce, compile_kernel, convert, execute, prepare_kernels, run_kernel
 from .errors import OracleMismatch, OrderConflict, ParseError, SparsecError
 from .expr import expr_to_text, parse_kernel
 from .lattice import (
@@ -39,19 +39,12 @@ from .lattice import (
     topo_sort,
 )
 from .oracle import GeneratorSpec, dense_eval, density, generate
-from .storage import CooTensor, DenseTensor, SparseStorage, pack, unpack
 from .tensor_io import read_dense_literal, read_sparse_literal, read_tensor, write_tensor
 
 
 def result_checksum(result) -> str:
     """Encoding-independent content hash: sorted nonzero COO entries."""
-    if isinstance(result, SparseStorage):
-        entries = unpack(result).nonzero_entries()
-    elif isinstance(result, DenseTensor):
-        entries = result.to_coo(drop_zeros=True).entries
-    else:
-        entries = result.normalize().nonzero_entries()
-    text = ";".join(f"{c}:{v!r}" for c, v in entries)
+    text = ";".join(f"{c}:{v!r}" for c, v in result.to_coo(drop_zeros=True).entries)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -131,13 +124,7 @@ def _bind_inputs(kernel, input_args, seed: int) -> dict:
 
 
 def _write_result(result, path: str):
-    if isinstance(result, SparseStorage):
-        coo = unpack(result)
-    elif isinstance(result, DenseTensor):
-        coo = result.to_coo(drop_zeros=True)
-    else:
-        coo = result
-    write_tensor(coo, path)
+    write_tensor(result.to_coo(), path)
 
 
 # ----------------------------------------------------------------------------
@@ -154,26 +141,20 @@ def cmd_run(args) -> int:
     if args.output:
         _write_result(result, args.output)
     rho = density(result)
-    if isinstance(result, SparseStorage):
-        nnz = result.nnz
-    else:
-        nnz = sum(1 for v in result.data if v != 0.0)
+    nnz = result.to_coo(drop_zeros=True).nnz
     print(f"output {kernel.lhs.tensor}: nnz {nnz}, density {rho:.6f}, time {elapsed_ms:.1f} ms")
     return 0
 
 
 def cmd_convert(args) -> int:
     if args.input.startswith("dense:"):
-        coo = read_dense_literal(args.input[len("dense:") :]).to_coo(drop_zeros=True)
+        value = read_dense_literal(args.input[len("dense:") :])
     elif args.input.startswith("sparse"):
-        coo = read_sparse_literal(args.input)
+        value = read_sparse_literal(args.input)
     else:
-        coo = read_tensor(args.input)
-    src_enc = parse_encoding_text(args.src_format)
-    dst_enc = parse_encoding_text(args.dst_format)
-    value = pack(coo, src_enc) if src_enc is not None else coo.to_dense()
-    result = convert(value, dst_enc)
-    _write_result(result, args.output)
+        value = read_tensor(args.input)
+    value = convert(value, parse_encoding_text(args.src_format))
+    _write_result(convert(value, parse_encoding_text(args.dst_format)), args.output)
     return 0
 
 
@@ -231,10 +212,7 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
     import itertools
 
     names = [sweep] if isinstance(sweep, str) else list(sweep)
-    coo_bindings = dict(bindings)
-    for name in names:
-        if isinstance(coo_bindings[name], SparseStorage):
-            coo_bindings[name] = unpack(coo_bindings[name])
+    coerced = None  # the bindings, with the operands not swept coerced once
     spaces = [
         list(enumerate_encodings(kernel.tensors[name].rank, include_widths))
         for name in names
@@ -250,7 +228,12 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
             programs = compile_kernel(swept)
         except OrderConflict:
             continue
-        result = execute(swept, programs, coo_bindings)
+        if coerced is None:
+            coerced = dict(bindings)
+            for name, value in bindings.items():
+                if name in kernel.tensors and name not in names:
+                    coerced[name] = _coerce(value, kernel.tensors[name], name)
+        result = execute(swept, programs, coerced)
         elapsed_ms = (time.perf_counter() - started) * 1e3
         opt = programs[-1].strategy.describe()
         rows.append(
@@ -430,11 +413,7 @@ def _bench_inputs(suite: _BenchSuite, fields: dict, seed: int) -> dict:
 def _bench_correctness(kernel_text: str, bindings: dict) -> None:
     kernel = parse_kernel(kernel_text)
     got = run_kernel(kernel, bindings)
-    dense_inputs = {
-        name: (value.to_dense() if isinstance(value, CooTensor) else value)
-        for name, value in bindings.items()
-    }
-    want = dense_eval(kernel, dense_inputs)
+    want = dense_eval(kernel, {name: value.to_dense() for name, value in bindings.items()})
     got_dense = convert(got, None)
     for a, b in zip(got_dense.data, want.data):
         if not abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0):  # NaN fails too

@@ -14,6 +14,7 @@ Tensors bound as inputs are never mutated; the in-place strategy writes
 into a fresh copy of the output's values array.
 """
 
+import math
 from dataclasses import replace
 from typing import Optional, Union
 
@@ -61,7 +62,6 @@ from .storage import (
     compress,
     expand,
     pack,
-    unpack,
 )
 
 TensorValue = Union[SparseStorage, DenseTensor, CooTensor]
@@ -72,38 +72,23 @@ TensorValue = Union[SparseStorage, DenseTensor, CooTensor]
 
 
 def convert(value: TensorValue, to_type: Union[TensorType, Encoding, None]) -> TensorValue:
-    """Re-materialize a tensor in another format.
+    """Re-materialize a tensor of any class in another format.
 
-    Sparse-to-sparse goes through the coordinate intermediate rather than
-    any direct scheme. Dense-to-sparse keeps only nonzeros;
-    sparse-to-dense scatters every stored element into a zero buffer.
+    A sparse target packs the value's entries (`pack`), a dense target
+    scatters them (`to_dense`); both read the whole arrays of
+    `value.arrays()`: every entry of a CooTensor, every stored entry of a
+    SparseStorage (explicit zeros too), the nonzeros of a DenseTensor.
     `to_type` may be a TensorType, a bare Encoding, or None for dense.
     """
     if isinstance(to_type, Encoding):
-        to_type = TensorType(_shape_of(value), to_type)
+        to_type = TensorType(value.shape, to_type)
     elif to_type is None:
-        to_type = TensorType(_shape_of(value))
-    if _shape_of(value) != to_type.shape:
-        raise ShapeMismatch(f"cannot convert shape {_shape_of(value)} to {to_type.shape}")
+        to_type = TensorType(value.shape)
+    if value.shape != to_type.shape:
+        raise ShapeMismatch(f"cannot convert shape {value.shape} to {to_type.shape}")
     if to_type.is_sparse:
-        if isinstance(value, SparseStorage):
-            return pack(unpack(value), to_type.encoding)
-        if isinstance(value, DenseTensor):
-            return pack(value.to_coo(drop_zeros=True), to_type.encoding)
         return pack(value, to_type.encoding)
-    out = DenseTensor.zeros(to_type.shape)
-    if isinstance(value, SparseStorage):
-        for coords, v in value.iterate():
-            out.set(coords, v)
-    elif isinstance(value, DenseTensor):
-        out = DenseTensor(value.shape, list(value.data))
-    else:
-        out = value.to_dense()
-    return out
-
-
-def _shape_of(value: TensorValue) -> tuple:
-    return value.shape
+    return value.to_dense()
 
 
 # ----------------------------------------------------------------------------
@@ -334,7 +319,7 @@ def interpret(program: Program, env: dict):
         if seed is not None:
             out = list(seed.data)
         else:
-            out = [0.0] * DenseTensor.zeros(out_type.shape).volume
+            out = [0.0] * math.prod(out_type.shape)
         generator.function(out=out)()
         return DenseTensor(out_type.shape, out)
     if strat is StrategyKind.IN_PLACE:
@@ -352,18 +337,16 @@ def interpret(program: Program, env: dict):
 
 
 def _coerce(value: TensorValue, ttype: TensorType, name: str) -> TensorValue:
-    if _shape_of(value) != ttype.shape:
+    if value.shape != ttype.shape:
         raise ShapeMismatch(
-            f"tensor {name!r} declared with shape {ttype.shape}, bound with "
-            f"{_shape_of(value)}"
+            f"tensor {name!r} declared with shape {ttype.shape}, bound with {value.shape}"
         )
     if ttype.is_sparse:
         if isinstance(value, SparseStorage) and value.ttype == ttype:
             return value
-        return convert(value, ttype)
-    if isinstance(value, DenseTensor):
+    elif isinstance(value, DenseTensor):
         return value
-    return convert(value, None)
+    return convert(value, ttype)
 
 
 def _empty_value(ttype: TensorType) -> TensorValue:
@@ -403,8 +386,6 @@ def compile_kernel(kernel: Kernel) -> tuple:
     """
     programs = []
     for piece in prepare_kernels(kernel):
-        if piece.analysis is None:
-            piece = analyze_reductions(piece)
         topo = topo_sort(build_iteration_graph(piece))
         lattices = {v: build_lattice(piece, v) for v in topo}
         programs.append(lower(piece, topo, lattices))

@@ -12,6 +12,7 @@ so nonzero counts stay unambiguous.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .expr import Access, Add, Const, Kernel, Mul, Neg, Sub, analyze_reductions
-from .storage import CooTensor, DenseTensor, SparseStorage
+from .storage import CooTensor, DenseTensor
 
 
 def dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
@@ -154,19 +155,5 @@ def generate(spec: GeneratorSpec) -> CooTensor:
 
 def density(tensor) -> float:
     """Fraction of structurally nonzero values; explicit zeros excluded."""
-    if isinstance(tensor, CooTensor):
-        volume = 1
-        for e in tensor.shape:
-            volume *= e
-        nnz = sum(1 for _, v in tensor.entries if v != 0.0)
-    elif isinstance(tensor, SparseStorage):
-        volume = 1
-        for e in tensor.shape:
-            volume *= e
-        nnz = tensor.nnz
-    elif isinstance(tensor, DenseTensor):
-        volume = tensor.volume
-        nnz = sum(1 for v in tensor.data if v != 0.0)
-    else:
-        raise TypeError(f"cannot measure density of {type(tensor).__name__}")
-    return nnz / volume if volume else 0.0
+    volume = math.prod(tensor.shape)
+    return np.count_nonzero(tensor.arrays()[1]) / volume if volume else 0.0

@@ -8,11 +8,15 @@ machine addresses. Dense levels store nothing and materialize every
 position implicitly, which can introduce explicit zeros into the values
 array; explicit zeros are preserved throughout, never pruned.
 
-`CooTensor` stays the exchange form, but packing builds whole arrays with
-numpy: one sort-and-merge of the coordinates (`_sorted_unique`) feeds
-`pack`, `CooTensor.normalize` and `CooTensor.to_dense`. The element-wise
-`StorageBuilder` serves only outputs produced in order during execution.
-Arrays go back into `SparseStorage` as tuples of Python ints and floats.
+Every tensor class reads out whole arrays through one method, `arrays()`:
+an (n, rank) int64 array of logical coordinates and a float64 value array
+(every COO entry, every stored entry of a `SparseStorage`, the nonzeros of
+a `DenseTensor`). On top of it one sort-and-merge (`_sorted_unique`) feeds
+`pack` and every `to_coo`, and one flat scatter feeds `to_dense`, so
+converting between any two formats needs no routine of its own. The
+element-wise `StorageBuilder` serves only outputs produced in order during
+execution. Arrays go back into `SparseStorage` as tuples of Python ints and
+floats.
 """
 
 import math
@@ -45,9 +49,9 @@ from .errors import (
 class CooTensor:
     """Coordinate-form tensor: explicit (coords, value) pairs.
 
-    The universal exchange format: every reader, writer, converter, and
-    packer goes through it. `normalize` sorts entries lexicographically by
-    coordinate and sums duplicates (Matrix Market convention).
+    The exchange format of the readers and writers in `tensor_io`.
+    `normalize` sorts entries lexicographically by coordinate and sums
+    duplicates (Matrix Market convention).
     """
 
     shape: tuple
@@ -65,69 +69,69 @@ class CooTensor:
     def nnz(self) -> int:
         return len(self.entries)
 
+    def arrays(self):
+        """Every entry, in entry order, as an (nnz, rank) int64 coordinate
+        array and a float64 value array, after checking every coordinate's
+        rank, type and bounds."""
+        d, n = self.rank, self.nnz
+        coord_tuples = list(map(itemgetter(0), self.entries))
+        if n and set(map(len, coord_tuples)) != {d}:
+            bad = next(c for c in coord_tuples if len(c) != d)
+            raise RankMismatch(f"coordinate {bad} in a rank-{d} tensor")
+        try:
+            # A signed 64-bit array takes only integers (`np.int64` too) and
+            # raises TypeError on 1.5, which a numpy int64 conversion would
+            # truncate to 1.
+            flat = array("q", list(chain.from_iterable(coord_tuples)))
+            coords = np.asarray(flat).reshape(n, d)
+            outside = (coords < 0) | (coords >= np.array(self.shape, np.int64))
+        except TypeError:
+            bad = next(c for c in coord_tuples if not all(isinstance(x, Integral) for x in c))
+            raise CoordNotInteger(f"coordinate {bad} is not an integer") from None
+        except OverflowError:
+            raise CoordOutOfBounds(f"coordinates of shape {self.shape} exceed 64 bits") from None
+        if outside.any():
+            bad = coord_tuples[int(outside.any(axis=1).argmax())]
+            raise CoordOutOfBounds(f"coordinate {bad} outside shape {self.shape}")
+        return coords, np.fromiter(map(itemgetter(1), self.entries), np.float64, n)
+
     def check_bounds(self):
         """Raise RankMismatch or CoordOutOfBounds for a bad coordinate."""
-        _coo_arrays(self)
+        self.arrays()
 
     def normalize(self) -> "CooTensor":
         """Sorted unique-coordinate copy; duplicate coordinates are summed."""
-        coords, values = _sorted_unique(self, range(self.rank))
-        return CooTensor(self.shape, zip(map(tuple, coords.tolist()), values.tolist()))
+        return self.to_coo(drop_zeros=False)
 
     def nonzero_entries(self) -> list:
         """Entries with value != 0, i.e. with explicit zeros dropped."""
         return [(c, v) for c, v in self.entries if v != 0.0]
 
+    def to_coo(self, drop_zeros: bool = False) -> "CooTensor":
+        """`normalize`, with the zero sums dropped when `drop_zeros`."""
+        return _merged_coo(self, drop_zeros)
+
     def to_dense(self) -> "DenseTensor":
-        coords, values = _sorted_unique(self, range(self.rank))
-        flat = np.zeros(len(values), np.int64)
-        for column, extent in zip(coords.T, self.shape):
-            flat = flat * extent + column
-        data = np.zeros(math.prod(self.shape))
-        data[flat] = values
-        return DenseTensor(self.shape, data.tolist())
+        """Duplicates summed, then scattered into a zero buffer."""
+        return _scatter(self.shape, *_sorted_unique(self, range(self.rank)))
 
 
-def _coo_arrays(coo: CooTensor):
-    """The entries as an (nnz, rank) int64 coordinate array and a float64
-    value array, after checking every coordinate's rank, type and bounds."""
-    d, n = coo.rank, coo.nnz
-    coord_tuples = list(map(itemgetter(0), coo.entries))
-    if n and set(map(len, coord_tuples)) != {d}:
-        bad = next(c for c in coord_tuples if len(c) != d)
-        raise RankMismatch(f"coordinate {bad} in a rank-{d} tensor")
-    try:
-        # A signed 64-bit array takes only integers (`np.int64` too) and
-        # raises TypeError on 1.5, which a numpy int64 conversion would
-        # truncate to 1.
-        flat = array("q", list(chain.from_iterable(coord_tuples)))
-        coords = np.asarray(flat).reshape(n, d)
-        outside = (coords < 0) | (coords >= np.array(coo.shape, np.int64))
-    except TypeError:
-        bad = next(c for c in coord_tuples if not all(isinstance(x, Integral) for x in c))
-        raise CoordNotInteger(f"coordinate {bad} is not an integer") from None
-    except OverflowError:
-        raise CoordOutOfBounds(f"coordinates of shape {coo.shape} exceed 64 bits") from None
-    if outside.any():
-        bad = coord_tuples[int(outside.any(axis=1).argmax())]
-        raise CoordOutOfBounds(f"coordinate {bad} outside shape {coo.shape}")
-    return coords, np.fromiter(map(itemgetter(1), coo.entries), np.float64, n)
-
-
-def _sorted_unique(coo: CooTensor, order):
-    """Entries sorted lexicographically by their coordinates taken in
-    `order` (a permutation of the dimensions), duplicates summed.
+def _sorted_unique(value, order):
+    """The entries of `value.arrays()` (a tensor of any class), sorted
+    lexicographically by their coordinates taken in `order` (a permutation
+    of the dimensions), duplicates summed.
 
     Coordinates come back in logical dimension order. The sort is stable
     and `np.add.at` adds in index order, so duplicates are summed into 0.0
     in entry order, exactly as a sequential loop would. (`np.add.reduceat`
-    sums long runs pairwise, which rounds differently.)
+    sums long runs pairwise, which rounds differently.) The arrays are read
+    here, not passed in, so the unsorted copies are freed during the sort.
     """
-    coords, values = _coo_arrays(coo)
+    coords, values = value.arrays()
     n = len(values)
     if n == 0:
         return coords, values
-    if coo.rank:
+    if coords.shape[1]:
         perm = np.lexsort([coords[:, k] for k in reversed(order)])
         coords, values = coords[perm], values[perm]
     first = np.ones(n, bool)
@@ -135,6 +139,30 @@ def _sorted_unique(coo: CooTensor, order):
     merged = np.zeros(np.count_nonzero(first))
     np.add.at(merged, np.cumsum(first) - 1, values)
     return coords[first], merged
+
+
+def _coo(shape, coords: np.ndarray, values: np.ndarray) -> CooTensor:
+    return CooTensor(shape, zip(map(tuple, coords.tolist()), values.tolist()))
+
+
+def _merged_coo(value, drop_zeros: bool) -> CooTensor:
+    """`value.arrays()` sorted by logical coordinates, duplicates summed,
+    and the entries that sum to zero dropped when `drop_zeros`."""
+    coords, values = _sorted_unique(value, range(value.rank))
+    if drop_zeros:
+        keep = values != 0.0
+        coords, values = coords[keep], values[keep]
+    return _coo(value.shape, coords, values)
+
+
+def _scatter(shape, coords: np.ndarray, values: np.ndarray) -> "DenseTensor":
+    """A dense tensor holding `values` at `coords` (unique) and 0.0 elsewhere."""
+    flat = np.zeros(len(values), np.int64)
+    for column, extent in zip(coords.T, shape):
+        flat = flat * extent + column
+    data = np.zeros(math.prod(shape))
+    data[flat] = values
+    return DenseTensor(shape, data.tolist())
 
 
 @dataclass
@@ -155,10 +183,7 @@ class DenseTensor:
     @classmethod
     def zeros(cls, shape) -> "DenseTensor":
         shape = tuple(shape)
-        n = 1
-        for e in shape:
-            n *= e
-        return cls(shape, [0.0] * n)
+        return cls(shape, [0.0] * math.prod(shape))
 
     @property
     def rank(self) -> int:
@@ -166,10 +191,7 @@ class DenseTensor:
 
     @property
     def volume(self) -> int:
-        n = 1
-        for e in self.shape:
-            n *= e
-        return n
+        return math.prod(self.shape)
 
     def offset(self, coords) -> int:
         off = 0
@@ -185,18 +207,26 @@ class DenseTensor:
     def set(self, coords, value):
         self.data[self.offset(coords)] = float(value)
 
+    def arrays(self):
+        """The nonzeros in row-major order, as an (nnz, rank) int64
+        coordinate array and a float64 value array."""
+        return self._elements(nonzero=True)
+
+    def _elements(self, nonzero: bool):
+        data = np.array(self.data, np.float64)
+        flat = np.flatnonzero(data) if nonzero else np.arange(data.size)
+        if not self.rank:  # `np.unravel_index` takes no empty shape
+            return np.zeros((len(flat), 0), np.int64), data[flat]
+        return np.stack(np.unravel_index(flat, self.shape), axis=1), data[flat]
+
     def to_coo(self, drop_zeros: bool = True) -> CooTensor:
-        entries = []
-        for flat, value in enumerate(self.data):
-            if drop_zeros and value == 0.0:
-                continue
-            coords = []
-            rem = flat
-            for e in reversed(self.shape):
-                coords.append(rem % e)
-                rem //= e
-            entries.append((tuple(reversed(coords)), value))
-        return CooTensor(self.shape, entries)
+        """The nonzeros, or every element when not `drop_zeros`, in
+        row-major order."""
+        return _coo(self.shape, *self._elements(nonzero=drop_zeros))
+
+    def to_dense(self) -> "DenseTensor":
+        """A copy."""
+        return DenseTensor(self.shape, self.data)
 
 
 def _width_limit_check(values: np.ndarray, width: int, what: str):
@@ -298,36 +328,47 @@ class SparseStorage:
         if len(self.values) != positions:
             raise MalformedStorage(f"{len(self.values)} values for {positions} stored positions")
 
+    def arrays(self):
+        """Every stored entry, explicit zeros included, in storage order:
+        an (n, rank) int64 array of logical coordinates and a float64 value
+        array.
+
+        The inverse of `pack`'s level build: a dense level repeats each
+        parent position `extent` times, a compressed one as many times as
+        its pointers delimit.
+        """
+        enc = self.encoding
+        columns = []  # per level so far, its coordinate at every position
+        positions = 1
+        for l, extent in enumerate(self.ttype.storage_shape()):
+            if enc.levels[l] is DENSE:
+                columns = [np.repeat(c, extent) for c in columns]
+                columns.append(np.tile(np.arange(extent), positions))
+                positions *= extent
+            else:
+                counts = np.diff(np.asarray(self.pointers[l], np.int64))
+                columns = [np.repeat(c, counts) for c in columns]
+                columns.append(np.asarray(self.indices[l], np.int64))
+                positions = len(self.indices[l])
+        coords = np.empty((positions, self.rank), np.int64)
+        for l, column in enumerate(columns):
+            coords[:, enc.dim_of_level(l)] = column
+        return coords, np.array(self.values, np.float64)
+
     def iterate(self) -> Iterator[Tuple[tuple, float]]:
         """Yield (logical coords, value) in storage-lexicographic order."""
-        enc = self.encoding
-        sshape = self.ttype.storage_shape()
-        d = self.rank
-        scoords = [0] * d
-        inverse = [enc.dim_of_level(l) for l in range(d)]
+        coords, _ = self.arrays()
+        return zip(map(tuple, coords.tolist()), self.values)
 
-        def walk(level, pos):
-            if level == d:
-                coords = [0] * d
-                for l, c in enumerate(scoords):
-                    coords[inverse[l]] = c
-                yield tuple(coords), self.values[pos]
-                return
-            if enc.levels[level] is DENSE:
-                for i in range(sshape[level]):
-                    scoords[level] = i
-                    yield from walk(level + 1, pos * sshape[level] + i)
-            else:
-                ptrs, idxs = self.pointers[level], self.indices[level]
-                for p in range(ptrs[pos], ptrs[pos + 1]):
-                    scoords[level] = idxs[p]
-                    yield from walk(level + 1, p)
+    def to_coo(self, drop_zeros: bool = False) -> CooTensor:
+        """Unpack to normalized COO, explicit zeros included unless
+        `drop_zeros`."""
+        return _merged_coo(self, drop_zeros)
 
-        yield from walk(0, 0)
-
-    def to_coo(self) -> CooTensor:
-        """Unpack to normalized COO, explicit zeros included."""
-        return CooTensor(self.shape, self.iterate()).normalize()
+    def to_dense(self) -> DenseTensor:
+        """Every stored entry scattered into a zero buffer, unmerged, so a
+        stored -0.0 stays -0.0."""
+        return _scatter(self.shape, *self.arrays())
 
 
 def unpack(storage: SparseStorage) -> CooTensor:
@@ -502,19 +543,20 @@ def lex_insert(builder: StorageBuilder, coords, value: float):
     builder.insert(coords, value)
 
 
-def pack(coo: CooTensor, enc: Encoding) -> SparseStorage:
-    """Materialize a COO tensor into the layout described by `enc`.
+def pack(value, enc: Encoding) -> SparseStorage:
+    """Materialize a tensor of any class into the layout described by `enc`.
 
-    Entries are sorted and merged in storage order, then built level by
-    level: a dense level maps each entry to `parent * extent + coord`; a
-    compressed level keeps the coordinate where the storage prefix changes
-    and counts those per parent position into its pointers.
+    The entries of `value.arrays()` are sorted and merged in storage order,
+    then built level by level: a dense level maps each entry to
+    `parent * extent + coord`; a compressed level keeps the coordinate
+    where the storage prefix changes and counts those per parent position
+    into its pointers.
     """
-    if enc.rank != coo.rank:
-        raise RankMismatch(f"rank-{enc.rank} encoding for a rank-{coo.rank} tensor")
-    ttype = TensorType(coo.shape, enc)
+    if enc.rank != value.rank:
+        raise RankMismatch(f"rank-{enc.rank} encoding for a rank-{value.rank} tensor")
+    ttype = TensorType(value.shape, enc)
     order = [enc.dim_of_level(l) for l in range(enc.rank)]
-    coords, values = _sorted_unique(coo, order)
+    coords, values = _sorted_unique(value, order)
     n = len(values)
     pos = np.zeros(n, np.int64)  # each entry's position at the current level
     positions = 1

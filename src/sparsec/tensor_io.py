@@ -276,7 +276,8 @@ def read_sparse_literal(text: str) -> CooTensor:
         )
     entries = []
     for coords, value in zip(coords_list, values_list):
-        coords = tuple(int(c) for c in (coords if isinstance(coords, (list, tuple)) else [coords]))
+        # Coordinates pass through unconverted: `check_bounds` rejects 1.5.
+        coords = tuple(coords) if isinstance(coords, (list, tuple)) else (coords,)
         if len(coords) != len(shape):
             raise LengthMismatch(f"coordinate {coords} has wrong arity for shape {shape}")
         entries.append((coords, float(value)))

@@ -1,11 +1,17 @@
 import csv
 import io
 
+from dataclasses import replace
+
 import pytest
 
+from sparsec import cli
 from sparsec.cli import main, parse_encoding_text, result_checksum
-from sparsec.encoding import COMPRESSED, DENSE
-from sparsec.storage import CooTensor, pack
+from sparsec.encoding import COMPRESSED, DENSE, TensorType, enumerate_encodings
+from sparsec.engine import compile_kernel, execute
+from sparsec.expr import parse_kernel
+from sparsec.oracle import GeneratorSpec, generate
+from sparsec.storage import CooTensor, DenseTensor, pack
 from sparsec.encoding import csr, dcsc
 from sparsec.tensor_io import read_tensor, write_tensor
 
@@ -320,3 +326,71 @@ def test_cmd_bench_oracle_mismatch_is_typed(monkeypatch, capsys, suite):
     assert main(["bench", "--suite", suite, "--scale", "16"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("sparsec: error[OracleMismatch]: ")
+
+
+def test_cmd_convert_sparse_literal_rejects_float_coordinates(tmp_path, capsys):
+    # 1.5 must not be truncated to index 1 on the way in.
+    code = main(
+        [
+            "convert",
+            "--input",
+            "sparse<4>([[1.5]], [1.0])",
+            "--from",
+            "format(compressed)",
+            "--to",
+            "dense",
+            "--output",
+            str(tmp_path / "v.tns"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[CoordNotInteger]: ")
+
+
+def _spmm_search_case():
+    kernel = parse_kernel(
+        "tensor A(6, 6) format(dense, compressed)\ntensor B(6, 6)\n"
+        "tensor C(6, 6)\nC(i, j) = A(i, k) * B(k, j)\n"
+    )
+    a = generate(GeneratorSpec((6, 6), "uniform", density=0.4, seed=3))
+    b = generate(GeneratorSpec((6, 6), "uniform", density=1.0, seed=4))
+    return kernel, {"A": a, "B": b}
+
+
+def test_run_search_coerces_unswept_operands_once(monkeypatch):
+    kernel, bindings = _spmm_search_case()
+    want = []
+    for enc in enumerate_encodings(2, include_bitwidths=True):
+        swept = replace(kernel, tensors={**kernel.tensors, "A": TensorType((6, 6), enc)})
+        programs = compile_kernel(replace(swept, analysis=None))
+        result = execute(swept, programs, bindings)
+        want.append((enc, programs[-1].strategy.describe(), result_checksum(result)))
+    seen = []
+
+    def recording_execute(kernel, programs, inputs):
+        seen.append(inputs["B"])
+        return execute(kernel, programs, inputs)
+
+    monkeypatch.setattr(cli, "execute", recording_execute)
+    rows = cli.run_search(kernel, bindings, "A", include_widths=True)
+    assert [(row.encodings["A"], row.opt, row.checksum) for row in rows] == want
+    assert len(seen) == len(rows) == 200
+    assert isinstance(seen[0], DenseTensor) and all(b is seen[0] for b in seen)
+    # A swept operand bound as storage is read directly, to the same rows.
+    packed = dict(bindings, A=pack(bindings["A"], dcsc()))
+    rows = cli.run_search(kernel, packed, "A", include_widths=False)
+    native = [w for w in want if w[0].pointer_width == w[0].index_width == 0]
+    assert [(row.encodings["A"], row.opt, row.checksum) for row in rows] == native
+
+
+def test_run_search_all_conflicts_skip_binding_errors():
+    kernel = parse_kernel(
+        "tensor A(3, 3) format(compressed, compressed)\n"
+        "tensor B(3, 3) format(compressed, compressed) order(1, 0)\n"
+        "tensor C(3, 3) format(compressed, compressed)\n"
+        "C(i, j) = A(i, j) * B(i, j)\n"
+    )
+    # B's binding has the wrong shape, but no row compiles to bind it.
+    bindings = {"A": CooTensor((3, 3)), "B": CooTensor((4, 4))}
+    assert cli.run_search(kernel, bindings, "A", include_widths=False) == []

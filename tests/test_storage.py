@@ -1,6 +1,7 @@
 """Storage packing against the five worked layouts, plus builder/workspace
 behavior, randomized round-trips, the whole-array paths against the
-per-element builder, and typed errors for malformed storage and dumps."""
+per-element builder and walks, and typed errors for malformed storage and
+dumps."""
 
 import math
 import os
@@ -15,6 +16,7 @@ import pytest
 import conftest as refs
 import sparsec
 from sparsec import engine
+from sparsec.cli import _write_result, result_checksum
 from sparsec.codegen import StrategyKind, choose_output_strategy
 from sparsec.encoding import (
     COMPRESSED,
@@ -37,9 +39,11 @@ from sparsec.errors import (
 )
 from sparsec.expr import parse_kernel
 from sparsec.lattice import build_iteration_graph, topo_sort
+from sparsec.engine import convert
 from sparsec.oracle import GeneratorSpec, generate
 from sparsec.storage import (
     CooTensor,
+    DenseTensor,
     SparseStorage,
     StorageBuilder,
     compress,
@@ -407,6 +411,151 @@ def test_pack_rejects_bad_coordinates():
         pack(CooTensor((3, 4), [((0, 0), 1.0), ((1, -1), 2.0)]), csr())
     with pytest.raises(CoordOutOfBounds):
         CooTensor((3, 4), [((2**70, 0), 1.0)]).normalize()
+
+
+# ----------------------------------------------------------------------------
+# Whole-array readers against the per-element walks
+
+
+def _reference_iterate(storage):
+    """The per-element reference for `iterate`: a recursive walk over the
+    levels, one generator frame per level."""
+    enc = storage.encoding
+    sshape = storage.ttype.storage_shape()
+    d = storage.rank
+    scoords = [0] * d
+    inverse = [enc.dim_of_level(l) for l in range(d)]
+
+    def walk(level, pos):
+        if level == d:
+            coords = [0] * d
+            for l, c in enumerate(scoords):
+                coords[inverse[l]] = c
+            yield tuple(coords), storage.values[pos]
+            return
+        if enc.levels[level] is DENSE:
+            for i in range(sshape[level]):
+                scoords[level] = i
+                yield from walk(level + 1, pos * sshape[level] + i)
+        else:
+            ptrs, idxs = storage.pointers[level], storage.indices[level]
+            for p in range(ptrs[pos], ptrs[pos + 1]):
+                scoords[level] = idxs[p]
+                yield from walk(level + 1, p)
+
+    return list(walk(0, 0))
+
+
+def _reference_dense_to_coo(dense, drop_zeros):
+    """The per-element reference for `DenseTensor.to_coo`: a loop over the
+    whole volume."""
+    entries = []
+    for flat, value in enumerate(dense.data):
+        if drop_zeros and value == 0.0:
+            continue
+        coords = []
+        rem = flat
+        for e in reversed(dense.shape):
+            coords.append(rem % e)
+            rem //= e
+        entries.append((tuple(reversed(coords)), value))
+    return CooTensor(dense.shape, entries)
+
+
+def _reference_convert(value, enc):
+    """The per-element reference for `convert`: a sparse target packs the
+    walked entries one builder insert at a time, a dense target sets them
+    one element at a time, unmerged, or copies a dense source."""
+    if isinstance(value, DenseTensor) and enc is None:
+        return DenseTensor(value.shape, list(value.data))
+    if isinstance(value, SparseStorage):
+        entries = _reference_iterate(value)
+    elif isinstance(value, DenseTensor):
+        entries = _reference_dense_to_coo(value, drop_zeros=True).entries
+    else:
+        entries = value.entries if enc is not None else _merged_entries(value)
+    if enc is not None:
+        return _reference_pack(CooTensor(value.shape, entries), enc)
+    out = DenseTensor.zeros(value.shape)
+    for coords, v in entries:
+        out.set(coords, v)
+    return out
+
+
+def _state(value):
+    # repr of the values, so 0.0 and -0.0 count as different.
+    if isinstance(value, DenseTensor):
+        return value.shape, repr(value.data)
+    return _layout(value)
+
+
+def _check_readers(storage, dense):
+    walked = _reference_iterate(storage)
+    assert repr(list(storage.iterate())) == repr(walked)
+    merged = _merged_entries(CooTensor(storage.shape, walked))
+    assert repr(storage.to_coo().entries) == repr(merged)
+    assert repr(unpack(storage).entries) == repr(merged)
+    nonzero = [(c, v) for c, v in merged if v != 0.0]
+    assert repr(storage.to_coo(drop_zeros=True).entries) == repr(nonzero)
+    for drop_zeros in (True, False):
+        want = _reference_dense_to_coo(dense, drop_zeros).entries
+        assert repr(dense.to_coo(drop_zeros=drop_zeros).entries) == repr(want)
+
+
+def _check_convert(value, targets, back):
+    for target in targets:
+        got = _outcome(lambda: convert(value, target))
+        want = _outcome(lambda: _reference_convert(value, target))
+        assert _state(got) == _state(want), (value, target)
+        if back is not None:
+            again = _outcome(lambda: _state(convert(got, back)))
+            assert again == _outcome(lambda: _state(_reference_convert(want, back)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_readers_equal_per_element_references(rank):
+    rng = random.Random(404 + rank)
+    encodings = list(enumerate_encodings(rank, include_bitwidths=(rank == 2)))
+    # CSR, DCSC and dense at rank 2, and their analogues at ranks 1 and 3.
+    targets = [
+        make_encoding([DENSE] + [COMPRESSED] * (rank - 1)),
+        make_encoding([COMPRESSED] * rank, list(reversed(range(rank)))),
+        None,
+    ]
+    for trial in range(6 if rank == 2 else 12):
+        shape = tuple(rng.randint(1, 5) for _ in range(rank))
+        n = 0 if trial == 0 else rng.randrange(20)
+        coo = CooTensor(shape, _random_entries(rng, shape, n))
+        signs = [rng.choice([0.0, -0.0, rng.uniform(-5, 5)]) for _ in range(math.prod(shape))]
+        dense = DenseTensor(shape, signs)
+        _check_convert(coo, targets, None)
+        _check_convert(dense, targets, None)
+        for enc in encodings:
+            layout = _outcome(lambda: pack(coo, enc))
+            if layout is BitWidthOverflow:
+                continue
+            # pack merges -0.0 into 0.0, so the stored values are drawn anew.
+            values = tuple(rng.choice([0.0, -0.0, rng.uniform(-5, 5)]) for _ in layout.values)
+            storage = SparseStorage(layout.ttype, layout.pointers, layout.indices, values)
+            _check_readers(storage, _reference_convert(storage, None))
+            _check_convert(storage, targets, enc)
+        _check_readers(pack(coo, targets[0]), dense)
+
+
+@pytest.mark.parametrize("x", [0.0, 2.5])
+def test_scalar_dense_tensor_readers(tmp_path, x):
+    scalar = DenseTensor((), [x])
+    nonzero = [((), x)] if x else []
+    assert scalar.to_coo().entries == nonzero
+    assert scalar.to_coo(drop_zeros=False).entries == [((), x)]
+    copy = engine.convert(scalar, None)
+    assert copy == scalar and copy.data is not scalar.data
+    assert result_checksum(scalar) == result_checksum(CooTensor((), nonzero))
+    path = tmp_path / "s.tns"
+    _write_result(scalar, str(path))
+    assert path.read_text().splitlines()[1:] == [f"0 {len(nonzero)}", ""] + [
+        f" {x!r}" for _ in nonzero
+    ]
 
 
 # ----------------------------------------------------------------------------
