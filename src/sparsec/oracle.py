@@ -130,27 +130,19 @@ def generate(spec: GeneratorSpec) -> CooTensor:
         return spec.explicit.normalize()
     if spec.kind == "identity":
         n = min(spec.shape)
-        return CooTensor(spec.shape, [((i,) * len(spec.shape), 1.0) for i in range(n)])
+        coords = np.repeat(np.arange(n)[:, None], len(spec.shape), axis=1)
+        return CooTensor.from_arrays(spec.shape, coords, np.ones(n))
     if spec.kind == "uniform":
         volume = int(np.prod(spec.shape))
         flat = np.flatnonzero(rng.random(volume) < spec.density)
         values = 1.0 - rng.random(flat.size)  # uniform in (0, 1]
-        coords = np.unravel_index(flat, spec.shape)
-        entries = [
-            (tuple(int(c[k]) for c in coords), float(values[k]))
-            for k in range(flat.size)
-        ]
-        return CooTensor(spec.shape, entries)
+        coords = np.stack(np.unravel_index(flat, spec.shape), axis=1)
+        return CooTensor.from_arrays(spec.shape, coords, values)
     rows, cols = spec.shape
     picked = np.sort(rng.choice(rows, size=spec.dense_rows, replace=False))
     values = 1.0 - rng.random(spec.dense_rows * cols)
-    entries = []
-    k = 0
-    for r in picked:
-        for c in range(cols):
-            entries.append(((int(r), c), float(values[k])))
-            k += 1
-    return CooTensor(spec.shape, entries)
+    coords = np.stack([np.repeat(picked, cols), np.tile(np.arange(cols), spec.dense_rows)], axis=1)
+    return CooTensor.from_arrays(spec.shape, coords, values)
 
 
 def density(tensor) -> float:

@@ -15,8 +15,12 @@ a `DenseTensor`). On top of it one sort-and-merge (`_sorted_unique`) feeds
 `pack` and every `to_coo`, and one flat scatter feeds `to_dense`, so
 converting between any two formats needs no routine of its own. The
 element-wise `StorageBuilder` serves only outputs produced in order during
-execution. Arrays go back into `SparseStorage` as tuples of Python ints and
-floats.
+execution.
+
+A `CooTensor` holds exactly those two arrays, read-only, so its `arrays()`
+hands them out after a bounds check and `to_coo` hands merged arrays to a
+new one (`CooTensor.from_arrays`) with no per-entry work. `SparseStorage`
+still keeps tuples of Python ints and floats, and `DenseTensor` a list.
 """
 
 import math
@@ -25,7 +29,6 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
-from operator import itemgetter
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
@@ -45,21 +48,52 @@ from .errors import (
 )
 
 
-@dataclass
 class CooTensor:
-    """Coordinate-form tensor: explicit (coords, value) pairs.
+    """Coordinate-form tensor: an (nnz, rank) int64 coordinate array and a
+    float64 value array, both read-only, one row per entry.
 
-    The exchange format of the readers and writers in `tensor_io`.
-    `normalize` sorts entries lexicographically by coordinate and sums
-    duplicates (Matrix Market convention).
+    The exchange format of the readers and writers in `tensor_io`. Build it
+    from (coords, value) pairs, parsed once here, or with `from_arrays`.
+    Values are converted with `float` at construction; coordinates are
+    checked (rank, integer, 64-bit, bounds) at the first read (`arrays`,
+    `check_bounds`, `pack`, `normalize`, `to_dense`), so pairs that fail
+    the conversion are kept as given until then. `normalize` sorts entries
+    lexicographically by coordinate and sums duplicates (Matrix Market
+    convention).
     """
-
-    shape: tuple
-    entries: list
 
     def __init__(self, shape, entries=()):
         self.shape = tuple(int(e) for e in shape)
-        self.entries = [(tuple(c), float(v)) for c, v in entries]
+        # One loop that splits the pairs: listing them first would keep
+        # every pair tuple alive at once, which costs more in allocation
+        # and garbage collection than the loop itself.
+        coords, values = [], []
+        for c, v in entries:
+            coords.append(c)
+            values.append(v)
+        self._values = _read_only(np.fromiter(map(float, values), np.float64, len(values)))
+        try:
+            self._coords, self._unparsed = _coord_array(coords, self.shape), None
+        except (SparsecError, TypeError):  # TypeError: a coordinate without len()
+            self._coords, self._unparsed = None, [tuple(c) for c in coords]
+
+    @classmethod
+    def from_arrays(cls, shape, coords, values) -> "CooTensor":
+        """A tensor over copies of an (n, rank) integer coordinate array and
+        n values; bounds are checked at the first read, as for pairs."""
+        coo = cls.__new__(cls)
+        coo.shape = tuple(int(e) for e in shape)
+        coo._values = _read_only(np.array(values, np.float64))
+        coords = np.asarray(coords)
+        if coo._values.ndim != 1 or coords.shape != (len(coo._values), coo.rank):
+            raise RankMismatch(
+                f"coordinates of shape {coords.shape} for values of shape "
+                f"{coo._values.shape} in a rank-{coo.rank} tensor"
+            )
+        if coords.size and coords.dtype.kind not in "iu":
+            raise CoordNotInteger(f"coordinates of dtype {coords.dtype} are not integers")
+        coo._coords, coo._unparsed = _read_only(coords.astype(np.int64)), None
+        return coo
 
     @property
     def rank(self) -> int:
@@ -67,36 +101,40 @@ class CooTensor:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self._values)
+
+    @property
+    def entries(self) -> list:
+        """Every entry as a (tuple of Python ints, float) pair, in entry order."""
+        coords = self._unparsed
+        if coords is None:
+            coords = map(tuple, self._coords.tolist())
+        return list(zip(coords, self._values.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.shape == other.shape and self.entries == other.entries
+
+    def __repr__(self):
+        return f"CooTensor(shape={self.shape!r}, entries={self.entries!r})"
 
     def arrays(self):
-        """Every entry, in entry order, as an (nnz, rank) int64 coordinate
-        array and a float64 value array, after checking every coordinate's
-        rank, type and bounds."""
-        d, n = self.rank, self.nnz
-        coord_tuples = list(map(itemgetter(0), self.entries))
-        if n and set(map(len, coord_tuples)) != {d}:
-            bad = next(c for c in coord_tuples if len(c) != d)
-            raise RankMismatch(f"coordinate {bad} in a rank-{d} tensor")
-        try:
-            # A signed 64-bit array takes only integers (`np.int64` too) and
-            # raises TypeError on 1.5, which a numpy int64 conversion would
-            # truncate to 1.
-            flat = array("q", list(chain.from_iterable(coord_tuples)))
-            coords = np.asarray(flat).reshape(n, d)
-            outside = (coords < 0) | (coords >= np.array(self.shape, np.int64))
-        except TypeError:
-            bad = next(c for c in coord_tuples if not all(isinstance(x, Integral) for x in c))
-            raise CoordNotInteger(f"coordinate {bad} is not an integer") from None
-        except OverflowError:
-            raise CoordOutOfBounds(f"coordinates of shape {self.shape} exceed 64 bits") from None
+        """The stored coordinate and value arrays, after checking every
+        coordinate's bounds (and first, for pairs that failed to parse,
+        their rank, type and width, which raises)."""
+        coords = self._coords
+        if coords is None:
+            coords = _coord_array(self._unparsed, self.shape)
+        outside = (coords < 0) | (coords >= np.array(self.shape, np.int64))
         if outside.any():
-            bad = coord_tuples[int(outside.any(axis=1).argmax())]
+            bad = tuple(coords[outside.any(axis=1).argmax()].tolist())
             raise CoordOutOfBounds(f"coordinate {bad} outside shape {self.shape}")
-        return coords, np.fromiter(map(itemgetter(1), self.entries), np.float64, n)
+        return coords, self._values
 
     def check_bounds(self):
-        """Raise RankMismatch or CoordOutOfBounds for a bad coordinate."""
+        """Raise RankMismatch, CoordNotInteger or CoordOutOfBounds for a
+        bad coordinate."""
         self.arrays()
 
     def normalize(self) -> "CooTensor":
@@ -116,6 +154,32 @@ class CooTensor:
         return _scatter(self.shape, *_sorted_unique(self, range(self.rank)))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _coord_array(coords: list, shape: tuple) -> np.ndarray:
+    """`coords` (sequences of `len(shape)` integers) as a read-only
+    (n, rank) int64 array; raises RankMismatch, CoordNotInteger or
+    CoordOutOfBounds (past 64 bits). Bounds are left to `arrays`."""
+    n, rank = len(coords), len(shape)
+    if n and set(map(len, coords)) != {rank}:
+        bad = next(c for c in coords if len(c) != rank)
+        raise RankMismatch(f"coordinate {bad} in a rank-{rank} tensor")
+    try:
+        # A signed 64-bit array takes only integers (`np.int64` too) and
+        # raises TypeError on 1.5, which a numpy int64 conversion would
+        # truncate to 1.
+        flat = array("q", list(chain.from_iterable(coords)))
+    except TypeError:
+        bad = next(c for c in coords if not all(isinstance(x, Integral) for x in c))
+        raise CoordNotInteger(f"coordinate {bad} is not an integer") from None
+    except OverflowError:
+        raise CoordOutOfBounds(f"coordinates of shape {shape} exceed 64 bits") from None
+    return _read_only(np.asarray(flat).reshape(n, rank))
+
+
 def _sorted_unique(value, order):
     """The entries of `value.arrays()` (a tensor of any class), sorted
     lexicographically by their coordinates taken in `order` (a permutation
@@ -125,7 +189,8 @@ def _sorted_unique(value, order):
     and `np.add.at` adds in index order, so duplicates are summed into 0.0
     in entry order, exactly as a sequential loop would. (`np.add.reduceat`
     sums long runs pairwise, which rounds differently.) The arrays are read
-    here, not passed in, so the unsorted copies are freed during the sort.
+    here, not passed in, so the unsorted arrays a `SparseStorage` or
+    `DenseTensor` reads out are freed during the sort.
     """
     coords, values = value.arrays()
     n = len(values)
@@ -141,10 +206,6 @@ def _sorted_unique(value, order):
     return coords[first], merged
 
 
-def _coo(shape, coords: np.ndarray, values: np.ndarray) -> CooTensor:
-    return CooTensor(shape, zip(map(tuple, coords.tolist()), values.tolist()))
-
-
 def _merged_coo(value, drop_zeros: bool) -> CooTensor:
     """`value.arrays()` sorted by logical coordinates, duplicates summed,
     and the entries that sum to zero dropped when `drop_zeros`."""
@@ -152,7 +213,7 @@ def _merged_coo(value, drop_zeros: bool) -> CooTensor:
     if drop_zeros:
         keep = values != 0.0
         coords, values = coords[keep], values[keep]
-    return _coo(value.shape, coords, values)
+    return CooTensor.from_arrays(value.shape, coords, values)
 
 
 def _scatter(shape, coords: np.ndarray, values: np.ndarray) -> "DenseTensor":
@@ -222,7 +283,7 @@ class DenseTensor:
     def to_coo(self, drop_zeros: bool = True) -> CooTensor:
         """The nonzeros, or every element when not `drop_zeros`, in
         row-major order."""
-        return _coo(self.shape, *self._elements(nonzero=drop_zeros))
+        return CooTensor.from_arrays(self.shape, *self._elements(nonzero=drop_zeros))
 
     def to_dense(self) -> "DenseTensor":
         """A copy."""
@@ -418,6 +479,7 @@ class StorageBuilder:
         self.enc = ttype.encoding
         self.sshape = ttype.storage_shape()
         self.d = ttype.rank
+        self._dims = [self.enc.dim_of_level(l) for l in range(self.d)]  # per storage level
         self.pointers = [[] for _ in range(self.d)]
         self.indices = [[] for _ in range(self.d)]
         self.values = []
@@ -428,9 +490,7 @@ class StorageBuilder:
 
     def insert(self, coords, value: float):
         """Append one element given logical coordinates."""
-        enc = self.enc
-        scoords = tuple(coords[enc.dim_of_level(l)] for l in range(self.d))
-        self.insert_storage(scoords, value)
+        self.insert_storage(tuple([coords[k] for k in self._dims]), value)
 
     def insert_storage(self, scoords, value: float):
         """Append one element given storage-order coordinates."""

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sparsec.errors import ShapeMismatch
@@ -85,6 +86,52 @@ def test_generate_identity():
     coo = generate(GeneratorSpec((4, 4), "identity"))
     assert coo.entries == [((i, i), 1.0) for i in range(4)]
     assert density(coo) == 0.25
+
+
+def _reference_generate(spec):
+    """The per-element generator loops `generate` replaced: one
+    (tuple of ints, float) pair per entry, from the same draws."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.kind == "identity":
+        n = min(spec.shape)
+        return CooTensor(spec.shape, [((i,) * len(spec.shape), 1.0) for i in range(n)])
+    if spec.kind == "uniform":
+        volume = int(np.prod(spec.shape))
+        flat = np.flatnonzero(rng.random(volume) < spec.density)
+        values = 1.0 - rng.random(flat.size)
+        coords = np.unravel_index(flat, spec.shape)
+        return CooTensor(
+            spec.shape,
+            [(tuple(int(c[k]) for c in coords), float(values[k])) for k in range(flat.size)],
+        )
+    rows, cols = spec.shape
+    picked = np.sort(rng.choice(rows, size=spec.dense_rows, replace=False))
+    values = 1.0 - rng.random(spec.dense_rows * cols)
+    entries = []
+    k = 0
+    for r in picked:
+        for c in range(cols):
+            entries.append(((int(r), c), float(values[k])))
+            k += 1
+    return CooTensor(spec.shape, entries)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2022])
+def test_generate_equals_per_element_loops(seed):
+    specs = [GeneratorSpec(shape, "identity", seed=seed) for shape in [(1,), (4, 4), (3, 5), (2, 3, 4)]]
+    specs += [
+        GeneratorSpec(shape, "uniform", density=density, seed=seed)
+        for shape in [(7,), (1, 1), (16, 9), (4, 5, 6)]
+        for density in (0.0, 0.3, 1.0)
+    ]
+    specs += [
+        GeneratorSpec(shape, "rowband", dense_rows=rows, seed=seed)
+        for shape, rows in [((1, 1), 1), ((8, 5), 0), ((8, 5), 3), ((20, 16), 20)]
+    ]
+    for spec in specs:
+        got, want = generate(spec), _reference_generate(spec)
+        assert got.shape == want.shape and repr(got.entries) == repr(want.entries), spec
+        assert got == want and got.nnz == want.nnz
 
 
 def test_generate_rowband_validates():

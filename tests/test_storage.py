@@ -9,6 +9,10 @@ import random
 import struct
 import subprocess
 import sys
+from array import array
+from itertools import chain
+from numbers import Integral
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from sparsec.errors import (
     OutOfOrderInsertion,
     ParseError,
     RankMismatch,
+    SparsecError,
 )
 from sparsec.expr import parse_kernel
 from sparsec.lattice import build_iteration_graph, topo_sort
@@ -191,6 +196,27 @@ def test_builder_storage_order_for_permuted_encoding(mat_a):
     for coords, value in [((0, 0), refs.A00), ((2, 0), refs.A20), ((0, 3), refs.A03)]:
         b.insert(coords, value)
     assert b.finalize() == pack(mat_a, dcsc())
+
+
+@pytest.mark.parametrize(
+    "enc",
+    [
+        make_encoding([COMPRESSED, DENSE, COMPRESSED], (2, 0, 1)),
+        make_encoding([COMPRESSED] * 3, (2, 0, 1)),
+        make_encoding([DENSE, COMPRESSED], (1, 0)),
+        make_encoding([COMPRESSED, COMPRESSED], (1, 0)),
+    ],
+)
+def test_builder_inserts_equal_pack_under_permuted_orderings(enc):
+    # `insert` takes logical coordinates and permutes them into storage order.
+    rng = random.Random(enc.rank)
+    shape = tuple(rng.randint(2, 5) for _ in range(enc.rank))
+    coo = CooTensor(shape, _random_entries(rng, shape, 30))
+    order = [enc.dim_of_level(l) for l in range(enc.rank)]
+    builder = StorageBuilder(TensorType(shape, enc))
+    for coords, value in sorted(_merged_entries(coo), key=lambda e: [e[0][k] for k in order]):
+        builder.insert(coords, value)
+    assert _layout(builder.finalize()) == _layout(pack(coo, enc))
 
 
 def test_builder_empty_finalize():
@@ -411,6 +437,201 @@ def test_pack_rejects_bad_coordinates():
         pack(CooTensor((3, 4), [((0, 0), 1.0), ((1, -1), 2.0)]), csr())
     with pytest.raises(CoordOutOfBounds):
         CooTensor((3, 4), [((2**70, 0), 1.0)]).normalize()
+
+
+# ----------------------------------------------------------------------------
+# COO tensors held as read-only arrays, against the per-element constructor
+
+
+class _ReferenceCoo:
+    """The per-element reference for `CooTensor`: the constructor rebuilds
+    every pair as (tuple, float), and `arrays()` parses the pairs again on
+    every call, checking rank, type, width and bounds."""
+
+    def __init__(self, shape, entries=()):
+        self.shape = tuple(int(e) for e in shape)
+        self.entries = [(tuple(c), float(v)) for c, v in entries]
+
+    def arrays(self):
+        d, n = len(self.shape), len(self.entries)
+        coord_tuples = list(map(itemgetter(0), self.entries))
+        if n and set(map(len, coord_tuples)) != {d}:
+            raise RankMismatch(d)
+        try:
+            flat = array("q", list(chain.from_iterable(coord_tuples)))
+            coords = np.asarray(flat).reshape(n, d)
+            outside = (coords < 0) | (coords >= np.array(self.shape, np.int64))
+        except TypeError:
+            assert not all(isinstance(x, Integral) for c in coord_tuples for x in c)
+            raise CoordNotInteger(d) from None
+        except OverflowError:
+            raise CoordOutOfBounds(d) from None
+        if outside.any():
+            raise CoordOutOfBounds(d)
+        return coords, np.fromiter(map(itemgetter(1), self.entries), np.float64, n)
+
+
+def _plain(entries):
+    # The reference keeps `np.int64` coordinates as given; CooTensor reads
+    # them back as Python ints.
+    return [(tuple(int(x) for x in c), v) for c, v in entries]
+
+
+def _random_pairs(rng, shape, n):
+    pairs = _random_entries(rng, shape, n)
+    if rng.random() < 0.5:
+        pairs = [(tuple(np.int64(x) for x in c), v) for c, v in pairs]
+    return pairs
+
+
+def _check_coo_matches_reference(shape, pairs):
+    coo, ref = CooTensor(shape, pairs), _ReferenceCoo(shape, pairs)
+    assert coo.shape == ref.shape and coo.rank == len(shape) and coo.nnz == len(ref.entries)
+    assert repr(coo.entries) == repr(_plain(ref.entries))
+    assert all(type(x) is int for c, _ in coo.entries for x in c)
+    assert repr(coo) == f"CooTensor(shape={shape!r}, entries={_plain(ref.entries)!r})"
+    coords, values = coo.arrays()
+    want_coords, want_values = ref.arrays()
+    assert coords.dtype == np.int64 and coords.shape == want_coords.shape
+    assert np.array_equal(coords, want_coords)
+    assert values.dtype == np.float64 and repr(values.tolist()) == repr(want_values.tolist())
+    merged = _plain(_merged_entries(ref))
+    assert repr(coo.normalize().entries) == repr(merged)
+    assert repr(coo.to_coo().entries) == repr(merged)
+    nonzero = [(c, v) for c, v in merged if v != 0.0]
+    assert repr(coo.to_coo(drop_zeros=True).entries) == repr(nonzero)
+    assert repr(coo.nonzero_entries()) == repr([(c, v) for c, v in _plain(ref.entries) if v != 0.0])
+    dense = [0.0] * math.prod(shape)
+    for c, v in merged:
+        flat = 0
+        for x, e in zip(c, shape):
+            flat = flat * e + x
+        dense[flat] = v
+    assert repr(coo.to_dense().data) == repr(dense)
+    twin = CooTensor.from_arrays(shape, want_coords, want_values)
+    assert coo == twin and twin == coo and repr(twin.entries) == repr(coo.entries)
+    assert coo.normalize() == CooTensor(shape, merged)
+    if ref.entries:
+        assert coo != CooTensor.from_arrays(shape, want_coords, want_values + 1.0)
+    assert coo != CooTensor(shape + (1,), [])
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_coo_arrays_equal_per_element_reference(rank):
+    rng = random.Random(505 + rank)
+    for trial in range(40):
+        shape = tuple(rng.randint(1, 5) for _ in range(rank))
+        n = 0 if trial == 0 else rng.randrange(20)
+        _check_coo_matches_reference(shape, _random_pairs(rng, shape, n))
+
+
+def test_coo_takes_any_pair_iterable():
+    pairs = [((1, 2), 3), ([0, 1], 2.5), (np.array([2, 0]), np.float64(-0.0))]
+    want = [((1, 2), 3.0), ((0, 1), 2.5), ((2, 0), -0.0)]
+    assert repr(CooTensor((3, 3), iter(pairs)).entries) == repr(want)
+    assert repr(CooTensor((3, 3), ((c, v) for c, v in pairs)).entries) == repr(want)
+    # A coordinate without len() is kept as a tuple and parsed at each read.
+    lazy = CooTensor((3, 3), [(iter(c), v) for c, v in want])
+    assert repr(lazy.entries) == repr(want)
+    assert lazy.to_coo() == CooTensor((3, 3), want).to_coo()
+    with pytest.raises(TypeError):
+        CooTensor((3, 3), [(1, 2.0)])
+    for bad in ([((0, 0), 1.0, 2.0)], [((0, 0),)]):
+        with pytest.raises(ValueError):
+            _ReferenceCoo((3, 3), bad)
+        with pytest.raises(ValueError):
+            CooTensor((3, 3), bad)
+
+
+_BAD_COORDINATES = [
+    ((4,), [((1,), 1.0), ((1.5,), 2.0)]),
+    ((4,), [((np.float64(2.0),), 2.0)]),
+    ((3, 4), [((0, 0), 1.0), ((1,), 2.0)]),
+    ((3, 4), [((0, 0), 1.0), ((1, 2, 0), 2.0)]),
+    ((3, 4), [((2**70, 0), 1.0)]),
+    ((3, 4), [((1, 1.5), 1.0), ((2**70, 0), 1.0)]),
+    ((3, 4), [((0, 0), 1.0), ((3, 0), 2.0)]),
+    ((3, 4), [((0, 0), 1.0), ((1, -1), 2.0)]),
+    ((), [((0,), 1.0)]),
+]
+
+
+def _first_read_error(coo):
+    try:
+        coo.arrays()
+    except SparsecError as e:
+        return type(e)
+    return None
+
+
+@pytest.mark.parametrize("shape, pairs", _BAD_COORDINATES)
+def test_bad_coordinates_raise_at_the_first_read(shape, pairs):
+    coo = CooTensor(shape, pairs)  # construction accepts them
+    want = _first_read_error(_ReferenceCoo(shape, pairs))
+    assert want is not None
+    assert repr(coo.entries) == repr(_ReferenceCoo(shape, pairs).entries)
+    assert coo.nnz == len(pairs)
+    steps = [
+        coo.arrays,
+        coo.check_bounds,
+        coo.normalize,
+        lambda: coo.to_coo(drop_zeros=True),
+        coo.to_dense,
+        lambda: convert(coo, None),
+    ]
+    if coo.rank:
+        steps.append(lambda: pack(coo, make_encoding([COMPRESSED] * coo.rank)))
+    for step in steps:
+        with pytest.raises(want):
+            step()
+
+
+@pytest.mark.parametrize("value", ["abc", None, 1j, 10**400, "2.5", True, np.float32(0.5)])
+def test_values_convert_with_float_at_construction(value):
+    try:
+        want = float(value)
+    except Exception as e:  # noqa: BLE001 - the type itself is compared
+        with pytest.raises(type(e)):
+            CooTensor((2,), [((0,), 1.0), ((1,), value)])
+        return
+    coo = CooTensor((2,), [((0,), 1.0), ((1,), value)])
+    assert repr(coo.entries) == repr([((0,), 1.0), ((1,), want)])
+
+
+def test_coo_arrays_are_read_only():
+    source_coords = np.array([[0, 1], [2, 3]])
+    source_values = np.array([1.0, 2.0])
+    for coo in (
+        CooTensor((3, 4), [((0, 1), 1.0), ((2, 3), 2.0)]),
+        CooTensor.from_arrays((3, 4), source_coords, source_values),
+    ):
+        coords, values = coo.arrays()
+        with pytest.raises(ValueError):
+            coords[0, 0] = 2
+        with pytest.raises(ValueError):
+            values[0] = 5.0
+        with pytest.raises(ValueError):
+            values.sort()
+    # from_arrays copies, so a caller's later writes do not reach the tensor.
+    source_coords[0, 0] = 1
+    source_values[0] = 7.0
+    assert coo.entries == [((0, 1), 1.0), ((2, 3), 2.0)]
+
+
+def test_from_arrays_checks_its_arrays():
+    with pytest.raises(RankMismatch):
+        CooTensor.from_arrays((3, 4), np.zeros((2, 3), np.int64), np.zeros(2))
+    with pytest.raises(RankMismatch):
+        CooTensor.from_arrays((3, 4), np.zeros((2, 2), np.int64), np.zeros(3))
+    with pytest.raises(RankMismatch):
+        CooTensor.from_arrays((3, 4), np.zeros((2, 2), np.int64), np.zeros((2, 1)))
+    with pytest.raises(CoordNotInteger):
+        CooTensor.from_arrays((3, 4), np.array([[1.5, 0.0]]), np.ones(1))
+    coo = CooTensor.from_arrays((3, 4), np.array([[3, 0]], np.int32), np.ones(1))
+    with pytest.raises(CoordOutOfBounds):
+        coo.to_dense()
+    empty = CooTensor.from_arrays((3, 4), np.zeros((0, 2)), [])
+    assert empty == CooTensor((3, 4)) and empty.arrays()[0].dtype == np.int64
 
 
 # ----------------------------------------------------------------------------
