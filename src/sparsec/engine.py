@@ -18,6 +18,8 @@ import math
 from dataclasses import replace
 from typing import Optional, Union
 
+import numpy as np
+
 from .codegen import (
     AccRef,
     AccumAcc,
@@ -41,7 +43,13 @@ from .codegen import (
     lower,
 )
 from .encoding import COMPRESSED, Encoding, TensorType
-from .errors import ShapeMismatch, UnknownTensor, UnsupportedKernel
+from .errors import (
+    DenseOutputTooLarge,
+    OutOfOrderInsertion,
+    ShapeMismatch,
+    UnknownTensor,
+    UnsupportedKernel,
+)
 from .expr import (
     Access,
     Add,
@@ -59,6 +67,7 @@ from .storage import (
     DenseTensor,
     SparseStorage,
     StorageBuilder,
+    _build_levels,
     compress,
     expand,
     pack,
@@ -96,6 +105,57 @@ def convert(value: TensorValue, to_type: Union[TensorType, Encoding, None]) -> T
 
 # CPython compiles at most 20 statically nested loops into one function.
 _MAX_LOOP_DEPTH = 20
+# The most rows one frame of the array form may hold; a Program that would
+# pass it runs on the loops instead, which hold only the output.
+_MAX_FRAME_ROWS = 1 << 22
+# The most elements a dense output buffer may hold (2 GiB of float64).
+_MAX_DENSE_ELEMENTS = 1 << 28
+
+
+def _binding(program: Program, env: dict, uid: int):
+    ref = program.accesses[uid]
+    try:
+        return env[ref.tensor]
+    except KeyError:
+        raise UnknownTensor(f"no binding for tensor {ref.tensor!r}")
+
+
+def _position_steps(ref, value, upto: Optional[int]):
+    """How the flat position of access `ref` after its first `upto` levels
+    (all when None) is found: the last compressed level among them, whose
+    position it starts from (None: from 0), and the (variable, extent)
+    steps of the dense levels after it."""
+    if isinstance(value, DenseTensor):
+        return None, list(zip(ref.indices, value.shape))
+    # Positions at a compressed level are absolute, so the walk only needs
+    # the dense levels after the last compressed one.
+    enc = value.encoding
+    sshape = value.ttype.storage_shape()
+    start, steps = None, []
+    for level in range(value.rank if upto is None else upto):
+        if enc.levels[level] is COMPRESSED:
+            start, steps = level, []
+        else:
+            steps.append((ref.indices[enc.dim_of_level(level)], sshape[level]))
+    return start, steps
+
+
+def _dense_output(kernel: Kernel, env: dict):
+    """The seed of a dense output buffer: the previous output's data when
+    the kernel accumulates into a bound one, else None for all zeros.
+
+    Raises DenseOutputTooLarge, before anything is allocated, when the
+    buffer would pass `_MAX_DENSE_ELEMENTS`.
+    """
+    shape = kernel.output_type.shape
+    volume = math.prod(shape)
+    if volume > _MAX_DENSE_ELEMENTS:
+        raise DenseOutputTooLarge(
+            f"dense output {kernel.lhs.tensor!r} of shape {shape} needs {volume} "
+            f"elements, past the budget of {_MAX_DENSE_ELEMENTS}"
+        )
+    seed = env.get(kernel.lhs.tensor) if kernel.accumulate else None
+    return None if seed is None else seed.data
 
 
 class _Generator:
@@ -117,11 +177,7 @@ class _Generator:
         self.loops = 0
 
     def _binding(self, uid: int):
-        ref = self.p.accesses[uid]
-        try:
-            return self.env[ref.tensor]
-        except KeyError:
-            raise UnknownTensor(f"no binding for tensor {ref.tensor!r}")
+        return _binding(self.p, self.env, uid)
 
     def _global(self, name: str, array) -> str:
         self.globals[name] = array
@@ -129,22 +185,8 @@ class _Generator:
 
     def _position(self, uid: int, upto: Optional[int] = None) -> str:
         """Flat position of access `uid` after its first `upto` levels."""
-        ref = self.p.accesses[uid]
-        value = self._binding(uid)
-        # Positions at a compressed level are absolute, so the walk only
-        # needs the dense levels after the last compressed one.
-        src = None
-        if isinstance(value, DenseTensor):
-            steps = list(zip(ref.indices, value.shape))
-        else:
-            enc = value.encoding
-            sshape = value.ttype.storage_shape()
-            steps = []
-            for level in range(value.rank if upto is None else upto):
-                if enc.levels[level] is COMPRESSED:
-                    src, steps = f"q{uid}_{level}", []
-                else:
-                    steps.append((ref.indices[enc.dim_of_level(level)], sshape[level]))
+        start, steps = _position_steps(self.p.accesses[uid], self._binding(uid), upto)
+        src = None if start is None else f"q{uid}_{start}"
         for v, extent in steps:
             src = self.var[v] if src is None else f"({src}*{extent}+{self.var[v]})"
         return src or "0"
@@ -302,34 +344,278 @@ class _Generator:
         return namespace.pop("program")
 
 
-def interpret(program: Program, env: dict):
-    """Execute a lowered Program against concrete tensor bindings.
-
-    The Program runs as one generated Python function; the output is a
-    dense buffer, a copy of the in-place output's values, or a
-    StorageBuilder, according to the Program's output strategy.
-    """
+def _run_loops(program: Program, env: dict):
+    """Run a Program as one generated Python function (any Program)."""
     kernel = program.kernel
     out_type = kernel.output_type
-    out_name = kernel.lhs.tensor
     strat = program.strategy.kind
     generator = _Generator(program, env)
     if strat is StrategyKind.DENSE_STORE:
-        seed = env.get(out_name) if kernel.accumulate else None
-        if seed is not None:
-            out = list(seed.data)
-        else:
-            out = [0.0] * math.prod(out_type.shape)
+        seed = _dense_output(kernel, env)
+        out = list(seed) if seed is not None else [0.0] * math.prod(out_type.shape)
         generator.function(out=out)()
         return DenseTensor(out_type.shape, out)
     if strat is StrategyKind.IN_PLACE:
-        base = env[out_name]
+        base = env[kernel.lhs.tensor]
         out = list(base.values)
         generator.function(out=out)()
         return SparseStorage(base.ttype, base.pointers, base.indices, tuple(out))
     builder = StorageBuilder(out_type)
     generator.function(builder=builder, insert=builder.insert)()
     return builder.finalize()
+
+
+class _TooManyRows(Exception):
+    """A frame of the array form would pass `_MAX_FRAME_ROWS`."""
+
+
+class _Frame:
+    """The iterations of the enclosing loops, one row each, in loop order.
+
+    Columns are arrays over the rows, keyed by what they hold: `("v", var)`
+    a loop variable, `("q"|"h", uid, level)` an iterator's position and
+    end, `("x", uid)` a hoisted value, `("acc", slot)` and `"ws"` the row of
+    the frame that declared an accumulator or drains the workspace. A
+    column the frame lacks is gathered from its parent on first read, so
+    only the columns the body below reads are ever copied.
+    """
+
+    def __init__(self, n: int, parent: Optional["_Frame"] = None, rows=None):
+        self.n = n
+        self.parent = parent
+        self.rows = rows  # each row's row in the parent frame
+        self.cols: dict = {}
+
+    def col(self, key):
+        column = self.cols.get(key)
+        if column is None:
+            column = self.cols[key] = self.parent.col(key)[self.rows]
+        return column
+
+    def child(self, counts) -> "_Frame":
+        """The frame of a loop that runs `counts[r]` times in row r."""
+        total = int(np.sum(counts))
+        if total > _MAX_FRAME_ROWS:
+            raise _TooManyRows
+        return _Frame(total, self, np.repeat(np.arange(self.n), counts))
+
+
+_ARITH = {Mul: np.multiply, Add: np.add, Sub: np.subtract}
+
+
+class _ArrayRun:
+    """Runs a Program with no co-iteration as whole-array numpy passes.
+
+    The IR is walked once. Each loop turns the rows of its frame into the
+    rows of its body's frame: a dense loop repeats each row `extent` times,
+    a position loop as many times as its iterator's range holds. Loads are
+    gathers, and the expression is evaluated elementwise in float64. Rows
+    keep loop order, `np.add.at` adds in index order and the workspace
+    merge sorts stably, so every sum is taken in the order the loops take
+    it, from the same 0.0, and rounds the same.
+    """
+
+    def __init__(self, program: Program, env: dict, out=None):
+        self.p = program
+        self.env = env
+        self.out = out  # the dense or in-place output values, if any
+        self.bound: dict = {}  # (tensor, part, level) -> array of a binding
+        self.accs: dict = {}  # slot -> one sum per row of the declaring frame
+        # A Program with no co-iteration runs each statement once, so it
+        # scatters once before its one drain and inserts one run.
+        self.scattered = None  # (ws row, j, value) columns
+        self.inserted = None  # (coords, values), in storage order
+
+    def run(self):
+        self.block(self.p.body, _Frame(1))
+
+    def array(self, uid: int, part: str, level: int = 0) -> np.ndarray:
+        """A bound tensor's `pointers`, `indices` or `values` as an array."""
+        key = (self.p.accesses[uid].tensor, part, level)
+        if key not in self.bound:
+            value = _binding(self.p, self.env, uid)
+            if part == "values":
+                data = value.data if isinstance(value, DenseTensor) else value.values
+                self.bound[key] = np.array(data, np.float64)
+            else:
+                self.bound[key] = np.array(getattr(value, part)[level], np.int64)
+        return self.bound[key]
+
+    def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
+        start, steps = _position_steps(self.p.accesses[uid], _binding(self.p, self.env, uid), upto)
+        if start is None:
+            pos = np.zeros(frame.n, np.int64)
+        else:
+            pos = frame.col(("q", uid, start))
+        for v, extent in steps:
+            pos = pos * extent + frame.col(("v", v))
+        return pos
+
+    def values(self, node, frame: _Frame) -> np.ndarray:
+        """The expression `node` at every row of `frame`."""
+        return np.broadcast_to(self.expr(node, frame), frame.n)
+
+    def expr(self, node, frame: _Frame):
+        if isinstance(node, ValRef):
+            return frame.col(("x", node.uid))
+        if isinstance(node, AccRef):
+            return self.accs[node.slot]
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Neg):
+            return np.negative(self.expr(node.operand, frame))
+        return _ARITH[type(node)](self.expr(node.lhs, frame), self.expr(node.rhs, frame))
+
+    def coords(self, variables, frame: _Frame) -> np.ndarray:
+        return np.stack([frame.col(("v", v)) for v in variables], axis=1)
+
+    def block(self, stmts, frame: _Frame):
+        if any(isinstance(s, CompressWs) for s in stmts):
+            frame.cols["ws"] = np.arange(frame.n)
+        for s in stmts:
+            getattr(self, f"_{type(s).__name__}")(s, frame)
+
+    def _LoadRange(self, s: LoadRange, frame):
+        ptrs = self.array(s.uid, "pointers", s.level)
+        parent = self.position(s.uid, frame, upto=s.level)
+        frame.cols["q", s.uid, s.level] = ptrs[parent]
+        frame.cols["h", s.uid, s.level] = ptrs[parent + 1]
+
+    def _LoadVal(self, s: LoadVal, frame):
+        frame.cols["x", s.uid] = self.array(s.uid, "values")[self.position(s.uid, frame)]
+
+    def _ForDense(self, s: ForDense, frame):
+        child = frame.child(np.full(frame.n, s.extent))
+        child.cols["v", s.var] = np.tile(np.arange(s.extent), frame.n)
+        self.block(s.body, child)
+
+    def _ForPositions(self, s: ForPositions, frame):
+        lo = frame.col(("q", s.uid, s.level))
+        counts = frame.col(("h", s.uid, s.level)) - lo
+        child = frame.child(counts)
+        # Row r's range starts at lo[r], and its first child row sits at
+        # the running count of the rows before it.
+        offset = lo - (np.cumsum(counts) - counts)
+        q = np.arange(child.n) + offset[child.rows]
+        child.cols["q", s.uid, s.level] = q
+        child.cols["v", s.var] = self.array(s.uid, "indices", s.level)[q]
+        self.block(s.body, child)
+
+    def _DeclAcc(self, s: DeclAcc, frame):
+        frame.cols["acc", s.slot] = np.arange(frame.n)
+        self.accs[s.slot] = np.zeros(frame.n)
+
+    def _AccumAcc(self, s: AccumAcc, frame):
+        np.add.at(self.accs[s.slot], frame.col(("acc", s.slot)), self.values(s.expr, frame))
+
+    def _StoreDense(self, s: StoreDense, frame):
+        offset = np.zeros(frame.n, np.int64)
+        for v, extent in zip(s.coords, self.p.kernel.output_type.shape):
+            offset = offset * extent + frame.col(("v", v))
+        np.add.at(self.out, offset, self.values(s.expr, frame))
+
+    def _InsertLex(self, s: InsertLex, frame):
+        self.inserted = (self.coords(s.coords, frame), self.values(s.expr, frame))
+
+    def _ExpandWs(self, s: ExpandWs, frame):
+        pass
+
+    def _ScatterWs(self, s: ScatterWs, frame):
+        self.scattered = (frame.col("ws"), frame.col(("v", s.var)), self.values(s.expr, frame))
+
+    def _CompressWs(self, s: CompressWs, frame):
+        # The workspace sums each (row, j) from 0.0 in scatter order, then
+        # appends the row's touched j in ascending order: a stable sort by
+        # (row, j), then `np.add.at` over each run of equal keys.
+        rows, j, values = self.scattered
+        self.scattered = None
+        extent = self.p.kernel.analysis.var_extents[self.p.strategy.var]
+        if frame.n * extent < 1 << 62:  # one int64 key sorts faster
+            order = np.argsort(rows * extent + j, kind="stable")
+        else:
+            order = np.lexsort((j, rows))
+        rows, j = rows[order], j[order]
+        first = np.ones(len(rows), bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (j[1:] != j[:-1])
+        sums = np.zeros(np.count_nonzero(first))
+        np.add.at(sums, np.cumsum(first) - 1, values[order])
+        rows = rows[first]
+        column = {v: frame.col(("v", v))[rows] for v in s.prefix}
+        column[self.p.strategy.var] = j[first]
+        lhs = self.p.kernel.lhs.indices
+        self.inserted = (np.stack([column[v] for v in lhs], axis=1), sums)
+
+    def _StoreInPlace(self, s: StoreInPlace, frame):
+        self.out[frame.col(("q", s.uid, s.level))] = self.values(s.expr, frame)
+
+    def storage(self) -> SparseStorage:
+        """The inserted runs as storage, checked as `StorageBuilder` checks
+        them: strictly increasing in storage order, widths in range."""
+        ttype = self.p.kernel.output_type
+        coords, values = self.inserted
+        self.inserted = None
+        # Row r + 1 follows row r when it is greater at the first storage
+        # level where the two differ.
+        follows = np.zeros(max(len(values) - 1, 0), bool)
+        for level in reversed(range(ttype.rank)):
+            column = coords[:, ttype.encoding.dim_of_level(level)]
+            follows = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & follows)
+        if not follows.all():
+            r = int(np.argmin(follows))
+            raise OutOfOrderInsertion(
+                f"insertion at {tuple(coords[r + 1].tolist())} does not follow "
+                f"{tuple(coords[r].tolist())} in storage order"
+            )
+        return _build_levels(ttype, coords, values)
+
+
+def _run_arrays(program: Program, env: dict):
+    """Run a Program with no `WhileCoiter` as whole-array passes; raises
+    _TooManyRows, before any large allocation, past the row budget."""
+    kernel = program.kernel
+    out_type = kernel.output_type
+    strat = program.strategy.kind
+    if strat is StrategyKind.DENSE_STORE:
+        seed = _dense_output(kernel, env)
+        if seed is None:
+            out = np.zeros(math.prod(out_type.shape))
+        else:
+            out = np.array(seed, np.float64)
+        _ArrayRun(program, env, out).run()
+        return DenseTensor(out_type.shape, out)
+    if strat is StrategyKind.IN_PLACE:
+        base = env[kernel.lhs.tensor]
+        out = np.array(base.values, np.float64)
+        _ArrayRun(program, env, out).run()
+        return SparseStorage(base.ttype, base.pointers, base.indices, tuple(out.tolist()))
+    run = _ArrayRun(program, env)
+    run.run()
+    return run.storage()
+
+
+def _co_iterates(stmts) -> bool:
+    return any(
+        isinstance(s, WhileCoiter) or _co_iterates(getattr(s, "body", ())) for s in stmts
+    )
+
+
+def interpret(program: Program, env: dict):
+    """Execute a lowered Program against concrete tensor bindings.
+
+    The Program's structure picks the form it runs in. One with no
+    co-iteration (`WhileCoiter`) runs as whole-array numpy passes
+    (`_ArrayRun`), unless one of its frames would pass `_MAX_FRAME_ROWS`
+    rows; every other Program runs as one generated Python function
+    (`_Generator`). Both give the same result, bit for bit: a DenseTensor
+    for a dense store, a copy of the in-place output with new values, or
+    the SparseStorage of a sparse output.
+    """
+    if not _co_iterates(program.body):
+        try:
+            return _run_arrays(program, env)
+        except _TooManyRows:
+            pass
+    return _run_loops(program, env)
 
 
 # ----------------------------------------------------------------------------

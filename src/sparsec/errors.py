@@ -53,6 +53,10 @@ class MalformedStorage(SparsecError):
     """Pointers, indices or values that break a storage-format invariant."""
 
 
+class DenseOutputTooLarge(SparsecError):
+    """A dense output buffer, the dense fallback's too, past the element budget."""
+
+
 class OracleMismatch(SparsecError):
     """A kernel result disagrees with the dense oracle."""
 

@@ -223,19 +223,26 @@ def _scatter(shape, coords: np.ndarray, values: np.ndarray) -> "DenseTensor":
         flat = flat * extent + column
     data = np.zeros(math.prod(shape))
     data[flat] = values
-    return DenseTensor(shape, data.tolist())
+    return DenseTensor(shape, data)
 
 
 @dataclass
 class DenseTensor:
-    """Flat row-major dense tensor of 64-bit reals."""
+    """Flat row-major dense tensor of 64-bit reals.
+
+    `data` may be any sequence of numbers, each converted with `float`, or
+    a numpy array, converted whole (in C order) with one `tolist`.
+    """
 
     shape: tuple
     data: list
 
     def __init__(self, shape, data):
         self.shape = tuple(int(e) for e in shape)
-        self.data = [float(v) for v in data]
+        if isinstance(data, np.ndarray):
+            self.data = data.astype(np.float64, copy=False).reshape(-1).tolist()
+        else:
+            self.data = [float(v) for v in data]
         if len(self.data) != self.volume:
             raise ShapeMismatch(
                 f"{len(self.data)} values for shape {self.shape} (need {self.volume})"
@@ -604,19 +611,38 @@ def lex_insert(builder: StorageBuilder, coords, value: float):
 
 
 def pack(value, enc: Encoding) -> SparseStorage:
-    """Materialize a tensor of any class into the layout described by `enc`.
-
-    The entries of `value.arrays()` are sorted and merged in storage order,
-    then built level by level: a dense level maps each entry to
-    `parent * extent + coord`; a compressed level keeps the coordinate
-    where the storage prefix changes and counts those per parent position
-    into its pointers.
-    """
+    """Materialize a tensor of any class into the layout described by `enc`:
+    the entries of `value.arrays()`, sorted and merged in storage order,
+    built level by level (`_build_levels`)."""
     if enc.rank != value.rank:
         raise RankMismatch(f"rank-{enc.rank} encoding for a rank-{value.rank} tensor")
     ttype = TensorType(value.shape, enc)
     order = [enc.dim_of_level(l) for l in range(enc.rank)]
-    coords, values = _sorted_unique(value, order)
+    return _build_levels(ttype, *_sorted_unique(value, order))
+
+
+def _index_tuple(column: np.ndarray, extent: int) -> tuple:
+    """A level's indices as a tuple of Python ints. When there are more
+    indices than index values, each value is one shared int object, which
+    saves the memory of one int per index."""
+    if len(column) > extent:
+        return tuple(np.arange(extent).astype(object)[column].tolist())
+    return tuple(column.tolist())
+
+
+def _build_levels(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> SparseStorage:
+    """The storage of `ttype` holding `values` at `coords`, an (n, rank)
+    array of logical coordinates that are unique and sorted in storage
+    order.
+
+    A dense level maps each entry to `parent * extent + coord`; a
+    compressed level keeps the coordinate where the storage prefix changes
+    and counts those per parent position into its pointers. Each value is
+    placed, not summed, so a -0.0 stays -0.0, and every position no entry
+    reaches holds 0.0. Widths are checked by `SparseStorage.validate`.
+    """
+    enc = ttype.encoding
+    order = [enc.dim_of_level(l) for l in range(enc.rank)]
     n = len(values)
     pos = np.zeros(n, np.int64)  # each entry's position at the current level
     positions = 1
@@ -636,7 +662,7 @@ def pack(value, enc: Encoding) -> SparseStorage:
         ptrs = np.zeros(positions + 1, np.int64)
         np.cumsum(np.bincount(pos[starts], minlength=positions), out=ptrs[1:])
         pointers.append(tuple(ptrs.tolist()))
-        indices.append(tuple(column[starts].tolist()))
+        indices.append(_index_tuple(column[starts], extent))
         pos = np.cumsum(new) - 1
         positions = len(starts)
     data = np.zeros(positions)
