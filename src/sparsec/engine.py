@@ -393,8 +393,9 @@ class _Frame:
         return column
 
     def child(self, counts) -> "_Frame":
-        """The frame of a loop that runs `counts[r]` times in row r."""
-        total = int(np.sum(counts))
+        """The frame of a loop that runs `counts[r]` times in row r, or
+        `counts` times in every row when it is an int."""
+        total = self.n * counts if isinstance(counts, int) else int(counts.sum())
         if total > _MAX_FRAME_ROWS:
             raise _TooManyRows
         return _Frame(total, self, np.repeat(np.arange(self.n), counts))
@@ -485,7 +486,7 @@ class _ArrayRun:
         frame.cols["x", s.uid] = self.array(s.uid, "values")[self.position(s.uid, frame)]
 
     def _ForDense(self, s: ForDense, frame):
-        child = frame.child(np.full(frame.n, s.extent))
+        child = frame.child(s.extent)
         child.cols["v", s.var] = np.tile(np.arange(s.extent), frame.n)
         self.block(s.body, child)
 

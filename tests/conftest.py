@@ -5,6 +5,9 @@ and their expected packed layouts are frozen here once; storage, engine,
 and acceptance tests all check against the same numbers.
 """
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from sparsec.storage import CooTensor
@@ -41,3 +44,14 @@ def tensor_t():
             ((2, 1, 3), T213),
         ],
     )
+
+
+def pytest_configure(config):
+    # Hypothesis caches the literals of local modules in its home directory,
+    # `.hypothesis/` in the working directory, even with no example
+    # database; keep it in the system's temporary directory instead.
+    try:
+        from hypothesis import configuration
+    except ImportError:
+        return
+    configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "sparsec-hypothesis")
