@@ -4,11 +4,27 @@
 kernel (accumulating sparse outputs are rewritten to read the previous
 output; scoped reductions are split into temporaries), orders the loops
 and lowers each piece to an IR Program; `execute` coerces the inputs and
-interprets the Programs. The interpreter writes each Program, over the
-concrete bindings, as the source of one Python function whose loop
-variables and positions are locals, and `exec`s it once. That function is
-the Python form of the IR that `codegen.emit_text` prints, so results stay
-auditable against the emitted text.
+interprets the Programs.
+
+The interpreter runs a Program in one of two forms, picked by its
+structure alone:
+
+- A Program with no co-iteration (no `WhileCoiter`: every loop is a dense
+  loop or a loop over one iterator's positions) runs as whole-array numpy
+  passes that walk the IR directly. Each loop nest is flattened into a
+  frame of rows, one per iteration in loop order; loads are gathers and
+  the sinks are `np.add.at`, a stable sort and merge for the workspace,
+  and `pack`'s level build for sparse outputs. It generates no source.
+  A Program whose frame would pass `_MAX_FRAME_ROWS` rows runs as below.
+- Every other Program is written, over the concrete bindings, as the
+  source of one Python function whose loop variables and positions are
+  locals, and `exec`ed once. That function is the Python form of the IR
+  that `codegen.emit_text` prints, so results stay auditable against the
+  emitted text.
+
+Both forms add in loop order from the same 0.0, so they give the same
+result bit for bit. A dense output past `_MAX_DENSE_ELEMENTS` elements
+raises DenseOutputTooLarge in either form before it is allocated.
 
 Tensors bound as inputs are never mutated; the in-place strategy writes
 into a fresh copy of the output's values array.
@@ -140,20 +156,22 @@ def _position_steps(ref, value, upto: Optional[int]):
     return start, steps
 
 
-def _dense_output(kernel: Kernel, env: dict):
-    """The seed of a dense output buffer: the previous output's data when
-    the kernel accumulates into a bound one, else None for all zeros.
-
-    Raises DenseOutputTooLarge, before anything is allocated, when the
-    buffer would pass `_MAX_DENSE_ELEMENTS`.
-    """
-    shape = kernel.output_type.shape
+def _check_dense_volume(name: str, shape: tuple):
+    """Raise DenseOutputTooLarge, before anything is allocated, for a dense
+    output buffer past `_MAX_DENSE_ELEMENTS` elements."""
     volume = math.prod(shape)
     if volume > _MAX_DENSE_ELEMENTS:
         raise DenseOutputTooLarge(
-            f"dense output {kernel.lhs.tensor!r} of shape {shape} needs {volume} "
-            f"elements, past the budget of {_MAX_DENSE_ELEMENTS}"
+            f"dense output {name!r} of shape {shape} needs {volume} elements, "
+            f"past the budget of {_MAX_DENSE_ELEMENTS}"
         )
+
+
+def _dense_output(kernel: Kernel, env: dict):
+    """The seed of a dense output buffer, after `_check_dense_volume`: the
+    previous output's data when the kernel accumulates into a bound one,
+    else None for all zeros."""
+    _check_dense_volume(kernel.lhs.tensor, kernel.output_type.shape)
     seed = env.get(kernel.lhs.tensor) if kernel.accumulate else None
     return None if seed is None else seed.data
 
@@ -636,9 +654,10 @@ def _coerce(value: TensorValue, ttype: TensorType, name: str) -> TensorValue:
     return convert(value, ttype)
 
 
-def _empty_value(ttype: TensorType) -> TensorValue:
+def _empty_value(ttype: TensorType, name: str) -> TensorValue:
     if ttype.is_sparse:
         return StorageBuilder(ttype).finalize()
+    _check_dense_volume(name, ttype.shape)
     return DenseTensor.zeros(ttype.shape)
 
 
@@ -700,7 +719,7 @@ def execute(kernel: Kernel, programs: tuple, inputs: dict):
             if node.tensor in inputs:
                 env[node.tensor] = _coerce(inputs[node.tensor], declared, node.tensor)
             elif node.tensor == out_name:
-                env[node.tensor] = _empty_value(declared)
+                env[node.tensor] = _empty_value(declared, node.tensor)
             else:
                 raise UnknownTensor(f"no binding for input tensor {node.tensor!r}")
     if kernel.accumulate and out_name not in env:
@@ -708,7 +727,7 @@ def execute(kernel: Kernel, programs: tuple, inputs: dict):
         if out_name in inputs:
             env[out_name] = _coerce(inputs[out_name], declared, out_name)
         else:
-            env[out_name] = _empty_value(declared)
+            env[out_name] = _empty_value(declared, out_name)
     result = None
     for program in programs:
         result = interpret(program, env)

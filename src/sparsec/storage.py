@@ -13,9 +13,11 @@ an (n, rank) int64 array of logical coordinates and a float64 value array
 (every COO entry, every stored entry of a `SparseStorage`, the nonzeros of
 a `DenseTensor`). On top of it one sort-and-merge (`_sorted_unique`) feeds
 `pack` and every `to_coo`, and one flat scatter feeds `to_dense`, so
-converting between any two formats needs no routine of its own. The
-element-wise `StorageBuilder` serves only outputs produced in order during
-execution.
+converting between any two formats needs no routine of its own. One level
+build (`_build_levels`) turns sorted unique entries into a layout, for
+`pack` and for the sparse outputs of the engine's array form. The
+element-wise `StorageBuilder` serves only the outputs of co-iterating
+loops, which are produced in order during execution.
 
 A `CooTensor` holds exactly those two arrays, read-only, so its `arrays()`
 hands them out after a bounds check and `to_coo` hands merged arrays to a
@@ -473,10 +475,11 @@ class StorageBuilder:
     per-level partial arrays and closes segments as coordinates advance, so
     finalize() is O(1) past the trailing dense fill.
 
-    The engine builds sparse outputs with it: direct-lex insertion calls
-    `insert` per element, and the workspace `compress` appends one whole
-    innermost segment at a time through `insert_segment`. `pack` does not
-    use it; the tests use it as the per-element reference for `pack`.
+    The engine's generated loops build sparse outputs with it: direct-lex
+    insertion calls `insert` per element, and the workspace `compress`
+    appends one whole innermost segment at a time through
+    `insert_segment`. `pack` and the engine's array form do not use it;
+    the tests use it as the per-element reference for `pack`.
     """
 
     def __init__(self, ttype: TensorType):

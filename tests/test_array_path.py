@@ -262,9 +262,12 @@ HUGE = (
 )
 
 
-def test_dense_output_past_the_budget_is_one_cli_line(tmp_path, capsys):
+@pytest.mark.parametrize("op", ["=", "+="])
+def test_dense_output_past_the_budget_is_one_cli_line(tmp_path, capsys, op):
+    # With `+=` and no binding for C, the zero output to add into is
+    # checked too.
     kfile = tmp_path / "outer.kernel"
-    kfile.write_text(HUGE)
+    kfile.write_text(HUGE.replace(" = ", f" {op} "))
     argv = ["run", "--kernel-file", str(kfile)]
     argv += ["--input", "a=sparse<32768>([[1]], [2.0])", "--input", "b=sparse<32768>([[7]], [3.0])"]
     tracemalloc.start()
