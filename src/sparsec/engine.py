@@ -485,9 +485,6 @@ class _ArrayRun:
             return np.negative(self.expr(node.operand, frame))
         return _ARITH[type(node)](self.expr(node.lhs, frame), self.expr(node.rhs, frame))
 
-    def coords(self, variables, frame: _Frame) -> np.ndarray:
-        return np.stack([frame.col(("v", v)) for v in variables], axis=1)
-
     def block(self, stmts, frame: _Frame):
         if any(isinstance(s, CompressWs) for s in stmts):
             frame.cols["ws"] = np.arange(frame.n)
@@ -534,7 +531,8 @@ class _ArrayRun:
         np.add.at(self.out, offset, self.values(s.expr, frame))
 
     def _InsertLex(self, s: InsertLex, frame):
-        self.inserted = (self.coords(s.coords, frame), self.values(s.expr, frame))
+        coords = np.stack([frame.col(("v", v)) for v in s.coords], axis=1)
+        self.inserted = (coords, self.values(s.expr, frame))
 
     def _ExpandWs(self, s: ExpandWs, frame):
         pass
@@ -596,10 +594,7 @@ def _run_arrays(program: Program, env: dict):
     strat = program.strategy.kind
     if strat is StrategyKind.DENSE_STORE:
         seed = _dense_output(kernel, env)
-        if seed is None:
-            out = np.zeros(math.prod(out_type.shape))
-        else:
-            out = np.array(seed, np.float64)
+        out = np.zeros(math.prod(out_type.shape)) if seed is None else np.array(seed, np.float64)
         _ArrayRun(program, env, out).run()
         return DenseTensor(out_type.shape, out)
     if strat is StrategyKind.IN_PLACE:

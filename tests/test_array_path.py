@@ -130,8 +130,11 @@ def test_workspace_sums_in_loop_order():
 def test_accumulator_and_dense_sums_in_loop_order(out):
     rng = random.Random(11)
     lhs = "y()" if out.endswith("()") else "y(i)"
-    text = f"tensor A(6, 64) format(dense, compressed)\ntensor v(64)\n{out}\n{lhs} = A(i, j) * v(j)\n"
-    entries = [((r, c), w) for (r, c), w in zip([(r, c) for r in range(6) for c in range(64)], _wide(rng, 384))]
+    text = (
+        f"tensor A(6, 64) format(dense, compressed)\ntensor v(64)\n{out}\n"
+        f"{lhs} = A(i, j) * v(j)\n"
+    )
+    entries = list(zip(product(range(6), range(64)), _wide(rng, 6 * 64)))
     bindings = {"A": CooTensor((6, 64), entries), "v": DenseTensor((64,), _wide(rng, 64))}
     _same(text, bindings)
 
@@ -190,7 +193,8 @@ def test_in_place_scale():
     "out,shape,coords",
     [
         ("tensor C(2, 300) format(dense, compressed) idx(8)", (2, 300), [(0, 299)]),
-        ("tensor C(2, 300) format(dense, compressed) ptr(8)", (2, 300), [(0, c) for c in range(256)]),
+        ("tensor C(2, 300) format(dense, compressed) ptr(8)", (2, 300),
+         [(0, c) for c in range(256)]),
     ],
 )
 def test_narrow_output_widths_overflow_on_both_paths(out, shape, coords):
@@ -202,7 +206,9 @@ def test_narrow_output_widths_overflow_on_both_paths(out, shape, coords):
     assert chosen == loops == "BitWidthOverflow"
 
 
-@pytest.mark.parametrize("c", ["dense, compressed", "compressed, compressed", "dense, dense", None])
+@pytest.mark.parametrize(
+    "c", ["dense, compressed", "compressed, compressed", "dense, dense", None]
+)
 def test_inputs_with_no_nonzeros(c):
     empty = CooTensor((8, 8))
     some = generate(GeneratorSpec((8, 8), "uniform", density=0.3, seed=3))
@@ -215,7 +221,8 @@ def test_inputs_with_no_nonzeros(c):
     "text",
     [
         "tensor a(6) format(compressed)\ntensor x()\nx() = a(i) * 2.0\n",
-        "tensor A(4, 6) format(compressed, compressed)\ntensor v(6)\ntensor x()\nx() = A(i, j) * v(j)\n",
+        "tensor A(4, 6) format(compressed, compressed)\ntensor v(6)\n"
+        "tensor x()\nx() = A(i, j) * v(j)\n",
     ],
 )
 def test_rank_zero_output(text):
@@ -224,7 +231,8 @@ def test_rank_zero_output(text):
     bindings = {
         name: CooTensor(
             ttype.shape,
-            [(c, rng.uniform(-1, 1)) for c in product(*map(range, ttype.shape)) if rng.random() < 0.5],
+            [(c, rng.uniform(-1, 1)) for c in product(*map(range, ttype.shape))
+             if rng.random() < 0.5],
         )
         for name, ttype in kernel.tensors.items()
         if name != "x"
@@ -269,7 +277,8 @@ def test_dense_output_past_the_budget_is_one_cli_line(tmp_path, capsys, op):
     kfile = tmp_path / "outer.kernel"
     kfile.write_text(HUGE.replace(" = ", f" {op} "))
     argv = ["run", "--kernel-file", str(kfile)]
-    argv += ["--input", "a=sparse<32768>([[1]], [2.0])", "--input", "b=sparse<32768>([[7]], [3.0])"]
+    argv += ["--input", "a=sparse<32768>([[1]], [2.0])"]
+    argv += ["--input", "b=sparse<32768>([[7]], [3.0])"]
     tracemalloc.start()
     try:
         code = main(argv)
@@ -285,6 +294,7 @@ def test_dense_output_past_the_budget_is_one_cli_line(tmp_path, capsys, op):
 def test_dense_output_guard_holds_on_the_loops():
     kernel = parse_kernel(HUGE)
     (program,) = compile_kernel(kernel)
-    env = {name: engine.convert(CooTensor((32768,), [((1,), 1.0)]), kernel.tensors[name]) for name in "ab"}
+    one = CooTensor((32768,), [((1,), 1.0)])
+    env = {name: engine.convert(one, kernel.tensors[name]) for name in "ab"}
     with pytest.raises(DenseOutputTooLarge):
         engine._run_loops(program, env)
