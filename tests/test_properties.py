@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sparsec.encoding import COMPRESSED, DENSE, make_encoding
-from sparsec.errors import OrderConflict, UnsupportedKernel
+from sparsec.engine import convert
+from sparsec.errors import BitWidthOverflow, OrderConflict, UnsupportedKernel
 from sparsec.expr import parse_kernel
-from sparsec.storage import CooTensor
+from sparsec.storage import CooTensor, DenseTensor, SparseStorage
 from test_array_path import run_both
 
 VARS = ("i", "j", "k")
@@ -32,11 +33,12 @@ def format_clause(draw, rank: int) -> str:
 
 @st.composite
 def product_case(draw):
-    """Kernel text and bindings: a product of 1-3 operands of rank 1-3
-    over extents up to 12, times an optional constant, into an output of
-    any rank over the variables used."""
+    """Kernel text, COO bindings, and the operands whose stored zeros are
+    to be -0.0: a product of 1-3 operands of rank 1-3 over extents up to
+    12, times an optional constant, into an output of any rank over the
+    variables used."""
     extents = {v: draw(st.integers(1, 12)) for v in VARS}
-    decls, factors, bindings = [], [], {}
+    decls, factors, uses, bindings = [], [], [], {}
     for t in range(draw(st.integers(1, 3))):
         use = draw(st.permutations(VARS))[: draw(st.integers(1, 3))]
         shape = tuple(extents[v] for v in use)
@@ -45,15 +47,26 @@ def product_case(draw):
         name = f"T{t}"
         decls.append(f"tensor {name}({', '.join(map(str, shape))}){draw(format_clause(len(use)))}")
         factors.append(f"{name}({', '.join(use)})")
+        uses.append(use)
         bindings[name] = CooTensor(shape, list(entries.items()))
-    used = sorted({v for f in factors for v in f[f.index("(") + 1 : -1].split(", ")})
-    out = draw(st.permutations(used))[: draw(st.integers(0, len(used)))]
+    out = draw(st.permutations(sorted(set().union(*uses))))
+    out = out[: draw(st.integers(0, len(out)))]
     shape = ", ".join(str(extents[v]) for v in out)
     decls.append(f"tensor out({shape}){draw(format_clause(len(out)))}")
     rhs = " * ".join(factors)
     if draw(st.booleans()):
         rhs = f"{rhs} * {draw(st.sampled_from(['2.0', '-1.0', '0.5']))}"
-    return "\n".join(decls) + f"\nout({', '.join(out)}) = {rhs}\n", bindings
+    negative = [name for name in bindings if draw(st.booleans())]
+    return "\n".join(decls) + f"\nout({', '.join(out)}) = {rhs}\n", bindings, negative
+
+
+def _negative_zeros(value):
+    """`value` with every stored zero as -0.0. (Packing sums each entry
+    into 0.0, so COO input never stores -0.0.)"""
+    if isinstance(value, DenseTensor):
+        return DenseTensor(value.shape, [-0.0 if v == 0 else v for v in value.data])
+    values = tuple(-0.0 if v == 0 else v for v in value.values)
+    return SparseStorage(value.ttype, value.pointers, value.indices, values)
 
 
 @settings(
@@ -65,9 +78,16 @@ def product_case(draw):
 )
 @given(product_case())
 def test_arrays_and_loops_agree_on_random_products(case):
-    text, bindings = case
+    text, coo, negative = case
+    kernel = parse_kernel(text)
+    bindings = dict(coo)
+    for name in negative:
+        try:
+            bindings[name] = _negative_zeros(convert(coo[name], kernel.tensors[name]))
+        except BitWidthOverflow:
+            pass  # both forms raise it when they coerce the COO input
     try:
-        chosen, loops, qualifying = run_both(parse_kernel(text), bindings)
+        chosen, loops, qualifying = run_both(kernel, bindings)
     except (OrderConflict, UnsupportedKernel):
         assume(False)
     assume(qualifying)  # a kernel that co-iterates runs on the loops alone
