@@ -23,9 +23,12 @@ structure alone:
   emitted text.
 
 Both forms add in loop order from the same 0.0, so they give the same
-result bit for bit. A dense output past `_MAX_DENSE_ELEMENTS` elements
-raises DenseOutputTooLarge in either form before it is allocated.
+result bit for bit. A dense output past `_MAX_DENSE_ELEMENTS` elements,
+or a sparse one whose dense levels would pass it, raises
+DenseOutputTooLarge in either form before it is allocated.
 
+The array form reads a bound storage's read-only arrays as they are; the
+loops take one `tolist()` of each, as they index it one element at a time.
 Tensors bound as inputs are never mutated; the in-place strategy writes
 into a fresh copy of the output's values array.
 """
@@ -60,7 +63,6 @@ from .codegen import (
 )
 from .encoding import COMPRESSED, Encoding, TensorType
 from .errors import (
-    DenseOutputTooLarge,
     OutOfOrderInsertion,
     ShapeMismatch,
     UnknownTensor,
@@ -84,6 +86,9 @@ from .storage import (
     SparseStorage,
     StorageBuilder,
     _build_levels,
+    _check_budget,
+    _merge_runs,
+    _read_only,
     compress,
     expand,
     pack,
@@ -124,8 +129,6 @@ _MAX_LOOP_DEPTH = 20
 # The most rows one frame of the array form may hold; a Program that would
 # pass it runs on the loops instead, which hold only the output.
 _MAX_FRAME_ROWS = 1 << 22
-# The most elements a dense output buffer may hold (2 GiB of float64).
-_MAX_DENSE_ELEMENTS = 1 << 28
 
 
 def _binding(program: Program, env: dict, uid: int):
@@ -134,6 +137,16 @@ def _binding(program: Program, env: dict, uid: int):
         return env[ref.tensor]
     except KeyError:
         raise UnknownTensor(f"no binding for tensor {ref.tensor!r}")
+
+
+def _bound_part(value, part: str, level: int):
+    """A bound tensor's `pointers`, `indices` or `values`: a storage's own
+    read-only array, or a DenseTensor's data list."""
+    if isinstance(value, DenseTensor):
+        return value.data
+    if part == "values":
+        return value.value_array
+    return value.level_arrays(level)[part == "indices"]
 
 
 def _position_steps(ref, value, upto: Optional[int]):
@@ -159,12 +172,7 @@ def _position_steps(ref, value, upto: Optional[int]):
 def _check_dense_volume(name: str, shape: tuple):
     """Raise DenseOutputTooLarge, before anything is allocated, for a dense
     output buffer past `_MAX_DENSE_ELEMENTS` elements."""
-    volume = math.prod(shape)
-    if volume > _MAX_DENSE_ELEMENTS:
-        raise DenseOutputTooLarge(
-            f"dense output {name!r} of shape {shape} needs {volume} elements, "
-            f"past the budget of {_MAX_DENSE_ELEMENTS}"
-        )
+    _check_budget(math.prod(shape), f"dense output {name!r} of shape {shape}")
 
 
 def _dense_output(kernel: Kernel, env: dict):
@@ -191,14 +199,21 @@ class _Generator:
         self.env = env
         self.var = {v: f"v{i}" for i, v in enumerate(program.topo)}
         self.globals = {"expand": expand, "compress": compress}
+        self.lists: dict = {}  # (tensor, part, level) -> a bound array as a list
         self.lines = ["def program():"]
         self.loops = 0
 
     def _binding(self, uid: int):
         return _binding(self.p, self.env, uid)
 
-    def _global(self, name: str, array) -> str:
-        self.globals[name] = array
+    def _array(self, name: str, uid: int, part: str, level: int = 0) -> str:
+        """Bind a bound tensor's `pointers`, `indices` or `values` to the
+        global `name` as a list, taking one `tolist()` per bound array."""
+        key = (self.p.accesses[uid].tensor, part, level)
+        if key not in self.lists:
+            data = _bound_part(self._binding(uid), part, level)
+            self.lists[key] = data if isinstance(data, list) else data.tolist()
+        self.globals[name] = self.lists[key]
         return name
 
     def _position(self, uid: int, upto: Optional[int] = None) -> str:
@@ -246,15 +261,13 @@ class _Generator:
 
     def _LoadRange(self, s: LoadRange, depth):
         it = f"{s.uid}_{s.level}"
-        ptrs = self._global(f"P{it}", self._binding(s.uid).pointers[s.level])
+        ptrs = self._array(f"P{it}", s.uid, "pointers", s.level)
         parent = self._position(s.uid, upto=s.level)
         self.line(depth, f"q{it} = {ptrs}[{parent}]")
         self.line(depth, f"h{it} = {ptrs}[{parent} + 1]")
 
     def _LoadVal(self, s: LoadVal, depth):
-        value = self._binding(s.uid)
-        data = value.data if isinstance(value, DenseTensor) else value.values
-        name = self._global(f"V{s.uid}", data)
+        name = self._array(f"V{s.uid}", s.uid, "values")
         self.line(depth, f"x{s.uid} = {name}[{self._position(s.uid)}]")
 
     def _ForDense(self, s: ForDense, depth):
@@ -263,7 +276,7 @@ class _Generator:
 
     def _ForPositions(self, s: ForPositions, depth):
         it = f"{s.uid}_{s.level}"
-        idx = self._global(f"I{it}", self._binding(s.uid).indices[s.level])
+        idx = self._array(f"I{it}", s.uid, "indices", s.level)
 
         def body():
             self.line(depth + 1, f"{self.var[s.var]} = {idx}[q{it}]")
@@ -288,7 +301,7 @@ class _Generator:
         def body():
             inner = depth + 1
             for it, (uid, level) in zip(its, s.iterators):
-                idx = self._global(f"I{it}", self._binding(uid).indices[level])
+                idx = self._array(f"I{it}", uid, "indices", level)
                 self.line(inner, f"c{it} = {idx}[q{it}]")
             if s.has_range:
                 self.line(inner, f"{var} = {counter}")
@@ -375,9 +388,9 @@ def _run_loops(program: Program, env: dict):
         return DenseTensor(out_type.shape, out)
     if strat is StrategyKind.IN_PLACE:
         base = env[kernel.lhs.tensor]
-        out = list(base.values)
+        out = base.value_array.tolist()
         generator.function(out=out)()
-        return SparseStorage(base.ttype, base.pointers, base.indices, tuple(out))
+        return base.with_values(out)
     builder = StorageBuilder(out_type)
     generator.function(builder=builder, insert=builder.insert)()
     return builder.finalize()
@@ -438,7 +451,7 @@ class _ArrayRun:
         self.p = program
         self.env = env
         self.out = out  # the dense or in-place output values, if any
-        self.bound: dict = {}  # (tensor, part, level) -> array of a binding
+        self.bound: dict = {}  # tensor -> a DenseTensor binding's data as an array
         self.accs: dict = {}  # slot -> one sum per row of the declaring frame
         # A Program with no co-iteration runs each statement once, so it
         # scatters once before its one drain and inserts one run.
@@ -449,16 +462,15 @@ class _ArrayRun:
         self.block(self.p.body, _Frame(1))
 
     def array(self, uid: int, part: str, level: int = 0) -> np.ndarray:
-        """A bound tensor's `pointers`, `indices` or `values` as an array."""
-        key = (self.p.accesses[uid].tensor, part, level)
-        if key not in self.bound:
-            value = _binding(self.p, self.env, uid)
-            if part == "values":
-                data = value.data if isinstance(value, DenseTensor) else value.values
-                self.bound[key] = np.array(data, np.float64)
-            else:
-                self.bound[key] = np.array(getattr(value, part)[level], np.int64)
-        return self.bound[key]
+        """A bound tensor's `pointers`, `indices` or `values` as an array:
+        a storage's own, or a DenseTensor's data, converted once."""
+        data = _bound_part(_binding(self.p, self.env, uid), part, level)
+        if not isinstance(data, list):
+            return data
+        tensor = self.p.accesses[uid].tensor
+        if tensor not in self.bound:
+            self.bound[tensor] = np.array(data, np.float64)
+        return self.bound[tensor]
 
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
         start, steps = _position_steps(self.p.accesses[uid], _binding(self.p, self.env, uid), upto)
@@ -542,23 +554,15 @@ class _ArrayRun:
 
     def _CompressWs(self, s: CompressWs, frame):
         # The workspace sums each (row, j) from 0.0 in scatter order, then
-        # appends the row's touched j in ascending order: a stable sort by
-        # (row, j), then `np.add.at` over each run of equal keys.
+        # appends the row's touched j in ascending order: the stable sort
+        # and in-order sums of `_merge_runs` over (row, j).
         rows, j, values = self.scattered
         self.scattered = None
         extent = self.p.kernel.analysis.var_extents[self.p.strategy.var]
-        if frame.n * extent < 1 << 62:  # one int64 key sorts faster
-            order = np.argsort(rows * extent + j, kind="stable")
-        else:
-            order = np.lexsort((j, rows))
-        rows, j = rows[order], j[order]
-        first = np.ones(len(rows), bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (j[1:] != j[:-1])
-        sums = np.zeros(np.count_nonzero(first))
-        np.add.at(sums, np.cumsum(first) - 1, values[order])
-        rows = rows[first]
+        firsts, sums = _merge_runs([rows, j], [frame.n, extent], values)
+        rows = rows[firsts]
         column = {v: frame.col(("v", v))[rows] for v in s.prefix}
-        column[self.p.strategy.var] = j[first]
+        column[self.p.strategy.var] = j[firsts]
         lhs = self.p.kernel.lhs.indices
         self.inserted = (np.stack([column[v] for v in lhs], axis=1), sums)
 
@@ -599,9 +603,9 @@ def _run_arrays(program: Program, env: dict):
         return DenseTensor(out_type.shape, out)
     if strat is StrategyKind.IN_PLACE:
         base = env[kernel.lhs.tensor]
-        out = np.array(base.values, np.float64)
+        out = base.value_array.copy()
         _ArrayRun(program, env, out).run()
-        return SparseStorage(base.ttype, base.pointers, base.indices, tuple(out.tolist()))
+        return base.with_values(_read_only(out))
     run = _ArrayRun(program, env)
     run.run()
     return run.storage()
@@ -651,7 +655,7 @@ def _coerce(value: TensorValue, ttype: TensorType, name: str) -> TensorValue:
 
 def _empty_value(ttype: TensorType, name: str) -> TensorValue:
     if ttype.is_sparse:
-        return StorageBuilder(ttype).finalize()
+        return _build_levels(ttype, np.zeros((0, ttype.rank), np.int64), np.zeros(0))
     _check_dense_volume(name, ttype.shape)
     return DenseTensor.zeros(ttype.shape)
 

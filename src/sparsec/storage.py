@@ -21,15 +21,23 @@ loops, which are produced in order during execution.
 
 A `CooTensor` holds exactly those two arrays, read-only, so its `arrays()`
 hands them out after a bounds check and `to_coo` hands merged arrays to a
-new one (`CooTensor.from_arrays`) with no per-entry work. `SparseStorage`
-still keeps tuples of Python ints and floats, and `DenseTensor` a list.
+new one (`CooTensor.from_arrays`) with no per-entry work. A `SparseStorage`
+holds its per-level pointers and indices as read-only int64 arrays and its
+values as a read-only float64 array, the typed buffers of the paper's
+runtime; `pack`, `validate`, `arrays()` and the engine read them whole.
+Its tuple views (`pointers`, `indices`, `values`) are built on each read,
+for callers outside the pipeline. `DenseTensor` keeps a list.
+
+Stored positions are budgeted: a dense output, or a format whose dense
+levels would hold more than `_MAX_DENSE_ELEMENTS` positions, raises
+DenseOutputTooLarge before it is allocated.
 """
 
 import math
 import struct
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Integral
 from typing import Iterator, Sequence, Tuple
 
@@ -40,6 +48,7 @@ from .errors import (
     BitWidthOverflow,
     CoordNotInteger,
     CoordOutOfBounds,
+    DenseOutputTooLarge,
     LevelIsDense,
     MalformedStorage,
     OutOfOrderInsertion,
@@ -161,6 +170,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# The most elements a dense output buffer, or the positions of one level of
+# a storage, may hold (2 GiB of float64).
+_MAX_DENSE_ELEMENTS = 1 << 28
+
+
+def _check_budget(count: int, what):
+    """Raise DenseOutputTooLarge, before anything is allocated, when `what`
+    (a name, or the TensorType of a storage) needs `count` elements, past
+    `_MAX_DENSE_ELEMENTS`."""
+    if count > _MAX_DENSE_ELEMENTS:
+        if isinstance(what, TensorType):
+            what = f"{what.encoding.describe()} storage of shape {what.shape}"
+        raise DenseOutputTooLarge(
+            f"{what} needs {count} elements, past the budget of {_MAX_DENSE_ELEMENTS}"
+        )
+
+
 def _coord_array(coords: list, shape: tuple) -> np.ndarray:
     """`coords` (sequences of `len(shape)` integers) as a read-only
     (n, rank) int64 array; raises RankMismatch, CoordNotInteger or
@@ -182,30 +208,57 @@ def _coord_array(coords: list, shape: tuple) -> np.ndarray:
     return _read_only(np.asarray(flat).reshape(n, rank))
 
 
+def _merge_runs(columns: list, extents: list, values: np.ndarray):
+    """Sort the rows of `columns` (integer arrays, the most significant
+    first, each in `range` of its extent) lexicographically and sum the
+    `values` of equal rows. Returns, for each distinct row in sorted order,
+    the index of its first occurrence and its sum.
+
+    The rows sort by one int64 key, `(c0 * e1 + c1) * e2 + c2 ...`, which
+    is faster than `np.lexsort` over the columns; `lexsort` runs only where
+    the key could pass 2**62. Either sort is stable and `np.add.at` adds in
+    index order, so equal rows are summed into 0.0 in entry order, exactly
+    as a sequential loop would. (`np.add.reduceat` sums long runs pairwise,
+    which rounds differently.) When no two rows are equal the merge is
+    skipped: each sum is `0.0 + value`, which turns a -0.0 into 0.0 as the
+    merge does.
+    """
+    n = len(values)
+    first = np.ones(n, bool)
+    if math.prod(extents) < 1 << 62:
+        key = columns[0] if columns else np.zeros(n, np.int64)
+        for column, extent in zip(columns[1:], extents[1:]):
+            key = key * extent + column
+        perm = np.argsort(key, kind="stable")
+        key = key[perm]
+        first[1:] = key[1:] != key[:-1]
+    else:
+        perm = np.lexsort(columns[::-1])
+        first[1:] = False
+        for column in columns:
+            column = column[perm]
+            first[1:] |= column[1:] != column[:-1]
+    if first.all():
+        return perm, values[perm] + 0.0
+    sums = np.zeros(np.count_nonzero(first))
+    np.add.at(sums, np.cumsum(first) - 1, values[perm])
+    return perm[first], sums
+
+
 def _sorted_unique(value, order):
     """The entries of `value.arrays()` (a tensor of any class), sorted
     lexicographically by their coordinates taken in `order` (a permutation
-    of the dimensions), duplicates summed.
+    of the dimensions), duplicates summed in entry order (`_merge_runs`).
 
-    Coordinates come back in logical dimension order. The sort is stable
-    and `np.add.at` adds in index order, so duplicates are summed into 0.0
-    in entry order, exactly as a sequential loop would. (`np.add.reduceat`
-    sums long runs pairwise, which rounds differently.) The arrays are read
-    here, not passed in, so the unsorted arrays a `SparseStorage` or
+    Coordinates come back in logical dimension order. The arrays are read
+    here, not passed in, so the unsorted coordinates a `SparseStorage` or
     `DenseTensor` reads out are freed during the sort.
     """
     coords, values = value.arrays()
-    n = len(values)
-    if n == 0:
-        return coords, values
-    if coords.shape[1]:
-        perm = np.lexsort([coords[:, k] for k in reversed(order)])
-        coords, values = coords[perm], values[perm]
-    first = np.ones(n, bool)
-    first[1:] = (coords[1:] != coords[:-1]).any(axis=1)
-    merged = np.zeros(np.count_nonzero(first))
-    np.add.at(merged, np.cumsum(first) - 1, values)
-    return coords[first], merged
+    firsts, sums = _merge_runs(
+        [coords[:, k] for k in order], [value.shape[k] for k in order], values
+    )
+    return coords[firsts], sums
 
 
 def _merged_coo(value, drop_zeros: bool) -> CooTensor:
@@ -307,28 +360,66 @@ def _width_limit_check(values: np.ndarray, width: int, what: str):
         raise BitWidthOverflow(f"{what} value {top} does not fit in {width} bits")
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+# The arrays of a dense level, which stores none.
+_NO_LEVEL = _read_only(np.zeros(0, np.int64))
+
+
 def _level_array(values, level: int, what: str) -> np.ndarray:
+    """A level's pointers or indices as a read-only int64 array. A
+    read-only int64 array is shared; any other array or sequence is copied,
+    so a caller's writable array is never frozen or aliased. A float, or an
+    integer past 64 bits, raises MalformedStorage rather than truncate."""
+    bad = MalformedStorage(f"level {level}: {what} must be 64-bit integers")
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
+            raise bad
+        if values.dtype == np.int64 and not values.flags.writeable:
+            return values
+        if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
+            raise bad
+        return _read_only(values.astype(np.int64))
     try:
-        return np.fromiter(values, np.int64, len(values))
-    except (OverflowError, TypeError, ValueError):
-        raise MalformedStorage(f"level {level}: {what} must be 64-bit integers") from None
+        # A signed 64-bit array takes only integers, as in `_coord_array`.
+        return _read_only(np.asarray(array("q", values)))
+    except (OverflowError, TypeError):
+        raise bad from None
 
 
-@dataclass
+def _value_array(values) -> np.ndarray:
+    """`values` as a read-only float64 array, shared or copied as in
+    `_level_array`; anything but real numbers raises MalformedStorage."""
+    bad = MalformedStorage("values must be a flat sequence of real numbers")
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or values.dtype.kind not in "biuf":
+            raise bad
+        if values.dtype == np.float64 and not values.flags.writeable:
+            return values
+        return _read_only(values.astype(np.float64))
+    try:
+        return _read_only(np.asarray(array("d", values)))
+    except (OverflowError, TypeError):
+        raise bad from None
+
+
 class SparseStorage:
     """Packed tensor: per-level pointers/indices plus a flat values array.
 
-    Arrays are indexed by storage level; dense levels keep both arrays
-    empty. Instances are frozen tuples after construction and safe to
-    share. Build them with `pack` or a `StorageBuilder`, never by hand.
+    The arrays are read-only numpy arrays, int64 for the pointers and
+    indices of each storage level (empty for a dense level) and float64 for
+    the values, so instances are immutable and safe to share. The
+    constructor takes sequences or arrays, keeps a read-only array of the
+    right dtype as it is and copies anything else, then runs `validate`.
+    `level_arrays` and `value_array` hand out the arrays; the `pointers`,
+    `indices` and `values` views build tuples of Python numbers on each
+    read. Build instances with `pack` or a `StorageBuilder`, never by hand.
     """
 
-    ttype: TensorType
-    pointers: tuple
-    indices: tuple
-    values: tuple
-
-    def __post_init__(self):
+    def __init__(self, ttype: TensorType, pointers, indices, values):
+        self.ttype = ttype
+        self._pointers = tuple(_level_array(p, l, "pointers") for l, p in enumerate(pointers))
+        self._indices = tuple(_level_array(i, l, "indices") for l, i in enumerate(indices))
+        self._values = _value_array(values)
         self.validate()
 
     @property
@@ -345,8 +436,53 @@ class SparseStorage:
 
     @property
     def nnz(self) -> int:
-        """Count of stored values that are not explicit zeros."""
-        return sum(1 for v in self.values if v != 0.0)
+        """Count of stored values that are not explicit zeros (-0.0 too)."""
+        return int(np.count_nonzero(self._values))
+
+    def level_arrays(self, level: int) -> tuple:
+        """The read-only int64 pointers and indices arrays of one storage
+        level, both empty for a dense level."""
+        return self._pointers[level], self._indices[level]
+
+    @property
+    def value_array(self) -> np.ndarray:
+        """The read-only float64 values array."""
+        return self._values
+
+    def with_values(self, values) -> "SparseStorage":
+        """The same layout, its arrays shared, holding `values` instead."""
+        return SparseStorage(self.ttype, self._pointers, self._indices, values)
+
+    @property
+    def pointers(self) -> tuple:
+        """Every level's pointers as a tuple of Python ints."""
+        return tuple(tuple(p.tolist()) for p in self._pointers)
+
+    @property
+    def indices(self) -> tuple:
+        """Every level's indices as a tuple of Python ints."""
+        return tuple(tuple(i.tolist()) for i in self._indices)
+
+    @property
+    def values(self) -> tuple:
+        """The values as a tuple of Python floats."""
+        return tuple(self._values.tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.ttype == other.ttype
+            and all(map(np.array_equal, self._pointers, other._pointers))
+            and all(map(np.array_equal, self._indices, other._indices))
+            and np.array_equal(self._values, other._values)
+        )
+
+    def __repr__(self):
+        return (
+            f"SparseStorage(ttype={self.ttype!r}, pointers={self.pointers!r}, "
+            f"indices={self.indices!r}, values={self.values!r})"
+        )
 
     def validate(self):
         """Check every format invariant with whole-array operations.
@@ -359,21 +495,20 @@ class SparseStorage:
             raise ShapeMismatch("SparseStorage requires an encoding on its TensorType")
         sshape = self.ttype.storage_shape()
         d = self.rank
-        if len(self.pointers) != d or len(self.indices) != d:
+        if len(self._pointers) != d or len(self._indices) != d:
             raise RankMismatch("need one pointers and one indices array per level")
         positions = 1
         for l in range(d):
+            ptrs, idxs = self._pointers[l], self._indices[l]
             if enc.levels[l] is DENSE:
-                if len(self.pointers[l]) or len(self.indices[l]):
+                if len(ptrs) or len(idxs):
                     raise MalformedStorage(f"dense level {l} must keep empty arrays")
                 positions *= sshape[l]
                 continue
-            if len(self.pointers[l]) != positions + 1:
+            if len(ptrs) != positions + 1:
                 raise MalformedStorage(
-                    f"level {l}: {len(self.pointers[l])} pointers for {positions} parent positions"
+                    f"level {l}: {len(ptrs)} pointers for {positions} parent positions"
                 )
-            ptrs = _level_array(self.pointers[l], l, "pointers")
-            idxs = _level_array(self.indices[l], l, "indices")
             if ptrs[0] != 0:
                 raise MalformedStorage(f"level {l}: pointers must start at 0")
             if (ptrs[1:] < ptrs[:-1]).any():
@@ -395,13 +530,13 @@ class SparseStorage:
             _width_limit_check(ptrs, enc.pointer_width, "pointer")
             _width_limit_check(idxs, enc.index_width, "index")
             positions = len(idxs)
-        if len(self.values) != positions:
-            raise MalformedStorage(f"{len(self.values)} values for {positions} stored positions")
+        if len(self._values) != positions:
+            raise MalformedStorage(f"{len(self._values)} values for {positions} stored positions")
 
     def arrays(self):
         """Every stored entry, explicit zeros included, in storage order:
-        an (n, rank) int64 array of logical coordinates and a float64 value
-        array.
+        an (n, rank) int64 array of logical coordinates and the values
+        array itself.
 
         The inverse of `pack`'s level build: a dense level repeats each
         parent position `extent` times, a compressed one as many times as
@@ -416,19 +551,19 @@ class SparseStorage:
                 columns.append(np.tile(np.arange(extent), positions))
                 positions *= extent
             else:
-                counts = np.diff(np.asarray(self.pointers[l], np.int64))
+                counts = np.diff(self._pointers[l])
                 columns = [np.repeat(c, counts) for c in columns]
-                columns.append(np.asarray(self.indices[l], np.int64))
-                positions = len(self.indices[l])
+                columns.append(self._indices[l])
+                positions = len(self._indices[l])
         coords = np.empty((positions, self.rank), np.int64)
         for l, column in enumerate(columns):
             coords[:, enc.dim_of_level(l)] = column
-        return coords, np.array(self.values, np.float64)
+        return coords, self._values
 
     def iterate(self) -> Iterator[Tuple[tuple, float]]:
         """Yield (logical coords, value) in storage-lexicographic order."""
-        coords, _ = self.arrays()
-        return zip(map(tuple, coords.tolist()), self.values)
+        coords, values = self.arrays()
+        return zip(map(tuple, coords.tolist()), values.tolist())
 
     def to_coo(self, drop_zeros: bool = False) -> CooTensor:
         """Unpack to normalized COO, explicit zeros included unless
@@ -450,21 +585,22 @@ def iterate(storage: SparseStorage) -> Iterator[Tuple[tuple, float]]:
 
 
 def level_pointers(storage: SparseStorage, level: int) -> tuple:
-    """Read-only pointers array of one storage level."""
+    """The pointers of one storage level, as a tuple of Python ints."""
     if storage.encoding.levels[level] is DENSE:
         raise LevelIsDense(f"storage level {level} is dense and has no pointers array")
-    return storage.pointers[level]
+    return tuple(storage.level_arrays(level)[0].tolist())
 
 
 def level_indices(storage: SparseStorage, level: int) -> tuple:
-    """Read-only indices array of one storage level."""
+    """The indices of one storage level, as a tuple of Python ints."""
     if storage.encoding.levels[level] is DENSE:
         raise LevelIsDense(f"storage level {level} is dense and has no indices array")
-    return storage.indices[level]
+    return tuple(storage.level_arrays(level)[1].tolist())
 
 
 def values_view(storage: SparseStorage) -> tuple:
-    return storage.values
+    """The values, as a tuple of Python floats."""
+    return tuple(storage.value_array.tolist())
 
 
 class StorageBuilder:
@@ -497,6 +633,14 @@ class StorageBuilder:
         self._done = False
         self._ptr_limit = ((1 << self.enc.pointer_width) - 1) if self.enc.pointer_width else None
         self._idx_limit = ((1 << self.enc.index_width) - 1) if self.enc.index_width else None
+        # Every storage of the type holds all positions of its leading
+        # dense levels, so a budget they pass fails before any insert.
+        leading = 1
+        for level, extent in enumerate(self.sshape):
+            if self.enc.levels[level] is not DENSE:
+                break
+            leading *= extent
+        _check_budget(leading, ttype)
 
     def insert(self, coords, value: float):
         """Append one element given logical coordinates."""
@@ -523,8 +667,7 @@ class StorageBuilder:
         for level in range(start, self.d):
             lo = self._open[level] + 1 if (self._open is not None and level == start) else 0
             if self.enc.levels[level] is DENSE:
-                for _ in range(lo, scoords[level]):
-                    self._fill_empty(level + 1)
+                self._fill_empty(level + 1, scoords[level] - lo)
             else:
                 idx = scoords[level]
                 if self._idx_limit is not None and idx > self._idx_limit:
@@ -566,29 +709,37 @@ class StorageBuilder:
         # The open node at `level` is complete: dense levels owe their
         # remaining positions, compressed levels owe a pointer boundary.
         if self.enc.levels[level] is DENSE:
-            for _ in range(self._open[level] + 1, self.sshape[level]):
-                self._fill_empty(level + 1)
+            self._fill_empty(level + 1, self.sshape[level] - self._open[level] - 1)
         else:
             self._append_pointer(level)
 
-    def _fill_empty(self, level):
-        # Materialize a structurally empty subtree rooted at `level`.
-        if level == self.d:
-            self.values.append(0.0)
+    def _fill_empty(self, level, count=1):
+        # Materialize `count` structurally empty subtrees rooted at `level`:
+        # through the dense levels, one 0.0 per position, or at the first
+        # compressed level one pointer per position, each the same. The
+        # budget is checked before anything is appended.
+        if not count:
             return
-        if self.enc.levels[level] is DENSE:
-            for _ in range(self.sshape[level]):
-                self._fill_empty(level + 1)
+        while level < self.d and self.enc.levels[level] is DENSE:
+            count *= self.sshape[level]
+            level += 1
+        if level == self.d:
+            _check_budget(len(self.values) + count, self.ttype)
+            self.values.extend(repeat(0.0, count))
         else:
-            self._append_pointer(level)
+            _check_budget(len(self.pointers[level]) + count, self.ttype)
+            self.pointers[level].extend(repeat(self._next_pointer(level), count))
 
     def _append_pointer(self, level):
+        self.pointers[level].append(self._next_pointer(level))
+
+    def _next_pointer(self, level) -> int:
         p = len(self.indices[level])
         if self._ptr_limit is not None and p > self._ptr_limit:
             raise BitWidthOverflow(
                 f"pointer {p} does not fit in {self.enc.pointer_width} bits"
             )
-        self.pointers[level].append(p)
+        return p
 
     def finalize(self) -> SparseStorage:
         assert not self._done, "builder already finalized"
@@ -601,12 +752,7 @@ class StorageBuilder:
         else:
             for level in range(self.d - 1, -1, -1):
                 self._close(level)
-        return SparseStorage(
-            self.ttype,
-            tuple(tuple(p) for p in self.pointers),
-            tuple(tuple(i) for i in self.indices),
-            tuple(self.values),
-        )
+        return SparseStorage(self.ttype, self.pointers, self.indices, self.values)
 
 
 def lex_insert(builder: StorageBuilder, coords, value: float):
@@ -624,15 +770,6 @@ def pack(value, enc: Encoding) -> SparseStorage:
     return _build_levels(ttype, *_sorted_unique(value, order))
 
 
-def _index_tuple(column: np.ndarray, extent: int) -> tuple:
-    """A level's indices as a tuple of Python ints. When there are more
-    indices than index values, each value is one shared int object, which
-    saves the memory of one int per index."""
-    if len(column) > extent:
-        return tuple(np.arange(extent).astype(object)[column].tolist())
-    return tuple(column.tolist())
-
-
 def _build_levels(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> SparseStorage:
     """The storage of `ttype` holding `values` at `coords`, an (n, rank)
     array of logical coordinates that are unique and sorted in storage
@@ -642,7 +779,9 @@ def _build_levels(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> 
     compressed level keeps the coordinate where the storage prefix changes
     and counts those per parent position into its pointers. Each value is
     placed, not summed, so a -0.0 stays -0.0, and every position no entry
-    reaches holds 0.0. Widths are checked by `SparseStorage.validate`.
+    reaches holds 0.0. Widths are checked by `SparseStorage.validate`, and
+    the positions of each dense level against the budget before anything
+    is allocated. The arrays go into the storage as they are.
     """
     enc = ttype.encoding
     order = [enc.dim_of_level(l) for l in range(enc.rank)]
@@ -656,21 +795,22 @@ def _build_levels(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> 
         column = coords[:, order[l]]
         new[1:] |= column[1:] != column[:-1]
         if enc.levels[l] is DENSE:
-            pos = pos * extent + column
             positions *= extent
-            pointers.append(())
-            indices.append(())
+            _check_budget(positions, ttype)
+            pos = pos * extent + column
+            pointers.append(_NO_LEVEL)
+            indices.append(_NO_LEVEL)
             continue
         starts = np.flatnonzero(new)
         ptrs = np.zeros(positions + 1, np.int64)
         np.cumsum(np.bincount(pos[starts], minlength=positions), out=ptrs[1:])
-        pointers.append(tuple(ptrs.tolist()))
-        indices.append(_index_tuple(column[starts], extent))
+        pointers.append(_read_only(ptrs))
+        indices.append(_read_only(column[starts]))
         pos = np.cumsum(new) - 1
         positions = len(starts)
     data = np.zeros(positions)
     data[pos] = values
-    return SparseStorage(ttype, tuple(pointers), tuple(indices), tuple(data.tolist()))
+    return SparseStorage(ttype, pointers, indices, _read_only(data))
 
 
 @dataclass
@@ -727,6 +867,10 @@ def compress(ws: Workspace, builder: StorageBuilder, prefix_scoords: Sequence[in
     added.clear()
 
 
+# The array dtype of each declared width in a binary dump (0: 64 bits).
+_DUMP_DTYPES = {0: "<u8", 8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+
+
 def dump_binary(storage: SparseStorage) -> bytes:
     """Serialize storage for debugging, honoring the declared bit widths.
 
@@ -744,16 +888,16 @@ def dump_binary(storage: SparseStorage) -> bytes:
     out += bytes(1 if lt is COMPRESSED else 0 for lt in enc.levels)
     out += bytes(enc.ordering)
     out += struct.pack(f"<{storage.rank}Q", *storage.shape)
-    ptr_fmt = {0: "Q", 8: "B", 16: "H", 32: "I", 64: "Q"}[enc.pointer_width]
-    idx_fmt = {0: "Q", 8: "B", 16: "H", 32: "I", 64: "Q"}[enc.index_width]
+    arrays = []
     for l in range(storage.rank):
-        if enc.levels[l] is DENSE:
-            continue
-        for arr, fmt in ((storage.pointers[l], ptr_fmt), (storage.indices[l], idx_fmt)):
-            out += struct.pack("<Q", len(arr))
-            out += struct.pack(f"<{len(arr)}{fmt}", *arr)
-    out += struct.pack("<Q", len(storage.values))
-    out += struct.pack(f"<{len(storage.values)}d", *storage.values)
+        if enc.levels[l] is COMPRESSED:
+            pointers, indices = storage.level_arrays(l)
+            arrays += [(pointers, _DUMP_DTYPES[enc.pointer_width])]
+            arrays += [(indices, _DUMP_DTYPES[enc.index_width])]
+    arrays.append((storage.value_array, "<f8"))
+    for arr, dtype in arrays:
+        out += struct.pack("<Q", len(arr))
+        out += arr.astype(dtype).tobytes()
     return bytes(out)
 
 
@@ -773,6 +917,17 @@ def load_binary(blob: bytes) -> SparseStorage:
         off += size
         return out
 
+    def read_array(dtype: str) -> np.ndarray:
+        # A u64 count, then that many elements of `dtype`.
+        nonlocal off
+        (count,) = read("Q")
+        size = count * np.dtype(dtype).itemsize
+        if size > len(blob) - off:
+            raise ParseError(f"binary storage dump truncated at byte {len(blob)}")
+        out = np.frombuffer(blob, dtype, count, off)
+        off += size
+        return out
+
     if read("s", 4) != (b"SPST",):
         raise ParseError("bad magic in binary storage dump")
     version, rank, ptr_w, idx_w = read("B", 4)
@@ -785,16 +940,15 @@ def load_binary(blob: bytes) -> SparseStorage:
         enc = make_encoding(levels, ordering, ptr_w, idx_w)
     except SparsecError as e:
         raise ParseError(f"corrupt binary storage dump: {e}") from e
-    fmt_of = {0: "Q", 8: "B", 16: "H", 32: "I", 64: "Q"}
     pointers, indices = [], []
     for l in range(rank):
         if levels[l] is DENSE:
             pointers.append(())
             indices.append(())
             continue
-        pointers.append(read(fmt_of[ptr_w], *read("Q")))
-        indices.append(read(fmt_of[idx_w], *read("Q")))
-    values = read("d", *read("Q"))
+        pointers.append(read_array(_DUMP_DTYPES[ptr_w]))
+        indices.append(read_array(_DUMP_DTYPES[idx_w]))
+    values = read_array("<f8")
     if off != len(blob):
         raise ParseError(f"{len(blob) - off} trailing bytes in binary storage dump")
     try:
