@@ -219,9 +219,7 @@ def _merge_runs(columns: list, extents: list, values: np.ndarray):
     the key could pass 2**62. Either sort is stable and `np.add.at` adds in
     index order, so equal rows are summed into 0.0 in entry order, exactly
     as a sequential loop would. (`np.add.reduceat` sums long runs pairwise,
-    which rounds differently.) When no two rows are equal the merge is
-    skipped: each sum is `0.0 + value`, which turns a -0.0 into 0.0 as the
-    merge does.
+    which rounds differently.)
     """
     n = len(values)
     first = np.ones(n, bool)
@@ -238,8 +236,6 @@ def _merge_runs(columns: list, extents: list, values: np.ndarray):
         for column in columns:
             column = column[perm]
             first[1:] |= column[1:] != column[:-1]
-    if first.all():
-        return perm, values[perm] + 0.0
     sums = np.zeros(np.count_nonzero(first))
     np.add.at(sums, np.cumsum(first) - 1, values[perm])
     return perm[first], sums
@@ -365,41 +361,35 @@ _INT64_MAX = np.iinfo(np.int64).max
 _NO_LEVEL = _read_only(np.zeros(0, np.int64))
 
 
+def _typed_array(values, dtype, kinds: str, code: str, bad: SparsecError) -> np.ndarray:
+    """`values`, a flat array of a dtype kind in `kinds` or a sequence, as a
+    read-only `dtype` array. A read-only `dtype` array that owns its memory
+    is shared; anything else, a read-only view of writable memory included,
+    is copied, so a caller's writable memory is never frozen or aliased. A
+    sequence goes through an `array` of typecode `code`, which rejects
+    what numpy would truncate (a float among integers) or wrap; then `bad`
+    is raised."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
+            raise bad
+        if values.dtype == dtype and values.flags.owndata and not values.flags.writeable:
+            return values
+        return _read_only(values.astype(dtype))
+    try:
+        return _read_only(np.array(array(code, values), dtype))
+    except (OverflowError, TypeError):
+        raise bad from None
+
+
 def _level_array(values, level: int, what: str) -> np.ndarray:
-    """A level's pointers or indices as a read-only int64 array. A
-    read-only int64 array is shared; any other array or sequence is copied,
-    so a caller's writable array is never frozen or aliased. A float, or an
-    integer past 64 bits, raises MalformedStorage rather than truncate."""
+    """A level's pointers or indices as a read-only int64 array
+    (`_typed_array`): a float, or an integer past 64 bits, raises
+    MalformedStorage rather than truncate."""
     bad = MalformedStorage(f"level {level}: {what} must be 64-bit integers")
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
+    if isinstance(values, np.ndarray) and values.dtype.kind == "u" and values.size:
+        if values.max() > _INT64_MAX:
             raise bad
-        if values.dtype == np.int64 and not values.flags.writeable:
-            return values
-        if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
-            raise bad
-        return _read_only(values.astype(np.int64))
-    try:
-        # A signed 64-bit array takes only integers, as in `_coord_array`.
-        return _read_only(np.asarray(array("q", values)))
-    except (OverflowError, TypeError):
-        raise bad from None
-
-
-def _value_array(values) -> np.ndarray:
-    """`values` as a read-only float64 array, shared or copied as in
-    `_level_array`; anything but real numbers raises MalformedStorage."""
-    bad = MalformedStorage("values must be a flat sequence of real numbers")
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1 or values.dtype.kind not in "biuf":
-            raise bad
-        if values.dtype == np.float64 and not values.flags.writeable:
-            return values
-        return _read_only(values.astype(np.float64))
-    try:
-        return _read_only(np.asarray(array("d", values)))
-    except (OverflowError, TypeError):
-        raise bad from None
+    return _typed_array(values, np.int64, "iu", "q", bad)
 
 
 class SparseStorage:
@@ -409,7 +399,8 @@ class SparseStorage:
     indices of each storage level (empty for a dense level) and float64 for
     the values, so instances are immutable and safe to share. The
     constructor takes sequences or arrays, keeps a read-only array of the
-    right dtype as it is and copies anything else, then runs `validate`.
+    right dtype that owns its memory as it is and copies anything else,
+    then runs `validate`.
     `level_arrays` and `value_array` hand out the arrays; the `pointers`,
     `indices` and `values` views build tuples of Python numbers on each
     read. Build instances with `pack` or a `StorageBuilder`, never by hand.
@@ -419,7 +410,8 @@ class SparseStorage:
         self.ttype = ttype
         self._pointers = tuple(_level_array(p, l, "pointers") for l, p in enumerate(pointers))
         self._indices = tuple(_level_array(i, l, "indices") for l, i in enumerate(indices))
-        self._values = _value_array(values)
+        bad = MalformedStorage("values must be a flat sequence of real numbers")
+        self._values = _typed_array(values, np.float64, "biuf", "d", bad)
         self.validate()
 
     @property

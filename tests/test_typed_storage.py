@@ -37,13 +37,14 @@ INDICES = ((), (0, 3, 1))
 VALUES = (1.0, -0.0, 2.5)
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 def _forms():
     """The same CSR layout as tuples, lists, writable arrays of several
     dtypes, and read-only int64/float64 arrays."""
-    def frozen(a):
-        a.flags.writeable = False
-        return a
-
     yield POINTERS, INDICES, VALUES
     yield [list(p) for p in POINTERS], [list(i) for i in INDICES], list(VALUES)
     yield (
@@ -57,9 +58,9 @@ def _forms():
         np.array(VALUES),
     )
     yield (
-        [frozen(np.array(p, np.int64)) for p in POINTERS],
-        [frozen(np.array(i, np.int64)) for i in INDICES],
-        frozen(np.array(VALUES)),
+        [_frozen(np.array(p, np.int64)) for p in POINTERS],
+        [_frozen(np.array(i, np.int64)) for i in INDICES],
+        _frozen(np.array(VALUES)),
     )
 
 
@@ -93,12 +94,20 @@ def test_stored_arrays_reject_writes():
             storage.value_array.sort()
 
 
-def test_a_callers_writable_array_is_copied():
+@pytest.mark.parametrize(
+    "hand_over",
+    [lambda a: a, lambda a: _frozen(a.view()), lambda a: np.broadcast_to(a, a.shape)],
+    ids=["array", "read-only view", "broadcast_to"],
+)
+def test_a_callers_writable_array_is_copied(hand_over):
     pointers = [np.array(p, np.int64) for p in POINTERS]
     indices = [np.array(i, np.int64) for i in INDICES]
     values = np.array(VALUES)
-    storage = SparseStorage(CSR_34, pointers, indices, values)
-    # The caller's arrays stay writable, and writing them changes nothing.
+    storage = SparseStorage(
+        CSR_34, list(map(hand_over, pointers)), list(map(hand_over, indices)), hand_over(values)
+    )
+    # The caller's arrays stay writable, and writing them changes nothing,
+    # also when the storage was given read-only views of them.
     pointers[1][1] = 1
     indices[1][0] = 2
     values[0] = 7.0
