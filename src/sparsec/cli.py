@@ -39,13 +39,28 @@ from .lattice import (
     topo_sort,
 )
 from .oracle import GeneratorSpec, dense_eval, density, generate
+from .storage import SparseStorage
 from .tensor_io import read_dense_literal, read_sparse_literal, read_tensor, write_tensor
+
+
+def _nonzero_arrays(result):
+    """The coordinates and values of `result`'s nonzeros: duplicates summed,
+    zero sums dropped, sorted by logical coordinates."""
+    return result.to_coo(drop_zeros=True).arrays()
+
+
+def _checksum(coords, values) -> str:
+    """The hash of the `;`-joined `coords:repr(value)` texts, each `coords`
+    spelled as `str` spells a tuple of ints; built from whole columns."""
+    rank = coords.shape[1]
+    spec = "(" + ", ".join(["{}"] * rank) + ("," if rank == 1 else "") + "):{!r}"
+    text = ";".join(map(spec.format, *coords.T.tolist(), values.tolist()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def result_checksum(result) -> str:
     """Encoding-independent content hash: sorted nonzero COO entries."""
-    text = ";".join(f"{c}:{v!r}" for c, v in result.to_coo(drop_zeros=True).entries)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return _checksum(*_nonzero_arrays(result))
 
 
 # ----------------------------------------------------------------------------
@@ -200,6 +215,28 @@ class SearchRow:
     checksum: str
 
 
+def _swept_value(value, ttype: TensorType, name: str, packed: dict):
+    """The binding `value` of the swept operand `name` as `_coerce` gives it
+    for `ttype`, packed once per width-stripped format.
+
+    Widths only bound the overhead arrays, so `packed[name]` keeps `value`
+    packed under `ttype`'s format with native widths, and each width
+    variant is that storage's arrays under its own type (`with_type`),
+    whose `validate` raises the same BitWidthOverflow a fresh `pack` would.
+    A binding of exactly `ttype` is used as it is.
+    """
+    if isinstance(value, SparseStorage) and value.ttype == ttype:
+        return value
+    native = TensorType(ttype.shape, replace(ttype.encoding, pointer_width=0, index_width=0))
+    base = packed.get(name)
+    if base is None or base.ttype != native:
+        base = _coerce(value, native, name)  # checks the shape
+        if base is value:  # `_coerce` packs it afresh for each width variant
+            base = convert(value, native)
+        packed[name] = base
+    return base if ttype == native else base.with_type(ttype)
+
+
 def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
     """Run one kernel under every encoding of the swept operand(s).
 
@@ -208,11 +245,23 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
     combination whose loop orderings conflict is skipped. The computed
     result must not depend on the storage annotation, so a checksum
     divergence is reported as a compiler bug by the caller.
+
+    Bit widths never change a loop, so the rows that differ only in the
+    widths of the swept operands form a group: its first row compiles the
+    Programs and packs the swept operands, and its other rows run the same
+    Programs, each rebound to the row's own pieces, on the same arrays
+    re-checked under their widths (`_swept_value`). A group whose orderings
+    conflict is skipped whole. Only the current group and the last result
+    are held. A result whose nonzeros have the bytes of the last one's
+    reuses its checksum.
     """
     import itertools
 
     names = [sweep] if isinstance(sweep, str) else list(sweep)
     coerced = None  # the bindings, with the operands not swept coerced once
+    packed = {}  # swept operand name -> its binding, packed with native widths
+    group = programs = None  # the current group's key and Programs (None: conflict)
+    content = checksum = None  # the last result's shape and nonzero bytes, its checksum
     spaces = [
         list(enumerate_encodings(kernel.tensors[name].rank, include_widths))
         for name in names
@@ -224,21 +273,35 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
             tensors[name] = TensorType(tensors[name].shape, enc)
         swept = replace(kernel, tensors=tensors, analysis=None)
         started = time.perf_counter()
-        try:
-            programs = compile_kernel(swept)
-        except OrderConflict:
+        key = tuple((enc.levels, enc.ordering) for enc in combo)
+        if key != group:
+            group = key
+            try:
+                programs = compile_kernel(swept)
+            except OrderConflict:
+                programs = None
+        elif programs is not None:
+            pieces = prepare_kernels(swept)
+            programs = tuple(replace(p, kernel=piece) for p, piece in zip(programs, pieces))
+        if programs is None:
             continue
         if coerced is None:
             coerced = dict(bindings)
             for name, value in bindings.items():
                 if name in kernel.tensors and name not in names:
                     coerced[name] = _coerce(value, kernel.tensors[name], name)
-        result = execute(swept, programs, coerced)
+        inputs = dict(coerced)
+        for name in names:
+            if name in bindings:
+                inputs[name] = _swept_value(bindings[name], tensors[name], name, packed)
+        result = execute(swept, programs, inputs)
         elapsed_ms = (time.perf_counter() - started) * 1e3
+        coords, values = _nonzero_arrays(result)
+        this = (result.shape, coords.tobytes(), values.tobytes())
+        if this != content:
+            content, checksum = this, _checksum(coords, values)
         opt = programs[-1].strategy.describe()
-        rows.append(
-            SearchRow(dict(zip(names, combo)), opt, elapsed_ms, result_checksum(result))
-        )
+        rows.append(SearchRow(dict(zip(names, combo)), opt, elapsed_ms, checksum))
     return rows
 
 

@@ -28,9 +28,9 @@ runtime; `pack`, `validate`, `arrays()` and the engine read them whole.
 Its tuple views (`pointers`, `indices`, `values`) are built on each read,
 for callers outside the pipeline. `DenseTensor` keeps a list.
 
-Stored positions are budgeted: a dense output, or a format whose dense
-levels would hold more than `_MAX_DENSE_ELEMENTS` positions, raises
-DenseOutputTooLarge before it is allocated.
+Stored positions are budgeted: a dense output, a `to_dense` result, or a
+format whose dense levels would hold more than `_MAX_DENSE_ELEMENTS`
+positions, raises DenseOutputTooLarge before it is allocated.
 """
 
 import math
@@ -268,7 +268,9 @@ def _merged_coo(value, drop_zeros: bool) -> CooTensor:
 
 
 def _scatter(shape, coords: np.ndarray, values: np.ndarray) -> "DenseTensor":
-    """A dense tensor holding `values` at `coords` (unique) and 0.0 elsewhere."""
+    """A dense tensor holding `values` at `coords` (unique) and 0.0 elsewhere;
+    raises DenseOutputTooLarge, before allocating, past the budget."""
+    _check_budget(math.prod(shape), f"dense tensor of shape {shape}")
     flat = np.zeros(len(values), np.int64)
     for column, extent in zip(coords.T, shape):
         flat = flat * extent + column
@@ -444,6 +446,11 @@ class SparseStorage:
     def with_values(self, values) -> "SparseStorage":
         """The same layout, its arrays shared, holding `values` instead."""
         return SparseStorage(self.ttype, self._pointers, self._indices, values)
+
+    def with_type(self, ttype: TensorType) -> "SparseStorage":
+        """The same arrays, shared, under `ttype`: the same layout with other
+        bit widths, checked against them by `validate`."""
+        return SparseStorage(ttype, self._pointers, self._indices, self._values)
 
     @property
     def pointers(self) -> tuple:

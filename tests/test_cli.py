@@ -1,17 +1,22 @@
 import csv
+import hashlib
 import io
+import itertools
+import math
+import random
 
 from dataclasses import replace
 
 import pytest
 
-from sparsec import cli
+from sparsec import cli, engine
 from sparsec.cli import main, parse_encoding_text, result_checksum
-from sparsec.encoding import COMPRESSED, DENSE, TensorType, enumerate_encodings
-from sparsec.engine import compile_kernel, execute
+from sparsec.encoding import COMPRESSED, DENSE, TensorType, enumerate_encodings, make_encoding
+from sparsec.engine import compile_kernel, convert, execute
+from sparsec.errors import BitWidthOverflow, OrderConflict
 from sparsec.expr import parse_kernel
 from sparsec.oracle import GeneratorSpec, generate
-from sparsec.storage import CooTensor, DenseTensor, pack
+from sparsec.storage import CooTensor, DenseTensor, SparseStorage, pack
 from sparsec.encoding import csr, dcsc
 from sparsec.tensor_io import read_tensor, write_tensor
 
@@ -394,3 +399,190 @@ def test_run_search_all_conflicts_skip_binding_errors():
     # B's binding has the wrong shape, but no row compiles to bind it.
     bindings = {"A": CooTensor((3, 3)), "B": CooTensor((4, 4))}
     assert cli.run_search(kernel, bindings, "A", include_widths=False) == []
+
+
+def _checksum_reference(result) -> str:
+    """The checksum formula before it read whole columns: one f-string per
+    nonzero entry pair."""
+    text = ";".join(f"{c}:{v!r}" for c, v in result.to_coo(drop_zeros=True).entries)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-5, 1e17, -2.5, 3.0]
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (5, 4), (3, 4, 2)])
+def test_result_checksum_matches_the_entry_formula(shape):
+    rng = random.Random(len(shape))
+    for trial in range(20):
+        entries = [
+            (tuple(rng.randrange(e) for e in shape), rng.choice(SPECIAL_VALUES))
+            for _ in range(rng.randrange(12))
+        ]
+        # Duplicates sum; opposite infinities are kept apart, as their sum
+        # would warn.
+        if any(v in (math.inf, -math.inf) for _, v in entries):
+            entries = list({c: v for c, v in entries}.items())
+        coo = CooTensor(shape, entries)
+        want = _checksum_reference(coo)
+        assert result_checksum(coo) == want, entries
+        assert result_checksum(coo.to_dense()) == want, entries
+        if shape:
+            assert result_checksum(pack(coo, make_encoding([COMPRESSED] * len(shape)))) == want
+    assert result_checksum(CooTensor(shape)) == _checksum_reference(CooTensor(shape))
+
+
+def _row_by_row(kernel, bindings, names, encodings_of):
+    """(encodings, opt, checksum) of each search row, one `compile_kernel`
+    and `execute` per encoding combination on the raw bindings."""
+    spaces = [encodings_of(kernel.tensors[name].rank) for name in names]
+    want = []
+    for combo in itertools.product(*spaces):
+        tensors = dict(kernel.tensors)
+        for name, enc in zip(names, combo):
+            tensors[name] = TensorType(tensors[name].shape, enc)
+        swept = replace(kernel, tensors=tensors, analysis=None)
+        try:
+            programs = compile_kernel(swept)
+        except OrderConflict:
+            continue
+        result = execute(swept, programs, bindings)
+        opt = programs[-1].strategy.describe()
+        want.append((dict(zip(names, combo)), opt, result_checksum(result)))
+    return want
+
+
+def _rows(rows):
+    return [(row.encodings, row.opt, row.checksum) for row in rows]
+
+
+def test_run_search_compiles_and_packs_once_per_width_stripped_format(monkeypatch):
+    kernel, bindings = _spmm_search_case()
+    counts = {"compile": 0, "pack A": 0, "execute": 0}
+
+    def counting(key, call, counted=lambda *args: True):
+        def wrapper(*args):
+            counts[key] += counted(*args)
+            return call(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "compile_kernel", counting("compile", compile_kernel))
+    monkeypatch.setattr(cli, "execute", counting("execute", execute))
+    is_a = lambda value, enc: value is bindings["A"]  # noqa: E731
+    monkeypatch.setattr(engine, "pack", counting("pack A", engine.pack, is_a))
+    rows = cli.run_search(kernel, bindings, "A", include_widths=True)
+    assert len(rows) == 200
+    assert counts == {"compile": 8, "pack A": 8, "execute": 200}
+
+
+def test_run_search_sweeps_several_operands_with_widths(monkeypatch):
+    # Rank-2 A and B with a sparse C: most format pairs conflict, and a
+    # conflict holds for every width variant. The width pairs are cut to
+    # four so the row-by-row reference stays small.
+    kernel = parse_kernel(
+        "tensor A(7, 6) format(dense, compressed)\n"
+        "tensor B(6, 5) format(dense, compressed)\n"
+        "tensor C(7, 5) format(compressed, compressed)\n"
+        "C(i, j) = A(i, k) * B(k, j)\n"
+    )
+    bindings = {
+        "A": generate(GeneratorSpec((7, 6), "uniform", density=0.4, seed=11)),
+        "B": generate(GeneratorSpec((6, 5), "uniform", density=0.4, seed=12)),
+    }
+    widths = {(0, 0), (0, 8), (8, 8), (32, 16)}
+
+    def encodings(d, include_bitwidths=True):
+        return [
+            e
+            for e in enumerate_encodings(d, include_bitwidths)
+            if (e.pointer_width, e.index_width) in widths
+        ]
+
+    want = _row_by_row(kernel, bindings, ["A", "B"], encodings)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "enumerate_encodings", encodings)
+        rows = cli.run_search(kernel, bindings, ["A", "B"], include_widths=True)
+    assert _rows(rows) == want
+    assert 0 < len(rows) < 32 * 32 and len({row.checksum for row in rows}) == 1
+
+
+@pytest.mark.parametrize("own", [csr(), replace(dcsc(), pointer_width=16, index_width=8)])
+def test_run_search_uses_a_binding_of_the_rows_type_as_it_is(monkeypatch, own):
+    kernel, bindings = _spmm_search_case()
+    storage = pack(bindings["A"], own)
+    values = storage.value_array.copy()
+    values[::2] = -0.0  # stored -0.0, which packing again turns into 0.0
+    storage = storage.with_values(values)
+    bindings = dict(bindings, A=storage)
+    seen = []
+
+    def recording_execute(kernel, programs, inputs):
+        seen.append(inputs["A"])
+        return execute(kernel, programs, inputs)
+
+    want = _row_by_row(kernel, bindings, ["A"], lambda d: list(enumerate_encodings(d, True)))
+    monkeypatch.setattr(cli, "execute", recording_execute)
+    rows = cli.run_search(kernel, bindings, "A", include_widths=True)
+    assert _rows(rows) == want
+    for row, value in zip(rows, seen):
+        ttype = TensorType((6, 6), row.encodings["A"])
+        if row.encodings["A"] == own:
+            assert value is storage
+        else:
+            assert isinstance(value, SparseStorage)
+            assert repr(value) == repr(convert(storage, ttype)), row.encodings
+
+
+@pytest.mark.parametrize("name", ["A", "y"])
+def test_run_search_width_overflow_is_raised_on_the_same_row(monkeypatch, name):
+    # Index 299 does not fit in 8 bits: the first compressed row of the
+    # swept input A or output y with idx(8) raises, after every row before
+    # it ran.
+    kernel = parse_kernel(
+        "tensor A(300, 300) format(dense, compressed)\ntensor x(300)\n"
+        "tensor y(300) format(compressed)\ny(i) = A(i, j) * x(j)\n"
+    )
+    bindings = {
+        "A": CooTensor((300, 300), [((0, 0), 1.0), ((5, 299), 2.0), ((299, 7), 3.0)]),
+        "x": generate(GeneratorSpec((300,), "uniform", density=1.0, seed=5)),
+    }
+    ttype = kernel.tensors[name]
+    ran = 0
+    with pytest.raises(BitWidthOverflow) as want:
+        for enc in enumerate_encodings(ttype.rank, include_bitwidths=True):
+            swept = replace(kernel, tensors={**kernel.tensors, name: TensorType(ttype.shape, enc)})
+            execute(swept, compile_kernel(replace(swept, analysis=None)), bindings)
+            ran += 1
+    assert (enc.levels[-1], enc.index_width) == (COMPRESSED, 8) and ran
+    done = []
+
+    def recording_execute(kernel, programs, inputs):
+        result = execute(kernel, programs, inputs)
+        done.append(kernel.tensors[name].encoding)
+        return result
+
+    monkeypatch.setattr(cli, "execute", recording_execute)
+    with pytest.raises(BitWidthOverflow) as got:
+        cli.run_search(kernel, bindings, name, include_widths=True)
+    assert str(got.value) == str(want.value)
+    assert len(done) == ran
+
+
+def test_run_search_checksums_a_diverging_row(monkeypatch):
+    kernel, bindings = _spmm_search_case()
+    calls = []
+
+    def diverging_execute(kernel, programs, inputs):
+        result = execute(kernel, programs, inputs)
+        calls.append(result)
+        if len(calls) == 30:  # one row, inside a group
+            return DenseTensor(result.shape, [v * 2.0 for v in result.data])
+        return result
+
+    monkeypatch.setattr(cli, "execute", diverging_execute)
+    rows = cli.run_search(kernel, bindings, "A", include_widths=True)
+    checksums = [row.checksum for row in rows]
+    doubled = DenseTensor(calls[29].shape, [v * 2.0 for v in calls[29].data])
+    assert checksums[29] == result_checksum(doubled) != checksums[28]
+    assert checksums[:29] + checksums[30:] == [result_checksum(calls[0])] * 199

@@ -1,5 +1,7 @@
 """Structural checks on lowering: strategies, IR shape, emission."""
 
+from dataclasses import replace
+
 import pytest
 
 from sparsec.codegen import (
@@ -15,7 +17,9 @@ from sparsec.codegen import (
     emit_text,
     lower,
 )
-from sparsec.errors import UnsupportedKernel
+from sparsec.encoding import TensorType, enumerate_encodings
+from sparsec.engine import compile_kernel
+from sparsec.errors import OrderConflict, UnsupportedKernel
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.lattice import build_iteration_graph, build_lattice, topo_sort
 
@@ -203,3 +207,52 @@ def test_emit_scalar_assign_single_line():
     _, _, prog = _lowered("tensor x()\nx() = 2.5\n")
     body_lines = [ln for ln in emit_text(prog).splitlines() if not ln.startswith("//")]
     assert body_lines == ["x += 2.5"]
+
+
+def _ir_text(kernel, name, enc) -> str:
+    tensors = {**kernel.tensors, name: TensorType(kernel.tensors[name].shape, enc)}
+    programs = compile_kernel(replace(kernel, tensors=tensors, analysis=None))
+    return "\n".join(emit_text(program) for program in programs)
+
+
+WIDTH_KERNELS = [
+    # A swept input of a product.
+    ("tensor A(5, 4) format(dense, compressed)\ntensor B(4, 3)\ntensor C(5, 3)\n"
+     "C(i, j) = A(i, k) * B(k, j)\n", "A", 2),
+    # A swept sparse output, written in order or through the workspace.
+    ("tensor A(5, 4) format(compressed, compressed)\n"
+     "tensor B(4, 3) format(dense, compressed)\ntensor C(5, 3) format(dense, compressed)\n"
+     "C(i, j) = A(i, k) * B(k, j)\n", "C", 2),
+    # A rank-3 input under a sum and a dense operand.
+    ("tensor B(3, 4, 2) format(dense, compressed, compressed)\ntensor c(2)\ntensor x(3)\n"
+     "x(i) = B(i, j, k) * c(k)\n", "B", 3),
+]
+
+
+@pytest.mark.parametrize("text, name, rank", WIDTH_KERNELS, ids=["input", "output", "rank-3"])
+def test_lowering_ignores_bit_widths(text, name, rank):
+    """Widths only bound the overhead arrays: every width variant of a
+    format lowers to its native-width IR text, which `run_search` relies on
+    to compile once per width-stripped format."""
+    kernel = parse_kernel(text)
+    native = list(enumerate_encodings(rank))
+    if rank == 3:
+        native = native[::7]  # a sample of the 48 rank-3 formats
+    compiled = 0
+    for enc in native:
+        variants = [
+            width
+            for width in enumerate_encodings(rank, include_bitwidths=True)
+            if (width.levels, width.ordering) == (enc.levels, enc.ordering)
+        ]
+        try:
+            want = _ir_text(kernel, name, enc)
+        except OrderConflict:  # then under every width
+            for width in variants:
+                with pytest.raises(OrderConflict):
+                    _ir_text(kernel, name, width)
+            continue
+        compiled += 1
+        for width in variants:
+            assert _ir_text(kernel, name, width) == want, width.describe()
+    assert compiled >= len(native) // 2

@@ -397,6 +397,18 @@ def test_all_dense_output_past_the_budget_on_both_forms(op, form):
         assert engine.run_kernel(small, small_bindings).values[-1] == 4.0
 
 
+@pytest.mark.parametrize("encoding", [csr(), None])
+def test_to_dense_past_the_budget_raises_before_allocating(encoding):
+    coo = CooTensor((SIDE, SIDE), [((3, 5), 1.0)])
+    value = coo if encoding is None else pack(coo, encoding)
+    assert _peak(lambda: engine.convert(value, None)) < PEAK
+    assert _peak(value.to_dense) < PEAK
+    # Below the budget the same entry is scattered.
+    small = CooTensor((8, 8), [((3, 5), 1.0)])
+    small = small if encoding is None else pack(small, encoding)
+    assert engine.convert(small, None).get((3, 5)) == 1.0
+
+
 def test_all_dense_output_past_the_budget_is_one_cli_line(tmp_path, capsys):
     kfile = tmp_path / "outer.kernel"
     kfile.write_text(OUTER.format(n=SIDE, op="="))
