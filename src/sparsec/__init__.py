@@ -30,12 +30,10 @@ from .storage import (
     CooTensor,
     DenseTensor,
     SparseStorage,
-    StorageBuilder,
     Workspace,
     compress,
     expand,
     iterate,
-    lex_insert,
     level_indices,
     level_pointers,
     pack,
@@ -56,7 +54,6 @@ __all__ = [
     "LevelType",
     "SparseStorage",
     "SparsecError",
-    "StorageBuilder",
     "TensorType",
     "Workspace",
     "analyze_reductions",
@@ -74,7 +71,6 @@ __all__ = [
     "generate",
     "interpret",
     "iterate",
-    "lex_insert",
     "level_indices",
     "level_pointers",
     "make_encoding",

@@ -27,7 +27,15 @@ from .encoding import (
     enumerate_encodings,
     make_encoding,
 )
-from .engine import _coerce, compile_kernel, convert, execute, prepare_kernels, run_kernel
+from .engine import (
+    _coerce,
+    _operands,
+    compile_kernel,
+    convert,
+    execute,
+    prepare_kernels,
+    run_kernel,
+)
 from .errors import OracleMismatch, OrderConflict, ParseError, SparsecError
 from .expr import expr_to_text, parse_kernel
 from .lattice import (
@@ -287,9 +295,9 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
             continue
         if coerced is None:
             coerced = dict(bindings)
-            for name, value in bindings.items():
-                if name in kernel.tensors and name not in names:
-                    coerced[name] = _coerce(value, kernel.tensors[name], name)
+            for name, declared in _operands(swept, programs).items():
+                if name in bindings and name not in names:
+                    coerced[name] = _coerce(bindings[name], declared, name)
         inputs = dict(coerced)
         for name in names:
             if name in bindings:

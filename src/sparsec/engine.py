@@ -13,19 +13,24 @@ structure alone:
   loop or a loop over one iterator's positions) runs as whole-array numpy
   passes that walk the IR directly. Each loop nest is flattened into a
   frame of rows, one per iteration in loop order; loads are gathers and
-  the sinks are `np.add.at`, a stable sort and merge for the workspace,
-  and `pack`'s level build for sparse outputs. It generates no source.
-  A Program whose frame would pass `_MAX_FRAME_ROWS` rows runs as below.
+  the sinks are `np.add.at` and a stable sort and merge for the
+  workspace. It generates no source. A Program whose frame would pass
+  `_MAX_FRAME_ROWS` rows runs as below.
 - Every other Program is written, over the concrete bindings, as the
   source of one Python function whose loop variables and positions are
   locals, and `exec`ed once. That function is the Python form of the IR
   that `codegen.emit_text` prints, so results stay auditable against the
-  emitted text.
+  emitted text. A sparse output's entries, inserted directly or drained
+  from the workspace (`compress`), are appended in storage order to two
+  flat arrays, one of coordinates and one of values.
 
-Both forms add in loop order from the same 0.0, so they give the same
-result bit for bit. A dense output past `_MAX_DENSE_ELEMENTS` elements,
-or a sparse one whose dense levels would pass it, raises
-DenseOutputTooLarge in either form before it is allocated.
+Either form hands a sparse output's entries to `_sparse_output`, which
+checks that they strictly increase in storage order and lays them out
+with `pack`'s level build (`_build_levels`). Both forms add in loop order
+from the same 0.0, so they give the same result bit for bit. A dense
+output past `_MAX_DENSE_ELEMENTS` elements, or a sparse one whose dense
+levels would pass it, raises DenseOutputTooLarge in either form before it
+is allocated.
 
 The array form reads a bound storage's read-only arrays as they are; the
 loops take one `tolist()` of each, as they index it one element at a time.
@@ -34,6 +39,7 @@ into a fresh copy of the output's values array.
 """
 
 import math
+from array import array
 from dataclasses import replace
 from typing import Optional, Union
 
@@ -84,7 +90,6 @@ from .storage import (
     CooTensor,
     DenseTensor,
     SparseStorage,
-    StorageBuilder,
     _build_levels,
     _check_budget,
     _merge_runs,
@@ -347,7 +352,10 @@ class _Generator:
         self.line(depth, f"out[{offset}] += {self._expr(s.expr)}")
 
     def _InsertLex(self, s: InsertLex, depth):
-        self.line(depth, f"insert({self._tuple(s.coords)}, {self._expr(s.expr)})")
+        enc = self.p.kernel.output_type.encoding
+        scoords = [s.coords[enc.dim_of_level(l)] for l in range(len(s.coords))]
+        self.line(depth, f"coords.extend({self._tuple(scoords)})")
+        self.line(depth, f"values.append({self._expr(s.expr)})")
 
     def _ExpandWs(self, s: ExpandWs, depth):
         self.line(depth, f"ws = expand({s.extent})")
@@ -361,7 +369,7 @@ class _Generator:
         self.line(depth + 1, f"wa.append({j})")
 
     def _CompressWs(self, s: CompressWs, depth):
-        self.line(depth, f"compress(ws, builder, {self._tuple(s.prefix)})")
+        self.line(depth, f"compress(ws, {self._tuple(s.prefix)}, coords, values)")
 
     def _StoreInPlace(self, s: StoreInPlace, depth):
         self.line(depth, f"out[q{s.uid}_{s.level}] = {self._expr(s.expr)}")
@@ -391,9 +399,31 @@ def _run_loops(program: Program, env: dict):
         out = base.value_array.tolist()
         generator.function(out=out)()
         return base.with_values(out)
-    builder = StorageBuilder(out_type)
-    generator.function(builder=builder, insert=builder.insert)()
-    return builder.finalize()
+    coords, values = array("q"), array("d")  # in storage order
+    generator.function(coords=coords, values=values)()
+    scoords = np.frombuffer(coords, np.int64).reshape(len(values), out_type.rank)
+    dims = [out_type.encoding.dim_of_level(l) for l in range(out_type.rank)]
+    return _sparse_output(out_type, scoords[:, np.argsort(dims)], np.frombuffer(values))
+
+
+def _sparse_output(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> SparseStorage:
+    """The storage of `ttype` holding `values` at `coords`, an (n, rank)
+    array of logical coordinates, laid out by `_build_levels` once the rows
+    are checked to strictly increase in storage order (OutOfOrderInsertion
+    otherwise, duplicates included). Widths are checked by `validate`."""
+    # Row r + 1 follows row r when it is greater at the first storage
+    # level where the two differ.
+    follows = np.zeros(max(len(values) - 1, 0), bool)
+    for level in reversed(range(ttype.rank)):
+        column = coords[:, ttype.encoding.dim_of_level(level)]
+        follows = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & follows)
+    if not follows.all():
+        r = int(np.argmin(follows))
+        raise OutOfOrderInsertion(
+            f"insertion at {tuple(coords[r + 1].tolist())} does not follow "
+            f"{tuple(coords[r].tolist())} in storage order"
+        )
+    return _build_levels(ttype, coords, values)
 
 
 class _TooManyRows(Exception):
@@ -569,26 +599,6 @@ class _ArrayRun:
     def _StoreInPlace(self, s: StoreInPlace, frame):
         self.out[frame.col(("q", s.uid, s.level))] = self.values(s.expr, frame)
 
-    def storage(self) -> SparseStorage:
-        """The inserted runs as storage, checked as `StorageBuilder` checks
-        them: strictly increasing in storage order, widths in range."""
-        ttype = self.p.kernel.output_type
-        coords, values = self.inserted
-        self.inserted = None
-        # Row r + 1 follows row r when it is greater at the first storage
-        # level where the two differ.
-        follows = np.zeros(max(len(values) - 1, 0), bool)
-        for level in reversed(range(ttype.rank)):
-            column = coords[:, ttype.encoding.dim_of_level(level)]
-            follows = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & follows)
-        if not follows.all():
-            r = int(np.argmin(follows))
-            raise OutOfOrderInsertion(
-                f"insertion at {tuple(coords[r + 1].tolist())} does not follow "
-                f"{tuple(coords[r].tolist())} in storage order"
-            )
-        return _build_levels(ttype, coords, values)
-
 
 def _run_arrays(program: Program, env: dict):
     """Run a Program with no `WhileCoiter` as whole-array passes; raises
@@ -608,7 +618,7 @@ def _run_arrays(program: Program, env: dict):
         return base.with_values(_read_only(out))
     run = _ArrayRun(program, env)
     run.run()
-    return run.storage()
+    return _sparse_output(out_type, *run.inserted)
 
 
 def _co_iterates(stmts) -> bool:
@@ -697,6 +707,23 @@ def compile_kernel(kernel: Kernel) -> tuple:
     return tuple(programs)
 
 
+def _operands(kernel: Kernel, programs: tuple) -> dict:
+    """The tensors `execute` binds before it runs `programs`, in the order
+    they are first read, each with its declared type: every tensor a piece
+    reads that no earlier piece writes, and the output when `kernel`
+    accumulates into it."""
+    pieces = [program.kernel for program in programs]
+    temp_names = {piece.lhs.tensor for piece in pieces[:-1]}
+    operands: dict = {}
+    for piece in pieces:
+        for _, node in walk(piece.rhs):
+            if isinstance(node, Access) and node.tensor not in temp_names:
+                operands.setdefault(node.tensor, piece.tensors[node.tensor])
+    if kernel.accumulate:
+        operands.setdefault(kernel.lhs.tensor, kernel.tensors[kernel.lhs.tensor])
+    return operands
+
+
 def execute(kernel: Kernel, programs: tuple, inputs: dict):
     """Run the Programs `compile_kernel` made for `kernel` on the inputs.
 
@@ -704,29 +731,14 @@ def execute(kernel: Kernel, programs: tuple, inputs: dict):
     temporary for the next), and packs a dense-fallback result into the
     declared sparse format. Inputs and the result are as in `run_kernel`.
     """
-    pieces = [program.kernel for program in programs]
-    out_name = kernel.lhs.tensor
-    temp_names = {piece.lhs.tensor for piece in pieces[:-1]}
     env: dict = {}
-    for piece in pieces:
-        for _, node in walk(piece.rhs):
-            if not isinstance(node, Access) or node.tensor in env:
-                continue
-            if node.tensor in temp_names:
-                continue
-            declared = piece.tensors[node.tensor]
-            if node.tensor in inputs:
-                env[node.tensor] = _coerce(inputs[node.tensor], declared, node.tensor)
-            elif node.tensor == out_name:
-                env[node.tensor] = _empty_value(declared, node.tensor)
-            else:
-                raise UnknownTensor(f"no binding for input tensor {node.tensor!r}")
-    if kernel.accumulate and out_name not in env:
-        declared = kernel.tensors[out_name]
-        if out_name in inputs:
-            env[out_name] = _coerce(inputs[out_name], declared, out_name)
+    for name, declared in _operands(kernel, programs).items():
+        if name in inputs:
+            env[name] = _coerce(inputs[name], declared, name)
+        elif name == kernel.lhs.tensor:
+            env[name] = _empty_value(declared, name)
         else:
-            env[out_name] = _empty_value(declared, out_name)
+            raise UnknownTensor(f"no binding for input tensor {name!r}")
     result = None
     for program in programs:
         result = interpret(program, env)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .expr import Access, Add, Const, Kernel, Mul, Neg, Sub, analyze_reductions
-from .storage import CooTensor, DenseTensor
+from .storage import CooTensor, DenseTensor, _check_budget
 
 
 def dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
@@ -28,7 +28,9 @@ def dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
 
     Reduction variables are summed over the smallest subexpression that
     captures all their uses. Inputs are DenseTensor per referenced tensor;
-    accumulation seeds the output from its binding when present.
+    accumulation seeds the output from its binding when present. An output
+    past the element budget raises DenseOutputTooLarge before it is
+    allocated.
     """
     if kernel.analysis is None:
         kernel = analyze_reductions(kernel)
@@ -76,6 +78,7 @@ def dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
         raise AssertionError(f"unknown node {node!r}")
 
     out_shape = kernel.output_type.shape
+    _check_budget(math.prod(out_shape), f"dense_eval output of shape {out_shape}")
     if kernel.accumulate and kernel.lhs.tensor in inputs:
         out = DenseTensor(out_shape, list(inputs[kernel.lhs.tensor].data))
     else:

@@ -1,5 +1,5 @@
 """Compressed tensor storage: COO exchange form, pointers/indices/values
-packing, lexicographic insertion, and the expand/compress workspace.
+packing, and the expand/compress workspace.
 
 The layout realized here keeps, per storage level, a pointers array and an
 indices array. "Pointers" are integer offsets delimiting each parent
@@ -14,10 +14,10 @@ an (n, rank) int64 array of logical coordinates and a float64 value array
 a `DenseTensor`). On top of it one sort-and-merge (`_sorted_unique`) feeds
 `pack` and every `to_coo`, and one flat scatter feeds `to_dense`, so
 converting between any two formats needs no routine of its own. One level
-build (`_build_levels`) turns sorted unique entries into a layout, for
-`pack` and for the sparse outputs of the engine's array form. The
-element-wise `StorageBuilder` serves only the outputs of co-iterating
-loops, which are produced in order during execution.
+build (`_build_levels`) turns sorted unique entries into a layout: it is
+the only code that lays out a sparse format, for `pack` and for every
+sparse output of the engine, whose generated loops collect their entries
+(and drain the workspace, `compress`) into flat arrays for it.
 
 A `CooTensor` holds exactly those two arrays, read-only, so its `arrays()`
 hands them out after a bounds check and `to_coo` hands merged arrays to a
@@ -37,9 +37,9 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from numbers import Integral
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .errors import (
     DenseOutputTooLarge,
     LevelIsDense,
     MalformedStorage,
-    OutOfOrderInsertion,
     ParseError,
     RankMismatch,
     ShapeMismatch,
@@ -405,7 +404,8 @@ class SparseStorage:
     then runs `validate`.
     `level_arrays` and `value_array` hand out the arrays; the `pointers`,
     `indices` and `values` views build tuples of Python numbers on each
-    read. Build instances with `pack` or a `StorageBuilder`, never by hand.
+    read. Build instances with `pack` (or, in the engine, `_build_levels`),
+    never by hand.
     """
 
     def __init__(self, ttype: TensorType, pointers, indices, values):
@@ -602,162 +602,6 @@ def values_view(storage: SparseStorage) -> tuple:
     return tuple(storage.value_array.tolist())
 
 
-class StorageBuilder:
-    """Incremental construction of a SparseStorage by lexicographic appends.
-
-    Insertions must arrive strictly increasing in storage-lexicographic
-    order (logical coordinates are permuted internally). The builder keeps
-    per-level partial arrays and closes segments as coordinates advance, so
-    finalize() is O(1) past the trailing dense fill.
-
-    The engine's generated loops build sparse outputs with it: direct-lex
-    insertion calls `insert` per element, and the workspace `compress`
-    appends one whole innermost segment at a time through
-    `insert_segment`. `pack` and the engine's array form do not use it;
-    the tests use it as the per-element reference for `pack`.
-    """
-
-    def __init__(self, ttype: TensorType):
-        if ttype.encoding is None:
-            raise ShapeMismatch("StorageBuilder needs a sparse TensorType")
-        self.ttype = ttype
-        self.enc = ttype.encoding
-        self.sshape = ttype.storage_shape()
-        self.d = ttype.rank
-        self._dims = [self.enc.dim_of_level(l) for l in range(self.d)]  # per storage level
-        self.pointers = [[] for _ in range(self.d)]
-        self.indices = [[] for _ in range(self.d)]
-        self.values = []
-        self._open = None  # storage coords of the open path, None before first insert
-        self._done = False
-        self._ptr_limit = ((1 << self.enc.pointer_width) - 1) if self.enc.pointer_width else None
-        self._idx_limit = ((1 << self.enc.index_width) - 1) if self.enc.index_width else None
-        # Every storage of the type holds all positions of its leading
-        # dense levels, so a budget they pass fails before any insert.
-        leading = 1
-        for level, extent in enumerate(self.sshape):
-            if self.enc.levels[level] is not DENSE:
-                break
-            leading *= extent
-        _check_budget(leading, ttype)
-
-    def insert(self, coords, value: float):
-        """Append one element given logical coordinates."""
-        self.insert_storage(tuple([coords[k] for k in self._dims]), value)
-
-    def insert_storage(self, scoords, value: float):
-        """Append one element given storage-order coordinates."""
-        assert not self._done, "builder already finalized"
-        if len(scoords) != self.d:
-            raise RankMismatch(f"{len(scoords)} coordinates for rank {self.d}")
-        for c, e in zip(scoords, self.sshape):
-            if c < 0 or c >= e:
-                raise CoordOutOfBounds(f"storage coordinate {scoords} outside {self.sshape}")
-        if self._open is None:
-            start = 0
-        else:
-            start = next((l for l in range(self.d) if scoords[l] != self._open[l]), self.d)
-            if start == self.d or scoords[start] < self._open[start]:
-                raise OutOfOrderInsertion(
-                    f"insertion at {scoords} does not follow {self._open} in storage order"
-                )
-            for level in range(self.d - 1, start, -1):
-                self._close(level)
-        for level in range(start, self.d):
-            lo = self._open[level] + 1 if (self._open is not None and level == start) else 0
-            if self.enc.levels[level] is DENSE:
-                self._fill_empty(level + 1, scoords[level] - lo)
-            else:
-                idx = scoords[level]
-                if self._idx_limit is not None and idx > self._idx_limit:
-                    raise BitWidthOverflow(
-                        f"index {idx} does not fit in {self.enc.index_width} bits"
-                    )
-                self.indices[level].append(idx)
-        self.values.append(float(value))
-        self._open = tuple(scoords)
-
-    def insert_segment(self, prefix: tuple, idxs: Sequence[int], row: Sequence[float]):
-        """Append the elements (prefix + (i,), row[i]) for the non-empty,
-        strictly increasing innermost indices `idxs` (storage order).
-
-        The first element goes through `insert_storage`, which closes and
-        fills the levels above; the rest extend the innermost level at once.
-        A dense innermost level takes `row` whole between the first and last
-        index, so `row` must hold 0.0 at the indices not listed.
-        """
-        first, last = idxs[0], idxs[-1]
-        self.insert_storage(prefix + (first,), row[first])
-        inner = self.d - 1
-        if last >= self.sshape[inner]:
-            raise CoordOutOfBounds(
-                f"storage coordinate {prefix + (last,)} outside {self.sshape}"
-            )
-        if self.enc.levels[inner] is DENSE:
-            self.values.extend(row[first + 1 : last + 1])
-        else:
-            if self._idx_limit is not None and last > self._idx_limit:
-                raise BitWidthOverflow(
-                    f"index {last} does not fit in {self.enc.index_width} bits"
-                )
-            self.indices[inner].extend(idxs[1:])
-            self.values.extend([row[i] for i in idxs[1:]])
-        self._open = prefix + (last,)
-
-    def _close(self, level):
-        # The open node at `level` is complete: dense levels owe their
-        # remaining positions, compressed levels owe a pointer boundary.
-        if self.enc.levels[level] is DENSE:
-            self._fill_empty(level + 1, self.sshape[level] - self._open[level] - 1)
-        else:
-            self._append_pointer(level)
-
-    def _fill_empty(self, level, count=1):
-        # Materialize `count` structurally empty subtrees rooted at `level`:
-        # through the dense levels, one 0.0 per position, or at the first
-        # compressed level one pointer per position, each the same. The
-        # budget is checked before anything is appended.
-        if not count:
-            return
-        while level < self.d and self.enc.levels[level] is DENSE:
-            count *= self.sshape[level]
-            level += 1
-        if level == self.d:
-            _check_budget(len(self.values) + count, self.ttype)
-            self.values.extend(repeat(0.0, count))
-        else:
-            _check_budget(len(self.pointers[level]) + count, self.ttype)
-            self.pointers[level].extend(repeat(self._next_pointer(level), count))
-
-    def _append_pointer(self, level):
-        self.pointers[level].append(self._next_pointer(level))
-
-    def _next_pointer(self, level) -> int:
-        p = len(self.indices[level])
-        if self._ptr_limit is not None and p > self._ptr_limit:
-            raise BitWidthOverflow(
-                f"pointer {p} does not fit in {self.enc.pointer_width} bits"
-            )
-        return p
-
-    def finalize(self) -> SparseStorage:
-        assert not self._done, "builder already finalized"
-        self._done = True
-        for level in range(self.d):
-            if self.enc.levels[level] is COMPRESSED:
-                self.pointers[level].insert(0, 0)
-        if self._open is None:
-            self._fill_empty(0)
-        else:
-            for level in range(self.d - 1, -1, -1):
-                self._close(level)
-        return SparseStorage(self.ttype, self.pointers, self.indices, self.values)
-
-
-def lex_insert(builder: StorageBuilder, coords, value: float):
-    builder.insert(coords, value)
-
-
 def pack(value, enc: Encoding) -> SparseStorage:
     """Materialize a tensor of any class into the layout described by `enc`:
     the entries of `value.arrays()`, sorted and merged in storage order,
@@ -847,21 +691,24 @@ def expand(extent: int) -> Workspace:
     return Workspace([0.0] * extent, [False] * extent, [])
 
 
-def compress(ws: Workspace, builder: StorageBuilder, prefix_scoords: Sequence[int]):
-    """Drain the workspace into the builder under a storage-order prefix.
+def compress(ws: Workspace, prefix: tuple, coords, values):
+    """Drain the workspace under `prefix`, the storage-order coordinates
+    above its level.
 
-    Touched indices are sorted and appended as one innermost segment under
-    the prefix, then exactly the touched values/filled slots are reset so
-    the workspace is immediately reusable.
+    For each touched index in ascending order, `prefix + (index,)` is
+    appended to the flat coordinate collector `coords` and the index's sum
+    to `values` (an `array("q")` and an `array("d")`, or lists). Then
+    exactly the touched values/filled slots are reset, so the workspace is
+    immediately reusable.
     """
     added = ws.added
-    if not added:
-        return
     added.sort()
-    builder.insert_segment(tuple(prefix_scoords), added, ws.values)
-    values, filled = ws.values, ws.filled
+    ws_values, filled = ws.values, ws.filled
+    values.extend([ws_values[idx] for idx in added])
     for idx in added:
-        values[idx] = 0.0
+        coords.extend(prefix)
+        coords.append(idx)
+        ws_values[idx] = 0.0
         filled[idx] = False
     added.clear()
 

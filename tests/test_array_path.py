@@ -204,6 +204,19 @@ def test_narrow_output_widths_overflow_on_both_paths(out, shape, coords):
     )
     assert qualifying == 1
     assert chosen == loops == "BitWidthOverflow"
+    # The same output row through the workspace: C = I * B.
+    text = (
+        "tensor I(2, 2) format(dense, compressed)\ntensor B(2, 300) format(dense, compressed)\n"
+        f"{out}\nC(i, j) = I(i, k) * B(k, j)\n"
+    )
+    kernel = parse_kernel(text)
+    (program,) = compile_kernel(kernel)
+    assert program.strategy.kind is StrategyKind.EXPAND_COMPRESS
+    bindings = {"I": CooTensor((2, 2), [((0, 0), 1.0)])}
+    bindings["B"] = CooTensor(shape, [(c, 1.0) for c in coords])
+    chosen, loops, qualifying = run_both(kernel, bindings)
+    assert qualifying == 1
+    assert chosen == loops == "BitWidthOverflow"
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from sparsec import cli, engine
 from sparsec.cli import main, parse_encoding_text, result_checksum
 from sparsec.encoding import COMPRESSED, DENSE, TensorType, enumerate_encodings, make_encoding
 from sparsec.engine import compile_kernel, convert, execute
-from sparsec.errors import BitWidthOverflow, OrderConflict
+from sparsec.errors import BitWidthOverflow, OrderConflict, ShapeMismatch
 from sparsec.expr import parse_kernel
 from sparsec.oracle import GeneratorSpec, generate
 from sparsec.storage import CooTensor, DenseTensor, SparseStorage, pack
@@ -399,6 +399,28 @@ def test_run_search_all_conflicts_skip_binding_errors():
     # B's binding has the wrong shape, but no row compiles to bind it.
     bindings = {"A": CooTensor((3, 3)), "B": CooTensor((4, 4))}
     assert cli.run_search(kernel, bindings, "A", include_widths=False) == []
+
+
+@pytest.mark.parametrize("op", ["=", "+="])
+def test_run_search_coerces_only_what_the_kernel_reads(op):
+    kernel = parse_kernel(
+        "tensor A(3, 3) format(compressed, compressed)\n"
+        "tensor C(3, 3) format(compressed, compressed)\n"
+        f"C(i, j) {op} A(i, j) * 2.0\n"
+    )
+    a = generate(GeneratorSpec((3, 3), "uniform", density=0.5, seed=1))
+    bindings = {"A": a, "C": CooTensor((4, 4))}  # the wrong shape for C
+    if op == "+=":  # C is read, so its binding is coerced and rejected
+        for search in (False, True):
+            with pytest.raises(ShapeMismatch):
+                if search:
+                    cli.run_search(kernel, bindings, "A", include_widths=False)
+                else:
+                    engine.run_kernel(kernel, bindings)
+        return
+    want = result_checksum(engine.run_kernel(kernel, bindings))
+    rows = cli.run_search(kernel, bindings, "A", include_widths=False)
+    assert rows and all(row.checksum == want for row in rows)
 
 
 def _checksum_reference(result) -> str:

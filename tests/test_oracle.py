@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sparsec.errors import ShapeMismatch
+from sparsec.errors import DenseOutputTooLarge, ShapeMismatch
 from sparsec.expr import parse_kernel
 from sparsec.oracle import GeneratorSpec, dense_eval, density, generate
 from sparsec.storage import CooTensor, DenseTensor, pack
@@ -60,6 +61,25 @@ def test_dense_eval_shape_mismatch():
     k = parse_kernel("tensor a(3)\ntensor x()\nx() = a(i)\n")
     with pytest.raises(ShapeMismatch):
         dense_eval(k, {"a": DenseTensor((4,), [1, 2, 3, 4])})
+
+
+OUTER = "tensor a({n})\ntensor b({n})\ntensor C({n}, {n})\nC(i, j) = a(i) * b(j)\n"
+
+
+def test_dense_eval_output_past_the_budget_raises_before_allocating():
+    side = 1 << 15
+    inputs = {name: DenseTensor.zeros((side,)) for name in "ab"}
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseOutputTooLarge):
+            dense_eval(parse_kernel(OUTER.format(n=side)), inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    # Below the budget the same kernel runs.
+    small = {"a": DenseTensor((2,), [1.0, 2.0]), "b": DenseTensor((2,), [3.0, 4.0])}
+    assert dense_eval(parse_kernel(OUTER.format(n=2)), small).data == [3.0, 4.0, 6.0, 8.0]
 
 
 def test_generate_uniform_is_deterministic():

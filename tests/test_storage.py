@@ -1,7 +1,7 @@
-"""Storage packing against the five worked layouts, plus builder/workspace
-behavior, randomized round-trips, the whole-array paths against the
-per-element builder and walks, and typed errors for malformed storage and
-dumps."""
+"""Storage packing against the five worked layouts, plus the shared
+sparse-output build and the workspace, randomized round-trips, the
+whole-array paths against per-element layouts and walks, and typed errors
+for malformed storage and dumps."""
 
 import math
 import os
@@ -21,7 +21,7 @@ import conftest as refs
 import sparsec
 from sparsec import engine
 from sparsec.cli import _write_result, result_checksum
-from sparsec.codegen import StrategyKind, choose_output_strategy
+from sparsec.codegen import StrategyKind
 from sparsec.encoding import (
     COMPRESSED,
     DENSE,
@@ -43,14 +43,12 @@ from sparsec.errors import (
     SparsecError,
 )
 from sparsec.expr import parse_kernel
-from sparsec.lattice import build_iteration_graph, topo_sort
 from sparsec.engine import convert
 from sparsec.oracle import GeneratorSpec, generate
 from sparsec.storage import (
     CooTensor,
     DenseTensor,
     SparseStorage,
-    StorageBuilder,
     compress,
     dump_binary,
     expand,
@@ -61,6 +59,7 @@ from sparsec.storage import (
     unpack,
     values_view,
 )
+from test_typed_storage import _python_layout
 
 
 def test_pack_sparse_vector(vec_x):
@@ -169,33 +168,47 @@ def test_level_views(mat_a):
         level_indices(s, 0)
 
 
+# The one build of a sparse output (`engine._sparse_output`), shared by
+# the array form and the generated loops: a strict storage-order check,
+# then `_build_levels`.
+
+
+def _sparse_output(ttype, entries):
+    """`engine._sparse_output` of (logical coords, value) pairs, in the
+    order given."""
+    coords = np.array([c for c, _ in entries], np.int64).reshape(len(entries), ttype.rank)
+    return engine._sparse_output(ttype, coords, np.array([v for _, v in entries]))
+
+
+def _collected(ttype, coords, values):
+    """`engine._sparse_output` of the entries a drain appended to the flat
+    collectors `coords` and `values`; the storage order of `ttype` must be
+    the logical one."""
+    coords = np.array(coords, np.int64).reshape(len(values), ttype.rank)
+    return engine._sparse_output(ttype, coords, np.array(values))
+
+
 def test_builder_matches_pack(mat_a):
-    b = StorageBuilder(TensorType((3, 4), csr()))
-    for coords, value in [((0, 0), refs.A00), ((0, 3), refs.A03), ((2, 0), refs.A20)]:
-        b.insert(coords, value)
-    assert b.finalize() == pack(mat_a, csr())
+    entries = [((0, 0), refs.A00), ((0, 3), refs.A03), ((2, 0), refs.A20)]
+    assert _sparse_output(TensorType((3, 4), csr()), entries) == pack(mat_a, csr())
 
 
 def test_builder_rejects_out_of_order():
-    b = StorageBuilder(TensorType((3, 4), csr()))
-    b.insert((0, 3), 1.0)
     with pytest.raises(OutOfOrderInsertion):
-        b.insert((0, 0), 2.0)
+        _sparse_output(TensorType((3, 4), csr()), [((0, 3), 1.0), ((0, 0), 2.0)])
 
 
 def test_builder_rejects_duplicate():
-    b = StorageBuilder(TensorType((3, 4), csr()))
-    b.insert((1, 1), 1.0)
     with pytest.raises(OutOfOrderInsertion):
-        b.insert((1, 1), 2.0)
+        _sparse_output(TensorType((3, 4), csr()), [((1, 1), 1.0), ((1, 1), 2.0)])
 
 
 def test_builder_storage_order_for_permuted_encoding(mat_a):
-    # DCSC insertion order is column-major even though coords are logical.
-    b = StorageBuilder(TensorType((3, 4), dcsc()))
-    for coords, value in [((0, 0), refs.A00), ((2, 0), refs.A20), ((0, 3), refs.A03)]:
-        b.insert(coords, value)
-    assert b.finalize() == pack(mat_a, dcsc())
+    # DCSC order is column-major even though coords are logical.
+    dcsc_order = [((0, 0), refs.A00), ((2, 0), refs.A20), ((0, 3), refs.A03)]
+    assert _sparse_output(TensorType((3, 4), dcsc()), dcsc_order) == pack(mat_a, dcsc())
+    with pytest.raises(OutOfOrderInsertion):  # row-major order is not
+        _sparse_output(TensorType((3, 4), dcsc()), sorted(dcsc_order))
 
 
 @pytest.mark.parametrize(
@@ -208,34 +221,34 @@ def test_builder_storage_order_for_permuted_encoding(mat_a):
     ],
 )
 def test_builder_inserts_equal_pack_under_permuted_orderings(enc):
-    # `insert` takes logical coordinates and permutes them into storage order.
+    # The entries carry logical coordinates, ordered by storage coordinates.
     rng = random.Random(enc.rank)
     shape = tuple(rng.randint(2, 5) for _ in range(enc.rank))
     coo = CooTensor(shape, _random_entries(rng, shape, 30))
     order = [enc.dim_of_level(l) for l in range(enc.rank)]
-    builder = StorageBuilder(TensorType(shape, enc))
-    for coords, value in sorted(_merged_entries(coo), key=lambda e: [e[0][k] for k in order]):
-        builder.insert(coords, value)
-    assert _layout(builder.finalize()) == _layout(pack(coo, enc))
+    entries = sorted(_merged_entries(coo), key=lambda e: [e[0][k] for k in order])
+    assert _layout(_sparse_output(TensorType(shape, enc), entries)) == _layout(pack(coo, enc))
 
 
 def test_builder_empty_finalize():
-    s = StorageBuilder(TensorType((3, 4), csr())).finalize()
+    s = _sparse_output(TensorType((3, 4), csr()), [])
     assert s.pointers[1] == (0, 0, 0, 0)
     assert s.values == ()
-    s = StorageBuilder(TensorType((5,), make_encoding([COMPRESSED]))).finalize()
+    assert s == pack(CooTensor((3, 4)), csr())
+    s = _sparse_output(TensorType((5,), make_encoding([COMPRESSED])), [])
     assert s.pointers[0] == (0,) * 2 and s.values == ()
+    assert s == pack(CooTensor((5,)), make_encoding([COMPRESSED]))
 
 
 def test_workspace_scatter_and_compress():
     ws = expand(8)
-    b = StorageBuilder(TensorType((2, 8), csr()))
+    coords, values = array("q"), array("d")
     ws.scatter(5, 1.0)
     ws.scatter(1, 2.0)
     ws.scatter(1, 3.0)  # accumulate, not a new touch
     assert ws.added == [5, 1] and ws.count == 2
-    compress(ws, b, (0,))
-    s = b.finalize()
+    compress(ws, (0,), coords, values)
+    s = _collected(TensorType((2, 8), csr()), coords, values)
     assert s.indices[1] == (1, 5)
     assert s.values == (5.0, 1.0)
     assert not any(ws.filled) and all(v == 0.0 for v in ws.values) and ws.count == 0
@@ -243,17 +256,17 @@ def test_workspace_scatter_and_compress():
 
 def test_workspace_compress_untouched_is_noop():
     ws = expand(4)
-    b = StorageBuilder(TensorType((4,), make_encoding([COMPRESSED])))
-    compress(ws, b, ())
-    assert b.finalize().values == ()
+    coords, values = array("q"), array("d")
+    compress(ws, (), coords, values)
+    assert _collected(TensorType((4,), make_encoding([COMPRESSED])), coords, values).values == ()
 
 
 def test_workspace_single_touch():
     ws = expand(4)
-    b = StorageBuilder(TensorType((4,), make_encoding([COMPRESSED])))
+    coords, values = array("q"), array("d")
     ws.scatter(0, 7.0)
-    compress(ws, b, ())
-    s = b.finalize()
+    compress(ws, (), coords, values)
+    s = _collected(TensorType((4,), make_encoding([COMPRESSED])), coords, values)
     assert s.indices[0] == (0,) and s.values == (7.0,)
     assert not any(ws.filled)
 
@@ -262,14 +275,14 @@ def test_workspace_reset_exhaustive_small_extents():
     rng = random.Random(7)
     for extent in range(1, 65):
         ws = expand(extent)
-        b = StorageBuilder(TensorType((1, extent), csr()))
+        coords, values = array("q"), array("d")
         for _ in range(rng.randrange(0, extent + 1)):
             ws.scatter(rng.randrange(extent), rng.uniform(-1, 1))
-        compress(ws, b, (0,))
+        compress(ws, (0,), coords, values)
         assert not any(ws.filled)
         assert all(v == 0.0 for v in ws.values)
         assert ws.count == 0
-        b.finalize()
+        _collected(TensorType((1, extent), csr()), coords, values)
 
 
 def _random_coo(rng, shape, density=0.3):
@@ -316,7 +329,7 @@ def test_binary_dump_header():
 
 
 # ----------------------------------------------------------------------------
-# Whole-array pack against the per-element builder
+# Whole-array pack against a per-element layout
 
 
 def _merged_entries(coo):
@@ -329,13 +342,11 @@ def _merged_entries(coo):
 
 
 def _reference_pack(coo, enc):
-    """The element-by-element reference for pack: one builder insert per
-    merged entry, in storage order."""
-    order = [enc.dim_of_level(l) for l in range(enc.rank)]
-    builder = StorageBuilder(TensorType(coo.shape, enc))
-    for scoords, value in sorted((tuple(c[k] for k in order), v) for c, v in _merged_entries(coo)):
-        builder.insert_storage(scoords, value)
-    return builder.finalize()
+    """The per-element reference for pack: the merged entries laid out one
+    level and one node at a time (`_python_layout`), then checked by
+    `SparseStorage`, so a narrow width raises."""
+    layout = _python_layout(coo.shape, enc, dict(_merged_entries(coo)))
+    return SparseStorage(TensorType(coo.shape, enc), *layout)
 
 
 def _outcome(fn):
@@ -684,9 +695,10 @@ def _reference_dense_to_coo(dense, drop_zeros):
 
 
 def _reference_convert(value, enc):
-    """The per-element reference for `convert`: a sparse target packs the
-    walked entries one builder insert at a time, a dense target sets them
-    one element at a time, unmerged, or copies a dense source."""
+    """The per-element reference for `convert`: a sparse target lays out
+    the walked entries one node at a time (`_reference_pack`), a dense
+    target sets them one element at a time, unmerged, or copies a dense
+    source."""
     if isinstance(value, DenseTensor) and enc is None:
         return DenseTensor(value.shape, list(value.data))
     if isinstance(value, SparseStorage):
@@ -780,13 +792,14 @@ def test_scalar_dense_tensor_readers(tmp_path, x):
 
 
 # ----------------------------------------------------------------------------
-# Bulk workspace compress against per-element insertion
+# Workspace compress against a per-element drain
 
 
-def _compress_per_element(ws, builder, prefix_scoords):
+def _compress_per_element(ws, prefix, coords, values):
     ws.added.sort()
     for idx in ws.added:
-        builder.insert_storage(tuple(prefix_scoords) + (idx,), ws.values[idx])
+        coords.extend(tuple(prefix) + (idx,))
+        values.append(ws.values[idx])
         ws.values[idx] = 0.0
         ws.filled[idx] = False
     ws.added.clear()
@@ -816,53 +829,56 @@ def test_bulk_compress_equals_per_element(levels):
     ]
     built = []
     for fn in (compress, _compress_per_element):
-        ws, builder = expand(shape[-1]), StorageBuilder(ttype)
+        ws, coords, values = expand(shape[-1]), array("q"), array("d")
         for prefix, touches in zip(prefixes, rows):
             for j, delta in touches:
                 ws.scatter(j, delta)
-            fn(ws, builder, prefix)
+            fn(ws, prefix, coords, values)
             assert ws.count == 0 and not any(ws.filled)
             assert all(repr(v) == "0.0" for v in ws.values)
-        built.append(_layout(builder.finalize()))
+        built.append(_layout(_collected(ttype, coords, values)))
     assert built[0] == built[1]
 
 
 def test_bulk_compress_checks_index_width():
     enc = make_encoding([DENSE, COMPRESSED], None, 0, 8)
-    for touched in ([299], [1, 299]):  # the first element, then the bulk rest
-        ws, builder = expand(300), StorageBuilder(TensorType((2, 300), enc))
+    for touched in ([299], [1, 299]):  # alone, and after an index that fits
+        ws, coords, values = expand(300), array("q"), array("d")
         for j in touched:
             ws.scatter(j, 1.0)
+        compress(ws, (0,), coords, values)
         with pytest.raises(BitWidthOverflow):
-            compress(ws, builder, (0,))
-
-
-def test_bulk_compress_checks_extent():
-    ws, builder = expand(8), StorageBuilder(TensorType((2, 4), csr()))
-    ws.scatter(1, 1.0)
-    ws.scatter(6, 1.0)
-    with pytest.raises(CoordOutOfBounds):
-        compress(ws, builder, (0,))
+            _collected(TensorType((2, 300), enc), coords, values)
 
 
 @pytest.mark.parametrize("c_format", ["compressed, dense", "dense, compressed", "compressed, compressed"])
 def test_expand_compress_kernel_equals_per_element(monkeypatch, c_format):
+    # B's compressed rows co-iterate with A's over k, so the Program runs on
+    # the generated loops, which drain the workspace through `compress`.
     text = (
         "tensor A(24, 20) format(dense, compressed)\n"
-        "tensor B(20, 28) format(dense, compressed)\n"
+        "tensor B(20, 28) format(compressed, compressed)\n"
         f"tensor C(24, 28) format({c_format})\n"
         "C(i, j) = A(i, k) * B(k, j)\n"
     )
     kernel = parse_kernel(text)
-    order = topo_sort(build_iteration_graph(kernel))
-    assert choose_output_strategy(kernel, order).kind is StrategyKind.EXPAND_COMPRESS
+    (program,) = engine.compile_kernel(kernel)
+    assert program.strategy.kind is StrategyKind.EXPAND_COMPRESS
+    assert engine._co_iterates(program.body)
     bindings = {
         "A": generate(GeneratorSpec((24, 20), "uniform", density=0.15, seed=1)),
         "B": generate(GeneratorSpec((20, 28), "uniform", density=0.15, seed=2)),
     }
     bulk = engine.run_kernel(kernel, bindings)
-    monkeypatch.setattr(engine, "compress", _compress_per_element)
+    drained = []
+
+    def per_element(ws, prefix, coords, values):
+        drained.append(ws.count)
+        _compress_per_element(ws, prefix, coords, values)
+
+    monkeypatch.setattr(engine, "compress", per_element)
     assert _layout(bulk) == _layout(engine.run_kernel(kernel, bindings))
+    assert sum(drained) > 0
 
 
 # ----------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from sparsec.expr import parse_kernel
 from sparsec.storage import (
     CooTensor,
     SparseStorage,
-    StorageBuilder,
     _sorted_unique,
     dump_binary,
     load_binary,
@@ -363,17 +362,13 @@ def _peak(call) -> int:
     ],
 )
 def test_pack_and_builder_check_the_budget_before_allocating(shape, levels):
+    # `pack`, and the one build of a sparse output on either engine form.
     enc = make_encoding(levels)
     one = tuple(e // 2 for e in shape)
     coo = CooTensor(shape, [(one, 1.0)])
     assert _peak(lambda: pack(coo, enc)) < PEAK
-
-    def build():
-        builder = StorageBuilder(TensorType(shape, enc))
-        builder.insert(one, 1.0)
-        builder.finalize()
-
-    assert _peak(build) < PEAK
+    ttype = TensorType(shape, enc)
+    assert _peak(lambda: engine._sparse_output(ttype, np.array([one]), np.ones(1))) < PEAK
 
 
 OUTER = (
