@@ -92,6 +92,7 @@ from .storage import (
     SparseStorage,
     _build_levels,
     _check_budget,
+    _check_leading_dense,
     _merge_runs,
     _read_only,
     compress,
@@ -399,6 +400,9 @@ def _run_loops(program: Program, env: dict):
         out = base.value_array.tolist()
         generator.function(out=out)()
         return base.with_values(out)
+    # The loops append every entry before `_build_levels` checks the
+    # budget, so a budget the output's dense prefix passes fails first.
+    _check_leading_dense(out_type)
     coords, values = array("q"), array("d")  # in storage order
     generator.function(coords=coords, values=values)()
     scoords = np.frombuffer(coords, np.int64).reshape(len(values), out_type.rank)

@@ -186,6 +186,17 @@ def _check_budget(count: int, what):
         )
 
 
+def _check_leading_dense(ttype: TensorType):
+    """`_check_budget` on the positions of the leading dense levels of
+    `ttype`, which every storage of the type holds whatever its entries."""
+    positions = 1
+    for level, extent in enumerate(ttype.storage_shape()):
+        if ttype.encoding.levels[level] is not DENSE:
+            break
+        positions *= extent
+    _check_budget(positions, ttype)
+
+
 def _coord_array(coords: list, shape: tuple) -> np.ndarray:
     """`coords` (sequences of `len(shape)` integers) as a read-only
     (n, rank) int64 array; raises RankMismatch, CoordNotInteger or

@@ -392,6 +392,22 @@ def test_all_dense_output_past_the_budget_on_both_forms(op, form):
         assert engine.run_kernel(small, small_bindings).values[-1] == 4.0
 
 
+def test_all_dense_output_past_the_budget_fails_before_the_loops_run():
+    # Full operands give the array form a frame past its row budget, so
+    # the kernel falls back to the loops, which must check the budget
+    # before they append 2^30 entries. (With `+=` the empty output to add
+    # into fails first.)
+    kernel = parse_kernel(OUTER.format(n=SIDE, op="="))
+    full = CooTensor.from_arrays((SIDE,), np.arange(SIDE).reshape(SIDE, 1), np.ones(SIDE))
+    bindings = {name: full for name in "ab"}
+
+    def never(*args, **kwargs):
+        raise AssertionError("the loops ran before the budget check")
+
+    with mock.patch.object(engine._Generator, "function", never):
+        assert _peak(lambda: engine.run_kernel(kernel, bindings)) < PEAK
+
+
 @pytest.mark.parametrize("encoding", [csr(), None])
 def test_to_dense_past_the_budget_raises_before_allocating(encoding):
     coo = CooTensor((SIDE, SIDE), [((3, 5), 1.0)])
