@@ -112,8 +112,17 @@ def parse_encoding_text(text: str) -> Optional[Encoding]:
     return make_encoding(levels, ordering, ptr_w, idx_w)
 
 
+def _read_value(spec: str):
+    """A `dense:` literal, a `sparse<...>(...)` literal, or a tensor file."""
+    if spec.startswith("dense:"):
+        return read_dense_literal(spec[len("dense:") :])
+    if spec.startswith("sparse"):
+        return read_sparse_literal(spec)
+    return read_tensor(spec)
+
+
 def parse_input_spec(spec: str, shape: tuple, default_seed: int):
-    """Resolve one --input value: a file path, a generator, or a literal."""
+    """Resolve one --input value: a generator of `shape`, or `_read_value`."""
     m = _GENERATOR_RE.match(spec)
     if m:
         kind = m.group(1)
@@ -127,11 +136,7 @@ def parse_input_spec(spec: str, shape: tuple, default_seed: int):
         else:
             gen = GeneratorSpec(shape, "identity", seed=seed)
         return generate(gen)
-    if spec.startswith("dense:"):
-        return read_dense_literal(spec[len("dense:") :])
-    if spec.startswith("sparse"):
-        return read_sparse_literal(spec)
-    return read_tensor(spec)
+    return _read_value(spec)
 
 
 def _bind_inputs(kernel, input_args, seed: int) -> dict:
@@ -170,13 +175,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    if args.input.startswith("dense:"):
-        value = read_dense_literal(args.input[len("dense:") :])
-    elif args.input.startswith("sparse"):
-        value = read_sparse_literal(args.input)
-    else:
-        value = read_tensor(args.input)
-    value = convert(value, parse_encoding_text(args.src_format))
+    value = convert(_read_value(args.input), parse_encoding_text(args.src_format))
     _write_result(convert(value, parse_encoding_text(args.dst_format)), args.output)
     return 0
 
@@ -486,7 +485,7 @@ def _bench_correctness(kernel_text: str, bindings: dict) -> None:
     got = run_kernel(kernel, bindings)
     want = dense_eval(kernel, {name: value.to_dense() for name, value in bindings.items()})
     got_dense = convert(got, None)
-    for a, b in zip(got_dense.data, want.data):
+    for a, b in zip(got_dense.data.tolist(), want.data.tolist()):
         if not abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0):  # NaN fails too
             raise OracleMismatch(f"benchmark kernel disagrees with oracle: {a!r} != {b!r}")
 

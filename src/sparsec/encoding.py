@@ -64,9 +64,6 @@ class Encoding:
         """Logical dimension stored at storage level `level`."""
         return self.ordering.index(level)
 
-    def all_dense(self) -> bool:
-        return all(lt is DENSE for lt in self.levels)
-
     def describe(self) -> str:
         """Compact one-line spelling, reused by dumps and search reports."""
         parts = ["format(" + ",".join(lt.value for lt in self.levels) + ")"]

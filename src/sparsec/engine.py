@@ -32,10 +32,11 @@ output past `_MAX_DENSE_ELEMENTS` elements, or a sparse one whose dense
 levels would pass it, raises DenseOutputTooLarge in either form before it
 is allocated.
 
-The array form reads a bound storage's read-only arrays as they are; the
-loops take one `tolist()` of each, as they index it one element at a time.
-Tensors bound as inputs are never mutated; the in-place strategy writes
-into a fresh copy of the output's values array.
+Both forms take each access's layout from its declared type, which
+`execute` coerces the binding to, and read the binding's read-only arrays:
+the array form as they are, the loops through one `tolist()` of each.
+Bindings are never mutated; a dense output starts from a copy of its seed
+and the in-place strategy from a copy of the output's values array.
 """
 
 import math
@@ -145,29 +146,32 @@ def _binding(program: Program, env: dict, uid: int):
         raise UnknownTensor(f"no binding for tensor {ref.tensor!r}")
 
 
-def _bound_part(value, part: str, level: int):
-    """A bound tensor's `pointers`, `indices` or `values`: a storage's own
-    read-only array, or a DenseTensor's data list."""
-    if isinstance(value, DenseTensor):
+def _bound_part(program: Program, env: dict, uid: int, part: str, level: int = 0):
+    """The read-only `pointers`, `indices` or `values` array of access
+    `uid`'s binding: a storage's own, or a dense tensor's data."""
+    value = _binding(program, env, uid)
+    if not program.kernel.tensors[program.accesses[uid].tensor].is_sparse:
         return value.data
     if part == "values":
         return value.value_array
     return value.level_arrays(level)[part == "indices"]
 
 
-def _position_steps(ref, value, upto: Optional[int]):
-    """How the flat position of access `ref` after its first `upto` levels
-    (all when None) is found: the last compressed level among them, whose
-    position it starts from (None: from 0), and the (variable, extent)
-    steps of the dense levels after it."""
-    if isinstance(value, DenseTensor):
-        return None, list(zip(ref.indices, value.shape))
+def _position_steps(program: Program, uid: int, upto: Optional[int]):
+    """How the flat position of access `uid` after its first `upto` levels
+    (all when None) is found, from its declared type: the last compressed
+    level among them, whose position it starts from (None: from 0), and
+    the (variable, extent) steps of the dense levels after it."""
+    ref = program.accesses[uid]
+    ttype = program.kernel.tensors[ref.tensor]
+    if not ttype.is_sparse:
+        return None, list(zip(ref.indices, ttype.shape))
     # Positions at a compressed level are absolute, so the walk only needs
     # the dense levels after the last compressed one.
-    enc = value.encoding
-    sshape = value.ttype.storage_shape()
+    enc = ttype.encoding
+    sshape = ttype.storage_shape()
     start, steps = None, []
-    for level in range(value.rank if upto is None else upto):
+    for level in range(ttype.rank if upto is None else upto):
         if enc.levels[level] is COMPRESSED:
             start, steps = level, []
         else:
@@ -209,22 +213,18 @@ class _Generator:
         self.lines = ["def program():"]
         self.loops = 0
 
-    def _binding(self, uid: int):
-        return _binding(self.p, self.env, uid)
-
     def _array(self, name: str, uid: int, part: str, level: int = 0) -> str:
         """Bind a bound tensor's `pointers`, `indices` or `values` to the
         global `name` as a list, taking one `tolist()` per bound array."""
         key = (self.p.accesses[uid].tensor, part, level)
         if key not in self.lists:
-            data = _bound_part(self._binding(uid), part, level)
-            self.lists[key] = data if isinstance(data, list) else data.tolist()
+            self.lists[key] = _bound_part(self.p, self.env, uid, part, level).tolist()
         self.globals[name] = self.lists[key]
         return name
 
     def _position(self, uid: int, upto: Optional[int] = None) -> str:
         """Flat position of access `uid` after its first `upto` levels."""
-        start, steps = _position_steps(self.p.accesses[uid], self._binding(uid), upto)
+        start, steps = _position_steps(self.p, uid, upto)
         src = None if start is None else f"q{uid}_{start}"
         for v, extent in steps:
             src = self.var[v] if src is None else f"({src}*{extent}+{self.var[v]})"
@@ -392,7 +392,7 @@ def _run_loops(program: Program, env: dict):
     generator = _Generator(program, env)
     if strat is StrategyKind.DENSE_STORE:
         seed = _dense_output(kernel, env)
-        out = list(seed) if seed is not None else [0.0] * math.prod(out_type.shape)
+        out = seed.tolist() if seed is not None else [0.0] * math.prod(out_type.shape)
         generator.function(out=out)()
         return DenseTensor(out_type.shape, out)
     if strat is StrategyKind.IN_PLACE:
@@ -485,7 +485,6 @@ class _ArrayRun:
         self.p = program
         self.env = env
         self.out = out  # the dense or in-place output values, if any
-        self.bound: dict = {}  # tensor -> a DenseTensor binding's data as an array
         self.accs: dict = {}  # slot -> one sum per row of the declaring frame
         # A Program with no co-iteration runs each statement once, so it
         # scatters once before its one drain and inserts one run.
@@ -495,19 +494,8 @@ class _ArrayRun:
     def run(self):
         self.block(self.p.body, _Frame(1))
 
-    def array(self, uid: int, part: str, level: int = 0) -> np.ndarray:
-        """A bound tensor's `pointers`, `indices` or `values` as an array:
-        a storage's own, or a DenseTensor's data, converted once."""
-        data = _bound_part(_binding(self.p, self.env, uid), part, level)
-        if not isinstance(data, list):
-            return data
-        tensor = self.p.accesses[uid].tensor
-        if tensor not in self.bound:
-            self.bound[tensor] = np.array(data, np.float64)
-        return self.bound[tensor]
-
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
-        start, steps = _position_steps(self.p.accesses[uid], _binding(self.p, self.env, uid), upto)
+        start, steps = _position_steps(self.p, uid, upto)
         if start is None:
             pos = np.zeros(frame.n, np.int64)
         else:
@@ -538,13 +526,14 @@ class _ArrayRun:
             getattr(self, f"_{type(s).__name__}")(s, frame)
 
     def _LoadRange(self, s: LoadRange, frame):
-        ptrs = self.array(s.uid, "pointers", s.level)
+        ptrs = _bound_part(self.p, self.env, s.uid, "pointers", s.level)
         parent = self.position(s.uid, frame, upto=s.level)
         frame.cols["q", s.uid, s.level] = ptrs[parent]
         frame.cols["h", s.uid, s.level] = ptrs[parent + 1]
 
     def _LoadVal(self, s: LoadVal, frame):
-        frame.cols["x", s.uid] = self.array(s.uid, "values")[self.position(s.uid, frame)]
+        values = _bound_part(self.p, self.env, s.uid, "values")
+        frame.cols["x", s.uid] = values[self.position(s.uid, frame)]
 
     def _ForDense(self, s: ForDense, frame):
         child = frame.child(s.extent)
@@ -560,7 +549,7 @@ class _ArrayRun:
         offset = lo - (np.cumsum(counts) - counts)
         q = np.arange(child.n) + offset[child.rows]
         child.cols["q", s.uid, s.level] = q
-        child.cols["v", s.var] = self.array(s.uid, "indices", s.level)[q]
+        child.cols["v", s.var] = _bound_part(self.p, self.env, s.uid, "indices", s.level)[q]
         self.block(s.body, child)
 
     def _DeclAcc(self, s: DeclAcc, frame):
@@ -612,9 +601,9 @@ def _run_arrays(program: Program, env: dict):
     strat = program.strategy.kind
     if strat is StrategyKind.DENSE_STORE:
         seed = _dense_output(kernel, env)
-        out = np.zeros(math.prod(out_type.shape)) if seed is None else np.array(seed, np.float64)
+        out = np.zeros(math.prod(out_type.shape)) if seed is None else seed.copy()
         _ArrayRun(program, env, out).run()
-        return DenseTensor(out_type.shape, out)
+        return DenseTensor(out_type.shape, _read_only(out))
     if strat is StrategyKind.IN_PLACE:
         base = env[kernel.lhs.tensor]
         out = base.value_array.copy()

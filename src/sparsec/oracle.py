@@ -41,9 +41,7 @@ def dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
                 f"tensor {name!r} declared {ttype.shape}, bound {inputs[name].shape}"
             )
 
-    def evaluate(node, path, env):
-        value = _raw(node, path, env)
-        return value
+    data = {name: inputs[name].data.tolist() for name in kernel.tensors if name in inputs}
 
     def _raw(node, path, env):
         reduced = an.node_reductions.get(path)
@@ -61,14 +59,14 @@ def dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
 
     def _plain(node, path, env):
         if isinstance(node, Access):
-            coords = tuple(env[v] for v in node.indices)
-            return inputs[node.tensor].get(coords)
+            coords = [env[v] for v in node.indices]
+            return data[node.tensor][inputs[node.tensor].offset(coords)]
         if isinstance(node, Const):
             return node.value
         if isinstance(node, Neg):
-            return -evaluate(node.operand, path + (0,), env)
-        a = evaluate(node.lhs, path + (0,), env)
-        b = evaluate(node.rhs, path + (1,), env)
+            return -_raw(node.operand, path + (0,), env)
+        a = _raw(node.lhs, path + (0,), env)
+        b = _raw(node.rhs, path + (1,), env)
         if isinstance(node, Add):
             return a + b
         if isinstance(node, Sub):
@@ -80,16 +78,13 @@ def dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
     out_shape = kernel.output_type.shape
     _check_budget(math.prod(out_shape), f"dense_eval output of shape {out_shape}")
     if kernel.accumulate and kernel.lhs.tensor in inputs:
-        out = DenseTensor(out_shape, list(inputs[kernel.lhs.tensor].data))
+        out = inputs[kernel.lhs.tensor].data.tolist()
     else:
-        out = DenseTensor.zeros(out_shape)
-    free = kernel.lhs.indices
-    for combo in itertools.product(*[range(an.var_extents[v]) for v in free]):
-        env = dict(zip(free, combo))
-        value = evaluate(kernel.rhs, (), env)
-        coords = tuple(env[v] for v in free)
-        out.set(coords, out.get(coords) + value)
-    return out
+        out = [0.0] * math.prod(out_shape)
+    free = kernel.lhs.indices  # distinct, so the combos run in row-major order
+    for off, combo in enumerate(itertools.product(*[range(an.var_extents[v]) for v in free])):
+        out[off] += _raw(kernel.rhs, (), dict(zip(free, combo)))
+    return DenseTensor(out_shape, out)
 
 
 # ----------------------------------------------------------------------------

@@ -26,7 +26,8 @@ holds its per-level pointers and indices as read-only int64 arrays and its
 values as a read-only float64 array, the typed buffers of the paper's
 runtime; `pack`, `validate`, `arrays()` and the engine read them whole.
 Its tuple views (`pointers`, `indices`, `values`) are built on each read,
-for callers outside the pipeline. `DenseTensor` keeps a list.
+for callers outside the pipeline. A `DenseTensor` holds its elements, in
+row-major order, as one read-only float64 array, typed as those values.
 
 Stored positions are budgeted: a dense output, a `to_dense` result, or a
 format whose dense levels would hold more than `_MAX_DENSE_ELEMENTS`
@@ -286,26 +287,23 @@ def _scatter(shape, coords: np.ndarray, values: np.ndarray) -> "DenseTensor":
         flat = flat * extent + column
     data = np.zeros(math.prod(shape))
     data[flat] = values
-    return DenseTensor(shape, data)
+    return DenseTensor(shape, _read_only(data))
 
 
-@dataclass
 class DenseTensor:
-    """Flat row-major dense tensor of 64-bit reals.
+    """Flat row-major dense tensor of 64-bit reals, immutable.
 
-    `data` may be any sequence of numbers, each converted with `float`, or
-    a numpy array, converted whole (in C order) with one `tolist`.
+    `data` is a read-only float64 array: a numpy array, flattened in C
+    order, or a sequence, kept as `SparseStorage` keeps its values
+    (`_typed_array`); a non-real value raises MalformedStorage.
     """
-
-    shape: tuple
-    data: list
 
     def __init__(self, shape, data):
         self.shape = tuple(int(e) for e in shape)
-        if isinstance(data, np.ndarray):
-            self.data = data.astype(np.float64, copy=False).reshape(-1).tolist()
-        else:
-            self.data = [float(v) for v in data]
+        if isinstance(data, np.ndarray) and data.ndim != 1:
+            data = data.reshape(-1)
+        bad = MalformedStorage("dense tensor values must be real numbers")
+        self.data = _typed_array(data, np.float64, "biuf", "d", bad)
         if len(self.data) != self.volume:
             raise ShapeMismatch(
                 f"{len(self.data)} values for shape {self.shape} (need {self.volume})"
@@ -314,7 +312,7 @@ class DenseTensor:
     @classmethod
     def zeros(cls, shape) -> "DenseTensor":
         shape = tuple(shape)
-        return cls(shape, [0.0] * math.prod(shape))
+        return cls(shape, _read_only(np.zeros(math.prod(shape))))
 
     @property
     def rank(self) -> int:
@@ -323,6 +321,14 @@ class DenseTensor:
     @property
     def volume(self) -> int:
         return math.prod(self.shape)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.data, other.data)
+
+    def __repr__(self):
+        return f"DenseTensor(shape={self.shape!r}, data={self.data.tolist()!r})"
 
     def offset(self, coords) -> int:
         off = 0
@@ -333,10 +339,7 @@ class DenseTensor:
         return off
 
     def get(self, coords) -> float:
-        return self.data[self.offset(coords)]
-
-    def set(self, coords, value):
-        self.data[self.offset(coords)] = float(value)
+        return float(self.data[self.offset(coords)])
 
     def arrays(self):
         """The nonzeros in row-major order, as an (nnz, rank) int64
@@ -344,11 +347,10 @@ class DenseTensor:
         return self._elements(nonzero=True)
 
     def _elements(self, nonzero: bool):
-        data = np.array(self.data, np.float64)
-        flat = np.flatnonzero(data) if nonzero else np.arange(data.size)
+        flat = np.flatnonzero(self.data) if nonzero else np.arange(self.data.size)
         if not self.rank:  # `np.unravel_index` takes no empty shape
-            return np.zeros((len(flat), 0), np.int64), data[flat]
-        return np.stack(np.unravel_index(flat, self.shape), axis=1), data[flat]
+            return np.zeros((len(flat), 0), np.int64), self.data[flat]
+        return np.stack(np.unravel_index(flat, self.shape), axis=1), self.data[flat]
 
     def to_coo(self, drop_zeros: bool = True) -> CooTensor:
         """The nonzeros, or every element when not `drop_zeros`, in
@@ -357,7 +359,7 @@ class DenseTensor:
 
     def to_dense(self) -> "DenseTensor":
         """A copy."""
-        return DenseTensor(self.shape, self.data)
+        return DenseTensor(self.shape, _read_only(self.data.copy()))
 
 
 def _width_limit_check(values: np.ndarray, width: int, what: str):

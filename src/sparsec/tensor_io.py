@@ -19,6 +19,7 @@ import os
 import re
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import Optional
 
 from .errors import LengthMismatch, ParseError, ShapeMismatch, UnsupportedField
@@ -232,6 +233,17 @@ def write_tensor(coo: CooTensor, path: str):
 _SPARSE_LITERAL = re.compile(r"^\s*sparse\s*<([0-9x\s]+)>\s*\((.*)\)\s*$", re.DOTALL)
 
 
+def _literal_value(value) -> float:
+    """A literal's value as a float; ParseError unless it is a real number
+    in the float range."""
+    try:
+        if isinstance(value, Real):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ParseError(f"literal value {value!r} is not a real number in the float range")
+
+
 def read_dense_literal(text: str) -> DenseTensor:
     """Parse a nested-list literal like `[[1.0, 0.0], [2.0, 3.0]]`."""
     try:
@@ -248,7 +260,7 @@ def read_dense_literal(text: str) -> DenseTensor:
         if depth == len(shape):
             if isinstance(node, (list, tuple)):
                 raise ParseError("ragged dense literal")
-            flat.append(float(node))
+            flat.append(_literal_value(node))
             return
         if not isinstance(node, (list, tuple)) or len(node) != shape[depth]:
             raise ParseError("ragged dense literal")
@@ -280,7 +292,7 @@ def read_sparse_literal(text: str) -> CooTensor:
         coords = tuple(coords) if isinstance(coords, (list, tuple)) else (coords,)
         if len(coords) != len(shape):
             raise LengthMismatch(f"coordinate {coords} has wrong arity for shape {shape}")
-        entries.append((coords, float(value)))
+        entries.append((coords, _literal_value(value)))
     coo = CooTensor(shape, entries)
     coo.check_bounds()
     return coo

@@ -272,9 +272,9 @@ def test_06_co_iteration_support_patterns():
             b = CooTensor((12,), [((i,), rng.uniform(0.5, 2.0)) for i in sorted(sb)])
             dense_in = {"a": a.to_dense(), "b": b.to_dense()}
             got_dot = run_kernel(dot_kernel, {"a": a, "b": b})
-            assert got_dot.data == dense_eval(dot_kernel, dense_in).data, name
+            assert got_dot.data.tolist() == dense_eval(dot_kernel, dense_in).data.tolist(), name
             got_add = convert(run_kernel(add_kernel, {"a": a, "b": b}), None)
-            assert got_add.data == dense_eval(add_kernel, dense_in).data, name
+            assert got_add.data.tolist() == dense_eval(add_kernel, dense_in).data.tolist(), name
 
 
 # -- 7 ------------------------------------------------------------------------

@@ -333,6 +333,21 @@ def test_cmd_bench_oracle_mismatch_is_typed(monkeypatch, capsys, suite):
     assert len(err) == 1 and err[0].startswith("sparsec: error[OracleMismatch]: ")
 
 
+@pytest.mark.parametrize(
+    "spec", ['v=dense:["a", 1, 2, 3, 4, 5, 6, 7]', "A=sparse<8x8>([[0, 0]], [None])"]
+)
+def test_cmd_run_non_real_literal_value_is_one_parse_error_line(tmp_path, capsys, spec):
+    kfile = tmp_path / "spmv.kernel"
+    kfile.write_text(
+        "tensor A(8, 8) format(dense, compressed)\ntensor v(8)\ntensor y(8)\n"
+        "y(i) = A(i, j) * v(j)\n"
+    )
+    code = main(["run", "--kernel-file", str(kfile), "--input", spec])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[ParseError]: "), err
+
+
 def test_cmd_convert_sparse_literal_rejects_float_coordinates(tmp_path, capsys):
     # 1.5 must not be truncated to index 1 on the way in.
     code = main(

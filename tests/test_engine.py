@@ -45,7 +45,7 @@ def test_dot_of_reference_vector_with_itself(vec_x):
     k = parse_kernel(DOT)
     out = run_kernel(k, {"a": vec_x, "b": vec_x})
     want = refs.X3**2 + refs.X6**2 + refs.X7**2 + refs.X10**2
-    assert out.data == [want]
+    assert out.data.tolist() == [want]
 
 
 def test_spmv_row_sums(mat_a):
@@ -54,7 +54,7 @@ def test_spmv_row_sums(mat_a):
         "x(i) = A(i, j) * b(j)\n"
     )
     out = run_kernel(k, {"A": mat_a, "b": DenseTensor((4,), [1, 1, 1, 1])})
-    assert out.data == [refs.A00 + refs.A03, 0.0, refs.A20]
+    assert out.data.tolist() == [refs.A00 + refs.A03, 0.0, refs.A20]
 
 
 def test_scale_in_place_preserves_structure(vec_x):
@@ -71,7 +71,7 @@ def test_dot_disjoint_supports_is_zero():
     k = parse_kernel(DOT)
     a = CooTensor((16,), [((1,), 2.0), ((5,), 3.0)])
     b = CooTensor((16,), [((2,), 4.0), ((9,), 1.0)])
-    assert run_kernel(k, {"a": a, "b": b}).data == [0.0]
+    assert run_kernel(k, {"a": a, "b": b}).data.tolist() == [0.0]
 
 
 def test_missing_binding():
@@ -95,7 +95,7 @@ def test_inputs_accept_any_tensor_form(mat_a):
     as_coo = run_kernel(k, {"A": mat_a, "b": b})
     as_storage = run_kernel(k, {"A": pack(mat_a, dcsc()), "b": b})  # re-packed
     as_dense = run_kernel(k, {"A": mat_a.to_dense(), "b": b})
-    assert as_coo.data == as_storage.data == as_dense.data
+    assert as_coo.data.tolist() == as_storage.data.tolist() == as_dense.data.tolist()
 
 
 # ----------------------------------------------------------------------------
@@ -203,9 +203,9 @@ def test_encoding_invariance_small_matmul():
         )
         out = run_kernel(parse_kernel(text), {"A": a, "B": b})
         if reference is None:
-            reference = out.data
+            reference = out.data.tolist()
         else:
-            assert out.data == reference, enc_a.describe()
+            assert out.data.tolist() == reference, enc_a.describe()
 
 
 def test_output_encoding_invariance():
@@ -264,7 +264,7 @@ def test_mttkrp_small_all_ones():
     ones3 = CooTensor((2, 2, 2), [((i, k, l), 1.0) for i in range(2) for k in range(2) for l in range(2)])
     ones2 = DenseTensor((2, 2), [1.0] * 4)
     out = run_kernel(parse_kernel(text), {"B": ones3, "D": ones2, "C": ones2})
-    assert out.data == [4.0] * 4
+    assert out.data.tolist() == [4.0] * 4
 
 
 ACCUMULATE_CASES = [
@@ -332,7 +332,7 @@ def test_deepest_supported_loop_nest_matches_oracle():
     b = CooTensor(kernel.tensors["B"].shape, [(pad + (0, 1, 1), 0.5), (pad + (1, 0, 1), 4.0)])
     got = convert(run_kernel(kernel, {"A": a, "B": b}), None)
     want = dense_eval(kernel, {"A": a.to_dense(), "B": b.to_dense()})
-    assert got.data == want.data
+    assert got.data.tolist() == want.data.tolist()
     assert sorted(got.data)[-3:] == [2.5, 3.0, 4.0]
 
 

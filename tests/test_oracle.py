@@ -23,7 +23,7 @@ def test_dense_eval_matmul_identity(mat_a):
 def test_dense_eval_dot():
     k = parse_kernel("tensor a(3)\ntensor b(3)\ntensor x()\nx() = a(i) * b(i)\n")
     got = dense_eval(k, {"a": DenseTensor((3,), [1, 2, 3]), "b": DenseTensor((3,), [4, 5, 6])})
-    assert got.data == [32.0]
+    assert got.data.tolist() == [32.0]
 
 
 def test_dense_eval_mttkrp_all_ones():
@@ -36,7 +36,7 @@ def test_dense_eval_mttkrp_all_ones():
         "D": DenseTensor((2, 2), [1.0] * 4),
         "C": DenseTensor((2, 2), [1.0] * 4),
     }
-    assert dense_eval(k, ones).data == [4.0] * 4
+    assert dense_eval(k, ones).data.tolist() == [4.0] * 4
 
 
 def test_dense_eval_scoped_reduction():
@@ -48,13 +48,13 @@ def test_dense_eval_scoped_reduction():
     a = DenseTensor((2, 3), [1, 1, 1, 2, 2, 2])
     b = DenseTensor((2, 3), [0, 0, 0, 1, 1, 1])
     c = DenseTensor((2,), [10, 20])
-    assert dense_eval(k, {"A": a, "B": b, "C": c}).data == [13.0, 29.0]
+    assert dense_eval(k, {"A": a, "B": b, "C": c}).data.tolist() == [13.0, 29.0]
 
 
 def test_dense_eval_accumulate_seeds_output():
     k = parse_kernel("tensor a(3)\ntensor x()\nx() += a(i)\n")
     got = dense_eval(k, {"a": DenseTensor((3,), [1, 2, 3]), "x": DenseTensor((), [100.0])})
-    assert got.data == [106.0]
+    assert got.data.tolist() == [106.0]
 
 
 def test_dense_eval_shape_mismatch():
@@ -79,7 +79,7 @@ def test_dense_eval_output_past_the_budget_raises_before_allocating():
     assert peak < 16 << 20
     # Below the budget the same kernel runs.
     small = {"a": DenseTensor((2,), [1.0, 2.0]), "b": DenseTensor((2,), [3.0, 4.0])}
-    assert dense_eval(parse_kernel(OUTER.format(n=2)), small).data == [3.0, 4.0, 6.0, 8.0]
+    assert dense_eval(parse_kernel(OUTER.format(n=2)), small).data.tolist() == [3.0, 4.0, 6.0, 8.0]
 
 
 def test_generate_uniform_is_deterministic():

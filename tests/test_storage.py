@@ -408,7 +408,7 @@ def test_duplicate_runs_sum_in_entry_order():
         total += v
     assert pack(coo, make_encoding([COMPRESSED])).values == (total,)
     assert coo.normalize().entries == [((1,), total)]
-    assert coo.to_dense().data == [0.0, total]
+    assert coo.to_dense().data.tolist() == [0.0, total]
 
 
 def test_to_dense_matches_scatter():
@@ -422,7 +422,7 @@ def test_to_dense_matches_scatter():
             for c, e in zip(coords, shape):
                 flat = flat * e + c
             want[flat] = value
-        assert repr(coo.to_dense().data) == repr(want)
+        assert repr(coo.to_dense().data.tolist()) == repr(want)
 
 
 @pytest.mark.parametrize("coord", [1, np.int64(1), 1.5])
@@ -431,7 +431,7 @@ def test_coordinates_must_be_integers(coord):
     steps = (
         lambda: pack(coo, make_encoding([COMPRESSED])).indices,
         lambda: coo.normalize().entries,
-        lambda: coo.to_dense().data,
+        lambda: coo.to_dense().data.tolist(),
     )
     if isinstance(coord, float):
         for step in steps:
@@ -518,7 +518,7 @@ def _check_coo_matches_reference(shape, pairs):
         for x, e in zip(c, shape):
             flat = flat * e + x
         dense[flat] = v
-    assert repr(coo.to_dense().data) == repr(dense)
+    assert repr(coo.to_dense().data.tolist()) == repr(dense)
     twin = CooTensor.from_arrays(shape, want_coords, want_values)
     assert coo == twin and twin == coo and repr(twin.entries) == repr(coo.entries)
     assert coo.normalize() == CooTensor(shape, merged)
@@ -700,7 +700,7 @@ def _reference_convert(value, enc):
     target sets them one element at a time, unmerged, or copies a dense
     source."""
     if isinstance(value, DenseTensor) and enc is None:
-        return DenseTensor(value.shape, list(value.data))
+        return DenseTensor(value.shape, value.data.tolist())
     if isinstance(value, SparseStorage):
         entries = _reference_iterate(value)
     elif isinstance(value, DenseTensor):
@@ -709,16 +709,17 @@ def _reference_convert(value, enc):
         entries = value.entries if enc is not None else _merged_entries(value)
     if enc is not None:
         return _reference_pack(CooTensor(value.shape, entries), enc)
-    out = DenseTensor.zeros(value.shape)
+    zeros = DenseTensor.zeros(value.shape)
+    out = zeros.data.tolist()
     for coords, v in entries:
-        out.set(coords, v)
-    return out
+        out[zeros.offset(coords)] = float(v)
+    return DenseTensor(value.shape, out)
 
 
 def _state(value):
     # repr of the values, so 0.0 and -0.0 count as different.
     if isinstance(value, DenseTensor):
-        return value.shape, repr(value.data)
+        return value.shape, repr(value.data.tolist())
     return _layout(value)
 
 

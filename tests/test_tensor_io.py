@@ -159,7 +159,7 @@ def test_sparse_literal_length_mismatch():
 
 def test_dense_literal():
     t = read_dense_literal("[1.0, 0.0, 2.0]")
-    assert t.shape == (3,) and t.data == [1.0, 0.0, 2.0]
+    assert t.shape == (3,) and t.data.tolist() == [1.0, 0.0, 2.0]
     m = read_dense_literal("[[1, 2], [3, 4]]")
     assert m.shape == (2, 2) and m.get((1, 0)) == 3.0
 
@@ -167,3 +167,14 @@ def test_dense_literal():
 def test_dense_literal_ragged():
     with pytest.raises(ParseError):
         read_dense_literal("[[1, 2], [3]]")
+
+
+@pytest.mark.parametrize(
+    "value", ['"a"', '"1.5"', "None", "1j", "1" + "0" * 400],
+    ids=["str", "numeric str", "None", "complex", "past the float range"],
+)
+def test_non_real_literal_values_are_parse_errors(value):
+    with pytest.raises(ParseError):
+        read_dense_literal(f"[{value}, 1]")
+    with pytest.raises(ParseError):
+        read_sparse_literal(f"sparse<2>([[0], [1]], [{value}, 1])")

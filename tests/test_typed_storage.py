@@ -1,5 +1,6 @@
-"""`SparseStorage` held as read-only typed arrays: construction from any
-sequence or array, the tuple views against a pure-Python layout, the one
+"""`SparseStorage` and `DenseTensor` held as read-only typed arrays:
+construction from any sequence or array, the tuple views against a
+pure-Python layout, the one
 int64 sort key against `lexsort`, the whole-array binary dump against the
 struct-based writer, and the budget on the positions of dense levels."""
 
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 from sparsec import engine
 from sparsec.cli import main
 from sparsec.encoding import COMPRESSED, DENSE, TensorType, csr, enumerate_encodings, make_encoding
-from sparsec.errors import DenseOutputTooLarge, MalformedStorage
+from sparsec.errors import DenseOutputTooLarge, MalformedStorage, SparsecError
 from sparsec.expr import parse_kernel
 from sparsec.storage import (
     CooTensor,
+    DenseTensor,
     SparseStorage,
     _sorted_unique,
     dump_binary,
@@ -43,7 +45,8 @@ def _frozen(a):
 
 def _forms():
     """The same CSR layout as tuples, lists, writable arrays of several
-    dtypes, and read-only int64/float64 arrays."""
+    dtypes, and read-only int64/float64 arrays; its values are also the
+    data of a (3,) DenseTensor."""
     yield POINTERS, INDICES, VALUES
     yield [list(p) for p in POINTERS], [list(i) for i in INDICES], list(VALUES)
     yield (
@@ -77,10 +80,20 @@ def test_every_form_builds_the_same_storage():
         for pointers, indices in map(storage.level_arrays, range(2)):
             assert pointers.dtype == indices.dtype == np.int64
         assert storage.value_array.dtype == np.float64
+    dense = [DenseTensor((3,), form[2]) for form in _forms()]
+    for tensor in dense:
+        assert tensor == dense[0]
+        assert repr(tensor) == "DenseTensor(shape=(3,), data=[1.0, -0.0, 2.5])"
+        assert tensor.data.dtype == np.float64
 
 
 def test_stored_arrays_reject_writes():
     for form in _forms():
+        data = DenseTensor((3,), form[2]).data
+        with pytest.raises(ValueError):
+            data[0] = 5.0
+        with pytest.raises(ValueError):
+            data.sort()
         storage = SparseStorage(CSR_34, *form)
         pointers, indices = storage.level_arrays(1)
         with pytest.raises(ValueError):
@@ -105,13 +118,15 @@ def test_a_callers_writable_array_is_copied(hand_over):
     storage = SparseStorage(
         CSR_34, list(map(hand_over, pointers)), list(map(hand_over, indices)), hand_over(values)
     )
+    dense = DenseTensor((3,), hand_over(values))
     # The caller's arrays stay writable, and writing them changes nothing,
-    # also when the storage was given read-only views of them.
+    # also when the storage or tensor was given read-only views of them.
     pointers[1][1] = 1
     indices[1][0] = 2
     values[0] = 7.0
     assert storage.pointers == POINTERS and storage.indices == INDICES
     assert repr(storage.values) == repr(VALUES)
+    assert repr(dense.data.tolist()) == repr(list(VALUES))
 
 
 def test_a_read_only_array_of_the_right_dtype_is_shared():
@@ -125,6 +140,11 @@ def test_a_read_only_array_of_the_right_dtype_is_shared():
     assert storage.level_arrays(1)[1] is indices
     assert storage.value_array is values
     assert storage.with_values([1.0, 2.0, 3.0]).level_arrays(1)[0] is pointers
+    dense = DenseTensor((3,), values)
+    assert dense.data is values
+    # Converting to dense still makes a distinct tensor.
+    copy = engine.convert(dense, None)
+    assert copy is not dense and copy.data is not values and copy == dense
 
 
 @pytest.mark.parametrize("part", ["pointers", "indices"])
@@ -161,6 +181,24 @@ def test_float_arrays_are_malformed(part):
 def test_other_bad_arrays_are_malformed(pointers, indices, values):
     with pytest.raises(MalformedStorage):
         SparseStorage(CSR_34, pointers, indices, values)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        (1.0, "2.0"),
+        (1.0, None),
+        (1.0, 2j),
+        np.array([1.0, 2.0], complex),
+        np.array(["1.0", "2.0"]),
+        np.array([1.0, None]),
+        (1.0, 10**400),
+    ],
+    ids=["str", "None", "complex", "complex array", "str array", "object array", "huge int"],
+)
+def test_non_real_dense_values_are_a_sparsec_error(data):
+    with pytest.raises(SparsecError):
+        DenseTensor((2,), data)
 
 
 # ----------------------------------------------------------------------------
