@@ -215,3 +215,82 @@ def test_printer_parenthesizes_correctly():
     k = parse_kernel("tensor a(4)\ntensor b(4)\ntensor c(4)\nc(i) = a(i) - (b(i) - a(i))\n")
     assert "- (" in kernel_to_text(k)
     assert parse_kernel(kernel_to_text(k)) == k
+
+
+# Every malformed kernel names its first bad token by line and column: the
+# column counts a tab as one character, comments and blank lines count as
+# text, and the end-of-file token sits just past the last character.
+PARSE_ERRORS = [
+    # unexpected characters, on the first line and on a later one
+    ("tensor a(4) @\ntensor c(4)\nc(i) = a(i)\n", "1:13: unexpected character '@'"),
+    ("tensor a(4)\ntensor c(4)\nc(i) = a(i) $ 2.0\n", "3:13: unexpected character '$'"),
+    ("tensor a(4)\ntensor c(4)\nc(i) = a(i) \u00e9\n", "3:13: unexpected character '\u00e9'"),
+    ("tensor a(4)\r\ntensor c(4)\r\nc(i) = a(i)\r\n", "1:12: unexpected character '\\r'"),
+    # tabs and comments before the bad token
+    (
+        "tensor a(4)\t# the input\n\t# indented comment\ntensor c(4)\t\nc(i) =\ta(i)\t\t/ 2.0\n",
+        "4:14: unexpected character '/'",
+    ),
+    # a bad token after a comment-only line
+    (
+        "# header\ntensor a(4)\n# only a comment\n  ?\ntensor c(4)\nc(i) = a(i)\n",
+        "4:3: unexpected character '?'",
+    ),
+    # the end of the file, with and without a trailing newline
+    (
+        "tensor a(4)\ntensor c(4)\nc(i) = a(i) +\n",
+        "3:14: expected a tensor access, number, or '(', found '\\n'",
+    ),
+    (
+        "tensor a(4)\ntensor c(4)\nc(i) = a(i) +",
+        "3:14: expected a tensor access, number, or '(', found 'eof'",
+    ),
+    (
+        "tensor a(4)\ntensor c(4)\nc(i) = a(i) *\n\n# trailing comment\n",
+        "3:14: expected a tensor access, number, or '(', found '\\n'",
+    ),
+    ("tensor a(4\n", "1:11: expected ')', found '\\n'"),
+    ("", "1:1: expected 'name', found 'eof'"),
+    ("# nothing here\n", "2:1: expected 'name', found 'eof'"),
+    # reserved words
+    ("tensor format(4)\ntensor c(4)\nc(i) = format(i)\n", "1:8: 'format' is a reserved word"),
+    ("tensor a(4)\ntensor c(4)\nc(i) = a(i) + idx(i)\n", "3:15: 'idx' is a reserved word"),
+    # inside the format clauses
+    (
+        "tensor A(3, 4) format(dense, sparse)\ntensor C(3, 4)\nC(i, j) = A(i, j)\n",
+        "1:30: level type must be dense or compressed, got 'sparse'",
+    ),
+    (
+        "tensor A(3, 4) format(dense compressed)\ntensor C(3, 4)\nC(i, j) = A(i, j)\n",
+        "1:29: expected ')', found 'compressed'",
+    ),
+    (
+        "tensor A(3, 4) format(dense, compressed) order(1, 0) ptr(x)\n"
+        "tensor C(3, 4)\nC(i, j) = A(i, j)\n",
+        "1:58: expected 'number', found 'x'",
+    ),
+    # declarations and the assignment
+    ("tensor a(4)\ntensor a(4)\ntensor c(4)\nc(i) = a(i)\n", "2:8: tensor 'a' declared twice"),
+    (
+        "tensor a(4) order(0)\ntensor c(4)\nc(i) = a(i)\n",
+        "1:8: tensor 'a' has format clauses but no format(...)",
+    ),
+    ("tensor a(4) tensor c(4)\nc(i) = a(i)\n", "1:13: declarations end at the line break"),
+    ("tensor a(4)\ntensor c(4)\nc(i) a(i)\n", "3:6: expected '=', '+=' or '*='"),
+    ("tensor a(4)\ntensor c(4)\nc(i) = a(i) a(i)\n", "3:13: unexpected 'a' after expression"),
+    (
+        "tensor a(4)\ntensor c(4)\nc(i) = a(i)\nc(i) = a(i)\n",
+        "4:1: expected end of file after the assignment",
+    ),
+    ("tensor A(4, 4)\ntensor x()\nx() = A(i, i)\n", "3:7: access A(i, i) repeats an index variable"),
+    ("tensor a(4)\ntensor c(4)\nc(i) = a(i) * 1e999\n", "3:15: numeric literal 1e999 is not finite"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_text_and_position(text, message):
+    with pytest.raises(KernelSyntaxError) as err:
+        parse_kernel(text)
+    assert str(err.value) == message
+    line, column = (int(part) for part in message.split(":")[:2])
+    assert err.value.position == (line, column)
