@@ -42,7 +42,6 @@ from .lattice import (
     access_display_names,
     build_iteration_graph,
     build_lattice,
-    index_accesses,
     lattice_to_text,
     topo_sort,
 )
@@ -201,8 +200,9 @@ def cmd_emit(args) -> int:
             lines.append(f"  topo order: {', '.join(topo)}")
             chunks.append("\n".join(lines) + "\n")
         elif args.emit == "lattice":
-            _, refs = index_accesses(piece)
-            names = access_display_names(refs)
+            # The piece's analysis tagged its accesses once; every lattice
+            # below is built over that same tagged right-hand side.
+            names = access_display_names(piece.analysis.accesses)
             lines = [f"lattices for {expr_to_text(piece.lhs)}:"]
             for var in topo:
                 lat = build_lattice(piece, var)

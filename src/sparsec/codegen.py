@@ -32,18 +32,17 @@ from .expr import (
     Mul,
     Neg,
     Sub,
-    children,
+    analyze_reductions,
     expr_to_text,
     has_access,
-    walk,
 )
 from .lattice import (
     RANGE_DRIVER,
     AccessRef,
+    LatticePoint,
     MergeLattice,
     access_display_names,
     build_lattice_for,
-    index_accesses,
 )
 
 # ----------------------------------------------------------------------------
@@ -57,7 +56,7 @@ class StrategyKind(enum.Enum):
     IN_PLACE = "in-place"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutputStrategy:
     kind: StrategyKind
     var: Optional[str] = None  # expansion variable for EXPAND_COMPRESS
@@ -126,7 +125,7 @@ def choose_output_strategy(kernel: Kernel, topo_order) -> OutputStrategy:
 # IR nodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValRef:
     """Expression leaf: the hoisted value of one access occurrence."""
 
@@ -134,32 +133,32 @@ class ValRef:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccRef:
     """Expression leaf: a scalar accumulator."""
 
     slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoadRange:
     uid: int
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoadVal:
     uid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForDense:
     var: str
     extent: int
     body: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForPositions:
     uid: int
     level: int
@@ -167,18 +166,18 @@ class ForPositions:
     body: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangeInit:
     var: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoiterCase:
     iterators: frozenset  # uids that must hold the candidate (range excluded)
     body: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WhileCoiter:
     var: str
     iterators: tuple  # (uid, level) pairs co-iterated by this loop
@@ -187,53 +186,53 @@ class WhileCoiter:
     cases: tuple  # CoiterCase, dominance order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeclAcc:
     slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccumAcc:
     slot: int
     expr: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoreDense:
     coords: tuple  # var names, logical order
     expr: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertLex:
     coords: tuple  # var names, logical order
     expr: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpandWs:
     extent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScatterWs:
     var: str
     expr: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompressWs:
     prefix: tuple  # var names, output storage order, outermost first
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoreInPlace:
     uid: int
     level: int
     expr: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     kernel: Kernel
     strategy: OutputStrategy
@@ -248,51 +247,63 @@ class Program:
 # Lowering
 
 
+_FIRST_SINK = {
+    StrategyKind.DENSE_STORE: ("dense",),
+    StrategyKind.DIRECT_LEX: ("insert",),
+    StrategyKind.EXPAND_COMPRESS: ("pre-scatter",),
+}
+
+
 class _Lowerer:
     def __init__(self, kernel: Kernel, topo, lattices=None):
-        assert kernel.analysis is not None, "lower() needs an analyzed kernel"
+        an = kernel.analysis
         self.kernel = kernel
         self.topo = tuple(topo)
-        self.depth_of = {v: i for i, v in enumerate(self.topo)}
-        self.extents = kernel.analysis.var_extents
+        depth_of = {v: i for i, v in enumerate(self.topo)}
+        self.extents = an.var_extents
         self.tensors = kernel.tensors
-        self.rhs, self.accesses = index_accesses(kernel)
+        self.rhs, self.accesses = an.indexed_rhs, an.accesses
+        # depth -> the uids fully bound at that loop depth (-1: before any
+        # loop), in uid order; each access's depth is found once, here
+        self.bound_at = {d: [] for d in range(-1, len(self.topo))}
+        for a in self.accesses:
+            self.bound_at[max((depth_of[v] for v in a.indices), default=-1)].append(a.uid)
         self.names = access_display_names(self.accesses)
-        self.top_lattices = lattices or {}
+        self.values = [ValRef(a.uid, f"{self.names[a.uid]}_val") for a in self.accesses]
+        # (id(expr), var) -> that expression's lattice for var, built on first
+        # use. Every expression lowered is self.rhs or a point of a lattice
+        # held here, so no id is reused while the lowering runs.
+        self.lattices = {(id(self.rhs), v): lat for v, lat in (lattices or {}).items()}
         self.strategy = choose_output_strategy(kernel, self.topo)
         self.free = kernel.lhs.indices
-        self.reductions = kernel.analysis.reduction_vars
+        self.reductions = an.reduction_vars
         self.acc_count = 0
         self.out_svars = output_storage_vars(kernel)
 
     # -- helpers
 
-    def _max_depth(self, access: AccessRef) -> int:
-        return max((self.depth_of[v] for v in access.indices), default=-1)
-
     def _iter_level(self, access: AccessRef, var: str) -> int:
         enc = self.tensors[access.tensor].encoding
         return enc.level_of_dim(access.indices.index(var))
 
-    def _hoist_loads(self, depth: int, expr: Expr) -> list:
-        loads = []
-        seen = set()
-        for _, node in walk(expr):
-            if isinstance(node, AccessRef) and node.uid not in seen:
-                if self._max_depth(node) == depth:
-                    seen.add(node.uid)
-                    loads.append(LoadVal(node.uid))
-        return loads
+    def _hoist_loads(self, depth: int, point: LatticePoint) -> list:
+        # An access bound at this depth reads the loop's variable, so it is
+        # in the point's expression exactly when the point merges or
+        # locates it.
+        return [
+            LoadVal(uid)
+            for uid in self.bound_at[depth]
+            if uid in point.iterators or uid in point.locators
+        ]
 
     def _link_expr(self, expr: Expr):
         if isinstance(expr, AccessRef):
-            return ValRef(expr.uid, f"{self.names[expr.uid]}_val")
+            return self.values[expr.uid]
         if isinstance(expr, Const):
             return expr
-        kids = tuple(self._link_expr(k) for k in children(expr))
         if isinstance(expr, Neg):
-            return Neg(kids[0])
-        return type(expr)(kids[0], kids[1])
+            return Neg(self._link_expr(expr.operand))
+        return type(expr)(self._link_expr(expr.lhs), self._link_expr(expr.rhs))
 
     def _sink(self, sink, expr: Expr):
         linked = self._link_expr(expr)
@@ -334,10 +345,10 @@ class _Lowerer:
 
     def _emit_var(self, depth: int, expr: Expr, sink) -> list:
         var = self.topo[depth]
-        lat = self._lattice(depth, expr, var)
+        lat = self._lattice(expr, var)
         if lat.is_dense_loop:
             point = lat.first
-            body = self._hoist_loads(depth, point.expr) + self.emit(depth + 1, point.expr, sink)
+            body = self._hoist_loads(depth, point) + self.emit(depth + 1, point.expr, sink)
             return [ForDense(var, lat.extent, tuple(body))]
         stmts: list = []
         uid_levels = [(uid, self._iter_level(self.accesses[uid], var)) for uid in lat.iterator_uids()]
@@ -351,7 +362,7 @@ class _Lowerer:
         ):
             (uid,) = lat.first.iterators
             point = lat.first
-            body = self._hoist_loads(depth, point.expr) + self.emit(depth + 1, point.expr, sink)
+            body = self._hoist_loads(depth, point) + self.emit(depth + 1, point.expr, sink)
             stmts.append(ForPositions(uid, level_of[uid], var, tuple(body)))
             return stmts
         if lat.range_driven:
@@ -359,7 +370,7 @@ class _Lowerer:
         for point in lat.points:
             cases = []
             for q in lat.sub_points(point):
-                body = self._hoist_loads(depth, q.expr) + self.emit(depth + 1, q.expr, sink)
+                body = self._hoist_loads(depth, q) + self.emit(depth + 1, q.expr, sink)
                 cases.append(CoiterCase(q.iterators - {RANGE_DRIVER}, tuple(body)))
             its = tuple((uid, level_of[uid]) for uid in sorted(point.iterators - {RANGE_DRIVER}))
             stmts.append(
@@ -373,16 +384,18 @@ class _Lowerer:
             )
         return stmts
 
-    def _lattice(self, depth: int, expr: Expr, var: str) -> MergeLattice:
-        if expr is self.rhs and var in self.top_lattices:
-            return self.top_lattices[var]
-        return build_lattice_for(expr, var, self.tensors, self.extents[var])
+    def _lattice(self, expr: Expr, var: str) -> MergeLattice:
+        lat = self.lattices.get((id(expr), var))
+        if lat is None:
+            lat = build_lattice_for(expr, var, self.tensors, self.extents[var])
+            self.lattices[id(expr), var] = lat
+        return lat
 
     def _lower_in_place(self) -> list:
         out_ref = next(
             a for a in self.accesses if a.tensor == self.kernel.lhs.tensor
         )
-        body = self._hoist_loads(0, self.rhs) + [
+        body = [LoadVal(uid) for uid in self.bound_at[0]] + [
             StoreInPlace(out_ref.uid, 0, self._link_expr(self.rhs))
         ]
         return [
@@ -391,20 +404,13 @@ class _Lowerer:
         ]
 
     def lower(self) -> Program:
-        prologue = [
-            LoadVal(a.uid) for a in self.accesses if self._max_depth(a) == -1
-        ]
+        prologue = [LoadVal(uid) for uid in self.bound_at[-1]]
         if self.strategy.kind is StrategyKind.IN_PLACE:
             body = self._lower_in_place()
         else:
             if self.strategy.kind is StrategyKind.EXPAND_COMPRESS:
                 prologue.append(ExpandWs(self.extents[self.strategy.var]))
-            sink = {
-                StrategyKind.DENSE_STORE: ("dense",),
-                StrategyKind.DIRECT_LEX: ("insert",),
-                StrategyKind.EXPAND_COMPRESS: ("pre-scatter",),
-            }[self.strategy.kind]
-            body = self.emit(0, self.rhs, sink)
+            body = self.emit(0, self.rhs, _FIRST_SINK[self.strategy.kind])
         return Program(
             self.kernel,
             self.strategy,
@@ -457,7 +463,15 @@ def reject_unsupported_output(kernel: Kernel):
 
 
 def lower(kernel: Kernel, topo_order, lattices=None) -> Program:
-    """Lower an analyzed kernel to a loop IR Program."""
+    """Lower a kernel to a loop IR Program, analysing it first if need be.
+
+    `lattices` optionally maps variables to the right-hand side's merge
+    lattices (`lattice.build_lattice`); every other lattice the loops need
+    is built when the lowering first reaches it, once per subexpression
+    and variable.
+    """
+    if kernel.analysis is None:
+        kernel = analyze_reductions(kernel)
     reject_unsupported_output(kernel)
     return _Lowerer(kernel, topo_order, lattices).lower()
 

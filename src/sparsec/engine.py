@@ -84,9 +84,8 @@ from .expr import (
     Sub,
     analyze_reductions,
     split_for_whole_expr_reduction,
-    walk,
 )
-from .lattice import build_iteration_graph, build_lattice, topo_sort
+from .lattice import build_iteration_graph, topo_sort
 from .storage import (
     CooTensor,
     DenseTensor,
@@ -688,15 +687,14 @@ def prepare_kernels(kernel: Kernel) -> list:
 def compile_kernel(kernel: Kernel) -> tuple:
     """Compile a kernel into one lowered Program per piece, in run order.
 
-    Prepares the pieces (`prepare_kernels`), orders each one's loops,
-    builds its merge lattices and lowers it. Raises `OrderConflict` when a
+    Prepares the pieces (`prepare_kernels`, which analyses each piece
+    once), orders each one's loops and lowers it; `lower` builds each merge
+    lattice only when its loops need it. Raises `OrderConflict` when a
     piece's dimension orderings admit no loop order.
     """
     programs = []
     for piece in prepare_kernels(kernel):
-        topo = topo_sort(build_iteration_graph(piece))
-        lattices = {v: build_lattice(piece, v) for v in topo}
-        programs.append(lower(piece, topo, lattices))
+        programs.append(lower(piece, topo_sort(build_iteration_graph(piece))))
     return tuple(programs)
 
 
@@ -705,13 +703,12 @@ def _operands(kernel: Kernel, programs: tuple) -> dict:
     they are first read, each with its declared type: every tensor a piece
     reads that no earlier piece writes, and the output when `kernel`
     accumulates into it."""
-    pieces = [program.kernel for program in programs]
-    temp_names = {piece.lhs.tensor for piece in pieces[:-1]}
+    temp_names = {program.kernel.lhs.tensor for program in programs[:-1]}
     operands: dict = {}
-    for piece in pieces:
-        for _, node in walk(piece.rhs):
-            if isinstance(node, Access) and node.tensor not in temp_names:
-                operands.setdefault(node.tensor, piece.tensors[node.tensor])
+    for program in programs:
+        for access in program.accesses:
+            if access.tensor not in temp_names:
+                operands.setdefault(access.tensor, program.kernel.tensors[access.tensor])
     if kernel.accumulate:
         operands.setdefault(kernel.lhs.tensor, kernel.tensors[kernel.lhs.tensor])
     return operands

@@ -18,9 +18,10 @@ uses, which `split_for_whole_expr_reduction` normalizes away by
 materializing temporaries.
 """
 
+import itertools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from .encoding import COMPRESSED, DENSE, LevelType, TensorType, make_encoding
@@ -36,35 +37,35 @@ from .errors import (
 # AST
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Access:
     tensor: str
     indices: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub:
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul:
     lhs: "Expr"
     rhs: "Expr"
@@ -110,23 +111,69 @@ def replace_at(node: Expr, path: tuple, new: Expr) -> Expr:
     return with_children(node, tuple(kids))
 
 
-def vars_used(node: Expr) -> set:
-    out = set()
-    for _, n in walk(node):
-        if isinstance(n, Access):
-            out.update(n.indices)
+def accesses(node: Expr) -> list:
+    """The Access leaves of `node`, depth-first and left to right."""
+    out = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Access):
+            out.append(node)
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        elif not isinstance(node, Const):
+            stack += (node.rhs, node.lhs)
     return out
 
 
+def vars_used(node: Expr) -> set:
+    return {v for access in accesses(node) for v in access.indices}
+
+
 def has_access(node: Expr) -> bool:
-    return any(isinstance(n, Access) for _, n in walk(node))
+    return bool(accesses(node))
+
+
+@dataclass(frozen=True, slots=True)
+class AccessRef(Access):
+    """An Access leaf tagged with its occurrence id within one kernel.
+
+    Two textually identical accesses are distinct iterators at runtime, so
+    lattice points and generated code refer to occurrences, not spellings.
+    """
+
+    uid: int = -1
+
+
+def index_accesses(rhs: Expr) -> tuple:
+    """Tag every access leaf of `rhs` with its occurrence id, in one walk.
+
+    Returns the tagged expression, the AccessRef leaves in uid order
+    (depth-first, left to right) and each leaf's path from the root.
+    """
+    refs: List[AccessRef] = []
+    paths: List[tuple] = []
+
+    def rewrite(node, path):
+        if isinstance(node, Access):
+            ref = AccessRef(node.tensor, node.indices, uid=len(refs))
+            refs.append(ref)
+            paths.append(path)
+            return ref
+        if isinstance(node, Neg):
+            return Neg(rewrite(node.operand, path + (0,)))
+        if isinstance(node, Const):
+            return node
+        return type(node)(rewrite(node.lhs, path + (0,)), rewrite(node.rhs, path + (1,)))
+
+    return rewrite(rhs, ()), tuple(refs), tuple(paths)
 
 
 # ----------------------------------------------------------------------------
 # Kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelAnalysis:
     """Results of analyze_reductions, attached to the kernel."""
 
@@ -136,9 +183,12 @@ class KernelAnalysis:
     captures: dict  # reduction var -> path of its capture node
     node_reductions: dict  # path -> vars reduced exactly at that node
     broadcasts: dict  # access path -> vars the operand is broadcast along
+    index_vars: tuple  # as Kernel.index_vars
+    indexed_rhs: Expr  # the right-hand side with AccessRef leaves
+    accesses: tuple  # those AccessRef leaves, uid order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Kernel:
     """One parsed assignment plus the tensor declarations it refers to."""
 
@@ -151,92 +201,96 @@ class Kernel:
     @property
     def index_vars(self) -> tuple:
         """All index variables in order of first appearance, LHS first."""
-        seen = dict.fromkeys(self.lhs.indices)
-        for _, node in walk(self.rhs):
-            if isinstance(node, Access):
-                seen.update(dict.fromkeys(node.indices))
-        return tuple(seen)
+        if self.analysis is not None:
+            return self.analysis.index_vars
+        return _index_vars(self.lhs, accesses(self.rhs))
 
     @property
     def output_type(self) -> TensorType:
         return self.tensors[self.lhs.tensor]
 
 
+def _index_vars(lhs: Access, rhs_accesses) -> tuple:
+    seen = dict.fromkeys(lhs.indices)
+    for access in rhs_accesses:
+        seen.update(dict.fromkeys(access.indices))
+    return tuple(seen)
+
+
 # ----------------------------------------------------------------------------
 # Tokenizer / parser
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<newline>\n)
-      | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>\+=|\*=|[()=+\-*,])
-    """,
-    re.VERBOSE,
-)
-
+# A line break, number, name or operator.
+_TOKEN = r"""\n
+    | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?
+    | [A-Za-z_][A-Za-z0-9_]*
+    | \+=|\*=|[()=+\-*,]"""
+# One token after any blanks and a comment, or the empty end-of-file token.
+_TOKEN_RE = re.compile(rf"[ \t]*(?:\#[^\n]*)? ({_TOKEN} | \Z)", re.VERBOSE)
+# Blanks, comments and tokens as far as they run: the character this stops
+# at, if any, starts no token.
+_SCAN_RE = re.compile(rf"(?: [ \t]+ | \#[^\n]* | {_TOKEN} )*+", re.VERBOSE)
+_NUMBER_START = frozenset("0123456789.")
 _KEYWORDS = {"tensor", "format", "order", "ptr", "idx"}
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 def _tokenize(text: str) -> list:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise KernelSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "newline":
-            tokens.append(_Token("newline", tok, line, col))
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                tokens.append(_Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    """The tokens of `text` as strings, in one scan, ending in the empty
+    end-of-file token (which may repeat).
+
+    A token's kind follows from its text: names are identifiers, numbers
+    start with a digit or a dot, and a line break is its own token.
+    Positions are not kept; `_Parser.fail` finds one again when it is needed.
+    """
+    end = _SCAN_RE.match(text).end()
+    if end < len(text):
+        raise KernelSyntaxError(f"unexpected character {text[end]!r}", *_line_col(text, end))
+    return _TOKEN_RE.findall(text)
+
+
+def _line_col(text: str, offset: int) -> tuple:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.tok = self.tokens[0]
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def next(self) -> str:
+        tok = self.tok
+        if tok:  # the end-of-file token is the only empty one; it stays put
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
-    def fail(self, message: str, tok: Optional[_Token] = None):
-        tok = tok or self.peek()
-        raise KernelSyntaxError(message, tok.line, tok.col)
+    def fail(self, message: str, at: Optional[int] = None):
+        """Raise at the token with index `at`, the current one by default.
+        Only an error looks for a token's position, by scanning again."""
+        index = self.pos if at is None else at
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.text), index, None))
+        raise KernelSyntaxError(message, *_line_col(self.text, m.start(1)))
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            self.fail(f"expected {want!r}, found {tok.text or tok.kind!r}")
-        return self.next()
+    def expect(self, want: str) -> str:
+        """Take the current token if it is `want`, or, for "name" and
+        "number", a token of that kind."""
+        tok = self.tok
+        if want == "name":
+            ok = tok.isidentifier()
+        elif want == "number":
+            ok = tok[:1] in _NUMBER_START
+        else:
+            ok = tok == want
+        if not ok:
+            self.fail(f"expected {want!r}, found {tok or 'eof'!r}")
+        self.pos += 1
+        self.tok = self.tokens[self.pos]
+        return tok
 
     def skip_newlines(self):
-        while self.peek().kind == "newline":
+        while self.tok == "\n":
             self.next()
 
     # ---- declarations
@@ -244,146 +298,142 @@ class _Parser:
     def parse_file(self) -> Kernel:
         tensors: Dict[str, TensorType] = {}
         self.skip_newlines()
-        while self.peek().kind == "name" and self.peek().text == "tensor":
+        while self.tok == "tensor":
             self.parse_declaration(tensors)
             self.skip_newlines()
         kernel = self.parse_assignment(tensors)
         self.skip_newlines()
-        if self.peek().kind != "eof":
+        if self.tok:
             self.fail("expected end of file after the assignment")
         return kernel
 
     def parse_declaration(self, tensors: dict):
-        self.expect("name", "tensor")
-        name_tok = self.expect("name")
-        name = name_tok.text
+        self.expect("tensor")
+        name_at = self.pos
+        name = self.expect("name")
         if name in _KEYWORDS:
-            self.fail(f"{name!r} is a reserved word", name_tok)
+            self.fail(f"{name!r} is a reserved word", name_at)
         if name in tensors:
-            self.fail(f"tensor {name!r} declared twice", name_tok)
-        self.expect("op", "(")
+            self.fail(f"tensor {name!r} declared twice", name_at)
+        self.expect("(")
         shape = []
-        while self.peek().kind == "number":
-            shape.append(int(self.next().text))
-            if self.peek().text == ",":
+        while self.tok[:1] in _NUMBER_START:
+            shape.append(int(self.next()))
+            if self.tok == ",":
                 self.next()
-        self.expect("op", ")")
+        self.expect(")")
         levels = ordering = ptr_w = idx_w = None
-        while self.peek().kind == "name" and self.peek().text in (
-            "format",
-            "order",
-            "ptr",
-            "idx",
-        ):
-            clause = self.next().text
-            self.expect("op", "(")
+        while self.tok in ("format", "order", "ptr", "idx"):
+            clause = self.next()
+            self.expect("(")
             if clause == "format":
                 levels = []
                 while True:
-                    tok = self.expect("name")
-                    if tok.text == "dense":
+                    level_at = self.pos
+                    level = self.expect("name")
+                    if level == "dense":
                         levels.append(DENSE)
-                    elif tok.text == "compressed":
+                    elif level == "compressed":
                         levels.append(COMPRESSED)
                     else:
-                        self.fail(f"level type must be dense or compressed, got {tok.text!r}", tok)
-                    if self.peek().text == ",":
+                        self.fail(f"level type must be dense or compressed, got {level!r}", level_at)
+                    if self.tok == ",":
                         self.next()
                     else:
                         break
             elif clause == "order":
                 ordering = []
-                while self.peek().kind == "number":
-                    ordering.append(int(self.next().text))
-                    if self.peek().text == ",":
+                while self.tok[:1] in _NUMBER_START:
+                    ordering.append(int(self.next()))
+                    if self.tok == ",":
                         self.next()
             elif clause == "ptr":
-                ptr_w = int(self.expect("number").text)
+                ptr_w = int(self.expect("number"))
             else:
-                idx_w = int(self.expect("number").text)
-            self.expect("op", ")")
+                idx_w = int(self.expect("number"))
+            self.expect(")")
         if levels is None and (ordering is not None or ptr_w is not None or idx_w is not None):
-            self.fail(f"tensor {name!r} has format clauses but no format(...)", name_tok)
+            self.fail(f"tensor {name!r} has format clauses but no format(...)", name_at)
         encoding = None
         if levels is not None:
             encoding = make_encoding(levels, ordering, ptr_w, idx_w)
         tensors[name] = TensorType(tuple(shape), encoding)
-        if self.peek().kind not in ("newline", "eof"):
+        if self.tok not in ("\n", ""):
             self.fail("declarations end at the line break")
 
     # ---- assignment and expressions
 
     def parse_assignment(self, tensors: dict) -> Kernel:
         lhs = self.parse_access(tensors)
-        op_tok = self.peek()
-        if op_tok.text not in ("=", "+=", "*="):
+        op = self.tok
+        if op not in ("=", "+=", "*="):
             self.fail("expected '=', '+=' or '*='")
         self.next()
         rhs = self.parse_expr(tensors)
-        if self.peek().kind not in ("newline", "eof"):
-            self.fail(f"unexpected {self.peek().text!r} after expression")
-        if op_tok.text == "*=":
+        if self.tok not in ("\n", ""):
+            self.fail(f"unexpected {self.tok!r} after expression")
+        if op == "*=":
             rhs = Mul(lhs, rhs)
-        kernel = Kernel(lhs, rhs, dict(tensors), accumulate=(op_tok.text == "+="))
+        kernel = Kernel(lhs, rhs, dict(tensors), accumulate=(op == "+="))
         _validate(kernel)
         return kernel
 
     def parse_expr(self, tensors: dict) -> Expr:
         node = self.parse_term(tensors)
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        while self.tok in ("+", "-"):
+            op = self.next()
             rhs = self.parse_term(tensors)
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
         return node
 
     def parse_term(self, tensors: dict) -> Expr:
         node = self.parse_unary(tensors)
-        while self.peek().text == "*":
+        while self.tok == "*":
             self.next()
             node = Mul(node, self.parse_unary(tensors))
         return node
 
     def parse_unary(self, tensors: dict) -> Expr:
-        if self.peek().text == "-":
+        if self.tok == "-":
             self.next()
             return Neg(self.parse_unary(tensors))
         return self.parse_atom(tensors)
 
     def parse_atom(self, tensors: dict) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            value = float(tok.text)
+        tok = self.tok
+        if tok[:1] in _NUMBER_START:
+            value = float(tok)
             if not math.isfinite(value):
                 # No result is format-invariant: a dense operand visits its
                 # zeros (0 * inf = nan) where a compressed one skips them.
-                self.fail(f"numeric literal {tok.text} is not finite", tok)
+                self.fail(f"numeric literal {tok} is not finite")
+            self.next()
             return Const(value)
-        if tok.text == "(":
+        if tok == "(":
             self.next()
             node = self.parse_expr(tensors)
-            self.expect("op", ")")
+            self.expect(")")
             return node
-        if tok.kind == "name":
+        if tok.isidentifier():
             return self.parse_access(tensors)
-        self.fail(f"expected a tensor access, number, or '(', found {tok.text or tok.kind!r}")
+        self.fail(f"expected a tensor access, number, or '(', found {tok or 'eof'!r}")
 
     def parse_access(self, tensors: dict) -> Access:
-        name_tok = self.expect("name")
-        name = name_tok.text
+        name_at = self.pos
+        name = self.expect("name")
         if name in _KEYWORDS:
-            self.fail(f"{name!r} is a reserved word", name_tok)
+            self.fail(f"{name!r} is a reserved word", name_at)
         if name not in tensors:
             raise UnknownTensor(f"tensor {name!r} used before declaration")
-        self.expect("op", "(")
+        self.expect("(")
         indices = []
-        while self.peek().kind == "name":
-            indices.append(self.next().text)
-            if self.peek().text == ",":
+        while self.tok.isidentifier():
+            indices.append(self.next())
+            if self.tok == ",":
                 self.next()
-        self.expect("op", ")")
+        self.expect(")")
         if len(set(indices)) != len(indices):
-            self.fail(f"access {name}({', '.join(indices)}) repeats an index variable", name_tok)
+            self.fail(f"access {name}({', '.join(indices)}) repeats an index variable", name_at)
         if len(indices) != tensors[name].rank:
             raise RankMismatch(
                 f"tensor {name!r} has rank {tensors[name].rank}, accessed with "
@@ -450,46 +500,46 @@ def analyze_reductions(kernel: Kernel) -> Kernel:
 
     Free variables appear on the left-hand side; all others are summed over
     the smallest subexpression capturing every one of their uses (the
-    deepest common ancestor of the accesses that mention them).
+    deepest common ancestor of the accesses that mention them). The one
+    walk that tags the access occurrences (`index_accesses`) feeds every
+    result, and the analysis keeps the tagged right-hand side, its accesses
+    and the index variables, so later stages need not walk it again.
     """
     free = kernel.lhs.indices
-    order = kernel.index_vars
+    rhs, refs, paths = index_accesses(kernel.rhs)
+    order = _index_vars(kernel.lhs, refs)
     reductions = tuple(v for v in order if v not in free)
 
     extents: Dict[str, int] = {}
-    for _, node in walk(kernel.rhs):
-        if isinstance(node, Access):
-            _merge_extents(extents, node, kernel.tensors)
+    for ref in refs:
+        _merge_extents(extents, ref, kernel.tensors)
     _merge_extents(extents, kernel.lhs, kernel.tensors)
 
     use_paths: Dict[str, List[tuple]] = {v: [] for v in reductions}
-    for path, node in walk(kernel.rhs):
-        if isinstance(node, Access):
-            for v in node.indices:
-                if v in use_paths:
-                    use_paths[v].append(path)
+    for path, ref in zip(paths, refs):
+        for v in ref.indices:
+            if v in use_paths:
+                use_paths[v].append(path)
 
     captures = {}
     node_reductions: Dict[tuple, list] = {}
     for v in reductions:
-        paths = use_paths[v]
-        prefix = paths[0]
-        for p in paths[1:]:
+        paths_v = use_paths[v]
+        prefix = paths_v[0]
+        for p in paths_v[1:]:
             prefix = _common_prefix(prefix, p)
         captures[v] = prefix
         node_reductions.setdefault(prefix, []).append(v)
     node_reductions = {p: tuple(vs) for p, vs in node_reductions.items()}
 
     broadcasts = {}
-    for path, node in walk(kernel.rhs):
-        if isinstance(node, Access):
-            along = tuple(
-                v
-                for v in order
-                if v not in node.indices
-                and (v in free or _is_proper_prefix(captures[v], path))
-            )
-            broadcasts[path] = along
+    for path, ref in zip(paths, refs):
+        broadcasts[path] = tuple(
+            v
+            for v in order
+            if v not in ref.indices
+            and (v in free or _is_proper_prefix(captures[v], path))
+        )
 
     analysis = KernelAnalysis(
         free_vars=free,
@@ -498,8 +548,11 @@ def analyze_reductions(kernel: Kernel) -> Kernel:
         captures=captures,
         node_reductions=node_reductions,
         broadcasts=broadcasts,
+        index_vars=order,
+        indexed_rhs=rhs,
+        accesses=refs,
     )
-    return replace(kernel, analysis=analysis)
+    return Kernel(kernel.lhs, kernel.rhs, kernel.tensors, kernel.accumulate, analysis)
 
 
 def _merge_extents(extents: dict, access: Access, tensors: dict):

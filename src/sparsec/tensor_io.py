@@ -280,8 +280,11 @@ def read_sparse_literal(text: str) -> CooTensor:
     shape = tuple(int(tok) for tok in m.group(1).lower().split("x"))
     try:
         coords_list, values_list = ast.literal_eval("(" + m.group(2) + ")")
-    except (ValueError, SyntaxError) as e:
+    except (ValueError, SyntaxError, TypeError) as e:
         raise ParseError(f"bad sparse literal body: {e}")
+    for part, what in ((coords_list, "coordinates"), (values_list, "values")):
+        if not isinstance(part, (list, tuple)):
+            raise ParseError(f"sparse literal {what} must be a list, got {part!r}")
     if len(coords_list) != len(values_list):
         raise LengthMismatch(
             f"{len(coords_list)} coordinate tuples but {len(values_list)} values"

@@ -348,6 +348,17 @@ def test_cmd_run_non_real_literal_value_is_one_parse_error_line(tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("sparsec: error[ParseError]: "), err
 
 
+def test_cmd_convert_sparse_literal_with_scalar_values_is_one_parse_error_line(tmp_path, capsys):
+    code = main([
+        "convert", "--input", "sparse<2>([[0]], 5)", "--from", "format(compressed)",
+        "--to", "dense", "--output", str(tmp_path / "x.tns"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[ParseError]: "), err
+    assert not (tmp_path / "x.tns").exists()
+
+
 def test_cmd_convert_sparse_literal_rejects_float_coordinates(tmp_path, capsys):
     # 1.5 must not be truncated to index 1 on the way in.
     code = main(

@@ -1,9 +1,16 @@
 """Structural checks on lowering: strategies, IR shape, emission."""
 
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import sparsec
+from sparsec import codegen, lattice
+from sparsec import expr as expr_module
 from sparsec.codegen import (
     CompressWs,
     ExpandWs,
@@ -18,10 +25,11 @@ from sparsec.codegen import (
     lower,
 )
 from sparsec.encoding import TensorType, enumerate_encodings
-from sparsec.engine import compile_kernel
+from sparsec.engine import compile_kernel, prepare_kernels
 from sparsec.errors import OrderConflict, UnsupportedKernel
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.lattice import build_iteration_graph, build_lattice, topo_sort
+from test_acceptance import _random_kernel_case
 
 
 def _lowered(text):
@@ -256,3 +264,92 @@ def test_lowering_ignores_bit_widths(text, name, rank):
         for width in variants:
             assert _ir_text(kernel, name, width) == want, width.describe()
     assert compiled >= len(native) // 2
+
+
+def test_lower_analyses_an_unanalysed_kernel_under_optimize():
+    # `lower` checks for a missing analysis with no assert, so `python -O`
+    # lowers the same kernel to the same IR, and a parse error keeps its text.
+    script = (
+        "from sparsec.codegen import emit_text, lower\n"
+        "from sparsec.errors import KernelSyntaxError\n"
+        "from sparsec.expr import parse_kernel\n"
+        f"kernel = parse_kernel({SPMSPM!r})\n"
+        "if kernel.analysis is not None:\n"
+        "    raise SystemExit('a parsed kernel is not analysed yet')\n"
+        "print(emit_text(lower(kernel, ['i', 'k', 'j'])), end='')\n"
+        "try:\n"
+        "    parse_kernel('tensor a(4)\\ntensor c(4)\\nc(i) =\\ta(i) @ 2.0\\n')\n"
+        "except KernelSyntaxError as err:\n"
+        "    print(f'{type(err).__name__}: {err} {err.position}')\n"
+    )
+    src = os.path.dirname(os.path.dirname(sparsec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        for flags in ([], ["-O"])
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    plain, optimized = (proc.stdout for proc in runs)
+    assert optimized == plain
+    k = analyze_reductions(parse_kernel(SPMSPM))
+    want = emit_text(lower(k, ["i", "k", "j"], {v: build_lattice(k, v) for v in "ikj"}))
+    assert plain == want + "KernelSyntaxError: 3:13: unexpected character '@' (3, 13)\n"
+
+
+def test_lattices_built_on_demand_match_the_up_front_ones():
+    # `compile_kernel` lets `lower` build each lattice when its loops reach
+    # it; the benchmark and `emit --emit lattice` hand `lower` every top
+    # lattice up front. Both must give the same Programs.
+    rng = random.Random(1103)
+    compiled = 0
+    while compiled < 150:
+        text, _ = _random_kernel_case(rng, integer_data=False)
+        try:
+            programs = compile_kernel(parse_kernel(text))
+        except OrderConflict:
+            continue
+        pieces = prepare_kernels(parse_kernel(text))
+        assert len(programs) == len(pieces), text
+        for program, piece in zip(programs, pieces):
+            topo = topo_sort(build_iteration_graph(piece))
+            up_front = lower(piece, topo, {v: build_lattice(piece, v) for v in topo})
+            assert emit_text(program) == emit_text(up_front), text
+            assert program == up_front, text
+        compiled += 1
+
+
+def test_one_index_and_one_lattice_per_expression_and_variable(monkeypatch):
+    # A union of three doubly compressed matrices co-iterates along i in
+    # seven loops, one per lattice point; their 19 cases re-enter the seven
+    # point expressions along j, and each of those lattices is built once.
+    text = (
+        "tensor A(4, 4) format(compressed, compressed)\n"
+        "tensor B(4, 4) format(compressed, compressed)\n"
+        "tensor C(4, 4) format(compressed, compressed)\n"
+        "tensor Y(4, 4) format(compressed, compressed)\n"
+        "Y(i, j) = A(i, j) + B(i, j) + C(i, j)\n"
+    )
+    indexed, built = [], []
+    index_accesses, build_lattice_for = expr_module.index_accesses, codegen.build_lattice_for
+
+    def counting_index(rhs):
+        indexed.append(rhs)
+        return index_accesses(rhs)
+
+    def counting_build(expr, var, tensors, extent):
+        built.append((expr, var))
+        return build_lattice_for(expr, var, tensors, extent)
+
+    monkeypatch.setattr(expr_module, "index_accesses", counting_index)
+    monkeypatch.setattr(codegen, "build_lattice_for", counting_build)
+    monkeypatch.setattr(lattice, "build_lattice_for", counting_build)
+    (program,) = compile_kernel(parse_kernel(text))
+    assert len(indexed) == 1
+    loops = [s for s in program.body if isinstance(s, WhileCoiter)]
+    assert len(loops) == 7 and sum(len(loop.cases) for loop in loops) == 19
+    assert [v for _, v in built] == ["i"] + ["j"] * 7
+    assert len({(id(e), v) for e, v in built}) == len(built)

@@ -178,3 +178,13 @@ def test_non_real_literal_values_are_parse_errors(value):
         read_dense_literal(f"[{value}, 1]")
     with pytest.raises(ParseError):
         read_sparse_literal(f"sparse<2>([[0], [1]], [{value}, 1])")
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["[[0]], 5", "5, [1.0]", "[[0]], {1: 2}", "'ab'", "5"],
+    ids=["values int", "coordinates int", "values dict", "string", "no pair"],
+)
+def test_sparse_literal_parts_that_are_not_lists_are_parse_errors(body):
+    with pytest.raises(ParseError):
+        read_sparse_literal(f"sparse<2>({body})")
