@@ -4,7 +4,9 @@
 kernel (accumulating sparse outputs are rewritten to read the previous
 output; scoped reductions are split into temporaries), orders the loops
 and lowers each piece to an IR Program; `execute` coerces the inputs and
-interprets the Programs.
+interprets the Programs. Each piece is analysed once, and the analysis
+carries its tagged accesses to every later stage; `lower` builds each
+merge lattice only when its loops reach it.
 
 The interpreter runs a Program in one of two forms, picked by its
 structure alone:

@@ -230,7 +230,6 @@ _TOKEN_RE = re.compile(rf"[ \t]*(?:\#[^\n]*)? ({_TOKEN} | \Z)", re.VERBOSE)
 # Blanks, comments and tokens as far as they run: the character this stops
 # at, if any, starts no token.
 _SCAN_RE = re.compile(rf"(?: [ \t]+ | \#[^\n]* | {_TOKEN} )*+", re.VERBOSE)
-_NUMBER_START = frozenset("0123456789.")
 _KEYWORDS = {"tensor", "format", "order", "ptr", "idx"}
 
 
@@ -239,13 +238,19 @@ def _tokenize(text: str) -> list:
     end-of-file token (which may repeat).
 
     A token's kind follows from its text: names are identifiers, numbers
-    start with a digit or a dot, and a line break is its own token.
+    start with a digit or a dot (`_is_number`), and a line break is its
+    own token.
     Positions are not kept; `_Parser.fail` finds one again when it is needed.
     """
     end = _SCAN_RE.match(text).end()
     if end < len(text):
         raise KernelSyntaxError(f"unexpected character {text[end]!r}", *_line_col(text, end))
     return _TOKEN_RE.findall(text)
+
+
+def _is_number(tok: str) -> bool:
+    # `\d` matches any Unicode decimal digit, as `str.isdecimal` does.
+    return tok[:1].isdecimal() or tok[:1] == "."
 
 
 def _line_col(text: str, offset: int) -> tuple:
@@ -280,7 +285,7 @@ class _Parser:
         if want == "name":
             ok = tok.isidentifier()
         elif want == "number":
-            ok = tok[:1] in _NUMBER_START
+            ok = _is_number(tok)
         else:
             ok = tok == want
         if not ok:
@@ -317,7 +322,7 @@ class _Parser:
             self.fail(f"tensor {name!r} declared twice", name_at)
         self.expect("(")
         shape = []
-        while self.tok[:1] in _NUMBER_START:
+        while _is_number(self.tok):
             shape.append(int(self.next()))
             if self.tok == ",":
                 self.next()
@@ -343,7 +348,7 @@ class _Parser:
                         break
             elif clause == "order":
                 ordering = []
-                while self.tok[:1] in _NUMBER_START:
+                while _is_number(self.tok):
                     ordering.append(int(self.next()))
                     if self.tok == ",":
                         self.next()
@@ -401,7 +406,7 @@ class _Parser:
 
     def parse_atom(self, tensors: dict) -> Expr:
         tok = self.tok
-        if tok[:1] in _NUMBER_START:
+        if _is_number(tok):
             value = float(tok)
             if not math.isfinite(value):
                 # No result is format-invariant: a dense operand visits its

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from sparsec.expr import (
     kernel_to_text,
     parse_kernel,
     split_for_whole_expr_reduction,
+    _Parser,
 )
 
 SPMSPM = """
@@ -294,3 +296,62 @@ def test_parse_error_text_and_position(text, message):
     assert str(err.value) == message
     line, column = (int(part) for part in message.split(":")[:2])
     assert err.value.position == (line, column)
+
+
+def test_numbers_take_any_unicode_decimal_digit():
+    # The tokenizer's `\d` matches every Unicode decimal digit, and the
+    # parser reads such a number like its ASCII spelling.
+    k = parse_kernel("tensor a(٣)\ntensor c(٣)\nc(i) = a(i) * ٢.5\n")
+    assert k == parse_kernel("tensor a(3)\ntensor c(3)\nc(i) = a(i) * 2.5\n")
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""(?P<ws>[ \t]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<newline>\n)
+      | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op>\+=|\*=|[()=+\-*,])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokens(text):
+    """A match per token, tracking line and column as it goes: the
+    tokenizer's behaviour, spelt out. Returns (text, line, column) triples
+    ending at the end of file, or raises as the parser must."""
+    tokens, line, col, pos = [], 1, 1, 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise KernelSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((m.group(), line, col))
+        if m.lastgroup == "newline":
+            line, col = line + 1, 1
+        else:
+            col += len(m.group())
+        pos = m.end()
+    return tokens + [("", line, col)]
+
+
+def test_tokens_and_their_positions_match_a_token_by_token_scan():
+    rng = random.Random(2024)
+    pieces = list(" \t\n#@.,()=+-*eE019aijT_\ré") + ["tensor", "+=", "*=", "1.5e3", "# c\n"]
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+        try:
+            want = _reference_tokens(text)
+        except KernelSyntaxError as err:
+            with pytest.raises(KernelSyntaxError) as got:
+                _Parser(text)
+            assert (str(got.value), got.value.position) == (str(err), err.position), repr(text)
+            continue
+        parser = _Parser(text)
+        assert parser.tokens[: len(want)] == [tok for tok, _, _ in want], repr(text)
+        assert not any(parser.tokens[len(want) :]), repr(text)
+        for at, (_, line, col) in enumerate(want):
+            with pytest.raises(KernelSyntaxError) as got:
+                parser.fail("here", at)
+            assert got.value.position == (line, col), (repr(text), at)
