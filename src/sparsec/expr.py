@@ -313,7 +313,7 @@ class _Parser:
         return kernel
 
     def parse_declaration(self, tensors: dict):
-        self.expect("tensor")
+        self.next()  # "tensor", which parse_file saw
         name_at = self.pos
         name = self.expect("name")
         if name in _KEYWORDS:
@@ -520,19 +520,13 @@ def analyze_reductions(kernel: Kernel) -> Kernel:
         _merge_extents(extents, ref, kernel.tensors)
     _merge_extents(extents, kernel.lhs, kernel.tensors)
 
-    use_paths: Dict[str, List[tuple]] = {v: [] for v in reductions}
-    for path, ref in zip(paths, refs):
-        for v in ref.indices:
-            if v in use_paths:
-                use_paths[v].append(path)
-
     captures = {}
     node_reductions: Dict[tuple, list] = {}
     for v in reductions:
-        paths_v = use_paths[v]
-        prefix = paths_v[0]
-        for p in paths_v[1:]:
-            prefix = _common_prefix(prefix, p)
+        prefix = None
+        for path, ref in zip(paths, refs):
+            if v in ref.indices:
+                prefix = path if prefix is None else _common_prefix(prefix, path)
         captures[v] = prefix
         node_reductions.setdefault(prefix, []).append(v)
     node_reductions = {p: tuple(vs) for p, vs in node_reductions.items()}
