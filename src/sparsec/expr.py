@@ -234,13 +234,14 @@ _KEYWORDS = {"tensor", "format", "order", "ptr", "idx"}
 
 
 def _tokenize(text: str) -> list:
-    """The tokens of `text` as strings, in one scan, ending in the empty
-    end-of-file token (which may repeat).
+    """The tokens of `text` as strings, ending in the empty end-of-file
+    token (which may repeat): one `findall`, once one match has checked
+    that every character belongs to a blank, a comment or a token.
 
     A token's kind follows from its text: names are identifiers, numbers
     start with a digit or a dot (`_is_number`), and a line break is its
-    own token.
-    Positions are not kept; `_Parser.fail` finds one again when it is needed.
+    own token. Positions are not kept; `_Parser.fail` finds one again
+    when it is needed.
     """
     end = _SCAN_RE.match(text).end()
     if end < len(text):
@@ -290,7 +291,7 @@ class _Parser:
             ok = tok == want
         if not ok:
             self.fail(f"expected {want!r}, found {tok or 'eof'!r}")
-        self.pos += 1
+        self.pos += 1  # a token that matched is not the end of file
         self.tok = self.tokens[self.pos]
         return tok
 
