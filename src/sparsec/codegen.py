@@ -56,7 +56,7 @@ class StrategyKind(enum.Enum):
     IN_PLACE = "in-place"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class OutputStrategy:
     kind: StrategyKind
     var: Optional[str] = None  # expansion variable for EXPAND_COMPRESS
@@ -125,7 +125,7 @@ def choose_output_strategy(kernel: Kernel, topo_order) -> OutputStrategy:
 # IR nodes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ValRef:
     """Expression leaf: the hoisted value of one access occurrence."""
 
@@ -133,32 +133,32 @@ class ValRef:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class AccRef:
     """Expression leaf: a scalar accumulator."""
 
     slot: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LoadRange:
     uid: int
     level: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LoadVal:
     uid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ForDense:
     var: str
     extent: int
     body: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ForPositions:
     uid: int
     level: int
@@ -166,18 +166,18 @@ class ForPositions:
     body: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RangeInit:
     var: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CoiterCase:
     iterators: frozenset  # uids that must hold the candidate (range excluded)
     body: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class WhileCoiter:
     var: str
     iterators: tuple  # (uid, level) pairs co-iterated by this loop
@@ -186,53 +186,53 @@ class WhileCoiter:
     cases: tuple  # CoiterCase, dominance order
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DeclAcc:
     slot: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class AccumAcc:
     slot: int
     expr: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class StoreDense:
     coords: tuple  # var names, logical order
     expr: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class InsertLex:
     coords: tuple  # var names, logical order
     expr: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ExpandWs:
     extent: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ScatterWs:
     var: str
     expr: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CompressWs:
     prefix: tuple  # var names, output storage order, outermost first
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class StoreInPlace:
     uid: int
     level: int
     expr: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Program:
     kernel: Kernel
     strategy: OutputStrategy

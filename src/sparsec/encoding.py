@@ -32,7 +32,7 @@ DENSE = LevelType.DENSE
 COMPRESSED = LevelType.COMPRESSED
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Encoding:
     """Storage annotation for one sparse tensor.
 
@@ -76,7 +76,7 @@ class Encoding:
         return " ".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TensorType:
     """Shape plus optional encoding; no encoding means a plain dense tensor."""
 

@@ -21,7 +21,7 @@ materializing temporaries.
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Union
 
 from .encoding import COMPRESSED, DENSE, LevelType, TensorType, make_encoding
@@ -37,35 +37,35 @@ from .errors import (
 # AST
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Access:
     tensor: str
     indices: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Const:
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Neg:
     operand: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Add:
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Sub:
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Mul:
     lhs: "Expr"
     rhs: "Expr"
@@ -134,7 +134,7 @@ def has_access(node: Expr) -> bool:
     return bool(accesses(node))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class AccessRef(Access):
     """An Access leaf tagged with its occurrence id within one kernel.
 
@@ -173,9 +173,15 @@ def index_accesses(rhs: Expr) -> tuple:
 # Kernel
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class KernelAnalysis:
-    """Results of analyze_reductions, attached to the kernel."""
+    """Results of analyze_reductions, attached to the kernel.
+
+    Every field is derived from the kernel's `lhs`, `rhs` and `tensors`, and
+    later stages read the right-hand side and its variables from here, not
+    from the kernel. A kernel rebuilt with any of those three changed must
+    drop its analysis (`replace(kernel, ..., analysis=None)`).
+    """
 
     free_vars: tuple
     reduction_vars: tuple
@@ -188,9 +194,14 @@ class KernelAnalysis:
     accesses: tuple  # those AccessRef leaves, uid order
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Kernel:
-    """One parsed assignment plus the tensor declarations it refers to."""
+    """One parsed assignment plus the tensor declarations it refers to.
+
+    `analysis` holds `analyze_reductions`' results for this `lhs`, `rhs`
+    and `tensors`, or None; it is not compared, so it must be reset to None
+    whenever one of them changes.
+    """
 
     lhs: Access
     rhs: Expr
@@ -229,7 +240,7 @@ _TOKEN = r"""\n
 _TOKEN_RE = re.compile(rf"[ \t]*(?:\#[^\n]*)? ({_TOKEN} | \Z)", re.VERBOSE)
 # Blanks, comments and tokens as far as they run: the character this stops
 # at, if any, starts no token.
-_SCAN_RE = re.compile(rf"(?: [ \t]+ | \#[^\n]* | {_TOKEN} )*+", re.VERBOSE)
+_SCAN_RE = re.compile(rf"(?: [ \t]+ | \#[^\n]* | {_TOKEN} )*", re.VERBOSE)
 _KEYWORDS = {"tensor", "format", "order", "ptr", "idx"}
 
 
@@ -552,7 +563,7 @@ def analyze_reductions(kernel: Kernel) -> Kernel:
         indexed_rhs=rhs,
         accesses=refs,
     )
-    return Kernel(kernel.lhs, kernel.rhs, kernel.tensors, kernel.accumulate, analysis)
+    return replace(kernel, analysis=analysis)
 
 
 def _merge_extents(extents: dict, access: Access, tensors: dict):

@@ -32,7 +32,6 @@ from .expr import (
     Mul,
     Neg,
     Sub,
-    accesses,
     analyze_reductions,
     expr_to_text,
 )
@@ -138,7 +137,7 @@ def _find_cycle(graph: IterationGraph, remaining: set) -> list:
 # Merge lattices
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LatticePoint:
     """One co-iteration case: the sparse iterators that must coincide, the
     random-access operands read alongside, and the active subexpression."""
@@ -155,7 +154,7 @@ class LatticePoint:
 RANGE_DRIVER = -1  # pseudo-iterator uid: the dense 0..extent sweep
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MergeLattice:
     var: str
     points: tuple
@@ -168,10 +167,8 @@ class MergeLattice:
 
     @property
     def is_dense_loop(self) -> bool:
-        """True when no sparse iterator exists: a plain for-loop suffices.
-        (A range driver joins only a merge with sparse iterators, and the
-        first point has the most iterators.)"""
-        return not self.range_driven and not self.first.iterators
+        """True when no sparse iterator exists: a plain for-loop suffices."""
+        return not any(p.iterators - {RANGE_DRIVER} for p in self.points)
 
     def sub_points(self, point: LatticePoint) -> tuple:
         return tuple(q for q in self.points if q.iterators <= point.iterators)
@@ -194,39 +191,46 @@ def build_lattice(kernel: Kernel, var: str) -> MergeLattice:
 
 
 def build_lattice_for(expr: Expr, var: str, tensors: dict, extent: int) -> MergeLattice:
-    refs = accesses(expr)
-    if not any(_is_iterator(ref, var, tensors) for ref in refs):
-        # With no sparse iterator, every point of the merge collapses into
-        # one: `expr` itself, over the whole extent, its operands located.
-        locators = frozenset(ref.uid for ref in refs if var in ref.indices)
-        return MergeLattice(var, (LatticePoint(frozenset(), locators, expr, True),), extent, False)
-    # Points are (iterators, locators, expr, full) tuples until the end.
     points = _points(expr, var, tensors)
-    full = any(p[3] for p in points)
-    has_iterators = any(p[0] for p in points)
+    full = any(p.full for p in points)
+    has_iterators = any(p.iterators for p in points)
     range_driven = full and has_iterators
     if range_driven:
-        points = _dedupe([(p[0] | {RANGE_DRIVER},) + p[1:] for p in points if p[3] or p[0]])
-    points.sort(key=lambda p: -len(p[0]))
-    return MergeLattice(var, tuple(LatticePoint(*p) for p in points), extent, range_driven)
+        points = [
+            LatticePoint(p.iterators | {RANGE_DRIVER}, p.locators, p.expr, p.full)
+            for p in points
+            if p.full or p.iterators
+        ]
+        points = _dedupe(points)
+    points.sort(key=lambda p: -len(p.iterators))
+    return MergeLattice(var, tuple(points), extent, range_driven)
 
 
 def _points(expr: Expr, var: str, tensors: dict) -> list:
     if isinstance(expr, AccessRef):
         if var not in expr.indices:
-            return [(frozenset(), frozenset(), expr, True)]
-        if not _is_iterator(expr, var, tensors):
-            return [(frozenset(), frozenset({expr.uid}), expr, True)]
-        return [(frozenset({expr.uid}), frozenset(), expr, False)]
+            return [LatticePoint(frozenset(), frozenset(), expr, True)]
+        enc = tensors[expr.tensor].encoding
+        if enc is None or enc.levels[enc.level_of_dim(expr.indices.index(var))] is DENSE:
+            return [LatticePoint(frozenset(), frozenset({expr.uid}), expr, True)]
+        return [LatticePoint(frozenset({expr.uid}), frozenset(), expr, False)]
     if isinstance(expr, Const):
-        return [(frozenset(), frozenset(), expr, True)]
+        return [LatticePoint(frozenset(), frozenset(), expr, True)]
     if isinstance(expr, Neg):
-        return [(its, locs, Neg(e), full) for its, locs, e, full in _points(expr.operand, var, tensors)]
+        return [
+            LatticePoint(p.iterators, p.locators, Neg(p.expr), p.full)
+            for p in _points(expr.operand, var, tensors)
+        ]
     left = _points(expr.lhs, var, tensors)
     right = _points(expr.rhs, var, tensors)
     node_type = type(expr)
     combined = [
-        (a[0] | b[0], a[1] | b[1], node_type(a[2], b[2]), a[3] and b[3])
+        LatticePoint(
+            a.iterators | b.iterators,
+            a.locators | b.locators,
+            node_type(a.expr, b.expr),
+            a.full and b.full,
+        )
         for a in left
         for b in right
     ]
@@ -236,26 +240,18 @@ def _points(expr: Expr, var: str, tensors: dict) -> list:
     # point of a subtraction contributes its negation (0 - y).
     tail = list(left)
     if isinstance(expr, Sub):
-        tail += [(its, locs, Neg(e), full) for its, locs, e, full in right]
+        tail += [LatticePoint(p.iterators, p.locators, Neg(p.expr), p.full) for p in right]
     else:
         tail += right
     return _dedupe(combined + tail)
-
-
-def _is_iterator(ref: AccessRef, var: str, tensors: dict) -> bool:
-    """Whether the access walks `var` through a compressed level."""
-    if var not in ref.indices:
-        return False
-    enc = tensors[ref.tensor].encoding
-    return enc is not None and enc.levels[enc.level_of_dim(ref.indices.index(var))] is not DENSE
 
 
 def _dedupe(points: list) -> list:
     seen = set()
     out = []
     for p in points:
-        if p[0] not in seen:
-            seen.add(p[0])
+        if p.iterators not in seen:
+            seen.add(p.iterators)
             out.append(p)
     return out
 

@@ -3,18 +3,14 @@ import random
 
 import pytest
 
-from sparsec.engine import prepare_kernels
 from sparsec.errors import OrderConflict
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.lattice import (
     RANGE_DRIVER,
-    LatticePoint,
-    _points,
     build_iteration_graph,
     build_lattice,
     topo_sort,
 )
-from test_acceptance import _random_kernel_case
 
 SPMSPM = """
 tensor A(3, 4) format(dense, compressed)
@@ -175,23 +171,3 @@ def test_topo_respects_every_tensor_chain():
         position = {v: n for n, v in enumerate(order)}
         for (u, v) in g.edges:
             assert position[u] < position[v]
-
-
-def test_a_lattice_without_iterators_is_the_merge_of_its_points():
-    # `build_lattice_for` gives a variable no operand walks through a
-    # compressed level its one dense point directly; the merge of every
-    # operand's points must collapse to that same point.
-    rng = random.Random(77)
-    checked = 0
-    while checked < 200:
-        text, _ = _random_kernel_case(rng, integer_data=True)
-        for piece in prepare_kernels(parse_kernel(text)):
-            an = piece.analysis
-            for var in an.index_vars:
-                lat = build_lattice(piece, var)
-                merged = _points(an.indexed_rhs, var, piece.tensors)
-                if not lat.is_dense_loop:
-                    assert any(its for its, _, _, _ in merged), text
-                    continue
-                assert [LatticePoint(*p) for p in merged] == list(lat.points), (text, var)
-                checked += 1
