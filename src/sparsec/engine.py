@@ -8,23 +8,27 @@ interprets the Programs. Each piece is analysed once, and the analysis
 carries its tagged accesses to every later stage; `lower` builds each
 merge lattice only when its loops reach it.
 
-The interpreter runs a Program in one of two forms, picked by its
-structure alone:
+The interpreter runs a Program in one of two forms:
 
-- A Program with no co-iteration (no `WhileCoiter`: every loop is a dense
-  loop or a loop over one iterator's positions) runs as whole-array numpy
-  passes that walk the IR directly. Each loop nest is flattened into a
-  frame of rows, one per iteration in loop order; loads are gathers and
-  the sinks are `np.add.at` and a stable sort and merge for the
-  workspace. It generates no source. A Program whose frame would pass
-  `_MAX_FRAME_ROWS` rows runs as below.
-- Every other Program is written, over the concrete bindings, as the
-  source of one Python function whose loop variables and positions are
-  locals, and `exec`ed once. That function is the Python form of the IR
-  that `codegen.emit_text` prints, so results stay auditable against the
+- Every Program runs as whole-array numpy passes that walk the IR
+  directly. Each loop nest is flattened into a frame of rows, one per
+  iteration in loop order; loads are gathers. A co-iteration loop
+  (`WhileCoiter`) is a merge of its iterators' sorted indices up to the
+  point where the first of them runs out, and each candidate runs the
+  first case, in dominance order, whose iterators all hold it. The sinks
+  are `np.add.at` and a stable sort and merge for the workspace, applied
+  in the loops' order across cases and sibling loops. It generates no
+  source.
+- A Program whose frame would pass `_MAX_FRAME_ROWS` rows is written
+  instead, over the concrete bindings, as the source of one Python
+  function whose loop variables and positions are locals, and `exec`ed
+  once. That function is the Python form of the IR that
+  `codegen.emit_text` prints, so results stay auditable against the
   emitted text. A sparse output's entries, inserted directly or drained
   from the workspace (`compress`), are appended in storage order to two
-  flat arrays, one of coordinates and one of values.
+  flat arrays, one of coordinates and one of values. CPython compiles at
+  most 20 nested loops into one function, so this form raises
+  UnsupportedKernel for a deeper loop nest.
 
 Either form hands a sparse output's entries to `_sparse_output`, which
 checks that they strictly increase in storage order and lays them out
@@ -97,6 +101,7 @@ from .storage import (
     _check_leading_dense,
     _merge_runs,
     _read_only,
+    _sort_rows,
     compress,
     expand,
     pack,
@@ -435,21 +440,76 @@ class _TooManyRows(Exception):
     """A frame of the array form would pass `_MAX_FRAME_ROWS`."""
 
 
+def _check_rows(total: int):
+    if total > _MAX_FRAME_ROWS:
+        raise _TooManyRows
+
+
+def _segments(lo, counts):
+    """Row r's positions `lo[r]`, `lo[r] + 1`, ... (`counts[r]` of them)
+    for every row, laid end to end: the row of each, and the position.
+    Raises _TooManyRows past the row budget, before they are allocated."""
+    ends = counts.cumsum()
+    _check_rows(int(ends[-1]) if len(ends) else 0)
+    owner = np.arange(len(counts)).repeat(counts)
+    return owner, np.arange(len(owner)) + (lo - ends + counts)[owner]
+
+
+def _column(value, n: int) -> np.ndarray:
+    """`value`, an array of `n` rows or a number, as an array of n rows."""
+    return value if isinstance(value, np.ndarray) else np.full(n, value)
+
+
+def _range_candidates(start, cutoff, held):
+    """The candidates of a co-iteration loop with a range, `start[r]` to
+    `cutoff[r]` in live row r, in loop order: the live row and value of
+    each, and for each iterator's `held` positions (live row, position,
+    index) the candidate each lands on."""
+    counts = cutoff - start + 1
+    owner, var = _segments(start, counts)
+    base = counts.cumsum() - counts - start
+    return owner, var, [base[o] + index for o, _, index in held]
+
+
+def _merged_candidates(held, n: int, extent: int):
+    """The candidates of a co-iteration loop without a range, the merged
+    indices of its iterators' `held` positions (live row, position, index)
+    in each of `n` live rows, as `_range_candidates` returns them."""
+    owners = np.concatenate([o for o, _, _ in held])
+    indices = np.concatenate([index for _, _, index in held])
+    _check_rows(len(owners))
+    perm, first = _sort_rows([owners, indices], [n, extent], len(owners))
+    landing = np.empty(len(perm), np.int64)
+    landing[perm] = first.cumsum() - 1
+    ends = np.cumsum([len(o) for o, _, _ in held]).tolist()
+    lands = [landing[end - len(o) : end] for (o, _, _), end in zip(held, ends)]
+    return owners[perm[first]], indices[perm[first]], lands
+
+
 class _Frame:
     """The iterations of the enclosing loops, one row each, in loop order.
 
     Columns are arrays over the rows, keyed by what they hold: `("v", var)`
     a loop variable, `("q"|"h", uid, level)` an iterator's position and
-    end, `("x", uid)` a hoisted value, `("acc", slot)` and `"ws"` the row of
-    the frame that declared an accumulator or drains the workspace. A
-    column the frame lacks is gathered from its parent on first read, so
-    only the columns the body below reads are ever copied.
+    end, `("r", var)` a range counter, `("x", uid)` a hoisted value,
+    `("acc", slot)` and `"ws"` the row of the frame that declared an
+    accumulator or drains the workspace. A column the frame lacks is
+    gathered from its parent on first read, so only the columns the body
+    below reads are ever copied.
+
+    `key` places the rows in the loops' order across frames: the index of
+    each enclosing loop's statement in its block, then that loop's
+    variable, outermost first. A row's statement indices and variable
+    values tell its iteration from every other, and compare in the order
+    the loops run them.
     """
 
-    def __init__(self, n: int, parent: Optional["_Frame"] = None, rows=None):
+    def __init__(self, n: int, parent: Optional["_Frame"] = None, rows=None, key=()):
         self.n = n
         self.parent = parent
         self.rows = rows  # each row's row in the parent frame
+        self.key = key
+        self.at = 0  # the index of the statement the frame's block runs
         self.cols: dict = {}
 
     def col(self, key):
@@ -458,28 +518,35 @@ class _Frame:
             column = self.cols[key] = self.parent.col(key)[self.rows]
         return column
 
-    def child(self, counts) -> "_Frame":
-        """The frame of a loop that runs `counts[r]` times in row r, or
-        `counts` times in every row when it is an int."""
-        total = self.n * counts if isinstance(counts, int) else int(counts.sum())
-        if total > _MAX_FRAME_ROWS:
-            raise _TooManyRows
-        return _Frame(total, self, np.repeat(np.arange(self.n), counts))
+    def sub(self, rows, var: Optional[str] = None) -> "_Frame":
+        """The frame of `rows` of this one: the iterations of a loop over
+        `var`, or, with no `var`, the same iterations (a case's)."""
+        key = self.key if var is None else self.key + (self.at, var)
+        return _Frame(len(rows), self, rows, key)
 
 
 _ARITH = {Mul: np.multiply, Add: np.add, Sub: np.subtract}
 
 
 class _ArrayRun:
-    """Runs a Program with no co-iteration as whole-array numpy passes.
+    """Runs a Program as whole-array numpy passes.
 
-    The IR is walked once. Each loop turns the rows of its frame into the
-    rows of its body's frame: a dense loop repeats each row `extent` times,
-    a position loop as many times as its iterator's range holds. Loads are
-    gathers, and the expression is evaluated elementwise in float64. Rows
-    keep loop order, `np.add.at` adds in index order and the workspace
-    merge sorts stably, so every sum is taken in the order the loops take
-    it, from the same 0.0, and rounds the same.
+    The IR is walked once, so every statement runs once, over all the rows
+    of its frame. Each loop turns the rows of its frame into the rows of
+    its body's frame: a dense loop repeats each row `extent` times, a
+    position loop as many times as its iterator's range holds, and a
+    co-iteration loop (`_WhileCoiter`) once per candidate its merge
+    visits. Loads are gathers, and the expression is evaluated elementwise
+    in float64.
+
+    A sink statement hands its writes to `sink` and they are applied when
+    read (`drain`): an accumulator's when the accumulator is read, the
+    workspace's at its drain, the output's at the end. One sink statement
+    writes its rows in loop order. Several that write one target, the
+    cases and sibling loops of a co-iteration, are merged by their rows'
+    frame keys first. Then `np.add.at` adds in index order and the
+    workspace merge sorts stably, so every sum is taken in the order the
+    loops take it, from the same 0.0, and rounds the same.
     """
 
     def __init__(self, program: Program, env: dict, out=None):
@@ -487,16 +554,71 @@ class _ArrayRun:
         self.env = env
         self.out = out  # the dense or in-place output values, if any
         self.accs: dict = {}  # slot -> one sum per row of the declaring frame
-        # A Program with no co-iteration runs each statement once, so it
-        # scatters once before its one drain and inserts one run.
-        self.scattered = None  # (ws row, j, value) columns
+        # target -> [(frame, statement index, columns)], one per sink
+        # statement run so far: "out", ("acc", slot), "ws" or "inserted"
+        self.sinks: dict = {}
         self.inserted = None  # (coords, values), in storage order
+        self.walks: dict = {}  # (uid, upto) -> _position_steps, once per run
 
     def run(self):
         self.block(self.p.body, _Frame(1))
+        stores = self.drain("out")
+        if stores is not None:
+            np.add.at(self.out, *stores)
+        self.inserted = self.drain("inserted")
+
+    def sink(self, target, frame: _Frame, *columns):
+        self.sinks.setdefault(target, []).append((frame, frame.at, columns))
+
+    def drain(self, target):
+        """The columns of every sink into `target` so far, concatenated in
+        the loops' order, or None if none ran."""
+        writes = self.sinks.pop(target, None)
+        if writes is None or len(writes) == 1:
+            return writes and writes[0][2]
+        # A key alternates statement index and loop variable and ends in
+        # the sink's statement index. No key is a prefix of another, so a
+        # short one padded with zeros sorts the same. Each position is one
+        # digit of a mixed-radix number: a statement index below the largest
+        # there, a variable below its extent.
+        keys = [frame.key + (at,) for frame, at, _ in writes]
+        extents = self.p.kernel.analysis.var_extents
+        digits = [
+            [(frame.col(("v", item)) if p % 2 else item) for p, item in enumerate(key)]
+            for key, (frame, _, _) in zip(keys, writes)
+        ]
+        width = max(map(len, keys))
+        for ds in digits:
+            ds += [0] * (width - len(ds))
+        radix = [
+            max(extents[key[p]] if p % 2 else key[p] + 1 for key in keys if p < len(key))
+            for p in range(width)
+        ]
+        if math.prod(radix) < 1 << 62:
+            weights = [math.prod(radix[p + 1 :]) for p in range(width)]
+            parts = []
+            for (frame, _, _), ds in zip(writes, digits):
+                number = sum(d * w for d, w in zip(ds, weights) if isinstance(d, int))
+                for digit, w in zip(ds, weights):
+                    if not isinstance(digit, int):
+                        number = number + digit * w
+                parts.append(_column(number, frame.n))
+            perm = np.argsort(np.concatenate(parts), kind="stable")
+        else:
+            perm = np.lexsort([
+                np.concatenate([_column(ds[p], frame.n) for (frame, _, _), ds in zip(writes, digits)])
+                for p in reversed(range(width))
+            ])
+        return tuple(
+            np.concatenate([cols[k] for _, _, cols in writes])[perm]
+            for k in range(len(writes[0][2]))
+        )
 
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
-        start, steps = _position_steps(self.p, uid, upto)
+        walk = self.walks.get((uid, upto))
+        if walk is None:
+            walk = self.walks[uid, upto] = _position_steps(self.p, uid, upto)
+        start, steps = walk
         if start is None:
             pos = np.zeros(frame.n, np.int64)
         else:
@@ -507,12 +629,15 @@ class _ArrayRun:
 
     def values(self, node, frame: _Frame) -> np.ndarray:
         """The expression `node` at every row of `frame`."""
-        return np.broadcast_to(self.expr(node, frame), frame.n)
+        return _column(self.expr(node, frame), frame.n)
 
     def expr(self, node, frame: _Frame):
         if isinstance(node, ValRef):
             return frame.col(("x", node.uid))
         if isinstance(node, AccRef):
+            adds = self.drain(("acc", node.slot))
+            if adds is not None:
+                np.add.at(self.accs[node.slot], *adds)
             return self.accs[node.slot]
         if isinstance(node, Const):
             return node.value
@@ -521,9 +646,12 @@ class _ArrayRun:
         return _ARITH[type(node)](self.expr(node.lhs, frame), self.expr(node.rhs, frame))
 
     def block(self, stmts, frame: _Frame):
-        if any(isinstance(s, CompressWs) for s in stmts):
+        if self.p.strategy.kind is StrategyKind.EXPAND_COMPRESS and any(
+            isinstance(s, CompressWs) for s in stmts
+        ):
             frame.cols["ws"] = np.arange(frame.n)
-        for s in stmts:
+        for index, s in enumerate(stmts):
+            frame.at = index
             getattr(self, f"_{type(s).__name__}")(s, frame)
 
     def _LoadRange(self, s: LoadRange, frame):
@@ -537,66 +665,148 @@ class _ArrayRun:
         frame.cols["x", s.uid] = values[self.position(s.uid, frame)]
 
     def _ForDense(self, s: ForDense, frame):
-        child = frame.child(s.extent)
-        child.cols["v", s.var] = np.tile(np.arange(s.extent), frame.n)
+        _check_rows(frame.n * s.extent)
+        child = frame.sub(np.arange(frame.n).repeat(s.extent), s.var)
+        child.cols["v", s.var] = np.arange(child.n) % s.extent
         self.block(s.body, child)
 
     def _ForPositions(self, s: ForPositions, frame):
         lo = frame.col(("q", s.uid, s.level))
-        counts = frame.col(("h", s.uid, s.level)) - lo
-        child = frame.child(counts)
-        # Row r's range starts at lo[r], and its first child row sits at
-        # the running count of the rows before it.
-        offset = lo - (np.cumsum(counts) - counts)
-        q = np.arange(child.n) + offset[child.rows]
+        owner, q = _segments(lo, frame.col(("h", s.uid, s.level)) - lo)
+        child = frame.sub(owner, s.var)
         child.cols["q", s.uid, s.level] = q
         child.cols["v", s.var] = _bound_part(self.p, self.env, s.uid, "indices", s.level)[q]
         self.block(s.body, child)
+
+    def _RangeInit(self, s: RangeInit, frame):
+        frame.cols["r", s.var] = np.zeros(frame.n, np.int64)
+
+    def _WhileCoiter(self, s: WhileCoiter, frame):
+        its = [
+            (uid, level, frame.col(("q", uid, level)), frame.col(("h", uid, level)),
+             _bound_part(self.p, self.env, uid, "indices", level))
+            for uid, level in s.iterators
+        ]
+        if len(its) == 1 and not s.has_range:
+            # One iterator holds every candidate and runs to its end.
+            ((uid, level, _, h, _),) = its
+            body = next((case.body for case in s.cases if case.iterators <= {uid}), ())
+            self._ForPositions(ForPositions(uid, level, s.var, body), frame)
+            frame.cols["q", uid, level] = h
+            return
+        # A row runs the loop while each iterator has a position left and
+        # the range counter, if any, is below the extent. Indices only
+        # grow, so the row visits the merged candidates up to its cutoff,
+        # the smallest last index among its iterators (the extent's last
+        # with no iterator), and stops there, as the first iterator runs
+        # out.
+        live = frame.col(("r", s.var)) < s.extent if s.has_range else True
+        for _, _, q, h, _ in its:
+            live = live & (q < h)
+        rows = live.nonzero()[0]
+        n = len(rows)
+        if not n:
+            return
+        cutoff = np.full(n, s.extent - 1)
+        for _, _, _, h, indices in its:
+            cutoff = np.minimum(cutoff, indices[h[rows] - 1])
+        # Each iterator's positions up to the cutoff, in loop order: the
+        # live row and the position of each. The iterator sits past them
+        # after the loop.
+        held = []
+        for uid, level, q, h, indices in its:
+            lo = q[rows]
+            counts = h[rows] - lo
+            owner, pos = _segments(lo, counts)
+            if len(its) > 1:  # one iterator runs to its last index
+                keep = indices[pos] <= cutoff[owner]
+                owner, pos = owner[keep], pos[keep]
+                counts = np.bincount(owner, minlength=n)
+            after = frame.cols["q", uid, level] = q.copy()
+            after[rows] = lo + counts
+            held.append((owner, pos, indices[pos]))
+        if s.has_range:
+            start = frame.col(("r", s.var))[rows]
+            owner, var, lands = _range_candidates(start, cutoff, held)
+            after = frame.cols["r", s.var] = frame.col(("r", s.var)).copy()
+            after[rows] = cutoff + 1
+        else:
+            owner, var, lands = _merged_candidates(held, n, s.extent)
+        child = frame.sub(rows[owner], s.var)
+        child.cols["v", s.var] = var
+        if not its:
+            # The one case needs no iterator.
+            self.block(s.cases[0].body, child)
+            return
+        # A candidate's holders, one bit per iterator; its case is the
+        # first, in dominance order, whose iterators all hold it.
+        holders = np.zeros(child.n, np.int64)
+        for bit, ((uid, level, _, _, _), (_, pos, _), land) in enumerate(zip(its, held, lands)):
+            holders[land] |= 1 << bit
+            q = child.cols["q", uid, level] = np.zeros(child.n, np.int64)
+            q[land] = pos
+        bits = {uid: 1 << bit for bit, (uid, _) in enumerate(s.iterators)}
+        needs = [sum(bits[uid] for uid in case.iterators) for case in s.cases]
+        first_case = [
+            next((c for c, need in enumerate(needs) if mask & need == need), -1)
+            for mask in range(1 << len(bits))
+        ]
+        case_of = np.array(first_case)[holders]
+        for c, case in enumerate(s.cases):
+            taken = (case_of == c).nonzero()[0]
+            if len(taken) == child.n:
+                self.block(case.body, child)
+            elif len(taken):
+                self.block(case.body, child.sub(taken))
 
     def _DeclAcc(self, s: DeclAcc, frame):
         frame.cols["acc", s.slot] = np.arange(frame.n)
         self.accs[s.slot] = np.zeros(frame.n)
 
     def _AccumAcc(self, s: AccumAcc, frame):
-        np.add.at(self.accs[s.slot], frame.col(("acc", s.slot)), self.values(s.expr, frame))
+        self.sink(("acc", s.slot), frame, frame.col(("acc", s.slot)), self.values(s.expr, frame))
 
     def _StoreDense(self, s: StoreDense, frame):
         offset = np.zeros(frame.n, np.int64)
         for v, extent in zip(s.coords, self.p.kernel.output_type.shape):
             offset = offset * extent + frame.col(("v", v))
-        np.add.at(self.out, offset, self.values(s.expr, frame))
+        self.sink("out", frame, offset, self.values(s.expr, frame))
 
     def _InsertLex(self, s: InsertLex, frame):
         coords = np.stack([frame.col(("v", v)) for v in s.coords], axis=1)
-        self.inserted = (coords, self.values(s.expr, frame))
+        self.sink("inserted", frame, coords, self.values(s.expr, frame))
 
     def _ExpandWs(self, s: ExpandWs, frame):
         pass
 
     def _ScatterWs(self, s: ScatterWs, frame):
-        self.scattered = (frame.col("ws"), frame.col(("v", s.var)), self.values(s.expr, frame))
+        self.sink("ws", frame, frame.col("ws"), frame.col(("v", s.var)), self.values(s.expr, frame))
 
     def _CompressWs(self, s: CompressWs, frame):
         # The workspace sums each (row, j) from 0.0 in scatter order, then
         # appends the row's touched j in ascending order: the stable sort
-        # and in-order sums of `_merge_runs` over (row, j).
-        rows, j, values = self.scattered
-        self.scattered = None
-        extent = self.p.kernel.analysis.var_extents[self.p.strategy.var]
-        firsts, sums = _merge_runs([rows, j], [frame.n, extent], values)
-        rows = rows[firsts]
-        column = {v: frame.col(("v", v))[rows] for v in s.prefix}
-        column[self.p.strategy.var] = j[firsts]
-        lhs = self.p.kernel.lhs.indices
-        self.inserted = (np.stack([column[v] for v in lhs], axis=1), sums)
+        # and in-order sums of `_merge_runs` over (row, j), which is a loop
+        # over j in each row.
+        scattered = self.drain("ws")
+        if scattered is None:
+            return
+        rows, j, values = scattered
+        var = self.p.strategy.var
+        firsts, sums = _merge_runs(
+            [rows, j], [frame.n, self.p.kernel.analysis.var_extents[var]], values
+        )
+        drained = frame.sub(rows[firsts], var)
+        drained.cols["v", var] = j[firsts]
+        coords = np.stack([drained.col(("v", v)) for v in self.p.kernel.lhs.indices], axis=1)
+        self.sink("inserted", drained, coords, sums)
 
     def _StoreInPlace(self, s: StoreInPlace, frame):
         self.out[frame.col(("q", s.uid, s.level))] = self.values(s.expr, frame)
 
 
 def _run_arrays(program: Program, env: dict):
-    """Run a Program with no `WhileCoiter` as whole-array passes; raises
-    _TooManyRows, before any large allocation, past the row budget."""
+    """Run a Program as whole-array passes; raises _TooManyRows, before any
+    large allocation, past the row budget."""
     kernel = program.kernel
     out_type = kernel.output_type
     strat = program.strategy.kind
@@ -612,32 +822,25 @@ def _run_arrays(program: Program, env: dict):
         return base.with_values(_read_only(out))
     run = _ArrayRun(program, env)
     run.run()
+    if run.inserted is None:
+        return _sparse_output(out_type, np.zeros((0, out_type.rank), np.int64), np.zeros(0))
     return _sparse_output(out_type, *run.inserted)
-
-
-def _co_iterates(stmts) -> bool:
-    return any(
-        isinstance(s, WhileCoiter) or _co_iterates(getattr(s, "body", ())) for s in stmts
-    )
 
 
 def interpret(program: Program, env: dict):
     """Execute a lowered Program against concrete tensor bindings.
 
-    The Program's structure picks the form it runs in. One with no
-    co-iteration (`WhileCoiter`) runs as whole-array numpy passes
-    (`_ArrayRun`), unless one of its frames would pass `_MAX_FRAME_ROWS`
-    rows; every other Program runs as one generated Python function
+    Every Program runs as whole-array numpy passes (`_ArrayRun`), its
+    co-iteration loops as merges; one whose frame would pass
+    `_MAX_FRAME_ROWS` rows runs instead as one generated Python function
     (`_Generator`). Both give the same result, bit for bit: a DenseTensor
     for a dense store, a copy of the in-place output with new values, or
     the SparseStorage of a sparse output.
     """
-    if not _co_iterates(program.body):
-        try:
-            return _run_arrays(program, env)
-        except _TooManyRows:
-            pass
-    return _run_loops(program, env)
+    try:
+        return _run_arrays(program, env)
+    except _TooManyRows:
+        return _run_loops(program, env)
 
 
 # ----------------------------------------------------------------------------

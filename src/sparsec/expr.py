@@ -306,6 +306,14 @@ class _Parser:
         self.tok = self.tokens[self.pos]
         return tok
 
+    def integer(self) -> int:
+        """Take the current token as a whole number. A number token with a
+        fraction or an exponent fails at that token."""
+        tok = self.expect("number")
+        if not tok.isdecimal():
+            self.fail(f"expected an integer, found {tok!r}", self.pos - 1)
+        return int(tok)
+
     def skip_newlines(self):
         while self.tok == "\n":
             self.next()
@@ -335,7 +343,7 @@ class _Parser:
         self.expect("(")
         shape = []
         while _is_number(self.tok):
-            shape.append(int(self.next()))
+            shape.append(self.integer())
             if self.tok == ",":
                 self.next()
         self.expect(")")
@@ -361,13 +369,13 @@ class _Parser:
             elif clause == "order":
                 ordering = []
                 while _is_number(self.tok):
-                    ordering.append(int(self.next()))
+                    ordering.append(self.integer())
                     if self.tok == ",":
                         self.next()
             elif clause == "ptr":
-                ptr_w = int(self.expect("number"))
+                ptr_w = self.integer()
             else:
-                idx_w = int(self.expect("number"))
+                idx_w = self.integer()
             self.expect(")")
         if levels is None and (ordering is not None or ptr_w is not None or idx_w is not None):
             self.fail(f"tensor {name!r} has format clauses but no format(...)", name_at)

@@ -219,20 +219,16 @@ def _coord_array(coords: list, shape: tuple) -> np.ndarray:
     return _read_only(np.asarray(flat).reshape(n, rank))
 
 
-def _merge_runs(columns: list, extents: list, values: np.ndarray):
-    """Sort the rows of `columns` (integer arrays, the most significant
-    first, each in `range` of its extent) lexicographically and sum the
-    `values` of equal rows. Returns, for each distinct row in sorted order,
-    the index of its first occurrence and its sum.
+def _sort_rows(columns: list, extents: list, n: int):
+    """The stable permutation that sorts the `n` rows of `columns` (integer
+    arrays, the most significant first, each in `range` of its extent)
+    lexicographically, and a mask of the sorted rows that differ from the
+    row before them.
 
     The rows sort by one int64 key, `(c0 * e1 + c1) * e2 + c2 ...`, which
     is faster than `np.lexsort` over the columns; `lexsort` runs only where
-    the key could pass 2**62. Either sort is stable and `np.add.at` adds in
-    index order, so equal rows are summed into 0.0 in entry order, exactly
-    as a sequential loop would. (`np.add.reduceat` sums long runs pairwise,
-    which rounds differently.)
+    the key could pass 2**62.
     """
-    n = len(values)
     first = np.ones(n, bool)
     if math.prod(extents) < 1 << 62:
         key = columns[0] if columns else np.zeros(n, np.int64)
@@ -247,6 +243,19 @@ def _merge_runs(columns: list, extents: list, values: np.ndarray):
         for column in columns:
             column = column[perm]
             first[1:] |= column[1:] != column[:-1]
+    return perm, first
+
+
+def _merge_runs(columns: list, extents: list, values: np.ndarray):
+    """Sort the rows of `columns` lexicographically (`_sort_rows`) and sum
+    the `values` of equal rows. Returns, for each distinct row in sorted
+    order, the index of its first occurrence and its sum.
+
+    The sort is stable and `np.add.at` adds in index order, so equal rows
+    are summed into 0.0 in entry order, exactly as a sequential loop would.
+    (`np.add.reduceat` sums long runs pairwise, which rounds differently.)
+    """
+    perm, first = _sort_rows(columns, extents, len(values))
     sums = np.zeros(np.count_nonzero(first))
     np.add.at(sums, np.cumsum(first) - 1, values[perm])
     return perm[first], sums

@@ -1,10 +1,11 @@
 """The array form of `interpret` against the generated loops.
 
-A Program with no co-iteration runs as whole-array passes; every other
-Program runs as one generated Python function. The two must give the same
-result, bit for bit: every test here runs a kernel both ways and compares
-the results by `repr`, which tells -0.0 from 0.0 and an explicit zero from
-a missing entry.
+Every Program runs as whole-array passes, co-iteration included, unless a
+frame would pass the row budget; the generated Python function is that
+fallback and the reference. The two must give the same result, bit for
+bit: every test here runs a kernel both ways and compares the results by
+`repr`, which tells -0.0 from 0.0 and an explicit zero from a missing
+entry.
 """
 
 import random
@@ -12,6 +13,7 @@ import tracemalloc
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from sparsec import engine
@@ -34,20 +36,38 @@ def _outcome(kernel, programs, bindings) -> str:
 
 def run_both(kernel, bindings) -> tuple:
     """`execute`'s result (its `repr`, or its error's category) with each
-    Program on the path `interpret` picks, then with every Program on the
-    loops; and how many of the Programs have no co-iteration."""
+    Program on the form `interpret` picks, then with every Program on the
+    loops; and the form each Program of the first run took, "arrays" or
+    "loops", in run order, counted by patching the two forms."""
     programs = compile_kernel(kernel)
-    chosen = _outcome(kernel, programs, bindings)
-    with mock.patch.object(engine, "interpret", engine._run_loops):
-        loops = _outcome(kernel, programs, bindings)
-    return chosen, loops, sum(not engine._co_iterates(p.body) for p in programs)
+    arrays, loops = engine._run_arrays, engine._run_loops
+    forms = []
+
+    def on_arrays(program, env):
+        forms.append("arrays")
+        try:
+            return arrays(program, env)
+        except engine._TooManyRows:
+            forms.pop()
+            raise
+
+    def on_loops(program, env):
+        forms.append("loops")
+        return loops(program, env)
+
+    with mock.patch.object(engine, "_run_arrays", on_arrays):
+        with mock.patch.object(engine, "_run_loops", on_loops):
+            chosen = _outcome(kernel, programs, bindings)
+    with mock.patch.object(engine, "interpret", loops):
+        reference = _outcome(kernel, programs, bindings)
+    return chosen, reference, forms
 
 
 def _same(text, bindings) -> str:
-    """Run `text` both ways, require one result from a Program with no
-    co-iteration, and return it."""
-    chosen, loops, qualifying = run_both(parse_kernel(text), bindings)
-    assert qualifying
+    """Run `text` both ways, require every Program of the first run to
+    have run on the arrays, and return the result."""
+    chosen, loops, forms = run_both(parse_kernel(text), bindings)
+    assert forms and set(forms) == {"arrays"}
     assert chosen == loops, text
     return chosen
 
@@ -70,19 +90,22 @@ def _spmspm(n, c="dense, compressed"):
 
 
 def test_random_kernels_agree():
-    # The oracle-equivalence stream of test_03, each kernel both ways.
+    # The oracle-equivalence stream of test_03, each kernel both ways. Not
+    # one Program of the 500 kernels reaches the loops.
     rng = random.Random(30303)
-    qualifying = done = 0
+    forms = []
+    done = 0
     while done < 500:
         text, bindings = _random_kernel_case(rng, done % 2 == 0)
         try:
-            chosen, loops, n = run_both(analyze_reductions(parse_kernel(text)), bindings)
+            chosen, loops, ran = run_both(analyze_reductions(parse_kernel(text)), bindings)
         except OrderConflict:
             continue
         assert chosen == loops, text
-        qualifying += n
+        forms += ran
         done += 1
-    assert qualifying > 200
+    assert forms.count("loops") == 0
+    assert forms.count("arrays") > 500
 
 
 @pytest.mark.parametrize(
@@ -199,10 +222,10 @@ def test_in_place_scale():
 )
 def test_narrow_output_widths_overflow_on_both_paths(out, shape, coords):
     text = f"tensor A(2, 300) format(dense, compressed)\n{out}\nC(i, j) = A(i, j) * 2.0\n"
-    chosen, loops, qualifying = run_both(
+    chosen, loops, forms = run_both(
         parse_kernel(text), {"A": CooTensor(shape, [(c, 1.0) for c in coords])}
     )
-    assert qualifying == 1
+    assert forms == ["arrays"]
     assert chosen == loops == "BitWidthOverflow"
     # The same output row through the workspace: C = I * B.
     text = (
@@ -214,8 +237,8 @@ def test_narrow_output_widths_overflow_on_both_paths(out, shape, coords):
     assert program.strategy.kind is StrategyKind.EXPAND_COMPRESS
     bindings = {"I": CooTensor((2, 2), [((0, 0), 1.0)])}
     bindings["B"] = CooTensor(shape, [(c, 1.0) for c in coords])
-    chosen, loops, qualifying = run_both(kernel, bindings)
-    assert qualifying == 1
+    chosen, loops, forms = run_both(kernel, bindings)
+    assert forms == ["arrays"]
     assert chosen == loops == "BitWidthOverflow"
 
 
@@ -255,22 +278,33 @@ def test_rank_zero_output(text):
     assert got == repr(want)
 
 
+UNION = """
+tensor A({n}, {n}) format(dense, compressed)
+tensor B({n}, {n}) format(dense, compressed)
+tensor C({n}, {n}) format(dense, compressed)
+C(i, j) = A(i, j) + B(i, j)
+"""
+
+
 def test_row_budget_falls_back_to_the_loops(monkeypatch):
+    # A product through the workspace, and a union that co-iterates.
     bindings = {
         name: generate(GeneratorSpec((16, 16), "uniform", density=0.3, seed=seed))
         for name, seed in (("A", 8), ("B", 9))
     }
-    kernel = parse_kernel(_spmspm(16))
-    programs = compile_kernel(kernel)
-    unlimited = repr(execute(kernel, programs, bindings))
     ran = []
-    loops = engine._run_loops
+    loops, budget = engine._run_loops, engine._MAX_FRAME_ROWS
     monkeypatch.setattr(engine, "_run_loops", lambda p, env: ran.append(p) or loops(p, env))
-    assert repr(execute(kernel, programs, bindings)) == unlimited
-    assert not ran
-    monkeypatch.setattr(engine, "_MAX_FRAME_ROWS", 4)
-    assert repr(execute(kernel, programs, bindings)) == unlimited
-    assert ran == list(programs)
+    for text in (_spmspm(16), UNION.format(n=16)):
+        kernel = parse_kernel(text)
+        programs = compile_kernel(kernel)
+        monkeypatch.setattr(engine, "_MAX_FRAME_ROWS", budget)
+        unlimited = repr(execute(kernel, programs, bindings))
+        assert not ran
+        monkeypatch.setattr(engine, "_MAX_FRAME_ROWS", 4)
+        assert repr(execute(kernel, programs, bindings)) == unlimited
+        assert ran == list(programs)
+        ran.clear()
 
 
 # ----------------------------------------------------------------------------
@@ -311,3 +345,48 @@ def test_dense_output_guard_holds_on_the_loops():
     env = {name: engine.convert(one, kernel.tensors[name]) for name in "ab"}
     with pytest.raises(DenseOutputTooLarge):
         engine._run_loops(program, env)
+
+
+def test_coiteration_past_the_int64_sort_key():
+    # Extents whose product passes 2**62: the merge and the loop-order keys
+    # sort by `np.lexsort` over their columns.
+    text = UNION.replace("{n}, {n}", "2, 4611686018427387904").format()
+    rows = {"A": [((0, 3), 1.0), ((0, 1 << 61), 2.0), ((1, 5), 0.0)]}
+    rows["B"] = [((0, 3), 0.5), ((1, 4), 4.0), ((1, (1 << 62) - 1), -1.5)]
+    shape = (2, 1 << 62)
+    got = _same(text, {name: CooTensor(shape, e) for name, e in rows.items()})
+    assert "values=(1.5, 2.0, 4.0, 0.0, -1.5)" in got
+
+
+# ----------------------------------------------------------------------------
+# Co-iteration at scale, against scipy
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_coiteration_at_scale_matches_scipy(op):
+    # CSR + CSR -> CSR and CSR .* CSR -> CSR at n=2048, density 0.01: a
+    # union and an intersection over 2048 rows, with about 42k nonzeros
+    # per operand.
+    sparse = pytest.importorskip("scipy.sparse")
+    n = 2048
+    text = UNION.format(n=n).replace(" + ", f" {op} ")
+    bindings = {
+        name: generate(GeneratorSpec((n, n), "uniform", density=0.01, seed=seed))
+        for name, seed in (("A", 21), ("B", 22))
+    }
+    kernel = parse_kernel(text)
+    chosen, loops, forms = run_both(kernel, bindings)
+    assert forms == ["arrays"]
+    assert chosen == loops
+    a, b = (
+        sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0].T)), shape=(n, n))
+        for v in bindings.values()
+    )
+    want = (a + b if op == "+" else a.multiply(b)).tocsr()
+    want.sort_indices()
+    got = execute(kernel, compile_kernel(kernel), bindings)
+    pointers, indices = got.level_arrays(1)
+    assert len(got.value_array) > (80_000 if op == "+" else 300)
+    assert np.array_equal(pointers, want.indptr)
+    assert np.array_equal(indices, want.indices)
+    assert np.array_equal(got.value_array, want.data)

@@ -114,6 +114,17 @@ def test_cmd_run_non_finite_literal_is_a_syntax_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("sparsec: error[KernelSyntaxError]: 3:")
 
 
+@pytest.mark.parametrize("decl", ["tensor a(1.5)", "tensor a(4) format(compressed) ptr(1e3)"])
+def test_cmd_emit_non_integer_declaration_is_a_syntax_error(tmp_path, capsys, decl):
+    kfile = tmp_path / "decl.kernel"
+    kfile.write_text(f"{decl}\ntensor c(4)\nc(i) = a(i)\n")
+    code = main(["emit", "--kernel-file", str(kfile), "--emit", "ir"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[KernelSyntaxError]: 1:"), err
+    assert "expected an integer" in err[0]
+
+
 def test_cmd_convert_roundtrip(tmp_path, mat_a):
     src = tmp_path / "a.mtx"
     src.write_text(

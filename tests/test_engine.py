@@ -4,6 +4,7 @@ import random
 import pytest
 
 import conftest as refs
+from sparsec import engine
 from sparsec.encoding import (
     COMPRESSED,
     TensorType,
@@ -325,19 +326,37 @@ def _union_kernel(rank: int) -> str:
     return f"{decls}C({idx}) = A({idx}) + B({idx})\n"
 
 
-def test_deepest_supported_loop_nest_matches_oracle():
-    kernel = parse_kernel(_union_kernel(20))
-    pad = (0,) * 17
-    a = CooTensor(kernel.tensors["A"].shape, [(pad + (0, 1, 1), 2.0), (pad + (1, 2, 0), 3.0)])
-    b = CooTensor(kernel.tensors["B"].shape, [(pad + (0, 1, 1), 0.5), (pad + (1, 0, 1), 4.0)])
-    got = convert(run_kernel(kernel, {"A": a, "B": b}), None)
-    want = dense_eval(kernel, {"A": a.to_dense(), "B": b.to_dense()})
+def _union_inputs(kernel) -> dict:
+    pad = (0,) * (kernel.tensors["A"].rank - 3)
+    a = [(pad + (0, 1, 1), 2.0), (pad + (1, 2, 0), 3.0)]
+    b = [(pad + (0, 1, 1), 0.5), (pad + (1, 0, 1), 4.0)]
+    return {name: CooTensor(kernel.tensors[name].shape, e) for name, e in (("A", a), ("B", b))}
+
+
+def _union_matches_oracle(rank: int):
+    kernel = parse_kernel(_union_kernel(rank))
+    bindings = _union_inputs(kernel)
+    got = convert(run_kernel(kernel, bindings), None)
+    want = dense_eval(kernel, {name: v.to_dense() for name, v in bindings.items()})
     assert got.data.tolist() == want.data.tolist()
     assert sorted(got.data)[-3:] == [2.5, 3.0, 4.0]
 
 
-def test_loop_nest_past_the_python_limit_is_unsupported():
+def test_deepest_supported_loop_nest_matches_oracle(monkeypatch):
+    # On the generated function, the fallback for frames past the array
+    # form's row budget.
+    monkeypatch.setattr(engine, "_MAX_FRAME_ROWS", 0)
+    _union_matches_oracle(20)
+
+
+def test_loop_nest_past_the_python_limit_is_unsupported(monkeypatch):
+    # The limit binds only the generated function, the fallback for frames
+    # past the array form's row budget.
     kernel = parse_kernel(_union_kernel(21))
-    shape = kernel.tensors["A"].shape
+    monkeypatch.setattr(engine, "_MAX_FRAME_ROWS", 0)
     with pytest.raises(UnsupportedKernel, match="more than 20 nested loops"):
-        run_kernel(kernel, {"A": CooTensor(shape), "B": CooTensor(shape)})
+        run_kernel(kernel, _union_inputs(kernel))
+
+
+def test_loop_nest_past_the_python_limit_runs_on_the_arrays():
+    _union_matches_oracle(21)

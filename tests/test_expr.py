@@ -271,6 +271,24 @@ PARSE_ERRORS = [
         "tensor C(3, 4)\nC(i, j) = A(i, j)\n",
         "1:58: expected 'number', found 'x'",
     ),
+    # numbers that are not integers where an integer is declared
+    ("tensor a(1.5)\ntensor c(4)\nc(i) = a(i)\n", "1:10: expected an integer, found '1.5'"),
+    ("tensor a(4, 2e1)\ntensor c(4)\nc(i) = a(i)\n", "1:13: expected an integer, found '2e1'"),
+    (
+        "tensor A(3, 4) format(dense, compressed) order(0.5, 1)\n"
+        "tensor C(3, 4)\nC(i, j) = A(i, j)\n",
+        "1:48: expected an integer, found '0.5'",
+    ),
+    (
+        "tensor A(3, 4) format(dense, compressed) ptr(1e3)\n"
+        "tensor C(3, 4)\nC(i, j) = A(i, j)\n",
+        "1:46: expected an integer, found '1e3'",
+    ),
+    (
+        "tensor A(3, 4) format(dense, compressed) idx(.5)\n"
+        "tensor C(3, 4)\nC(i, j) = A(i, j)\n",
+        "1:46: expected an integer, found '.5'",
+    ),
     # declarations and the assignment
     ("tensor a(4)\ntensor a(4)\ntensor c(4)\nc(i) = a(i)\n", "2:8: tensor 'a' declared twice"),
     (

@@ -1,4 +1,4 @@
-"""Property test: the array form and the loops agree on random products.
+"""Property tests: the array form and the loops agree on random kernels.
 
 Hypothesis draws the cases from a fixed seed (`derandomize`) and keeps no
 example database, so the suite stays deterministic. (`conftest.py` moves
@@ -21,8 +21,10 @@ VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 3.0, 1e-3, 7e5])
 
 
 @st.composite
-def format_clause(draw, rank: int) -> str:
-    if rank == 0 or draw(st.booleans()):
+def format_clause(draw, rank: int, dense=st.booleans()) -> str:
+    """A format clause for rank `rank`, or none (a dense tensor) when
+    `dense` draws True."""
+    if rank == 0 or draw(dense):
         return ""
     levels = draw(st.lists(st.sampled_from([DENSE, COMPRESSED]), min_size=rank, max_size=rank))
     ordering = draw(st.permutations(range(rank)))
@@ -32,32 +34,69 @@ def format_clause(draw, rank: int) -> str:
 
 
 @st.composite
+def operand(draw, name: str, extents: dict, max_entries: int, dense=st.booleans()):
+    """A declaration, the access and COO binding of tensor `name`: rank
+    1-3 over some of the variables, dense when `dense` draws True and in
+    any format otherwise, with up to `max_entries` entries, so many
+    segments are empty."""
+    use = draw(st.permutations(VARS))[: draw(st.integers(1, 3))]
+    shape = tuple(extents[v] for v in use)
+    coords = st.tuples(*(st.integers(0, e - 1) for e in shape))
+    entries = draw(st.dictionaries(coords, VALUES, max_size=max_entries))
+    decl = f"tensor {name}({', '.join(map(str, shape))}){draw(format_clause(len(use), dense))}"
+    return decl, f"{name}({', '.join(use)})", use, CooTensor(shape, list(entries.items()))
+
+
+@st.composite
+def output(draw, extents: dict, uses: list) -> tuple:
+    """The declaration and access of `out`, over any of the variables used,
+    in any order: fewer than all of them sums the rest away."""
+    out = draw(st.permutations(sorted(set().union(*uses))))
+    out = out[: draw(st.integers(0, len(out)))]
+    shape = ", ".join(str(extents[v]) for v in out)
+    return f"tensor out({shape}){draw(format_clause(len(out)))}", f"out({', '.join(out)})"
+
+
+@st.composite
 def product_case(draw):
     """Kernel text, COO bindings, and the operands whose stored zeros are
     to be -0.0: a product of 1-3 operands of rank 1-3 over extents up to
     12, times an optional constant, into an output of any rank over the
     variables used."""
     extents = {v: draw(st.integers(1, 12)) for v in VARS}
-    decls, factors, uses, bindings = [], [], [], {}
-    for t in range(draw(st.integers(1, 3))):
-        use = draw(st.permutations(VARS))[: draw(st.integers(1, 3))]
-        shape = tuple(extents[v] for v in use)
-        coords = st.tuples(*(st.integers(0, e - 1) for e in shape))
-        entries = draw(st.dictionaries(coords, VALUES, max_size=24))
-        name = f"T{t}"
-        decls.append(f"tensor {name}({', '.join(map(str, shape))}){draw(format_clause(len(use)))}")
-        factors.append(f"{name}({', '.join(use)})")
-        uses.append(use)
-        bindings[name] = CooTensor(shape, list(entries.items()))
-    out = draw(st.permutations(sorted(set().union(*uses))))
-    out = out[: draw(st.integers(0, len(out)))]
-    shape = ", ".join(str(extents[v]) for v in out)
-    decls.append(f"tensor out({shape}){draw(format_clause(len(out)))}")
-    rhs = " * ".join(factors)
+    operands = [draw(operand(f"T{t}", extents, 24)) for t in range(draw(st.integers(1, 3)))]
+    decl, lhs = draw(output(extents, [use for _, _, use, _ in operands]))
+    rhs = " * ".join(factor for _, factor, _, _ in operands)
     if draw(st.booleans()):
         rhs = f"{rhs} * {draw(st.sampled_from(['2.0', '-1.0', '0.5']))}"
+    bindings = {f"T{t}": coo for t, (_, _, _, coo) in enumerate(operands)}
     negative = [name for name in bindings if draw(st.booleans())]
-    return "\n".join(decls) + f"\nout({', '.join(out)}) = {rhs}\n", bindings, negative
+    text = "\n".join([d for d, _, _, _ in operands] + [decl]) + f"\n{lhs} = {rhs}\n"
+    return text, bindings, negative
+
+
+@st.composite
+def mix_case(draw):
+    """As `product_case`, but 1-4 operands joined by `+`, `-` and `*`,
+    grouped at random, with an optional negation or constant factor. Sums
+    of compressed operands co-iterate as unions, products as
+    intersections, and a sum with a dense operand is driven by the range;
+    an output that drops a variable is a scalar or scoped reduction."""
+    extents = {v: draw(st.integers(1, 8)) for v in VARS}
+    dense = st.sampled_from([True, False, False])
+    count = draw(st.integers(1, 4))
+    operands = [draw(operand(f"T{t}", extents, 16, dense)) for t in range(count)]
+    decl, lhs = draw(output(extents, [use for _, _, use, _ in operands]))
+    terms = [factor for _, factor, _, _ in operands]
+    while len(terms) > 1:
+        k = draw(st.integers(0, len(terms) - 2))
+        op = draw(st.sampled_from(["+", "-", "*"]))
+        terms[k : k + 2] = [f"({terms[k]} {op} {terms[k + 1]})"]
+    rhs = draw(st.sampled_from(["{}", "-{}", "{} * -2.0", "0.5 * {}"])).format(terms[0])
+    bindings = {f"T{t}": coo for t, (_, _, _, coo) in enumerate(operands)}
+    negative = [name for name in bindings if draw(st.booleans())]
+    text = "\n".join([d for d, _, _, _ in operands] + [decl]) + f"\n{lhs} = {rhs}\n"
+    return text, bindings, negative
 
 
 def _negative_zeros(value):
@@ -69,15 +108,9 @@ def _negative_zeros(value):
     return SparseStorage(value.ttype, value.pointers, value.indices, values)
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=150,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(product_case())
-def test_arrays_and_loops_agree_on_random_products(case):
+def _agree(case):
+    """Run the case's kernel on the arrays and on the loops, its chosen
+    operands with stored zeros as -0.0, and require one `repr`."""
     text, coo, negative = case
     kernel = parse_kernel(text)
     bindings = dict(coo)
@@ -87,8 +120,27 @@ def test_arrays_and_loops_agree_on_random_products(case):
         except BitWidthOverflow:
             pass  # both forms raise it when they coerce the COO input
     try:
-        chosen, loops, qualifying = run_both(kernel, bindings)
+        chosen, loops, _ = run_both(kernel, bindings)
     except (OrderConflict, UnsupportedKernel):
         assume(False)
-    assume(qualifying)  # a kernel that co-iterates runs on the loops alone
     assert chosen == loops, text
+
+
+SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(product_case())
+def test_arrays_and_loops_agree_on_random_products(case):
+    _agree(case)
+
+
+@settings(SETTINGS, max_examples=500)
+@given(mix_case())
+def test_arrays_and_loops_agree_on_random_sums_and_products(case):
+    _agree(case)
