@@ -558,7 +558,6 @@ class _ArrayRun:
         # statement run so far: "out", ("acc", slot), "ws" or "inserted"
         self.sinks: dict = {}
         self.inserted = None  # (coords, values), in storage order
-        self.walks: dict = {}  # (uid, upto) -> _position_steps, once per run
 
     def run(self):
         self.block(self.p.body, _Frame(1))
@@ -615,10 +614,7 @@ class _ArrayRun:
         )
 
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
-        walk = self.walks.get((uid, upto))
-        if walk is None:
-            walk = self.walks[uid, upto] = _position_steps(self.p, uid, upto)
-        start, steps = walk
+        start, steps = _position_steps(self.p, uid, upto)
         if start is None:
             pos = np.zeros(frame.n, np.int64)
         else:
@@ -646,9 +642,7 @@ class _ArrayRun:
         return _ARITH[type(node)](self.expr(node.lhs, frame), self.expr(node.rhs, frame))
 
     def block(self, stmts, frame: _Frame):
-        if self.p.strategy.kind is StrategyKind.EXPAND_COMPRESS and any(
-            isinstance(s, CompressWs) for s in stmts
-        ):
+        if any(isinstance(s, CompressWs) for s in stmts):
             frame.cols["ws"] = np.arange(frame.n)
         for index, s in enumerate(stmts):
             frame.at = index
@@ -687,13 +681,6 @@ class _ArrayRun:
              _bound_part(self.p, self.env, uid, "indices", level))
             for uid, level in s.iterators
         ]
-        if len(its) == 1 and not s.has_range:
-            # One iterator holds every candidate and runs to its end.
-            ((uid, level, _, h, _),) = its
-            body = next((case.body for case in s.cases if case.iterators <= {uid}), ())
-            self._ForPositions(ForPositions(uid, level, s.var, body), frame)
-            frame.cols["q", uid, level] = h
-            return
         # A row runs the loop while each iterator has a position left and
         # the range counter, if any, is below the extent. Indices only
         # grow, so the row visits the merged candidates up to its cutoff,
