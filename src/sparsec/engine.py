@@ -581,26 +581,23 @@ class _ArrayRun:
         # digit of a mixed-radix number: a statement index below the largest
         # there, a variable below its extent.
         keys = [frame.key + (at,) for frame, at, _ in writes]
-        extents = self.p.kernel.analysis.var_extents
-        digits = [
-            [(frame.col(("v", item)) if p % 2 else item) for p, item in enumerate(key)]
-            for key, (frame, _, _) in zip(keys, writes)
-        ]
         width = max(map(len, keys))
-        for ds in digits:
-            ds += [0] * (width - len(ds))
+        keys = [key + (0,) * (width - len(key)) for key in keys]
+        extents = self.p.kernel.analysis.var_extents
         radix = [
-            max(extents[key[p]] if p % 2 else key[p] + 1 for key in keys if p < len(key))
-            for p in range(width)
+            max(extents[k] if isinstance(k, str) else k + 1 for k in position)
+            for position in zip(*keys)
+        ]
+        digits = [
+            [frame.col(("v", k)) if isinstance(k, str) else k for k in key]
+            for key, (frame, _, _) in zip(keys, writes)
         ]
         if math.prod(radix) < 1 << 62:
             weights = [math.prod(radix[p + 1 :]) for p in range(width)]
             parts = []
             for (frame, _, _), ds in zip(writes, digits):
-                number = sum(d * w for d, w in zip(ds, weights) if isinstance(d, int))
-                for digit, w in zip(ds, weights):
-                    if not isinstance(digit, int):
-                        number = number + digit * w
+                static = sum(d * w for d, w in zip(ds, weights) if isinstance(d, int))
+                number = sum((d * w for d, w in zip(ds, weights) if not isinstance(d, int)), static)
                 parts.append(_column(number, frame.n))
             perm = np.argsort(np.concatenate(parts), kind="stable")
         else:

@@ -67,7 +67,7 @@ def _same(text, bindings) -> str:
     """Run `text` both ways, require every Program of the first run to
     have run on the arrays, and return the result."""
     chosen, loops, forms = run_both(parse_kernel(text), bindings)
-    assert forms and set(forms) == {"arrays"}
+    assert set(forms) == {"arrays"}
     assert chosen == loops, text
     return chosen
 
@@ -77,6 +77,14 @@ tensor A({n}, {n}) format(dense, compressed)
 tensor B({n}, {n}) format(dense, compressed)
 tensor C({n}, {n}){c}
 C(i, j) = A(i, k) * B(k, j)
+"""
+
+
+UNION = """
+tensor A({n}, {n}) format(dense, compressed)
+tensor B({n}, {n}) format(dense, compressed)
+tensor C({n}, {n}) format(dense, compressed)
+C(i, j) = A(i, j) + B(i, j)
 """
 
 
@@ -276,14 +284,6 @@ def test_rank_zero_output(text):
     got = _same(text, bindings)
     want = dense_eval(analyze_reductions(kernel), {n: v.to_dense() for n, v in bindings.items()})
     assert got == repr(want)
-
-
-UNION = """
-tensor A({n}, {n}) format(dense, compressed)
-tensor B({n}, {n}) format(dense, compressed)
-tensor C({n}, {n}) format(dense, compressed)
-C(i, j) = A(i, j) + B(i, j)
-"""
 
 
 def test_row_budget_falls_back_to_the_loops(monkeypatch):
