@@ -137,8 +137,13 @@ class CooTensor:
         coords = self._coords
         if coords is None:
             coords = _coord_array(self._unparsed, self.shape)
-        outside = (coords < 0) | (coords >= np.array(self.shape, np.int64))
-        if outside.any():
+        # Viewed as uint64, a negative coordinate is at least 2**63, so with
+        # each extent clamped into [0, 2**63] one maximum per dimension
+        # checks both of its ends.
+        unsigned = coords.view(np.uint64)
+        limits = [min(max(extent, 0), 1 << 63) for extent in self.shape]
+        if len(coords) and any(unsigned[:, k].max() >= e for k, e in enumerate(limits)):
+            outside = unsigned >= np.array(limits, np.uint64)
             bad = tuple(coords[outside.any(axis=1).argmax()].tolist())
             raise CoordOutOfBounds(f"coordinate {bad} outside shape {self.shape}")
         return coords, self._values
@@ -251,14 +256,22 @@ def _merge_runs(columns: list, extents: list, values: np.ndarray):
     the `values` of equal rows. Returns, for each distinct row in sorted
     order, the index of its first occurrence and its sum.
 
-    The sort is stable and `np.add.at` adds in index order, so equal rows
-    are summed into 0.0 in entry order, exactly as a sequential loop would.
-    (`np.add.reduceat` sums long runs pairwise, which rounds differently.)
+    Each sum starts as its first row's value plus 0.0, and `np.add.at`
+    adds the rows that repeat an earlier one, in index order; the sort is
+    stable, so equal rows are summed into 0.0 in entry order, exactly as a
+    sequential loop would (a lone -0.0 sums to 0.0). Where no row repeats,
+    nothing is added. (`np.add.reduceat` sums long runs pairwise, which
+    rounds differently.)
     """
     perm, first = _sort_rows(columns, extents, len(values))
-    sums = np.zeros(np.count_nonzero(first))
-    np.add.at(sums, np.cumsum(first) - 1, values[perm])
-    return perm[first], sums
+    starts = np.flatnonzero(first)
+    firsts = perm[starts]
+    sums = values[firsts]
+    sums += 0.0
+    if len(starts) < len(values):
+        repeats = np.flatnonzero(~first)
+        np.add.at(sums, starts.searchsorted(repeats) - 1, values[perm[repeats]])
+    return firsts, sums
 
 
 def _sorted_unique(value, order):
@@ -266,15 +279,17 @@ def _sorted_unique(value, order):
     lexicographically by their coordinates taken in `order` (a permutation
     of the dimensions), duplicates summed in entry order (`_merge_runs`).
 
-    Coordinates come back in logical dimension order. The arrays are read
-    here, not passed in, so the unsorted coordinates a `SparseStorage` or
-    `DenseTensor` reads out are freed during the sort.
+    Coordinates come back in logical dimension order, as fresh rows
+    gathered with `np.take`, which copies rows of a 2-D array several
+    times faster than indexing does. The arrays are read here, not passed
+    in, so the unsorted coordinates a `SparseStorage` or `DenseTensor`
+    reads out are freed during the sort.
     """
     coords, values = value.arrays()
     firsts, sums = _merge_runs(
         [coords[:, k] for k in order], [value.shape[k] for k in order], values
     )
-    return coords[firsts], sums
+    return np.take(coords, firsts, axis=0), sums
 
 
 def _merged_coo(value, drop_zeros: bool) -> CooTensor:
@@ -638,43 +653,58 @@ def pack(value, enc: Encoding) -> SparseStorage:
 def _build_levels(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> SparseStorage:
     """The storage of `ttype` holding `values` at `coords`, an (n, rank)
     array of logical coordinates that are unique and sorted in storage
-    order.
+    order. `values` is taken over: when the last level is compressed, it
+    is frozen and becomes the storage's values array.
 
-    A dense level maps each entry to `parent * extent + coord`; a
-    compressed level keeps the coordinate where the storage prefix changes
-    and counts those per parent position into its pointers. Each value is
-    placed, not summed, so a -0.0 stays -0.0, and every position no entry
-    reaches holds 0.0. Widths are checked by `SparseStorage.validate`, and
-    the positions of each dense level against the budget before anything
-    is allocated. The arrays go into the storage as they are.
+    Each entry has a position at each level. A dense level maps it to
+    `parent * extent + coord`. A compressed level keeps the coordinate of
+    each entry that starts a new storage prefix, where the parent position
+    or the coordinate changes; parent positions ascend in storage order,
+    so its pointers are where each parent position is first reached
+    (`searchsorted`). At the last level the entries are unique, so each
+    starts a prefix: a compressed one keeps the whole column, and the
+    values are the data as they stand; a dense one places each value at
+    its position, and every position no entry reaches holds 0.0. Values
+    are placed, never summed, so a -0.0 stays -0.0. Widths are checked by
+    `SparseStorage.validate`, and the positions of each dense level
+    against the budget before anything is allocated.
     """
     enc = ttype.encoding
-    order = [enc.dim_of_level(l) for l in range(enc.rank)]
-    n = len(values)
-    pos = np.zeros(n, np.int64)  # each entry's position at the current level
+    n, last = len(values), ttype.rank - 1
+    pos = None  # each entry's position at the level above; None while all are 0
     positions = 1
-    new = np.zeros(n, bool)  # entry starts a new storage prefix at this level
-    new[:1] = True
+    data = None  # the values as they stand, once the last level is compressed
     pointers, indices = [], []
     for l, extent in enumerate(ttype.storage_shape()):
-        column = coords[:, order[l]]
-        new[1:] |= column[1:] != column[:-1]
+        column = coords[:, enc.dim_of_level(l)]
         if enc.levels[l] is DENSE:
             positions *= extent
             _check_budget(positions, ttype)
-            pos = pos * extent + column
+            pos = column if pos is None else pos * extent + column
             pointers.append(_NO_LEVEL)
             indices.append(_NO_LEVEL)
             continue
-        starts = np.flatnonzero(new)
-        ptrs = np.zeros(positions + 1, np.int64)
-        np.cumsum(np.bincount(pos[starts], minlength=positions), out=ptrs[1:])
+        if l == last:
+            parents, data = pos, values
+        else:
+            new = np.ones(n, bool)  # the entry starts a new storage prefix here
+            new[1:] = column[1:] != column[:-1]
+            if pos is not None:
+                new[1:] |= pos[1:] != pos[:-1]
+            starts = np.flatnonzero(new)
+            parents = None if pos is None else pos[starts]
+            column = _read_only(column[starts])
+            pos = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+        if parents is None:
+            ptrs = np.array([0, len(column)], np.int64)
+        else:
+            ptrs = np.searchsorted(parents, np.arange(positions + 1))
         pointers.append(_read_only(ptrs))
-        indices.append(_read_only(column[starts]))
-        pos = np.cumsum(new) - 1
-        positions = len(starts)
-    data = np.zeros(positions)
-    data[pos] = values
+        indices.append(column)
+        positions = len(column)
+    if data is None:
+        data = np.zeros(positions)
+        data[pos] = values
     return SparseStorage(ttype, pointers, indices, _read_only(data))
 
 

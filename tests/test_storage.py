@@ -26,8 +26,10 @@ from sparsec.encoding import (
     COMPRESSED,
     DENSE,
     TensorType,
+    csc,
     csr,
     dcsc,
+    dcsr,
     enumerate_encodings,
     make_encoding,
 )
@@ -425,6 +427,68 @@ def test_to_dense_matches_scatter():
         assert repr(coo.to_dense().data.tolist()) == repr(want)
 
 
+def _scale_inputs():
+    """Three 4096 x 4096 COO tensors over the same 131,072 coordinates: in
+    sorted order, shuffled, and with 40,000 repeats of some coordinates
+    interleaved among them, where stored 0.0, -0.0 and cancelling values
+    make some sums zero."""
+    rng = np.random.default_rng(2020)
+    n, count = 4096, 1 << 17
+    flat = np.sort(rng.choice(n * n, size=count, replace=False))
+    coords = np.stack(np.divmod(flat, n), axis=1)
+    values = rng.standard_normal(count)
+    values[rng.choice(count, 2000, replace=False)] = rng.choice([0.0, -0.0], 2000)
+    shuffle = rng.permutation(count)
+    repeated = rng.integers(0, count, 40_000)
+    extra = rng.choice([0.0, -0.0, 1.0], 40_000)
+    cancel = rng.random(40_000) < 0.1
+    extra[cancel] = -values[repeated[cancel]]
+    # Each repeat lands at a random place among the sorted entries, so a
+    # coordinate's copies form runs that other coordinates interleave.
+    interleave = np.argsort(
+        np.concatenate([np.arange(count), rng.integers(0, count, 40_000)]), kind="stable"
+    )
+    return (n, n), [
+        (coords, values),
+        (coords[shuffle], values[shuffle]),
+        (np.concatenate([coords, coords[repeated]])[interleave],
+         np.concatenate([values, extra])[interleave]),
+    ]
+
+
+def test_pack_at_scale_matches_scipy_and_the_sequential_merge():
+    # Pointers and indices against scipy's CSR and CSC; values bit for bit
+    # (stricter than repr: -0.0 and the order of each sum count) against
+    # the per-element merge.
+    sparse = pytest.importorskip("scipy.sparse")
+    shape, cases = _scale_inputs()
+    for coords, values in cases:
+        coo = CooTensor.from_arrays(shape, coords, values)
+        merged = _merged_entries(coo)
+        by_column = sorted(merged, key=lambda entry: entry[0][::-1])
+        scipy_coo = sparse.coo_matrix((values, tuple(coords.T)), shape=shape)
+        want_csr, want_csc = scipy_coo.tocsr(), scipy_coo.tocsc()
+        want_csr.sum_duplicates()
+        want_csc.sum_duplicates()
+        rows = np.flatnonzero(np.diff(want_csr.indptr))
+        want = [
+            (csr(), [((), ()), (want_csr.indptr, want_csr.indices)], merged),
+            (csc(), [((), ()), (want_csc.indptr, want_csc.indices)], by_column),
+            (dcsr(), [
+                ([0, len(rows)], rows),
+                (np.append(want_csr.indptr[rows], want_csr.indptr[-1]), want_csr.indices),
+            ], merged),
+        ]
+        for enc, levels, entries in want:
+            got = pack(coo, enc)
+            for level, (pointers, indices) in enumerate(levels):
+                got_pointers, got_indices = got.level_arrays(level)
+                assert np.array_equal(got_pointers, pointers), (enc.describe(), level)
+                assert np.array_equal(got_indices, indices), (enc.describe(), level)
+            want_values = np.array([v for _, v in entries])
+            assert got.value_array.tobytes() == want_values.tobytes(), enc.describe()
+
+
 @pytest.mark.parametrize("coord", [1, np.int64(1), 1.5])
 def test_coordinates_must_be_integers(coord):
     coo = CooTensor((4,), [((coord,), 2.0)])
@@ -448,6 +512,21 @@ def test_pack_rejects_bad_coordinates():
         pack(CooTensor((3, 4), [((0, 0), 1.0), ((1, -1), 2.0)]), csr())
     with pytest.raises(CoordOutOfBounds):
         CooTensor((3, 4), [((2**70, 0), 1.0)]).normalize()
+    # The int64 edges, in either dimension: the message names the first
+    # bad entry, not the later one that is bad in the other dimension.
+    for dim in (0, 1):
+        for extent, bad in [(3, -1), (3, -(2**63)), (3, 3), (2**62, 2**63 - 1)]:
+            shape, first, later = [4, 4], [0, 0], [0, 0]
+            shape[dim], first[dim], later[1 - dim] = extent, bad, -1
+            coords = [(0, 0), tuple(first), tuple(later)]
+            for coo in (
+                CooTensor(shape, zip(coords, [1.0, 2.0, 3.0])),
+                CooTensor.from_arrays(shape, np.array(coords), [1.0, 2.0, 3.0]),
+            ):
+                with pytest.raises(CoordOutOfBounds) as caught:
+                    pack(coo, csr())
+                want = f"coordinate {tuple(first)} outside shape {tuple(shape)}"
+                assert str(caught.value) == want
 
 
 # ----------------------------------------------------------------------------
@@ -931,6 +1010,34 @@ def test_malformed_storage_is_typed_under_optimize():
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("sparsec: error[MalformedStorage]: "), lines
+
+
+def test_pack_checks_are_typed_under_optimize():
+    # The bounds, rank and width checks on the pack path are not asserts.
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from sparsec.encoding import COMPRESSED, make_encoding\n"
+        "from sparsec.errors import BitWidthOverflow, CoordOutOfBounds, RankMismatch\n"
+        "from sparsec.storage import CooTensor, pack\n"
+        "cases = [\n"
+        "    (CoordOutOfBounds, lambda: pack(CooTensor((3, 4), [((1, 4), 1.0)]), make_encoding([COMPRESSED] * 2))),\n"
+        "    (RankMismatch, lambda: CooTensor.from_arrays((3, 4), np.zeros((2, 1), np.int64), [1.0, 2.0])),\n"
+        "    (BitWidthOverflow, lambda: pack(CooTensor((3, 300), [((0, 299), 1.0)]), make_encoding([COMPRESSED] * 2, index_width=8))),\n"
+        "]\n"
+        "for error, step in cases:\n"
+        "    try:\n"
+        "        step()\n"
+        "        sys.exit(f'{error.__name__} not raised')\n"
+        "    except error:\n"
+        "        pass\n"
+    )
+    src = os.path.dirname(os.path.dirname(sparsec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_load_binary_truncated_at_every_byte(mat_a, tensor_t):
