@@ -33,12 +33,7 @@ from .storage import (
     Workspace,
     compress,
     expand,
-    iterate,
-    level_indices,
-    level_pointers,
     pack,
-    unpack,
-    values_view,
 )
 from .tensor_io import read_dense_literal, read_sparse_literal, read_tensor, write_tensor
 
@@ -70,9 +65,6 @@ __all__ = [
     "format_space_size",
     "generate",
     "interpret",
-    "iterate",
-    "level_indices",
-    "level_pointers",
     "make_encoding",
     "pack",
     "parse_kernel",
@@ -81,7 +73,5 @@ __all__ = [
     "read_tensor",
     "run_kernel",
     "split_for_whole_expr_reduction",
-    "unpack",
-    "values_view",
     "write_tensor",
 ]

@@ -45,10 +45,6 @@ class OutOfOrderInsertion(SparsecError):
     pass
 
 
-class LevelIsDense(SparsecError):
-    pass
-
-
 class MalformedStorage(SparsecError):
     """Pointers, indices or values that break a storage-format invariant."""
 

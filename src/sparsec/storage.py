@@ -25,9 +25,12 @@ new one (`CooTensor.from_arrays`) with no per-entry work. A `SparseStorage`
 holds its per-level pointers and indices as read-only int64 arrays and its
 values as a read-only float64 array, the typed buffers of the paper's
 runtime; `pack`, `validate`, `arrays()` and the engine read them whole.
-Its tuple views (`pointers`, `indices`, `values`) are built on each read,
-for callers outside the pipeline. A `DenseTensor` holds its elements, in
-row-major order, as one read-only float64 array, typed as those values.
+Nothing in the pipeline reads a tensor one element at a time. Two
+per-element views stay, built on each read: `SparseStorage`'s tuple views
+(`pointers`, `indices`, `values`) and `CooTensor.entries`, because the
+benchmark's reference reads them and `__repr__` prints them. A
+`DenseTensor` holds its elements, in row-major order, as one read-only
+float64 array, typed as those values.
 
 Stored positions are budgeted: a dense output, a `to_dense` result, or a
 format whose dense levels would hold more than `_MAX_DENSE_ELEMENTS`
@@ -40,7 +43,6 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
-from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from .errors import (
     CoordNotInteger,
     CoordOutOfBounds,
     DenseOutputTooLarge,
-    LevelIsDense,
     MalformedStorage,
     ParseError,
     RankMismatch,
@@ -116,7 +117,8 @@ class CooTensor:
 
     @property
     def entries(self) -> list:
-        """Every entry as a (tuple of Python ints, float) pair, in entry order."""
+        """Every entry as a (tuple of Python ints, float) pair, in entry
+        order; `__eq__`, `__repr__` and the benchmark's reference read it."""
         coords = self._unparsed
         if coords is None:
             coords = map(tuple, self._coords.tolist())
@@ -156,10 +158,6 @@ class CooTensor:
     def normalize(self) -> "CooTensor":
         """Sorted unique-coordinate copy; duplicate coordinates are summed."""
         return self.to_coo(drop_zeros=False)
-
-    def nonzero_entries(self) -> list:
-        """Entries with value != 0, i.e. with explicit zeros dropped."""
-        return [(c, v) for c, v in self.entries if v != 0.0]
 
     def to_coo(self, drop_zeros: bool = False) -> "CooTensor":
         """`normalize`, with the zero sums dropped when `drop_zeros`."""
@@ -362,9 +360,6 @@ class DenseTensor:
             off = off * e + c
         return off
 
-    def get(self, coords) -> float:
-        return float(self.data[self.offset(coords)])
-
     def arrays(self):
         """The nonzeros in row-major order, as an (nnz, rank) int64
         coordinate array and a float64 value array."""
@@ -441,8 +436,9 @@ class SparseStorage:
     then runs `validate`.
     `level_arrays` and `value_array` hand out the arrays; the `pointers`,
     `indices` and `values` views build tuples of Python numbers on each
-    read. Build instances with `pack` (or, in the engine, `_build_levels`),
-    never by hand.
+    read, and stay because the benchmark's reference reads them and
+    `__repr__` prints them. Build instances with `pack` (or, in the
+    engine, `_build_levels`), never by hand.
     """
 
     def __init__(self, ttype: TensorType, pointers, indices, values):
@@ -596,11 +592,6 @@ class SparseStorage:
             coords[:, enc.dim_of_level(l)] = column
         return coords, self._values
 
-    def iterate(self) -> Iterator[Tuple[tuple, float]]:
-        """Yield (logical coords, value) in storage-lexicographic order."""
-        coords, values = self.arrays()
-        return zip(map(tuple, coords.tolist()), values.tolist())
-
     def to_coo(self, drop_zeros: bool = False) -> CooTensor:
         """Unpack to normalized COO, explicit zeros included unless
         `drop_zeros`."""
@@ -610,33 +601,6 @@ class SparseStorage:
         """Every stored entry scattered into a zero buffer, unmerged, so a
         stored -0.0 stays -0.0."""
         return _scatter(self.shape, *self.arrays())
-
-
-def unpack(storage: SparseStorage) -> CooTensor:
-    return storage.to_coo()
-
-
-def iterate(storage: SparseStorage) -> Iterator[Tuple[tuple, float]]:
-    return storage.iterate()
-
-
-def level_pointers(storage: SparseStorage, level: int) -> tuple:
-    """The pointers of one storage level, as a tuple of Python ints."""
-    if storage.encoding.levels[level] is DENSE:
-        raise LevelIsDense(f"storage level {level} is dense and has no pointers array")
-    return tuple(storage.level_arrays(level)[0].tolist())
-
-
-def level_indices(storage: SparseStorage, level: int) -> tuple:
-    """The indices of one storage level, as a tuple of Python ints."""
-    if storage.encoding.levels[level] is DENSE:
-        raise LevelIsDense(f"storage level {level} is dense and has no indices array")
-    return tuple(storage.level_arrays(level)[1].tolist())
-
-
-def values_view(storage: SparseStorage) -> tuple:
-    """The values, as a tuple of Python floats."""
-    return tuple(storage.value_array.tolist())
 
 
 def pack(value, enc: Encoding) -> SparseStorage:
@@ -720,14 +684,6 @@ class Workspace:
     values: list
     filled: list
     added: list
-
-    @property
-    def extent(self) -> int:
-        return len(self.values)
-
-    @property
-    def count(self) -> int:
-        return len(self.added)
 
     def scatter(self, index: int, delta: float):
         self.values[index] += delta

@@ -22,6 +22,8 @@ from enum import Enum
 from numbers import Real
 from typing import Optional
 
+import numpy as np
+
 from .errors import LengthMismatch, ParseError, ShapeMismatch, UnsupportedField
 from .storage import CooTensor, DenseTensor
 
@@ -59,8 +61,7 @@ def detect_format(path: str) -> FileFormat:
         text = fh.read()
     if ext == ".mtx" or text.lstrip().startswith("%%MatrixMarket"):
         return FileFormat.MATRIX_MARKET
-    data_lines = [ln for ln in text.splitlines() if ln.strip() and not _is_comment(ln)]
-    if _looks_extended(data_lines):
+    if _looks_extended(_extended_data_lines(text)):
         return FileFormat.EXTENDED_FROSTT
     return FileFormat.FROSTT
 
@@ -72,14 +73,14 @@ def _is_comment(line: str) -> bool:
 def _looks_extended(data_lines) -> bool:
     if len(data_lines) < 2:
         return False
-    head = data_lines[0].split()
+    head = data_lines[0][1].split()
     if len(head) != 2:
         return False
     try:
         rank, nnz = int(head[0]), int(head[1])
     except ValueError:
         return False
-    extents = data_lines[1].split()
+    extents = data_lines[1][1].split()
     if len(extents) != rank or not all(tok.isdigit() for tok in extents):
         return False
     return len(data_lines) == 2 + nnz
@@ -157,7 +158,7 @@ def _read_matrix_market(text: str) -> CooTensor:
     return coo
 
 
-def _parse_entry_lines(data_lines, rank, shape_known) -> list:
+def _parse_entry_lines(data_lines, rank) -> list:
     entries = []
     for lineno, line in data_lines:
         toks = line.split()
@@ -182,6 +183,16 @@ def _numbered_data_lines(text: str):
     ]
 
 
+def _extended_data_lines(text: str):
+    """`_numbered_data_lines`, with the extents line of a `0 nnz` header
+    put back: a rank-0 tensor has no extents, so that line is blank, and
+    blank lines are not data lines."""
+    data = _numbered_data_lines(text)
+    if data and data[0][1].split()[:1] == ["0"]:
+        data.insert(1, (data[0][0] + 1, ""))
+    return data
+
+
 def _read_plain_frostt(text: str) -> CooTensor:
     data = _numbered_data_lines(text)
     if not data:
@@ -189,13 +200,13 @@ def _read_plain_frostt(text: str) -> CooTensor:
     rank = len(data[0][1].split()) - 1
     if rank < 1:
         raise ParseError("entry lines need at least one coordinate", line=data[0][0])
-    entries = _parse_entry_lines(data, rank, shape_known=False)
+    entries = _parse_entry_lines(data, rank)
     shape = tuple(max(c[d] for c, _ in entries) + 1 for d in range(rank))
     return CooTensor(shape, entries)
 
 
 def _read_extended_frostt(text: str) -> CooTensor:
-    data = _numbered_data_lines(text)
+    data = _extended_data_lines(text)
     if len(data) < 2:
         raise ParseError("extended file needs a header and an extents line")
     head_no, head = data[0]
@@ -213,21 +224,24 @@ def _read_extended_frostt(text: str) -> CooTensor:
     shape = tuple(int(t) for t in ext_toks)
     if len(data) - 2 != nnz:
         raise ShapeMismatch(f"header declares {nnz} entries, file has {len(data) - 2}")
-    entries = _parse_entry_lines(data[2:], rank, shape_known=True)
+    entries = _parse_entry_lines(data[2:], rank)
     coo = CooTensor(shape, entries)
     coo.check_bounds()
     return coo
 
 
 def write_tensor(coo: CooTensor, path: str):
-    """Dematerialize to extended FROSTT text; entries in lexicographic order."""
-    coo = coo.normalize()
+    """Dematerialize to extended FROSTT text; entries in lexicographic order,
+    formatted from whole columns."""
+    coords, values = coo.normalize().arrays()
+    # uint64, so that a coordinate of 2**63 - 1 does not wrap when made 1-based.
+    columns = (coords.T.astype(np.uint64) + 1).tolist()
+    line = " ".join(["{}"] * coo.rank) + " {!r}\n"
     with open(path, "w") as fh:
         fh.write("# extended frostt: `rank nnz` header, extents line, 1-based entries\n")
-        fh.write(f"{coo.rank} {coo.nnz}\n")
+        fh.write(f"{coo.rank} {len(values)}\n")
         fh.write(" ".join(str(e) for e in coo.shape) + "\n")
-        for coords, value in coo.entries:
-            fh.write(" ".join(str(c + 1) for c in coords) + f" {value!r}\n")
+        fh.writelines(map(line.format, *columns, values.tolist()))
 
 
 _SPARSE_LITERAL = re.compile(r"^\s*sparse\s*<([0-9x\s]+)>\s*\((.*)\)\s*$", re.DOTALL)

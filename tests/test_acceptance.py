@@ -28,7 +28,7 @@ from sparsec.errors import OrderConflict
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.lattice import build_iteration_graph, build_lattice, topo_sort
 from sparsec.oracle import GeneratorSpec, dense_eval, density, generate
-from sparsec.storage import CooTensor, pack, unpack
+from sparsec.storage import CooTensor, pack
 from sparsec.tensor_io import read_tensor, write_tensor
 
 
@@ -234,9 +234,9 @@ def test_05_workspace_path():
         via_dense = run_kernel(parse_kernel(dense_text), {"A": a, "B": b})
         converted = convert(via_dense, csr())
 
-        ws_nonzeros = unpack(via_ws).nonzero_entries()
+        ws_nonzeros = via_ws.to_coo(drop_zeros=True).entries
         assert ws_nonzeros == want.to_coo(drop_zeros=True).entries
-        assert ws_nonzeros == unpack(converted).nonzero_entries()
+        assert ws_nonzeros == converted.to_coo(drop_zeros=True).entries
 
 
 # -- 6 ------------------------------------------------------------------------
@@ -326,12 +326,12 @@ def test_08_conversion_cycles():
             for _ in range(rng.randint(40, 150)):
                 entries[(rng.randrange(32), rng.randrange(32))] = rng.uniform(0.1, 5.0)
             coo = CooTensor((32, 32), list(entries.items())).normalize()
-            want = coo.nonzero_entries()
+            want = coo.to_coo(drop_zeros=True).entries
             value = pack(coo, csr())
             for enc in (csc(), dcsr(), dcsc(), None, dcsc(), csr()):
                 value = convert(value, enc)
                 if hasattr(value, "to_coo"):
-                    got = value.to_coo().nonzero_entries()
+                    got = value.to_coo(drop_zeros=True).entries
                     assert got == want, trial
             assert value == pack(coo, csr())
 

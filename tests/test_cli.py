@@ -139,6 +139,35 @@ def test_cmd_convert_roundtrip(tmp_path, mat_a):
     assert read_tensor(str(out)).entries == mat_a.normalize().entries
 
 
+@pytest.mark.parametrize("b", ["4.0", "0.0"])
+def test_cmd_run_scalar_output_converts_back(tmp_path, capsys, b):
+    # A rank-0 result file (`0 nnz`, a blank extents line) is read back.
+    kfile = tmp_path / "dot.kernel"
+    kfile.write_text(
+        "tensor a(4) format(compressed)\ntensor b(4)\ntensor x()\nx() = a(i) * b(i)\n"
+    )
+    x, y = tmp_path / "x.tns", tmp_path / "y.tns"
+    code = main(
+        [
+            "run",
+            "--kernel-file",
+            str(kfile),
+            "--input",
+            "a=sparse<4>([[1], [3]], [1.5, 2.0])",
+            "--input",
+            f"b=dense:[{b}, {b}, {b}, {b}]",
+            "--output",
+            str(x),
+        ]
+    )
+    assert code == 0
+    code = main(["convert", "--input", str(x), "--from", "dense", "--to", "dense", "--output", str(y)])
+    assert code == 0, capsys.readouterr().err
+    want = [((), 3.5 * float(b))] if float(b) else []
+    assert read_tensor(str(x)).entries == read_tensor(str(y)).entries == want
+    assert y.read_bytes() == x.read_bytes()
+
+
 def test_cmd_convert_shape_guard(tmp_path):
     src = tmp_path / "v.tns"
     write_tensor(CooTensor((4,), [((1,), 1.0)]), str(src))

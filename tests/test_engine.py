@@ -19,7 +19,7 @@ from sparsec.engine import convert, run_kernel
 from sparsec.errors import OrderConflict, ShapeMismatch, UnknownTensor, UnsupportedKernel
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.oracle import dense_eval
-from sparsec.storage import CooTensor, DenseTensor, SparseStorage, pack, unpack
+from sparsec.storage import CooTensor, DenseTensor, SparseStorage, pack
 
 DOT = (
     "tensor a(16) format(compressed)\ntensor b(16) format(compressed)\n"
@@ -39,7 +39,7 @@ def test_matmul_identity(mat_a):
         "C(i, j) = A(i, k) * B(k, j)\n"
     )
     out = run_kernel(k, {"A": mat_a, "B": _identity(4)})
-    assert unpack(out).nonzero_entries() == mat_a.normalize().entries
+    assert out.to_coo(drop_zeros=True).entries == mat_a.normalize().entries
 
 
 def test_dot_of_reference_vector_with_itself(vec_x):
@@ -228,7 +228,7 @@ def test_output_encoding_invariance():
         except OrderConflict:
             continue
         ran += 1
-        got = sorted(unpack(out).nonzero_entries())
+        got = sorted(out.to_coo(drop_zeros=True).entries)
         if want is None:
             want = got
         else:

@@ -37,7 +37,6 @@ from sparsec.errors import (
     BitWidthOverflow,
     CoordNotInteger,
     CoordOutOfBounds,
-    LevelIsDense,
     MalformedStorage,
     OutOfOrderInsertion,
     ParseError,
@@ -54,12 +53,8 @@ from sparsec.storage import (
     compress,
     dump_binary,
     expand,
-    level_indices,
-    level_pointers,
     load_binary,
     pack,
-    unpack,
-    values_view,
 )
 from test_typed_storage import _python_layout
 
@@ -131,43 +126,46 @@ def test_pack_bit_width_overflow():
 
 
 def test_unpack_csr(mat_a):
-    coo = unpack(pack(mat_a, csr()))
+    coo = pack(mat_a, csr()).to_coo()
     assert coo.entries == [((0, 0), refs.A00), ((0, 3), refs.A03), ((2, 0), refs.A20)]
 
 
 def test_unpack_empty():
     s = pack(CooTensor((3, 4)), csr())
     assert s.pointers[1] == (0, 0, 0, 0)
-    assert unpack(s).entries == []
+    assert s.to_coo().entries == []
 
 
 def test_unpack_preserves_explicit_zeros(mat_a):
-    coo = unpack(pack(mat_a, make_encoding([COMPRESSED, DENSE])))
+    coo = pack(mat_a, make_encoding([COMPRESSED, DENSE])).to_coo()
     assert coo.nnz == 8
-    assert len(coo.nonzero_entries()) == 3
+    assert coo.to_coo(drop_zeros=True).nnz == 3
 
 
 def test_iterate_orders(mat_a, vec_x):
-    dcsc_order = [v for _, v in pack(mat_a, dcsc()).iterate()]
-    assert dcsc_order == [refs.A00, refs.A20, refs.A03]
-    csr_order = [v for _, v in pack(mat_a, csr()).iterate()]
-    assert csr_order == [refs.A00, refs.A03, refs.A20]
+    dcsc_coords, dcsc_order = pack(mat_a, dcsc()).arrays()
+    assert dcsc_order.tolist() == [refs.A00, refs.A20, refs.A03]
+    _, csr_order = pack(mat_a, csr()).arrays()
+    assert csr_order.tolist() == [refs.A00, refs.A03, refs.A20]
     # Logical coordinates come back unpermuted.
-    assert [c for c, _ in pack(mat_a, dcsc()).iterate()] == [(0, 0), (2, 0), (0, 3)]
+    assert dcsc_coords.tolist() == [[0, 0], [2, 0], [0, 3]]
 
 
 def test_iterate_dense_level_expansion():
     s = pack(CooTensor((4,), [((1,), 5.0)]), make_encoding([DENSE]))
-    assert list(s.iterate()) == [((0,), 0.0), ((1,), 5.0), ((2,), 0.0), ((3,), 0.0)]
+    coords, values = s.arrays()
+    assert coords.tolist() == [[0], [1], [2], [3]]
+    assert values.tolist() == [0.0, 5.0, 0.0, 0.0]
 
 
 def test_level_views(mat_a):
     s = pack(mat_a, csr())
-    assert level_indices(s, 1) == (0, 3, 0)
-    assert level_pointers(s, 1) == (0, 2, 2, 3)
-    assert values_view(s) == (refs.A00, refs.A03, refs.A20)
-    with pytest.raises(LevelIsDense):
-        level_indices(s, 0)
+    pointers, indices = s.level_arrays(1)
+    assert indices.tolist() == [0, 3, 0]
+    assert pointers.tolist() == [0, 2, 2, 3]
+    assert s.value_array.tolist() == [refs.A00, refs.A03, refs.A20]
+    # A dense level stores no arrays.
+    assert [a.size for a in s.level_arrays(0)] == [0, 0]
 
 
 # The one build of a sparse output (`engine._sparse_output`), shared by
@@ -248,12 +246,12 @@ def test_workspace_scatter_and_compress():
     ws.scatter(5, 1.0)
     ws.scatter(1, 2.0)
     ws.scatter(1, 3.0)  # accumulate, not a new touch
-    assert ws.added == [5, 1] and ws.count == 2
+    assert ws.added == [5, 1]
     compress(ws, (0,), coords, values)
     s = _collected(TensorType((2, 8), csr()), coords, values)
     assert s.indices[1] == (1, 5)
     assert s.values == (5.0, 1.0)
-    assert not any(ws.filled) and all(v == 0.0 for v in ws.values) and ws.count == 0
+    assert not any(ws.filled) and all(v == 0.0 for v in ws.values) and ws.added == []
 
 
 def test_workspace_compress_untouched_is_noop():
@@ -283,7 +281,7 @@ def test_workspace_reset_exhaustive_small_extents():
         compress(ws, (0,), coords, values)
         assert not any(ws.filled)
         assert all(v == 0.0 for v in ws.values)
-        assert ws.count == 0
+        assert ws.added == []
         _collected(TensorType((1, extent), csr()), coords, values)
 
 
@@ -302,9 +300,9 @@ def _random_coo(rng, shape, density=0.3):
 def test_roundtrip_all_encodings(shape):
     rng = random.Random(42)
     coo = _random_coo(rng, shape)
-    want = coo.normalize().nonzero_entries()
+    want = coo.to_coo(drop_zeros=True).entries
     for enc in enumerate_encodings(len(shape)):
-        got = unpack(pack(coo, enc)).nonzero_entries()
+        got = pack(coo, enc).to_coo(drop_zeros=True).entries
         assert got == want, enc.describe()
 
 
@@ -590,7 +588,6 @@ def _check_coo_matches_reference(shape, pairs):
     assert repr(coo.to_coo().entries) == repr(merged)
     nonzero = [(c, v) for c, v in merged if v != 0.0]
     assert repr(coo.to_coo(drop_zeros=True).entries) == repr(nonzero)
-    assert repr(coo.nonzero_entries()) == repr([(c, v) for c, v in _plain(ref.entries) if v != 0.0])
     dense = [0.0] * math.prod(shape)
     for c, v in merged:
         flat = 0
@@ -729,8 +726,8 @@ def test_from_arrays_checks_its_arrays():
 
 
 def _reference_iterate(storage):
-    """The per-element reference for `iterate`: a recursive walk over the
-    levels, one generator frame per level."""
+    """The per-element reference for `SparseStorage.arrays`: a recursive
+    walk over the levels, one generator frame per level."""
     enc = storage.encoding
     sshape = storage.ttype.storage_shape()
     d = storage.rank
@@ -804,10 +801,10 @@ def _state(value):
 
 def _check_readers(storage, dense):
     walked = _reference_iterate(storage)
-    assert repr(list(storage.iterate())) == repr(walked)
+    coords, values = storage.arrays()
+    assert repr(list(zip(map(tuple, coords.tolist()), values.tolist()))) == repr(walked)
     merged = _merged_entries(CooTensor(storage.shape, walked))
     assert repr(storage.to_coo().entries) == repr(merged)
-    assert repr(unpack(storage).entries) == repr(merged)
     nonzero = [(c, v) for c, v in merged if v != 0.0]
     assert repr(storage.to_coo(drop_zeros=True).entries) == repr(nonzero)
     for drop_zeros in (True, False):
@@ -914,7 +911,7 @@ def test_bulk_compress_equals_per_element(levels):
             for j, delta in touches:
                 ws.scatter(j, delta)
             fn(ws, prefix, coords, values)
-            assert ws.count == 0 and not any(ws.filled)
+            assert ws.added == [] and not any(ws.filled)
             assert all(repr(v) == "0.0" for v in ws.values)
         built.append(_layout(_collected(ttype, coords, values)))
     assert built[0] == built[1]
@@ -953,7 +950,7 @@ def test_expand_compress_kernel_equals_per_element(monkeypatch, c_format):
     drained = []
 
     def per_element(ws, prefix, coords, values):
-        drained.append(ws.count)
+        drained.append(len(ws.added))
         _compress_per_element(ws, prefix, coords, values)
 
     monkeypatch.setattr(engine, "compress", per_element)

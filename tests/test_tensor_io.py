@@ -135,6 +135,53 @@ def test_roundtrip_random_tensors(tmp_path):
         assert back.shape == coo.shape and back.entries == coo.entries
 
 
+def _write_per_entry(coo, path):
+    """The reference for `write_tensor`: one formatted line per entry."""
+    coo = coo.normalize()
+    with open(path, "w") as fh:
+        fh.write("# extended frostt: `rank nnz` header, extents line, 1-based entries\n")
+        fh.write(f"{coo.rank} {coo.nnz}\n")
+        fh.write(" ".join(str(e) for e in coo.shape) + "\n")
+        for coords, value in coo.entries:
+            fh.write(" ".join(str(c + 1) for c in coords) + f" {value!r}\n")
+
+
+def test_write_tensor_bytes_equal_per_entry_writer(tmp_path):
+    # Ranks 0-4, empty tensors, duplicates (every entry of a scalar is one),
+    # signed zeros, runs that round, the smallest subnormal, and the largest
+    # 64-bit coordinate. Every file reads back, rank 0 included.
+    rng = random.Random(14)
+    special = [0.0, -0.0, 1e16, -1e16, 1.0, 5e-324]
+    cases = [CooTensor((2**63,), [((2**63 - 1,), 1.0), ((0,), -0.0)])]
+    for case in range(300):
+        rank = case % 5
+        shape = tuple(rng.randint(1, 6) for _ in range(rank))
+        n = 0 if case < 10 else rng.randrange(20)
+        values = special + [rng.uniform(-5, 5)]
+        cases.append(
+            CooTensor(shape, [(tuple(rng.randrange(e) for e in shape), rng.choice(values)) for _ in range(n)])
+        )
+    got, want = tmp_path / "got.tns", tmp_path / "want.tns"
+    for coo in cases:
+        write_tensor(coo, str(got))
+        _write_per_entry(coo, str(want))
+        assert got.read_bytes() == want.read_bytes(), coo
+        back = read_tensor(str(got))
+        assert back.shape == coo.shape and repr(back.entries) == repr(coo.normalize().entries)
+
+
+@pytest.mark.parametrize("entries", [[((), 2.5)], [((), -0.0)], []])
+def test_scalar_file_reads_back(tmp_path, entries):
+    # A scalar's extents line is blank, so the file is told from plain
+    # FROSTT by its `0 nnz` header.
+    path = tmp_path / "s.tns"
+    coo = CooTensor((), entries)
+    write_tensor(coo, str(path))
+    assert detect_format(str(path)) is FileFormat.EXTENDED_FROSTT
+    back = read_tensor(str(path))
+    assert back.shape == () and repr(back.entries) == repr(coo.normalize().entries)
+
+
 def test_extended_header_count_mismatch(tmp_path):
     path = tmp_path / "bad.tns"
     path.write_text("2 3\n4 4\n1 1 1.0\n")
@@ -161,7 +208,7 @@ def test_dense_literal():
     t = read_dense_literal("[1.0, 0.0, 2.0]")
     assert t.shape == (3,) and t.data.tolist() == [1.0, 0.0, 2.0]
     m = read_dense_literal("[[1, 2], [3, 4]]")
-    assert m.shape == (2, 2) and m.get((1, 0)) == 3.0
+    assert m.shape == (2, 2) and m.data.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_dense_literal_ragged():

@@ -455,7 +455,7 @@ def test_to_dense_past_the_budget_raises_before_allocating(encoding):
     # Below the budget the same entry is scattered.
     small = CooTensor((8, 8), [((3, 5), 1.0)])
     small = small if encoding is None else pack(small, encoding)
-    assert engine.convert(small, None).get((3, 5)) == 1.0
+    assert engine.convert(small, None).data.reshape(8, 8)[3, 5] == 1.0
 
 
 def test_all_dense_output_past_the_budget_is_one_cli_line(tmp_path, capsys):
