@@ -9,6 +9,7 @@ import argparse
 import csv
 import hashlib
 import re
+import statistics
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -393,7 +394,8 @@ class _BenchSuite:
 
     `kernel`, the input specs, `header` and `line` are format strings over
     a run's fields: `small` for the check, or `scale(n)` merged with one
-    of the `variants` for each timed run. The printed lines also see `ms`,
+    of the `variants` for each timed run. The printed lines also see `best`
+    and `median` (milliseconds over `_BENCH_RUNS` runs of the variant),
     `rho_out` (the result's density) and `rho_<input>`. Input specs are
     generators without a seed; the i-th input gets seed + i.
     """
@@ -415,6 +417,8 @@ _SPMSPM = (
     "C(i, j) = A(i, k) * B(k, j)\n"
 )
 
+_BENCH_RUNS = 5  # timed runs per variant: best and median are printed
+
 _BENCH_SUITES = {
     "spmspm": _BenchSuite(
         kernel=_SPMSPM,
@@ -422,7 +426,10 @@ _BENCH_SUITES = {
         small=dict(n=48, rho=0.1),
         default_scale=1024,
         scale=lambda n: dict(n=n, rho=0.01),
-        line="  n={n} rho_A,B={rho}  time {ms:9.1f} ms  rho_C={rho_out:.4f}",
+        line=(
+            "  n={n} rho_A,B={rho}  best {best:9.1f} ms  median {median:9.1f} ms"
+            "  rho_C={rho_out:.4f}"
+        ),
     ),
     "spmv": _BenchSuite(
         kernel="tensor A({n}, {n}) {enc}\ntensor v({n})\ntensor x({n})\nx(i) = A(i, j) * v(j)\n",
@@ -431,7 +438,10 @@ _BENCH_SUITES = {
         default_scale=2048,
         scale=lambda n: dict(n=n, band=min(1000, n)),
         header="rowband A: n={n}, dense rows={band}, density={rho_A:.4f}",
-        line="  {label:5s} time {ms:9.1f} ms  output density {rho_out:.4f}",
+        line=(
+            "  {label:5s} best {best:9.1f} ms  median {median:9.1f} ms"
+            "  output density {rho_out:.4f}"
+        ),
         variants=tuple(
             dict(label=label, enc=enc.describe())
             for label, enc in (
@@ -453,7 +463,7 @@ _BENCH_SUITES = {
         small=dict(n=24, k=8, rho=0.2),
         default_scale=512,
         scale=lambda n: dict(n=n, k=64, rho=0.05),
-        line="  n={n} k={k}  time {ms:9.1f} ms  rho_X={rho_out:.4f}",
+        line="  n={n} k={k}  best {best:9.1f} ms  median {median:9.1f} ms  rho_X={rho_out:.4f}",
     ),
     "mttkrp": _BenchSuite(
         kernel=(
@@ -467,7 +477,7 @@ _BENCH_SUITES = {
         small=dict(n=12, m=10, l=8, j=4, rho=0.1),
         default_scale=96,
         scale=lambda n: dict(n=n, m=n, l=n, j=16, rho=0.02),
-        line="  n={n} j={j}  time {ms:9.1f} ms  rho_A={rho_out:.4f}",
+        line="  n={n} j={j}  best {best:9.1f} ms  median {median:9.1f} ms  rho_A={rho_out:.4f}",
     ),
 }
 
@@ -504,10 +514,15 @@ def cmd_bench(args) -> int:
         print(suite.header.format(**fields, **rho))
     for variant in suite.variants:
         kernel = parse_kernel(suite.kernel.format(**fields, **variant))
-        started = time.perf_counter()
-        result = run_kernel(kernel, inputs)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        print(suite.line.format(**fields, **variant, ms=elapsed_ms, rho_out=density(result)))
+        times = []
+        for _ in range(_BENCH_RUNS):
+            started = time.perf_counter()
+            result = run_kernel(kernel, inputs)
+            times.append((time.perf_counter() - started) * 1e3)
+        print(suite.line.format(
+            **fields, **variant, best=min(times), median=statistics.median(times),
+            rho_out=density(result),
+        ))
     return 0
 
 

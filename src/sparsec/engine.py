@@ -768,9 +768,11 @@ class _ArrayRun:
 
     def _CompressWs(self, s: CompressWs, frame):
         # The workspace sums each (row, j) from 0.0 in scatter order, then
-        # appends the row's touched j in ascending order: the stable sort
-        # and in-order sums of `_merge_runs` over (row, j), which is a loop
-        # over j in each row.
+        # appends the row's touched j in ascending order, a loop over j in
+        # each row. `_merge_runs` over (row, j) does the same: its sort keeps
+        # scatter order among equal keys (`_sort_rows` tags each key with
+        # its index, unless the keys are already in order), and it sums in
+        # that order.
         scattered = self.drain("ws")
         if scattered is None:
             return

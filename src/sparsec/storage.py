@@ -228,24 +228,36 @@ def _sort_rows(columns: list, extents: list, n: int):
     lexicographically, and a mask of the sorted rows that differ from the
     row before them.
 
-    The rows sort by one int64 key, `(c0 * e1 + c1) * e2 + c2 ...`, which
-    is faster than `np.lexsort` over the columns; `lexsort` runs only where
-    the key could pass 2**62.
+    The rows sort by one int64 key, `(c0 * e1 + c1) * e2 + c2 ...`. A key
+    that does not descend is already in order, and the permutation is the
+    identity. Otherwise each key carries its row index in its low `shift`
+    bits, so no two tagged keys are equal and an unstable in-place sort
+    (numpy's vectorised quicksort) puts equal keys in index order: the low
+    bits read back the stable permutation. `np.lexsort` over the columns
+    runs only where the volume shifted by `shift` bits reaches 2**63.
     """
-    first = np.ones(n, bool)
-    if math.prod(extents) < 1 << 62:
-        key = columns[0] if columns else np.zeros(n, np.int64)
-        for column, extent in zip(columns[1:], extents[1:]):
-            key = key * extent + column
-        perm = np.argsort(key, kind="stable")
-        key = key[perm]
-        first[1:] = key[1:] != key[:-1]
-    else:
+    first = np.empty(n, bool)
+    first[:1] = True
+    shift = (n - 1).bit_length()
+    if math.prod(extents) << shift >= 1 << 63:
         perm = np.lexsort(columns[::-1])
         first[1:] = False
         for column in columns:
             column = column[perm]
             first[1:] |= column[1:] != column[:-1]
+        return perm, first
+    key = columns[0] if columns else np.zeros(n, np.int64)
+    for column, extent in zip(columns[1:], extents[1:]):
+        key = key * extent + column
+    if not np.count_nonzero(key[1:] < key[:-1]):
+        perm = np.arange(n)
+    else:
+        tagged = key << shift
+        tagged |= np.arange(n)
+        tagged.sort()
+        perm = tagged & ((1 << shift) - 1)
+        key = tagged >> shift
+    np.not_equal(key[1:], key[:-1], out=first[1:])
     return perm, first
 
 
@@ -255,9 +267,11 @@ def _merge_runs(columns: list, extents: list, values: np.ndarray):
     order, the index of its first occurrence and its sum.
 
     Each sum starts as its first row's value plus 0.0, and `np.add.at`
-    adds the rows that repeat an earlier one, in index order; the sort is
-    stable, so equal rows are summed into 0.0 in entry order, exactly as a
-    sequential loop would (a lone -0.0 sums to 0.0). Where no row repeats,
+    adds the rows that repeat an earlier one, in index order. The
+    permutation is stable (the identity for rows already in order, else
+    ordered by the index tag of `_sort_rows`, or `np.lexsort`), so equal
+    rows are summed into 0.0 in entry order, exactly as a sequential loop
+    would (a lone -0.0 sums to 0.0). Where no row repeats,
     nothing is added. (`np.add.reduceat` sums long runs pairwise, which
     rounds differently.)
     """

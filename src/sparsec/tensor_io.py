@@ -56,14 +56,21 @@ def detect_format(path: str) -> FileFormat:
     header: two integers whose rank matches the following extents line and
     whose nnz matches the number of entry lines.
     """
-    ext = os.path.splitext(path)[1].lower()
     with open(path) as fh:
-        text = fh.read()
+        return _detect(path, fh.read())[0]
+
+
+def _detect(path: str, text: str):
+    """`detect_format` of a file's `text`, and for the FROSTT family its
+    numbered data lines, which the reader then parses (None for Matrix
+    Market)."""
+    ext = os.path.splitext(path)[1].lower()
     if ext == ".mtx" or text.lstrip().startswith("%%MatrixMarket"):
-        return FileFormat.MATRIX_MARKET
-    if _looks_extended(_extended_data_lines(text)):
-        return FileFormat.EXTENDED_FROSTT
-    return FileFormat.FROSTT
+        return FileFormat.MATRIX_MARKET, None
+    data = _numbered_data_lines(text)
+    if _looks_extended(_extended_data_lines(data)):
+        return FileFormat.EXTENDED_FROSTT, data
+    return FileFormat.FROSTT, data
 
 
 def _is_comment(line: str) -> bool:
@@ -87,16 +94,22 @@ def _looks_extended(data_lines) -> bool:
 
 
 def read_tensor(src, format: Optional[FileFormat] = None) -> CooTensor:
-    """Materialize a CooTensor from a file path or SourceSpec."""
-    if not isinstance(src, SourceSpec):
-        src = SourceSpec.resolve(src, format)
-    with open(src.path) as fh:
+    """Materialize a CooTensor from a file path or SourceSpec. The file is
+    read once: without a format, it is detected from the same text."""
+    if isinstance(src, SourceSpec):
+        src, format = src.path, src.format
+    with open(src) as fh:
         text = fh.read()
-    if src.format is FileFormat.MATRIX_MARKET:
+    data = None
+    if format is None:
+        format, data = _detect(src, text)
+    if format is FileFormat.MATRIX_MARKET:
         return _read_matrix_market(text)
-    if src.format is FileFormat.EXTENDED_FROSTT:
-        return _read_extended_frostt(text)
-    return _read_plain_frostt(text)
+    if data is None:
+        data = _numbered_data_lines(text)
+    if format is FileFormat.EXTENDED_FROSTT:
+        return _read_extended_frostt(data)
+    return _read_plain_frostt(data)
 
 
 _MM_FIELDS = {"real", "integer", "pattern"}
@@ -183,18 +196,16 @@ def _numbered_data_lines(text: str):
     ]
 
 
-def _extended_data_lines(text: str):
-    """`_numbered_data_lines`, with the extents line of a `0 nnz` header
-    put back: a rank-0 tensor has no extents, so that line is blank, and
-    blank lines are not data lines."""
-    data = _numbered_data_lines(text)
+def _extended_data_lines(data):
+    """`data` (numbered data lines), with the extents line of a `0 nnz`
+    header put back: a rank-0 tensor has no extents, so that line is blank,
+    and blank lines are not data lines."""
     if data and data[0][1].split()[:1] == ["0"]:
-        data.insert(1, (data[0][0] + 1, ""))
+        return [data[0], (data[0][0] + 1, "")] + data[1:]
     return data
 
 
-def _read_plain_frostt(text: str) -> CooTensor:
-    data = _numbered_data_lines(text)
+def _read_plain_frostt(data) -> CooTensor:
     if not data:
         raise ParseError("empty tensor file")
     rank = len(data[0][1].split()) - 1
@@ -205,8 +216,8 @@ def _read_plain_frostt(text: str) -> CooTensor:
     return CooTensor(shape, entries)
 
 
-def _read_extended_frostt(text: str) -> CooTensor:
-    data = _extended_data_lines(text)
+def _read_extended_frostt(data) -> CooTensor:
+    data = _extended_data_lines(data)
     if len(data) < 2:
         raise ParseError("extended file needs a header and an extents line")
     head_no, head = data[0]

@@ -390,3 +390,35 @@ def test_coiteration_at_scale_matches_scipy(op):
     assert np.array_equal(pointers, want.indptr)
     assert np.array_equal(indices, want.indices)
     assert np.array_equal(got.value_array, want.data)
+
+
+def test_workspace_at_scale_matches_scipy():
+    # CSR x CSR -> CSR at n=2048, density 0.01, through the expand/compress
+    # workspace: 786,476 outputs, 5,397 of them with three or more summands,
+    # whose last bits change if the compress sort is not stable.
+    sparse = pytest.importorskip("scipy.sparse")
+    n = 2048
+    kernel = parse_kernel(_spmspm(n))
+    (program,) = compile_kernel(kernel)
+    assert program.strategy.kind is StrategyKind.EXPAND_COMPRESS
+    bindings = {
+        name: generate(GeneratorSpec((n, n), "uniform", density=0.01, seed=seed))
+        for name, seed in (("A", 23), ("B", 24))
+    }
+    chosen, loops, forms = run_both(kernel, bindings)
+    assert forms == ["arrays"]
+    identical = chosen == loops  # not inline: pytest would diff megabytes of text
+    assert identical
+    a, b = (
+        sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0].T)), shape=(n, n))
+        for v in bindings.values()
+    )
+    summands = ((a != 0).astype(np.int64) @ (b != 0).astype(np.int64)).data
+    assert np.count_nonzero(summands >= 3) > 1000
+    want = (a @ b).tocsr()
+    want.sort_indices()
+    got = execute(kernel, [program], bindings)
+    pointers, indices = got.level_arrays(1)
+    assert np.array_equal(pointers, want.indptr)
+    assert np.array_equal(indices, want.indices)
+    np.testing.assert_allclose(got.value_array, want.data, rtol=1e-10)

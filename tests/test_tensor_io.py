@@ -3,10 +3,12 @@ import random
 import pytest
 
 import conftest as refs
+from sparsec import tensor_io
 from sparsec.errors import LengthMismatch, ParseError, ShapeMismatch, UnsupportedField
 from sparsec.storage import CooTensor
 from sparsec.tensor_io import (
     FileFormat,
+    SourceSpec,
     detect_format,
     read_dense_literal,
     read_sparse_literal,
@@ -98,6 +100,42 @@ def test_extended_frostt_detected_and_read(tmp_path, mat_a):
     write_tensor(mat_a, str(path))
     assert detect_format(str(path)) is FileFormat.EXTENDED_FROSTT
     assert read_tensor(str(path)).entries == mat_a.normalize().entries
+
+
+@pytest.mark.parametrize(
+    "name, text, format",
+    [
+        (
+            "m.mtx",
+            "%%MatrixMarket matrix coordinate real general\n% c\n2 3 2\n1 1 1.5\n2 3 -0.0\n",
+            FileFormat.MATRIX_MARKET,
+        ),
+        ("p.tns", "# c\n1 1 1.5\n2 3 -0.0\n", FileFormat.FROSTT),
+        ("e.tns", "# c\n2 2\n2 3\n1 1 1.5\n2 3 -0.0\n", FileFormat.EXTENDED_FROSTT),
+    ],
+    ids=["matrix-market", "frostt", "extended-frostt"],
+)
+def test_read_tensor_opens_the_file_once(tmp_path, monkeypatch, name, text, format):
+    path = str(tmp_path / name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(tensor_io, "open", counting_open, raising=False)
+    assert detect_format(path) is format
+    assert opened == [path]
+    want = "CooTensor(shape=(2, 3), entries=[((0, 0), 1.5), ((1, 2), -0.0)])"
+    for given in (None, format):
+        opened.clear()
+        assert repr(read_tensor(path, given)) == want
+        assert opened == [path]
+    opened.clear()
+    assert repr(read_tensor(SourceSpec(path, format))) == want
+    assert opened == [path]
 
 
 def test_write_tensor_layout(tmp_path, tensor_t):

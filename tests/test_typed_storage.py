@@ -1,7 +1,8 @@
 """`SparseStorage` and `DenseTensor` held as read-only typed arrays:
 construction from any sequence or array, the tuple views against a
 pure-Python layout, the one
-int64 sort key against `lexsort`, the whole-array binary dump against the
+int64 sort key (its three paths and the bound of its index-tagged form)
+against `lexsort`, the whole-array binary dump against the
 struct-based writer, and the budget on the positions of dense levels."""
 
 import random
@@ -23,6 +24,7 @@ from sparsec.storage import (
     CooTensor,
     DenseTensor,
     SparseStorage,
+    _sort_rows,
     _sorted_unique,
     dump_binary,
     load_binary,
@@ -317,6 +319,46 @@ def coo_case(draw):
 def test_sorted_unique_equals_lexsort_and_sequential_merge(case):
     coo, order = case
     assert _got_sorted_unique(coo, order) == _reference_sorted_unique(coo, order)
+
+
+@pytest.mark.parametrize(
+    "shape, n, tagged",
+    [
+        ((2**28, 2**28), 40, True),  # 2**56 << 6 == 2**62
+        ((2**28, 2**29), 32, True),  # 2**57 << 5 == 2**62
+        ((2**28, 2**29), 40, False),  # 2**57 << 6 == 2**63
+        ((2**30, 2**30), 40, False),  # 2**60 << 6 == 2**66
+    ],
+)
+def test_tagged_key_bound(shape, n, tagged):
+    # A shuffled key carries its row index in its low bit_length(n - 1)
+    # bits, so the volume shifted by that many bits must stay under 2**63;
+    # from 2**63 on, the rows sort by `np.lexsort`.
+    rng = random.Random(n)
+    spots = [(i, j) for i in (0, 1, shape[0] - 1) for j in (0, shape[1] - 2, shape[1] - 1)]
+    coo = CooTensor(shape, [(rng.choice(spots), rng.choice(WIDE)) for _ in range(n)])
+    for order in ([0, 1], [1, 0]):
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            got = _got_sorted_unique(coo, order)
+        assert lexsort.call_count == (0 if tagged else 1)
+        assert got == _reference_sorted_unique(coo, order)
+
+
+def test_sorted_duplicate_runs_keep_the_identity():
+    # Entries already in order by (i, j), in runs of equal coordinates with
+    # 0.0, -0.0 and cancelling values: the permutation is the identity, and
+    # the sums are the sequential ones. By (j, i) the same entries sort.
+    entries = [
+        ((0, 0), -0.0), ((0, 3), 1e16), ((0, 3), 1.0), ((0, 3), -1e16),
+        ((1, 1), 0.0), ((1, 1), -0.0), ((2, 0), -0.0), ((2, 0), -0.0), ((2, 3), 3.0),
+    ]
+    coo = CooTensor((3, 4), entries)
+    coords, _ = coo.arrays()
+    perm, first = _sort_rows([coords[:, 0], coords[:, 1]], [3, 4], len(entries))
+    assert perm.tolist() == list(range(len(entries)))
+    assert first.tolist() == [True, True, False, False, True, False, True, False, True]
+    for order in ([0, 1], [1, 0]):
+        assert _got_sorted_unique(coo, order) == _reference_sorted_unique(coo, order)
 
 
 @pytest.mark.parametrize("shape", [(7, 5, 3), (2**40, 2**40)])
