@@ -43,6 +43,7 @@ from .lattice import (
     MergeLattice,
     access_display_names,
     build_lattice_for,
+    check_order,
 )
 
 # ----------------------------------------------------------------------------
@@ -465,13 +466,17 @@ def reject_unsupported_output(kernel: Kernel):
 def lower(kernel: Kernel, topo_order, lattices=None) -> Program:
     """Lower a kernel to a loop IR Program, analysing it first if need be.
 
-    `lattices` optionally maps variables to the right-hand side's merge
-    lattices (`lattice.build_lattice`); every other lattice the loops need
-    is built when the lowering first reaches it, once per subexpression
-    and variable.
+    `topo_order` must be a topological order of the kernel's iteration
+    graph that lists each index variable once (`lattice.check_order`),
+    else OrderConflict is raised. `lattices` optionally maps variables to
+    the right-hand side's merge lattices (`lattice.build_lattice`); every
+    other lattice the loops need is built when the lowering first reaches
+    it, once per subexpression and variable.
     """
     if kernel.analysis is None:
         kernel = analyze_reductions(kernel)
+    topo_order = tuple(topo_order)
+    check_order(kernel, topo_order)
     reject_unsupported_output(kernel)
     return _Lowerer(kernel, topo_order, lattices).lower()
 

@@ -12,12 +12,15 @@ The interpreter runs a Program in one of two forms:
 
 - Every Program runs as whole-array numpy passes that walk the IR
   directly. Each loop nest is flattened into a frame of rows, one per
-  iteration in loop order; loads are gathers. A co-iteration loop
+  iteration in loop order; loads are gathers, except where a position
+  loop's rows have consecutive ranges: their positions are then one run,
+  whose indices and values are read as slices. A co-iteration loop
   (`WhileCoiter`) is a merge of its iterators' sorted indices up to the
   point where the first of them runs out, and each candidate runs the
   first case, in dominance order, whose iterators all hold it. The sinks
   are `np.add.at` and a stable sort and merge for the workspace, applied
-  in the loops' order across cases and sibling loops. It generates no
+  in the loops' order across cases and sibling loops; scattered keys
+  already in order are merged without a permutation. It generates no
   source.
 - A Program whose frame would pass `_MAX_FRAME_ROWS` rows is written
   instead, over the concrete bindings, as the source of one Python
@@ -101,6 +104,7 @@ from .storage import (
     _check_leading_dense,
     _merge_runs,
     _read_only,
+    _row_key,
     _sort_rows,
     compress,
     expand,
@@ -421,12 +425,17 @@ def _sparse_output(ttype: TensorType, coords: np.ndarray, values: np.ndarray) ->
     array of logical coordinates, laid out by `_build_levels` once the rows
     are checked to strictly increase in storage order (OutOfOrderInsertion
     otherwise, duplicates included). Widths are checked by `validate`."""
-    # Row r + 1 follows row r when it is greater at the first storage
-    # level where the two differ.
-    follows = np.zeros(max(len(values) - 1, 0), bool)
-    for level in reversed(range(ttype.rank)):
-        column = coords[:, ttype.encoding.dim_of_level(level)]
-        follows = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & follows)
+    columns = [coords[:, ttype.encoding.dim_of_level(l)] for l in range(ttype.rank)]
+    extents = ttype.storage_shape()
+    if math.prod(extents) < 1 << 63:
+        key = _row_key(columns, extents, len(values))
+        follows = key[1:] > key[:-1]
+    else:
+        # Row r + 1 follows row r when it is greater at the first storage
+        # level where the two differ.
+        follows = np.zeros(max(len(values) - 1, 0), bool)
+        for column in reversed(columns):
+            follows = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & follows)
     if not follows.all():
         r = int(np.argmin(follows))
         raise OutOfOrderInsertion(
@@ -502,6 +511,11 @@ class _Frame:
     variable, outermost first. A row's statement indices and variable
     values tell its iteration from every other, and compare in the order
     the loops run them.
+
+    `reads`, in the body frame of a position loop, is its position column
+    and the index that reads those positions from a bound array: the slice
+    they fill when the rows' ranges are consecutive, else the column
+    itself. Any other frame has None.
     """
 
     def __init__(self, n: int, parent: Optional["_Frame"] = None, rows=None, key=()):
@@ -511,6 +525,7 @@ class _Frame:
         self.key = key
         self.at = 0  # the index of the statement the frame's block runs
         self.cols: dict = {}
+        self.reads = None  # (position column, slice or that column)
 
     def col(self, key):
         column = self.cols.get(key)
@@ -537,7 +552,10 @@ class _ArrayRun:
     position loop as many times as its iterator's range holds, and a
     co-iteration loop (`_WhileCoiter`) once per candidate its merge
     visits. Loads are gathers, and the expression is evaluated elementwise
-    in float64.
+    in float64. A position loop whose rows' ranges are consecutive, as
+    under a dense loop or at the first level, holds one run of positions
+    (`_Frame.reads`): its indices, and the values loaded at those
+    positions, are slices of the bound arrays, read in place.
 
     A sink statement hands its writes to `sink` and they are applied when
     read (`drain`): an accumulator's when the accumulator is read, the
@@ -612,13 +630,10 @@ class _ArrayRun:
 
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
         start, steps = _position_steps(self.p, uid, upto)
-        if start is None:
-            pos = np.zeros(frame.n, np.int64)
-        else:
-            pos = frame.col(("q", uid, start))
+        pos = None if start is None else frame.col(("q", uid, start))
         for v, extent in steps:
-            pos = pos * extent + frame.col(("v", v))
-        return pos
+            pos = frame.col(("v", v)) if pos is None else pos * extent + frame.col(("v", v))
+        return np.zeros(frame.n, np.int64) if pos is None else pos
 
     def values(self, node, frame: _Frame) -> np.ndarray:
         """The expression `node` at every row of `frame`."""
@@ -653,7 +668,10 @@ class _ArrayRun:
 
     def _LoadVal(self, s: LoadVal, frame):
         values = _bound_part(self.p, self.env, s.uid, "values")
-        frame.cols["x", s.uid] = values[self.position(s.uid, frame)]
+        pos = self.position(s.uid, frame)
+        if frame.reads is not None and pos is frame.reads[0]:
+            pos = frame.reads[1]
+        frame.cols["x", s.uid] = values[pos]
 
     def _ForDense(self, s: ForDense, frame):
         _check_rows(frame.n * s.extent)
@@ -662,11 +680,21 @@ class _ArrayRun:
         self.block(s.body, child)
 
     def _ForPositions(self, s: ForPositions, frame):
-        lo = frame.col(("q", s.uid, s.level))
-        owner, q = _segments(lo, frame.col(("h", s.uid, s.level)) - lo)
+        lo, hi = frame.col(("q", s.uid, s.level)), frame.col(("h", s.uid, s.level))
+        if frame.n and not np.count_nonzero(lo[1:] != hi[:-1]):
+            # Each row's range starts where the previous one ends, so the
+            # positions are one run, and the indices (and the values, see
+            # `_LoadVal`) are read as slices of it, not gathered.
+            read = slice(int(lo[0]), int(hi[-1]))
+            _check_rows(read.stop - read.start)
+            owner, q = np.arange(frame.n).repeat(hi - lo), np.arange(read.start, read.stop)
+        else:
+            owner, q = _segments(lo, hi - lo)
+            read = q
         child = frame.sub(owner, s.var)
+        child.reads = (q, read)
         child.cols["q", s.uid, s.level] = q
-        child.cols["v", s.var] = _bound_part(self.p, self.env, s.uid, "indices", s.level)[q]
+        child.cols["v", s.var] = _bound_part(self.p, self.env, s.uid, "indices", s.level)[read]
         self.block(s.body, child)
 
     def _RangeInit(self, s: RangeInit, frame):
@@ -751,9 +779,8 @@ class _ArrayRun:
         self.sink(("acc", s.slot), frame, frame.col(("acc", s.slot)), self.values(s.expr, frame))
 
     def _StoreDense(self, s: StoreDense, frame):
-        offset = np.zeros(frame.n, np.int64)
-        for v, extent in zip(s.coords, self.p.kernel.output_type.shape):
-            offset = offset * extent + frame.col(("v", v))
+        columns = [frame.col(("v", v)) for v in s.coords]
+        offset = _row_key(columns, self.p.kernel.output_type.shape, frame.n)
         self.sink("out", frame, offset, self.values(s.expr, frame))
 
     def _InsertLex(self, s: InsertLex, frame):
@@ -770,7 +797,7 @@ class _ArrayRun:
         # The workspace sums each (row, j) from 0.0 in scatter order, then
         # appends the row's touched j in ascending order, a loop over j in
         # each row. `_merge_runs` over (row, j) does the same: its sort keeps
-        # scatter order among equal keys (`_sort_rows` tags each key with
+        # scatter order among equal keys (`_row_order` tags each key with
         # its index, unless the keys are already in order), and it sums in
         # that order.
         scattered = self.drain("ws")
@@ -781,8 +808,10 @@ class _ArrayRun:
         firsts, sums = _merge_runs(
             [rows, j], [frame.n, self.p.kernel.analysis.var_extents[var]], values
         )
-        drained = frame.sub(rows[firsts], var)
-        drained.cols["v", var] = j[firsts]
+        if firsts is not None:
+            rows, j = rows[firsts], j[firsts]
+        drained = frame.sub(rows, var)
+        drained.cols["v", var] = j
         coords = np.stack([drained.col(("v", v)) for v in self.p.kernel.lhs.indices], axis=1)
         self.sink("inserted", drained, coords, sums)
 

@@ -97,15 +97,22 @@ class UnsupportedKernel(SparsecError):
 
 
 class OrderConflict(SparsecError):
-    """Loop-order constraints form a cycle; carries the offending cycle."""
+    """Loop-order constraints form a cycle, or a given loop order breaks
+    them; carries the offending cycle (empty for a given order) and the
+    given order (None for a cycle), with the `reason` it is refused."""
 
-    def __init__(self, cycle):
+    def __init__(self, cycle=(), order=None, reason=""):
         self.cycle = tuple(cycle)
-        chain = " -> ".join(self.cycle + (self.cycle[0],))
-        super().__init__(
-            f"conflicting dimension orderings force a loop-order cycle {chain}; "
-            "convert one operand to a compatible dimension ordering first"
-        )
+        self.order = None if order is None else tuple(order)
+        if self.order is not None:
+            message = f"loop order {', '.join(self.order)} {reason}"
+        else:
+            chain = " -> ".join(self.cycle + (self.cycle[0],))
+            message = (
+                f"conflicting dimension orderings force a loop-order cycle {chain}; "
+                "convert one operand to a compatible dimension ordering first"
+            )
+        super().__init__(message)
 
 
 class ShapeMismatch(SparsecError):

@@ -70,12 +70,10 @@ class IterationGraph:
         return [v for (a, v) in self.edges if a == u]
 
 
-def build_iteration_graph(kernel: Kernel) -> IterationGraph:
-    """Collect loop-order constraints from every access, the output included."""
-    if kernel.analysis is None:
-        kernel = analyze_reductions(kernel)
-    nodes = kernel.index_vars
-    edges: Dict[tuple, set] = {}
+def _chains(kernel: Kernel):
+    """For every access of an analysed kernel, the output included, with a
+    compressed level: its tensor, and the variables of its storage levels
+    up to its last compressed one, outermost first."""
     for access in kernel.analysis.accesses + (kernel.lhs,):
         enc = kernel.tensors[access.tensor].encoding
         if enc is None:
@@ -84,10 +82,18 @@ def build_iteration_graph(kernel: Kernel) -> IterationGraph:
         if not compressed_levels:
             continue
         last = compressed_levels[-1]
-        chain = [access.indices[enc.dim_of_level(l)] for l in range(last + 1)]
+        yield access.tensor, [access.indices[enc.dim_of_level(l)] for l in range(last + 1)]
+
+
+def build_iteration_graph(kernel: Kernel) -> IterationGraph:
+    """Collect loop-order constraints from every access, the output included."""
+    if kernel.analysis is None:
+        kernel = analyze_reductions(kernel)
+    edges: Dict[tuple, set] = {}
+    for tensor, chain in _chains(kernel):
         for u, v in zip(chain, chain[1:]):
-            edges.setdefault((u, v), set()).add(access.tensor)
-    return IterationGraph(nodes, {k: tuple(sorted(v)) for k, v in edges.items()})
+            edges.setdefault((u, v), set()).add(tensor)
+    return IterationGraph(kernel.index_vars, {k: tuple(sorted(v)) for k, v in edges.items()})
 
 
 def topo_sort(graph: IterationGraph) -> list:
@@ -113,6 +119,27 @@ def topo_sort(graph: IterationGraph) -> list:
     if len(out) != len(graph.nodes):
         raise OrderConflict(_find_cycle(graph, set(graph.nodes) - set(out)))
     return out
+
+
+def check_order(kernel: Kernel, order) -> None:
+    """Raise OrderConflict, naming the sequence `order`, unless it is a
+    topological order of the analysed kernel's iteration graph: every
+    index variable once, each after the variables its edges put before
+    it."""
+    at = {v: i for i, v in enumerate(order)}
+    if len(at) != len(order) or at.keys() != set(kernel.index_vars):
+        raise OrderConflict(
+            order=order,
+            reason=f"must list each of the loop variables {', '.join(kernel.index_vars)} once",
+        )
+    for tensor, chain in _chains(kernel):
+        for u, v in zip(chain, chain[1:]):
+            if at[u] > at[v]:
+                raise OrderConflict(
+                    order=order,
+                    reason=f"runs {v} outside {u}, but the storage of {tensor} "
+                    f"needs {u} outside {v}",
+                )
 
 
 def _find_cycle(graph: IterationGraph, remaining: set) -> list:

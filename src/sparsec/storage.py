@@ -222,19 +222,37 @@ def _coord_array(coords: list, shape: tuple) -> np.ndarray:
     return _read_only(np.asarray(flat).reshape(n, rank))
 
 
+def _row_key(columns: list, extents: list, n: int) -> np.ndarray:
+    """The int64 key `(c0 * e1 + c1) * e2 + c2 ...` of the `n` rows of
+    `columns` (integer arrays, the most significant first, each in `range`
+    of its extent): the first column itself, or zeros with no column. The
+    caller keeps the volume below 2**63."""
+    key = columns[0] if columns else np.zeros(n, np.int64)
+    for column, extent in zip(columns[1:], extents[1:]):
+        key = key * extent + column
+    return key
+
+
 def _sort_rows(columns: list, extents: list, n: int):
     """The stable permutation that sorts the `n` rows of `columns` (integer
     arrays, the most significant first, each in `range` of its extent)
     lexicographically, and a mask of the sorted rows that differ from the
-    row before them.
+    row before them (`_row_order`, with the identity spelled out)."""
+    perm, first = _row_order(columns, extents, n)
+    return np.arange(n) if perm is None else perm, first
 
-    The rows sort by one int64 key, `(c0 * e1 + c1) * e2 + c2 ...`. A key
-    that does not descend is already in order, and the permutation is the
-    identity. Otherwise each key carries its row index in its low `shift`
-    bits, so no two tagged keys are equal and an unstable in-place sort
-    (numpy's vectorised quicksort) puts equal keys in index order: the low
-    bits read back the stable permutation. `np.lexsort` over the columns
-    runs only where the volume shifted by `shift` bits reaches 2**63.
+
+def _row_order(columns: list, extents: list, n: int):
+    """`_sort_rows`, with None for the permutation when the rows are
+    already in order.
+
+    The rows sort by one int64 key (`_row_key`). A key that does not
+    descend is already in order. Otherwise each key carries its row index
+    in its low `shift` bits, so no two tagged keys are equal and an
+    unstable in-place sort (numpy's vectorised quicksort) puts equal keys
+    in index order: the low bits read back the stable permutation.
+    `np.lexsort` over the columns runs only where the volume shifted by
+    `shift` bits reaches 2**63.
     """
     first = np.empty(n, bool)
     first[:1] = True
@@ -246,12 +264,9 @@ def _sort_rows(columns: list, extents: list, n: int):
             column = column[perm]
             first[1:] |= column[1:] != column[:-1]
         return perm, first
-    key = columns[0] if columns else np.zeros(n, np.int64)
-    for column, extent in zip(columns[1:], extents[1:]):
-        key = key * extent + column
-    if not np.count_nonzero(key[1:] < key[:-1]):
-        perm = np.arange(n)
-    else:
+    key = _row_key(columns, extents, n)
+    perm = None
+    if np.count_nonzero(key[1:] < key[:-1]):
         tagged = key << shift
         tagged |= np.arange(n)
         tagged.sort()
@@ -262,20 +277,25 @@ def _sort_rows(columns: list, extents: list, n: int):
 
 
 def _merge_runs(columns: list, extents: list, values: np.ndarray):
-    """Sort the rows of `columns` lexicographically (`_sort_rows`) and sum
+    """Sort the rows of `columns` lexicographically (`_row_order`) and sum
     the `values` of equal rows. Returns, for each distinct row in sorted
-    order, the index of its first occurrence and its sum.
+    order, the index of its first occurrence, and its sum; the indices are
+    None when the rows already strictly increase, each its own first.
 
     Each sum starts as its first row's value plus 0.0, and `np.add.at`
     adds the rows that repeat an earlier one, in index order. The
     permutation is stable (the identity for rows already in order, else
-    ordered by the index tag of `_sort_rows`, or `np.lexsort`), so equal
+    ordered by the index tag of `_row_order`, or `np.lexsort`), so equal
     rows are summed into 0.0 in entry order, exactly as a sequential loop
     would (a lone -0.0 sums to 0.0). Where no row repeats,
-    nothing is added. (`np.add.reduceat` sums long runs pairwise, which
-    rounds differently.)
+    nothing is added, and rows already in order are not permuted at all.
+    (`np.add.reduceat` sums long runs pairwise, which rounds differently.)
     """
-    perm, first = _sort_rows(columns, extents, len(values))
+    perm, first = _row_order(columns, extents, len(values))
+    if perm is None:
+        if first.all():
+            return None, values + 0.0
+        perm = np.arange(len(values))
     starts = np.flatnonzero(first)
     firsts = perm[starts]
     sums = values[firsts]
@@ -291,16 +311,19 @@ def _sorted_unique(value, order):
     lexicographically by their coordinates taken in `order` (a permutation
     of the dimensions), duplicates summed in entry order (`_merge_runs`).
 
-    Coordinates come back in logical dimension order, as fresh rows
+    Coordinates come back in logical dimension order: the array read out
+    itself when its rows already strictly increase, else fresh rows
     gathered with `np.take`, which copies rows of a 2-D array several
-    times faster than indexing does. The arrays are read here, not passed
-    in, so the unsorted coordinates a `SparseStorage` or `DenseTensor`
-    reads out are freed during the sort.
+    times faster than indexing does. The sums are always a fresh array.
+    The arrays are read here, not passed in, so the unsorted coordinates a
+    `SparseStorage` or `DenseTensor` reads out are freed during the sort.
     """
     coords, values = value.arrays()
     firsts, sums = _merge_runs(
         [coords[:, k] for k in order], [value.shape[k] for k in order], values
     )
+    if firsts is None:
+        return coords, sums
     return np.take(coords, firsts, axis=0), sums
 
 
@@ -318,9 +341,7 @@ def _scatter(shape, coords: np.ndarray, values: np.ndarray) -> "DenseTensor":
     """A dense tensor holding `values` at `coords` (unique) and 0.0 elsewhere;
     raises DenseOutputTooLarge, before allocating, past the budget."""
     _check_budget(math.prod(shape), f"dense tensor of shape {shape}")
-    flat = np.zeros(len(values), np.int64)
-    for column, extent in zip(coords.T, shape):
-        flat = flat * extent + column
+    flat = _row_key(list(coords.T), shape, len(values))
     data = np.zeros(math.prod(shape))
     data[flat] = values
     return DenseTensor(shape, _read_only(data))

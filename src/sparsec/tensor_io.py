@@ -17,7 +17,6 @@ Values are written as their shortest round-trippable decimal.
 import ast
 import os
 import re
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 from typing import Optional
@@ -32,20 +31,6 @@ class FileFormat(Enum):
     MATRIX_MARKET = "matrix-market"
     FROSTT = "frostt"
     EXTENDED_FROSTT = "extended-frostt"
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    """A tensor file plus its resolved format."""
-
-    path: str
-    format: FileFormat
-
-    @classmethod
-    def resolve(cls, path: str, format: Optional[FileFormat] = None) -> "SourceSpec":
-        if format is None:
-            format = detect_format(path)
-        return cls(path, format)
 
 
 def detect_format(path: str) -> FileFormat:
@@ -93,11 +78,9 @@ def _looks_extended(data_lines) -> bool:
     return len(data_lines) == 2 + nnz
 
 
-def read_tensor(src, format: Optional[FileFormat] = None) -> CooTensor:
-    """Materialize a CooTensor from a file path or SourceSpec. The file is
-    read once: without a format, it is detected from the same text."""
-    if isinstance(src, SourceSpec):
-        src, format = src.path, src.format
+def read_tensor(src: str, format: Optional[FileFormat] = None) -> CooTensor:
+    """Materialize a CooTensor from a file path. The file is read once:
+    without a format, it is detected from the same text."""
     with open(src) as fh:
         text = fh.read()
     data = None

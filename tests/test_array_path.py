@@ -9,6 +9,7 @@ entry.
 """
 
 import random
+import sys
 import tracemalloc
 from itertools import product
 from unittest import mock
@@ -284,6 +285,89 @@ def test_rank_zero_output(text):
     got = _same(text, bindings)
     want = dense_eval(analyze_reductions(kernel), {n: v.to_dense() for n, v in bindings.items()})
     assert got == repr(want)
+
+
+# ----------------------------------------------------------------------------
+# Position runs: a position loop whose rows' ranges are consecutive reads
+# its indices and values as slices; any other gathers through `_segments`.
+
+
+@pytest.fixture
+def gathered(monkeypatch):
+    """The row counts of the frames whose position loop built its positions
+    with `_segments`, in call order (other callers are not counted)."""
+    calls = []
+    segments = engine._segments
+
+    def spy(lo, counts):
+        if sys._getframe(1).f_code.co_name == "_ForPositions":
+            calls.append(len(counts))
+        return segments(lo, counts)
+
+    monkeypatch.setattr(engine, "_segments", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a", ["dense, compressed", "compressed, compressed", "compressed, dense"],
+    ids=["CSR", "DCSR", "CDR"],
+)
+def test_spmv_reads_its_position_runs_as_slices(gathered, a):
+    # Empty rows first, last and inside, an explicit -0.0 and values across
+    # 16 decades: every row's range starts where the one before it ends.
+    rng = random.Random(12)
+    entries = [
+        ((r, c), v)
+        for r in (1, 2, 5, 6, 9)
+        for c, v in zip(sorted(rng.sample(range(12), 5)), _wide(rng, 5))
+    ]
+    entries[3] = (entries[3][0], -0.0)
+    text = (
+        f"tensor A(12, 12) format({a})\ntensor v(12)\ntensor x(12)\n"
+        "x(i) = A(i, j) * v(j)\n"
+    )
+    _same(text, {"A": CooTensor((12, 12), entries), "v": DenseTensor((12,), _wide(rng, 12))})
+    assert gathered == []
+
+
+def test_spmspm_gathers_only_the_ranges_that_are_not_consecutive(gathered):
+    # Under the dense i loop A's ranges are consecutive. B's ranges, one
+    # per nonzero of A, are not, unless each row of A holds one k and the
+    # k ascend with i, as in the identity.
+    a = generate(GeneratorSpec((16, 16), "uniform", density=0.3, seed=1))
+    b = generate(GeneratorSpec((16, 16), "uniform", density=0.3, seed=2))
+    _same(_spmspm(16), {"A": a, "B": b})
+    assert gathered == [a.nnz]
+    gathered.clear()
+    identity = generate(GeneratorSpec((16, 16), "identity"))
+    _same(_spmspm(16), {"A": identity, "B": b})
+    assert gathered == []
+
+
+@pytest.mark.parametrize(
+    "rows_a,rows_b,want",
+    [((0, 1, 2, 4, 5), (1, 3, 5), [3]), ((0, 1, 4), (4, 5), []), ((1, 2, 4), (0, 2, 3, 4), [2])],
+)
+def test_coiteration_case_frames_keep_their_own_runs(gathered, rows_a, rows_b, want):
+    # A union over DCSR operands: the rows only one operand holds run that
+    # operand's position loop in a case frame of their own, made by `sub`.
+    # Its ranges are consecutive, and read as slices, unless a row both
+    # operands hold lies between two of them in storage: rows 0, 2 and 4 of
+    # the first A, and rows 0 and 3 of the last B.
+    rng = random.Random(len(rows_a))
+
+    def matrix(rows):
+        entries = [((r, c), v) for r in rows for c, v in zip((0, 2, 5), _wide(rng, 3))]
+        return CooTensor((6, 6), entries)
+
+    text = (
+        "tensor A(6, 6) format(compressed, compressed)\n"
+        "tensor B(6, 6) format(compressed, compressed)\n"
+        "tensor C(6, 6) format(compressed, compressed)\n"
+        "C(i, j) = A(i, j) + B(i, j)\n"
+    )
+    _same(text, {"A": matrix(rows_a), "B": matrix(rows_b)})
+    assert gathered == want
 
 
 def test_row_budget_falls_back_to_the_loops(monkeypatch):

@@ -25,10 +25,12 @@ from sparsec.codegen import (
     lower,
 )
 from sparsec.encoding import TensorType, enumerate_encodings
-from sparsec.engine import compile_kernel, prepare_kernels
+from sparsec.engine import compile_kernel, execute, prepare_kernels
 from sparsec.errors import OrderConflict, UnsupportedKernel
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.lattice import build_iteration_graph, build_lattice, topo_sort
+from sparsec.oracle import dense_eval
+from sparsec.storage import DenseTensor
 from test_acceptance import _random_kernel_case
 
 
@@ -264,6 +266,38 @@ def test_lowering_ignores_bit_widths(text, name, rank):
         for width in variants:
             assert _ir_text(kernel, name, width) == want, width.describe()
     assert compiled >= len(native) // 2
+
+
+MATMUL_A_CSR = """
+tensor A(3, 4) format(dense, compressed)
+tensor B(4, 5)
+tensor C(3, 5)
+C(i, j) = A(i, k) * B(k, j)
+"""
+
+
+@pytest.mark.parametrize(
+    "order", [("k", "i", "j"), ("j", "k", "i"), ("k", "j", "i"), ("i", "j"), ("i", "j", "k", "k")]
+)
+def test_lower_refuses_an_order_the_iteration_graph_does_not_allow(order):
+    # A's storage puts i outside k. An order that runs k first, or that
+    # does not list each variable once, would lower to loops reading an
+    # iterator no loop bound (or to a wrong result); it is refused by name.
+    k = analyze_reductions(parse_kernel(MATMUL_A_CSR))
+    with pytest.raises(OrderConflict) as err:
+        lower(k, list(order))
+    assert err.value.order == order
+    assert str(err.value).startswith(f"loop order {', '.join(order)} ")
+    assert err.value.cycle == ()
+
+
+@pytest.mark.parametrize("order", [("i", "k", "j"), ("i", "j", "k"), ("j", "i", "k")])
+def test_lower_takes_every_topological_order(order):
+    k = analyze_reductions(parse_kernel(MATMUL_A_CSR))
+    a = DenseTensor((3, 4), [float(x % 3) for x in range(12)])
+    b = DenseTensor((4, 5), [float(x % 7) - 2.0 for x in range(20)])
+    got = execute(k, (lower(k, iter(order)),), {"A": a, "B": b})
+    assert got == dense_eval(k, {"A": a, "B": b})
 
 
 def test_lower_analyses_an_unanalysed_kernel_under_optimize():

@@ -6,6 +6,7 @@ for malformed storage and dumps."""
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -201,6 +202,28 @@ def test_builder_rejects_out_of_order():
 def test_builder_rejects_duplicate():
     with pytest.raises(OutOfOrderInsertion):
         _sparse_output(TensorType((3, 4), csr()), [((1, 1), 1.0), ((1, 1), 2.0)])
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2**40, 2**40)], ids=["one key", "per column"])
+@pytest.mark.parametrize("enc", [dcsr(), dcsc()], ids=["DCSR", "DCSC"])
+@pytest.mark.parametrize(
+    "pair", [((1, 1), (1, 1)), ((1, 3), (1, 0)), ((2, 0), (1, 3))],
+    ids=["duplicate", "descending last level", "descending first level"],
+)
+def test_builder_names_the_pair_out_of_storage_order(monkeypatch, shape, enc, pair):
+    # `pair` in storage order, after an entry it follows. A volume below
+    # 2**63 is checked on one int64 key, a larger one level by level.
+    keys = []
+    row_key = engine._row_key
+    monkeypatch.setattr(engine, "_row_key", lambda *args: keys.append(1) or row_key(*args))
+    ttype = TensorType(shape, enc)
+    logical = [tuple(p[enc.level_of_dim(k)] for k in range(2)) for p in [(0, 2), *pair]]
+    want = f"insertion at {logical[2]} does not follow {logical[1]} in storage order"
+    with pytest.raises(OutOfOrderInsertion, match=re.escape(want)):
+        _sparse_output(ttype, list(zip(logical, (1.0, 2.0, 3.0))))
+    built = _sparse_output(ttype, list(zip(logical[:2], (1.0, 2.0))))
+    assert built.value_array.tolist() == [1.0, 2.0]
+    assert len(keys) == (2 if shape == (4, 4) else 0)
 
 
 def test_builder_storage_order_for_permuted_encoding(mat_a):

@@ -8,7 +8,6 @@ from sparsec.errors import LengthMismatch, ParseError, ShapeMismatch, Unsupporte
 from sparsec.storage import CooTensor
 from sparsec.tensor_io import (
     FileFormat,
-    SourceSpec,
     detect_format,
     read_dense_literal,
     read_sparse_literal,
@@ -133,9 +132,6 @@ def test_read_tensor_opens_the_file_once(tmp_path, monkeypatch, name, text, form
         opened.clear()
         assert repr(read_tensor(path, given)) == want
         assert opened == [path]
-    opened.clear()
-    assert repr(read_tensor(SourceSpec(path, format))) == want
-    assert opened == [path]
 
 
 def test_write_tensor_layout(tmp_path, tensor_t):

@@ -24,6 +24,7 @@ from sparsec.storage import (
     CooTensor,
     DenseTensor,
     SparseStorage,
+    _merge_runs,
     _sort_rows,
     _sorted_unique,
     dump_binary,
@@ -372,6 +373,68 @@ def test_long_shuffled_duplicate_runs_sum_in_entry_order(shape):
     coo = CooTensor(shape, entries)
     for order in ([0, 1, 2][: len(shape)], [len(shape) - 1] + list(range(len(shape) - 1))):
         assert _got_sorted_unique(coo, order) == _reference_sorted_unique(coo, order)
+
+
+def _stored_arrays(storage) -> list:
+    return [a for l in range(storage.rank) for a in storage.level_arrays(l)] + [
+        storage.value_array
+    ]
+
+
+def test_sorted_unique_entries_pack_without_a_permutation():
+    # Entries already sorted and unique, a -0.0 among them, take no
+    # permutation: the sums are the values plus 0.0 (so the -0.0 becomes
+    # 0.0, as a merge from 0.0 makes it) and the coordinates are the
+    # input's own. They pack to what the same entries shuffled pack to,
+    # under every format, and the storage shares no memory with the input.
+    entries = [((0, 1), -0.0), ((0, 3), 2.5), ((1, 0), 1e16), ((2, 2), -3.0), ((2, 3), 0.0)]
+    coo = CooTensor((3, 4), entries)
+    shuffled = CooTensor((3, 4), random.Random(4).sample(entries, len(entries)))
+    coords, values = coo.arrays()
+    firsts, sums = _merge_runs([coords[:, 0], coords[:, 1]], [3, 4], values)
+    assert firsts is None
+    assert repr(sums.tolist()) == "[0.0, 2.5, 1e+16, -3.0, 0.0]"
+    assert not np.shares_memory(sums, values)
+    assert _sorted_unique(coo, [0, 1])[0] is coords
+    for enc in enumerate_encodings(2):
+        packed = pack(coo, enc)
+        assert repr(packed) == repr(pack(shuffled, enc)), enc.describe()
+        for stored in _stored_arrays(packed):
+            assert not any(np.shares_memory(stored, a) for a in (coords, values))
+
+
+@pytest.mark.parametrize(
+    "rhs", ["A(i, k) * B(k, j)", "A(i, j)"], ids=["workspace", "direct-lex"]
+)
+def test_sparse_outputs_share_no_memory_with_the_bindings(rhs):
+    # A is the identity, so the workspace's scattered (i, j) keys strictly
+    # increase and its merge takes no permutation, and every position loop
+    # reads its values as slices of the bindings' arrays.
+    kernel = parse_kernel(
+        "tensor A(8, 8) format(dense, compressed)\n"
+        "tensor B(8, 8) format(dense, compressed)\n"
+        f"tensor C(8, 8) format(dense, compressed)\nC(i, j) = {rhs}\n"
+    )
+    a = pack(CooTensor((8, 8), [((i, i), -0.0 if i == 3 else i + 1.0) for i in range(8)]), csr())
+    rng = random.Random(8)
+    b = pack(
+        CooTensor((8, 8), [((i, j), rng.uniform(-1, 1)) for i in range(8) for j in range(8)
+                           if rng.random() < 0.4]),
+        csr(),
+    )
+    merges = []
+    merge_runs = engine._merge_runs
+    with mock.patch.object(
+        engine, "_merge_runs", lambda *args: merges.append(merge_runs(*args)) or merges[-1]
+    ):
+        result = engine.run_kernel(kernel, {"A": a, "B": b})
+    assert [firsts for firsts, _ in merges] == ([None] if rhs.endswith("B(k, j)") else [])
+    with mock.patch.object(engine, "interpret", engine._run_loops):
+        assert repr(result) == repr(engine.run_kernel(kernel, {"A": a, "B": b}))
+    for stored in _stored_arrays(result):
+        assert not any(
+            np.shares_memory(stored, bound) for bound in _stored_arrays(a) + _stored_arrays(b)
+        )
 
 
 # ----------------------------------------------------------------------------
