@@ -4,8 +4,8 @@ Kernels are written in a sparsity-agnostic index notation; per-tensor
 format annotations choose dense or compressed storage per dimension, a
 dimension ordering, and overhead bit widths. The compiler orders loops via
 an iteration graph, builds merge lattices per index variable, lowers to an
-explicit loop IR, and runs that IR over packed storage as one generated
-Python function per lowered program.
+explicit loop IR, and runs that IR over packed storage as whole-array
+numpy passes.
 """
 
 from .encoding import (
@@ -30,9 +30,6 @@ from .storage import (
     CooTensor,
     DenseTensor,
     SparseStorage,
-    Workspace,
-    compress,
-    expand,
     pack,
 )
 from .tensor_io import read_dense_literal, read_sparse_literal, read_tensor, write_tensor
@@ -50,9 +47,7 @@ __all__ = [
     "SparseStorage",
     "SparsecError",
     "TensorType",
-    "Workspace",
     "analyze_reductions",
-    "compress",
     "convert",
     "csc",
     "csr",
@@ -61,7 +56,6 @@ __all__ = [
     "dense_eval",
     "density",
     "enumerate_encodings",
-    "expand",
     "format_space_size",
     "generate",
     "interpret",

@@ -8,48 +8,41 @@ interprets the Programs. Each piece is analysed once, and the analysis
 carries its tagged accesses to every later stage; `lower` builds each
 merge lattice only when its loops reach it.
 
-The interpreter runs a Program in one of two forms:
+The interpreter runs every Program as whole-array numpy passes that walk
+the IR directly. Each loop nest is flattened into a frame of rows, one per
+iteration in loop order; loads are gathers, except where a position loop's
+rows have consecutive ranges: their positions are then one run, whose
+indices and values are read as slices. A co-iteration loop (`WhileCoiter`)
+is a merge of its iterators' sorted indices up to the point where the
+first of them runs out, and each candidate runs the first case, in
+dominance order, whose iterators all hold it. The sinks are `np.add.at`
+and a stable sort and merge for the workspace, applied in the loops' order
+across cases and sibling loops; scattered keys already in order are merged
+without a permutation. It generates no source.
 
-- Every Program runs as whole-array numpy passes that walk the IR
-  directly. Each loop nest is flattened into a frame of rows, one per
-  iteration in loop order; loads are gathers, except where a position
-  loop's rows have consecutive ranges: their positions are then one run,
-  whose indices and values are read as slices. A co-iteration loop
-  (`WhileCoiter`) is a merge of its iterators' sorted indices up to the
-  point where the first of them runs out, and each candidate runs the
-  first case, in dominance order, whose iterators all hold it. The sinks
-  are `np.add.at` and a stable sort and merge for the workspace, applied
-  in the loops' order across cases and sibling loops; scattered keys
-  already in order are merged without a permutation. It generates no
-  source.
-- A Program whose frame would pass `_MAX_FRAME_ROWS` rows is written
-  instead, over the concrete bindings, as the source of one Python
-  function whose loop variables and positions are locals, and `exec`ed
-  once. That function is the Python form of the IR that
-  `codegen.emit_text` prints, so results stay auditable against the
-  emitted text. A sparse output's entries, inserted directly or drained
-  from the workspace (`compress`), are appended in storage order to two
-  flat arrays, one of coordinates and one of values. CPython compiles at
-  most 20 nested loops into one function, so this form raises
-  UnsupportedKernel for a deeper loop nest.
+No frame holds more than `_MAX_FRAME_ROWS` rows. A loop whose frame would
+pass it runs in parts, in loop order: consecutive groups of its parent's
+rows, and a row that passes the budget alone in slices of its own
+iterations (ranges of a dense loop's extent or of a position loop's
+positions, windows of a co-iteration's indices). The sinks merge by
+loop-order key, so the parts give the result one frame would.
 
-Either form hands a sparse output's entries to `_sparse_output`, which
-checks that they strictly increase in storage order and lays them out
-with `pack`'s level build (`_build_levels`). Both forms add in loop order
-from the same 0.0, so they give the same result bit for bit. A dense
-output past `_MAX_DENSE_ELEMENTS` elements, or a sparse one whose dense
-levels would pass it, raises DenseOutputTooLarge in either form before it
-is allocated.
+A sparse output's entries go to `_sparse_output`, which checks that they
+strictly increase in storage order and lays them out with `pack`'s level
+build (`_build_levels`). Every sum is added in loop order from 0.0, as the
+loops `codegen.emit_text` prints add it, so the result is theirs bit for
+bit. A dense output past `_MAX_DENSE_ELEMENTS` elements, or a sparse one
+whose dense levels would pass it, raises DenseOutputTooLarge before it is
+allocated.
 
-Both forms take each access's layout from its declared type, which
-`execute` coerces the binding to, and read the binding's read-only arrays:
-the array form as they are, the loops through one `tolist()` of each.
-Bindings are never mutated; a dense output starts from a copy of its seed
-and the in-place strategy from a copy of the output's values array.
+Each access's layout is taken from its declared type, which `execute`
+coerces the binding to, and the binding's read-only arrays are read as
+they are. Bindings are never mutated; a dense output starts from a copy of
+its seed and the in-place strategy from a copy of the output's values
+array.
 """
 
 import math
-from array import array
 from dataclasses import replace
 from typing import Optional, Union
 
@@ -82,7 +75,6 @@ from .errors import (
     OutOfOrderInsertion,
     ShapeMismatch,
     UnknownTensor,
-    UnsupportedKernel,
 )
 from .expr import (
     Access,
@@ -106,8 +98,6 @@ from .storage import (
     _read_only,
     _row_key,
     _sort_rows,
-    compress,
-    expand,
     pack,
 )
 
@@ -141,10 +131,8 @@ def convert(value: TensorValue, to_type: Union[TensorType, Encoding, None]) -> T
 # ----------------------------------------------------------------------------
 # Interpreter
 
-# CPython compiles at most 20 statically nested loops into one function.
-_MAX_LOOP_DEPTH = 20
-# The most rows one frame of the array form may hold; a Program that would
-# pass it runs on the loops instead, which hold only the output.
+# The most rows one frame may hold; a loop whose frame would pass it runs in
+# parts that fit (`_ArrayRun.parts`).
 _MAX_FRAME_ROWS = 1 << 22
 
 
@@ -204,222 +192,6 @@ def _dense_output(kernel: Kernel, env: dict):
     return None if seed is None else seed.data
 
 
-class _Generator:
-    """Writes a Program over concrete bindings as the source of one function.
-
-    Loop variables, iterator positions and ends, range counters, hoisted
-    values and accumulators are plain locals; the bound arrays become
-    globals. Every name is a slot name (`v0` for the first loop variable,
-    `q3_1`/`h3_1` for the position and end of access 3 at level 1, `r0`,
-    `x3`, `a0`), so no identifier from the kernel text reaches the source.
-    """
-
-    def __init__(self, program: Program, env: dict):
-        self.p = program
-        self.env = env
-        self.var = {v: f"v{i}" for i, v in enumerate(program.topo)}
-        self.globals = {"expand": expand, "compress": compress}
-        self.lists: dict = {}  # (tensor, part, level) -> a bound array as a list
-        self.lines = ["def program():"]
-        self.loops = 0
-
-    def _array(self, name: str, uid: int, part: str, level: int = 0) -> str:
-        """Bind a bound tensor's `pointers`, `indices` or `values` to the
-        global `name` as a list, taking one `tolist()` per bound array."""
-        key = (self.p.accesses[uid].tensor, part, level)
-        if key not in self.lists:
-            self.lists[key] = _bound_part(self.p, self.env, uid, part, level).tolist()
-        self.globals[name] = self.lists[key]
-        return name
-
-    def _position(self, uid: int, upto: Optional[int] = None) -> str:
-        """Flat position of access `uid` after its first `upto` levels."""
-        start, steps = _position_steps(self.p, uid, upto)
-        src = None if start is None else f"q{uid}_{start}"
-        for v, extent in steps:
-            src = self.var[v] if src is None else f"({src}*{extent}+{self.var[v]})"
-        return src or "0"
-
-    def _expr(self, node) -> str:
-        if isinstance(node, ValRef):
-            return f"x{node.uid}"
-        if isinstance(node, AccRef):
-            return f"a{node.slot}"
-        if isinstance(node, Const):
-            return repr(node.value)
-        if isinstance(node, Neg):
-            return f"(-{self._expr(node.operand)})"
-        op = {Mul: "*", Add: "+", Sub: "-"}[type(node)]
-        return f"({self._expr(node.lhs)} {op} {self._expr(node.rhs)})"
-
-    def _tuple(self, variables) -> str:
-        names = [self.var[v] for v in variables]
-        return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
-
-    def line(self, depth: int, text: str):
-        self.lines.append("    " * (depth + 1) + text)
-
-    def loop(self, depth: int, header: str, body):
-        """Emit a loop header, then `body()` one level deeper."""
-        self.loops += 1
-        if self.loops > _MAX_LOOP_DEPTH:
-            raise UnsupportedKernel(
-                f"kernel needs more than {_MAX_LOOP_DEPTH} nested loops, the most "
-                "one generated Python function can hold"
-            )
-        self.line(depth, header)
-        body()
-        self.loops -= 1
-
-    def block(self, stmts, depth: int):
-        for s in stmts:
-            getattr(self, f"_{type(s).__name__}")(s, depth)
-
-    def _LoadRange(self, s: LoadRange, depth):
-        it = f"{s.uid}_{s.level}"
-        ptrs = self._array(f"P{it}", s.uid, "pointers", s.level)
-        parent = self._position(s.uid, upto=s.level)
-        self.line(depth, f"q{it} = {ptrs}[{parent}]")
-        self.line(depth, f"h{it} = {ptrs}[{parent} + 1]")
-
-    def _LoadVal(self, s: LoadVal, depth):
-        name = self._array(f"V{s.uid}", s.uid, "values")
-        self.line(depth, f"x{s.uid} = {name}[{self._position(s.uid)}]")
-
-    def _ForDense(self, s: ForDense, depth):
-        header = f"for {self.var[s.var]} in range({s.extent}):"
-        self.loop(depth, header, lambda: self.block(s.body, depth + 1))
-
-    def _ForPositions(self, s: ForPositions, depth):
-        it = f"{s.uid}_{s.level}"
-        idx = self._array(f"I{it}", s.uid, "indices", s.level)
-
-        def body():
-            self.line(depth + 1, f"{self.var[s.var]} = {idx}[q{it}]")
-            self.block(s.body, depth + 1)
-
-        self.loop(depth, f"for q{it} in range(q{it}, h{it}):", body)
-
-    def _RangeInit(self, s: RangeInit, depth):
-        self.line(depth, f"r{self.var[s.var][1:]} = 0")
-
-    def _WhileCoiter(self, s: WhileCoiter, depth):
-        # Coordinates are named per (uid, level): a nested loop over a
-        # deeper level of the same access must not overwrite them.
-        its = [f"{uid}_{level}" for uid, level in s.iterators]
-        var = self.var[s.var]
-        counter = f"r{var[1:]}"
-        conds = [f"q{it} < h{it}" for it in its]
-        if s.has_range:
-            conds.append(f"{counter} < {s.extent}")
-        level_of = dict(s.iterators)
-
-        def body():
-            inner = depth + 1
-            for it, (uid, level) in zip(its, s.iterators):
-                idx = self._array(f"I{it}", uid, "indices", level)
-                self.line(inner, f"c{it} = {idx}[q{it}]")
-            if s.has_range:
-                self.line(inner, f"{var} = {counter}")
-            elif len(its) == 1:
-                self.line(inner, f"{var} = c{its[0]}")
-            else:
-                self.line(inner, f"{var} = min({', '.join(f'c{it}' for it in its)})")
-            # Cases in dominance order; the first whose iterators all hold
-            # the candidate runs, and a case with no iterators always does.
-            keyword = "if"
-            for case in s.cases:
-                guards = [f"c{uid}_{level_of[uid]} == {var}" for uid in sorted(case.iterators)]
-                if guards:
-                    self.line(inner, f"{keyword} {' and '.join(guards)}:")
-                    self.block(case.body, inner + 1)
-                    keyword = "elif"
-                elif keyword == "if":
-                    self.block(case.body, inner)
-                    break
-                else:
-                    self.line(inner, "else:")
-                    self.block(case.body, inner + 1)
-                    break
-            for it in its:
-                self.line(inner, f"if c{it} == {var}: q{it} += 1")
-            if s.has_range:
-                self.line(inner, f"{counter} += 1")
-
-        self.loop(depth, f"while {' and '.join(conds)}:", body)
-
-    def _DeclAcc(self, s: DeclAcc, depth):
-        self.line(depth, f"a{s.slot} = 0.0")
-
-    def _AccumAcc(self, s: AccumAcc, depth):
-        self.line(depth, f"a{s.slot} += {self._expr(s.expr)}")
-
-    def _StoreDense(self, s: StoreDense, depth):
-        stride, terms = 1, []
-        for v, extent in zip(reversed(s.coords), reversed(self.p.kernel.output_type.shape)):
-            terms.append(self.var[v] if stride == 1 else f"{self.var[v]}*{stride}")
-            stride *= extent
-        offset = " + ".join(reversed(terms)) or "0"
-        self.line(depth, f"out[{offset}] += {self._expr(s.expr)}")
-
-    def _InsertLex(self, s: InsertLex, depth):
-        enc = self.p.kernel.output_type.encoding
-        scoords = [s.coords[enc.dim_of_level(l)] for l in range(len(s.coords))]
-        self.line(depth, f"coords.extend({self._tuple(scoords)})")
-        self.line(depth, f"values.append({self._expr(s.expr)})")
-
-    def _ExpandWs(self, s: ExpandWs, depth):
-        self.line(depth, f"ws = expand({s.extent})")
-        self.line(depth, "wv, wf, wa = ws.values, ws.filled, ws.added")
-
-    def _ScatterWs(self, s: ScatterWs, depth):
-        j = self.var[s.var]
-        self.line(depth, f"wv[{j}] += {self._expr(s.expr)}")
-        self.line(depth, f"if not wf[{j}]:")
-        self.line(depth + 1, f"wf[{j}] = True")
-        self.line(depth + 1, f"wa.append({j})")
-
-    def _CompressWs(self, s: CompressWs, depth):
-        self.line(depth, f"compress(ws, {self._tuple(s.prefix)}, coords, values)")
-
-    def _StoreInPlace(self, s: StoreInPlace, depth):
-        self.line(depth, f"out[q{s.uid}_{s.level}] = {self._expr(s.expr)}")
-
-    def function(self, **bound):
-        """Generate the source, `exec` it once, and return the function."""
-        self.block(self.p.body, 0)
-        namespace = dict(self.globals, **bound)
-        exec("\n".join(self.lines) + "\n", namespace)
-        # Popped, so that the function and its globals form no cycle.
-        return namespace.pop("program")
-
-
-def _run_loops(program: Program, env: dict):
-    """Run a Program as one generated Python function (any Program)."""
-    kernel = program.kernel
-    out_type = kernel.output_type
-    strat = program.strategy.kind
-    generator = _Generator(program, env)
-    if strat is StrategyKind.DENSE_STORE:
-        seed = _dense_output(kernel, env)
-        out = seed.tolist() if seed is not None else [0.0] * math.prod(out_type.shape)
-        generator.function(out=out)()
-        return DenseTensor(out_type.shape, out)
-    if strat is StrategyKind.IN_PLACE:
-        base = env[kernel.lhs.tensor]
-        out = base.value_array.tolist()
-        generator.function(out=out)()
-        return base.with_values(out)
-    # The loops append every entry before `_build_levels` checks the
-    # budget, so a budget the output's dense prefix passes fails first.
-    _check_leading_dense(out_type)
-    coords, values = array("q"), array("d")  # in storage order
-    generator.function(coords=coords, values=values)()
-    scoords = np.frombuffer(coords, np.int64).reshape(len(values), out_type.rank)
-    dims = [out_type.encoding.dim_of_level(l) for l in range(out_type.rank)]
-    return _sparse_output(out_type, scoords[:, np.argsort(dims)], np.frombuffer(values))
-
-
 def _sparse_output(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> SparseStorage:
     """The storage of `ttype` holding `values` at `coords`, an (n, rank)
     array of logical coordinates, laid out by `_build_levels` once the rows
@@ -445,21 +217,10 @@ def _sparse_output(ttype: TensorType, coords: np.ndarray, values: np.ndarray) ->
     return _build_levels(ttype, coords, values)
 
 
-class _TooManyRows(Exception):
-    """A frame of the array form would pass `_MAX_FRAME_ROWS`."""
-
-
-def _check_rows(total: int):
-    if total > _MAX_FRAME_ROWS:
-        raise _TooManyRows
-
-
-def _segments(lo, counts):
-    """Row r's positions `lo[r]`, `lo[r] + 1`, ... (`counts[r]` of them)
-    for every row, laid end to end: the row of each, and the position.
-    Raises _TooManyRows past the row budget, before they are allocated."""
-    ends = counts.cumsum()
-    _check_rows(int(ends[-1]) if len(ends) else 0)
+def _segments(lo, counts, ends):
+    """Row r's positions `lo[r]`, `lo[r] + 1`, ... (`counts[r]` of them,
+    `ends` their running total) for every row, laid end to end: the row of
+    each, and the position."""
     owner = np.arange(len(counts)).repeat(counts)
     return owner, np.arange(len(owner)) + (lo - ends + counts)[owner]
 
@@ -469,14 +230,14 @@ def _column(value, n: int) -> np.ndarray:
     return value if isinstance(value, np.ndarray) else np.full(n, value)
 
 
-def _range_candidates(start, cutoff, held):
-    """The candidates of a co-iteration loop with a range, `start[r]` to
-    `cutoff[r]` in live row r, in loop order: the live row and value of
-    each, and for each iterator's `held` positions (live row, position,
-    index) the candidate each lands on."""
-    counts = cutoff - start + 1
-    owner, var = _segments(start, counts)
-    base = counts.cumsum() - counts - start
+def _range_candidates(start, counts, ends, held):
+    """The candidates of a co-iteration loop with a range, the `counts[r]`
+    values from `start[r]` on in live row r (`ends` their running total),
+    in loop order: the live row and value of each, and for each iterator's
+    `held` positions (live row, position, index) the candidate each lands
+    on."""
+    owner, var = _segments(start, counts, ends)
+    base = ends - counts - start
     return owner, var, [base[o] + index for o, _, index in held]
 
 
@@ -486,7 +247,6 @@ def _merged_candidates(held, n: int, extent: int):
     in each of `n` live rows, as `_range_candidates` returns them."""
     owners = np.concatenate([o for o, _, _ in held])
     indices = np.concatenate([index for _, _, index in held])
-    _check_rows(len(owners))
     perm, first = _sort_rows([owners, indices], [n, extent], len(owners))
     landing = np.empty(len(perm), np.int64)
     landing[perm] = first.cumsum() - 1
@@ -535,7 +295,8 @@ class _Frame:
 
     def sub(self, rows, var: Optional[str] = None) -> "_Frame":
         """The frame of `rows` of this one: the iterations of a loop over
-        `var`, or, with no `var`, the same iterations (a case's)."""
+        `var`, or, with no `var`, some of the same iterations (a case's,
+        or a part's)."""
         key = self.key if var is None else self.key + (self.at, var)
         return _Frame(len(rows), self, rows, key)
 
@@ -565,6 +326,10 @@ class _ArrayRun:
     frame keys first. Then `np.add.at` adds in index order and the
     workspace merge sorts stably, so every sum is taken in the order the
     loops take it, from the same 0.0, and rounds the same.
+
+    A loop whose body frame would pass `_MAX_FRAME_ROWS` rows runs in parts
+    (`parts`), one after another in loop order, each with a body frame that
+    fits; the sinks' merge by frame key sees the rows it would have seen.
     """
 
     def __init__(self, program: Program, env: dict, out=None):
@@ -572,10 +337,12 @@ class _ArrayRun:
         self.env = env
         self.out = out  # the dense or in-place output values, if any
         self.accs: dict = {}  # slot -> one sum per row of the declaring frame
-        # target -> [(frame, statement index, columns)], one per sink
-        # statement run so far: "out", ("acc", slot), "ws" or "inserted"
+        # target -> [(statement, frame, its index, columns)], one per run
+        # of a sink statement so far: "out", ("acc", slot), "ws" or
+        # "inserted"
         self.sinks: dict = {}
         self.inserted = None  # (coords, values), in storage order
+        self.in_parts = False  # whether a loop is running in parts
 
     def run(self):
         self.block(self.p.body, _Frame(1))
@@ -584,21 +351,24 @@ class _ArrayRun:
             np.add.at(self.out, *stores)
         self.inserted = self.drain("inserted")
 
-    def sink(self, target, frame: _Frame, *columns):
-        self.sinks.setdefault(target, []).append((frame, frame.at, columns))
+    def sink(self, target, s, frame: _Frame, *columns):
+        self.sinks.setdefault(target, []).append((s, frame, frame.at, columns))
 
     def drain(self, target):
         """The columns of every sink into `target` so far, concatenated in
         the loops' order, or None if none ran."""
         writes = self.sinks.pop(target, None)
         if writes is None or len(writes) == 1:
-            return writes and writes[0][2]
+            return writes and writes[0][3]
+        if all(w[0] is writes[0][0] for w in writes):
+            # One statement, run in parts: they ran in the loops' order.
+            return tuple(map(np.concatenate, zip(*(cols for _, _, _, cols in writes))))
         # A key alternates statement index and loop variable and ends in
         # the sink's statement index. No key is a prefix of another, so a
         # short one padded with zeros sorts the same. Each position is one
         # digit of a mixed-radix number: a statement index below the largest
         # there, a variable below its extent.
-        keys = [frame.key + (at,) for frame, at, _ in writes]
+        keys = [frame.key + (at,) for _, frame, at, _ in writes]
         width = max(map(len, keys))
         keys = [key + (0,) * (width - len(key)) for key in keys]
         extents = self.p.kernel.analysis.var_extents
@@ -608,25 +378,57 @@ class _ArrayRun:
         ]
         digits = [
             [frame.col(("v", k)) if isinstance(k, str) else k for k in key]
-            for key, (frame, _, _) in zip(keys, writes)
+            for key, (_, frame, _, _) in zip(keys, writes)
         ]
         if math.prod(radix) < 1 << 62:
             weights = [math.prod(radix[p + 1 :]) for p in range(width)]
             parts = []
-            for (frame, _, _), ds in zip(writes, digits):
+            for (_, frame, _, _), ds in zip(writes, digits):
                 static = sum(d * w for d, w in zip(ds, weights) if isinstance(d, int))
                 number = sum((d * w for d, w in zip(ds, weights) if not isinstance(d, int)), static)
                 parts.append(_column(number, frame.n))
             perm = np.argsort(np.concatenate(parts), kind="stable")
         else:
             perm = np.lexsort([
-                np.concatenate([_column(ds[p], frame.n) for (frame, _, _), ds in zip(writes, digits)])
+                np.concatenate(
+                    [_column(ds[p], frame.n) for (_, frame, _, _), ds in zip(writes, digits)]
+                )
                 for p in reversed(range(width))
             ])
         return tuple(
-            np.concatenate([cols[k] for _, _, cols in writes])[perm]
-            for k in range(len(writes[0][2]))
+            np.concatenate([cols[k] for _, _, _, cols in writes])[perm]
+            for k in range(len(writes[0][3]))
         )
+
+    def parts(self, s, frame: _Frame, counts, split, state=()):
+        """Run loop `s` over `frame` in parts whose body frames fit
+        `_MAX_FRAME_ROWS`, where row r makes `counts[r]` body rows.
+
+        Consecutive rows are grouped so that each group's counts sum within
+        the budget, and each group runs `s` on a frame of its own at the
+        same statement; a row past the budget alone runs `split` on its
+        frame, which slices the row's own iterations. The per-row state
+        `s` leaves behind in its frame, the `state` columns, is written
+        back into `frame`.
+        """
+        ends = counts.cumsum()
+        after = {key: frame.col(key).copy() for key in state}
+        outer, self.in_parts = self.in_parts, True
+        start = 0
+        while start < frame.n:
+            base = int(ends[start - 1]) if start else 0
+            stop = max(int(np.searchsorted(ends, base + _MAX_FRAME_ROWS, "right")), start + 1)
+            part = frame.sub(np.arange(start, stop))
+            part.at = frame.at
+            if counts[start] > _MAX_FRAME_ROWS:
+                split(part)
+            else:
+                getattr(self, f"_{type(s).__name__}")(s, part)
+            for key, column in after.items():
+                column[start:stop] = part.col(key)
+            start = stop
+        self.in_parts = outer
+        frame.cols.update(after)
 
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
         start, steps = _position_steps(self.p, uid, upto)
@@ -659,6 +461,12 @@ class _ArrayRun:
         for index, s in enumerate(stmts):
             frame.at = index
             getattr(self, f"_{type(s).__name__}")(s, frame)
+        if self.in_parts:
+            # A frame a sink holds is read again only for its loop
+            # variables, the sink's loop-order key. Parts keep no more, so
+            # that the frames of parts run so far do not add up.
+            frame.cols = {key: column for key, column in frame.cols.items() if key[0] == "v"}
+            frame.reads = None
 
     def _LoadRange(self, s: LoadRange, frame):
         ptrs = _bound_part(self.p, self.env, s.uid, "pointers", s.level)
@@ -673,23 +481,49 @@ class _ArrayRun:
             pos = frame.reads[1]
         frame.cols["x", s.uid] = values[pos]
 
-    def _ForDense(self, s: ForDense, frame):
-        _check_rows(frame.n * s.extent)
-        child = frame.sub(np.arange(frame.n).repeat(s.extent), s.var)
-        child.cols["v", s.var] = np.arange(child.n) % s.extent
+    def _ForDense(self, s: ForDense, frame, start=0, stop=None):
+        stop = s.extent if stop is None else stop
+        width = stop - start
+        if frame.n * width > _MAX_FRAME_ROWS:
+
+            def split(part):  # ranges of the extent
+                for a in range(start, stop, _MAX_FRAME_ROWS):
+                    self._ForDense(s, part, a, min(a + _MAX_FRAME_ROWS, stop))
+
+            return self.parts(s, frame, np.full(frame.n, width), split)
+        child = frame.sub(np.arange(frame.n).repeat(width), s.var)
+        var = child.cols["v", s.var] = np.arange(child.n) % width
+        if start:
+            var += start
         self.block(s.body, child)
 
-    def _ForPositions(self, s: ForPositions, frame):
-        lo, hi = frame.col(("q", s.uid, s.level)), frame.col(("h", s.uid, s.level))
-        if frame.n and not np.count_nonzero(lo[1:] != hi[:-1]):
-            # Each row's range starts where the previous one ends, so the
-            # positions are one run, and the indices (and the values, see
-            # `_LoadVal`) are read as slices of it, not gathered.
+    def _ForPositions(self, s: ForPositions, frame, lo=None, hi=None):
+        if lo is None:
+            lo, hi = frame.col(("q", s.uid, s.level)), frame.col(("h", s.uid, s.level))
+        # Each row's range starts where the previous one ends, so the
+        # positions are one run, and the indices (and the values, see
+        # `_LoadVal`) are read as slices of it, not gathered.
+        run = frame.n and not np.count_nonzero(lo[1:] != hi[:-1])
+        if run:
+            total = int(hi[-1]) - int(lo[0])
+        else:
+            counts = hi - lo
+            ends = counts.cumsum()
+            total = int(ends[-1]) if frame.n else 0
+        if total > _MAX_FRAME_ROWS:
+
+            def split(part):  # ranges of the row's positions
+                first, last = int(lo[part.rows[0]]), int(hi[part.rows[0]])
+                for a in range(first, last, _MAX_FRAME_ROWS):
+                    b = min(a + _MAX_FRAME_ROWS, last)
+                    self._ForPositions(s, part, np.array([a]), np.array([b]))
+
+            return self.parts(s, frame, hi - lo, split)
+        if run:
             read = slice(int(lo[0]), int(hi[-1]))
-            _check_rows(read.stop - read.start)
             owner, q = np.arange(frame.n).repeat(hi - lo), np.arange(read.start, read.stop)
         else:
-            owner, q = _segments(lo, hi - lo)
+            owner, q = _segments(lo, counts, ends)
             read = q
         child = frame.sub(owner, s.var)
         child.reads = (q, read)
@@ -722,14 +556,30 @@ class _ArrayRun:
         cutoff = np.full(n, s.extent - 1)
         for _, _, _, h, indices in its:
             cutoff = np.minimum(cutoff, indices[h[rows] - 1])
+        # Per live row, each iterator's remaining positions and the range's
+        # candidates: (first, count, running total of the counts). Their
+        # sum bounds the candidates, and what the merge holds at once.
+        spans = []
+        for _, _, q, h, _ in its:
+            lo = q[rows]
+            counts = h[rows] - lo
+            spans.append((lo, counts, counts.cumsum()))
+        if s.has_range:
+            start = frame.col(("r", s.var))[rows]
+            counts = cutoff - start + 1
+            spans.append((start, counts, counts.cumsum()))
+        if sum(int(ends[-1]) for _, _, ends in spans) > _MAX_FRAME_ROWS:
+            bound = np.zeros(frame.n, np.int64)
+            bound[rows] = sum(counts for _, counts, _ in spans)
+            state = [("q", uid, level) for uid, level in s.iterators]
+            state += [("r", s.var)] if s.has_range else []
+            return self.parts(s, frame, bound, lambda part: self._windows(s, part), state)
         # Each iterator's positions up to the cutoff, in loop order: the
         # live row and the position of each. The iterator sits past them
         # after the loop.
         held = []
-        for uid, level, q, h, indices in its:
-            lo = q[rows]
-            counts = h[rows] - lo
-            owner, pos = _segments(lo, counts)
+        for (uid, level, q, _, indices), (lo, counts, ends) in zip(its, spans):
+            owner, pos = _segments(lo, counts, ends)
             if len(its) > 1:  # one iterator runs to its last index
                 keep = indices[pos] <= cutoff[owner]
                 owner, pos = owner[keep], pos[keep]
@@ -738,22 +588,71 @@ class _ArrayRun:
             after[rows] = lo + counts
             held.append((owner, pos, indices[pos]))
         if s.has_range:
-            start = frame.col(("r", s.var))[rows]
-            owner, var, lands = _range_candidates(start, cutoff, held)
+            owner, var, lands = _range_candidates(*spans[-1], held)
             after = frame.cols["r", s.var] = frame.col(("r", s.var)).copy()
             after[rows] = cutoff + 1
         else:
             owner, var, lands = _merged_candidates(held, n, s.extent)
-        child = frame.sub(rows[owner], s.var)
+        self.cases(s, frame.sub(rows[owner], s.var), var, held, lands)
+
+    def _windows(self, s: WhileCoiter, part: _Frame):
+        """Run co-iteration loop `s` over `part`, one live row past the
+        budget, in windows of consecutive indices, each bounded by
+        `searchsorted` in every iterator's segment so that its candidates
+        fit: a range's window holds at most the budget's count of indices,
+        and otherwise each iterator holds at most its share of the budget
+        in a window, which reaches at least the next candidate."""
+        segments = []  # (uid, level, first position, indices from it on)
+        for uid, level in s.iterators:
+            lo = int(part.col(("q", uid, level))[0])
+            hi = int(part.col(("h", uid, level))[0])
+            indices = _bound_part(self.p, self.env, uid, "indices", level)
+            segments.append((uid, level, lo, indices[lo:hi]))
+        cutoff = min([s.extent - 1] + [int(seg[-1]) for _, _, _, seg in segments])
+        share = _MAX_FRAME_ROWS // max(len(segments), 1)
+        a = int(part.col(("r", s.var))[0]) if s.has_range else 0
+        while a <= cutoff:
+            firsts = [int(np.searchsorted(seg, a)) for _, _, _, seg in segments]
+            if s.has_range:
+                b = min(a + _MAX_FRAME_ROWS, cutoff + 1)
+            else:
+                b = cutoff + 1
+                for (_, _, _, seg), f in zip(segments, firsts):
+                    if f + share < len(seg):
+                        b = min(b, int(seg[f + share]))
+                nearest = min(
+                    int(seg[f]) for (_, _, _, seg), f in zip(segments, firsts) if f < len(seg)
+                )
+                b = max(b, nearest + 1)
+            held = []
+            for (_, _, lo, seg), f in zip(segments, firsts):
+                e = int(np.searchsorted(seg, b))
+                held.append((np.zeros(e - f, np.int64), np.arange(lo + f, lo + e), seg[f:e]))
+            if s.has_range:
+                width = np.array([b - a])
+                owner, var, lands = _range_candidates(np.array([a]), width, width, held)
+            else:
+                owner, var, lands = _merged_candidates(held, 1, s.extent)
+            self.cases(s, part.sub(owner, s.var), var, held, lands)
+            a = b
+        for uid, level, lo, seg in segments:
+            part.cols["q", uid, level] = np.array([lo + int(np.searchsorted(seg, cutoff, "right"))])
+        if s.has_range:
+            part.cols["r", s.var] = np.array([cutoff + 1])
+
+    def cases(self, s: WhileCoiter, child: _Frame, var, held, lands):
+        """Run the cases of co-iteration loop `s` over `child`, the frame
+        of its candidates `var`, on which each iterator's `held` positions
+        land at `lands`."""
         child.cols["v", s.var] = var
-        if not its:
+        if not s.iterators:
             # The one case needs no iterator.
             self.block(s.cases[0].body, child)
             return
         # A candidate's holders, one bit per iterator; its case is the
         # first, in dominance order, whose iterators all hold it.
         holders = np.zeros(child.n, np.int64)
-        for bit, ((uid, level, _, _, _), (_, pos, _), land) in enumerate(zip(its, held, lands)):
+        for bit, ((uid, level), (_, pos, _), land) in enumerate(zip(s.iterators, held, lands)):
             holders[land] |= 1 << bit
             q = child.cols["q", uid, level] = np.zeros(child.n, np.int64)
             q[land] = pos
@@ -776,22 +675,23 @@ class _ArrayRun:
         self.accs[s.slot] = np.zeros(frame.n)
 
     def _AccumAcc(self, s: AccumAcc, frame):
-        self.sink(("acc", s.slot), frame, frame.col(("acc", s.slot)), self.values(s.expr, frame))
+        self.sink(("acc", s.slot), s, frame, frame.col(("acc", s.slot)), self.values(s.expr, frame))
 
     def _StoreDense(self, s: StoreDense, frame):
         columns = [frame.col(("v", v)) for v in s.coords]
         offset = _row_key(columns, self.p.kernel.output_type.shape, frame.n)
-        self.sink("out", frame, offset, self.values(s.expr, frame))
+        self.sink("out", s, frame, offset, self.values(s.expr, frame))
 
     def _InsertLex(self, s: InsertLex, frame):
         coords = np.stack([frame.col(("v", v)) for v in s.coords], axis=1)
-        self.sink("inserted", frame, coords, self.values(s.expr, frame))
+        self.sink("inserted", s, frame, coords, self.values(s.expr, frame))
 
     def _ExpandWs(self, s: ExpandWs, frame):
         pass
 
     def _ScatterWs(self, s: ScatterWs, frame):
-        self.sink("ws", frame, frame.col("ws"), frame.col(("v", s.var)), self.values(s.expr, frame))
+        j = frame.col(("v", s.var))
+        self.sink("ws", s, frame, frame.col("ws"), j, self.values(s.expr, frame))
 
     def _CompressWs(self, s: CompressWs, frame):
         # The workspace sums each (row, j) from 0.0 in scatter order, then
@@ -810,18 +710,27 @@ class _ArrayRun:
         )
         if firsts is not None:
             rows, j = rows[firsts], j[firsts]
-        drained = frame.sub(rows, var)
-        drained.cols["v", var] = j
-        coords = np.stack([drained.col(("v", v)) for v in self.p.kernel.lhs.indices], axis=1)
-        self.sink("inserted", drained, coords, sums)
+        # The drain is a loop over each row's touched j, in parts that fit.
+        for a in range(0, len(rows), _MAX_FRAME_ROWS):
+            b = a + _MAX_FRAME_ROWS
+            drained = frame.sub(rows[a:b], var)
+            drained.cols["v", var] = j[a:b]
+            coords = np.stack([drained.col(("v", v)) for v in self.p.kernel.lhs.indices], axis=1)
+            self.sink("inserted", s, drained, coords, sums[a:b])
 
     def _StoreInPlace(self, s: StoreInPlace, frame):
         self.out[frame.col(("q", s.uid, s.level))] = self.values(s.expr, frame)
 
 
-def _run_arrays(program: Program, env: dict):
-    """Run a Program as whole-array passes; raises _TooManyRows, before any
-    large allocation, past the row budget."""
+def interpret(program: Program, env: dict):
+    """Execute a lowered Program against concrete tensor bindings.
+
+    The Program runs as whole-array numpy passes (`_ArrayRun`), its
+    co-iteration loops as merges, and any loop whose frame would pass
+    `_MAX_FRAME_ROWS` rows in parts that fit. Returns a DenseTensor for a
+    dense store, a copy of the in-place output with new values, or the
+    SparseStorage of a sparse output.
+    """
     kernel = program.kernel
     out_type = kernel.output_type
     strat = program.strategy.kind
@@ -835,27 +744,14 @@ def _run_arrays(program: Program, env: dict):
         out = base.value_array.copy()
         _ArrayRun(program, env, out).run()
         return base.with_values(_read_only(out))
+    # The output's leading dense levels are checked before the loops run:
+    # `_build_levels` would check them only once every entry is collected.
+    _check_leading_dense(out_type)
     run = _ArrayRun(program, env)
     run.run()
     if run.inserted is None:
         return _sparse_output(out_type, np.zeros((0, out_type.rank), np.int64), np.zeros(0))
     return _sparse_output(out_type, *run.inserted)
-
-
-def interpret(program: Program, env: dict):
-    """Execute a lowered Program against concrete tensor bindings.
-
-    Every Program runs as whole-array numpy passes (`_ArrayRun`), its
-    co-iteration loops as merges; one whose frame would pass
-    `_MAX_FRAME_ROWS` rows runs instead as one generated Python function
-    (`_Generator`). Both give the same result, bit for bit: a DenseTensor
-    for a dense store, a copy of the in-place output with new values, or
-    the SparseStorage of a sparse output.
-    """
-    try:
-        return _run_arrays(program, env)
-    except _TooManyRows:
-        return _run_loops(program, env)
 
 
 # ----------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Compressed tensor storage: COO exchange form, pointers/indices/values
-packing, and the expand/compress workspace.
+packing, and binary dumps.
 
 The layout realized here keeps, per storage level, a pointers array and an
 indices array. "Pointers" are integer offsets delimiting each parent
@@ -16,8 +16,8 @@ a `DenseTensor`). On top of it one sort-and-merge (`_sorted_unique`) feeds
 converting between any two formats needs no routine of its own. One level
 build (`_build_levels`) turns sorted unique entries into a layout: it is
 the only code that lays out a sparse format, for `pack` and for every
-sparse output of the engine, whose generated loops collect their entries
-(and drain the workspace, `compress`) into flat arrays for it.
+sparse output of the engine, which hands it the entries its loops insert
+or drain from the workspace as whole arrays.
 
 A `CooTensor` holds exactly those two arrays, read-only, so its `arrays()`
 hands them out after a bounds check and `to_coo` hands merged arrays to a
@@ -40,7 +40,6 @@ positions, raises DenseOutputTooLarge before it is allocated.
 import math
 import struct
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
 
@@ -705,55 +704,6 @@ def _build_levels(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> 
         data = np.zeros(positions)
         data[pos] = values
     return SparseStorage(ttype, pointers, indices, _read_only(data))
-
-
-@dataclass
-class Workspace:
-    """Dense scratch row for access-pattern expansion.
-
-    `values` accumulates into arbitrary positions, `filled` marks which
-    were touched, and `added` records first touches so compress can reset
-    only those entries; the reset work stays proportional to the touches.
-    """
-
-    values: list
-    filled: list
-    added: list
-
-    def scatter(self, index: int, delta: float):
-        self.values[index] += delta
-        if not self.filled[index]:
-            self.filled[index] = True
-            self.added.append(index)
-
-
-def expand(extent: int) -> Workspace:
-    """Allocate an all-zero, all-unfilled workspace of the given extent."""
-    if extent < 0:
-        raise ShapeMismatch(f"workspace extent must be >= 0, got {extent}")
-    return Workspace([0.0] * extent, [False] * extent, [])
-
-
-def compress(ws: Workspace, prefix: tuple, coords, values):
-    """Drain the workspace under `prefix`, the storage-order coordinates
-    above its level.
-
-    For each touched index in ascending order, `prefix + (index,)` is
-    appended to the flat coordinate collector `coords` and the index's sum
-    to `values` (an `array("q")` and an `array("d")`, or lists). Then
-    exactly the touched values/filled slots are reset, so the workspace is
-    immediately reusable.
-    """
-    added = ws.added
-    added.sort()
-    ws_values, filled = ws.values, ws.filled
-    values.extend([ws_values[idx] for idx in added])
-    for idx in added:
-        coords.extend(prefix)
-        coords.append(idx)
-        ws_values[idx] = 0.0
-        filled[idx] = False
-    added.clear()
 
 
 # The array dtype of each declared width in a binary dump (0: 64 bits).

@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked storage examples used throughout the suite.
+"""Shared fixtures: the worked storage examples used throughout the suite,
+and the engine's frame budget.
 
 The three reference tensors (a 16-vector, a 3x4 matrix A, a 3x3x4 tensor T)
 and their expected packed layouts are frozen here once; storage, engine,
@@ -6,10 +7,13 @@ and acceptance tests all check against the same numbers.
 """
 
 import tempfile
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from sparsec import engine
 from sparsec.storage import CooTensor
 
 # 16-element sparse vector with nonzeros at positions 3, 6, 7, 10.
@@ -44,6 +48,35 @@ def tensor_t():
             ((2, 1, 3), T213),
         ],
     )
+
+
+@contextmanager
+def row_budget(rows: int):
+    """Run the engine with its frame budget, `_MAX_FRAME_ROWS`, at `rows`,
+    and fail on any frame built with more rows than that."""
+    build = engine._Frame.__init__
+
+    def checked(self, n, *args, **kwargs):
+        if n > rows:
+            raise AssertionError(f"a frame of {n} rows passes the budget of {rows}")
+        build(self, n, *args, **kwargs)
+
+    with mock.patch.object(engine, "_MAX_FRAME_ROWS", rows):
+        with mock.patch.object(engine._Frame, "__init__", checked):
+            yield
+
+
+@pytest.fixture
+def frame_budget():
+    """`row_budget` for the rest of the test: call it with a row count,
+    which replaces the budget set before."""
+    with ExitStack() as stack:
+
+        def set_budget(rows: int):
+            stack.close()
+            stack.enter_context(row_budget(rows))
+
+        yield set_budget
 
 
 def pytest_configure(config):

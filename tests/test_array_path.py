@@ -1,11 +1,12 @@
-"""The array form of `interpret` against the generated loops.
+"""The array form of `interpret` against the reference loops.
 
-Every Program runs as whole-array passes, co-iteration included, unless a
-frame would pass the row budget; the generated Python function is that
-fallback and the reference. The two must give the same result, bit for
-bit: every test here runs a kernel both ways and compares the results by
-`repr`, which tells -0.0 from 0.0 and an explicit zero from a missing
-entry.
+Every Program runs as whole-array passes, co-iteration included, and a
+loop whose frame would pass the row budget runs in parts that fit. The
+reference is the Program written out as one Python function
+(`loops_reference`). Every test here runs a kernel on the arrays, on the
+arrays with every loop in parts, and on the reference, and compares the
+results by `repr`, which tells -0.0 from 0.0 and an explicit zero from a
+missing entry: they must be the same, bit for bit.
 """
 
 import random
@@ -17,15 +18,21 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import row_budget
+from loops_reference import run_loops
 from sparsec import engine
 from sparsec.cli import main
 from sparsec.codegen import StrategyKind
 from sparsec.engine import compile_kernel, execute
-from sparsec.errors import DenseOutputTooLarge, OrderConflict, SparsecError
+from sparsec.errors import OrderConflict, SparsecError
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.oracle import GeneratorSpec, dense_eval, generate
 from sparsec.storage import CooTensor, DenseTensor, SparseStorage
 from test_acceptance import _random_kernel_case
+
+# Frame budgets that put every loop in parts: at 1 every row that makes
+# more than one iteration slices its own.
+BUDGETS = (1, 3)
 
 
 def _outcome(kernel, programs, bindings) -> str:
@@ -35,40 +42,25 @@ def _outcome(kernel, programs, bindings) -> str:
         return e.category
 
 
-def run_both(kernel, bindings) -> tuple:
-    """`execute`'s result (its `repr`, or its error's category) with each
-    Program on the form `interpret` picks, then with every Program on the
-    loops; and the form each Program of the first run took, "arrays" or
-    "loops", in run order, counted by patching the two forms."""
+def run_both(kernel, bindings, budgets=BUDGETS) -> tuple:
+    """`execute`'s result (its `repr`, or its error's category) on the
+    arrays, and on the reference loops. The arrays must give the same
+    result with the frame budget at each of `budgets` rows, and build no
+    frame past it."""
     programs = compile_kernel(kernel)
-    arrays, loops = engine._run_arrays, engine._run_loops
-    forms = []
-
-    def on_arrays(program, env):
-        forms.append("arrays")
-        try:
-            return arrays(program, env)
-        except engine._TooManyRows:
-            forms.pop()
-            raise
-
-    def on_loops(program, env):
-        forms.append("loops")
-        return loops(program, env)
-
-    with mock.patch.object(engine, "_run_arrays", on_arrays):
-        with mock.patch.object(engine, "_run_loops", on_loops):
-            chosen = _outcome(kernel, programs, bindings)
-    with mock.patch.object(engine, "interpret", loops):
+    arrays = _outcome(kernel, programs, bindings)
+    for rows in budgets:
+        with row_budget(rows):
+            same = _outcome(kernel, programs, bindings) == arrays
+        assert same, f"in parts of {rows} rows"  # not inline: no diff of megabytes
+    with mock.patch.object(engine, "interpret", run_loops):
         reference = _outcome(kernel, programs, bindings)
-    return chosen, reference, forms
+    return arrays, reference
 
 
-def _same(text, bindings) -> str:
-    """Run `text` both ways, require every Program of the first run to
-    have run on the arrays, and return the result."""
-    chosen, loops, forms = run_both(parse_kernel(text), bindings)
-    assert set(forms) == {"arrays"}
+def _same(text, bindings, budgets=BUDGETS) -> str:
+    """Run `text` every way and return the result."""
+    chosen, loops = run_both(parse_kernel(text), bindings, budgets)
     assert chosen == loops, text
     return chosen
 
@@ -99,22 +91,17 @@ def _spmspm(n, c="dense, compressed"):
 
 
 def test_random_kernels_agree():
-    # The oracle-equivalence stream of test_03, each kernel both ways. Not
-    # one Program of the 500 kernels reaches the loops.
+    # The oracle-equivalence stream of test_03, each kernel every way.
     rng = random.Random(30303)
-    forms = []
     done = 0
     while done < 500:
         text, bindings = _random_kernel_case(rng, done % 2 == 0)
         try:
-            chosen, loops, ran = run_both(analyze_reductions(parse_kernel(text)), bindings)
+            chosen, loops = run_both(analyze_reductions(parse_kernel(text)), bindings)
         except OrderConflict:
             continue
         assert chosen == loops, text
-        forms += ran
         done += 1
-    assert forms.count("loops") == 0
-    assert forms.count("arrays") > 500
 
 
 @pytest.mark.parametrize(
@@ -149,13 +136,15 @@ def _wide(rng, count):
 
 def test_workspace_sums_in_loop_order():
     # Every C(i, j) sums 48 products, interleaved with the other j: an
-    # unstable sort, or a pairwise sum per run, rounds differently.
+    # unstable sort, or a pairwise sum per run, rounds differently. At a
+    # budget of 40 rows each row of B's loop runs in two slices, so the
+    # products of one sum come from several parts.
     rng = random.Random(7)
     n = 48
     full = [(r, c) for r in range(n) for c in range(n)]
     a = CooTensor((n, n), list(zip(full, _wide(rng, n * n))))
     b = CooTensor((n, n), list(zip(full, _wide(rng, n * n))))
-    _same(_spmspm(n), {"A": a, "B": b})
+    _same(_spmspm(n), {"A": a, "B": b}, budgets=[40])
 
 
 @pytest.mark.parametrize("out", ["tensor y(6) format(compressed)", "tensor y(6)", "tensor y()"])
@@ -231,10 +220,9 @@ def test_in_place_scale():
 )
 def test_narrow_output_widths_overflow_on_both_paths(out, shape, coords):
     text = f"tensor A(2, 300) format(dense, compressed)\n{out}\nC(i, j) = A(i, j) * 2.0\n"
-    chosen, loops, forms = run_both(
+    chosen, loops = run_both(
         parse_kernel(text), {"A": CooTensor(shape, [(c, 1.0) for c in coords])}
     )
-    assert forms == ["arrays"]
     assert chosen == loops == "BitWidthOverflow"
     # The same output row through the workspace: C = I * B.
     text = (
@@ -246,8 +234,7 @@ def test_narrow_output_widths_overflow_on_both_paths(out, shape, coords):
     assert program.strategy.kind is StrategyKind.EXPAND_COMPRESS
     bindings = {"I": CooTensor((2, 2), [((0, 0), 1.0)])}
     bindings["B"] = CooTensor(shape, [(c, 1.0) for c in coords])
-    chosen, loops, forms = run_both(kernel, bindings)
-    assert forms == ["arrays"]
+    chosen, loops = run_both(kernel, bindings)
     assert chosen == loops == "BitWidthOverflow"
 
 
@@ -299,10 +286,10 @@ def gathered(monkeypatch):
     calls = []
     segments = engine._segments
 
-    def spy(lo, counts):
+    def spy(lo, counts, ends):
         if sys._getframe(1).f_code.co_name == "_ForPositions":
             calls.append(len(counts))
-        return segments(lo, counts)
+        return segments(lo, counts, ends)
 
     monkeypatch.setattr(engine, "_segments", spy)
     return calls
@@ -370,25 +357,38 @@ def test_coiteration_case_frames_keep_their_own_runs(gathered, rows_a, rows_b, w
     assert gathered == want
 
 
-def test_row_budget_falls_back_to_the_loops(monkeypatch):
-    # A product through the workspace, and a union that co-iterates.
+def test_row_budget_runs_the_loops_in_parts(monkeypatch, frame_budget):
+    # A product through the workspace, and a union that co-iterates: at a
+    # budget of 4 rows every loop runs in parts, and each row of the union
+    # that holds more than 4 candidates in windows of its own indices.
     bindings = {
         name: generate(GeneratorSpec((16, 16), "uniform", density=0.3, seed=seed))
         for name, seed in (("A", 8), ("B", 9))
     }
-    ran = []
-    loops, budget = engine._run_loops, engine._MAX_FRAME_ROWS
-    monkeypatch.setattr(engine, "_run_loops", lambda p, env: ran.append(p) or loops(p, env))
-    for text in (_spmspm(16), UNION.format(n=16)):
+    split = []
+    parts, windows = engine._ArrayRun.parts, engine._ArrayRun._windows
+    monkeypatch.setattr(
+        engine._ArrayRun, "parts",
+        lambda run, s, *args: split.append(type(s).__name__) or parts(run, s, *args),
+    )
+    monkeypatch.setattr(
+        engine._ArrayRun, "_windows",
+        lambda run, s, part: split.append("windows") or windows(run, s, part),
+    )
+    cases = {
+        _spmspm(16): {"ForDense", "ForPositions"},
+        UNION.format(n=16): {"ForDense", "WhileCoiter", "windows"},
+    }
+    for text, loops in cases.items():
         kernel = parse_kernel(text)
         programs = compile_kernel(kernel)
-        monkeypatch.setattr(engine, "_MAX_FRAME_ROWS", budget)
+        frame_budget(1 << 22)
         unlimited = repr(execute(kernel, programs, bindings))
-        assert not ran
-        monkeypatch.setattr(engine, "_MAX_FRAME_ROWS", 4)
+        assert not split
+        frame_budget(4)
         assert repr(execute(kernel, programs, bindings)) == unlimited
-        assert ran == list(programs)
-        ran.clear()
+        assert set(split) == loops
+        split.clear()
 
 
 # ----------------------------------------------------------------------------
@@ -422,15 +422,6 @@ def test_dense_output_past_the_budget_is_one_cli_line(tmp_path, capsys, op):
     assert peak < 16 << 20
 
 
-def test_dense_output_guard_holds_on_the_loops():
-    kernel = parse_kernel(HUGE)
-    (program,) = compile_kernel(kernel)
-    one = CooTensor((32768,), [((1,), 1.0)])
-    env = {name: engine.convert(one, kernel.tensors[name]) for name in "ab"}
-    with pytest.raises(DenseOutputTooLarge):
-        engine._run_loops(program, env)
-
-
 def test_coiteration_past_the_int64_sort_key():
     # Extents whose product passes 2**62: the merge and the loop-order keys
     # sort by `np.lexsort` over their columns.
@@ -459,8 +450,7 @@ def test_coiteration_at_scale_matches_scipy(op):
         for name, seed in (("A", 21), ("B", 22))
     }
     kernel = parse_kernel(text)
-    chosen, loops, forms = run_both(kernel, bindings)
-    assert forms == ["arrays"]
+    chosen, loops = run_both(kernel, bindings, budgets=[1 << 10])
     assert chosen == loops
     a, b = (
         sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0].T)), shape=(n, n))
@@ -489,8 +479,7 @@ def test_workspace_at_scale_matches_scipy():
         name: generate(GeneratorSpec((n, n), "uniform", density=0.01, seed=seed))
         for name, seed in (("A", 23), ("B", 24))
     }
-    chosen, loops, forms = run_both(kernel, bindings)
-    assert forms == ["arrays"]
+    chosen, loops = run_both(kernel, bindings, budgets=[1 << 14])
     identical = chosen == loops  # not inline: pytest would diff megabytes of text
     assert identical
     a, b = (
@@ -506,3 +495,72 @@ def test_workspace_at_scale_matches_scipy():
     assert np.array_equal(pointers, want.indptr)
     assert np.array_equal(indices, want.indices)
     np.testing.assert_allclose(got.value_array, want.data, rtol=1e-10)
+
+
+# ----------------------------------------------------------------------------
+# Past the row budget, against scipy
+
+
+def _run_in_parts(kernel, bindings):
+    """`execute`'s result, which must have run some loop in parts, and its
+    `tracemalloc` peak."""
+    programs = compile_kernel(kernel)
+    env = {name: engine.convert(v, kernel.tensors[name]) for name, v in bindings.items()}
+    split = []
+    parts = engine._ArrayRun.parts
+    with mock.patch.object(
+        engine._ArrayRun, "parts", lambda run, *args: split.append(1) or parts(run, *args)
+    ):
+        tracemalloc.start()
+        try:
+            got = execute(kernel, programs, env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert split
+    return got, peak
+
+
+def test_workspace_past_the_row_budget_matches_scipy():
+    # CSR x CSR -> CSR at n=8192, density 0.004: about 8.9M products, more
+    # than twice the row budget, so B's loop runs in three parts. The peak,
+    # in the workspace's merge, is about 76 bytes a product: its row, j and
+    # value as the parts scattered them and concatenated, the row of each
+    # in its part's frame, and the merge's sort.
+    sparse = pytest.importorskip("scipy.sparse")
+    n = 8192
+    kernel = parse_kernel(_spmspm(n))
+    bindings = {
+        name: generate(GeneratorSpec((n, n), "uniform", density=0.004, seed=seed))
+        for name, seed in (("A", 41), ("B", 42))
+    }
+    a, b = (
+        sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0].T)), shape=(n, n))
+        for v in bindings.values()
+    )
+    products = int((a != 0).astype(np.int64).sum(axis=0) @ (b != 0).astype(np.int64).sum(axis=1))
+    assert products > 1 << 23
+    got, peak = _run_in_parts(kernel, bindings)
+    assert peak < 88 * products
+    want = (a @ b).tocsr()
+    want.sort_indices()
+    pointers, indices = got.level_arrays(1)
+    assert np.array_equal(pointers, want.indptr)
+    assert np.array_equal(indices, want.indices)
+    np.testing.assert_allclose(got.value_array, want.data, rtol=1e-10)
+
+
+def test_dense_matvec_past_the_row_budget_matches_numpy():
+    # y = A b with A dense, 2900 x 2900: 8.41M products, so the j loop runs
+    # in three parts. The peak, as the stores into y are drained, is about
+    # 48 bytes a product: its offset and value as the parts stored them and
+    # concatenated, and the row and j of each in its part's frame.
+    n = 2900
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n)
+    text = f"tensor A({n}, {n})\ntensor b({n})\ntensor y({n})\ny(i) = A(i, j) * b(j)\n"
+    assert n * n > 1 << 23
+    bindings = {"A": DenseTensor((n, n), a.ravel()), "b": DenseTensor((n,), b)}
+    got, peak = _run_in_parts(parse_kernel(text), bindings)
+    assert peak < 56 * n * n
+    np.testing.assert_allclose(got.data, a @ b, rtol=1e-10)

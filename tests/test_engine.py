@@ -4,7 +4,6 @@ import random
 import pytest
 
 import conftest as refs
-from sparsec import engine
 from sparsec.encoding import (
     COMPRESSED,
     TensorType,
@@ -16,7 +15,7 @@ from sparsec.encoding import (
     make_encoding,
 )
 from sparsec.engine import convert, run_kernel
-from sparsec.errors import OrderConflict, ShapeMismatch, UnknownTensor, UnsupportedKernel
+from sparsec.errors import OrderConflict, ShapeMismatch, UnknownTensor
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.oracle import dense_eval
 from sparsec.storage import CooTensor, DenseTensor, SparseStorage, pack
@@ -313,12 +312,12 @@ def test_accumulate_kernels_match_oracle(decl, lhs, rhs):
 
 
 # ----------------------------------------------------------------------------
-# Generated-function limits
+# Deep loop nests
 
 
 def _union_kernel(rank: int) -> str:
     # C = A + B, every level compressed: one co-iteration loop per level,
-    # so the generated function nests `rank` loops.
+    # so the loop nest is `rank` deep.
     shape = ", ".join(["1"] * (rank - 3) + ["2", "3", "2"])
     idx = ", ".join(f"i{d}" for d in range(rank))
     fmt = f"format({', '.join(['compressed'] * rank)})"
@@ -342,20 +341,11 @@ def _union_matches_oracle(rank: int):
     assert sorted(got.data)[-3:] == [2.5, 3.0, 4.0]
 
 
-def test_deepest_supported_loop_nest_matches_oracle(monkeypatch):
-    # On the generated function, the fallback for frames past the array
-    # form's row budget.
-    monkeypatch.setattr(engine, "_MAX_FRAME_ROWS", 0)
-    _union_matches_oracle(20)
-
-
-def test_loop_nest_past_the_python_limit_is_unsupported(monkeypatch):
-    # The limit binds only the generated function, the fallback for frames
-    # past the array form's row budget.
-    kernel = parse_kernel(_union_kernel(21))
-    monkeypatch.setattr(engine, "_MAX_FRAME_ROWS", 0)
-    with pytest.raises(UnsupportedKernel, match="more than 20 nested loops"):
-        run_kernel(kernel, _union_inputs(kernel))
+def test_deepest_supported_loop_nest_matches_oracle(frame_budget):
+    # 21 nested co-iteration loops, one past what one Python function can
+    # nest, in parts of one row each.
+    frame_budget(1)
+    _union_matches_oracle(21)
 
 
 def test_loop_nest_past_the_python_limit_runs_on_the_arrays():

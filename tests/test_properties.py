@@ -1,18 +1,24 @@
-"""Property tests: the array form and the loops agree on random kernels.
+"""Property tests: the array form, whole and in parts, and the reference
+loops agree on random kernels; tensors round-trip through storage, binary
+dumps and files.
 
 Hypothesis draws the cases from a fixed seed (`derandomize`) and keeps no
 example database, so the suite stays deterministic. (`conftest.py` moves
 Hypothesis's cache out of the checkout.)
 """
 
+import os
+import tempfile
+
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sparsec.encoding import COMPRESSED, DENSE, make_encoding
 from sparsec.engine import convert
-from sparsec.errors import BitWidthOverflow, OrderConflict, UnsupportedKernel
+from sparsec.errors import BitWidthOverflow, OrderConflict, SparsecError, UnsupportedKernel
 from sparsec.expr import parse_kernel
-from sparsec.storage import CooTensor, DenseTensor, SparseStorage
+from sparsec.storage import CooTensor, DenseTensor, SparseStorage, dump_binary, load_binary, pack
+from sparsec.tensor_io import read_tensor, write_tensor
 from test_array_path import run_both
 
 VARS = ("i", "j", "k")
@@ -109,8 +115,9 @@ def _negative_zeros(value):
 
 
 def _agree(case):
-    """Run the case's kernel on the arrays and on the loops, its chosen
-    operands with stored zeros as -0.0, and require one `repr`."""
+    """Run the case's kernel on the arrays, on the arrays in parts
+    (`run_both`) and on the reference loops, its chosen operands with
+    stored zeros as -0.0, and require one `repr`."""
     text, coo, negative = case
     kernel = parse_kernel(text)
     bindings = dict(coo)
@@ -118,9 +125,9 @@ def _agree(case):
         try:
             bindings[name] = _negative_zeros(convert(coo[name], kernel.tensors[name]))
         except BitWidthOverflow:
-            pass  # both forms raise it when they coerce the COO input
+            pass  # every run raises it when it coerces the COO input
     try:
-        chosen, loops, _ = run_both(kernel, bindings)
+        chosen, loops = run_both(kernel, bindings)
     except (OrderConflict, UnsupportedKernel):
         assume(False)
     assert chosen == loops, text
@@ -144,3 +151,66 @@ def test_arrays_and_loops_agree_on_random_products(case):
 @given(mix_case())
 def test_arrays_and_loops_agree_on_random_sums_and_products(case):
     _agree(case)
+
+
+# ----------------------------------------------------------------------------
+# Round trips
+
+
+@st.composite
+def stored_case(draw):
+    """A COO tensor of rank 0-3 and an encoding for it (None at rank 0).
+
+    A compressed level's extent lies about the largest index its width
+    holds, 2**width - 1 (2**63 - 1 for 64 bits), so its coordinates reach
+    that index and, for a larger extent, the one past it; a dense level's
+    extent is small. The entries are none, all explicit zeros of either
+    sign, or any values, duplicates included."""
+    rank = draw(st.integers(0, 3))
+    if not rank:
+        entries = draw(st.lists(st.tuples(st.just(()), VALUES), max_size=2))
+        return CooTensor((), entries), None
+    levels = draw(st.lists(st.sampled_from([DENSE, COMPRESSED]), min_size=rank, max_size=rank))
+    width = draw(st.sampled_from([0, 8, 16, 32, 64]))
+    encoding = make_encoding(
+        levels, draw(st.permutations(range(rank))), draw(st.sampled_from([0, 8, 16, 32, 64])), width
+    )
+    top = min((1 << (width or 64)) - 1, (1 << 63) - 1)
+    shape = [0] * rank
+    for level, kind in enumerate(levels):
+        if kind is DENSE:
+            extents = [1, 2, 5]
+        else:
+            extents = [1, top, top + 1, min(top + 2, 1 << 63)]
+        shape[encoding.dim_of_level(level)] = draw(st.sampled_from(extents))
+    near = [sorted({0, e - 1, min(top, e - 1), e // 2}) for e in shape]
+    coords = st.tuples(*(st.sampled_from(c) for c in near))
+    values = draw(st.sampled_from([VALUES, st.sampled_from([0.0, -0.0])]))
+    entries = draw(st.lists(st.tuples(coords, values), max_size=8))
+    return CooTensor(tuple(shape), entries), encoding
+
+
+@settings(SETTINGS, max_examples=300)
+@given(stored_case())
+def test_tensors_round_trip_through_storage_dumps_and_files(case):
+    # `write_tensor` -> `read_tensor` gives the normalized entries back.
+    # `pack` -> `to_coo` -> `pack`, and `dump_binary` -> `load_binary`,
+    # give the storage back, and with no dense level (which stores its
+    # missing positions as zeros) `to_coo` gives the normalized entries.
+    # Packing may fail only as a SparsecError: an index past its width.
+    coo, encoding = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.tns")
+        write_tensor(coo, path)
+        assert repr(read_tensor(path)) == repr(coo.normalize())
+    if encoding is None:
+        return
+    try:
+        storage = pack(coo, encoding)
+    except SparsecError as e:
+        assert isinstance(e, BitWidthOverflow), e
+        return
+    assert repr(pack(storage.to_coo(), encoding)) == repr(storage)
+    if DENSE not in encoding.levels:
+        assert repr(storage.to_coo()) == repr(coo.normalize())
+    assert repr(load_binary(dump_binary(storage))) == repr(storage)

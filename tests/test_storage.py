@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 
 import conftest as refs
+import loops_reference
 import sparsec
+from loops_reference import compress, expand
 from sparsec import engine
 from sparsec.cli import _write_result, result_checksum
 from sparsec.codegen import StrategyKind
@@ -51,9 +53,7 @@ from sparsec.storage import (
     CooTensor,
     DenseTensor,
     SparseStorage,
-    compress,
     dump_binary,
-    expand,
     load_binary,
     pack,
 )
@@ -170,8 +170,8 @@ def test_level_views(mat_a):
 
 
 # The one build of a sparse output (`engine._sparse_output`), shared by
-# the array form and the generated loops: a strict storage-order check,
-# then `_build_levels`.
+# the engine and the reference loops: a strict storage-order check, then
+# `_build_levels`.
 
 
 def _sparse_output(ttype, entries):
@@ -953,8 +953,8 @@ def test_bulk_compress_checks_index_width():
 
 @pytest.mark.parametrize("c_format", ["compressed, dense", "dense, compressed", "compressed, compressed"])
 def test_expand_compress_kernel_equals_per_element(monkeypatch, c_format):
-    # Forced onto the generated loops, which drain the workspace through
-    # `compress` (the array form merges the workspace itself).
+    # On the reference loops, which drain the workspace through `compress`
+    # (the array form merges the workspace itself).
     text = (
         "tensor A(24, 20) format(dense, compressed)\n"
         "tensor B(20, 28) format(compressed, compressed)\n"
@@ -964,7 +964,7 @@ def test_expand_compress_kernel_equals_per_element(monkeypatch, c_format):
     kernel = parse_kernel(text)
     (program,) = engine.compile_kernel(kernel)
     assert program.strategy.kind is StrategyKind.EXPAND_COMPRESS
-    monkeypatch.setattr(engine, "interpret", engine._run_loops)
+    monkeypatch.setattr(engine, "interpret", loops_reference.run_loops)
     bindings = {
         "A": generate(GeneratorSpec((24, 20), "uniform", density=0.15, seed=1)),
         "B": generate(GeneratorSpec((20, 28), "uniform", density=0.15, seed=2)),
@@ -976,7 +976,7 @@ def test_expand_compress_kernel_equals_per_element(monkeypatch, c_format):
         drained.append(len(ws.added))
         _compress_per_element(ws, prefix, coords, values)
 
-    monkeypatch.setattr(engine, "compress", per_element)
+    monkeypatch.setattr(loops_reference, "compress", per_element)
     assert _layout(bulk) == _layout(engine.run_kernel(kernel, bindings))
     assert sum(drained) > 0
 

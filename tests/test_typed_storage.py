@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from loops_reference import run_loops
 from sparsec import engine
 from sparsec.cli import main
 from sparsec.encoding import COMPRESSED, DENSE, TensorType, csr, enumerate_encodings, make_encoding
@@ -429,7 +430,7 @@ def test_sparse_outputs_share_no_memory_with_the_bindings(rhs):
     ):
         result = engine.run_kernel(kernel, {"A": a, "B": b})
     assert [firsts for firsts, _ in merges] == ([None] if rhs.endswith("B(k, j)") else [])
-    with mock.patch.object(engine, "interpret", engine._run_loops):
+    with mock.patch.object(engine, "interpret", run_loops):
         assert repr(result) == repr(engine.run_kernel(kernel, {"A": a, "B": b}))
     for stored in _stored_arrays(result):
         assert not any(
@@ -505,7 +506,8 @@ def _peak(call) -> int:
     ],
 )
 def test_pack_and_builder_check_the_budget_before_allocating(shape, levels):
-    # `pack`, and the one build of a sparse output on either engine form.
+    # `pack`, and the one build of a sparse output, in the engine and the
+    # reference loops.
     enc = make_encoding(levels)
     one = tuple(e // 2 for e in shape)
     coo = CooTensor(shape, [(one, 1.0)])
@@ -525,7 +527,7 @@ OUTER = (
 def test_all_dense_output_past_the_budget_on_both_forms(op, form):
     kernel = parse_kernel(OUTER.format(n=SIDE, op=op))
     bindings = {name: CooTensor((SIDE,), [((7,), 2.0)]) for name in "ab"}
-    interpret = engine._run_loops if form == "loops" else engine.interpret
+    interpret = run_loops if form == "loops" else engine.interpret
     with mock.patch.object(engine, "interpret", interpret):
         assert _peak(lambda: engine.run_kernel(kernel, bindings)) < PEAK
     # Below the budget the same kernel runs.
@@ -536,18 +538,17 @@ def test_all_dense_output_past_the_budget_on_both_forms(op, form):
 
 
 def test_all_dense_output_past_the_budget_fails_before_the_loops_run():
-    # Full operands give the array form a frame past its row budget, so
-    # the kernel falls back to the loops, which must check the budget
-    # before they append 2^30 entries. (With `+=` the empty output to add
-    # into fails first.)
+    # Full operands would give frames of 2^30 rows, run in parts; the
+    # budget on the output is checked before the first frame is built.
+    # (With `+=` the empty output to add into fails first.)
     kernel = parse_kernel(OUTER.format(n=SIDE, op="="))
     full = CooTensor.from_arrays((SIDE,), np.arange(SIDE).reshape(SIDE, 1), np.ones(SIDE))
     bindings = {name: full for name in "ab"}
 
     def never(*args, **kwargs):
-        raise AssertionError("the loops ran before the budget check")
+        raise AssertionError("a frame was built before the budget check")
 
-    with mock.patch.object(engine._Generator, "function", never):
+    with mock.patch.object(engine._Frame, "__init__", never):
         assert _peak(lambda: engine.run_kernel(kernel, bindings)) < PEAK
 
 
