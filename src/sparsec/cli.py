@@ -47,7 +47,7 @@ from .lattice import (
     topo_sort,
 )
 from .oracle import GeneratorSpec, dense_eval, density, generate
-from .storage import SparseStorage
+from .storage import DenseTensor, SparseStorage
 from .tensor_io import read_dense_literal, read_sparse_literal, read_tensor, write_tensor
 
 
@@ -223,19 +223,19 @@ class SearchRow:
     checksum: str
 
 
-def _swept_value(value, ttype: TensorType, name: str, packed: dict):
+def _swept_value(value, ttype: TensorType, native: TensorType, name: str, packed: dict):
     """The binding `value` of the swept operand `name` as `_coerce` gives it
-    for `ttype`, packed once per width-stripped format.
+    for `ttype`, packed once per width-stripped format `native` (`ttype`
+    with native widths).
 
     Widths only bound the overhead arrays, so `packed[name]` keeps `value`
-    packed under `ttype`'s format with native widths, and each width
-    variant is that storage's arrays under its own type (`with_type`),
-    whose `validate` raises the same BitWidthOverflow a fresh `pack` would.
-    A binding of exactly `ttype` is used as it is.
+    packed under `native`, and each width variant is that storage's arrays
+    under its own type (`with_type`), which checks only the widths and
+    raises the BitWidthOverflow a fresh `pack` would. A binding of exactly
+    `ttype` is used as it is.
     """
     if isinstance(value, SparseStorage) and value.ttype == ttype:
         return value
-    native = TensorType(ttype.shape, replace(ttype.encoding, pointer_width=0, index_width=0))
     base = packed.get(name)
     if base is None or base.ttype != native:
         base = _coerce(value, native, name)  # checks the shape
@@ -243,6 +243,17 @@ def _swept_value(value, ttype: TensorType, name: str, packed: dict):
             base = convert(value, native)
         packed[name] = base
     return base if ttype == native else base.with_type(ttype)
+
+
+def _result_key(result):
+    """Bytes that fix `result`'s nonzeros: a dense result's shape and data,
+    or a sparse one's layout (widths aside) and level and value arrays.
+    Equal keys mean equal nonzeros."""
+    if isinstance(result, DenseTensor):
+        return result.shape, result.data.tobytes()
+    enc = result.encoding
+    arrays = [a.tobytes() for l in range(result.rank) for a in result.level_arrays(l)]
+    return (result.shape, enc.levels, enc.ordering, *arrays, result.value_array.tobytes())
 
 
 def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
@@ -256,12 +267,13 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
 
     Bit widths never change a loop, so the rows that differ only in the
     widths of the swept operands form a group: its first row compiles the
-    Programs and packs the swept operands, and its other rows run the same
-    Programs, each rebound to the row's own pieces, on the same arrays
-    re-checked under their widths (`_swept_value`). A group whose orderings
-    conflict is skipped whole. Only the current group and the last result
-    are held. A result whose nonzeros have the bytes of the last one's
-    reuses its checksum.
+    Programs and packs the swept operands with native widths. Every other
+    row runs the same Programs, each kernel rebound to the row's types of
+    the swept operands with its analysis kept (no analysis reads a width),
+    on the same arrays with only their widths checked (`_swept_value`). A
+    group whose orderings conflict is skipped whole. Every row executes.
+    Only the current group and the last result are held: a result whose
+    own buffers (`_result_key`) equal the last one's reuses its checksum.
     """
     import itertools
 
@@ -269,28 +281,35 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
     coerced = None  # the bindings, with the operands not swept coerced once
     packed = {}  # swept operand name -> its binding, packed with native widths
     group = programs = None  # the current group's key and Programs (None: conflict)
-    content = checksum = None  # the last result's shape and nonzero bytes, its checksum
+    natives = {}  # swept operand name -> the group's type with native widths
+    content = checksum = None  # the last result's `_result_key`, its checksum
     spaces = [
         list(enumerate_encodings(kernel.tensors[name].rank, include_widths))
         for name in names
     ]
     rows = []
     for combo in itertools.product(*spaces):
-        tensors = dict(kernel.tensors)
-        for name, enc in zip(names, combo):
-            tensors[name] = TensorType(tensors[name].shape, enc)
-        swept = replace(kernel, tensors=tensors, analysis=None)
+        types = {
+            name: TensorType(kernel.tensors[name].shape, enc) for name, enc in zip(names, combo)
+        }
+        swept = replace(kernel, tensors={**kernel.tensors, **types}, analysis=None)
         started = time.perf_counter()
         key = tuple((enc.levels, enc.ordering) for enc in combo)
         if key != group:
             group = key
+            natives = {
+                name: TensorType(t.shape, replace(t.encoding, pointer_width=0, index_width=0))
+                for name, t in types.items()
+            }
             try:
                 programs = compile_kernel(swept)
             except OrderConflict:
                 programs = None
         elif programs is not None:
-            pieces = prepare_kernels(swept)
-            programs = tuple(replace(p, kernel=piece) for p, piece in zip(programs, pieces))
+            programs = tuple(
+                replace(p, kernel=replace(p.kernel, tensors={**p.kernel.tensors, **types}))
+                for p in programs
+            )
         if programs is None:
             continue
         if coerced is None:
@@ -301,13 +320,14 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
         inputs = dict(coerced)
         for name in names:
             if name in bindings:
-                inputs[name] = _swept_value(bindings[name], tensors[name], name, packed)
+                inputs[name] = _swept_value(
+                    bindings[name], types[name], natives[name], name, packed
+                )
         result = execute(swept, programs, inputs)
         elapsed_ms = (time.perf_counter() - started) * 1e3
-        coords, values = _nonzero_arrays(result)
-        this = (result.shape, coords.tobytes(), values.tobytes())
+        this = _result_key(result)
         if this != content:
-            content, checksum = this, _checksum(coords, values)
+            content, checksum = this, _checksum(*_nonzero_arrays(result))
         opt = programs[-1].strategy.describe()
         rows.append(SearchRow(dict(zip(names, combo)), opt, elapsed_ms, checksum))
     return rows

@@ -180,7 +180,11 @@ class KernelAnalysis:
     Every field is derived from the kernel's `lhs`, `rhs` and `tensors`, and
     later stages read the right-hand side and its variables from here, not
     from the kernel. A kernel rebuilt with any of those three changed must
-    drop its analysis (`replace(kernel, ..., analysis=None)`).
+    drop its analysis (`replace(kernel, ..., analysis=None)`), with one
+    exception: no field reads a tensor's bit widths (the temporaries
+    `split_for_whole_expr_reduction` declares get native widths whatever
+    the operands' are), so a kernel whose tensors change only in their
+    widths may keep it.
     """
 
     free_vars: tuple
@@ -192,6 +196,7 @@ class KernelAnalysis:
     index_vars: tuple  # as Kernel.index_vars
     indexed_rhs: Expr  # the right-hand side with AccessRef leaves
     accesses: tuple  # those AccessRef leaves, uid order
+    chains: tuple  # (tensor, vars) pairs, as `_storage_chains` gives them
 
 
 @dataclass(frozen=True)
@@ -308,11 +313,15 @@ class _Parser:
 
     def integer(self) -> int:
         """Take the current token as a whole number. A number token with a
-        fraction or an exponent fails at that token."""
+        fraction or an exponent, or too many digits for `int`, fails at
+        that token."""
         tok = self.expect("number")
         if not tok.isdecimal():
             self.fail(f"expected an integer, found {tok!r}", self.pos - 1)
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than `sys.get_int_max_str_digits()`
+            self.fail(f"integer of {len(tok)} digits is too long", self.pos - 1)
 
     def skip_newlines(self):
         while self.tok == "\n":
@@ -570,8 +579,26 @@ def analyze_reductions(kernel: Kernel) -> Kernel:
         index_vars=order,
         indexed_rhs=rhs,
         accesses=refs,
+        chains=_storage_chains(refs + (kernel.lhs,), kernel.tensors),
     )
     return replace(kernel, analysis=analysis)
+
+
+def _storage_chains(refs, tensors: dict) -> tuple:
+    """For every access in `refs` with a compressed level: its tensor, and
+    the variables of its storage levels up to its last compressed one,
+    outermost first. The iteration graph's edges and `lower`'s order check
+    both read them."""
+    chains = []
+    for access in refs:
+        enc = tensors[access.tensor].encoding
+        if enc is None or COMPRESSED not in enc.levels:
+            continue
+        last = len(enc.levels) - 1 - enc.levels[::-1].index(COMPRESSED)
+        chains.append(
+            (access.tensor, tuple(access.indices[enc.dim_of_level(l)] for l in range(last + 1)))
+        )
+    return tuple(chains)
 
 
 def _merge_extents(extents: dict, access: Access, tensors: dict):

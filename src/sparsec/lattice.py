@@ -22,7 +22,7 @@ sparse iterators advance alongside.
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .encoding import COMPRESSED, DENSE
+from .encoding import DENSE
 from .errors import OrderConflict
 from .expr import (
     AccessRef,
@@ -70,27 +70,12 @@ class IterationGraph:
         return [v for (a, v) in self.edges if a == u]
 
 
-def _chains(kernel: Kernel):
-    """For every access of an analysed kernel, the output included, with a
-    compressed level: its tensor, and the variables of its storage levels
-    up to its last compressed one, outermost first."""
-    for access in kernel.analysis.accesses + (kernel.lhs,):
-        enc = kernel.tensors[access.tensor].encoding
-        if enc is None:
-            continue
-        compressed_levels = [l for l, lt in enumerate(enc.levels) if lt is COMPRESSED]
-        if not compressed_levels:
-            continue
-        last = compressed_levels[-1]
-        yield access.tensor, [access.indices[enc.dim_of_level(l)] for l in range(last + 1)]
-
-
 def build_iteration_graph(kernel: Kernel) -> IterationGraph:
     """Collect loop-order constraints from every access, the output included."""
     if kernel.analysis is None:
         kernel = analyze_reductions(kernel)
     edges: Dict[tuple, set] = {}
-    for tensor, chain in _chains(kernel):
+    for tensor, chain in kernel.analysis.chains:
         for u, v in zip(chain, chain[1:]):
             edges.setdefault((u, v), set()).add(tensor)
     return IterationGraph(kernel.index_vars, {k: tuple(sorted(v)) for k, v in edges.items()})
@@ -132,7 +117,7 @@ def check_order(kernel: Kernel, order) -> None:
             order=order,
             reason=f"must list each of the loop variables {', '.join(kernel.index_vars)} once",
         )
-    for tensor, chain in _chains(kernel):
+    for tensor, chain in kernel.analysis.chains:
         for u, v in zip(chain, chain[1:]):
             if at[u] > at[v]:
                 raise OrderConflict(

@@ -515,9 +515,27 @@ class SparseStorage:
         return SparseStorage(self.ttype, self._pointers, self._indices, values)
 
     def with_type(self, ttype: TensorType) -> "SparseStorage":
-        """The same arrays, shared, under `ttype`: the same layout with other
-        bit widths, checked against them by `validate`."""
-        return SparseStorage(ttype, self._pointers, self._indices, self._values)
+        """The same arrays, shared, under `ttype`.
+
+        When `ttype` differs from this storage's type only in its bit
+        widths, the layout checks this storage passed hold for it too, so
+        only the widths are checked (`_check_widths`), with the error a
+        full `validate` would raise. Any other `ttype` is checked in full.
+        """
+        own, enc = self.encoding, ttype.encoding
+        if (
+            enc is None
+            or ttype.shape != self.shape
+            or enc.levels != own.levels
+            or enc.ordering != own.ordering
+        ):
+            return SparseStorage(ttype, self._pointers, self._indices, self._values)
+        storage = object.__new__(SparseStorage)
+        storage.ttype = ttype
+        storage._pointers, storage._indices = self._pointers, self._indices
+        storage._values = self._values
+        storage._check_widths()
+        return storage
 
     @property
     def pointers(self) -> tuple:
@@ -551,10 +569,11 @@ class SparseStorage:
         )
 
     def validate(self):
-        """Check every format invariant with whole-array operations.
+        """Check every format invariant with whole-array operations: the
+        layout of every level, then the bit widths (`_check_widths`).
 
-        Raises MalformedStorage (BitWidthOverflow for a narrow width), so
-        the checks hold under `python -O` too.
+        Raises MalformedStorage for a bad layout and BitWidthOverflow for a
+        narrow width, so the checks hold under `python -O` too.
         """
         enc = self.ttype.encoding
         if enc is None:
@@ -593,11 +612,19 @@ class SparseStorage:
                     )
                 if idxs.min() < 0 or idxs.max() >= sshape[l]:
                     raise MalformedStorage(f"level {l}: index outside extent {sshape[l]}")
-            _width_limit_check(ptrs, enc.pointer_width, "pointer")
-            _width_limit_check(idxs, enc.index_width, "index")
             positions = len(idxs)
         if len(self._values) != positions:
             raise MalformedStorage(f"{len(self._values)} values for {positions} stored positions")
+        self._check_widths()
+
+    def _check_widths(self):
+        """Raise BitWidthOverflow for the first level, in storage order,
+        whose largest pointer or (after its pointers) index does not fit in
+        the declared width. A dense level's arrays are empty."""
+        enc = self.encoding
+        for ptrs, idxs in zip(self._pointers, self._indices):
+            _width_limit_check(ptrs, enc.pointer_width, "pointer")
+            _width_limit_check(idxs, enc.index_width, "index")
 
     def arrays(self):
         """Every stored entry, explicit zeros included, in storage order:

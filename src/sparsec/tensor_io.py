@@ -285,7 +285,10 @@ def read_sparse_literal(text: str) -> CooTensor:
     m = _SPARSE_LITERAL.match(text)
     if not m:
         raise ParseError("sparse literal must look like sparse<10x8>([[...]], [...])")
-    shape = tuple(int(tok) for tok in m.group(1).lower().split("x"))
+    try:
+        shape = tuple(int(tok) for tok in m.group(1).split("x"))
+    except ValueError:  # an empty or blank-split extent: `4x`, `x`, `4 4`
+        raise ParseError(f"bad sparse literal shape {m.group(1)!r}") from None
     try:
         coords_list, values_list = ast.literal_eval("(" + m.group(2) + ")")
     except (ValueError, SyntaxError, TypeError) as e:

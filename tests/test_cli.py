@@ -9,8 +9,9 @@ from dataclasses import replace
 
 import pytest
 
-from sparsec import cli, engine
+from sparsec import cli, engine, expr
 from sparsec.cli import main, parse_encoding_text, result_checksum
+from sparsec.codegen import emit_text
 from sparsec.encoding import COMPRESSED, DENSE, TensorType, enumerate_encodings, make_encoding
 from sparsec.engine import compile_kernel, convert, execute
 from sparsec.errors import BitWidthOverflow, OrderConflict, ShapeMismatch
@@ -399,6 +400,16 @@ def test_cmd_convert_sparse_literal_with_scalar_values_is_one_parse_error_line(t
     assert not (tmp_path / "x.tns").exists()
 
 
+@pytest.mark.parametrize("shape", ["4x", "x", " ", "4 4", "4xx4"])
+def test_cmd_run_malformed_sparse_literal_shape_is_one_parse_error_line(tmp_path, capsys, shape):
+    kfile = tmp_path / "scale.kernel"
+    kfile.write_text("tensor A(4, 4) format(dense, compressed)\ntensor B(4, 4)\nB(i, j) = A(i, j)\n")
+    code = main(["run", "--kernel-file", str(kfile), "--input", f"A=sparse<{shape}>([[1, 1]], [1.0])"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"sparsec: error[ParseError]: bad sparse literal shape {shape!r}"], err
+
+
 def test_cmd_convert_sparse_literal_rejects_float_coordinates(tmp_path, capsys):
     # 1.5 must not be truncated to index 1 on the way in.
     code = main(
@@ -674,3 +685,129 @@ def test_run_search_checksums_a_diverging_row(monkeypatch):
     doubled = DenseTensor(calls[29].shape, [v * 2.0 for v in calls[29].data])
     assert checksums[29] == result_checksum(doubled) != checksums[28]
     assert checksums[:29] + checksums[30:] == [result_checksum(calls[0])] * 199
+
+
+# Each case: kernel text, the swept operand(s), and the bindings' densities
+# (the swept output C of "swept output" is bound to nothing).
+REBIND_CASES = {
+    "spmm": (
+        "tensor A(6, 6) format(dense, compressed)\ntensor B(6, 6)\n"
+        "tensor C(6, 6)\nC(i, j) = A(i, k) * B(k, j)\n",
+        "A", {"A": 0.4, "B": 1.0},
+    ),
+    "scoped reduction": (
+        "tensor A(5, 5) format(dense, compressed)\ntensor B(5, 5) format(dense, compressed)\n"
+        "tensor D(5, 5)\ntensor C(5, 5)\nC(i, j) = A(i, k) * B(k, j) + D(i, j)\n",
+        "A", {"A": 0.4, "B": 0.5, "D": 0.3},
+    ),
+    "sparse +=": (
+        "tensor A(5, 5) format(compressed, compressed)\ntensor B(5, 5)\n"
+        "tensor C(5, 5) format(dense, compressed)\nC(i, j) += A(i, j) * B(i, j)\n",
+        "A", {"A": 0.5, "B": 0.6, "C": 0.4},
+    ),
+    "swept output": (
+        "tensor A(5, 5) format(dense, compressed)\ntensor B(5, 5)\n"
+        "tensor C(5, 5) format(dense, compressed)\nC(i, j) = A(i, k) * B(k, j)\n",
+        "C", {"A": 0.4, "B": 0.5},
+    ),
+    "two operands": (
+        "tensor A(5, 4) format(dense, compressed)\ntensor B(4, 5) format(dense, compressed)\n"
+        "tensor C(5, 5)\nC(i, j) = A(i, k) * B(k, j)\n",
+        ["A", "B"], {"A": 0.4, "B": 0.5},
+    ),
+}
+
+
+def _rebind_case(name):
+    text, swept, densities = REBIND_CASES[name]
+    kernel = parse_kernel(text)
+    bindings = {
+        t: generate(GeneratorSpec(kernel.tensors[t].shape, "uniform", density=rho, seed=i))
+        for i, (t, rho) in enumerate(densities.items())
+    }
+    return kernel, bindings, swept
+
+
+@pytest.mark.parametrize("case", list(REBIND_CASES))
+def test_run_search_rebinds_programs_equal_to_fresh_ones(monkeypatch, case):
+    kernel, bindings, swept = _rebind_case(case)
+    if case == "scoped reduction":
+        assert len(compile_kernel(kernel)) == 2
+    ran = []
+
+    def recording_execute(kernel, programs, inputs):
+        ran.append((kernel, programs))
+        return execute(kernel, programs, inputs)
+
+    names = [swept] if isinstance(swept, str) else swept
+    encodings = lambda d, include_bitwidths=True: [  # noqa: E731
+        # Two operands: 200 x 200 rows, cut to four width pairs each.
+        e for e in enumerate_encodings(d, include_bitwidths)
+        if len(names) == 1 or (e.pointer_width, e.index_width) in {(0, 0), (8, 8), (8, 16), (32, 0)}
+    ]
+    monkeypatch.setattr(cli, "enumerate_encodings", encodings)
+    monkeypatch.setattr(cli, "execute", recording_execute)
+    rows = cli.run_search(kernel, bindings, swept, include_widths=True)
+    assert rows and len(ran) == len(rows)
+    assert _rows(rows) == _row_by_row(kernel, bindings, names, encodings)
+    for row, (swept_kernel, programs) in zip(rows, ran):
+        for name in names:
+            assert swept_kernel.tensors[name].encoding == row.encodings[name]
+        fresh = compile_kernel(replace(swept_kernel, analysis=None))
+        assert programs == fresh, row.encodings
+        assert [p.kernel.analysis for p in programs] == [p.kernel.analysis for p in fresh]
+        assert [p.kernel.tensors for p in programs] == [p.kernel.tensors for p in fresh]
+        assert list(map(emit_text, programs)) == list(map(emit_text, fresh))
+
+
+def test_run_search_pays_per_width_row_only_for_its_run_and_widths(monkeypatch):
+    kernel, bindings, _ = _rebind_case("scoped reduction")
+    counts = {"analyze": 0, "validate": 0, "widths": 0, "execute": 0, "nonzeros": 0}
+
+    def counting(key, call):
+        def wrapper(*args):
+            counts[key] += 1
+            return call(*args)
+
+        return wrapper
+
+    # One compile per group (width-stripped format) analyses its pieces.
+    groups = set()
+    for enc in enumerate_encodings(2, include_bitwidths=False):
+        swept = replace(kernel, tensors={**kernel.tensors, "A": TensorType((5, 5), enc)})
+        with monkeypatch.context() as patch:
+            patch.setattr(expr, "analyze_reductions", counting("analyze", expr.analyze_reductions))
+            patch.setattr(engine, "analyze_reductions", counting("analyze", expr.analyze_reductions))
+            try:
+                compile_kernel(swept)
+            except OrderConflict:
+                continue
+        groups.add(enc)
+    per_group, counts["analyze"] = counts["analyze"], 0
+    assert per_group > 2 * len(groups)  # the split analyses three kernels
+
+    keys = []
+
+    def keyed_execute(kernel, programs, inputs):
+        result = execute(kernel, programs, inputs)
+        keys.append(cli._result_key(result))
+        return result
+
+    monkeypatch.setattr(expr, "analyze_reductions", counting("analyze", expr.analyze_reductions))
+    monkeypatch.setattr(engine, "analyze_reductions", counting("analyze", expr.analyze_reductions))
+    monkeypatch.setattr(SparseStorage, "validate", counting("validate", SparseStorage.validate))
+    monkeypatch.setattr(
+        SparseStorage, "_check_widths", counting("widths", SparseStorage._check_widths)
+    )
+    monkeypatch.setattr(cli, "execute", counting("execute", keyed_execute))
+    monkeypatch.setattr(cli, "_nonzero_arrays", counting("nonzeros", cli._nonzero_arrays))
+    rows = cli.run_search(kernel, bindings, "A", include_widths=True)
+    assert len(rows) == 25 * len(groups) and counts["execute"] == len(rows)
+    assert counts["analyze"] == per_group
+    # B is packed once; each group packs A once and builds one sparse
+    # temporary per row: those are the full checks. Every other A is a
+    # width variant, checked for its widths only.
+    assert counts["validate"] == 1 + len(groups) + len(rows)
+    assert counts["widths"] == counts["validate"] + len(rows) - len(groups)
+    changes = sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
+    assert counts["nonzeros"] == changes == 1

@@ -1,6 +1,7 @@
 """Property tests: the array form, whole and in parts, and the reference
 loops agree on random kernels; tensors round-trip through storage, binary
-dumps and files.
+dumps and files; the literal and kernel readers turn malformed text into
+a SparsecError.
 
 Hypothesis draws the cases from a fixed seed (`derandomize`) and keeps no
 example database, so the suite stays deterministic. (`conftest.py` moves
@@ -8,6 +9,7 @@ Hypothesis's cache out of the checkout.)
 """
 
 import os
+import re
 import tempfile
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -18,7 +20,12 @@ from sparsec.engine import convert
 from sparsec.errors import BitWidthOverflow, OrderConflict, SparsecError, UnsupportedKernel
 from sparsec.expr import parse_kernel
 from sparsec.storage import CooTensor, DenseTensor, SparseStorage, dump_binary, load_binary, pack
-from sparsec.tensor_io import read_tensor, write_tensor
+from sparsec.tensor_io import (
+    read_dense_literal,
+    read_sparse_literal,
+    read_tensor,
+    write_tensor,
+)
 from test_array_path import run_both
 
 VARS = ("i", "j", "k")
@@ -214,3 +221,61 @@ def test_tensors_round_trip_through_storage_dumps_and_files(case):
     if DENSE not in encoding.levels:
         assert repr(storage.to_coo()) == repr(coo.normalize())
     assert repr(load_binary(dump_binary(storage))) == repr(storage)
+
+
+# ----------------------------------------------------------------------------
+# Malformed texts
+
+# Valid texts of each reader; the fuzz below mutates them.
+READER_TEXTS = [
+    (read_dense_literal, "[[1.0, 0.0, -2.5], [3, 4e2, 0.25]]"),
+    (read_dense_literal, "[7.5, 0, 1]"),
+    (read_sparse_literal, "sparse<16x12>([[0, 1], [15, 11], [3, 2]], [1.0, -2.5, 3])"),
+    (read_sparse_literal, "sparse< 8 x 4 x 2 >([[7, 3, 1]], [0.5])"),
+    (read_sparse_literal, "sparse<10>([[9], [0]], [2e3, 1])"),
+    (
+        parse_kernel,
+        "tensor A(16, 12) format(dense, compressed) order(1, 0) ptr(32) idx(16)\n"
+        "tensor x(12)\ntensor y(16) format(compressed)\ny(i) = A(i, j) * x(j)\n",
+    ),
+    (
+        parse_kernel,
+        "tensor A(3, 4) format(compressed, compressed)\ntensor B(4, 3)\n"
+        "tensor C(3, 3)  # the output\nC(i, j) += (A(i, k) - 1.5) * B(k, j) * 2.0\n",
+    ),
+]
+HUGE_NUMBERS = ["9" * 30, "18446744073709551616", "1e400", "9" * 5000, "0" * 40 + "1"]
+
+
+@st.composite
+def mutated_text(draw):
+    """A reader and one of its valid texts after one to three mutations:
+    truncated, a separator or bracket doubled or dropped, whitespace
+    inserted, or a number replaced by a huge one."""
+    reader, text = draw(st.sampled_from(READER_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "double", "drop", "blank", "huge"]))
+        at = draw(st.integers(0, len(text)))
+        spots = [i for i, c in enumerate(text) if c in "x,[]()<>"]
+        numbers = [m.span() for m in re.finditer(r"\d+(?:\.\d+)?(?:e\d+)?", text)]
+        if kind == "truncate":
+            text = text[:at]
+        elif kind in ("double", "drop") and spots:
+            i = draw(st.sampled_from(spots))
+            text = text[:i] + (text[i] * 2 if kind == "double" else "") + text[i + 1 :]
+        elif kind == "blank":
+            text = text[:at] + draw(st.sampled_from([" ", "  ", "\t", "\n"])) + text[at:]
+        elif kind == "huge" and numbers:
+            lo, hi = draw(st.sampled_from(numbers))
+            text = text[:lo] + draw(st.sampled_from(HUGE_NUMBERS)) + text[hi:]
+    return reader, text
+
+
+@settings(SETTINGS, max_examples=600)
+@given(mutated_text())
+def test_readers_parse_or_raise_a_sparsec_error_on_mutated_texts(case):
+    reader, text = case
+    try:
+        reader(text)
+    except SparsecError:
+        pass

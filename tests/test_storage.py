@@ -40,6 +40,7 @@ from sparsec.errors import (
     BitWidthOverflow,
     CoordNotInteger,
     CoordOutOfBounds,
+    DenseOutputTooLarge,
     MalformedStorage,
     OutOfOrderInsertion,
     ParseError,
@@ -1002,6 +1003,84 @@ def test_validate_rejects_each_malformed_layout():
             SparseStorage(t, pointers, indices, values)
     # A new segment may restart lower than the previous one ended.
     SparseStorage(t, ((), (0, 1, 2, 3)), ((), (3, 0, 2)), (1.0, 2.0, 3.0))
+
+
+def _width_edge_cases():
+    """COO matrices whose packed pointers or indices reach 2**8 - 1, 2**8
+    and 2**16, indices also 2**32, in one array or in several levels at
+    once (a level's indices with the next level's pointers)."""
+    full_row = lambda n: CooTensor((1, n), [((0, j), 1.0) for j in range(n)])  # noqa: E731
+    return [
+        CooTensor((256, 256), [((255, 3), 1.0), ((7, 255), 2.0)]),
+        CooTensor((257, 257), [((256, 1), 1.0), ((2, 256), 2.0)]),
+        CooTensor((65537, 4), [((65536, 0), 1.0), ((3, 2), -1.0)]),
+        CooTensor((3, (1 << 32) + 1), [((0, 1 << 32), 1.0), ((2, 5), 2.0)]),
+        full_row(255),
+        full_row(256),
+        full_row(1 << 16),  # pointers reach 2**16, indices only 2**16 - 1
+        CooTensor((300, 300), [((299, j), 1.0) for j in range(256)]),
+    ]
+
+
+def _typed_outcome(fn):
+    try:
+        return fn()
+    except SparsecError as e:
+        return type(e), str(e)
+
+
+def test_with_type_checks_widths_as_a_fresh_storage_does(monkeypatch):
+    validated = []
+    full = SparseStorage.validate
+    monkeypatch.setattr(
+        SparseStorage, "validate", lambda self: validated.append(self) or full(self)
+    )
+    layouts = [make_encoding([COMPRESSED] * 2), dcsc(), csr(), csc()]
+    pairs = {(e.pointer_width, e.index_width) for e in enumerate_encodings(2, True)}
+    assert len(pairs) == 25
+    raised = set()
+    for coo in _width_edge_cases():
+        for layout in layouts:
+            try:
+                base = pack(coo, layout)
+            except DenseOutputTooLarge:  # a dense level of 2**32 + 1 positions
+                continue
+            arrays = [base.level_arrays(l) for l in range(2)]
+            for ptr, idx in sorted(pairs):
+                ttype = TensorType(coo.shape, make_encoding(layout.levels, layout.ordering, ptr, idx))
+                validated.clear()
+                got = _typed_outcome(lambda: base.with_type(ttype))
+                assert validated == []  # the widths only
+                want = _typed_outcome(
+                    lambda: SparseStorage(ttype, *zip(*arrays), base.value_array)
+                )
+                if isinstance(want, SparseStorage):
+                    assert got.ttype == ttype and got == want, (coo.shape, ttype)
+                    assert all(a is b for a, b in zip(got.level_arrays(1), arrays[1]))
+                else:
+                    assert got == want, (coo.shape, ttype)
+                    raised.add(want[1].split(" value ")[0])
+    assert raised == {"pointer", "index"}
+
+
+def test_with_type_to_another_layout_is_validated_in_full(monkeypatch, mat_a):
+    validated = []
+    full = SparseStorage.validate
+    monkeypatch.setattr(
+        SparseStorage, "validate", lambda self: validated.append(self) or full(self)
+    )
+    base = pack(mat_a, csr())
+    with pytest.raises(MalformedStorage):  # the same widths, another layout
+        base.with_type(TensorType(base.shape, dcsr()))
+    # Arrays that fit the other layout are checked before they are kept.
+    square = pack(CooTensor((3, 3), [((0, 1), 1.0)]), csr())
+    for ttype in [TensorType((3, 3), csc()), TensorType((3, 3), make_encoding([DENSE] * 2))]:
+        validated.clear()
+        got = _typed_outcome(lambda: square.with_type(ttype))
+        want = _typed_outcome(
+            lambda: SparseStorage(ttype, square.pointers, square.indices, square.values)
+        )
+        assert got == want and len(validated) == 2
 
 
 def test_malformed_storage_is_typed_under_optimize():
