@@ -38,7 +38,7 @@ from .engine import (
     run_kernel,
 )
 from .errors import OracleMismatch, OrderConflict, ParseError, SparsecError
-from .expr import expr_to_text, parse_kernel
+from .expr import expr_to_text, nesting_guard, parse_kernel
 from .lattice import (
     access_display_names,
     build_iteration_graph,
@@ -52,17 +52,17 @@ from .tensor_io import read_dense_literal, read_sparse_literal, read_tensor, wri
 
 
 def _nonzero_arrays(result):
-    """The coordinates and values of `result`'s nonzeros: duplicates summed,
-    zero sums dropped, sorted by logical coordinates."""
+    """The coordinate columns and values of `result`'s nonzeros: duplicates
+    summed, zero sums dropped, sorted by logical coordinates."""
     return result.to_coo(drop_zeros=True).arrays()
 
 
-def _checksum(coords, values) -> str:
+def _checksum(columns, values) -> str:
     """The hash of the `;`-joined `coords:repr(value)` texts, each `coords`
     spelled as `str` spells a tuple of ints; built from whole columns."""
-    rank = coords.shape[1]
+    rank = len(columns)
     spec = "(" + ", ".join(["{}"] * rank) + ("," if rank == 1 else "") + "):{!r}"
-    text = ";".join(map(spec.format, *coords.T.tolist(), values.tolist()))
+    text = ";".join(map(spec.format, *[c.tolist() for c in columns], values.tolist()))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -183,36 +183,39 @@ def cmd_convert(args) -> int:
 def cmd_emit(args) -> int:
     with open(args.kernel_file) as fh:
         kernel = parse_kernel(fh.read())
-    if args.emit == "ir":
-        sys.stdout.write("\n".join(emit_text(program) for program in compile_kernel(kernel)))
+    # The recursive walks below fail as NestingTooDeep on a kernel too deep
+    # for them, as in `compile_kernel`.
+    with nesting_guard(kernel):
+        if args.emit == "ir":
+            sys.stdout.write("\n".join(emit_text(program) for program in compile_kernel(kernel)))
+            return 0
+        pieces = prepare_kernels(kernel)
+        chunks = []
+        for piece in pieces:
+            graph = build_iteration_graph(piece)
+            topo = topo_sort(graph)
+            if args.emit == "graph":
+                lines = [f"graph for {expr_to_text(piece.lhs)}:"]
+                lines += [f"  node {v}" for v in graph.nodes]
+                lines += [
+                    f"  edge {u} -> {v}  ({', '.join(ts)})"
+                    for (u, v), ts in sorted(graph.edges.items())
+                ]
+                lines.append(f"  topo order: {', '.join(topo)}")
+                chunks.append("\n".join(lines) + "\n")
+            elif args.emit == "lattice":
+                # The piece's analysis tagged its accesses once; every lattice
+                # below is built over that same tagged right-hand side.
+                names = access_display_names(piece.analysis.accesses)
+                lines = [f"lattices for {expr_to_text(piece.lhs)}:"]
+                for var in topo:
+                    lat = build_lattice(piece, var)
+                    lines.append(lattice_to_text(lat, names))
+                chunks.append("\n".join(lines) + "\n")
+            else:
+                raise ParseError(f"unknown emit target {args.emit!r} (ir|lattice|graph)")
+        sys.stdout.write("\n".join(chunks))
         return 0
-    pieces = prepare_kernels(kernel)
-    chunks = []
-    for piece in pieces:
-        graph = build_iteration_graph(piece)
-        topo = topo_sort(graph)
-        if args.emit == "graph":
-            lines = [f"graph for {expr_to_text(piece.lhs)}:"]
-            lines += [f"  node {v}" for v in graph.nodes]
-            lines += [
-                f"  edge {u} -> {v}  ({', '.join(ts)})"
-                for (u, v), ts in sorted(graph.edges.items())
-            ]
-            lines.append(f"  topo order: {', '.join(topo)}")
-            chunks.append("\n".join(lines) + "\n")
-        elif args.emit == "lattice":
-            # The piece's analysis tagged its accesses once; every lattice
-            # below is built over that same tagged right-hand side.
-            names = access_display_names(piece.analysis.accesses)
-            lines = [f"lattices for {expr_to_text(piece.lhs)}:"]
-            for var in topo:
-                lat = build_lattice(piece, var)
-                lines.append(lattice_to_text(lat, names))
-            chunks.append("\n".join(lines) + "\n")
-        else:
-            raise ParseError(f"unknown emit target {args.emit!r} (ir|lattice|graph)")
-    sys.stdout.write("\n".join(chunks))
-    return 0
 
 
 @dataclass

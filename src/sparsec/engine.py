@@ -10,12 +10,15 @@ merge lattice only when its loops reach it.
 
 The interpreter runs every Program as whole-array numpy passes that walk
 the IR directly. Each loop nest is flattened into a frame of rows, one per
-iteration in loop order; loads are gathers, except where a position loop's
-rows have consecutive ranges: their positions are then one run, whose
-indices and values are read as slices. A co-iteration loop (`WhileCoiter`)
-is a merge of its iterators' sorted indices up to the point where the
-first of them runs out, and each candidate runs the first case, in
-dominance order, whose iterators all hold it. The sinks are `np.add.at`
+iteration in loop order. A dense loop's frame, and a position loop's whose
+rows have consecutive ranges, repeats each parent row in order, so a
+column it reads from above is repeated, not gathered by a row map. Loads
+are gathers, except at positions that form one run: a position loop's
+consecutive ranges, and each dense loop over a whole extent below them,
+whose indices and values are read as slices. A co-iteration loop
+(`WhileCoiter`) is a merge of its iterators' sorted indices up to the
+point where the first of them runs out, and each candidate runs the
+first case, in dominance order, whose iterators all hold it. The sinks are `np.add.at`
 and a stable sort and merge for the workspace, applied in the loops' order
 across cases and sibling loops; scattered keys already in order are merged
 without a permutation. It generates no source.
@@ -84,6 +87,7 @@ from .expr import (
     Neg,
     Sub,
     analyze_reductions,
+    nesting_guard,
     split_for_whole_expr_reduction,
 )
 from .lattice import build_iteration_graph, topo_sort
@@ -192,29 +196,37 @@ def _dense_output(kernel: Kernel, env: dict):
     return None if seed is None else seed.data
 
 
-def _sparse_output(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> SparseStorage:
-    """The storage of `ttype` holding `values` at `coords`, an (n, rank)
-    array of logical coordinates, laid out by `_build_levels` once the rows
-    are checked to strictly increase in storage order (OutOfOrderInsertion
-    otherwise, duplicates included). Widths are checked by `validate`."""
-    columns = [coords[:, ttype.encoding.dim_of_level(l)] for l in range(ttype.rank)]
+def _sparse_output(ttype: TensorType, columns, values: np.ndarray) -> SparseStorage:
+    """The storage of `ttype` holding `values` at the coordinates of
+    `columns`, one array per logical dimension, laid out by
+    `_build_levels` once the rows are checked to strictly increase in
+    storage order (OutOfOrderInsertion otherwise, duplicates included).
+    Widths are checked by `validate`. The arrays are taken over: the
+    columns are frozen, so the last level's can become its indices."""
+    columns = [_read_only(c) for c in columns]
+    levels = [columns[ttype.encoding.dim_of_level(l)] for l in range(ttype.rank)]
     extents = ttype.storage_shape()
     if math.prod(extents) < 1 << 63:
-        key = _row_key(columns, extents, len(values))
+        key = _row_key(levels, extents, len(values))
         follows = key[1:] > key[:-1]
     else:
         # Row r + 1 follows row r when it is greater at the first storage
         # level where the two differ.
         follows = np.zeros(max(len(values) - 1, 0), bool)
-        for column in reversed(columns):
+        for column in reversed(levels):
             follows = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & follows)
     if not follows.all():
         r = int(np.argmin(follows))
         raise OutOfOrderInsertion(
-            f"insertion at {tuple(coords[r + 1].tolist())} does not follow "
-            f"{tuple(coords[r].tolist())} in storage order"
+            f"insertion at {tuple(int(c[r + 1]) for c in columns)} does not follow "
+            f"{tuple(int(c[r]) for c in columns)} in storage order"
         )
-    return _build_levels(ttype, coords, values)
+    return _build_levels(ttype, columns, values)
+
+
+def _no_entries(rank: int):
+    """The columns and values of no entries."""
+    return [np.zeros(0, np.int64)] * rank, np.zeros(0)
 
 
 def _segments(lo, counts, ends):
@@ -262,9 +274,13 @@ class _Frame:
     a loop variable, `("q"|"h", uid, level)` an iterator's position and
     end, `("r", var)` a range counter, `("x", uid)` a hoisted value,
     `("acc", slot)` and `"ws"` the row of the frame that declared an
-    accumulator or drains the workspace. A column the frame lacks is
-    gathered from its parent on first read, so only the columns the body
-    below reads are ever copied.
+    accumulator or drains the workspace. A column the frame lacks is made
+    from its parent's on first read, so only the columns the body below
+    reads are ever built: repeated, in a frame whose rows repeat their
+    parent's in order (`counts` rows from each parent row: a dense loop's,
+    or a position loop's whose ranges form one run), else gathered by the
+    frame's row map (`rows`: a co-iteration's candidates, a case's or a
+    part's rows, a position loop's scattered ranges).
 
     `key` places the rows in the loops' order across frames: the index of
     each enclosing loop's statement in its block, then that loop's
@@ -272,25 +288,35 @@ class _Frame:
     values tell its iteration from every other, and compare in the order
     the loops run them.
 
-    `reads`, in the body frame of a position loop, is its position column
-    and the index that reads those positions from a bound array: the slice
-    they fill when the rows' ranges are consecutive, else the column
-    itself. Any other frame has None.
+    `runs` maps a flat position, written as `_position_steps` writes it
+    (the key of the column it starts from or None, and its dense steps),
+    to the slice of consecutive positions it takes over the frame's rows:
+    a run a position loop starts, which each dense loop over a whole
+    extent below it widens. Loads read such positions as slices, and a run
+    of positions is built as a column only when read (`col`).
     """
 
-    def __init__(self, n: int, parent: Optional["_Frame"] = None, rows=None, key=()):
+    def __init__(self, n: int, parent: Optional["_Frame"] = None, rows=None, key=(), counts=None):
         self.n = n
         self.parent = parent
-        self.rows = rows  # each row's row in the parent frame
+        self.rows = rows  # each row's row in the parent frame, or
+        self.counts = counts  # how many rows each parent row makes
         self.key = key
         self.at = 0  # the index of the statement the frame's block runs
         self.cols: dict = {}
-        self.reads = None  # (position column, slice or that column)
+        self.runs: dict = {} if parent else {(None, ()): slice(0, 1)}
 
     def col(self, key):
         column = self.cols.get(key)
         if column is None:
-            column = self.cols[key] = self.parent.col(key)[self.rows]
+            run = self.runs.get((key, ()))
+            if run is not None:
+                column = np.arange(run.start, run.stop)
+            elif self.rows is None:
+                column = self.parent.col(key).repeat(self.counts)
+            else:
+                column = self.parent.col(key)[self.rows]
+            self.cols[key] = column
         return column
 
     def sub(self, rows, var: Optional[str] = None) -> "_Frame":
@@ -299,6 +325,12 @@ class _Frame:
         or a part's)."""
         key = self.key if var is None else self.key + (self.at, var)
         return _Frame(len(rows), self, rows, key)
+
+    def repeat(self, counts, n: int, var: str) -> "_Frame":
+        """The frame of a loop over `var` in which each row of this one
+        makes `counts` rows (a number, or one count per row), `n` in all,
+        in order."""
+        return _Frame(n, self, None, self.key + (self.at, var), counts)
 
 
 _ARITH = {Mul: np.multiply, Add: np.add, Sub: np.subtract}
@@ -315,8 +347,12 @@ class _ArrayRun:
     visits. Loads are gathers, and the expression is evaluated elementwise
     in float64. A position loop whose rows' ranges are consecutive, as
     under a dense loop or at the first level, holds one run of positions
-    (`_Frame.reads`): its indices, and the values loaded at those
-    positions, are slices of the bound arrays, read in place.
+    (`_Frame.runs`), and so does a dense loop over a whole extent below
+    such a run, or at the top: the indices and the values loaded at
+    positions that form a run are slices of the bound arrays, read in
+    place. The body frame of a dense loop, and of a position loop over one
+    run, repeats its parent's rows (`_Frame.repeat`) rather than gathering
+    them.
 
     A sink statement hands its writes to `sink` and they are applied when
     read (`drain`): an accumulator's when the accumulator is read, the
@@ -341,7 +377,7 @@ class _ArrayRun:
         # of a sink statement so far: "out", ("acc", slot), "ws" or
         # "inserted"
         self.sinks: dict = {}
-        self.inserted = None  # (coords, values), in storage order
+        self.inserted = None  # (*columns, values), in storage order
         self.in_parts = False  # whether a loop is running in parts
 
     def run(self):
@@ -431,8 +467,15 @@ class _ArrayRun:
         frame.cols.update(after)
 
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
+        """The flat position of access `uid` after its first `upto` levels
+        (all when None) at every row of `frame`: a slice where they form a
+        run (`_Frame.runs`), else a column."""
         start, steps = _position_steps(self.p, uid, upto)
-        pos = None if start is None else frame.col(("q", uid, start))
+        start = None if start is None else ("q", uid, start)
+        run = frame.runs.get((start, tuple(steps)))
+        if run is not None:
+            return run
+        pos = None if start is None else frame.col(start)
         for v, extent in steps:
             pos = frame.col(("v", v)) if pos is None else pos * extent + frame.col(("v", v))
         return np.zeros(frame.n, np.int64) if pos is None else pos
@@ -466,20 +509,20 @@ class _ArrayRun:
             # variables, the sink's loop-order key. Parts keep no more, so
             # that the frames of parts run so far do not add up.
             frame.cols = {key: column for key, column in frame.cols.items() if key[0] == "v"}
-            frame.reads = None
 
     def _LoadRange(self, s: LoadRange, frame):
         ptrs = _bound_part(self.p, self.env, s.uid, "pointers", s.level)
         parent = self.position(s.uid, frame, upto=s.level)
+        if isinstance(parent, slice):
+            after = slice(parent.start + 1, parent.stop + 1)
+        else:
+            after = parent + 1
         frame.cols["q", s.uid, s.level] = ptrs[parent]
-        frame.cols["h", s.uid, s.level] = ptrs[parent + 1]
+        frame.cols["h", s.uid, s.level] = ptrs[after]
 
     def _LoadVal(self, s: LoadVal, frame):
         values = _bound_part(self.p, self.env, s.uid, "values")
-        pos = self.position(s.uid, frame)
-        if frame.reads is not None and pos is frame.reads[0]:
-            pos = frame.reads[1]
-        frame.cols["x", s.uid] = values[pos]
+        frame.cols["x", s.uid] = values[self.position(s.uid, frame)]
 
     def _ForDense(self, s: ForDense, frame, start=0, stop=None):
         stop = s.extent if stop is None else stop
@@ -491,10 +534,19 @@ class _ArrayRun:
                     self._ForDense(s, part, a, min(a + _MAX_FRAME_ROWS, stop))
 
             return self.parts(s, frame, np.full(frame.n, width), split)
-        child = frame.sub(np.arange(frame.n).repeat(width), s.var)
-        var = child.cols["v", s.var] = np.arange(child.n) % width
-        if start:
-            var += start
+        child = frame.repeat(width, frame.n * width, s.var)
+        # `np.tile(np.arange(start, stop), frame.n)`, without its overhead
+        # on small frames.
+        var = np.empty((frame.n, width), np.int64)
+        var[:] = np.arange(start, stop)
+        child.cols["v", s.var] = var.reshape(-1)
+        if width == s.extent:
+            # Under a run of positions p, the positions p * extent + var
+            # over the whole extent are a run too.
+            child.runs = {
+                (begin, steps + ((s.var, width),)): slice(run.start * width, run.stop * width)
+                for (begin, steps), run in frame.runs.items()
+            }
         self.block(s.body, child)
 
     def _ForPositions(self, s: ForPositions, frame, lo=None, hi=None):
@@ -521,13 +573,12 @@ class _ArrayRun:
             return self.parts(s, frame, hi - lo, split)
         if run:
             read = slice(int(lo[0]), int(hi[-1]))
-            owner, q = np.arange(frame.n).repeat(hi - lo), np.arange(read.start, read.stop)
+            child = frame.repeat(hi - lo, total, s.var)
+            child.runs = {(("q", s.uid, s.level), ()): read}
         else:
-            owner, q = _segments(lo, counts, ends)
-            read = q
-        child = frame.sub(owner, s.var)
-        child.reads = (q, read)
-        child.cols["q", s.uid, s.level] = q
+            owner, read = _segments(lo, counts, ends)
+            child = frame.sub(owner, s.var)
+            child.cols["q", s.uid, s.level] = read
         child.cols["v", s.var] = _bound_part(self.p, self.env, s.uid, "indices", s.level)[read]
         self.block(s.body, child)
 
@@ -683,8 +734,8 @@ class _ArrayRun:
         self.sink("out", s, frame, offset, self.values(s.expr, frame))
 
     def _InsertLex(self, s: InsertLex, frame):
-        coords = np.stack([frame.col(("v", v)) for v in s.coords], axis=1)
-        self.sink("inserted", s, frame, coords, self.values(s.expr, frame))
+        columns = [frame.col(("v", v)) for v in s.coords]
+        self.sink("inserted", s, frame, *columns, self.values(s.expr, frame))
 
     def _ExpandWs(self, s: ExpandWs, frame):
         pass
@@ -715,8 +766,8 @@ class _ArrayRun:
             b = a + _MAX_FRAME_ROWS
             drained = frame.sub(rows[a:b], var)
             drained.cols["v", var] = j[a:b]
-            coords = np.stack([drained.col(("v", v)) for v in self.p.kernel.lhs.indices], axis=1)
-            self.sink("inserted", s, drained, coords, sums[a:b])
+            columns = [drained.col(("v", v)) for v in self.p.kernel.lhs.indices]
+            self.sink("inserted", s, drained, *columns, sums[a:b])
 
     def _StoreInPlace(self, s: StoreInPlace, frame):
         self.out[frame.col(("q", s.uid, s.level))] = self.values(s.expr, frame)
@@ -750,8 +801,9 @@ def interpret(program: Program, env: dict):
     run = _ArrayRun(program, env)
     run.run()
     if run.inserted is None:
-        return _sparse_output(out_type, np.zeros((0, out_type.rank), np.int64), np.zeros(0))
-    return _sparse_output(out_type, *run.inserted)
+        return _sparse_output(out_type, *_no_entries(out_type.rank))
+    *columns, values = run.inserted
+    return _sparse_output(out_type, columns, values)
 
 
 # ----------------------------------------------------------------------------
@@ -773,7 +825,7 @@ def _coerce(value: TensorValue, ttype: TensorType, name: str) -> TensorValue:
 
 def _empty_value(ttype: TensorType, name: str) -> TensorValue:
     if ttype.is_sparse:
-        return _build_levels(ttype, np.zeros((0, ttype.rank), np.int64), np.zeros(0))
+        return _build_levels(ttype, *_no_entries(ttype.rank))
     _check_dense_volume(name, ttype.shape)
     return DenseTensor.zeros(ttype.shape)
 
@@ -806,12 +858,12 @@ def compile_kernel(kernel: Kernel) -> tuple:
     Prepares the pieces (`prepare_kernels`, which analyses each piece
     once), orders each one's loops and lowers it; `lower` builds each merge
     lattice only when its loops need it. Raises `OrderConflict` when a
-    piece's dimension orderings admit no loop order.
+    piece's dimension orderings admit no loop order, and NestingTooDeep
+    when its expression is too deep for the recursive walks.
     """
-    programs = []
-    for piece in prepare_kernels(kernel):
-        programs.append(lower(piece, topo_sort(build_iteration_graph(piece))))
-    return tuple(programs)
+    with nesting_guard(kernel):
+        pieces = prepare_kernels(kernel)
+        return tuple(lower(p, topo_sort(build_iteration_graph(p))) for p in pieces)
 
 
 def _operands(kernel: Kernel, programs: tuple) -> dict:

@@ -96,6 +96,11 @@ class UnsupportedKernel(SparsecError):
     pass
 
 
+class NestingTooDeep(SparsecError):
+    """A kernel expression nests past what Python's recursion limit lets
+    the parser or the compiler walk."""
+
+
 class OrderConflict(SparsecError):
     """Loop-order constraints form a cycle, or a given loop order breaks
     them; carries the offending cycle (empty for a given order) and the

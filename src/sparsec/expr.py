@@ -21,12 +21,15 @@ materializing temporaries.
 import itertools
 import math
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Union
 
 from .encoding import COMPRESSED, DENSE, LevelType, TensorType, make_encoding
 from .errors import (
     KernelSyntaxError,
+    NestingTooDeep,
     RankMismatch,
     ShapeMismatch,
     UndeclaredIndexVar,
@@ -88,6 +91,32 @@ def with_children(node: Expr, kids: tuple) -> Expr:
     if isinstance(node, Neg):
         return Neg(kids[0])
     return node
+
+
+def depth(node: Expr) -> int:
+    """The nodes on the longest path from `node` down to a leaf, counted
+    without recursion, so that a tree too deep to walk recursively can
+    still be measured."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((kid, level + 1) for kid in children(node))
+    return deepest
+
+
+@contextmanager
+def nesting_guard(kernel: "Kernel"):
+    """Run the recursive walks of `kernel`'s expression in the `with`
+    body: a RecursionError there becomes NestingTooDeep, naming the
+    expression's depth."""
+    try:
+        yield
+    except RecursionError:
+        raise NestingTooDeep(
+            f"kernel expression nests {depth(kernel.rhs)} levels deep, past what the "
+            f"compiler can walk within Python's recursion limit of {sys.getrecursionlimit()}"
+        ) from None
 
 
 def walk(node: Expr, path: tuple = ()):
@@ -486,8 +515,19 @@ def _validate(kernel: Kernel):
 
 
 def parse_kernel(text: str) -> Kernel:
-    """Parse a kernel file into a validated Kernel."""
-    return _Parser(text).parse_file()
+    """Parse a kernel file into a validated Kernel.
+
+    The parser descends recursively, a few frames per level of
+    parentheses or signs; past Python's recursion limit it raises
+    NestingTooDeep, not RecursionError.
+    """
+    try:
+        return _Parser(text).parse_file()
+    except RecursionError:
+        raise NestingTooDeep(
+            "kernel expression nests too deeply to parse within Python's "
+            f"recursion limit of {sys.getrecursionlimit()}"
+        ) from None
 
 
 # ----------------------------------------------------------------------------

@@ -128,19 +128,17 @@ def generate(spec: GeneratorSpec) -> CooTensor:
         return spec.explicit.normalize()
     if spec.kind == "identity":
         n = min(spec.shape)
-        coords = np.repeat(np.arange(n)[:, None], len(spec.shape), axis=1)
-        return CooTensor.from_arrays(spec.shape, coords, np.ones(n))
+        return CooTensor.from_arrays(spec.shape, [np.arange(n)] * len(spec.shape), np.ones(n))
     if spec.kind == "uniform":
         volume = int(np.prod(spec.shape))
         flat = np.flatnonzero(rng.random(volume) < spec.density)
         values = 1.0 - rng.random(flat.size)  # uniform in (0, 1]
-        coords = np.stack(np.unravel_index(flat, spec.shape), axis=1)
-        return CooTensor.from_arrays(spec.shape, coords, values)
+        return CooTensor.from_arrays(spec.shape, np.unravel_index(flat, spec.shape), values)
     rows, cols = spec.shape
     picked = np.sort(rng.choice(rows, size=spec.dense_rows, replace=False))
     values = 1.0 - rng.random(spec.dense_rows * cols)
-    coords = np.stack([np.repeat(picked, cols), np.tile(np.arange(cols), spec.dense_rows)], axis=1)
-    return CooTensor.from_arrays(spec.shape, coords, values)
+    columns = [np.repeat(picked, cols), np.tile(np.arange(cols), spec.dense_rows)]
+    return CooTensor.from_arrays(spec.shape, columns, values)
 
 
 def density(tensor) -> float:

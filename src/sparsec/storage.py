@@ -9,20 +9,24 @@ position implicitly, which can introduce explicit zeros into the values
 array; explicit zeros are preserved throughout, never pruned.
 
 Every tensor class reads out whole arrays through one method, `arrays()`:
-an (n, rank) int64 array of logical coordinates and a float64 value array
-(every COO entry, every stored entry of a `SparseStorage`, the nonzeros of
-a `DenseTensor`). On top of it one sort-and-merge (`_sorted_unique`) feeds
-`pack` and every `to_coo`, and one flat scatter feeds `to_dense`, so
-converting between any two formats needs no routine of its own. One level
-build (`_build_levels`) turns sorted unique entries into a layout: it is
-the only code that lays out a sparse format, for `pack` and for every
-sparse output of the engine, which hands it the entries its loops insert
-or drain from the workspace as whole arrays.
+one contiguous read-only int64 column of coordinates per logical
+dimension, and a float64 value array (every COO entry, every stored entry
+of a `SparseStorage`, the nonzeros of a `DenseTensor`). Coordinates travel
+as those columns end to end, as the per-level arrays of the paper's
+runtime do: no (n, rank) array is built on the way. On top of `arrays()`
+one sort-and-merge (`_sorted_unique`) feeds `pack` and every `to_coo`, and
+one flat scatter feeds `to_dense`, so converting between any two formats
+needs no routine of its own. One level build (`_build_levels`) turns
+sorted unique entries into a layout: it is the only code that lays out a
+sparse format, for `pack` and for every sparse output of the engine, which
+hands it the columns its loops insert or drain from the workspace.
 
-A `CooTensor` holds exactly those two arrays, read-only, so its `arrays()`
-hands them out after a bounds check and `to_coo` hands merged arrays to a
-new one (`CooTensor.from_arrays`) with no per-entry work. A `SparseStorage`
-holds its per-level pointers and indices as read-only int64 arrays and its
+A `CooTensor` holds exactly those columns and values, read-only, each its
+own array, so its `arrays()` hands them out after a bounds check, `to_coo`
+hands merged columns to a new one (`CooTensor.from_arrays`) with no
+per-entry work, and `pack` of entries already in storage order keeps the
+last level's column as that level's indices array. A `SparseStorage` holds
+its per-level pointers and indices as read-only int64 arrays and its
 values as a read-only float64 array, the typed buffers of the paper's
 runtime; `pack`, `validate`, `arrays()` and the engine read them whole.
 Nothing in the pipeline reads a tensor one element at a time. Two
@@ -60,8 +64,9 @@ from .errors import (
 
 
 class CooTensor:
-    """Coordinate-form tensor: an (nnz, rank) int64 coordinate array and a
-    float64 value array, both read-only, one row per entry.
+    """Coordinate-form tensor: one int64 coordinate column per logical
+    dimension and a float64 value array, all read-only and of one length,
+    one entry per position.
 
     The exchange format of the readers and writers in `tensor_io`. Build it
     from (coords, value) pairs, parsed once here, or with `from_arrays`.
@@ -84,26 +89,33 @@ class CooTensor:
             values.append(v)
         self._values = _read_only(np.fromiter(map(float, values), np.float64, len(values)))
         try:
-            self._coords, self._unparsed = _coord_array(coords, self.shape), None
+            self._columns, self._unparsed = _coord_columns(coords, self.shape), None
         except (SparsecError, TypeError):  # TypeError: a coordinate without len()
-            self._coords, self._unparsed = None, [tuple(c) for c in coords]
+            self._columns, self._unparsed = None, [tuple(c) for c in coords]
 
     @classmethod
-    def from_arrays(cls, shape, coords, values) -> "CooTensor":
-        """A tensor over copies of an (n, rank) integer coordinate array and
-        n values; bounds are checked at the first read, as for pairs."""
+    def from_arrays(cls, shape, columns, values) -> "CooTensor":
+        """A tensor over `columns`, one integer array of n coordinates per
+        dimension, and n values; bounds are checked at the first read, as
+        for pairs. A read-only int64 or float64 array that owns its memory
+        is shared, anything else copied (`_frozen`)."""
         coo = cls.__new__(cls)
         coo.shape = tuple(int(e) for e in shape)
-        coo._values = _read_only(np.array(values, np.float64))
-        coords = np.asarray(coords)
-        if coo._values.ndim != 1 or coords.shape != (len(coo._values), coo.rank):
+        coo._values = _frozen(np.asarray(values), np.float64)
+        columns = [np.asarray(c) for c in columns]
+        if (
+            coo._values.ndim != 1
+            or len(columns) != coo.rank
+            or any(c.shape != coo._values.shape for c in columns)
+        ):
             raise RankMismatch(
-                f"coordinates of shape {coords.shape} for values of shape "
-                f"{coo._values.shape} in a rank-{coo.rank} tensor"
+                f"coordinate columns of shapes {[c.shape for c in columns]} for values "
+                f"of shape {coo._values.shape} in a rank-{coo.rank} tensor"
             )
-        if coords.size and coords.dtype.kind not in "iu":
-            raise CoordNotInteger(f"coordinates of dtype {coords.dtype} are not integers")
-        coo._coords, coo._unparsed = _read_only(coords.astype(np.int64)), None
+        for c in columns:
+            if c.size and c.dtype.kind not in "iu":
+                raise CoordNotInteger(f"coordinates of dtype {c.dtype} are not integers")
+        coo._columns, coo._unparsed = tuple(_frozen(c, np.int64) for c in columns), None
         return coo
 
     @property
@@ -120,7 +132,8 @@ class CooTensor:
         order; `__eq__`, `__repr__` and the benchmark's reference read it."""
         coords = self._unparsed
         if coords is None:
-            coords = map(tuple, self._coords.tolist())
+            lists = [c.tolist() for c in self._columns]
+            coords = zip(*lists) if lists else [()] * self.nnz
         return list(zip(coords, self._values.tolist()))
 
     def __eq__(self, other):
@@ -132,22 +145,24 @@ class CooTensor:
         return f"CooTensor(shape={self.shape!r}, entries={self.entries!r})"
 
     def arrays(self):
-        """The stored coordinate and value arrays, after checking every
-        coordinate's bounds (and first, for pairs that failed to parse,
-        their rank, type and width, which raises)."""
-        coords = self._coords
-        if coords is None:
-            coords = _coord_array(self._unparsed, self.shape)
+        """The stored coordinate columns and value array, after checking
+        every coordinate's bounds (and first, for pairs that failed to
+        parse, their rank, type and width, which raises)."""
+        columns = self._columns
+        if columns is None:
+            columns = _coord_columns(self._unparsed, self.shape)
         # Viewed as uint64, a negative coordinate is at least 2**63, so with
-        # each extent clamped into [0, 2**63] one maximum per dimension
-        # checks both of its ends.
-        unsigned = coords.view(np.uint64)
+        # each extent clamped into [0, 2**63] one maximum per column checks
+        # both of its ends.
         limits = [min(max(extent, 0), 1 << 63) for extent in self.shape]
-        if len(coords) and any(unsigned[:, k].max() >= e for k, e in enumerate(limits)):
-            outside = unsigned >= np.array(limits, np.uint64)
-            bad = tuple(coords[outside.any(axis=1).argmax()].tolist())
+        if self.nnz and any(c.view(np.uint64).max() >= e for c, e in zip(columns, limits)):
+            outside = np.zeros(self.nnz, bool)
+            for c, e in zip(columns, limits):
+                outside |= c.view(np.uint64) >= e
+            r = outside.argmax()
+            bad = tuple(int(c[r]) for c in columns)
             raise CoordOutOfBounds(f"coordinate {bad} outside shape {self.shape}")
-        return coords, self._values
+        return columns, self._values
 
     def check_bounds(self):
         """Raise RankMismatch, CoordNotInteger or CoordOutOfBounds for a
@@ -200,9 +215,9 @@ def _check_leading_dense(ttype: TensorType):
     _check_budget(positions, ttype)
 
 
-def _coord_array(coords: list, shape: tuple) -> np.ndarray:
-    """`coords` (sequences of `len(shape)` integers) as a read-only
-    (n, rank) int64 array; raises RankMismatch, CoordNotInteger or
+def _coord_columns(coords: list, shape: tuple) -> tuple:
+    """`coords` (sequences of `len(shape)` integers) as one read-only int64
+    column per dimension; raises RankMismatch, CoordNotInteger or
     CoordOutOfBounds (past 64 bits). Bounds are left to `arrays`."""
     n, rank = len(coords), len(shape)
     if n and set(map(len, coords)) != {rank}:
@@ -218,7 +233,8 @@ def _coord_array(coords: list, shape: tuple) -> np.ndarray:
         raise CoordNotInteger(f"coordinate {bad} is not an integer") from None
     except OverflowError:
         raise CoordOutOfBounds(f"coordinates of shape {shape} exceed 64 bits") from None
-    return _read_only(np.asarray(flat).reshape(n, rank))
+    rows = np.asarray(flat).reshape(n, rank)
+    return tuple(_read_only(rows[:, k].copy()) for k in range(rank))
 
 
 def _row_key(columns: list, extents: list, n: int) -> np.ndarray:
@@ -300,8 +316,9 @@ def _merge_runs(columns: list, extents: list, values: np.ndarray):
     sums = values[firsts]
     sums += 0.0
     if len(starts) < len(values):
+        group = first.cumsum()  # each sorted row's distinct row, from 1
         repeats = np.flatnonzero(~first)
-        np.add.at(sums, starts.searchsorted(repeats) - 1, values[perm[repeats]])
+        np.add.at(sums, group[repeats] - 1, values[perm[repeats]])
     return firsts, sums
 
 
@@ -310,37 +327,38 @@ def _sorted_unique(value, order):
     lexicographically by their coordinates taken in `order` (a permutation
     of the dimensions), duplicates summed in entry order (`_merge_runs`).
 
-    Coordinates come back in logical dimension order: the array read out
-    itself when its rows already strictly increase, else fresh rows
-    gathered with `np.take`, which copies rows of a 2-D array several
-    times faster than indexing does. The sums are always a fresh array.
-    The arrays are read here, not passed in, so the unsorted coordinates a
+    Coordinates come back as read-only columns in logical dimension order:
+    the columns read out themselves when their rows already strictly
+    increase, else a fresh gather of each. The sums are always a fresh
+    array. The arrays are read here, not passed in, so the unsorted columns a
     `SparseStorage` or `DenseTensor` reads out are freed during the sort.
     """
-    coords, values = value.arrays()
+    columns, values = value.arrays()
     firsts, sums = _merge_runs(
-        [coords[:, k] for k in order], [value.shape[k] for k in order], values
+        [columns[k] for k in order], [value.shape[k] for k in order], values
     )
     if firsts is None:
-        return coords, sums
-    return np.take(coords, firsts, axis=0), sums
+        return columns, sums
+    return [_read_only(c[firsts]) for c in columns], sums
 
 
 def _merged_coo(value, drop_zeros: bool) -> CooTensor:
     """`value.arrays()` sorted by logical coordinates, duplicates summed,
     and the entries that sum to zero dropped when `drop_zeros`."""
-    coords, values = _sorted_unique(value, range(value.rank))
+    columns, values = _sorted_unique(value, range(value.rank))
     if drop_zeros:
         keep = values != 0.0
-        coords, values = coords[keep], values[keep]
-    return CooTensor.from_arrays(value.shape, coords, values)
+        columns, values = [c[keep] for c in columns], values[keep]
+    # Fresh arrays, frozen, are shared by the new tensor, not copied.
+    return CooTensor.from_arrays(value.shape, map(_read_only, columns), _read_only(values))
 
 
-def _scatter(shape, coords: np.ndarray, values: np.ndarray) -> "DenseTensor":
-    """A dense tensor holding `values` at `coords` (unique) and 0.0 elsewhere;
-    raises DenseOutputTooLarge, before allocating, past the budget."""
+def _scatter(shape, columns, values: np.ndarray) -> "DenseTensor":
+    """A dense tensor holding `values` at the coordinates of `columns`
+    (unique), and 0.0 elsewhere; raises DenseOutputTooLarge, before
+    allocating, past the budget."""
     _check_budget(math.prod(shape), f"dense tensor of shape {shape}")
-    flat = _row_key(list(coords.T), shape, len(values))
+    flat = _row_key(list(columns), shape, len(values))
     data = np.zeros(math.prod(shape))
     data[flat] = values
     return DenseTensor(shape, _read_only(data))
@@ -395,15 +413,23 @@ class DenseTensor:
         return off
 
     def arrays(self):
-        """The nonzeros in row-major order, as an (nnz, rank) int64
-        coordinate array and a float64 value array."""
+        """The nonzeros in row-major order, as one int64 coordinate column
+        per dimension and a float64 value array."""
         return self._elements(nonzero=True)
 
     def _elements(self, nonzero: bool):
+        """The nonzeros, or every element, as `arrays` gives them: each
+        column split off the row-major offsets by `divmod`, the last
+        dimension first, which leaves every column contiguous."""
         flat = np.flatnonzero(self.data) if nonzero else np.arange(self.data.size)
-        if not self.rank:  # `np.unravel_index` takes no empty shape
-            return np.zeros((len(flat), 0), np.int64), self.data[flat]
-        return np.stack(np.unravel_index(flat, self.shape), axis=1), self.data[flat]
+        columns = []
+        rest = flat
+        for extent in reversed(self.shape[1:]):
+            rest, column = np.divmod(rest, extent)
+            columns.append(_read_only(column))
+        if self.rank:
+            columns.append(_read_only(rest))
+        return tuple(reversed(columns)), self.data[flat]
 
     def to_coo(self, drop_zeros: bool = True) -> CooTensor:
         """The nonzeros, or every element when not `drop_zeros`, in
@@ -428,20 +454,26 @@ _INT64_MAX = np.iinfo(np.int64).max
 _NO_LEVEL = _read_only(np.zeros(0, np.int64))
 
 
+def _frozen(values: np.ndarray, dtype) -> np.ndarray:
+    """`values` as a read-only `dtype` array. A read-only `dtype` array
+    that owns its memory is shared; anything else, a read-only view of
+    writable memory included, is copied, so a caller's writable memory is
+    never frozen or aliased."""
+    if values.dtype == dtype and values.flags.owndata and not values.flags.writeable:
+        return values
+    return _read_only(values.astype(dtype))
+
+
 def _typed_array(values, dtype, kinds: str, code: str, bad: SparsecError) -> np.ndarray:
     """`values`, a flat array of a dtype kind in `kinds` or a sequence, as a
-    read-only `dtype` array. A read-only `dtype` array that owns its memory
-    is shared; anything else, a read-only view of writable memory included,
-    is copied, so a caller's writable memory is never frozen or aliased. A
+    read-only `dtype` array, shared or copied as `_frozen` decides. A
     sequence goes through an `array` of typecode `code`, which rejects
     what numpy would truncate (a float among integers) or wrap; then `bad`
     is raised."""
     if isinstance(values, np.ndarray):
         if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
             raise bad
-        if values.dtype == dtype and values.flags.owndata and not values.flags.writeable:
-            return values
-        return _read_only(values.astype(dtype))
+        return _frozen(values, dtype)
     try:
         return _read_only(np.array(array(code, values), dtype))
     except (OverflowError, TypeError):
@@ -628,12 +660,13 @@ class SparseStorage:
 
     def arrays(self):
         """Every stored entry, explicit zeros included, in storage order:
-        an (n, rank) int64 array of logical coordinates and the values
-        array itself.
+        one read-only int64 column of coordinates per logical dimension,
+        and the values array itself.
 
         The inverse of `pack`'s level build: a dense level repeats each
         parent position `extent` times, a compressed one as many times as
-        its pointers delimit.
+        its pointers delimit. The last compressed level's column is its
+        indices array itself.
         """
         enc = self.encoding
         columns = []  # per level so far, its coordinate at every position
@@ -648,10 +681,8 @@ class SparseStorage:
                 columns = [np.repeat(c, counts) for c in columns]
                 columns.append(self._indices[l])
                 positions = len(self._indices[l])
-        coords = np.empty((positions, self.rank), np.int64)
-        for l, column in enumerate(columns):
-            coords[:, enc.dim_of_level(l)] = column
-        return coords, self._values
+        columns = [_read_only(c) for c in columns]
+        return tuple(columns[enc.level_of_dim(d)] for d in range(self.rank)), self._values
 
     def to_coo(self, drop_zeros: bool = False) -> CooTensor:
         """Unpack to normalized COO, explicit zeros included unless
@@ -675,11 +706,14 @@ def pack(value, enc: Encoding) -> SparseStorage:
     return _build_levels(ttype, *_sorted_unique(value, order))
 
 
-def _build_levels(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> SparseStorage:
-    """The storage of `ttype` holding `values` at `coords`, an (n, rank)
-    array of logical coordinates that are unique and sorted in storage
-    order. `values` is taken over: when the last level is compressed, it
-    is frozen and becomes the storage's values array.
+def _build_levels(ttype: TensorType, columns, values: np.ndarray) -> SparseStorage:
+    """The storage of `ttype` holding `values` at the coordinates of
+    `columns`, one array per logical dimension, whose rows are unique and
+    sorted in storage order. `values` is taken over: when the last level
+    is compressed, it is frozen and becomes the storage's values array.
+    That level's indices array is its column, shared when the column is a
+    read-only int64 array that owns its memory (`_frozen`), as a sorted
+    `CooTensor`'s is.
 
     Each entry has a position at each level. A dense level maps it to
     `parent * extent + coord`. A compressed level keeps the coordinate of
@@ -701,7 +735,7 @@ def _build_levels(ttype: TensorType, coords: np.ndarray, values: np.ndarray) -> 
     data = None  # the values as they stand, once the last level is compressed
     pointers, indices = [], []
     for l, extent in enumerate(ttype.storage_shape()):
-        column = coords[:, enc.dim_of_level(l)]
+        column = columns[enc.dim_of_level(l)]
         if enc.levels[l] is DENSE:
             positions *= extent
             _check_budget(positions, ttype)

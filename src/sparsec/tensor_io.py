@@ -227,9 +227,9 @@ def _read_extended_frostt(data) -> CooTensor:
 def write_tensor(coo: CooTensor, path: str):
     """Dematerialize to extended FROSTT text; entries in lexicographic order,
     formatted from whole columns."""
-    coords, values = coo.normalize().arrays()
+    columns, values = coo.normalize().arrays()
     # uint64, so that a coordinate of 2**63 - 1 does not wrap when made 1-based.
-    columns = (coords.T.astype(np.uint64) + 1).tolist()
+    columns = [(c.astype(np.uint64) + 1).tolist() for c in columns]
     line = " ".join(["{}"] * coo.rank) + " {!r}\n"
     with open(path, "w") as fh:
         fh.write("# extended frostt: `rank nnz` header, extents line, 1-based entries\n")

@@ -276,5 +276,5 @@ def run_loops(program: Program, env: dict):
     coords, values = array("q"), array("d")  # in storage order
     generator.function(coords=coords, values=values)()
     scoords = np.frombuffer(coords, np.int64).reshape(len(values), out_type.rank)
-    dims = [out_type.encoding.dim_of_level(l) for l in range(out_type.rank)]
-    return _sparse_output(out_type, scoords[:, np.argsort(dims)], np.frombuffer(values))
+    columns = [scoords[:, out_type.encoding.level_of_dim(d)] for d in range(out_type.rank)]
+    return _sparse_output(out_type, columns, np.frombuffer(values))

@@ -357,6 +357,42 @@ def test_coiteration_case_frames_keep_their_own_runs(gathered, rows_a, rows_b, w
     assert gathered == want
 
 
+@pytest.mark.parametrize(
+    "a, columns",
+    [("dense, compressed", 3), ("compressed, compressed", 3), ("compressed, dense", 4)],
+    ids=["CSR", "DCSR", "CDR"],
+)
+def test_row_band_matvec_peaks_at_its_product_columns(a, columns):
+    # 32 dense rows of 4096: 131,072 products. The body frame repeats its
+    # parent's rows, with no row map, and A's positions are one run, read
+    # as slices and never built as a column: CDR's `q * 4096 + j` too. What
+    # the peak holds is, per product, i repeated for the store, v gathered
+    # at j, and the product, with CDR's j tiled besides: three or four
+    # columns of nnz, against five and seven with gathered frames.
+    n, rows = 4096, 32
+    kernel = parse_kernel(
+        f"tensor A({n}, {n}) format({a})\ntensor v({n})\ntensor x({n})\n"
+        "x(i) = A(i, j) * v(j)\n"
+    )
+    bindings = {
+        "A": generate(GeneratorSpec((n, n), "rowband", dense_rows=rows, seed=3)),
+        "v": generate(GeneratorSpec((n,), "uniform", density=1.0, seed=4)),
+    }
+    env = {name: engine.convert(v, kernel.tensors[name]) for name, v in bindings.items()}
+    (program,) = compile_kernel(kernel)
+    engine.interpret(program, env)  # warm: nothing cached is counted below
+    tracemalloc.start()
+    try:
+        got = engine.interpret(program, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (columns + 0.25) * 8 * rows * n
+    (i, j), values = bindings["A"].arrays()
+    want = np.bincount(i, weights=values * env["v"].data[j], minlength=n)
+    np.testing.assert_allclose(got.data, want, rtol=1e-10)
+
+
 def test_row_budget_runs_the_loops_in_parts(monkeypatch, frame_budget):
     # A product through the workspace, and a union that co-iterates: at a
     # budget of 4 rows every loop runs in parts, and each row of the union
@@ -453,7 +489,7 @@ def test_coiteration_at_scale_matches_scipy(op):
     chosen, loops = run_both(kernel, bindings, budgets=[1 << 10])
     assert chosen == loops
     a, b = (
-        sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0].T)), shape=(n, n))
+        sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0])), shape=(n, n))
         for v in bindings.values()
     )
     want = (a + b if op == "+" else a.multiply(b)).tocsr()
@@ -483,7 +519,7 @@ def test_workspace_at_scale_matches_scipy():
     identical = chosen == loops  # not inline: pytest would diff megabytes of text
     assert identical
     a, b = (
-        sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0].T)), shape=(n, n))
+        sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0])), shape=(n, n))
         for v in bindings.values()
     )
     summands = ((a != 0).astype(np.int64) @ (b != 0).astype(np.int64)).data
@@ -535,7 +571,7 @@ def test_workspace_past_the_row_budget_matches_scipy():
         for name, seed in (("A", 41), ("B", 42))
     }
     a, b = (
-        sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0].T)), shape=(n, n))
+        sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0])), shape=(n, n))
         for v in bindings.values()
     )
     products = int((a != 0).astype(np.int64).sum(axis=0) @ (b != 0).astype(np.int64).sum(axis=1))
@@ -553,8 +589,9 @@ def test_workspace_past_the_row_budget_matches_scipy():
 def test_dense_matvec_past_the_row_budget_matches_numpy():
     # y = A b with A dense, 2900 x 2900: 8.41M products, so the j loop runs
     # in three parts. The peak, as the stores into y are drained, is about
-    # 48 bytes a product: its offset and value as the parts stored them and
-    # concatenated, and the row and j of each in its part's frame.
+    # 40 bytes a product: its offset and value as the parts stored them and
+    # concatenated, and the j of each in its part's frame, whose rows repeat
+    # the part's with no row map.
     n = 2900
     rng = np.random.default_rng(5)
     a, b = rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n)

@@ -3,18 +3,22 @@ import hashlib
 import io
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 from dataclasses import replace
 
 import pytest
 
+import sparsec
 from sparsec import cli, engine, expr
 from sparsec.cli import main, parse_encoding_text, result_checksum
 from sparsec.codegen import emit_text
 from sparsec.encoding import COMPRESSED, DENSE, TensorType, enumerate_encodings, make_encoding
 from sparsec.engine import compile_kernel, convert, execute
-from sparsec.errors import BitWidthOverflow, OrderConflict, ShapeMismatch
+from sparsec.errors import BitWidthOverflow, NestingTooDeep, OrderConflict, ShapeMismatch
 from sparsec.expr import parse_kernel
 from sparsec.oracle import GeneratorSpec, generate
 from sparsec.storage import CooTensor, DenseTensor, SparseStorage, pack
@@ -811,3 +815,53 @@ def test_run_search_pays_per_width_row_only_for_its_run_and_widths(monkeypatch):
     assert counts["widths"] == counts["validate"] + len(rows) - len(groups)
     changes = sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
     assert counts["nonzeros"] == changes == 1
+
+
+# ----------------------------------------------------------------------------
+# Kernels past Python's recursion limit, and `python -m sparsec`
+
+DEEP_HEAD = "tensor a(4)\ntensor b(4)\n"
+DEEP_KERNELS = {
+    # The parser descends a few frames per parenthesis.
+    "parentheses": DEEP_HEAD + "b(i) = " + "(" * 1000 + "a(i)" + ")" * 1000 + "\n",
+    # A long sum parses as a loop, but its tree is 1,200 levels deep.
+    "sum": DEEP_HEAD + "b(i) = " + " + ".join(["a(i)"] * 1200) + "\n",
+}
+
+
+def test_kernels_past_the_recursion_limit_raise_nesting_too_deep():
+    with pytest.raises(NestingTooDeep, match="too deeply to parse"):
+        parse_kernel(DEEP_KERNELS["parentheses"])
+    with pytest.raises(NestingTooDeep, match="too deeply to parse"):
+        parse_kernel(DEEP_HEAD + "b(i) = " + "-" * 1000 + "a(i)\n")
+    kernel = parse_kernel(DEEP_KERNELS["sum"])
+    with pytest.raises(NestingTooDeep, match="nests 1200 levels deep"):
+        compile_kernel(kernel)
+    # Below the limit the same shapes still compile and run.
+    shallow = parse_kernel(DEEP_HEAD + "b(i) = " + " + ".join(["a(i)"] * 300) + "\n")
+    got = engine.run_kernel(shallow, {"a": DenseTensor((4,), [1.0, 2.0, 0.0, -1.0])})
+    assert got.data.tolist() == [300.0, 600.0, 0.0, -300.0]
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_KERNELS))
+@pytest.mark.parametrize("command", ["run", "emit"])
+def test_kernels_past_the_recursion_limit_are_one_cli_line(tmp_path, capsys, shape, command):
+    kfile = tmp_path / "deep.kernel"
+    kfile.write_text(DEEP_KERNELS[shape])
+    args = ["--input", "a=uniform:0.5:1"] if command == "run" else ["--emit", "lattice"]
+    assert main([command, "--kernel-file", str(kfile), *args]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[NestingTooDeep]: "), err
+
+
+def test_python_m_sparsec_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(sparsec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparsec", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: sparsec ")
+    for command in ("run", "emit", "search", "bench"):
+        assert command in proc.stdout

@@ -54,6 +54,7 @@ from sparsec.storage import (
     CooTensor,
     DenseTensor,
     SparseStorage,
+    _build_levels,
     dump_binary,
     load_binary,
     pack,
@@ -149,14 +150,14 @@ def test_iterate_orders(mat_a, vec_x):
     assert dcsc_order.tolist() == [refs.A00, refs.A20, refs.A03]
     _, csr_order = pack(mat_a, csr()).arrays()
     assert csr_order.tolist() == [refs.A00, refs.A03, refs.A20]
-    # Logical coordinates come back unpermuted.
-    assert dcsc_coords.tolist() == [[0, 0], [2, 0], [0, 3]]
+    # Logical coordinates come back unpermuted, one column per dimension.
+    assert [c.tolist() for c in dcsc_coords] == [[0, 2, 0], [0, 0, 3]]
 
 
 def test_iterate_dense_level_expansion():
     s = pack(CooTensor((4,), [((1,), 5.0)]), make_encoding([DENSE]))
-    coords, values = s.arrays()
-    assert coords.tolist() == [[0], [1], [2], [3]]
+    columns, values = s.arrays()
+    assert [c.tolist() for c in columns] == [[0, 1, 2, 3]]
     assert values.tolist() == [0.0, 5.0, 0.0, 0.0]
 
 
@@ -170,6 +171,69 @@ def test_level_views(mat_a):
     assert [a.size for a in s.level_arrays(0)] == [0, 0]
 
 
+def _check_columns(value):
+    """`value.arrays()` holds one contiguous read-only int64 column per
+    dimension, each as long as the values, and no two share memory."""
+    columns, values = value.arrays()
+    assert isinstance(columns, tuple) and len(columns) == value.rank
+    for column in columns:
+        assert column.dtype == np.int64 and column.shape == values.shape
+        assert column.flags.c_contiguous and not column.flags.writeable
+    for k, column in enumerate(columns):
+        assert not any(np.shares_memory(column, other) for other in columns[k + 1 :])
+    return columns, values
+
+
+def test_every_class_reads_out_one_column_per_dimension(mat_a, tensor_t):
+    for coo in (mat_a, tensor_t, CooTensor((), [((), 2.0)]), CooTensor((5,), [])):
+        _check_columns(coo)
+        _check_columns(coo.normalize())
+        _check_columns(coo.to_dense())
+        _check_columns(coo.to_dense().to_coo(drop_zeros=False))
+        if coo.rank:
+            for enc in enumerate_encodings(coo.rank):
+                _check_columns(pack(coo, enc))
+    columns, values = _check_columns(pack(mat_a, dcsc()))
+    assert [c.tolist() for c in columns] == [[0, 2, 0], [0, 0, 3]]
+    columns, values = _check_columns(DenseTensor((2, 3), [0.0, 1.0, 0.0, 2.0, 0.0, 3.0]))
+    assert [c.tolist() for c in columns] == [[0, 1, 1], [1, 0, 2]]
+    assert values.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_pack_of_sorted_entries_keeps_the_index_column():
+    # The rows of a sorted COO are its storage order under CSR: the last
+    # level's indices array is the COO's own read-only column of j, and
+    # unpacking hands it back out. Shuffled, the same entries are gathered.
+    coo = generate(GeneratorSpec((64, 64), "rowband", dense_rows=5, seed=8))
+    columns, _ = coo.arrays()
+    packed = pack(coo, csr())
+    assert packed.level_arrays(1)[1] is columns[1]
+    assert packed.arrays()[0][1] is columns[1]
+    rng = np.random.default_rng(8)
+    shuffle = rng.permutation(coo.nnz)
+    values = coo.arrays()[1]
+    shuffled = CooTensor.from_arrays(coo.shape, [c[shuffle] for c in columns], values[shuffle])
+    again = pack(shuffled, csr())
+    assert again == packed and not np.shares_memory(again.level_arrays(1)[1], columns[1])
+
+
+def test_level_build_and_sparse_output_take_columns(mat_a):
+    columns = [np.array([0, 0, 2]), np.array([0, 3, 0])]
+    values = [refs.A00, refs.A03, refs.A20]
+    ttype = TensorType((3, 4), csr())
+    assert _build_levels(ttype, columns, np.array(values)) == pack(mat_a, csr())
+    assert engine._sparse_output(ttype, columns, np.array(values)) == pack(mat_a, csr())
+    want = "insertion at (0, 0) does not follow (0, 3) in storage order"
+    with pytest.raises(OutOfOrderInsertion, match=re.escape(want)):
+        engine._sparse_output(ttype, [np.array([0, 0]), np.array([3, 0])], np.ones(2))
+    want = "insertion at (1, 0) does not follow (0, 3) in storage order"
+    with pytest.raises(OutOfOrderInsertion, match=re.escape(want)):
+        # DCSC: column-major storage order over logical columns.
+        engine._sparse_output(
+            TensorType((3, 4), dcsc()), [np.array([0, 1]), np.array([3, 0])], np.ones(2)
+        )
+
+
 # The one build of a sparse output (`engine._sparse_output`), shared by
 # the engine and the reference loops: a strict storage-order check, then
 # `_build_levels`.
@@ -179,7 +243,7 @@ def _sparse_output(ttype, entries):
     """`engine._sparse_output` of (logical coords, value) pairs, in the
     order given."""
     coords = np.array([c for c, _ in entries], np.int64).reshape(len(entries), ttype.rank)
-    return engine._sparse_output(ttype, coords, np.array([v for _, v in entries]))
+    return engine._sparse_output(ttype, list(coords.T), np.array([v for _, v in entries]))
 
 
 def _collected(ttype, coords, values):
@@ -187,7 +251,7 @@ def _collected(ttype, coords, values):
     collectors `coords` and `values`; the storage order of `ttype` must be
     the logical one."""
     coords = np.array(coords, np.int64).reshape(len(values), ttype.rank)
-    return engine._sparse_output(ttype, coords, np.array(values))
+    return engine._sparse_output(ttype, list(coords.T), np.array(values))
 
 
 def test_builder_matches_pack(mat_a):
@@ -485,7 +549,7 @@ def test_pack_at_scale_matches_scipy_and_the_sequential_merge():
     sparse = pytest.importorskip("scipy.sparse")
     shape, cases = _scale_inputs()
     for coords, values in cases:
-        coo = CooTensor.from_arrays(shape, coords, values)
+        coo = CooTensor.from_arrays(shape, coords.T, values)
         merged = _merged_entries(coo)
         by_column = sorted(merged, key=lambda entry: entry[0][::-1])
         scipy_coo = sparse.coo_matrix((values, tuple(coords.T)), shape=shape)
@@ -543,7 +607,7 @@ def test_pack_rejects_bad_coordinates():
             coords = [(0, 0), tuple(first), tuple(later)]
             for coo in (
                 CooTensor(shape, zip(coords, [1.0, 2.0, 3.0])),
-                CooTensor.from_arrays(shape, np.array(coords), [1.0, 2.0, 3.0]),
+                CooTensor.from_arrays(shape, np.array(coords).T, [1.0, 2.0, 3.0]),
             ):
                 with pytest.raises(CoordOutOfBounds) as caught:
                     pack(coo, csr())
@@ -602,10 +666,11 @@ def _check_coo_matches_reference(shape, pairs):
     assert repr(coo.entries) == repr(_plain(ref.entries))
     assert all(type(x) is int for c, _ in coo.entries for x in c)
     assert repr(coo) == f"CooTensor(shape={shape!r}, entries={_plain(ref.entries)!r})"
-    coords, values = coo.arrays()
+    columns, values = coo.arrays()
     want_coords, want_values = ref.arrays()
-    assert coords.dtype == np.int64 and coords.shape == want_coords.shape
-    assert np.array_equal(coords, want_coords)
+    assert len(columns) == len(shape)
+    assert all(c.dtype == np.int64 and c.flags.c_contiguous for c in columns)
+    assert [c.tolist() for c in columns] == want_coords.T.tolist()
     assert values.dtype == np.float64 and repr(values.tolist()) == repr(want_values.tolist())
     merged = _plain(_merged_entries(ref))
     assert repr(coo.normalize().entries) == repr(merged)
@@ -619,11 +684,11 @@ def _check_coo_matches_reference(shape, pairs):
             flat = flat * e + x
         dense[flat] = v
     assert repr(coo.to_dense().data.tolist()) == repr(dense)
-    twin = CooTensor.from_arrays(shape, want_coords, want_values)
+    twin = CooTensor.from_arrays(shape, want_coords.T, want_values)
     assert coo == twin and twin == coo and repr(twin.entries) == repr(coo.entries)
     assert coo.normalize() == CooTensor(shape, merged)
     if ref.entries:
-        assert coo != CooTensor.from_arrays(shape, want_coords, want_values + 1.0)
+        assert coo != CooTensor.from_arrays(shape, want_coords.T, want_values + 1.0)
     assert coo != CooTensor(shape + (1,), [])
 
 
@@ -710,39 +775,45 @@ def test_values_convert_with_float_at_construction(value):
 
 
 def test_coo_arrays_are_read_only():
-    source_coords = np.array([[0, 1], [2, 3]])
+    source_columns = [np.array([0, 2]), np.array([1, 3])]
     source_values = np.array([1.0, 2.0])
     for coo in (
         CooTensor((3, 4), [((0, 1), 1.0), ((2, 3), 2.0)]),
-        CooTensor.from_arrays((3, 4), source_coords, source_values),
+        CooTensor.from_arrays((3, 4), source_columns, source_values),
     ):
-        coords, values = coo.arrays()
-        with pytest.raises(ValueError):
-            coords[0, 0] = 2
+        columns, values = coo.arrays()
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[0] = 2
         with pytest.raises(ValueError):
             values[0] = 5.0
         with pytest.raises(ValueError):
             values.sort()
-    # from_arrays copies, so a caller's later writes do not reach the tensor.
-    source_coords[0, 0] = 1
+    # from_arrays copies writable arrays, so a caller's later writes do not
+    # reach the tensor.
+    source_columns[0][0] = 1
     source_values[0] = 7.0
     assert coo.entries == [((0, 1), 1.0), ((2, 3), 2.0)]
 
 
 def test_from_arrays_checks_its_arrays():
+    # Columns are given one per dimension: (3, 2) is three columns of 2.
     with pytest.raises(RankMismatch):
-        CooTensor.from_arrays((3, 4), np.zeros((2, 3), np.int64), np.zeros(2))
+        CooTensor.from_arrays((3, 4), np.zeros((3, 2), np.int64), np.zeros(2))
     with pytest.raises(RankMismatch):
         CooTensor.from_arrays((3, 4), np.zeros((2, 2), np.int64), np.zeros(3))
     with pytest.raises(RankMismatch):
         CooTensor.from_arrays((3, 4), np.zeros((2, 2), np.int64), np.zeros((2, 1)))
+    with pytest.raises(RankMismatch):
+        CooTensor.from_arrays((3, 4), [np.zeros(2, np.int64), np.zeros(3, np.int64)], np.zeros(2))
     with pytest.raises(CoordNotInteger):
-        CooTensor.from_arrays((3, 4), np.array([[1.5, 0.0]]), np.ones(1))
-    coo = CooTensor.from_arrays((3, 4), np.array([[3, 0]], np.int32), np.ones(1))
+        CooTensor.from_arrays((3, 4), np.array([[1.5], [0.0]]), np.ones(1))
+    coo = CooTensor.from_arrays((3, 4), np.array([[3], [0]], np.int32), np.ones(1))
     with pytest.raises(CoordOutOfBounds):
         coo.to_dense()
-    empty = CooTensor.from_arrays((3, 4), np.zeros((0, 2)), [])
-    assert empty == CooTensor((3, 4)) and empty.arrays()[0].dtype == np.int64
+    empty = CooTensor.from_arrays((3, 4), np.zeros((2, 0)), [])
+    assert empty == CooTensor((3, 4))
+    assert [c.dtype for c in empty.arrays()[0]] == [np.int64, np.int64]
 
 
 # ----------------------------------------------------------------------------
@@ -825,8 +896,9 @@ def _state(value):
 
 def _check_readers(storage, dense):
     walked = _reference_iterate(storage)
-    coords, values = storage.arrays()
-    assert repr(list(zip(map(tuple, coords.tolist()), values.tolist()))) == repr(walked)
+    columns, values = storage.arrays()
+    coords = zip(*[c.tolist() for c in columns])
+    assert repr(list(zip(coords, values.tolist()))) == repr(walked)
     merged = _merged_entries(CooTensor(storage.shape, walked))
     assert repr(storage.to_coo().entries) == repr(merged)
     nonzero = [(c, v) for c, v in merged if v != 0.0]
@@ -1121,7 +1193,7 @@ def test_pack_checks_are_typed_under_optimize():
         "from sparsec.storage import CooTensor, pack\n"
         "cases = [\n"
         "    (CoordOutOfBounds, lambda: pack(CooTensor((3, 4), [((1, 4), 1.0)]), make_encoding([COMPRESSED] * 2))),\n"
-        "    (RankMismatch, lambda: CooTensor.from_arrays((3, 4), np.zeros((2, 1), np.int64), [1.0, 2.0])),\n"
+        "    (RankMismatch, lambda: CooTensor.from_arrays((3, 4), np.zeros((1, 2), np.int64), [1.0, 2.0])),\n"
         "    (BitWidthOverflow, lambda: pack(CooTensor((3, 300), [((0, 299), 1.0)]), make_encoding([COMPRESSED] * 2, index_width=8))),\n"
         "]\n"
         "for error, step in cases:\n"

@@ -273,11 +273,11 @@ WIDE = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e16, -1e16, 1e-3]
 def _reference_sorted_unique(coo, order) -> str:
     """`np.lexsort` (stable) by the coordinates in `order`, then each run of
     equal coordinates summed from 0.0 in entry order by a Python loop."""
-    coords, values = coo.arrays()
-    rows = [tuple(c) for c in coords.tolist()]
+    columns, values = coo.arrays()
+    rows = _rows(columns, len(values))
     values = values.tolist()
     if rows and coo.rank:
-        perm = np.lexsort([coords[:, k] for k in reversed(order)]).tolist()
+        perm = np.lexsort([columns[k] for k in reversed(order)]).tolist()
         rows, values = [rows[p] for p in perm], [values[p] for p in perm]
     merged = []
     for row, value in zip(rows, values):
@@ -287,9 +287,14 @@ def _reference_sorted_unique(coo, order) -> str:
     return repr(merged)
 
 
+def _rows(columns, n: int) -> list:
+    """The coordinate tuple of each of the `n` rows of `columns`."""
+    return list(zip(*[c.tolist() for c in columns])) if columns else [()] * n
+
+
 def _got_sorted_unique(coo, order) -> str:
-    coords, values = _sorted_unique(coo, order)
-    return repr(list(zip(map(tuple, coords.tolist()), values.tolist())))
+    columns, values = _sorted_unique(coo, order)
+    return repr(list(zip(_rows(columns, len(values)), values.tolist())))
 
 
 @st.composite
@@ -355,8 +360,8 @@ def test_sorted_duplicate_runs_keep_the_identity():
         ((1, 1), 0.0), ((1, 1), -0.0), ((2, 0), -0.0), ((2, 0), -0.0), ((2, 3), 3.0),
     ]
     coo = CooTensor((3, 4), entries)
-    coords, _ = coo.arrays()
-    perm, first = _sort_rows([coords[:, 0], coords[:, 1]], [3, 4], len(entries))
+    columns, _ = coo.arrays()
+    perm, first = _sort_rows(list(columns), [3, 4], len(entries))
     assert perm.tolist() == list(range(len(entries)))
     assert first.tolist() == [True, True, False, False, True, False, True, False, True]
     for order in ([0, 1], [1, 0]):
@@ -387,21 +392,26 @@ def test_sorted_unique_entries_pack_without_a_permutation():
     # permutation: the sums are the values plus 0.0 (so the -0.0 becomes
     # 0.0, as a merge from 0.0 makes it) and the coordinates are the
     # input's own. They pack to what the same entries shuffled pack to,
-    # under every format, and the storage shares no memory with the input.
+    # under every format. A row-major format whose last level is compressed
+    # keeps the input's read-only column of j as that level's indices; no
+    # other stored array shares memory with the input.
     entries = [((0, 1), -0.0), ((0, 3), 2.5), ((1, 0), 1e16), ((2, 2), -3.0), ((2, 3), 0.0)]
     coo = CooTensor((3, 4), entries)
     shuffled = CooTensor((3, 4), random.Random(4).sample(entries, len(entries)))
-    coords, values = coo.arrays()
-    firsts, sums = _merge_runs([coords[:, 0], coords[:, 1]], [3, 4], values)
+    columns, values = coo.arrays()
+    firsts, sums = _merge_runs(list(columns), [3, 4], values)
     assert firsts is None
     assert repr(sums.tolist()) == "[0.0, 2.5, 1e+16, -3.0, 0.0]"
     assert not np.shares_memory(sums, values)
-    assert _sorted_unique(coo, [0, 1])[0] is coords
+    assert _sorted_unique(coo, [0, 1])[0] is columns
     for enc in enumerate_encodings(2):
         packed = pack(coo, enc)
         assert repr(packed) == repr(pack(shuffled, enc)), enc.describe()
+        shared = enc.ordering == (0, 1) and enc.levels[1] is COMPRESSED
+        assert (packed.level_arrays(1)[1] is columns[1]) == shared, enc.describe()
         for stored in _stored_arrays(packed):
-            assert not any(np.shares_memory(stored, a) for a in (coords, values))
+            if stored is not columns[1]:
+                assert not any(np.shares_memory(stored, a) for a in (*columns, values))
 
 
 @pytest.mark.parametrize(
@@ -513,7 +523,7 @@ def test_pack_and_builder_check_the_budget_before_allocating(shape, levels):
     coo = CooTensor(shape, [(one, 1.0)])
     assert _peak(lambda: pack(coo, enc)) < PEAK
     ttype = TensorType(shape, enc)
-    assert _peak(lambda: engine._sparse_output(ttype, np.array([one]), np.ones(1))) < PEAK
+    assert _peak(lambda: engine._sparse_output(ttype, np.array([one]).T, np.ones(1))) < PEAK
 
 
 OUTER = (
@@ -542,7 +552,7 @@ def test_all_dense_output_past_the_budget_fails_before_the_loops_run():
     # budget on the output is checked before the first frame is built.
     # (With `+=` the empty output to add into fails first.)
     kernel = parse_kernel(OUTER.format(n=SIDE, op="="))
-    full = CooTensor.from_arrays((SIDE,), np.arange(SIDE).reshape(SIDE, 1), np.ones(SIDE))
+    full = CooTensor.from_arrays((SIDE,), [np.arange(SIDE)], np.ones(SIDE))
     bindings = {name: full for name in "ab"}
 
     def never(*args, **kwargs):
