@@ -38,7 +38,7 @@ from .engine import (
     run_kernel,
 )
 from .errors import OracleMismatch, OrderConflict, ParseError, SparsecError
-from .expr import expr_to_text, nesting_guard, parse_kernel
+from .expr import expr_to_text, nesting_guard, parse_encoding, parse_kernel
 from .lattice import (
     access_display_names,
     build_iteration_graph,
@@ -85,31 +85,15 @@ _NAMED_ENCODINGS = {
 
 
 def parse_encoding_text(text: str) -> Optional[Encoding]:
-    """Parse `csr|csc|dcsr|dcsc|dense` or DSL clauses like
-    `format(compressed,dense) order(1,0) ptr(32) idx(32)`."""
+    """Parse `csr|csc|dcsr|dcsc|dense` or the kernel DSL's clauses, like
+    `format(compressed,dense) order(1,0) ptr(32) idx(32)`
+    (`expr.parse_encoding`)."""
     text = text.strip()
     if text == "dense":
         return None
     if text in _NAMED_ENCODINGS:
         return _NAMED_ENCODINGS[text]()
-    clauses = dict(re.findall(r"(format|order|ptr|idx)\s*\(([^)]*)\)", text))
-    if "format" not in clauses:
-        raise ParseError(f"cannot parse encoding {text!r}")
-    levels = []
-    for tok in clauses["format"].split(","):
-        tok = tok.strip()
-        if tok == "dense":
-            levels.append(DENSE)
-        elif tok == "compressed":
-            levels.append(COMPRESSED)
-        else:
-            raise ParseError(f"unknown level type {tok!r}")
-    ordering = None
-    if "order" in clauses:
-        ordering = [int(t) for t in clauses["order"].split(",")]
-    ptr_w = int(clauses["ptr"]) if "ptr" in clauses else None
-    idx_w = int(clauses["idx"]) if "idx" in clauses else None
-    return make_encoding(levels, ordering, ptr_w, idx_w)
+    return parse_encoding(text)
 
 
 def _read_value(spec: str):
@@ -122,12 +106,16 @@ def _read_value(spec: str):
 
 
 def parse_input_spec(spec: str, shape: tuple, default_seed: int):
-    """Resolve one --input value: a generator of `shape`, or `_read_value`."""
+    """Resolve one --input value: a generator of `shape`, or `_read_value`.
+    A generator spec whose arguments do not convert, or that
+    `GeneratorSpec` refuses, is a ParseError."""
     m = _GENERATOR_RE.match(spec)
-    if m:
-        kind = m.group(1)
-        arg1 = m.group(2)[1:] if m.group(2) else None
-        arg2 = m.group(3)[1:] if m.group(3) else None
+    if not m:
+        return _read_value(spec)
+    kind = m.group(1)
+    arg1 = m.group(2)[1:] if m.group(2) else None
+    arg2 = m.group(3)[1:] if m.group(3) else None
+    try:
         seed = int(arg2) if arg2 is not None else default_seed
         if kind == "uniform":
             gen = GeneratorSpec(shape, "uniform", density=float(arg1 or 0.1), seed=seed)
@@ -135,8 +123,9 @@ def parse_input_spec(spec: str, shape: tuple, default_seed: int):
             gen = GeneratorSpec(shape, "rowband", dense_rows=int(arg1 or 1), seed=seed)
         else:
             gen = GeneratorSpec(shape, "identity", seed=seed)
-        return generate(gen)
-    return _read_value(spec)
+    except ValueError as e:
+        raise ParseError(f"bad generator spec {spec!r}: {e}") from None
+    return generate(gen)
 
 
 def _bind_inputs(kernel, input_args, seed: int) -> dict:

@@ -240,7 +240,6 @@ class Program:
     topo: tuple
     accesses: tuple  # AccessRef occurrences, uid order
     names: dict  # uid -> display name
-    acc_count: int
     body: tuple
 
 
@@ -418,7 +417,6 @@ class _Lowerer:
             self.topo,
             self.accesses,
             self.names,
-            self.acc_count,
             tuple(prologue + body),
         )
 

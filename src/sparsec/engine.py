@@ -585,7 +585,12 @@ class _ArrayRun:
     def _RangeInit(self, s: RangeInit, frame):
         frame.cols["r", s.var] = np.zeros(frame.n, np.int64)
 
-    def _WhileCoiter(self, s: WhileCoiter, frame):
+    def _WhileCoiter(self, s: WhileCoiter, frame, stop=None):
+        """Run co-iteration loop `s` over `frame`: each live row visits the
+        merged candidates up to its cutoff. With a window end `stop`, on
+        a one-row frame past the budget (`_windows`), the row visits only
+        the candidates below `stop`, which fit, and each iterator and the
+        range counter are left where the next window starts."""
         its = [
             (uid, level, frame.col(("q", uid, level)), frame.col(("h", uid, level)),
              _bound_part(self.p, self.env, uid, "indices", level))
@@ -595,8 +600,8 @@ class _ArrayRun:
         # the range counter, if any, is below the extent. Indices only
         # grow, so the row visits the merged candidates up to its cutoff,
         # the smallest last index among its iterators (the extent's last
-        # with no iterator), and stops there, as the first iterator runs
-        # out.
+        # with no iterator, the window's last with a window), and stops
+        # there, as the first iterator runs out.
         live = frame.col(("r", s.var)) < s.extent if s.has_range else True
         for _, _, q, h, _ in its:
             live = live & (q < h)
@@ -604,22 +609,26 @@ class _ArrayRun:
         n = len(rows)
         if not n:
             return
-        cutoff = np.full(n, s.extent - 1)
+        cutoff = np.full(n, (s.extent if stop is None else stop) - 1)
         for _, _, _, h, indices in its:
             cutoff = np.minimum(cutoff, indices[h[rows] - 1])
-        # Per live row, each iterator's remaining positions and the range's
-        # candidates: (first, count, running total of the counts). Their
-        # sum bounds the candidates, and what the merge holds at once.
+        # Per live row, each iterator's remaining positions (those below
+        # the window's end, with one) and the range's candidates: (first,
+        # count, running total of the counts). Their sum bounds the
+        # candidates, and what the merge holds at once.
         spans = []
-        for _, _, q, h, _ in its:
+        for _, _, q, h, indices in its:
             lo = q[rows]
-            counts = h[rows] - lo
+            if stop is None:
+                counts = h[rows] - lo
+            else:
+                counts = np.searchsorted(indices[lo[0] : h[rows[0]]], [stop])
             spans.append((lo, counts, counts.cumsum()))
         if s.has_range:
             start = frame.col(("r", s.var))[rows]
             counts = cutoff - start + 1
             spans.append((start, counts, counts.cumsum()))
-        if sum(int(ends[-1]) for _, _, ends in spans) > _MAX_FRAME_ROWS:
+        if stop is None and sum(int(ends[-1]) for _, _, ends in spans) > _MAX_FRAME_ROWS:
             bound = np.zeros(frame.n, np.int64)
             bound[rows] = sum(counts for _, counts, _ in spans)
             state = [("q", uid, level) for uid, level in s.iterators]
@@ -648,48 +657,33 @@ class _ArrayRun:
 
     def _windows(self, s: WhileCoiter, part: _Frame):
         """Run co-iteration loop `s` over `part`, one live row past the
-        budget, in windows of consecutive indices, each bounded by
-        `searchsorted` in every iterator's segment so that its candidates
-        fit: a range's window holds at most the budget's count of indices,
-        and otherwise each iterator holds at most its share of the budget
-        in a window, which reaches at least the next candidate."""
-        segments = []  # (uid, level, first position, indices from it on)
-        for uid, level in s.iterators:
-            lo = int(part.col(("q", uid, level))[0])
-            hi = int(part.col(("h", uid, level))[0])
-            indices = _bound_part(self.p, self.env, uid, "indices", level)
-            segments.append((uid, level, lo, indices[lo:hi]))
-        cutoff = min([s.extent - 1] + [int(seg[-1]) for _, _, _, seg in segments])
-        share = _MAX_FRAME_ROWS // max(len(segments), 1)
+        budget, in windows of consecutive indices, each a `_WhileCoiter`
+        with the window's end, chosen so that its candidates fit: a range's
+        window holds at most the budget's count of indices, and otherwise
+        each iterator holds at most its share of the budget in a window,
+        which reaches at least the next candidate."""
+        its = [
+            (uid, level, int(part.col(("h", uid, level))[0]),
+             _bound_part(self.p, self.env, uid, "indices", level))
+            for uid, level in s.iterators
+        ]
+        cutoff = min([s.extent - 1] + [int(indices[h - 1]) for _, _, h, indices in its])
+        share = _MAX_FRAME_ROWS // max(len(its), 1)
         a = int(part.col(("r", s.var))[0]) if s.has_range else 0
         while a <= cutoff:
-            firsts = [int(np.searchsorted(seg, a)) for _, _, _, seg in segments]
             if s.has_range:
                 b = min(a + _MAX_FRAME_ROWS, cutoff + 1)
             else:
-                b = cutoff + 1
-                for (_, _, _, seg), f in zip(segments, firsts):
-                    if f + share < len(seg):
-                        b = min(b, int(seg[f + share]))
-                nearest = min(
-                    int(seg[f]) for (_, _, _, seg), f in zip(segments, firsts) if f < len(seg)
-                )
-                b = max(b, nearest + 1)
-            held = []
-            for (_, _, lo, seg), f in zip(segments, firsts):
-                e = int(np.searchsorted(seg, b))
-                held.append((np.zeros(e - f, np.int64), np.arange(lo + f, lo + e), seg[f:e]))
-            if s.has_range:
-                width = np.array([b - a])
-                owner, var, lands = _range_candidates(np.array([a]), width, width, held)
-            else:
-                owner, var, lands = _merged_candidates(held, 1, s.extent)
-            self.cases(s, part.sub(owner, s.var), var, held, lands)
+                # Each iterator's indices from its position on; none has
+                # run out before the cutoff.
+                segments = [
+                    indices[int(part.col(("q", uid, level))[0]) : h]
+                    for uid, level, h, indices in its
+                ]
+                b = min([cutoff + 1] + [int(seg[share]) for seg in segments if share < len(seg)])
+                b = max(b, min(int(seg[0]) for seg in segments) + 1)
+            self._WhileCoiter(s, part, stop=b)
             a = b
-        for uid, level, lo, seg in segments:
-            part.cols["q", uid, level] = np.array([lo + int(np.searchsorted(seg, cutoff, "right"))])
-        if s.has_range:
-            part.cols["r", s.var] = np.array([cutoff + 1])
 
     def cases(self, s: WhileCoiter, child: _Frame, var, held, lands):
         """Run the cases of co-iteration loop `s` over `child`, the frame

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Union
 
-from .encoding import COMPRESSED, DENSE, LevelType, TensorType, make_encoding
+from .encoding import COMPRESSED, DENSE, Encoding, LevelType, TensorType, make_encoding
 from .errors import (
     KernelSyntaxError,
     NestingTooDeep,
@@ -213,15 +213,14 @@ class KernelAnalysis:
     exception: no field reads a tensor's bit widths (the temporaries
     `split_for_whole_expr_reduction` declares get native widths whatever
     the operands' are), so a kernel whose tensors change only in their
-    widths may keep it.
+    widths may keep it. Each field has a reader in a later stage; the free
+    variables are the kernel's `lhs.indices`.
     """
 
-    free_vars: tuple
     reduction_vars: tuple
     var_extents: dict
     captures: dict  # reduction var -> path of its capture node
     node_reductions: dict  # path -> vars reduced exactly at that node
-    broadcasts: dict  # access path -> vars the operand is broadcast along
     index_vars: tuple  # as Kernel.index_vars
     indexed_rhs: Expr  # the right-hand side with AccessRef leaves
     accesses: tuple  # those AccessRef leaves, uid order
@@ -385,6 +384,17 @@ class _Parser:
             if self.tok == ",":
                 self.next()
         self.expect(")")
+        encoding = self.parse_clauses(f"tensor {name!r}", name_at)
+        tensors[name] = TensorType(tuple(shape), encoding)
+        if self.tok not in ("\n", ""):
+            self.fail("declarations end at the line break")
+
+    def parse_clauses(self, owner: str, owner_at: int) -> Optional[Encoding]:
+        """The encoding the `format/order/ptr/idx` clauses from the current
+        token on spell, in any order, or None if there is no clause. The
+        other clauses need a `format(...)`; without one, the error names
+        `owner`, what the clauses belong to, at the token with index
+        `owner_at`."""
         levels = ordering = ptr_w = idx_w = None
         while self.tok in ("format", "order", "ptr", "idx"):
             clause = self.next()
@@ -416,13 +426,8 @@ class _Parser:
                 idx_w = self.integer()
             self.expect(")")
         if levels is None and (ordering is not None or ptr_w is not None or idx_w is not None):
-            self.fail(f"tensor {name!r} has format clauses but no format(...)", name_at)
-        encoding = None
-        if levels is not None:
-            encoding = make_encoding(levels, ordering, ptr_w, idx_w)
-        tensors[name] = TensorType(tuple(shape), encoding)
-        if self.tok not in ("\n", ""):
-            self.fail("declarations end at the line break")
+            self.fail(f"{owner} has format clauses but no format(...)", owner_at)
+        return None if levels is None else make_encoding(levels, ordering, ptr_w, idx_w)
 
     # ---- assignment and expressions
 
@@ -530,6 +535,21 @@ def parse_kernel(text: str) -> Kernel:
         ) from None
 
 
+def parse_encoding(text: str) -> Encoding:
+    """Parse an encoding spelled as a tensor declaration spells it after
+    its shape, and nothing else: `format(...)`, and optionally `order(...)`,
+    `ptr(...)` and `idx(...)`, as in `format(dense, compressed) order(1, 0)`.
+    Bad text raises KernelSyntaxError, and a bad encoding the errors of
+    `make_encoding`."""
+    parser = _Parser(text)
+    encoding = parser.parse_clauses("the encoding", 0)
+    if encoding is None:
+        parser.fail(f"expected 'format', found {parser.tok or 'eof'!r}")
+    if parser.tok:
+        parser.fail(f"unexpected {parser.tok!r} after the encoding")
+    return encoding
+
+
 # ----------------------------------------------------------------------------
 # Printer (canonical DSL text; parse(print(k)) reproduces the AST)
 
@@ -600,22 +620,11 @@ def analyze_reductions(kernel: Kernel) -> Kernel:
         node_reductions.setdefault(prefix, []).append(v)
     node_reductions = {p: tuple(vs) for p, vs in node_reductions.items()}
 
-    broadcasts = {}
-    for path, ref in zip(paths, refs):
-        broadcasts[path] = tuple(
-            v
-            for v in order
-            if v not in ref.indices
-            and (v in free or _is_proper_prefix(captures[v], path))
-        )
-
     analysis = KernelAnalysis(
-        free_vars=free,
         reduction_vars=reductions,
         var_extents=extents,
         captures=captures,
         node_reductions=node_reductions,
-        broadcasts=broadcasts,
         index_vars=order,
         indexed_rhs=rhs,
         accesses=refs,
@@ -659,10 +668,6 @@ def _common_prefix(a: tuple, b: tuple) -> tuple:
             break
         out.append(x)
     return tuple(out)
-
-
-def _is_proper_prefix(prefix: tuple, path: tuple) -> bool:
-    return len(prefix) < len(path) and path[: len(prefix)] == prefix
 
 
 # ----------------------------------------------------------------------------

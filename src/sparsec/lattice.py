@@ -159,9 +159,6 @@ class LatticePoint:
     expr: Expr
     full: bool  # iteration space covers every coordinate
 
-    def dominates(self, other) -> bool:
-        return self.iterators > other.iterators
-
 
 RANGE_DRIVER = -1  # pseudo-iterator uid: the dense 0..extent sweep
 

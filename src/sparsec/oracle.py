@@ -14,7 +14,6 @@ so nonzero counts stay unambiguous.
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -97,7 +96,10 @@ class GeneratorSpec:
 
     kind: one of "uniform" (each coordinate kept with probability
     `density`), "rowband" (`dense_rows` fully dense rows at random
-    positions), "identity", or "explicit" (a fixed CooTensor).
+    positions), or "identity". An unknown kind, a density outside [0, 1],
+    a negative row count or a negative seed is a ValueError; a row band
+    that is not a matrix, or has more dense rows than rows, a
+    ShapeMismatch.
     """
 
     shape: tuple
@@ -105,16 +107,19 @@ class GeneratorSpec:
     density: float = 0.0
     seed: int = 0
     dense_rows: int = 0
-    explicit: Optional[CooTensor] = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "rowband", "identity", "explicit"):
+        if self.kind not in ("uniform", "rowband", "identity"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "uniform" and not 0.0 <= self.density <= 1.0:
             raise ValueError(f"density {self.density} outside [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative")
         if self.kind == "rowband":
             if len(self.shape) != 2:
                 raise ShapeMismatch("rowband generates matrices only")
+            if self.dense_rows < 0:
+                raise ValueError(f"dense_rows {self.dense_rows} is negative")
             if self.dense_rows > self.shape[0]:
                 raise ShapeMismatch(
                     f"{self.dense_rows} dense rows exceed {self.shape[0]} rows"
@@ -124,8 +129,6 @@ class GeneratorSpec:
 def generate(spec: GeneratorSpec) -> CooTensor:
     """Materialize a generator spec; identical spec gives identical output."""
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "explicit":
-        return spec.explicit.normalize()
     if spec.kind == "identity":
         n = min(spec.shape)
         return CooTensor.from_arrays(spec.shape, [np.arange(n)] * len(spec.shape), np.ones(n))

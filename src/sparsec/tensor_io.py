@@ -19,7 +19,6 @@ import os
 import re
 from enum import Enum
 from numbers import Real
-from typing import Optional
 
 import numpy as np
 
@@ -46,53 +45,60 @@ def detect_format(path: str) -> FileFormat:
 
 
 def _detect(path: str, text: str):
-    """`detect_format` of a file's `text`, and for the FROSTT family its
-    numbered data lines, which the reader then parses (None for Matrix
-    Market)."""
+    """`detect_format` of a file's `text`; for the FROSTT family also its
+    numbered data lines, and for an extended file its shape and entry lines
+    (`_extended_header`), which the reader then parses (None where they do
+    not apply)."""
     ext = os.path.splitext(path)[1].lower()
     if ext == ".mtx" or text.lstrip().startswith("%%MatrixMarket"):
-        return FileFormat.MATRIX_MARKET, None
-    data = _numbered_data_lines(text)
-    if _looks_extended(_extended_data_lines(data)):
-        return FileFormat.EXTENDED_FROSTT, data
-    return FileFormat.FROSTT, data
+        return FileFormat.MATRIX_MARKET, None, None
+    data = _numbered_data_lines(text.splitlines())
+    header = _extended_header(data)
+    if header is None:
+        return FileFormat.FROSTT, data, None
+    return FileFormat.EXTENDED_FROSTT, data, header
 
 
-def _is_comment(line: str) -> bool:
-    return line.lstrip().startswith(("#", "%"))
-
-
-def _looks_extended(data_lines) -> bool:
-    if len(data_lines) < 2:
-        return False
-    head = data_lines[0][1].split()
-    if len(head) != 2:
-        return False
+def _extended_header(data):
+    """The shape and the entry lines of an extended FROSTT file whose
+    numbered data lines are `data`, or None unless they open with a
+    `rank nnz` header of two integers and a line of `rank` extents, and
+    `nnz` entry lines follow. A rank-0 tensor has no extents, so its
+    extents line is blank, and blank lines are not data lines."""
+    if data and data[0][1].split()[:1] == ["0"]:
+        data = [data[0], (data[0][0] + 1, "")] + data[1:]
+    if len(data) < 2:
+        return None
+    head, extents = data[0][1].split(), data[1][1].split()
+    if len(head) != 2 or not all(tok.isdigit() for tok in extents):
+        return None
     try:
         rank, nnz = int(head[0]), int(head[1])
-    except ValueError:
-        return False
-    extents = data_lines[1][1].split()
-    if len(extents) != rank or not all(tok.isdigit() for tok in extents):
-        return False
-    return len(data_lines) == 2 + nnz
+        shape = tuple(int(tok) for tok in extents)
+    except ValueError:  # not integers, or more digits than `int` reads
+        return None
+    if len(shape) != rank or len(data) != 2 + nnz:
+        return None
+    return shape, data[2:]
 
 
-def read_tensor(src: str, format: Optional[FileFormat] = None) -> CooTensor:
-    """Materialize a CooTensor from a file path. The file is read once:
-    without a format, it is detected from the same text."""
+def read_tensor(src: str) -> CooTensor:
+    """Materialize a CooTensor from a file path, in the format
+    `detect_format` finds. The file is read once, and an extended FROSTT
+    header is parsed once, by the detection. Every coordinate is checked
+    against the shape (`CooTensor.check_bounds`)."""
     with open(src) as fh:
         text = fh.read()
-    data = None
-    if format is None:
-        format, data = _detect(src, text)
+    format, data, header = _detect(src, text)
     if format is FileFormat.MATRIX_MARKET:
-        return _read_matrix_market(text)
-    if data is None:
-        data = _numbered_data_lines(text)
-    if format is FileFormat.EXTENDED_FROSTT:
-        return _read_extended_frostt(data)
-    return _read_plain_frostt(data)
+        coo = _read_matrix_market(text)
+    elif format is FileFormat.FROSTT:
+        coo = _read_plain_frostt(data)
+    else:
+        shape, lines = header
+        coo = CooTensor(shape, _parse_entry_lines(lines, len(shape)))
+    coo.check_bounds()
+    return coo
 
 
 _MM_FIELDS = {"real", "integer", "pattern"}
@@ -115,54 +121,47 @@ def _read_matrix_market(text: str) -> CooTensor:
         raise UnsupportedField(f"unsupported field {fieldkind!r}")
     if symmetry not in _MM_SYMMETRIES:
         raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
-    pattern = fieldkind == "pattern"
 
-    rows = cols = nnz = None
-    file_entries = 0
-    entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
-        toks = line.split()
-        if rows is None:
-            if len(toks) != 3:
-                raise ParseError(f"size line needs 3 tokens, got {len(toks)}", line=lineno)
-            try:
-                rows, cols, nnz = (int(t) for t in toks)
-            except ValueError as e:
-                raise ParseError(f"bad size line: {e}", line=lineno)
-            continue
-        want = 2 if pattern else 3
-        if len(toks) != want:
-            raise ParseError(f"entry needs {want} tokens, got {len(toks)}", line=lineno)
-        try:
-            i, j = int(toks[0]) - 1, int(toks[1]) - 1
-            v = 1.0 if pattern else float(toks[2])
-        except ValueError as e:
-            raise ParseError(f"bad entry: {e}", line=lineno)
-        file_entries += 1
-        entries.append(((i, j), v))
-        if symmetry == "symmetric" and i != j:
-            entries.append(((j, i), v))
-    if rows is None:
+    # Only `%` lines, the banner among them, are comments.
+    data = _numbered_data_lines(lines, "%")
+    if not data:
         raise ParseError("missing size line")
-    if nnz != file_entries:
-        raise ShapeMismatch(f"size line declares {nnz} entries, file has {file_entries}")
-    coo = CooTensor((rows, cols), entries)
-    coo.check_bounds()
-    return coo
+    size_no, size = data[0]
+    toks = size.split()
+    if len(toks) != 3:
+        raise ParseError(f"size line needs 3 tokens, got {len(toks)}", line=size_no)
+    try:
+        rows, cols, nnz = (int(t) for t in toks)
+    except ValueError as e:
+        raise ParseError(f"bad size line: {e}", line=size_no)
+    entries = _parse_entry_lines(data[1:], 2, pattern=fieldkind == "pattern")
+    if nnz != len(entries):
+        raise ShapeMismatch(f"size line declares {nnz} entries, file has {len(entries)}")
+    if symmetry == "symmetric":
+        # An entry off the diagonal stands for its mirror too, which
+        # follows it.
+        mirrored = []
+        for entry in entries:
+            mirrored.append(entry)
+            (i, j), v = entry
+            if i != j:
+                mirrored.append(((j, i), v))
+        entries = mirrored
+    return CooTensor((rows, cols), entries)
 
 
-def _parse_entry_lines(data_lines, rank) -> list:
+def _parse_entry_lines(data_lines, rank, pattern=False) -> list:
+    """The (coordinates, value) pairs of numbered entry lines, each `rank`
+    1-based coordinates and a value, or with `pattern` no value (1.0)."""
+    width = rank if pattern else rank + 1
     entries = []
     for lineno, line in data_lines:
         toks = line.split()
-        if len(toks) != rank + 1:
-            raise ParseError(f"entry needs {rank + 1} tokens, got {len(toks)}", line=lineno)
+        if len(toks) != width:
+            raise ParseError(f"entry needs {width} tokens, got {len(toks)}", line=lineno)
         try:
             coords = tuple(int(t) - 1 for t in toks[:rank])
-            value = float(toks[rank])
+            value = 1.0 if pattern else float(toks[rank])
         except ValueError as e:
             raise ParseError(f"bad entry: {e}", line=lineno)
         if any(c < 0 for c in coords):
@@ -171,21 +170,14 @@ def _parse_entry_lines(data_lines, rank) -> list:
     return entries
 
 
-def _numbered_data_lines(text: str):
+def _numbered_data_lines(lines, comments=("#", "%")):
+    """The (1-based number, stripped text) of each of `lines` that is not
+    blank and does not start with a `comments` mark."""
     return [
         (n, ln.strip())
-        for n, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not _is_comment(ln)
+        for n, ln in enumerate(lines, start=1)
+        if ln.strip() and not ln.lstrip().startswith(comments)
     ]
-
-
-def _extended_data_lines(data):
-    """`data` (numbered data lines), with the extents line of a `0 nnz`
-    header put back: a rank-0 tensor has no extents, so that line is blank,
-    and blank lines are not data lines."""
-    if data and data[0][1].split()[:1] == ["0"]:
-        return [data[0], (data[0][0] + 1, "")] + data[1:]
-    return data
 
 
 def _read_plain_frostt(data) -> CooTensor:
@@ -197,31 +189,6 @@ def _read_plain_frostt(data) -> CooTensor:
     entries = _parse_entry_lines(data, rank)
     shape = tuple(max(c[d] for c, _ in entries) + 1 for d in range(rank))
     return CooTensor(shape, entries)
-
-
-def _read_extended_frostt(data) -> CooTensor:
-    data = _extended_data_lines(data)
-    if len(data) < 2:
-        raise ParseError("extended file needs a header and an extents line")
-    head_no, head = data[0]
-    toks = head.split()
-    if len(toks) != 2:
-        raise ParseError("header must be `rank nnz`", line=head_no)
-    try:
-        rank, nnz = int(toks[0]), int(toks[1])
-    except ValueError as e:
-        raise ParseError(f"bad header: {e}", line=head_no)
-    ext_no, ext_line = data[1]
-    ext_toks = ext_line.split()
-    if len(ext_toks) != rank:
-        raise ParseError(f"extents line needs {rank} extents", line=ext_no)
-    shape = tuple(int(t) for t in ext_toks)
-    if len(data) - 2 != nnz:
-        raise ShapeMismatch(f"header declares {nnz} entries, file has {len(data) - 2}")
-    entries = _parse_entry_lines(data[2:], rank)
-    coo = CooTensor(shape, entries)
-    coo.check_bounds()
-    return coo
 
 
 def write_tensor(coo: CooTensor, path: str):

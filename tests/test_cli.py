@@ -52,6 +52,61 @@ def test_parse_encoding_text_names():
     assert (enc.pointer_width, enc.index_width) == (16, 8)
 
 
+def test_parse_encoding_text_reads_back_every_description():
+    # Every encoding of rank 1 to 3, widths included: 50 + 200 + 1,200.
+    encodings = [enc for d in (1, 2, 3) for enc in enumerate_encodings(d, True)]
+    assert len(encodings) == 1450
+    for enc in encodings:
+        assert parse_encoding_text(enc.describe()) == enc, enc.describe()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "format(dense,compressed) order(a,1)",
+        "format(dense,compressed) ptr(x)",
+        "format(dense,compressed) order(1.5,0)",
+        "format(dense,compressed) idx(1e3)",
+        "format(dense,compressed) ordr(1,0)",
+        "junk format(dense,compressed) more junk",
+    ],
+)
+def test_cmd_convert_malformed_encoding_is_one_line(tmp_path, capsys, text):
+    src = tmp_path / "a.tns"
+    write_tensor(CooTensor((3, 4), [((0, 1), 1.0)]), str(src))
+    for flag in ("--from", "--to"):
+        formats = {"--from": "csr", "--to": "csr", flag: text}
+        code = main(
+            ["convert", "--input", str(src), "--from", formats["--from"],
+             "--to", formats["--to"], "--output", str(tmp_path / "o.tns")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("sparsec: error[KernelSyntaxError]: 1:"), err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "uniform:abc",
+        "uniform:0.1:x",
+        "rowband:x",
+        "uniform:2.0",
+        "uniform:-0.5",
+        "rowband:-1",
+        "uniform:0.1:-1",
+    ],
+)
+def test_cmd_run_bad_generator_spec_is_one_line(tmp_path, capsys, spec):
+    kfile = tmp_path / "copy.kernel"
+    kfile.write_text("tensor A(4, 4) format(dense, compressed)\ntensor C(4, 4)\nC(i, j) = A(i, j)\n")
+    code = main(["run", "--kernel-file", str(kfile), "--input", f"A={spec}"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[ParseError]:"), err
+    assert repr(spec) in err[0]
+
+
 def test_checksum_is_encoding_independent(mat_a):
     base = result_checksum(mat_a)
     assert result_checksum(pack(mat_a, csr())) == base

@@ -13,6 +13,7 @@ from sparsec import codegen, lattice
 from sparsec import expr as expr_module
 from sparsec.codegen import (
     CompressWs,
+    DeclAcc,
     ExpandWs,
     ForDense,
     ForPositions,
@@ -154,7 +155,7 @@ def test_direct_lex_with_reduction_wraps_accumulator():
         "x(i) = A(i, j) * v(j)\n"
     )
     assert prog.strategy.kind is StrategyKind.DIRECT_LEX
-    assert prog.acc_count == 1
+    assert len(_nodes(prog.body, DeclAcc)) == 1
     text = emit_text(prog)
     assert "acc0 = 0.0" in text and "insert x(i) = acc0" in text
 

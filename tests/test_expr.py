@@ -54,8 +54,6 @@ def test_parse_broadcast():
         "tensor A(3, 4)\ntensor B(3)\ntensor C(3, 4)\nC(i, j) = A(i, j) + B(i)\n"
     )
     k = analyze_reductions(k)
-    # B is broadcast along j; path (1,) is the B access.
-    assert k.analysis.broadcasts[(1,)] == ("j",)
     assert k.analysis.reduction_vars == ()
 
 
@@ -104,7 +102,6 @@ def test_extent_conflict():
 
 def test_reduction_classification():
     k = analyze_reductions(parse_kernel(SPMSPM))
-    assert k.analysis.free_vars == ("i", "j")
     assert k.analysis.reduction_vars == ("k",)
     assert k.analysis.captures["k"] == ()  # spans the whole RHS
 

@@ -1,7 +1,7 @@
 """Property tests: the array form, whole and in parts, and the reference
 loops agree on random kernels; tensors round-trip through storage, binary
-dumps and files; the literal and kernel readers turn malformed text into
-a SparsecError.
+dumps and files; the literal, kernel and tensor-file readers turn
+malformed text into a SparsecError.
 
 Hypothesis draws the cases from a fixed seed (`derandomize`) and keeps no
 example database, so the suite stays deterministic. (`conftest.py` moves
@@ -279,3 +279,64 @@ def test_readers_parse_or_raise_a_sparsec_error_on_mutated_texts(case):
         reader(text)
     except SparsecError:
         pass
+
+
+# Valid files of each tensor format; the fuzz below mutates them.
+TENSOR_FILES = [
+    (
+        "g.mtx",
+        "%%MatrixMarket matrix coordinate real general\n% a comment\n"
+        "3 4 3\n1 1 1.5\n1 4 -2e3\n3 1 0.25\n",
+    ),
+    ("p.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n4 4 3\n2 1\n3 3\n4 2\n"),
+    ("i.mtx", "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 2 7\n2 1 -3\n"),
+    ("p.tns", "# plain FROSTT\n1 1 1 1.5\n2 3 1 -0.0\n4 1 2 3e2\n"),
+    ("e.tns", "# extended FROSTT\n2 2\n4 3\n1 1 1.5\n4 3 -2.5\n"),
+    ("v.tns", "1 1\n12\n7 0.5\n"),
+    ("s.tns", "0 1\n\n7.5\n"),
+]
+
+
+@st.composite
+def mutated_file(draw):
+    """A tensor file's name and its valid text after one to three
+    mutations: truncated, a blank or line break doubled or dropped, a sign
+    put before a number, a `%` or `#` line inserted, or a number replaced
+    by a huge one."""
+    name, text = draw(st.sampled_from(TENSOR_FILES))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "double", "drop", "sign", "comment", "huge"]))
+        spots = [i for i, c in enumerate(text) if c in " \n"]
+        starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+        numbers = [m.span() for m in re.finditer(r"\d+(?:\.\d+)?(?:e\d+)?", text)]
+        if kind == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+        elif kind in ("double", "drop") and spots:
+            i = draw(st.sampled_from(spots))
+            text = text[:i] + (text[i] * 2 if kind == "double" else "") + text[i + 1 :]
+        elif kind == "sign" and numbers:
+            lo, _ = draw(st.sampled_from(numbers))
+            text = text[:lo] + draw(st.sampled_from(["-", "+"])) + text[lo:]
+        elif kind == "comment":
+            i = draw(st.sampled_from(starts))
+            text = text[:i] + draw(st.sampled_from(["%", "#", " # 1 1"])) + " x\n" + text[i:]
+        elif kind == "huge" and numbers:
+            lo, hi = draw(st.sampled_from(numbers))
+            text = text[:lo] + draw(st.sampled_from(HUGE_NUMBERS)) + text[hi:]
+    return name, text
+
+
+@settings(SETTINGS, max_examples=600)
+@given(mutated_file())
+def test_read_tensor_reads_or_raises_a_sparsec_error_on_mutated_files(case):
+    # A tensor that reads has coordinates within its shape.
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        try:
+            coo = read_tensor(path)
+        except SparsecError:
+            return
+    coo.arrays()

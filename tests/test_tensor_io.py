@@ -86,6 +86,17 @@ def test_matrix_market_bad_entry_line_number(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("entry", ["0 2 1.0", "2 0 1.0", "-1 1 1.0"])
+def test_matrix_market_coordinates_below_one_are_parse_errors(tmp_path, entry):
+    # As in FROSTT files: at the entry's line, not as a bound the reader
+    # checks later.
+    path = tmp_path / "z.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n{entry}\n")
+    with pytest.raises(ParseError) as err:
+        read_tensor(str(path))
+    assert err.value.line == 4 and "1-based" in str(err.value)
+
+
 def test_plain_frostt_infers_shape(tmp_path):
     path = tmp_path / "t.tns"
     path.write_text("# comment\n1 1 2 1.0\n3 2 4 2.5\n")
@@ -127,11 +138,10 @@ def test_read_tensor_opens_the_file_once(tmp_path, monkeypatch, name, text, form
     monkeypatch.setattr(tensor_io, "open", counting_open, raising=False)
     assert detect_format(path) is format
     assert opened == [path]
+    opened.clear()
     want = "CooTensor(shape=(2, 3), entries=[((0, 0), 1.5), ((1, 2), -0.0)])"
-    for given in (None, format):
-        opened.clear()
-        assert repr(read_tensor(path, given)) == want
-        assert opened == [path]
+    assert repr(read_tensor(path)) == want
+    assert opened == [path]
 
 
 def test_write_tensor_layout(tmp_path, tensor_t):
@@ -219,8 +229,12 @@ def test_scalar_file_reads_back(tmp_path, entries):
 def test_extended_header_count_mismatch(tmp_path):
     path = tmp_path / "bad.tns"
     path.write_text("2 3\n4 4\n1 1 1.0\n")
-    with pytest.raises((ShapeMismatch, ParseError)):
-        read_tensor(str(path), format=FileFormat.EXTENDED_FROSTT)
+    # Three entries declared, one given: not detected as extended, the file
+    # reads as plain FROSTT, whose lines then disagree on the rank.
+    assert detect_format(str(path)) is FileFormat.FROSTT
+    with pytest.raises(ParseError) as err:
+        read_tensor(str(path))
+    assert err.value.line == 3
 
 
 def test_sparse_literal():
