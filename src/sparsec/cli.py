@@ -107,8 +107,8 @@ def _read_value(spec: str):
 
 def parse_input_spec(spec: str, shape: tuple, default_seed: int):
     """Resolve one --input value: a generator of `shape`, or `_read_value`.
-    A generator spec whose arguments do not convert, or that
-    `GeneratorSpec` refuses, is a ParseError."""
+    A generator spec whose arguments do not convert, that `GeneratorSpec`
+    refuses, or that gives `identity` any, is a ParseError."""
     m = _GENERATOR_RE.match(spec)
     if not m:
         return _read_value(spec)
@@ -116,6 +116,8 @@ def parse_input_spec(spec: str, shape: tuple, default_seed: int):
     arg1 = m.group(2)[1:] if m.group(2) else None
     arg2 = m.group(3)[1:] if m.group(3) else None
     try:
+        if kind == "identity" and arg1 is not None:
+            raise ValueError("identity takes no arguments")
         seed = int(arg2) if arg2 is not None else default_seed
         if kind == "uniform":
             gen = GeneratorSpec(shape, "uniform", density=float(arg1 or 0.1), seed=seed)

@@ -13,8 +13,13 @@ Sparse outputs are built either by direct lexicographic insertion (legal
 when the left-hand-side variables lead the loop order in the output's
 storage order) or through an expand/scatter/compress workspace over the
 output's innermost storage dimension, allocated once per kernel run and
-reset sparsely by each compress. In-place updates are generated for the
-one pattern that allows them: scaling a compressed vector by constants.
+reset sparsely by each compress. When neither fits the loop order, the
+output takes the dense store, as a dense output does: each write adds into
+its coordinate, and for a sparse output the engine merges those writes in
+loop order, the workspace taken over every output dimension, rather than
+fill a buffer of the output's volume. In-place updates are generated for
+the one pattern that allows them: scaling a compressed vector by
+constants.
 """
 
 import enum
@@ -106,8 +111,9 @@ def choose_output_strategy(kernel: Kernel, topo_order) -> OutputStrategy:
     outputs insert lexicographically when the LHS variables are exactly
     the leading loops in storage order; otherwise the innermost storage
     dimension is handled by a workspace, provided the remaining LHS
-    variables still lead. Failing both, the kernel computes into a dense
-    buffer that is packed afterwards.
+    variables still lead. Failing both, the output takes the dense store:
+    for a sparse output its writes are merged in loop order, each
+    coordinate's summed, not added into a dense buffer.
     """
     if _is_inplace_scale(kernel):
         return OutputStrategy(StrategyKind.IN_PLACE)

@@ -32,11 +32,16 @@ loop-order key, so the parts give the result one frame would.
 
 A sparse output's entries go to `_sparse_output`, which checks that they
 strictly increase in storage order and lays them out with `pack`'s level
-build (`_build_levels`). Every sum is added in loop order from 0.0, as the
-loops `codegen.emit_text` prints add it, so the result is theirs bit for
-bit. A dense output past `_MAX_DENSE_ELEMENTS` elements, or a sparse one
-whose dense levels would pass it, raises DenseOutputTooLarge before it is
-allocated.
+build (`_build_levels`). Under the dense store, the strategy a sparse
+output takes when its variables do not lead the loops, its writes are
+collected the same way, in loop order, then sorted stably into storage
+order and summed per coordinate (`_merge_runs`); the sums exactly zero are
+dropped, as packing a dense buffer would drop them, and the rest go to the
+same level build. No buffer of a sparse output's volume is made. Every sum
+is added in loop order from 0.0, as the loops `codegen.emit_text` prints
+add it, so the result is theirs bit for bit. A dense output past
+`_MAX_DENSE_ELEMENTS` elements, or a sparse one whose dense levels would
+pass it, raises DenseOutputTooLarge before it is allocated.
 
 Each access's layout is taken from its declared type, which `execute`
 coerces the binding to, and the binding's read-only arrays are read as
@@ -724,6 +729,8 @@ class _ArrayRun:
 
     def _StoreDense(self, s: StoreDense, frame):
         columns = [frame.col(("v", v)) for v in s.coords]
+        if self.out is None:  # a sparse output: merged at the end
+            return self.sink("inserted", s, frame, *columns, self.values(s.expr, frame))
         offset = _row_key(columns, self.p.kernel.output_type.shape, frame.n)
         self.sink("out", s, frame, offset, self.values(s.expr, frame))
 
@@ -773,13 +780,14 @@ def interpret(program: Program, env: dict):
     The Program runs as whole-array numpy passes (`_ArrayRun`), its
     co-iteration loops as merges, and any loop whose frame would pass
     `_MAX_FRAME_ROWS` rows in parts that fit. Returns a DenseTensor for a
-    dense store, a copy of the in-place output with new values, or the
-    SparseStorage of a sparse output.
+    dense output, a copy of the in-place output with new values, or the
+    SparseStorage of a sparse output: its entries as inserted, or its
+    dense-store writes merged.
     """
     kernel = program.kernel
     out_type = kernel.output_type
     strat = program.strategy.kind
-    if strat is StrategyKind.DENSE_STORE:
+    if not out_type.is_sparse:
         seed = _dense_output(kernel, env)
         out = np.zeros(math.prod(out_type.shape)) if seed is None else seed.copy()
         _ArrayRun(program, env, out).run()
@@ -797,6 +805,15 @@ def interpret(program: Program, env: dict):
     if run.inserted is None:
         return _sparse_output(out_type, *_no_entries(out_type.rank))
     *columns, values = run.inserted
+    if strat is StrategyKind.DENSE_STORE:
+        # Each coordinate's writes summed from 0.0 in loop order, as a dense
+        # buffer adds them, and the sums exactly zero dropped, as packing
+        # that buffer drops them.
+        order = [columns[out_type.encoding.dim_of_level(l)] for l in range(out_type.rank)]
+        firsts, sums = _merge_runs(order, out_type.storage_shape(), values)
+        keep = sums != 0.0
+        rows = keep if firsts is None else firsts[keep]
+        return _build_levels(out_type, [_read_only(c[rows]) for c in columns], sums[keep])
     return _sparse_output(out_type, columns, values)
 
 
@@ -879,9 +896,8 @@ def _operands(kernel: Kernel, programs: tuple) -> dict:
 def execute(kernel: Kernel, programs: tuple, inputs: dict):
     """Run the Programs `compile_kernel` made for `kernel` on the inputs.
 
-    Coerces the inputs, interprets each Program in turn (binding each
-    temporary for the next), and packs a dense-fallback result into the
-    declared sparse format. Inputs and the result are as in `run_kernel`.
+    Coerces the inputs and interprets each Program in turn, binding each
+    temporary for the next. Inputs and the result are as in `run_kernel`.
     """
     env: dict = {}
     for name, declared in _operands(kernel, programs).items():
@@ -894,10 +910,6 @@ def execute(kernel: Kernel, programs: tuple, inputs: dict):
     result = None
     for program in programs:
         result = interpret(program, env)
-        out_type = program.kernel.output_type
-        if out_type.is_sparse and isinstance(result, DenseTensor):
-            # Fallback path: computed densely, pack into the declared format.
-            result = convert(result, out_type)
         env[program.kernel.lhs.tensor] = result
     return result
 

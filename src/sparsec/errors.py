@@ -50,8 +50,8 @@ class MalformedStorage(SparsecError):
 
 
 class DenseOutputTooLarge(SparsecError):
-    """A dense output buffer (the dense fallback's too), or the positions
-    the dense levels of a sparse format would store, past the element budget."""
+    """A dense output buffer, or the positions the dense levels of a sparse
+    format would store, past the element budget."""
 
 
 class OracleMismatch(SparsecError):

@@ -73,13 +73,14 @@ class CooTensor:
     Values are converted with `float` at construction; coordinates are
     checked (rank, integer, 64-bit, bounds) at the first read (`arrays`,
     `check_bounds`, `pack`, `normalize`, `to_dense`), so pairs that fail
-    the conversion are kept as given until then. `normalize` sorts entries
-    lexicographically by coordinate and sums duplicates (Matrix Market
-    convention).
+    the conversion are kept as given until then. An extent below 1 raises
+    ShapeMismatch at construction, as in a `TensorType`. `normalize` sorts
+    entries lexicographically by coordinate and sums duplicates (Matrix
+    Market convention).
     """
 
     def __init__(self, shape, entries=()):
-        self.shape = tuple(int(e) for e in shape)
+        self.shape = TensorType(shape).shape
         # One loop that splits the pairs: listing them first would keep
         # every pair tuple alive at once, which costs more in allocation
         # and garbage collection than the loop itself.
@@ -100,7 +101,7 @@ class CooTensor:
         for pairs. A read-only int64 or float64 array that owns its memory
         is shared, anything else copied (`_frozen`)."""
         coo = cls.__new__(cls)
-        coo.shape = tuple(int(e) for e in shape)
+        coo.shape = TensorType(shape).shape
         coo._values = _frozen(np.asarray(values), np.float64)
         columns = [np.asarray(c) for c in columns]
         if (
@@ -152,9 +153,9 @@ class CooTensor:
         if columns is None:
             columns = _coord_columns(self._unparsed, self.shape)
         # Viewed as uint64, a negative coordinate is at least 2**63, so with
-        # each extent clamped into [0, 2**63] one maximum per column checks
-        # both of its ends.
-        limits = [min(max(extent, 0), 1 << 63) for extent in self.shape]
+        # each extent capped at 2**63 one maximum per column checks both of
+        # its ends.
+        limits = [min(extent, 1 << 63) for extent in self.shape]
         if self.nnz and any(c.view(np.uint64).max() >= e for c, e in zip(columns, limits)):
             outside = np.zeros(self.nnz, bool)
             for c, e in zip(columns, limits):
@@ -369,11 +370,12 @@ class DenseTensor:
 
     `data` is a read-only float64 array: a numpy array, flattened in C
     order, or a sequence, kept as `SparseStorage` keeps its values
-    (`_typed_array`); a non-real value raises MalformedStorage.
+    (`_typed_array`); a non-real value raises MalformedStorage, and an
+    extent below 1 ShapeMismatch.
     """
 
     def __init__(self, shape, data):
-        self.shape = tuple(int(e) for e in shape)
+        self.shape = TensorType(shape).shape
         if isinstance(data, np.ndarray) and data.ndim != 1:
             data = data.reshape(-1)
         bad = MalformedStorage("dense tensor values must be real numbers")

@@ -10,10 +10,13 @@ add in loop order from the same 0.0.
 A sparse output's entries, inserted directly or drained from the
 workspace (`expand`, `Workspace.scatter`, `compress`), are appended in
 storage order to two flat arrays, one of coordinates and one of values,
-and laid out by the engine's own `_sparse_output`. A dense output starts
-from the engine's `_dense_output` seed. CPython compiles at most 20
-statically nested loops into one function, so a deeper loop nest fails to
-compile here; the array form has no such limit.
+and laid out by the engine's own `_sparse_output`. The dense store adds
+into a buffer of the output's whole volume, which starts from the engine's
+`_dense_output` seed; for a sparse output the buffer is then packed
+(`convert`), the independent reference for the array form's merge of the
+same writes. CPython compiles at most 20 statically nested loops into
+one function, so a deeper loop nest fails to compile here; the array form
+has no such limit.
 """
 
 import math
@@ -23,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from sparsec.codegen import AccRef, Const, Program, StrategyKind, ValRef
-from sparsec.engine import _bound_part, _dense_output, _position_steps, _sparse_output
+from sparsec.engine import (
+    _bound_part,
+    _dense_output,
+    _position_steps,
+    _sparse_output,
+    convert,
+)
 from sparsec.errors import ShapeMismatch
 from sparsec.expr import Add, Mul, Neg, Sub
 from sparsec.storage import DenseTensor
@@ -267,7 +276,7 @@ def run_loops(program: Program, env: dict):
         seed = _dense_output(kernel, env)
         out = seed.tolist() if seed is not None else [0.0] * math.prod(out_type.shape)
         generator.function(out=out)()
-        return DenseTensor(out_type.shape, out)
+        return convert(DenseTensor(out_type.shape, out), out_type)
     if strat is StrategyKind.IN_PLACE:
         base = env[kernel.lhs.tensor]
         out = base.value_array.tolist()

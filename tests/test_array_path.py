@@ -81,6 +81,14 @@ C(i, j) = A(i, j) + B(i, j)
 """
 
 
+ATB = """
+tensor A({n}, {n}) format(dense, compressed)
+tensor B({n}, {n}) format(dense, compressed)
+tensor C({n}, {n}) format(dense, compressed)
+C(i, j) = A(k, i) * B(k, j)
+"""
+
+
 def _spmspm(n, c="dense, compressed"):
     """C = A * B over CSR inputs; C has format `c`, or is dense for None."""
     return SPMSPM.format(n=n, c=f" format({c})" if c else "")
@@ -174,6 +182,20 @@ def test_direct_lex_places_negative_zero():
     a = CooTensor((3, 4), [((0, 1), 0.0), ((0, 3), 2.0), ((2, 0), -0.0)])
     got = _same(text, {"A": a})
     assert "values=(-0.0, -2.0, -0.0)" in got
+
+
+def test_dense_store_into_a_sparse_output_drops_cancellations_and_negative_zeros():
+    # C = A^T B merges C's writes: C(0, 1) = 1.5 * 2.0 + -3.0 * 1.0 cancels
+    # exactly, and C(2, 0) takes one write, 0.0 * -2.0 = -0.0. Both sums
+    # are zero and dropped, as a dense buffer packed afterwards drops them;
+    # the workspace and direct insertion keep theirs.
+    text = ATB.format(n=3)
+    (program,) = compile_kernel(parse_kernel(text))
+    assert program.strategy.kind is StrategyKind.DENSE_STORE
+    a = CooTensor((3, 3), [((0, 0), 1.5), ((1, 1), 4.0), ((1, 2), 0.0), ((2, 0), -3.0)])
+    b = CooTensor((3, 3), [((0, 1), 2.0), ((1, 0), -2.0), ((2, 1), 1.0)])
+    got = _same(text, {"A": a, "B": b})
+    assert "pointers=((), (0, 0, 1, 1)), indices=((), (0,)), values=(-8.0,)" in got
 
 
 def test_accumulator_of_an_empty_row_stores_zero():
@@ -531,6 +553,41 @@ def test_workspace_at_scale_matches_scipy():
     assert np.array_equal(pointers, want.indptr)
     assert np.array_equal(indices, want.indices)
     np.testing.assert_allclose(got.value_array, want.data, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n,entries", [(8192, 33_500), (60_000, 100_000)])
+def test_dense_store_into_a_sparse_output_at_scale_matches_scipy(n, entries):
+    # C = A^T B, all CSR: loop order k, i, j leads with neither of C's
+    # variables, so C's writes are merged in loop order. A buffer of C's
+    # volume would take 512 MiB at n=8192 and pass the element budget at
+    # n=60000; the merge peaks at about 80 bytes a product.
+    sparse = pytest.importorskip("scipy.sparse")
+    kernel = parse_kernel(ATB.format(n=n))
+    (program,) = compile_kernel(kernel)
+    assert program.strategy.kind is StrategyKind.DENSE_STORE
+    rng = np.random.default_rng(n)
+    env, mats = {}, []
+    for name in "AB":
+        flat = np.unique(rng.integers(0, n * n, entries))
+        values = 1.0 - rng.random(len(flat))  # uniform in (0, 1]
+        columns = np.divmod(flat, n)
+        coo = CooTensor.from_arrays((n, n), columns, values)
+        env[name] = engine.convert(coo, kernel.tensors[name])
+        mats.append(sparse.csr_array((values, columns), shape=(n, n)))
+    tracemalloc.start()
+    try:
+        got = execute(kernel, [program], env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    want = (mats[0].T @ mats[1]).tocsr()
+    want.sort_indices()
+    pointers, indices = got.level_arrays(1)
+    assert len(indices) > 130_000
+    assert np.array_equal(pointers, want.indptr)
+    assert np.array_equal(indices, want.indices)
+    assert np.array_equal(got.value_array, want.data)
 
 
 # ----------------------------------------------------------------------------

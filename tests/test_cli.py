@@ -95,6 +95,9 @@ def test_cmd_convert_malformed_encoding_is_one_line(tmp_path, capsys, text):
         "uniform:-0.5",
         "rowband:-1",
         "uniform:0.1:-1",
+        "identity:abc",
+        "identity:1",
+        "identity:1:2",
     ],
 )
 def test_cmd_run_bad_generator_spec_is_one_line(tmp_path, capsys, spec):

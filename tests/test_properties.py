@@ -329,7 +329,9 @@ def mutated_file(draw):
 @settings(SETTINGS, max_examples=600)
 @given(mutated_file())
 def test_read_tensor_reads_or_raises_a_sparsec_error_on_mutated_files(case):
-    # A tensor that reads has coordinates within its shape.
+    # A tensor that reads converts to CSR of its rank (dense levels, then
+    # a compressed last one; a scalar to dense), or fails with a
+    # SparsecError only.
     name, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, name)
@@ -339,4 +341,8 @@ def test_read_tensor_reads_or_raises_a_sparsec_error_on_mutated_files(case):
             coo = read_tensor(path)
         except SparsecError:
             return
-    coo.arrays()
+    csr = make_encoding([DENSE] * (coo.rank - 1) + [COMPRESSED]) if coo.rank else None
+    try:
+        convert(coo, csr)
+    except SparsecError:
+        pass

@@ -45,6 +45,7 @@ from sparsec.errors import (
     OutOfOrderInsertion,
     ParseError,
     RankMismatch,
+    ShapeMismatch,
     SparsecError,
 )
 from sparsec.expr import parse_kernel
@@ -589,6 +590,20 @@ def test_coordinates_must_be_integers(coord):
                 step()
     else:
         assert [step() for step in steps] == [((1,),), [((1,), 2.0)], [0.0, 2.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("shape", [(-3, 4), (3, 0), (0,)])
+def test_tensors_refuse_extents_below_one(shape):
+    # As a declared TensorType does, with its text.
+    makers = [
+        lambda: CooTensor(shape, []),
+        lambda: CooTensor.from_arrays(shape, [np.zeros(0, np.int64)] * len(shape), []),
+        lambda: DenseTensor(shape, []),
+    ]
+    for make in makers:
+        with pytest.raises(ShapeMismatch) as caught:
+            make()
+        assert str(caught.value) == f"extents must be positive, got {shape}"
 
 
 def test_pack_rejects_bad_coordinates():

@@ -78,6 +78,14 @@ def test_matrix_market_count_mismatch(tmp_path):
         read_tensor(str(path))
 
 
+@pytest.mark.parametrize("size", ["-3 4 0", "3 0 0"])
+def test_matrix_market_extents_below_one(tmp_path, size):
+    path = tmp_path / "e.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size}\n")
+    with pytest.raises(ShapeMismatch, match="extents must be positive"):
+        read_tensor(str(path))
+
+
 def test_matrix_market_bad_entry_line_number(tmp_path):
     path = tmp_path / "b.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n")
