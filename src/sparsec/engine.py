@@ -728,9 +728,9 @@ class _ArrayRun:
         self.sink(("acc", s.slot), s, frame, frame.col(("acc", s.slot)), self.values(s.expr, frame))
 
     def _StoreDense(self, s: StoreDense, frame):
-        columns = [frame.col(("v", v)) for v in s.coords]
         if self.out is None:  # a sparse output: merged at the end
-            return self.sink("inserted", s, frame, *columns, self.values(s.expr, frame))
+            return self._InsertLex(s, frame)
+        columns = [frame.col(("v", v)) for v in s.coords]
         offset = _row_key(columns, self.p.kernel.output_type.shape, frame.n)
         self.sink("out", s, frame, offset, self.values(s.expr, frame))
 
