@@ -352,6 +352,10 @@ def cmd_search(args) -> int:
             )
         sweep = sparse_inputs[0]
     rows = run_search(kernel, bindings, sweep, args.encodings == "all")
+    if not rows:
+        raise OrderConflict(
+            reason=f"every encoding of swept {sweep!r} leaves a loop-order conflict; no row ran"
+        )
     out = open(args.output, "w", newline="") if args.output else sys.stdout
 
     def column(row, field):
@@ -518,10 +522,12 @@ def cmd_bench(args) -> int:
     if args.suite not in _BENCH_SUITES:
         raise ParseError(f"unknown suite {args.suite!r} ({'|'.join(_BENCH_SUITES)})")
     suite = _BENCH_SUITES[args.suite]
+    if args.scale is not None and args.scale < 1:
+        raise ParseError(f"--scale must be at least 1, got {args.scale}")
     print(f"suite {args.suite}: verifying against the dense oracle at small scale")
     small = suite.small
     _bench_correctness(suite.kernel.format(**small), _bench_inputs(suite, small, args.seed))
-    fields = suite.scale(args.scale or suite.default_scale)
+    fields = suite.scale(suite.default_scale if args.scale is None else args.scale)
     inputs = _bench_inputs(suite, {**fields, **suite.variants[0]}, args.seed)
     rho = {f"rho_{name}": density(value) for name, value in inputs.items()}
     if suite.header:

@@ -15,11 +15,12 @@ storage order) or through an expand/scatter/compress workspace over the
 output's innermost storage dimension, allocated once per kernel run and
 reset sparsely by each compress. When neither fits the loop order, the
 output takes the dense store, as a dense output does: each write adds into
-its coordinate, and for a sparse output the engine merges those writes in
-loop order, the workspace taken over every output dimension, rather than
-fill a buffer of the output's volume. In-place updates are generated for
-the one pattern that allows them: scaling a compressed vector by
-constants.
+its coordinate. The engine runs the workspace and a sparse output's dense
+store as one merge of their writes in loop order, rather than fill a
+workspace row or a buffer of the output's volume; the two differ only in
+that the dense store drops sums exactly zero. In-place updates are
+generated for the one pattern that allows them: scaling a compressed
+vector by constants.
 """
 
 import enum

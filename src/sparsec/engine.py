@@ -18,10 +18,9 @@ consecutive ranges, and each dense loop over a whole extent below them,
 whose indices and values are read as slices. A co-iteration loop
 (`WhileCoiter`) is a merge of its iterators' sorted indices up to the
 point where the first of them runs out, and each candidate runs the
-first case, in dominance order, whose iterators all hold it. The sinks are `np.add.at`
-and a stable sort and merge for the workspace, applied in the loops' order
-across cases and sibling loops; scattered keys already in order are merged
-without a permutation. It generates no source.
+first case, in dominance order, whose iterators all hold it. The sinks,
+`np.add.at` and a sparse output's collected writes, are applied in the
+loops' order across cases and sibling loops. It generates no source.
 
 No frame holds more than `_MAX_FRAME_ROWS` rows. A loop whose frame would
 pass it runs in parts, in loop order: consecutive groups of its parent's
@@ -30,16 +29,18 @@ iterations (ranges of a dense loop's extent or of a position loop's
 positions, windows of a co-iteration's indices). The sinks merge by
 loop-order key, so the parts give the result one frame would.
 
-A sparse output's entries go to `_sparse_output`, which checks that they
-strictly increase in storage order and lays them out with `pack`'s level
-build (`_build_levels`). Under the dense store, the strategy a sparse
-output takes when its variables do not lead the loops, its writes are
-collected the same way, in loop order, then sorted stably into storage
-order and summed per coordinate (`_merge_runs`); the sums exactly zero are
-dropped, as packing a dense buffer would drop them, and the rest go to the
-same level build. No buffer of a sparse output's volume is made. Every sum
-is added in loop order from 0.0, as the loops `codegen.emit_text` prints
-add it, so the result is theirs bit for bit. A dense output past
+A sparse output's writes are collected as coordinate columns and values,
+in loop order. Inserted entries go to `_sparse_output`, which checks that
+they strictly increase in storage order and lays them out with `pack`'s
+level build (`_build_levels`). The workspace's scatters and the dense
+store's writes (the strategy a sparse output takes when its variables do
+not lead the loops) go to one merge: sorted stably into storage order and
+summed per coordinate (`_merge_runs`), then the same level build. The
+dense store drops the sums exactly zero, as packing a dense buffer would
+drop them; the workspace keeps every coordinate it touched. No workspace
+row and no buffer of a sparse output's volume is made. Every sum is added
+in loop order from 0.0, as the loops `codegen.emit_text` prints add it, so
+the result is theirs bit for bit. A dense output past
 `_MAX_DENSE_ELEMENTS` elements, or a sparse one whose dense levels would
 pass it, raises DenseOutputTooLarge before it is allocated.
 
@@ -59,18 +60,15 @@ import numpy as np
 from .codegen import (
     AccRef,
     AccumAcc,
-    CompressWs,
     Const,
     DeclAcc,
     ExpandWs,
     ForDense,
     ForPositions,
-    InsertLex,
     LoadRange,
     LoadVal,
     Program,
     RangeInit,
-    ScatterWs,
     StoreDense,
     StoreInPlace,
     StrategyKind,
@@ -106,7 +104,7 @@ from .storage import (
     _merge_runs,
     _read_only,
     _row_key,
-    _sort_rows,
+    _row_order,
     pack,
 )
 
@@ -264,7 +262,9 @@ def _merged_candidates(held, n: int, extent: int):
     in each of `n` live rows, as `_range_candidates` returns them."""
     owners = np.concatenate([o for o, _, _ in held])
     indices = np.concatenate([index for _, _, index in held])
-    perm, first = _sort_rows([owners, indices], [n, extent], len(owners))
+    perm, first = _row_order([owners, indices], [n, extent], len(owners))
+    if perm is None:
+        perm = np.arange(len(owners))
     landing = np.empty(len(perm), np.int64)
     landing[perm] = first.cumsum() - 1
     ends = np.cumsum([len(o) for o, _, _ in held]).tolist()
@@ -278,14 +278,14 @@ class _Frame:
     Columns are arrays over the rows, keyed by what they hold: `("v", var)`
     a loop variable, `("q"|"h", uid, level)` an iterator's position and
     end, `("r", var)` a range counter, `("x", uid)` a hoisted value,
-    `("acc", slot)` and `"ws"` the row of the frame that declared an
-    accumulator or drains the workspace. A column the frame lacks is made
-    from its parent's on first read, so only the columns the body below
-    reads are ever built: repeated, in a frame whose rows repeat their
-    parent's in order (`counts` rows from each parent row: a dense loop's,
-    or a position loop's whose ranges form one run), else gathered by the
-    frame's row map (`rows`: a co-iteration's candidates, a case's or a
-    part's rows, a position loop's scattered ranges).
+    `("acc", slot)` the row of the frame that declared an accumulator. A
+    column the frame lacks is made from its parent's on first read, so
+    only the columns the body below reads are ever built: repeated, in a
+    frame whose rows repeat their parent's in order (`counts` rows from
+    each parent row: a dense loop's, or a position loop's whose ranges
+    form one run), else gathered by the frame's row map (`rows`: a
+    co-iteration's candidates, a case's or a part's rows, a position
+    loop's scattered ranges).
 
     `key` places the rows in the loops' order across frames: the index of
     each enclosing loop's statement in its block, then that loop's
@@ -361,12 +361,14 @@ class _ArrayRun:
 
     A sink statement hands its writes to `sink` and they are applied when
     read (`drain`): an accumulator's when the accumulator is read, the
-    workspace's at its drain, the output's at the end. One sink statement
-    writes its rows in loop order. Several that write one target, the
-    cases and sibling loops of a co-iteration, are merged by their rows'
-    frame keys first. Then `np.add.at` adds in index order and the
-    workspace merge sorts stably, so every sum is taken in the order the
-    loops take it, from the same 0.0, and rounds the same.
+    output's at the end. A sparse output's writes, inserted, scattered
+    into the workspace or stored densely, are its coordinate columns and
+    values, which `interpret` lays out. One sink statement writes its rows
+    in loop order. Several that write one target, the cases and sibling
+    loops of a co-iteration, are merged by their rows' frame keys first.
+    Then `np.add.at` adds in index order and the output merge sorts
+    stably, so every sum is taken in the order the loops take it, from the
+    same 0.0, and rounds the same.
 
     A loop whose body frame would pass `_MAX_FRAME_ROWS` rows runs in parts
     (`parts`), one after another in loop order, each with a body frame that
@@ -379,8 +381,7 @@ class _ArrayRun:
         self.out = out  # the dense or in-place output values, if any
         self.accs: dict = {}  # slot -> one sum per row of the declaring frame
         # target -> [(statement, frame, its index, columns)], one per run
-        # of a sink statement so far: "out", ("acc", slot), "ws" or
-        # "inserted"
+        # of a sink statement so far: "out", ("acc", slot) or "inserted"
         self.sinks: dict = {}
         self.inserted = None  # (*columns, values), in storage order
         self.in_parts = False  # whether a loop is running in parts
@@ -504,8 +505,6 @@ class _ArrayRun:
         return _ARITH[type(node)](self.expr(node.lhs, frame), self.expr(node.rhs, frame))
 
     def block(self, stmts, frame: _Frame):
-        if any(isinstance(s, CompressWs) for s in stmts):
-            frame.cols["ws"] = np.arange(frame.n)
         for index, s in enumerate(stmts):
             frame.at = index
             getattr(self, f"_{type(s).__name__}")(s, frame)
@@ -734,41 +733,22 @@ class _ArrayRun:
         offset = _row_key(columns, self.p.kernel.output_type.shape, frame.n)
         self.sink("out", s, frame, offset, self.values(s.expr, frame))
 
-    def _InsertLex(self, s: InsertLex, frame):
-        columns = [frame.col(("v", v)) for v in s.coords]
+    def _InsertLex(self, s, frame):
+        """Sink a sparse output's writes: its coordinate columns, logical
+        order, and the values."""
+        columns = [frame.col(("v", v)) for v in self.p.kernel.lhs.indices]
         self.sink("inserted", s, frame, *columns, self.values(s.expr, frame))
+
+    # The workspace's scatters are the output's writes, merged at the end
+    # as the dense store's are, so expanding and compressing it run
+    # nothing. Its prefix variables lead the loops, so each coordinate's
+    # writes come from one compress row, in scatter order.
+    _ScatterWs = _InsertLex
 
     def _ExpandWs(self, s: ExpandWs, frame):
         pass
 
-    def _ScatterWs(self, s: ScatterWs, frame):
-        j = frame.col(("v", s.var))
-        self.sink("ws", s, frame, frame.col("ws"), j, self.values(s.expr, frame))
-
-    def _CompressWs(self, s: CompressWs, frame):
-        # The workspace sums each (row, j) from 0.0 in scatter order, then
-        # appends the row's touched j in ascending order, a loop over j in
-        # each row. `_merge_runs` over (row, j) does the same: its sort keeps
-        # scatter order among equal keys (`_row_order` tags each key with
-        # its index, unless the keys are already in order), and it sums in
-        # that order.
-        scattered = self.drain("ws")
-        if scattered is None:
-            return
-        rows, j, values = scattered
-        var = self.p.strategy.var
-        firsts, sums = _merge_runs(
-            [rows, j], [frame.n, self.p.kernel.analysis.var_extents[var]], values
-        )
-        if firsts is not None:
-            rows, j = rows[firsts], j[firsts]
-        # The drain is a loop over each row's touched j, in parts that fit.
-        for a in range(0, len(rows), _MAX_FRAME_ROWS):
-            b = a + _MAX_FRAME_ROWS
-            drained = frame.sub(rows[a:b], var)
-            drained.cols["v", var] = j[a:b]
-            columns = [drained.col(("v", v)) for v in self.p.kernel.lhs.indices]
-            self.sink("inserted", s, drained, *columns, sums[a:b])
+    _CompressWs = _ExpandWs
 
     def _StoreInPlace(self, s: StoreInPlace, frame):
         self.out[frame.col(("q", s.uid, s.level))] = self.values(s.expr, frame)
@@ -782,7 +762,7 @@ def interpret(program: Program, env: dict):
     `_MAX_FRAME_ROWS` rows in parts that fit. Returns a DenseTensor for a
     dense output, a copy of the in-place output with new values, or the
     SparseStorage of a sparse output: its entries as inserted, or its
-    dense-store writes merged.
+    workspace or dense-store writes merged.
     """
     kernel = program.kernel
     out_type = kernel.output_type
@@ -805,16 +785,20 @@ def interpret(program: Program, env: dict):
     if run.inserted is None:
         return _sparse_output(out_type, *_no_entries(out_type.rank))
     *columns, values = run.inserted
+    if strat is StrategyKind.DIRECT_LEX:
+        return _sparse_output(out_type, columns, values)
+    # The dense store's and the workspace's writes: each coordinate's summed
+    # from 0.0 in loop order, as a dense buffer or the workspace adds them.
+    order = [columns[out_type.encoding.dim_of_level(l)] for l in range(out_type.rank)]
+    rows, sums = _merge_runs(order, out_type.storage_shape(), values)
     if strat is StrategyKind.DENSE_STORE:
-        # Each coordinate's writes summed from 0.0 in loop order, as a dense
-        # buffer adds them, and the sums exactly zero dropped, as packing
-        # that buffer drops them.
-        order = [columns[out_type.encoding.dim_of_level(l)] for l in range(out_type.rank)]
-        firsts, sums = _merge_runs(order, out_type.storage_shape(), values)
+        # The sums exactly zero dropped, as packing a dense buffer drops
+        # them; the workspace stores its touched coordinates, zero or not.
         keep = sums != 0.0
-        rows = keep if firsts is None else firsts[keep]
-        return _build_levels(out_type, [_read_only(c[rows]) for c in columns], sums[keep])
-    return _sparse_output(out_type, columns, values)
+        rows, sums = (keep if rows is None else rows[keep]), sums[keep]
+    if rows is not None:
+        columns = [c[rows] for c in columns]
+    return _build_levels(out_type, [_read_only(c) for c in columns], sums)
 
 
 # ----------------------------------------------------------------------------

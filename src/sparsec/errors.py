@@ -104,13 +104,16 @@ class NestingTooDeep(SparsecError):
 class OrderConflict(SparsecError):
     """Loop-order constraints form a cycle, or a given loop order breaks
     them; carries the offending cycle (empty for a given order) and the
-    given order (None for a cycle), with the `reason` it is refused."""
+    given order (None for a cycle), with the `reason` it is refused. With
+    neither, the `reason` is the whole message."""
 
     def __init__(self, cycle=(), order=None, reason=""):
         self.cycle = tuple(cycle)
         self.order = None if order is None else tuple(order)
         if self.order is not None:
             message = f"loop order {', '.join(self.order)} {reason}"
+        elif not self.cycle:
+            message = reason
         else:
             chain = " -> ".join(self.cycle + (self.cycle[0],))
             message = (

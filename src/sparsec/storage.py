@@ -19,7 +19,8 @@ one flat scatter feeds `to_dense`, so converting between any two formats
 needs no routine of its own. One level build (`_build_levels`) turns
 sorted unique entries into a layout: it is the only code that lays out a
 sparse format, for `pack` and for every sparse output of the engine, which
-hands it the columns its loops insert or drain from the workspace.
+hands it the columns its loops insert, or their writes merged
+(`_merge_runs`) under the workspace or the dense store.
 
 A `CooTensor` holds exactly those columns and values, read-only, each its
 own array, so its `arrays()` hands them out after a bounds check, `to_coo`
@@ -249,18 +250,11 @@ def _row_key(columns: list, extents: list, n: int) -> np.ndarray:
     return key
 
 
-def _sort_rows(columns: list, extents: list, n: int):
+def _row_order(columns: list, extents: list, n: int):
     """The stable permutation that sorts the `n` rows of `columns` (integer
     arrays, the most significant first, each in `range` of its extent)
-    lexicographically, and a mask of the sorted rows that differ from the
-    row before them (`_row_order`, with the identity spelled out)."""
-    perm, first = _row_order(columns, extents, n)
-    return np.arange(n) if perm is None else perm, first
-
-
-def _row_order(columns: list, extents: list, n: int):
-    """`_sort_rows`, with None for the permutation when the rows are
-    already in order.
+    lexicographically, None when the rows are already in order, and a mask
+    of the sorted rows that differ from the row before them.
 
     The rows sort by one int64 key (`_row_key`). A key that does not
     descend is already in order. Otherwise each key carries its row index

@@ -198,6 +198,19 @@ def test_dense_store_into_a_sparse_output_drops_cancellations_and_negative_zeros
     assert "pointers=((), (0, 0, 1, 1)), indices=((), (0,)), values=(-8.0,)" in got
 
 
+def test_workspace_into_a_sparse_output_keeps_cancellations_and_negative_zeros():
+    # The workspace's writes go through the dense store's merge, which
+    # keeps them: C(0, 1) = 1.5 * 2.0 + -3.0 * 1.0 cancels exactly, and
+    # C(2, 0) takes one write, 0.0 * -2.0 = -0.0. Both are stored as 0.0.
+    text = SPMSPM.format(n=3, c=" format(dense, compressed)")
+    (program,) = compile_kernel(parse_kernel(text))
+    assert program.strategy.kind is StrategyKind.EXPAND_COMPRESS
+    a = CooTensor((3, 3), [((0, 0), 1.5), ((0, 2), -3.0), ((1, 1), 4.0), ((2, 1), 0.0)])
+    b = CooTensor((3, 3), [((0, 1), 2.0), ((1, 0), -2.0), ((2, 1), 1.0)])
+    got = _same(text, {"A": a, "B": b})
+    assert "pointers=((), (0, 1, 2, 3)), indices=((), (1, 0, 0)), values=(0.0, -8.0, 0.0)" in got
+
+
 def test_accumulator_of_an_empty_row_stores_zero():
     text = (
         "tensor A(3, 4) format(dense, compressed)\ntensor v(4)\n"

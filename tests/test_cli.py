@@ -333,6 +333,40 @@ def test_cmd_bench_small_scales(capsys):
     assert "rho_X" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scale", ["0", "-3"])
+def test_cmd_bench_scale_below_one_is_one_parse_error_line(capsys, scale):
+    assert main(["bench", "--suite", "spmspm", "--scale", scale]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err == [f"sparsec: error[ParseError]: --scale must be at least 1, got {scale}"]
+
+
+def test_cmd_search_with_every_row_in_conflict_is_one_line(tmp_path, capsys):
+    # B(j, i) in CSR puts j before i, the CSR output i before j: whatever
+    # A's encoding, no row compiles.
+    kfile = tmp_path / "conflict.kernel"
+    kfile.write_text(
+        "tensor A(4, 4) format(dense, compressed)\n"
+        "tensor B(4, 4) format(dense, compressed)\n"
+        "tensor C(4, 4) format(dense, compressed)\n"
+        "C(i, j) = A(i, j) * B(j, i)\n"
+    )
+    out = tmp_path / "r.csv"
+    code = main(
+        [
+            "search", "--kernel-file", str(kfile), "--input", "A=uniform:0.5:1",
+            "--input", "B=uniform:0.5:2", "--sweep", "A", "--encodings", "nowidths",
+            "--output", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[OrderConflict]: ")
+    assert "'A'" in err[0]
+    assert not out.exists()
+
+
 def test_cmd_search_sweep_all(tmp_path):
     kfile = tmp_path / "ew.kernel"
     kfile.write_text(
