@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
+import numpy as np
+
 from .codegen import emit_text
 from .encoding import (
     COMPRESSED,
@@ -331,6 +333,11 @@ def cmd_search(args) -> int:
     with open(args.kernel_file) as fh:
         kernel = parse_kernel(fh.read())
     bindings = _bind_inputs(kernel, args.input, args.seed)
+    for name, value in bindings.items():
+        # As for a literal: a dense operand visits its zeros (0 * inf =
+        # nan) where a compressed one skips them.
+        if not np.isfinite(value.arrays()[1]).all():
+            raise ParseError(f"input {name!r} holds a value that is not finite")
     sparse_inputs = [
         name
         for name, ttype in kernel.tensors.items()

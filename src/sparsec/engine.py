@@ -15,12 +15,16 @@ rows have consecutive ranges, repeats each parent row in order, so a
 column it reads from above is repeated, not gathered by a row map. Loads
 are gathers, except at positions that form one run: a position loop's
 consecutive ranges, and each dense loop over a whole extent below them,
-whose indices and values are read as slices. A co-iteration loop
-(`WhileCoiter`) is a merge of its iterators' sorted indices up to the
-point where the first of them runs out, and each candidate runs the
-first case, in dominance order, whose iterators all hold it. The sinks,
-`np.add.at` and a sparse output's collected writes, are applied in the
-loops' order across cases and sibling loops. It generates no source.
+whose indices and values are read as slices.
+
+A co-iterated variable lowers to one `WhileCoiter` per point of its merge
+lattice, run one after another. The points are closed under union, so the
+first loop holds every iterator and its cases are every point: it runs
+the candidates of all the loops, the merged indices of its iterators up
+to each row's reach (`_ArrayRun._reach`) or every index of a range, each
+in the first case whose iterators all hold it, as its own loop would. The
+sinks, `np.add.at` and a sparse output's collected writes, are applied in
+the loops' order across cases. It generates no source.
 
 No frame holds more than `_MAX_FRAME_ROWS` rows. A loop whose frame would
 pass it runs in parts, in loop order: consecutive groups of its parent's
@@ -53,6 +57,7 @@ array.
 
 import math
 from dataclasses import replace
+from functools import reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -68,7 +73,6 @@ from .codegen import (
     LoadRange,
     LoadVal,
     Program,
-    RangeInit,
     StoreDense,
     StoreInPlace,
     StrategyKind,
@@ -245,21 +249,10 @@ def _column(value, n: int) -> np.ndarray:
     return value if isinstance(value, np.ndarray) else np.full(n, value)
 
 
-def _range_candidates(start, counts, ends, held):
-    """The candidates of a co-iteration loop with a range, the `counts[r]`
-    values from `start[r]` on in live row r (`ends` their running total),
-    in loop order: the live row and value of each, and for each iterator's
-    `held` positions (live row, position, index) the candidate each lands
-    on."""
-    owner, var = _segments(start, counts, ends)
-    base = ends - counts - start
-    return owner, var, [base[o] + index for o, _, index in held]
-
-
 def _merged_candidates(held, n: int, extent: int):
-    """The candidates of a co-iteration loop without a range, the merged
-    indices of its iterators' `held` positions (live row, position, index)
-    in each of `n` live rows, as `_range_candidates` returns them."""
+    """The merged indices of a co-iteration's `held` positions (live row,
+    position, index per iterator) in each of `n` live rows, in loop order:
+    the live row and index of each, and where each iterator's land."""
     owners = np.concatenate([o for o, _, _ in held])
     indices = np.concatenate([index for _, _, index in held])
     perm, first = _row_order([owners, indices], [n, extent], len(owners))
@@ -277,8 +270,8 @@ class _Frame:
 
     Columns are arrays over the rows, keyed by what they hold: `("v", var)`
     a loop variable, `("q"|"h", uid, level)` an iterator's position and
-    end, `("r", var)` a range counter, `("x", uid)` a hoisted value,
-    `("acc", slot)` the row of the frame that declared an accumulator. A
+    end, `("x", uid)` a hoisted value, `("acc", slot)` the row of the
+    frame that declared an accumulator. A
     column the frame lacks is made from its parent's on first read, so
     only the columns the body below reads are ever built: repeated, in a
     frame whose rows repeat their parent's in order (`counts` rows from
@@ -337,6 +330,25 @@ class _Frame:
         in order."""
         return _Frame(n, self, None, self.key + (self.at, var), counts)
 
+    def span(self, var: str, start: int, stop: int, extent: int) -> "_Frame":
+        """The frame of a dense loop over `var`'s indices from `start` to
+        `stop`, of `extent`: each row of this one makes `stop - start`."""
+        width = stop - start
+        child = self.repeat(width, self.n * width, var)
+        # `np.tile(np.arange(start, stop), self.n)`, without its overhead
+        # on small frames.
+        column = np.empty((self.n, width), np.int64)
+        column[:] = np.arange(start, stop)
+        child.cols["v", var] = column.reshape(-1)
+        if width == extent:
+            # Under a run of positions p, the positions p * extent + var
+            # over the whole extent are a run too.
+            child.runs = {
+                (begin, steps + ((var, width),)): slice(run.start * width, run.stop * width)
+                for (begin, steps), run in self.runs.items()
+            }
+        return child
+
 
 _ARITH = {Mul: np.multiply, Add: np.add, Sub: np.subtract}
 
@@ -347,10 +359,10 @@ class _ArrayRun:
     The IR is walked once, so every statement runs once, over all the rows
     of its frame. Each loop turns the rows of its frame into the rows of
     its body's frame: a dense loop repeats each row `extent` times, a
-    position loop as many times as its iterator's range holds, and a
-    co-iteration loop (`_WhileCoiter`) once per candidate its merge
-    visits. Loads are gathers, and the expression is evaluated elementwise
-    in float64. A position loop whose rows' ranges are consecutive, as
+    position loop as many times as its iterator's range holds, and the
+    first loop of a co-iterated variable (`_WhileCoiter`) once per
+    candidate of all its sibling loops. Loads are gathers, and the
+    expression is evaluated elementwise in float64. A position loop whose rows' ranges are consecutive, as
     under a dense loop or at the first level, holds one run of positions
     (`_Frame.runs`), and so does a dense loop over a whole extent below
     such a run, or at the top: the indices and the values loaded at
@@ -364,8 +376,8 @@ class _ArrayRun:
     output's at the end. A sparse output's writes, inserted, scattered
     into the workspace or stored densely, are its coordinate columns and
     values, which `interpret` lays out. One sink statement writes its rows
-    in loop order. Several that write one target, the cases and sibling
-    loops of a co-iteration, are merged by their rows' frame keys first.
+    in loop order. Several that write one target, the cases of a
+    co-iteration, are merged by their rows' frame keys first.
     Then `np.add.at` adds in index order and the output merge sorts
     stably, so every sum is taken in the order the loops take it, from the
     same 0.0, and rounds the same.
@@ -442,19 +454,16 @@ class _ArrayRun:
             for k in range(len(writes[0][3]))
         )
 
-    def parts(self, s, frame: _Frame, counts, split, state=()):
+    def parts(self, s, frame: _Frame, counts, split):
         """Run loop `s` over `frame` in parts whose body frames fit
         `_MAX_FRAME_ROWS`, where row r makes `counts[r]` body rows.
 
         Consecutive rows are grouped so that each group's counts sum within
         the budget, and each group runs `s` on a frame of its own at the
         same statement; a row past the budget alone runs `split` on its
-        frame, which slices the row's own iterations. The per-row state
-        `s` leaves behind in its frame, the `state` columns, is written
-        back into `frame`.
+        frame, which slices the row's own iterations.
         """
         ends = counts.cumsum()
-        after = {key: frame.col(key).copy() for key in state}
         outer, self.in_parts = self.in_parts, True
         start = 0
         while start < frame.n:
@@ -466,11 +475,8 @@ class _ArrayRun:
                 split(part)
             else:
                 getattr(self, f"_{type(s).__name__}")(s, part)
-            for key, column in after.items():
-                column[start:stop] = part.col(key)
             start = stop
         self.in_parts = outer
-        frame.cols.update(after)
 
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
         """The flat position of access `uid` after its first `upto` levels
@@ -506,6 +512,8 @@ class _ArrayRun:
 
     def block(self, stmts, frame: _Frame):
         for index, s in enumerate(stmts):
+            if type(s) is WhileCoiter and index and type(stmts[index - 1]) is WhileCoiter:
+                continue  # a later sibling loop: the first ran its candidates
             frame.at = index
             getattr(self, f"_{type(s).__name__}")(s, frame)
         if self.in_parts:
@@ -538,20 +546,7 @@ class _ArrayRun:
                     self._ForDense(s, part, a, min(a + _MAX_FRAME_ROWS, stop))
 
             return self.parts(s, frame, np.full(frame.n, width), split)
-        child = frame.repeat(width, frame.n * width, s.var)
-        # `np.tile(np.arange(start, stop), frame.n)`, without its overhead
-        # on small frames.
-        var = np.empty((frame.n, width), np.int64)
-        var[:] = np.arange(start, stop)
-        child.cols["v", s.var] = var.reshape(-1)
-        if width == s.extent:
-            # Under a run of positions p, the positions p * extent + var
-            # over the whole extent are a run too.
-            child.runs = {
-                (begin, steps + ((s.var, width),)): slice(run.start * width, run.stop * width)
-                for (begin, steps), run in frame.runs.items()
-            }
-        self.block(s.body, child)
+        self.block(s.body, frame.span(s.var, start, stop, s.extent))
 
     def _ForPositions(self, s: ForPositions, frame, lo=None, hi=None):
         if lo is None:
@@ -586,125 +581,110 @@ class _ArrayRun:
         child.cols["v", s.var] = _bound_part(self.p, self.env, s.uid, "indices", s.level)[read]
         self.block(s.body, child)
 
-    def _RangeInit(self, s: RangeInit, frame):
-        frame.cols["r", s.var] = np.zeros(frame.n, np.int64)
-
-    def _WhileCoiter(self, s: WhileCoiter, frame, stop=None):
-        """Run co-iteration loop `s` over `frame`: each live row visits the
-        merged candidates up to its cutoff. With a window end `stop`, on
-        a one-row frame past the budget (`_windows`), the row visits only
-        the candidates below `stop`, which fit, and each iterator and the
-        range counter are left where the next window starts."""
-        its = [
-            (uid, level, frame.col(("q", uid, level)), frame.col(("h", uid, level)),
+    def _iterators(self, s: WhileCoiter, frame):
+        """Each iterator of `s` at `frame`'s rows: uid, `q`, `h` and indices."""
+        return [
+            (uid, frame.col(("q", uid, level)), frame.col(("h", uid, level)),
              _bound_part(self.p, self.env, uid, "indices", level))
             for uid, level in s.iterators
         ]
-        # A row runs the loop while each iterator has a position left and
-        # the range counter, if any, is below the extent. Indices only
-        # grow, so the row visits the merged candidates up to its cutoff,
-        # the smallest last index among its iterators (the extent's last
-        # with no iterator, the window's last with a window), and stops
-        # there, as the first iterator runs out.
-        live = frame.col(("r", s.var)) < s.extent if s.has_range else True
-        for _, _, q, h, _ in its:
-            live = live & (q < h)
-        rows = live.nonzero()[0]
-        n = len(rows)
-        if not n:
-            return
-        cutoff = np.full(n, (s.extent if stop is None else stop) - 1)
-        for _, _, _, h, indices in its:
-            cutoff = np.minimum(cutoff, indices[h[rows] - 1])
-        # Per live row, each iterator's remaining positions (those below
-        # the window's end, with one) and the range's candidates: (first,
-        # count, running total of the counts). Their sum bounds the
-        # candidates, and what the merge holds at once.
-        spans = []
-        for _, _, q, h, indices in its:
-            lo = q[rows]
-            if stop is None:
-                counts = h[rows] - lo
-            else:
-                counts = np.searchsorted(indices[lo[0] : h[rows[0]]], [stop])
-            spans.append((lo, counts, counts.cumsum()))
-        if s.has_range:
-            start = frame.col(("r", s.var))[rows]
-            counts = cutoff - start + 1
-            spans.append((start, counts, counts.cumsum()))
-        if stop is None and sum(int(ends[-1]) for _, _, ends in spans) > _MAX_FRAME_ROWS:
-            bound = np.zeros(frame.n, np.int64)
-            bound[rows] = sum(counts for _, counts, _ in spans)
-            state = [("q", uid, level) for uid, level in s.iterators]
-            state += [("r", s.var)] if s.has_range else []
-            return self.parts(s, frame, bound, lambda part: self._windows(s, part), state)
-        # Each iterator's positions up to the cutoff, in loop order: the
-        # live row and the position of each. The iterator sits past them
-        # after the loop.
-        held = []
-        for (uid, level, q, _, indices), (lo, counts, ends) in zip(its, spans):
-            owner, pos = _segments(lo, counts, ends)
-            if len(its) > 1:  # one iterator runs to its last index
-                keep = indices[pos] <= cutoff[owner]
-                owner, pos = owner[keep], pos[keep]
-                counts = np.bincount(owner, minlength=n)
-            after = frame.cols["q", uid, level] = q.copy()
-            after[rows] = lo + counts
-            held.append((owner, pos, indices[pos]))
-        if s.has_range:
-            owner, var, lands = _range_candidates(*spans[-1], held)
-            after = frame.cols["r", s.var] = frame.col(("r", s.var)).copy()
-            after[rows] = cutoff + 1
+
+    def _reach(self, s: WhileCoiter, its) -> np.ndarray:
+        """Each row's reach in co-iteration loop `s` without a range: the
+        largest cutoff among its cases, a case's being the smallest last
+        index among its iterators (-1 for one that holds none)."""
+        last = {
+            uid: np.where(q < h, indices[h - 1], -1) if len(indices) else np.full(len(q), -1)
+            for uid, q, h, indices in its
+        }
+        cutoffs = (reduce(np.minimum, [last[uid] for uid in case.iterators]) for case in s.cases)
+        return reduce(np.maximum, cutoffs)
+
+    def _WhileCoiter(self, s: WhileCoiter, frame, start=0, stop=None):
+        """Run `s`, the first of its sibling loops, for all of them over
+        `frame`. With a window [start, stop), on a one-row frame past the
+        budget (`_windows`), only the candidates in it run, which fit."""
+        its = self._iterators(s, frame)
+        if s.has_range:  # the range alone, the last case, runs every index
+            rows, reach = np.arange(frame.n), None
         else:
-            owner, var, lands = _merged_candidates(held, n, s.extent)
-        self.cases(s, frame.sub(rows[owner], s.var), var, held, lands)
-
-    def _windows(self, s: WhileCoiter, part: _Frame):
-        """Run co-iteration loop `s` over `part`, one live row past the
-        budget, in windows of consecutive indices, each a `_WhileCoiter`
-        with the window's end, chosen so that its candidates fit: a range's
-        window holds at most the budget's count of indices, and otherwise
-        each iterator holds at most its share of the budget in a window,
-        which reaches at least the next candidate."""
-        its = [
-            (uid, level, int(part.col(("h", uid, level))[0]),
-             _bound_part(self.p, self.env, uid, "indices", level))
-            for uid, level in s.iterators
-        ]
-        cutoff = min([s.extent - 1] + [int(indices[h - 1]) for _, _, h, indices in its])
-        share = _MAX_FRAME_ROWS // max(len(its), 1)
-        a = int(part.col(("r", s.var))[0]) if s.has_range else 0
-        while a <= cutoff:
-            if s.has_range:
-                b = min(a + _MAX_FRAME_ROWS, cutoff + 1)
-            else:
-                # Each iterator's indices from its position on; none has
-                # run out before the cutoff.
-                segments = [
-                    indices[int(part.col(("q", uid, level))[0]) : h]
-                    for uid, level, h, indices in its
-                ]
-                b = min([cutoff + 1] + [int(seg[share]) for seg in segments if share < len(seg)])
-                b = max(b, min(int(seg[0]) for seg in segments) + 1)
-            self._WhileCoiter(s, part, stop=b)
-            a = b
-
-    def cases(self, s: WhileCoiter, child: _Frame, var, held, lands):
-        """Run the cases of co-iteration loop `s` over `child`, the frame
-        of its candidates `var`, on which each iterator's `held` positions
-        land at `lands`."""
-        child.cols["v", s.var] = var
-        if not s.iterators:
-            # The one case needs no iterator.
-            self.block(s.cases[0].body, child)
+            reach = self._reach(s, its)
+            rows = (reach >= start).nonzero()[0]
+            reach = reach[rows]
+        if not len(rows):
             return
-        # A candidate's holders, one bit per iterator; its case is the
-        # first, in dominance order, whose iterators all hold it.
+        # Per live row, each iterator's positions (in the window, with one):
+        # first, count and running total. With the range's indices, they
+        # bound the candidates, and what the merge holds at once.
+        spans = []
+        for _, q, h, indices in its:
+            lo, hi = q[rows], h[rows]
+            if stop is not None:
+                bounds = lo[0] + np.searchsorted(indices[lo[0] : hi[0]], [start, stop])
+                lo, hi = bounds[:1], bounds[1:]
+            counts = hi - lo
+            spans.append((lo, counts, counts.cumsum()))
+        width = (s.extent if stop is None else stop) - start if s.has_range else 0
+        bound = np.zeros(frame.n, np.int64)
+        bound[rows] = sum(counts for _, counts, _ in spans) + width
+        if stop is None and bound.sum() > _MAX_FRAME_ROWS:
+            return self.parts(s, frame, bound, lambda part: self._windows(s, part))
+        self.cases(s, *self._candidates(s, frame, its, spans, rows, reach, start, width))
+
+    def _candidates(self, s: WhileCoiter, frame, its, spans, rows, reach, start, width):
+        """The frame of `s`'s candidates on `frame`'s live `rows` (with a
+        range, `width` indices from `start` each), each iterator's position
+        where it holds one, and each candidate's holders, one bit each."""
+        # Each iterator's positions: the live row, position and index of
+        # each. Past its row's reach no case's iterators all hold an index.
+        held = []
+        for (_, _, _, indices), (lo, counts, ends) in zip(its, spans):
+            owner, pos = _segments(lo, counts, ends)
+            index = indices[pos]
+            if reach is not None:
+                keep = index <= reach.repeat(counts)
+                owner, pos, index = owner[keep], pos[keep], index[keep]
+            held.append((owner, pos, index))
+        if s.has_range:
+            child = frame.span(s.var, start, start + width, s.extent)  # every row is live
+            lands = [owner * width + index - start for owner, _, index in held]
+        else:
+            owner, var, lands = _merged_candidates(held, len(rows), s.extent)
+            child = frame.sub(rows[owner], s.var)
+            child.cols["v", s.var] = var
         holders = np.zeros(child.n, np.int64)
         for bit, ((uid, level), (_, pos, _), land) in enumerate(zip(s.iterators, held, lands)):
             holders[land] |= 1 << bit
             q = child.cols["q", uid, level] = np.zeros(child.n, np.int64)
             q[land] = pos
+        return child, holders
+
+    def _windows(self, s: WhileCoiter, part: _Frame):
+        """Run co-iteration loop `s` over `part`, one row past the budget,
+        in windows of consecutive indices (`_WhileCoiter`) whose candidates
+        fit: a range's holds at most the budget's count of indices, and
+        otherwise each iterator holds at most its share of the budget in
+        one, which reaches at least the next candidate."""
+        its = self._iterators(s, part)
+        segments = [indices[int(q[0]) : int(h[0])] for _, q, h, indices in its]
+        end = s.extent if s.has_range else int(self._reach(s, its)[0]) + 1
+        share = _MAX_FRAME_ROWS // len(its)
+        a = 0
+        while a < end:
+            if s.has_range:
+                b = min(a + _MAX_FRAME_ROWS, end)
+            else:
+                # Each iterator's indices from the window's start on.
+                rest = [seg[np.searchsorted(seg, a) :] for seg in segments]
+                b = min([end] + [int(r[share]) for r in rest if share < len(r)])
+                b = max(b, min(int(r[0]) for r in rest if len(r)) + 1)
+            self._WhileCoiter(s, part, a, b)
+            a = b
+
+    def cases(self, s: WhileCoiter, child: _Frame, holders):
+        """Run each candidate of co-iteration loop `s`, the rows of `child`,
+        in the first case, in dominance order, whose iterators all hold it
+        (`holders`, one bit per iterator)."""
         bits = {uid: 1 << bit for bit, (uid, _) in enumerate(s.iterators)}
         needs = [sum(bits[uid] for uid in case.iterators) for case in s.cases]
         first_case = [
@@ -748,7 +728,8 @@ class _ArrayRun:
     def _ExpandWs(self, s: ExpandWs, frame):
         pass
 
-    _CompressWs = _ExpandWs
+    # The range counter is each candidate's index (`_WhileCoiter`).
+    _CompressWs = _RangeInit = _ExpandWs
 
     def _StoreInPlace(self, s: StoreInPlace, frame):
         self.out[frame.col(("q", s.uid, s.level))] = self.values(s.expr, frame)
@@ -882,19 +863,22 @@ def execute(kernel: Kernel, programs: tuple, inputs: dict):
 
     Coerces the inputs and interprets each Program in turn, binding each
     temporary for the next. Inputs and the result are as in `run_kernel`.
+    Past the float64 range a sum or product rounds to inf, and inf - inf
+    or 0 * inf to nan, silently, as the reference loops and `dense_eval`.
     """
-    env: dict = {}
-    for name, declared in _operands(kernel, programs).items():
-        if name in inputs:
-            env[name] = _coerce(inputs[name], declared, name)
-        elif name == kernel.lhs.tensor:
-            env[name] = _empty_value(declared, name)
-        else:
-            raise UnknownTensor(f"no binding for input tensor {name!r}")
-    result = None
-    for program in programs:
-        result = interpret(program, env)
-        env[program.kernel.lhs.tensor] = result
+    with np.errstate(over="ignore", invalid="ignore"):
+        env: dict = {}
+        for name, declared in _operands(kernel, programs).items():
+            if name in inputs:
+                env[name] = _coerce(inputs[name], declared, name)
+            elif name == kernel.lhs.tensor:
+                env[name] = _empty_value(declared, name)
+            else:
+                raise UnknownTensor(f"no binding for input tensor {name!r}")
+        result = None
+        for program in programs:
+            result = interpret(program, env)
+            env[program.kernel.lhs.tensor] = result
     return result
 
 

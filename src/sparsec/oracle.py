@@ -127,19 +127,25 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> CooTensor:
-    """Materialize a generator spec; identical spec gives identical output."""
+    """Materialize a generator spec; identical spec gives identical output.
+    A spec that would draw more values than the element budget raises
+    DenseOutputTooLarge before anything is allocated."""
+    if spec.kind == "rowband":
+        count = spec.dense_rows * spec.shape[1]
+    else:
+        count = (min if spec.kind == "identity" else math.prod)(spec.shape)
+    _check_budget(count, f"{spec.kind} input of shape {spec.shape}")
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "identity":
-        n = min(spec.shape)
-        return CooTensor.from_arrays(spec.shape, [np.arange(n)] * len(spec.shape), np.ones(n))
+        columns = [np.arange(count)] * len(spec.shape)
+        return CooTensor.from_arrays(spec.shape, columns, np.ones(count))
     if spec.kind == "uniform":
-        volume = int(np.prod(spec.shape))
-        flat = np.flatnonzero(rng.random(volume) < spec.density)
+        flat = np.flatnonzero(rng.random(count) < spec.density)
         values = 1.0 - rng.random(flat.size)  # uniform in (0, 1]
         return CooTensor.from_arrays(spec.shape, np.unravel_index(flat, spec.shape), values)
     rows, cols = spec.shape
     picked = np.sort(rng.choice(rows, size=spec.dense_rows, replace=False))
-    values = 1.0 - rng.random(spec.dense_rows * cols)
+    values = 1.0 - rng.random(count)
     columns = [np.repeat(picked, cols), np.tile(np.arange(cols), spec.dense_rows)]
     return CooTensor.from_arrays(spec.shape, columns, values)
 

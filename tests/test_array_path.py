@@ -309,6 +309,31 @@ def test_rank_zero_output(text):
     assert got == repr(want)
 
 
+CSR_A = "tensor a(4) format(compressed)\n"
+
+
+@pytest.mark.parametrize(
+    "text,entries,want",
+    [
+        # A product past the float64 range, and inf - inf.
+        (CSR_A + "tensor x(4)\nx(i) = a(i) * a(i)\n", [((0,), 1e200)], "inf"),
+        (CSR_A + "tensor x(4)\nx(i) = a(i) * a(i) - a(i) * a(i)\n", [((0,), 1e200)], "nan"),
+        # A reduction's sum.
+        (CSR_A + "tensor x()\nx() = a(i)\n", [((0,), 1e308), ((1,), 1e308)], "inf"),
+        # Duplicate coordinates summed by packing, and by scattering into
+        # a dense binding.
+        (CSR_A + "tensor x(4)\nx(i) = a(i)\n", [((0,), 1e308), ((0,), 1e308)], "inf"),
+        ("tensor a(4)\ntensor x(4)\nx(i) = a(i)\n", [((0,), 1e308), ((0,), 1e308)], "inf"),
+    ],
+    ids=["product", "difference", "reduction", "pack", "scatter"],
+)
+def test_overflow_rounds_without_a_warning(text, entries, want):
+    # The suite turns warnings into errors. The array form rounds past the
+    # float64 range silently, as the reference loops and `dense_eval` do.
+    got = _same(text, {"a": CooTensor((4,), entries)})
+    assert want in got
+
+
 # ----------------------------------------------------------------------------
 # Position runs: a position loop whose rows' ranges are consecutive reads
 # its indices and values as slices; any other gathers through `_segments`.
@@ -502,6 +527,55 @@ def test_coiteration_past_the_int64_sort_key():
     shape = (2, 1 << 62)
     got = _same(text, {name: CooTensor(shape, e) for name, e in rows.items()})
     assert "values=(1.5, 2.0, 4.0, 0.0, -1.5)" in got
+
+
+SIBLINGS = """
+tensor A(6, 8) format(dense, compressed)
+tensor B(6, 8) format(dense, compressed)
+tensor D(6, 8){d}
+tensor E(6, 8) format(dense, compressed)
+tensor C(6, 8) format(dense, compressed)
+C(i, j) = {rhs}
+"""
+
+
+def _sibling_bindings(lasts: dict) -> dict:
+    """CSR bindings of shape (6, 8) in which row r of each operand holds
+    the indices 0 to `lasts[name][r]` (none for -1), and a last row drawn
+    at random, so that its operands hold some indices and miss others."""
+    rng = random.Random(23)
+    bindings = {}
+    for name, ends in lasts.items():
+        held = [(r, j) for r, end in enumerate(ends) for j in range(end + 1)]
+        held += [(5, j) for j in range(8) if rng.random() < 0.5]
+        entries = [(c, rng.uniform(-2, 2)) for c in held]
+        bindings[name] = CooTensor((6, 8), entries)
+    return bindings
+
+
+@pytest.mark.parametrize(
+    "rhs,d,lasts",
+    [
+        # Nine points, which do not nest: {A, D} and {B, E} hold neither
+        # the other. In rows 0 to 3 a different pair of iterators runs out
+        # first, one at a time, so that each of the nine sibling loops runs.
+        ("(A(i, j) + B(i, j)) * (D(i, j) + E(i, j))", " format(dense, compressed)",
+         {"A": (3, 1, 3, 0, -1), "B": (1, 3, 0, 3, 7),
+          "D": (4, 0, 1, 4, 2), "E": (0, 4, 4, 1, 7)}),
+        # {A, B, D}, {A, B} and {D}: D runs out first in row 0, A in row 1
+        # and B in row 2.
+        ("A(i, j) * B(i, j) + D(i, j)", " format(dense, compressed)",
+         {"A": (3, 0, 3, 7, -1), "B": (3, 3, 0, -1, 7), "D": (0, 3, 3, 5, 7)}),
+        # The same, driven by the range of a dense D.
+        ("A(i, j) * B(i, j) + D(i, j)", "",
+         {"A": (3, 0, 3, 7, -1), "B": (3, 3, 0, -1, 7), "D": (0, 3, 3, 5, 7)}),
+    ],
+    ids=["union-of-unions", "sum-of-product", "range"],
+)
+def test_sibling_loops_that_do_not_nest_agree(rhs, d, lasts):
+    # The arrays run every candidate of a co-iteration in one pass, the
+    # reference loops in one loop per lattice point, one after another.
+    _same(SIBLINGS.format(rhs=rhs, d=d), _sibling_bindings(lasts), budgets=(1, 3, 1 << 22))
 
 
 # ----------------------------------------------------------------------------

@@ -110,6 +110,20 @@ def test_cmd_run_bad_generator_spec_is_one_line(tmp_path, capsys, spec):
     assert repr(spec) in err[0]
 
 
+@pytest.mark.parametrize("n", [1 << 32, 3037000500])
+def test_cmd_run_generator_past_the_budget_is_one_line(tmp_path, capsys, n):
+    # n * n passes 2**64, or 2**63 where an int64 product turns negative.
+    kfile = tmp_path / "rows.kernel"
+    kfile.write_text(
+        f"tensor A({n}, {n}) format(dense, compressed)\ntensor x({n})\nx(i) = A(i, j)\n"
+    )
+    code = main(["run", "--kernel-file", str(kfile), "--input", "A=uniform:0.5:1"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[DenseOutputTooLarge]: "), err
+    assert f"({n}, {n})" in err[0]
+
+
 def test_checksum_is_encoding_independent(mat_a):
     base = result_checksum(mat_a)
     assert result_checksum(pack(mat_a, csr())) == base
@@ -364,6 +378,33 @@ def test_cmd_search_with_every_row_in_conflict_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("sparsec: error[OrderConflict]: ")
     assert "'A'" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["literal", "file"])
+def test_cmd_search_non_finite_input_is_one_parse_error_line(tmp_path, capsys, source):
+    # With `a` dense, the row that stores `b` densely computes inf * 0 =
+    # nan where a compressed `b` skips the product: no result is
+    # format-invariant, so no row runs.
+    kfile = tmp_path / "ab.kernel"
+    kfile.write_text(
+        "tensor a(4)\ntensor b(4) format(compressed)\ntensor c(4)\nc(i) = a(i) * b(i)\n"
+    )
+    spec = "sparse<4>([[0]], [1e999])"
+    if source == "file":
+        spec = str(tmp_path / "a.tns")
+        (tmp_path / "a.tns").write_text("1 1\n4\n1 inf\n")
+    out = tmp_path / "r.csv"
+    code = main(
+        [
+            "search", "--kernel-file", str(kfile), "--input", f"a={spec}",
+            "--input", "b=uniform:0.5:1", "--sweep", "b", "--output", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[ParseError]: "), err
+    assert "'a'" in err[0]
     assert not out.exists()
 
 

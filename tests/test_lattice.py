@@ -1,16 +1,24 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsec import codegen
+from sparsec.engine import compile_kernel, prepare_kernels
 from sparsec.errors import OrderConflict
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.lattice import (
     RANGE_DRIVER,
     build_iteration_graph,
     build_lattice,
+    build_lattice_for,
+    lattice_to_text,
     topo_sort,
 )
+from test_properties import SETTINGS, mix_case, product_case
 
 SPMSPM = """
 tensor A(3, 4) format(dense, compressed)
@@ -171,3 +179,41 @@ def test_topo_respects_every_tensor_chain():
         position = {v: n for n, v in enumerate(order)}
         for (u, v) in g.edges:
             assert position[u] < position[v]
+
+
+def _lattices(text) -> list:
+    """Every merge lattice of kernel `text`: `build_lattice`'s for each
+    piece and variable, and each one lowering builds for a subexpression
+    (none where the loop orders conflict)."""
+    kernel = parse_kernel(text)
+    built = [
+        build_lattice(piece, var)
+        for piece in prepare_kernels(kernel)
+        for var in piece.analysis.var_extents
+    ]
+
+    def record(*args):
+        built.append(build_lattice_for(*args))
+        return built[-1]
+
+    with mock.patch.object(codegen, "build_lattice_for", record):
+        try:
+            compile_kernel(kernel)
+        except OrderConflict:
+            pass
+    return built
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.one_of(product_case(), mix_case()))
+def test_lattice_points_are_closed_under_union(case):
+    # The array form runs a co-iteration's sibling loops, one per point,
+    # as the first one alone (`engine._ArrayRun._WhileCoiter`): it holds
+    # every iterator, its cases are every point, and the range alone, the
+    # last point of a range-driven lattice, runs every index.
+    for lat in _lattices(case[0]):
+        sets = [p.iterators for p in lat.points]
+        assert all(a | b in sets for a in sets for b in sets), lattice_to_text(lat)
+        assert sets[0] == frozenset().union(*sets), lattice_to_text(lat)
+        if lat.range_driven:
+            assert sets[-1] == {RANGE_DRIVER}, lattice_to_text(lat)
