@@ -335,8 +335,9 @@ def cmd_search(args) -> int:
     bindings = _bind_inputs(kernel, args.input, args.seed)
     for name, value in bindings.items():
         # As for a literal: a dense operand visits its zeros (0 * inf =
-        # nan) where a compressed one skips them.
-        if not np.isfinite(value.arrays()[1]).all():
+        # nan) where a compressed one skips them. The values are checked
+        # as the kernel reads them, with duplicates summed.
+        if not np.isfinite(value.to_coo().arrays()[1]).all():
             raise ParseError(f"input {name!r} holds a value that is not finite")
     sparse_inputs = [
         name

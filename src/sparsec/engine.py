@@ -24,14 +24,16 @@ the candidates of all the loops, the merged indices of its iterators up
 to each row's reach (`_ArrayRun._reach`) or every index of a range, each
 in the first case whose iterators all hold it, as its own loop would. The
 sinks, `np.add.at` and a sparse output's collected writes, are applied in
-the loops' order across cases. It generates no source.
+the loops' order across cases: every loop visits its indices in ascending
+order and each iteration runs in one case, so that order is the
+lexicographic order of the loop variables' values. It generates no source.
 
 No frame holds more than `_MAX_FRAME_ROWS` rows. A loop whose frame would
 pass it runs in parts, in loop order: consecutive groups of its parent's
 rows, and a row that passes the budget alone in slices of its own
 iterations (ranges of a dense loop's extent or of a position loop's
 positions, windows of a co-iteration's indices). The sinks merge by
-loop-order key, so the parts give the result one frame would.
+their loop variables' values, so the parts give the result one frame would.
 
 A sparse output's writes are collected as coordinate columns and values,
 in loop order. Inserted entries go to `_sparse_output`, which checks that
@@ -280,11 +282,9 @@ class _Frame:
     co-iteration's candidates, a case's or a part's rows, a position
     loop's scattered ranges).
 
-    `key` places the rows in the loops' order across frames: the index of
-    each enclosing loop's statement in its block, then that loop's
-    variable, outermost first. A row's statement indices and variable
-    values tell its iteration from every other, and compare in the order
-    the loops run them.
+    `key` names the variables of the enclosing loops, outermost first. A
+    row's values of them tell its iteration from every other, and compare
+    in the order the loops run them, across frames too.
 
     `runs` maps a flat position, written as `_position_steps` writes it
     (the key of the column it starts from or None, and its dense steps),
@@ -300,7 +300,6 @@ class _Frame:
         self.rows = rows  # each row's row in the parent frame, or
         self.counts = counts  # how many rows each parent row makes
         self.key = key
-        self.at = 0  # the index of the statement the frame's block runs
         self.cols: dict = {}
         self.runs: dict = {} if parent else {(None, ()): slice(0, 1)}
 
@@ -321,14 +320,14 @@ class _Frame:
         """The frame of `rows` of this one: the iterations of a loop over
         `var`, or, with no `var`, some of the same iterations (a case's,
         or a part's)."""
-        key = self.key if var is None else self.key + (self.at, var)
+        key = self.key if var is None else self.key + (var,)
         return _Frame(len(rows), self, rows, key)
 
     def repeat(self, counts, n: int, var: str) -> "_Frame":
         """The frame of a loop over `var` in which each row of this one
         makes `counts` rows (a number, or one count per row), `n` in all,
         in order."""
-        return _Frame(n, self, None, self.key + (self.at, var), counts)
+        return _Frame(n, self, None, self.key + (var,), counts)
 
     def span(self, var: str, start: int, stop: int, extent: int) -> "_Frame":
         """The frame of a dense loop over `var`'s indices from `start` to
@@ -377,14 +376,16 @@ class _ArrayRun:
     into the workspace or stored densely, are its coordinate columns and
     values, which `interpret` lays out. One sink statement writes its rows
     in loop order. Several that write one target, the cases of a
-    co-iteration, are merged by their rows' frame keys first.
+    co-iteration, sit under the same loops, and are merged by their rows'
+    values of those loops' variables first (`_Frame.key`).
     Then `np.add.at` adds in index order and the output merge sorts
     stably, so every sum is taken in the order the loops take it, from the
     same 0.0, and rounds the same.
 
     A loop whose body frame would pass `_MAX_FRAME_ROWS` rows runs in parts
     (`parts`), one after another in loop order, each with a body frame that
-    fits; the sinks' merge by frame key sees the rows it would have seen.
+    fits; the sinks' merge by loop variables sees the rows it would have
+    seen.
     """
 
     def __init__(self, program: Program, env: dict, out=None):
@@ -392,7 +393,7 @@ class _ArrayRun:
         self.env = env
         self.out = out  # the dense or in-place output values, if any
         self.accs: dict = {}  # slot -> one sum per row of the declaring frame
-        # target -> [(statement, frame, its index, columns)], one per run
+        # target -> [(statement, frame, columns)], one per run
         # of a sink statement so far: "out", ("acc", slot) or "inserted"
         self.sinks: dict = {}
         self.inserted = None  # (*columns, values), in storage order
@@ -406,62 +407,37 @@ class _ArrayRun:
         self.inserted = self.drain("inserted")
 
     def sink(self, target, s, frame: _Frame, *columns):
-        self.sinks.setdefault(target, []).append((s, frame, frame.at, columns))
+        self.sinks.setdefault(target, []).append((s, frame, columns))
 
     def drain(self, target):
         """The columns of every sink into `target` so far, concatenated in
         the loops' order, or None if none ran."""
         writes = self.sinks.pop(target, None)
         if writes is None or len(writes) == 1:
-            return writes and writes[0][3]
+            return writes and writes[0][2]
+        runs = list(zip(*(columns for _, _, columns in writes)))
         if all(w[0] is writes[0][0] for w in writes):
             # One statement, run in parts: they ran in the loops' order.
-            return tuple(map(np.concatenate, zip(*(cols for _, _, _, cols in writes))))
-        # A key alternates statement index and loop variable and ends in
-        # the sink's statement index. No key is a prefix of another, so a
-        # short one padded with zeros sorts the same. Each position is one
-        # digit of a mixed-radix number: a statement index below the largest
-        # there, a variable below its extent.
-        keys = [frame.key + (at,) for _, frame, at, _ in writes]
-        width = max(map(len, keys))
-        keys = [key + (0,) * (width - len(key)) for key in keys]
-        extents = self.p.kernel.analysis.var_extents
-        radix = [
-            max(extents[k] if isinstance(k, str) else k + 1 for k in position)
-            for position in zip(*keys)
-        ]
-        digits = [
-            [frame.col(("v", k)) if isinstance(k, str) else k for k in key]
-            for key, (_, frame, _, _) in zip(keys, writes)
-        ]
-        if math.prod(radix) < 1 << 62:
-            weights = [math.prod(radix[p + 1 :]) for p in range(width)]
-            parts = []
-            for (_, frame, _, _), ds in zip(writes, digits):
-                static = sum(d * w for d, w in zip(ds, weights) if isinstance(d, int))
-                number = sum((d * w for d, w in zip(ds, weights) if not isinstance(d, int)), static)
-                parts.append(_column(number, frame.n))
-            perm = np.argsort(np.concatenate(parts), kind="stable")
+            return tuple(map(np.concatenate, runs))
+        # Every sink into one target sits under the same loops.
+        names = writes[0][1].key
+        extents = [self.p.kernel.analysis.var_extents[v] for v in names]
+        keys = [np.concatenate([frame.col(("v", v)) for _, frame, _ in writes]) for v in names]
+        if math.prod(extents) < 1 << 63:
+            n = sum(frame.n for _, frame, _ in writes)
+            perm = np.argsort(_row_key(keys, extents, n), kind="stable")
         else:
-            perm = np.lexsort([
-                np.concatenate(
-                    [_column(ds[p], frame.n) for (_, frame, _, _), ds in zip(writes, digits)]
-                )
-                for p in reversed(range(width))
-            ])
-        return tuple(
-            np.concatenate([cols[k] for _, _, _, cols in writes])[perm]
-            for k in range(len(writes[0][3]))
-        )
+            perm = np.lexsort(keys[::-1])
+        return tuple(np.concatenate(run)[perm] for run in runs)
 
     def parts(self, s, frame: _Frame, counts, split):
         """Run loop `s` over `frame` in parts whose body frames fit
         `_MAX_FRAME_ROWS`, where row r makes `counts[r]` body rows.
 
         Consecutive rows are grouped so that each group's counts sum within
-        the budget, and each group runs `s` on a frame of its own at the
-        same statement; a row past the budget alone runs `split` on its
-        frame, which slices the row's own iterations.
+        the budget, and each group runs `s` on a frame of its own, whose
+        rows keep their loop variables; a row past the budget alone runs
+        `split` on its frame, which slices the row's own iterations.
         """
         ends = counts.cumsum()
         outer, self.in_parts = self.in_parts, True
@@ -470,7 +446,6 @@ class _ArrayRun:
             base = int(ends[start - 1]) if start else 0
             stop = max(int(np.searchsorted(ends, base + _MAX_FRAME_ROWS, "right")), start + 1)
             part = frame.sub(np.arange(start, stop))
-            part.at = frame.at
             if counts[start] > _MAX_FRAME_ROWS:
                 split(part)
             else:
@@ -514,12 +489,11 @@ class _ArrayRun:
         for index, s in enumerate(stmts):
             if type(s) is WhileCoiter and index and type(stmts[index - 1]) is WhileCoiter:
                 continue  # a later sibling loop: the first ran its candidates
-            frame.at = index
             getattr(self, f"_{type(s).__name__}")(s, frame)
         if self.in_parts:
             # A frame a sink holds is read again only for its loop
-            # variables, the sink's loop-order key. Parts keep no more, so
-            # that the frames of parts run so far do not add up.
+            # variables, which order its writes (`drain`). Parts keep no
+            # more, so that the frames of parts run so far do not add up.
             frame.cols = {key: column for key, column in frame.cols.items() if key[0] == "v"}
 
     def _LoadRange(self, s: LoadRange, frame):

@@ -98,8 +98,8 @@ class GeneratorSpec:
     `density`), "rowband" (`dense_rows` fully dense rows at random
     positions), or "identity". An unknown kind, a density outside [0, 1],
     a negative row count or a negative seed is a ValueError; a row band
-    that is not a matrix, or has more dense rows than rows, a
-    ShapeMismatch.
+    that is not a matrix, or has more dense rows than rows, and an
+    identity of rank 0, a ShapeMismatch.
     """
 
     shape: tuple
@@ -115,6 +115,8 @@ class GeneratorSpec:
             raise ValueError(f"density {self.density} outside [0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative")
+        if self.kind == "identity" and not self.shape:
+            raise ShapeMismatch("identity generates tensors of rank 1 or more")
         if self.kind == "rowband":
             if len(self.shape) != 2:
                 raise ShapeMismatch("rowband generates matrices only")

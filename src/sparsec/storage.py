@@ -300,6 +300,8 @@ def _merge_runs(columns: list, extents: list, values: np.ndarray):
     would (a lone -0.0 sums to 0.0). Where no row repeats,
     nothing is added, and rows already in order are not permuted at all.
     (`np.add.reduceat` sums long runs pairwise, which rounds differently.)
+    Past the float64 range a sum rounds to inf, and inf - inf to nan,
+    silently, as in the engine's `execute`.
     """
     perm, first = _row_order(columns, extents, len(values))
     if perm is None:
@@ -313,7 +315,8 @@ def _merge_runs(columns: list, extents: list, values: np.ndarray):
     if len(starts) < len(values):
         group = first.cumsum()  # each sorted row's distinct row, from 1
         repeats = np.flatnonzero(~first)
-        np.add.at(sums, group[repeats] - 1, values[perm[repeats]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(sums, group[repeats] - 1, values[perm[repeats]])
     return firsts, sums
 
 

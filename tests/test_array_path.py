@@ -519,8 +519,9 @@ def test_dense_output_past_the_budget_is_one_cli_line(tmp_path, capsys, op):
 
 
 def test_coiteration_past_the_int64_sort_key():
-    # Extents whose product passes 2**62: the merge and the loop-order keys
-    # sort by `np.lexsort` over their columns.
+    # Extents whose product reaches 2**63: the merge, and the drain of the
+    # cases' writes by their loop variables, sort by `np.lexsort` over
+    # their columns.
     text = UNION.replace("{n}, {n}", "2, 4611686018427387904").format()
     rows = {"A": [((0, 3), 1.0), ((0, 1 << 61), 2.0), ((1, 5), 0.0)]}
     rows["B"] = [((0, 3), 0.5), ((1, 4), 4.0), ((1, (1 << 62) - 1), -1.5)]

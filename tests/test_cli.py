@@ -245,6 +245,29 @@ def test_cmd_run_scalar_output_converts_back(tmp_path, capsys, b):
     assert y.read_bytes() == x.read_bytes()
 
 
+def test_cmd_convert_duplicates_summed_past_the_float64_range(tmp_path, capsys):
+    # Duplicates sum in entry order, and a sum past the range rounds to
+    # inf without a warning, as in a kernel.
+    src, out = tmp_path / "d.tns", tmp_path / "o.tns"
+    src.write_text("1 2\n4\n1 1e308\n1 1e308\n")
+    code = main(
+        ["convert", "--input", str(src), "--from", "format(compressed)",
+         "--to", "format(compressed)", "--output", str(out)]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert read_tensor(str(out)).entries == [((0,), math.inf)]
+
+
+def test_cmd_run_identity_of_rank_0_is_one_shape_mismatch_line(tmp_path, capsys):
+    kfile = tmp_path / "copy.kernel"
+    kfile.write_text("tensor a()\ntensor x()\nx() = a()\n")
+    code = main(["run", "--kernel-file", str(kfile), "--input", "a=identity"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sparsec: error[ShapeMismatch]: "), err
+
+
 def test_cmd_convert_shape_guard(tmp_path):
     src = tmp_path / "v.tns"
     write_tensor(CooTensor((4,), [((1,), 1.0)]), str(src))
@@ -381,11 +404,12 @@ def test_cmd_search_with_every_row_in_conflict_is_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["literal", "file"])
+@pytest.mark.parametrize("source", ["literal", "file", "duplicates"])
 def test_cmd_search_non_finite_input_is_one_parse_error_line(tmp_path, capsys, source):
     # With `a` dense, the row that stores `b` densely computes inf * 0 =
     # nan where a compressed `b` skips the product: no result is
-    # format-invariant, so no row runs.
+    # format-invariant, so no row runs. Finite duplicates that sum to inf
+    # count as inf.
     kfile = tmp_path / "ab.kernel"
     kfile.write_text(
         "tensor a(4)\ntensor b(4) format(compressed)\ntensor c(4)\nc(i) = a(i) * b(i)\n"
@@ -394,6 +418,8 @@ def test_cmd_search_non_finite_input_is_one_parse_error_line(tmp_path, capsys, s
     if source == "file":
         spec = str(tmp_path / "a.tns")
         (tmp_path / "a.tns").write_text("1 1\n4\n1 inf\n")
+    elif source == "duplicates":
+        spec = "sparse<4>([[0], [0]], [1e308, 1e308])"
     out = tmp_path / "r.csv"
     code = main(
         [

@@ -159,6 +159,11 @@ def test_generate_rowband_validates():
         GeneratorSpec((4, 4), "rowband", dense_rows=5)
 
 
+def test_generate_identity_of_rank_0_is_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch):
+        GeneratorSpec((), "identity")
+
+
 def test_density_reference_values(mat_a):
     assert density(mat_a) == 0.25  # 3 of 12
     assert density(CooTensor((5, 5))) == 0.0

@@ -15,8 +15,17 @@ import tempfile
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from sparsec.codegen import (
+    AccumAcc,
+    ForDense,
+    ForPositions,
+    InsertLex,
+    ScatterWs,
+    StoreDense,
+    WhileCoiter,
+)
 from sparsec.encoding import COMPRESSED, DENSE, make_encoding
-from sparsec.engine import convert
+from sparsec.engine import compile_kernel, convert
 from sparsec.errors import (
     BitWidthOverflow,
     DenseOutputTooLarge,
@@ -32,6 +41,7 @@ from sparsec.tensor_io import (
     read_tensor,
     write_tensor,
 )
+from test_acceptance import GOLDEN_KERNELS
 from test_array_path import run_both
 
 VARS = ("i", "j", "k")
@@ -164,6 +174,50 @@ def test_arrays_and_loops_agree_on_random_products(case):
 @given(mix_case())
 def test_arrays_and_loops_agree_on_random_sums_and_products(case):
     _agree(case)
+
+
+def _sink_loops(stmts, loops=(), found=None) -> dict:
+    """The variables of the loops around each sink statement of `stmts`,
+    outermost first, as a set per target: the output (a dense store, an
+    insertion or a workspace scatter) or an accumulator slot."""
+    found = {} if found is None else found
+    for s in stmts:
+        if isinstance(s, (ForDense, ForPositions)):
+            _sink_loops(s.body, loops + (s.var,), found)
+        elif isinstance(s, WhileCoiter):
+            for case in s.cases:
+                _sink_loops(case.body, loops + (s.var,), found)
+        elif isinstance(s, (StoreDense, InsertLex, ScatterWs)):
+            found.setdefault("out", set()).add(loops)
+        elif isinstance(s, AccumAcc):
+            found.setdefault(("acc", s.slot), set()).add(loops)
+    return found
+
+
+def _check_sinks_share_their_loops(text: str):
+    """Every sink statement into one target sits under the same loops, the
+    leading ones of the Program's loop order: the premise on which the
+    engine merges several sinks' writes by their loop variables alone."""
+    try:
+        programs = compile_kernel(parse_kernel(text))
+    except (OrderConflict, UnsupportedKernel):
+        assume(False)
+    for program in programs:
+        for target, loops in _sink_loops(program.body).items():
+            assert len(loops) == 1, (text, target, loops)
+            (variables,) = loops
+            assert variables == program.topo[: len(variables)], (text, target)
+
+
+@settings(SETTINGS, max_examples=500)
+@given(st.one_of(product_case(), mix_case()))
+def test_every_sink_into_one_target_sits_under_the_same_loops(case):
+    _check_sinks_share_their_loops(case[0])
+
+
+def test_golden_kernels_sinks_sit_under_the_same_loops():
+    for text in GOLDEN_KERNELS.values():
+        _check_sinks_share_their_loops(text)
 
 
 # ----------------------------------------------------------------------------
