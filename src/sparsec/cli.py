@@ -49,7 +49,7 @@ from .lattice import (
     topo_sort,
 )
 from .oracle import GeneratorSpec, dense_eval, density, generate
-from .storage import DenseTensor, SparseStorage
+from .storage import DenseTensor
 from .tensor_io import read_dense_literal, read_sparse_literal, read_tensor, write_tensor
 
 
@@ -219,28 +219,6 @@ class SearchRow:
     checksum: str
 
 
-def _swept_value(value, ttype: TensorType, native: TensorType, name: str, packed: dict):
-    """The binding `value` of the swept operand `name` as `_coerce` gives it
-    for `ttype`, packed once per width-stripped format `native` (`ttype`
-    with native widths).
-
-    Widths only bound the overhead arrays, so `packed[name]` keeps `value`
-    packed under `native`, and each width variant is that storage's arrays
-    under its own type (`with_type`), which checks only the widths and
-    raises the BitWidthOverflow a fresh `pack` would. A binding of exactly
-    `ttype` is used as it is.
-    """
-    if isinstance(value, SparseStorage) and value.ttype == ttype:
-        return value
-    base = packed.get(name)
-    if base is None or base.ttype != native:
-        base = _coerce(value, native, name)  # checks the shape
-        if base is value:  # `_coerce` packs it afresh for each width variant
-            base = convert(value, native)
-        packed[name] = base
-    return base if ttype == native else base.with_type(ttype)
-
-
 def _result_key(result):
     """Bytes that fix `result`'s nonzeros: a dense result's shape and data,
     or a sparse one's layout (widths aside) and level and value arrays.
@@ -263,21 +241,20 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
 
     Bit widths never change a loop, so the rows that differ only in the
     widths of the swept operands form a group: its first row compiles the
-    Programs and packs the swept operands with native widths. Every other
-    row runs the same Programs, each kernel rebound to the row's types of
-    the swept operands with its analysis kept (no analysis reads a width),
-    on the same arrays with only their widths checked (`_swept_value`). A
-    group whose orderings conflict is skipped whole. Every row executes.
-    Only the current group and the last result are held: a result whose
-    own buffers (`_result_key`) equal the last one's reuses its checksum.
+    Programs and packs the swept operands with native widths. Every row of
+    the group runs those Programs as they are, under its own kernel, which
+    `execute` coerces the operands to: each packed operand is adopted under
+    the row's widths with only those checked, as is a binding stored in
+    the group's layout, and so is a swept output. A group whose orderings
+    conflict is skipped whole. Every row executes. Only the current group
+    and the last result are held: a result whose own buffers
+    (`_result_key`) equal the last one's reuses its checksum.
     """
     import itertools
 
     names = [sweep] if isinstance(sweep, str) else list(sweep)
     coerced = None  # the bindings, with the operands not swept coerced once
-    packed = {}  # swept operand name -> its binding, packed with native widths
     group = programs = None  # the current group's key and Programs (None: conflict)
-    natives = {}  # swept operand name -> the group's type with native widths
     content = checksum = None  # the last result's `_result_key`, its checksum
     spaces = [
         list(enumerate_encodings(kernel.tensors[name].rank, include_widths))
@@ -293,32 +270,23 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
         key = tuple((enc.levels, enc.ordering) for enc in combo)
         if key != group:
             group = key
-            natives = {
-                name: TensorType(t.shape, replace(t.encoding, pointer_width=0, index_width=0))
-                for name, t in types.items()
-            }
             try:
                 programs = compile_kernel(swept)
             except OrderConflict:
                 programs = None
-        elif programs is not None:
-            programs = tuple(
-                replace(p, kernel=replace(p.kernel, tensors={**p.kernel.tensors, **types}))
-                for p in programs
-            )
-        if programs is None:
+                continue
+            if coerced is None:
+                coerced = dict(bindings)
+                for name, declared in _operands(swept, programs).items():
+                    if name in bindings and name not in names:
+                        coerced[name] = _coerce(bindings[name], declared, name)
+            inputs = dict(coerced)
+            for name, layout in zip(names, key):
+                if name in bindings:
+                    native = TensorType(types[name].shape, Encoding(*layout))
+                    inputs[name] = _coerce(bindings[name], native, name)
+        elif programs is None:
             continue
-        if coerced is None:
-            coerced = dict(bindings)
-            for name, declared in _operands(swept, programs).items():
-                if name in bindings and name not in names:
-                    coerced[name] = _coerce(bindings[name], declared, name)
-        inputs = dict(coerced)
-        for name in names:
-            if name in bindings:
-                inputs[name] = _swept_value(
-                    bindings[name], types[name], natives[name], name, packed
-                )
         result = execute(swept, programs, inputs)
         elapsed_ms = (time.perf_counter() - started) * 1e3
         this = _result_key(result)

@@ -10,6 +10,7 @@ that interprets them lives in the storage module.
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -84,7 +85,12 @@ class TensorType:
     encoding: Optional[Encoding] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(e) for e in self.shape))
+        try:
+            # Integers only, numpy's too: `int` would truncate 2.5 to 2.
+            shape = tuple(map(operator.index, self.shape))
+        except TypeError:
+            raise ShapeMismatch(f"extents must be integers, got {self.shape!r}") from None
+        object.__setattr__(self, "shape", shape)
         if any(e <= 0 for e in self.shape):
             raise ShapeMismatch(f"extents must be positive, got {self.shape}")
         if self.encoding is not None and self.encoding.rank != len(self.shape):

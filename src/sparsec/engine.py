@@ -111,6 +111,7 @@ from .storage import (
     _read_only,
     _row_key,
     _row_order,
+    _same_layout,
     pack,
 )
 
@@ -761,13 +762,18 @@ def interpret(program: Program, env: dict):
 
 
 def _coerce(value: TensorValue, ttype: TensorType, name: str) -> TensorValue:
+    """The binding `value` of tensor `name` as a value of its declared
+    `ttype`. A DenseTensor for a dense type, and a SparseStorage stored in
+    the declared layout (`_same_layout`) for a sparse one, are read as
+    stored: the storage is adopted under `ttype` (`with_type`), which
+    checks only its widths. Anything else is converted."""
     if value.shape != ttype.shape:
         raise ShapeMismatch(
             f"tensor {name!r} declared with shape {ttype.shape}, bound with {value.shape}"
         )
     if ttype.is_sparse:
-        if isinstance(value, SparseStorage) and value.ttype == ttype:
-            return value
+        if isinstance(value, SparseStorage) and _same_layout(value.ttype, ttype):
+            return value.with_type(ttype)
     elif isinstance(value, DenseTensor):
         return value
     return convert(value, ttype)
@@ -818,15 +824,15 @@ def compile_kernel(kernel: Kernel) -> tuple:
 
 def _operands(kernel: Kernel, programs: tuple) -> dict:
     """The tensors `execute` binds before it runs `programs`, in the order
-    they are first read, each with its declared type: every tensor a piece
-    reads that no earlier piece writes, and the output when `kernel`
-    accumulates into it."""
+    they are first read, each with its type declared in `kernel`: every
+    tensor a piece reads that no earlier piece writes, and the output when
+    `kernel` accumulates into it."""
     temp_names = {program.kernel.lhs.tensor for program in programs[:-1]}
     operands: dict = {}
     for program in programs:
         for access in program.accesses:
             if access.tensor not in temp_names:
-                operands.setdefault(access.tensor, program.kernel.tensors[access.tensor])
+                operands.setdefault(access.tensor, kernel.tensors[access.tensor])
     if kernel.accumulate:
         operands.setdefault(kernel.lhs.tensor, kernel.tensors[kernel.lhs.tensor])
     return operands
@@ -835,8 +841,12 @@ def _operands(kernel: Kernel, programs: tuple) -> dict:
 def execute(kernel: Kernel, programs: tuple, inputs: dict):
     """Run the Programs `compile_kernel` made for `kernel` on the inputs.
 
-    Coerces the inputs and interprets each Program in turn, binding each
-    temporary for the next. Inputs and the result are as in `run_kernel`.
+    Coerces the inputs to their types in `kernel` (`_coerce`) and
+    interprets each Program in turn, binding each temporary for the next.
+    Bit widths never change a loop, so the Programs may have been compiled
+    for a kernel whose tensors differ from `kernel`'s only in their widths:
+    a sparse result is adopted under `kernel`'s output type (`with_type`),
+    which checks its widths. Inputs and the result are as in `run_kernel`.
     Past the float64 range a sum or product rounds to inf, and inf - inf
     or 0 * inf to nan, silently, as the reference loops and `dense_eval`.
     """
@@ -853,6 +863,8 @@ def execute(kernel: Kernel, programs: tuple, inputs: dict):
         for program in programs:
             result = interpret(program, env)
             env[program.kernel.lhs.tensor] = result
+    if isinstance(result, SparseStorage):
+        return result.with_type(kernel.output_type)
     return result
 
 

@@ -209,12 +209,9 @@ class KernelAnalysis:
     Every field is derived from the kernel's `lhs`, `rhs` and `tensors`, and
     later stages read the right-hand side and its variables from here, not
     from the kernel. A kernel rebuilt with any of those three changed must
-    drop its analysis (`replace(kernel, ..., analysis=None)`), with one
-    exception: no field reads a tensor's bit widths (the temporaries
-    `split_for_whole_expr_reduction` declares get native widths whatever
-    the operands' are), so a kernel whose tensors change only in their
-    widths may keep it. Each field has a reader in a later stage; the free
-    variables are the kernel's `lhs.indices`.
+    drop its analysis (`replace(kernel, ..., analysis=None)`). Each field
+    has a reader in a later stage; the free variables are the kernel's
+    `lhs.indices`.
     """
 
     reduction_vars: tuple

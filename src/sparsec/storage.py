@@ -23,10 +23,11 @@ hands it the columns its loops insert, or their writes merged
 (`_merge_runs`) under the workspace or the dense store.
 
 A `CooTensor` holds exactly those columns and values, read-only, each its
-own array, so its `arrays()` hands them out after a bounds check, `to_coo`
-hands merged columns to a new one (`CooTensor.from_arrays`) with no
-per-entry work, and `pack` of entries already in storage order keeps the
-last level's column as that level's indices array. A `SparseStorage` holds
+own array, checked once when it is made, so its `arrays()` hands them out
+as they are, `to_coo` hands merged columns to a new one
+(`CooTensor.from_arrays`) with no per-entry work, and `pack` of entries
+already in storage order keeps the last level's column as that level's
+indices array. A `SparseStorage` holds
 its per-level pointers and indices as read-only int64 arrays and its
 values as a read-only float64 array, the typed buffers of the paper's
 runtime; `pack`, `validate`, `arrays()` and the engine read them whole.
@@ -71,13 +72,12 @@ class CooTensor:
 
     The exchange format of the readers and writers in `tensor_io`. Build it
     from (coords, value) pairs, parsed once here, or with `from_arrays`.
-    Values are converted with `float` at construction; coordinates are
-    checked (rank, integer, 64-bit, bounds) at the first read (`arrays`,
-    `check_bounds`, `pack`, `normalize`, `to_dense`), so pairs that fail
-    the conversion are kept as given until then. An extent below 1 raises
-    ShapeMismatch at construction, as in a `TensorType`. `normalize` sorts
-    entries lexicographically by coordinate and sums duplicates (Matrix
-    Market convention).
+    Everything is checked at construction: values are converted with
+    `float`, each coordinate is checked for its rank, type, width and
+    bounds (RankMismatch, CoordNotInteger, CoordOutOfBounds), and the shape
+    as a `TensorType` checks it (ShapeMismatch). `normalize` sorts entries
+    lexicographically by coordinate and sums duplicates (Matrix Market
+    convention).
     """
 
     def __init__(self, shape, entries=()):
@@ -90,17 +90,14 @@ class CooTensor:
             coords.append(c)
             values.append(v)
         self._values = _read_only(np.fromiter(map(float, values), np.float64, len(values)))
-        try:
-            self._columns, self._unparsed = _coord_columns(coords, self.shape), None
-        except (SparsecError, TypeError):  # TypeError: a coordinate without len()
-            self._columns, self._unparsed = None, [tuple(c) for c in coords]
+        self._columns = _in_bounds(_coord_columns(coords, self.shape), self.shape)
 
     @classmethod
     def from_arrays(cls, shape, columns, values) -> "CooTensor":
         """A tensor over `columns`, one integer array of n coordinates per
-        dimension, and n values; bounds are checked at the first read, as
-        for pairs. A read-only int64 or float64 array that owns its memory
-        is shared, anything else copied (`_frozen`)."""
+        dimension, and n values, checked as pairs are. A read-only int64 or
+        float64 array that owns its memory is shared, anything else copied
+        (`_frozen`)."""
         coo = cls.__new__(cls)
         coo.shape = TensorType(shape).shape
         coo._values = _frozen(np.asarray(values), np.float64)
@@ -117,7 +114,7 @@ class CooTensor:
         for c in columns:
             if c.size and c.dtype.kind not in "iu":
                 raise CoordNotInteger(f"coordinates of dtype {c.dtype} are not integers")
-        coo._columns, coo._unparsed = tuple(_frozen(c, np.int64) for c in columns), None
+        coo._columns = _in_bounds(tuple(_frozen(c, np.int64) for c in columns), coo.shape)
         return coo
 
     @property
@@ -132,10 +129,8 @@ class CooTensor:
     def entries(self) -> list:
         """Every entry as a (tuple of Python ints, float) pair, in entry
         order; `__eq__`, `__repr__` and the benchmark's reference read it."""
-        coords = self._unparsed
-        if coords is None:
-            lists = [c.tolist() for c in self._columns]
-            coords = zip(*lists) if lists else [()] * self.nnz
+        lists = [c.tolist() for c in self._columns]
+        coords = zip(*lists) if lists else [()] * self.nnz
         return list(zip(coords, self._values.tolist()))
 
     def __eq__(self, other):
@@ -147,29 +142,8 @@ class CooTensor:
         return f"CooTensor(shape={self.shape!r}, entries={self.entries!r})"
 
     def arrays(self):
-        """The stored coordinate columns and value array, after checking
-        every coordinate's bounds (and first, for pairs that failed to
-        parse, their rank, type and width, which raises)."""
-        columns = self._columns
-        if columns is None:
-            columns = _coord_columns(self._unparsed, self.shape)
-        # Viewed as uint64, a negative coordinate is at least 2**63, so with
-        # each extent capped at 2**63 one maximum per column checks both of
-        # its ends.
-        limits = [min(extent, 1 << 63) for extent in self.shape]
-        if self.nnz and any(c.view(np.uint64).max() >= e for c, e in zip(columns, limits)):
-            outside = np.zeros(self.nnz, bool)
-            for c, e in zip(columns, limits):
-                outside |= c.view(np.uint64) >= e
-            r = outside.argmax()
-            bad = tuple(int(c[r]) for c in columns)
-            raise CoordOutOfBounds(f"coordinate {bad} outside shape {self.shape}")
-        return columns, self._values
-
-    def check_bounds(self):
-        """Raise RankMismatch, CoordNotInteger or CoordOutOfBounds for a
-        bad coordinate."""
-        self.arrays()
+        """The coordinate columns and value array, as stored."""
+        return self._columns, self._values
 
     def normalize(self) -> "CooTensor":
         """Sorted unique-coordinate copy; duplicate coordinates are summed."""
@@ -218,11 +192,25 @@ def _check_leading_dense(ttype: TensorType):
 
 
 def _coord_columns(coords: list, shape: tuple) -> tuple:
-    """`coords` (sequences of `len(shape)` integers) as one read-only int64
+    """`coords` (iterables of `len(shape)` integers) as one read-only int64
     column per dimension; raises RankMismatch, CoordNotInteger or
-    CoordOutOfBounds (past 64 bits). Bounds are left to `arrays`."""
+    CoordOutOfBounds (past 64 bits). A coordinate without `len()` is
+    materialised as a tuple once, and one that is not iterable (a scalar,
+    None) raises RankMismatch. Bounds are left to `_in_bounds`."""
     n, rank = len(coords), len(shape)
-    if n and set(map(len, coords)) != {rank}:
+    try:
+        lengths = set(map(len, coords))
+    except TypeError:  # an iterator, or a coordinate that is no sequence
+        sized = []
+        for c in coords:
+            try:
+                sized.append(tuple(c))
+            except TypeError:
+                raise RankMismatch(
+                    f"coordinate {c!r} in a rank-{rank} tensor is not a sequence"
+                ) from None
+        coords, lengths = sized, set(map(len, sized))
+    if n and lengths != {rank}:
         bad = next(c for c in coords if len(c) != rank)
         raise RankMismatch(f"coordinate {bad} in a rank-{rank} tensor")
     try:
@@ -237,6 +225,24 @@ def _coord_columns(coords: list, shape: tuple) -> tuple:
         raise CoordOutOfBounds(f"coordinates of shape {shape} exceed 64 bits") from None
     rows = np.asarray(flat).reshape(n, rank)
     return tuple(_read_only(rows[:, k].copy()) for k in range(rank))
+
+
+def _in_bounds(columns: tuple, shape: tuple) -> tuple:
+    """`columns`, one int64 array per dimension, once every coordinate is
+    checked against `shape`; raises CoordOutOfBounds naming the first entry
+    outside it."""
+    # Viewed as uint64, a negative coordinate is at least 2**63, so with
+    # each extent capped at 2**63 one maximum per column checks both of its
+    # ends.
+    limits = [min(extent, 1 << 63) for extent in shape]
+    if any(c.size and c.view(np.uint64).max() >= e for c, e in zip(columns, limits)):
+        outside = np.zeros(len(columns[0]), bool)
+        for c, e in zip(columns, limits):
+            outside |= c.view(np.uint64) >= e
+        r = outside.argmax()
+        bad = tuple(int(c[r]) for c in columns)
+        raise CoordOutOfBounds(f"coordinate {bad} outside shape {shape}")
+    return columns
 
 
 def _row_key(columns: list, extents: list, n: int) -> np.ndarray:
@@ -440,6 +446,18 @@ class DenseTensor:
         return DenseTensor(self.shape, _read_only(self.data.copy()))
 
 
+def _same_layout(a: TensorType, b: TensorType) -> bool:
+    """Whether sparse type `a` and type `b` lay out the same storage: the
+    same shape, level types and ordering, whatever their bit widths."""
+    ea, eb = a.encoding, b.encoding
+    return (
+        eb is not None
+        and a.shape == b.shape
+        and ea.levels == eb.levels
+        and ea.ordering == eb.ordering
+    )
+
+
 def _width_limit_check(values: np.ndarray, width: int, what: str):
     if width == 0 or not values.size:
         return
@@ -546,20 +564,18 @@ class SparseStorage:
         return SparseStorage(self.ttype, self._pointers, self._indices, values)
 
     def with_type(self, ttype: TensorType) -> "SparseStorage":
-        """The same arrays, shared, under `ttype`.
+        """The same arrays, shared, under `ttype`: this storage itself when
+        `ttype` is its type.
 
         When `ttype` differs from this storage's type only in its bit
-        widths, the layout checks this storage passed hold for it too, so
-        only the widths are checked (`_check_widths`), with the error a
-        full `validate` would raise. Any other `ttype` is checked in full.
+        widths (`_same_layout`), the layout checks this storage passed hold
+        for it too, so only the widths are checked (`_check_widths`), with
+        the error a full `validate` would raise. Any other `ttype` is
+        checked in full.
         """
-        own, enc = self.encoding, ttype.encoding
-        if (
-            enc is None
-            or ttype.shape != self.shape
-            or enc.levels != own.levels
-            or enc.ordering != own.ordering
-        ):
+        if ttype == self.ttype:
+            return self
+        if not _same_layout(self.ttype, ttype):
             return SparseStorage(ttype, self._pointers, self._indices, self._values)
         storage = object.__new__(SparseStorage)
         storage.ttype = ttype

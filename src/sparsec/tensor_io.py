@@ -86,19 +86,16 @@ def read_tensor(src: str) -> CooTensor:
     """Materialize a CooTensor from a file path, in the format
     `detect_format` finds. The file is read once, and an extended FROSTT
     header is parsed once, by the detection. Every coordinate is checked
-    against the shape (`CooTensor.check_bounds`)."""
+    against the shape as the CooTensor is made."""
     with open(src) as fh:
         text = fh.read()
     format, data, header = _detect(src, text)
     if format is FileFormat.MATRIX_MARKET:
-        coo = _read_matrix_market(text)
-    elif format is FileFormat.FROSTT:
-        coo = _read_plain_frostt(data)
-    else:
-        shape, lines = header
-        coo = CooTensor(shape, _parse_entry_lines(lines, len(shape)))
-    coo.check_bounds()
-    return coo
+        return _read_matrix_market(text)
+    if format is FileFormat.FROSTT:
+        return _read_plain_frostt(data)
+    shape, lines = header
+    return CooTensor(shape, _parse_entry_lines(lines, len(shape)))
 
 
 _MM_FIELDS = {"real", "integer", "pattern"}
@@ -269,11 +266,9 @@ def read_sparse_literal(text: str) -> CooTensor:
         )
     entries = []
     for coords, value in zip(coords_list, values_list):
-        # Coordinates pass through unconverted: `check_bounds` rejects 1.5.
+        # Coordinates pass through unconverted: `CooTensor` rejects 1.5.
         coords = tuple(coords) if isinstance(coords, (list, tuple)) else (coords,)
         if len(coords) != len(shape):
             raise LengthMismatch(f"coordinate {coords} has wrong arity for shape {shape}")
         entries.append((coords, _literal_value(value)))
-    coo = CooTensor(shape, entries)
-    coo.check_bounds()
-    return coo
+    return CooTensor(shape, entries)

@@ -1,9 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import conftest as refs
+from sparsec import engine
 from sparsec.encoding import (
     COMPRESSED,
     TensorType,
@@ -14,8 +16,8 @@ from sparsec.encoding import (
     enumerate_encodings,
     make_encoding,
 )
-from sparsec.engine import convert, run_kernel
-from sparsec.errors import OrderConflict, ShapeMismatch, UnknownTensor
+from sparsec.engine import compile_kernel, convert, execute, run_kernel
+from sparsec.errors import BitWidthOverflow, OrderConflict, ShapeMismatch, UnknownTensor
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.oracle import dense_eval
 from sparsec.storage import CooTensor, DenseTensor, SparseStorage, pack
@@ -96,6 +98,42 @@ def test_inputs_accept_any_tensor_form(mat_a):
     as_storage = run_kernel(k, {"A": pack(mat_a, dcsc()), "b": b})  # re-packed
     as_dense = run_kernel(k, {"A": mat_a.to_dense(), "b": b})
     assert as_coo.data.tolist() == as_storage.data.tolist() == as_dense.data.tolist()
+
+
+COPY = (
+    "tensor A(3, 300) format(dense, compressed){a}\n"
+    "tensor C(3, 300) format(dense, compressed){c}\nC(i, j) = A(i, j)\n"
+)
+
+
+def test_a_binding_in_the_declared_layout_is_read_as_stored(monkeypatch):
+    # Widths aside, a storage in the declared layout is adopted, not packed
+    # again: only the declared widths are checked, and a stored -0.0 stays.
+    stored = pack(CooTensor((3, 300), [((0, 1), 1.0), ((2, 299), 2.0)]), csr())
+    stored = stored.with_values(np.array([-0.0, 2.0]))
+    packed = []
+    monkeypatch.setattr(engine, "pack", lambda *args: packed.append(args) or pack(*args))
+    for widths in ["", " ptr(8) idx(16)"]:
+        out = run_kernel(parse_kernel(COPY.format(a=widths, c="")), {"A": stored})
+        assert out.value_array.tobytes() == stored.value_array.tobytes()
+    with pytest.raises(BitWidthOverflow) as caught:
+        run_kernel(parse_kernel(COPY.format(a=" idx(8)", c="")), {"A": stored})
+    assert str(caught.value) == "index value 299 does not fit in 8 bits"
+    assert packed == []
+
+
+def test_execute_adopts_a_result_under_the_kernel_s_widths():
+    # The Programs of a kernel whose output differs only in its widths run
+    # as they are; the result takes the declared widths, checked.
+    a = CooTensor((3, 300), [((0, 1), 1.0), ((2, 299), 2.0)])
+    programs = compile_kernel(parse_kernel(COPY.format(a="", c="")))
+    narrow = parse_kernel(COPY.format(a="", c=" ptr(8) idx(16)"))
+    out = execute(narrow, programs, {"A": a})
+    assert out.ttype == narrow.output_type
+    assert out == pack(a, narrow.output_type.encoding)
+    with pytest.raises(BitWidthOverflow) as caught:
+        execute(parse_kernel(COPY.format(a="", c=" idx(8)")), programs, {"A": a})
+    assert str(caught.value) == "index value 299 does not fit in 8 bits"
 
 
 # ----------------------------------------------------------------------------

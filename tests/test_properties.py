@@ -11,6 +11,9 @@ Hypothesis's cache out of the checkout.)
 import os
 import re
 import tempfile
+from numbers import Integral
+
+import numpy as np
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -281,6 +284,72 @@ def test_tensors_round_trip_through_storage_dumps_and_files(case):
     if DENSE not in encoding.levels:
         assert repr(storage.to_coo()) == repr(coo.normalize())
     assert repr(load_binary(dump_binary(storage))) == repr(storage)
+
+
+# Coordinate elements past a shape: negative, past the extents, at and past
+# the int64 edges, not integers (a float that is whole among them).
+BAD_ELEMENTS = st.sampled_from(
+    [-1, 5, 2**63 - 1, 2**63, -(2**63) - 1, 2**70, 1.5, 2.0, np.float64(1.0), "a", None]
+)
+
+
+def _good(coord, shape) -> bool:
+    """Whether `coord` is a sequence of one integer per dimension of
+    `shape`, each within its extent (numpy integers too)."""
+    return (
+        isinstance(coord, (tuple, list, np.ndarray))
+        and len(coord) == len(shape)
+        and all(isinstance(x, Integral) and 0 <= x < e for x, e in zip(coord, shape))
+    )
+
+
+@st.composite
+def coordinate_case(draw):
+    """A shape of rank 0-3 and coordinates for it, each in range or not:
+    elements out of range or not integers, the wrong arity, a scalar or
+    None for the whole coordinate, as tuples, lists or numpy arrays."""
+    rank = draw(st.integers(0, 3))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(rank))
+    good = st.tuples(*(st.integers(0, e - 1) for e in shape))
+    element = st.one_of(st.integers(0, 3), BAD_ELEMENTS)
+    kinds = {
+        "good": good,
+        "list": good.map(list),
+        "elements": st.tuples(*(element for _ in shape)),
+        "array": st.lists(st.integers(-2, 4), min_size=rank, max_size=rank).map(np.array),
+        "arity": st.lists(st.integers(0, 3), max_size=4).map(tuple),
+        "scalar": element,
+    }
+    weights = ["good"] * 12 + list(kinds)
+    coords = draw(st.lists(st.sampled_from(weights).flatmap(kinds.get), max_size=6))
+    return shape, coords
+
+
+@settings(SETTINGS, max_examples=200)
+@given(coordinate_case())
+def test_coo_construction_checks_every_coordinate(case):
+    # Either construction raises a SparsecError, exactly when a coordinate
+    # is bad, or the tensor holds the coordinates as given and no read
+    # meets a bad one.
+    shape, coords = case
+    pairs = [(c, float(n)) for n, c in enumerate(coords)]
+    good = all(_good(c, shape) for c in coords)
+    makers = [lambda: CooTensor(shape, pairs)]
+    if good:
+        rows = np.array([list(c) for c in coords], np.int64).reshape(len(coords), len(shape))
+        makers.append(lambda: CooTensor.from_arrays(shape, rows.T, [v for _, v in pairs]))
+    for make in makers:
+        try:
+            coo = make()
+        except SparsecError:
+            assert not good, coords
+            continue
+        assert good, coords
+        assert [c for c, _ in coo.entries] == [tuple(map(int, c)) for c in coords]
+        coo.arrays()
+        coo.to_dense()
+        if shape:
+            pack(coo, make_encoding([COMPRESSED] * len(shape)))
 
 
 # ----------------------------------------------------------------------------

@@ -114,9 +114,10 @@ def test_pack_sums_duplicates():
 
 
 def test_pack_out_of_bounds():
-    coo = CooTensor((3, 4), [((3, 0), 1.0)])
-    with pytest.raises(CoordOutOfBounds):
-        pack(coo, csr())
+    # The coordinate is refused where the tensor is made: no pack meets it.
+    with pytest.raises(CoordOutOfBounds) as caught:
+        CooTensor((3, 4), [((3, 0), 1.0)])
+    assert str(caught.value) == "coordinate (3, 0) outside shape (3, 4)"
 
 
 def test_pack_bit_width_overflow():
@@ -578,18 +579,18 @@ def test_pack_at_scale_matches_scipy_and_the_sequential_merge():
 
 @pytest.mark.parametrize("coord", [1, np.int64(1), 1.5])
 def test_coordinates_must_be_integers(coord):
+    if isinstance(coord, float):  # refused where the tensor is made
+        with pytest.raises(CoordNotInteger) as caught:
+            CooTensor((4,), [((coord,), 2.0)])
+        assert str(caught.value) == "coordinate (1.5,) is not an integer"
+        return
     coo = CooTensor((4,), [((coord,), 2.0)])
     steps = (
         lambda: pack(coo, make_encoding([COMPRESSED])).indices,
         lambda: coo.normalize().entries,
         lambda: coo.to_dense().data.tolist(),
     )
-    if isinstance(coord, float):
-        for step in steps:
-            with pytest.raises(CoordNotInteger):
-                step()
-    else:
-        assert [step() for step in steps] == [((1,),), [((1,), 2.0)], [0.0, 2.0, 0.0, 0.0]]
+    assert [step() for step in steps] == [((1,),), [((1,), 2.0)], [0.0, 2.0, 0.0, 0.0]]
 
 
 @pytest.mark.parametrize("shape", [(-3, 4), (3, 0), (0,)])
@@ -606,13 +607,37 @@ def test_tensors_refuse_extents_below_one(shape):
         assert str(caught.value) == f"extents must be positive, got {shape}"
 
 
+@pytest.mark.parametrize("shape", [(2.5, 3), (2.0,), (3, np.float64(4.0)), "ab", ("2",), (None,)])
+def test_tensors_refuse_extents_that_are_not_integers(shape):
+    # `int` would truncate 2.5 to 2; the type refuses it where it is made.
+    makers = [
+        lambda: TensorType(shape),
+        lambda: TensorType(shape, make_encoding([COMPRESSED] * len(shape))),
+        lambda: CooTensor(shape, []),
+        lambda: CooTensor.from_arrays(shape, [np.zeros(0, np.int64)] * len(shape), []),
+        lambda: DenseTensor(shape, []),
+    ]
+    for make in makers:
+        with pytest.raises(ShapeMismatch) as caught:
+            make()
+        assert str(caught.value) == f"extents must be integers, got {shape!r}"
+    # numpy's integers are integers.
+    ttype = TensorType((np.int64(2), np.uint8(3), np.int32(1)))
+    assert ttype.shape == (2, 3, 1) and all(type(e) is int for e in ttype.shape)
+    assert CooTensor((np.int64(2),), [((1,), 1.0)]).shape == (2,)
+
+
 def test_pack_rejects_bad_coordinates():
-    with pytest.raises(RankMismatch):
-        pack(CooTensor((3, 4), [((0, 0), 1.0), ((1,), 2.0)]), csr())
+    # Every coordinate is checked where the tensor is made, so `pack` and
+    # every other read meet only good ones.
+    with pytest.raises(RankMismatch) as caught:
+        CooTensor((3, 4), [((0, 0), 1.0), ((1,), 2.0)])
+    assert str(caught.value) == "coordinate (1,) in a rank-2 tensor"
     with pytest.raises(CoordOutOfBounds):
-        pack(CooTensor((3, 4), [((0, 0), 1.0), ((1, -1), 2.0)]), csr())
-    with pytest.raises(CoordOutOfBounds):
-        CooTensor((3, 4), [((2**70, 0), 1.0)]).normalize()
+        CooTensor((3, 4), [((0, 0), 1.0), ((1, -1), 2.0)])
+    with pytest.raises(CoordOutOfBounds) as caught:
+        CooTensor((3, 4), [((2**70, 0), 1.0)])
+    assert str(caught.value) == "coordinates of shape (3, 4) exceed 64 bits"
     # The int64 edges, in either dimension: the message names the first
     # bad entry, not the later one that is bad in the other dimension.
     for dim in (0, 1):
@@ -620,12 +645,12 @@ def test_pack_rejects_bad_coordinates():
             shape, first, later = [4, 4], [0, 0], [0, 0]
             shape[dim], first[dim], later[1 - dim] = extent, bad, -1
             coords = [(0, 0), tuple(first), tuple(later)]
-            for coo in (
-                CooTensor(shape, zip(coords, [1.0, 2.0, 3.0])),
-                CooTensor.from_arrays(shape, np.array(coords).T, [1.0, 2.0, 3.0]),
+            for make in (
+                lambda: CooTensor(shape, zip(coords, [1.0, 2.0, 3.0])),
+                lambda: CooTensor.from_arrays(shape, np.array(coords).T, [1.0, 2.0, 3.0]),
             ):
                 with pytest.raises(CoordOutOfBounds) as caught:
-                    pack(coo, csr())
+                    make()
                 want = f"coordinate {tuple(first)} outside shape {tuple(shape)}"
                 assert str(caught.value) == want
 
@@ -721,12 +746,15 @@ def test_coo_takes_any_pair_iterable():
     want = [((1, 2), 3.0), ((0, 1), 2.5), ((2, 0), -0.0)]
     assert repr(CooTensor((3, 3), iter(pairs)).entries) == repr(want)
     assert repr(CooTensor((3, 3), ((c, v) for c, v in pairs)).entries) == repr(want)
-    # A coordinate without len() is kept as a tuple and parsed at each read.
+    # A coordinate without len() is materialised once, at construction.
     lazy = CooTensor((3, 3), [(iter(c), v) for c, v in want])
     assert repr(lazy.entries) == repr(want)
     assert lazy.to_coo() == CooTensor((3, 3), want).to_coo()
-    with pytest.raises(TypeError):
-        CooTensor((3, 3), [(1, 2.0)])
+    # One that is not iterable at all is a typed error that names it.
+    for scalar in (1, None, np.int64(1), np.array(1), 2.5):
+        with pytest.raises(RankMismatch) as caught:
+            CooTensor((3, 3), [((0, 0), 1.0), (scalar, 2.0)])
+        assert str(caught.value) == f"coordinate {scalar!r} in a rank-2 tensor is not a sequence"
     for bad in ([((0, 0), 1.0, 2.0)], [((0, 0),)]):
         with pytest.raises(ValueError):
             _ReferenceCoo((3, 3), bad)
@@ -755,26 +783,30 @@ def _first_read_error(coo):
     return None
 
 
+def _as_columns(shape, pairs):
+    """The coordinates of `pairs` as one array per dimension, or None where
+    arrays cannot hold them: ragged, of the wrong rank, or past 64 bits."""
+    try:
+        rows = np.array([c for c, _ in pairs])
+    except ValueError:  # ragged
+        return None
+    if rows.dtype.kind not in "if" or rows.shape != (len(pairs), len(shape)):
+        return None
+    return rows.T
+
+
 @pytest.mark.parametrize("shape, pairs", _BAD_COORDINATES)
 def test_bad_coordinates_raise_at_the_first_read(shape, pairs):
-    coo = CooTensor(shape, pairs)  # construction accepts them
+    # Nothing is deferred: the error `_ReferenceCoo` raises at its first
+    # read is raised where the tensor is made, from pairs and from arrays.
     want = _first_read_error(_ReferenceCoo(shape, pairs))
     assert want is not None
-    assert repr(coo.entries) == repr(_ReferenceCoo(shape, pairs).entries)
-    assert coo.nnz == len(pairs)
-    steps = [
-        coo.arrays,
-        coo.check_bounds,
-        coo.normalize,
-        lambda: coo.to_coo(drop_zeros=True),
-        coo.to_dense,
-        lambda: convert(coo, None),
-    ]
-    if coo.rank:
-        steps.append(lambda: pack(coo, make_encoding([COMPRESSED] * coo.rank)))
-    for step in steps:
+    with pytest.raises(want):
+        CooTensor(shape, pairs)
+    columns = _as_columns(shape, pairs)
+    if columns is not None:
         with pytest.raises(want):
-            step()
+            CooTensor.from_arrays(shape, columns, [v for _, v in pairs])
 
 
 @pytest.mark.parametrize("value", ["abc", None, 1j, 10**400, "2.5", True, np.float32(0.5)])
@@ -823,9 +855,9 @@ def test_from_arrays_checks_its_arrays():
         CooTensor.from_arrays((3, 4), [np.zeros(2, np.int64), np.zeros(3, np.int64)], np.zeros(2))
     with pytest.raises(CoordNotInteger):
         CooTensor.from_arrays((3, 4), np.array([[1.5], [0.0]]), np.ones(1))
-    coo = CooTensor.from_arrays((3, 4), np.array([[3], [0]], np.int32), np.ones(1))
-    with pytest.raises(CoordOutOfBounds):
-        coo.to_dense()
+    with pytest.raises(CoordOutOfBounds) as caught:
+        CooTensor.from_arrays((3, 4), np.array([[3], [0]], np.int32), np.ones(1))
+    assert str(caught.value) == "coordinate (3, 0) outside shape (3, 4)"
     empty = CooTensor.from_arrays((3, 4), np.zeros((2, 0)), [])
     assert empty == CooTensor((3, 4))
     assert [c.dtype for c in empty.arrays()[0]] == [np.int64, np.int64]
