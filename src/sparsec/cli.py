@@ -145,7 +145,9 @@ def _bind_inputs(kernel, input_args, seed: int) -> dict:
 
 
 def _write_result(result, path: str):
-    write_tensor(result.to_coo(), path)
+    """Write a dense result's nonzeros, or every stored entry of a sparse
+    one, explicit zeros included."""
+    write_tensor(result.to_coo(drop_zeros=isinstance(result, DenseTensor)), path)
 
 
 # ----------------------------------------------------------------------------
@@ -304,8 +306,9 @@ def cmd_search(args) -> int:
     for name, value in bindings.items():
         # As for a literal: a dense operand visits its zeros (0 * inf =
         # nan) where a compressed one skips them. The values are checked
-        # as the kernel reads them, with duplicates summed.
-        if not np.isfinite(value.to_coo().arrays()[1]).all():
+        # as the kernel reads them, with duplicates summed; a sum of zero
+        # is finite, so those are dropped.
+        if not np.isfinite(value.to_coo(drop_zeros=True).arrays()[1]).all():
             raise ParseError(f"input {name!r} holds a value that is not finite")
     sparse_inputs = [
         name

@@ -23,7 +23,7 @@ first loop holds every iterator and its cases are every point: it runs
 the candidates of all the loops, the merged indices of its iterators up
 to each row's reach (`_ArrayRun._reach`) or every index of a range, each
 in the first case whose iterators all hold it, as its own loop would. The
-sinks, `np.add.at` and a sparse output's collected writes, are applied in
+sinks, an accumulator's adds and the output's writes, are applied in
 the loops' order across cases: every loop visits its indices in ascending
 order and each iteration runs in one case, so that order is the
 lexicographic order of the loop variables' values. It generates no source.
@@ -35,26 +35,29 @@ iterations (ranges of a dense loop's extent or of a position loop's
 positions, windows of a co-iteration's indices). The sinks merge by
 their loop variables' values, so the parts give the result one frame would.
 
-A sparse output's writes are collected as coordinate columns and values,
-in loop order. Inserted entries go to `_sparse_output`, which checks that
-they strictly increase in storage order and lays them out with `pack`'s
-level build (`_build_levels`). The workspace's scatters and the dense
-store's writes (the strategy a sparse output takes when its variables do
-not lead the loops) go to one merge: sorted stably into storage order and
-summed per coordinate (`_merge_runs`), then the same level build. The
-dense store drops the sums exactly zero, as packing a dense buffer would
-drop them; the workspace keeps every coordinate it touched. No workspace
-row and no buffer of a sparse output's volume is made. Every sum is added
-in loop order from 0.0, as the loops `codegen.emit_text` prints add it, so
-the result is theirs bit for bit. A dense output past
-`_MAX_DENSE_ELEMENTS` elements, or a sparse one whose dense levels would
-pass it, raises DenseOutputTooLarge before it is allocated.
+Every store, whatever the strategy, sinks the output's coordinate columns
+(logical order) and values, in loop order, and only `interpret` reads the
+strategy to finish them. A dense output adds them into a copy of its seed
+(`np.add.at`). Inserted entries, and the in-place update's, one per stored
+position in order, go to `_sparse_output`, which checks that they strictly
+increase in storage order and lays them out with `pack`'s level build
+(`_build_levels`). The workspace's scatters and the dense store's writes
+(the strategy a sparse output takes when its variables do not lead the
+loops) go to one merge: sorted stably into storage order and summed per
+coordinate (`_merge_runs`), then the same level build. The dense store
+drops the sums exactly zero, as packing a dense buffer would drop them;
+the workspace keeps every coordinate it touched. No workspace row and no
+buffer of a sparse output's volume is made. Every sum is added in loop
+order from 0.0, as the loops `codegen.emit_text` prints add it, so the
+result is theirs bit for bit. A dense output past `_MAX_DENSE_ELEMENTS`
+elements, or a sparse one whose dense levels would pass it, raises
+DenseOutputTooLarge before it is allocated.
 
 Each access's layout is taken from its declared type, which `execute`
 coerces the binding to, and the binding's read-only arrays are read as
-they are. Bindings are never mutated; a dense output starts from a copy of
-its seed and the in-place strategy from a copy of the output's values
-array.
+they are. Bindings are never mutated: a dense output is added into a copy
+of its seed, and the in-place update lays out new storage of the same
+layout.
 """
 
 import math
@@ -75,8 +78,6 @@ from .codegen import (
     LoadRange,
     LoadVal,
     Program,
-    StoreDense,
-    StoreInPlace,
     StrategyKind,
     ValRef,
     WhileCoiter,
@@ -362,26 +363,28 @@ class _ArrayRun:
     position loop as many times as its iterator's range holds, and the
     first loop of a co-iterated variable (`_WhileCoiter`) once per
     candidate of all its sibling loops. Loads are gathers, and the
-    expression is evaluated elementwise in float64. A position loop whose rows' ranges are consecutive, as
-    under a dense loop or at the first level, holds one run of positions
-    (`_Frame.runs`), and so does a dense loop over a whole extent below
-    such a run, or at the top: the indices and the values loaded at
-    positions that form a run are slices of the bound arrays, read in
-    place. The body frame of a dense loop, and of a position loop over one
-    run, repeats its parent's rows (`_Frame.repeat`) rather than gathering
-    them.
+    expression is evaluated elementwise in float64. A position loop whose
+    rows' ranges are consecutive, as under a dense loop or at the first
+    level, holds one run of positions (`_Frame.runs`), and so does a dense
+    loop over a whole extent below such a run, or at the top: the indices
+    and the values loaded at positions that form a run are slices of the
+    bound arrays, read in place. The body frame of a dense loop, and of a
+    position loop over one run, repeats its parent's rows
+    (`_Frame.repeat`) rather than gathering them.
 
     A sink statement hands its writes to `sink` and they are applied when
     read (`drain`): an accumulator's when the accumulator is read, the
-    output's at the end. A sparse output's writes, inserted, scattered
-    into the workspace or stored densely, are its coordinate columns and
-    values, which `interpret` lays out. One sink statement writes its rows
-    in loop order. Several that write one target, the cases of a
+    output's at the end, by `run`, which returns them. The four store
+    statements are one handler (`_StoreDense`): stored, inserted,
+    scattered into the workspace or updated in place, a write is the
+    output's coordinate columns and the value, and only `interpret` reads
+    the strategy that finishes them. One sink statement writes its rows in
+    loop order. Several that write one target, the cases of a
     co-iteration, sit under the same loops, and are merged by their rows'
-    values of those loops' variables first (`_Frame.key`).
-    Then `np.add.at` adds in index order and the output merge sorts
-    stably, so every sum is taken in the order the loops take it, from the
-    same 0.0, and rounds the same.
+    values of those loops' variables first (`_Frame.key`). Then
+    `np.add.at` adds in index order and the output's merge sorts stably,
+    so every sum is taken in the order the loops take it, from the same
+    0.0, and rounds the same.
 
     A loop whose body frame would pass `_MAX_FRAME_ROWS` rows runs in parts
     (`parts`), one after another in loop order, each with a body frame that
@@ -389,23 +392,21 @@ class _ArrayRun:
     seen.
     """
 
-    def __init__(self, program: Program, env: dict, out=None):
+    def __init__(self, program: Program, env: dict):
         self.p = program
         self.env = env
-        self.out = out  # the dense or in-place output values, if any
         self.accs: dict = {}  # slot -> one sum per row of the declaring frame
-        # target -> [(statement, frame, columns)], one per run
-        # of a sink statement so far: "out", ("acc", slot) or "inserted"
+        # target -> [(statement, frame, columns)], one per run of a sink
+        # statement so far: "out" or ("acc", slot)
         self.sinks: dict = {}
-        self.inserted = None  # (*columns, values), in storage order
         self.in_parts = False  # whether a loop is running in parts
 
     def run(self):
+        """Run the Program. Returns the output's writes in loop order (its
+        coordinate columns, logical order, and the values), or None if no
+        store ran."""
         self.block(self.p.body, _Frame(1))
-        stores = self.drain("out")
-        if stores is not None:
-            np.add.at(self.out, *stores)
-        self.inserted = self.drain("inserted")
+        return self.drain("out")
 
     def sink(self, target, s, frame: _Frame, *columns):
         self.sinks.setdefault(target, []).append((s, frame, columns))
@@ -681,24 +682,19 @@ class _ArrayRun:
     def _AccumAcc(self, s: AccumAcc, frame):
         self.sink(("acc", s.slot), s, frame, frame.col(("acc", s.slot)), self.values(s.expr, frame))
 
-    def _StoreDense(self, s: StoreDense, frame):
-        if self.out is None:  # a sparse output: merged at the end
-            return self._InsertLex(s, frame)
-        columns = [frame.col(("v", v)) for v in s.coords]
-        offset = _row_key(columns, self.p.kernel.output_type.shape, frame.n)
-        self.sink("out", s, frame, offset, self.values(s.expr, frame))
-
-    def _InsertLex(self, s, frame):
-        """Sink a sparse output's writes: its coordinate columns, logical
-        order, and the values."""
+    def _StoreDense(self, s, frame):
+        """Sink the output's writes, whatever its strategy: its coordinate
+        columns, logical order, and the values."""
         columns = [frame.col(("v", v)) for v in self.p.kernel.lhs.indices]
-        self.sink("inserted", s, frame, *columns, self.values(s.expr, frame))
+        self.sink("out", s, frame, *columns, self.values(s.expr, frame))
 
     # The workspace's scatters are the output's writes, merged at the end
     # as the dense store's are, so expanding and compressing it run
     # nothing. Its prefix variables lead the loops, so each coordinate's
-    # writes come from one compress row, in scatter order.
-    _ScatterWs = _InsertLex
+    # writes come from one compress row, in scatter order. The in-place
+    # update's loop visits every stored position of its vector in order,
+    # so its writes are that storage's coordinates.
+    _InsertLex = _ScatterWs = _StoreInPlace = _StoreDense
 
     def _ExpandWs(self, s: ExpandWs, frame):
         pass
@@ -706,42 +702,34 @@ class _ArrayRun:
     # The range counter is each candidate's index (`_WhileCoiter`).
     _CompressWs = _RangeInit = _ExpandWs
 
-    def _StoreInPlace(self, s: StoreInPlace, frame):
-        self.out[frame.col(("q", s.uid, s.level))] = self.values(s.expr, frame)
-
 
 def interpret(program: Program, env: dict):
     """Execute a lowered Program against concrete tensor bindings.
 
     The Program runs as whole-array numpy passes (`_ArrayRun`), its
     co-iteration loops as merges, and any loop whose frame would pass
-    `_MAX_FRAME_ROWS` rows in parts that fit. Returns a DenseTensor for a
-    dense output, a copy of the in-place output with new values, or the
-    SparseStorage of a sparse output: its entries as inserted, or its
-    workspace or dense-store writes merged.
+    `_MAX_FRAME_ROWS` rows in parts that fit. The output strategy, read
+    here alone, finishes the output's writes: a DenseTensor for a dense
+    output, else the SparseStorage of the writes as inserted or updated in
+    place, or merged under the workspace and the dense store.
     """
     kernel = program.kernel
     out_type = kernel.output_type
-    strat = program.strategy.kind
-    if not out_type.is_sparse:
+    if out_type.is_sparse:
+        # The output's leading dense levels are checked before the loops
+        # run: `_build_levels` would check them only once every entry is
+        # collected.
+        _check_leading_dense(out_type)
+    else:
         seed = _dense_output(kernel, env)
+    writes = _ArrayRun(program, env).run()
+    columns, values = _no_entries(out_type.rank) if writes is None else (writes[:-1], writes[-1])
+    if not out_type.is_sparse:
         out = np.zeros(math.prod(out_type.shape)) if seed is None else seed.copy()
-        _ArrayRun(program, env, out).run()
+        np.add.at(out, _row_key(columns, out_type.shape, len(values)), values)
         return DenseTensor(out_type.shape, _read_only(out))
-    if strat is StrategyKind.IN_PLACE:
-        base = env[kernel.lhs.tensor]
-        out = base.value_array.copy()
-        _ArrayRun(program, env, out).run()
-        return base.with_values(_read_only(out))
-    # The output's leading dense levels are checked before the loops run:
-    # `_build_levels` would check them only once every entry is collected.
-    _check_leading_dense(out_type)
-    run = _ArrayRun(program, env)
-    run.run()
-    if run.inserted is None:
-        return _sparse_output(out_type, *_no_entries(out_type.rank))
-    *columns, values = run.inserted
-    if strat is StrategyKind.DIRECT_LEX:
+    strat = program.strategy.kind
+    if strat is StrategyKind.DIRECT_LEX or strat is StrategyKind.IN_PLACE:
         return _sparse_output(out_type, columns, values)
     # The dense store's and the workspace's writes: each coordinate's summed
     # from 0.0 in loop order, as a dense buffer or the workspace adds them.

@@ -75,7 +75,7 @@ class CooTensor:
     Everything is checked at construction: values are converted with
     `float`, each coordinate is checked for its rank, type, width and
     bounds (RankMismatch, CoordNotInteger, CoordOutOfBounds), and the shape
-    as a `TensorType` checks it (ShapeMismatch). `normalize` sorts entries
+    as a `TensorType` checks it (ShapeMismatch). `to_coo` sorts entries
     lexicographically by coordinate and sums duplicates (Matrix Market
     convention).
     """
@@ -114,6 +114,9 @@ class CooTensor:
         for c in columns:
             if c.size and c.dtype.kind not in "iu":
                 raise CoordNotInteger(f"coordinates of dtype {c.dtype} are not integers")
+            # Checked before the int64 cast, which would wrap it negative.
+            if c.size and c.dtype.kind == "u" and c.max() > _INT64_MAX:
+                raise CoordOutOfBounds(f"coordinates of shape {coo.shape} exceed 64 bits")
         coo._columns = _in_bounds(tuple(_frozen(c, np.int64) for c in columns), coo.shape)
         return coo
 
@@ -145,12 +148,9 @@ class CooTensor:
         """The coordinate columns and value array, as stored."""
         return self._columns, self._values
 
-    def normalize(self) -> "CooTensor":
-        """Sorted unique-coordinate copy; duplicate coordinates are summed."""
-        return self.to_coo(drop_zeros=False)
-
-    def to_coo(self, drop_zeros: bool = False) -> "CooTensor":
-        """`normalize`, with the zero sums dropped when `drop_zeros`."""
+    def to_coo(self, *, drop_zeros: bool) -> "CooTensor":
+        """A sorted unique-coordinate copy, duplicate coordinates summed,
+        with the sums exactly zero dropped when `drop_zeros`."""
         return _merged_coo(self, drop_zeros)
 
     def to_dense(self) -> "DenseTensor":
@@ -390,7 +390,7 @@ class DenseTensor:
 
     @classmethod
     def zeros(cls, shape) -> "DenseTensor":
-        shape = tuple(shape)
+        shape = TensorType(shape).shape
         return cls(shape, _read_only(np.zeros(math.prod(shape))))
 
     @property
@@ -436,7 +436,7 @@ class DenseTensor:
             columns.append(_read_only(rest))
         return tuple(reversed(columns)), self.data[flat]
 
-    def to_coo(self, drop_zeros: bool = True) -> CooTensor:
+    def to_coo(self, *, drop_zeros: bool) -> CooTensor:
         """The nonzeros, or every element when not `drop_zeros`, in
         row-major order."""
         return CooTensor.from_arrays(self.shape, *self._elements(nonzero=drop_zeros))
@@ -699,9 +699,9 @@ class SparseStorage:
         columns = [_read_only(c) for c in columns]
         return tuple(columns[enc.level_of_dim(d)] for d in range(self.rank)), self._values
 
-    def to_coo(self, drop_zeros: bool = False) -> CooTensor:
-        """Unpack to normalized COO, explicit zeros included unless
-        `drop_zeros`."""
+    def to_coo(self, *, drop_zeros: bool) -> CooTensor:
+        """Unpack to sorted unique-coordinate COO, explicit zeros included
+        unless `drop_zeros`."""
         return _merged_coo(self, drop_zeros)
 
     def to_dense(self) -> DenseTensor:

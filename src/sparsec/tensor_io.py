@@ -191,7 +191,7 @@ def _read_plain_frostt(data) -> CooTensor:
 def write_tensor(coo: CooTensor, path: str):
     """Dematerialize to extended FROSTT text; entries in lexicographic order,
     formatted from whole columns."""
-    columns, values = coo.normalize().arrays()
+    columns, values = coo.to_coo(drop_zeros=False).arrays()
     # uint64, so that a coordinate of 2**63 - 1 does not wrap when made 1-based.
     columns = [(c.astype(np.uint64) + 1).tolist() for c in columns]
     line = " ".join(["{}"] * coo.rank) + " {!r}\n"

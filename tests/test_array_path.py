@@ -245,6 +245,30 @@ def test_in_place_scale():
     assert x.values == (1.5, -0.0, 4.5)  # the bound input is not written
 
 
+def test_in_place_scale_in_parts(frame_budget, monkeypatch):
+    # Past the budget the in-place update's loop runs in slices of its
+    # positions, and the output's sink gathers each slice's writes; the
+    # storage laid out from them keeps a stored -0.0 and an explicit 0.0.
+    kernel = parse_kernel("tensor x(16) format(compressed)\nx(i) *= 2.0\n")
+    programs = compile_kernel(kernel)
+    x = SparseStorage(
+        kernel.tensors["x"], ((0, 5),), ((1, 3, 6, 10, 15),), (1.5, -0.0, 0.0, 4.5, -2.0)
+    )
+    with mock.patch.object(engine, "interpret", run_loops):
+        want = repr(execute(kernel, programs, {"x": x}))
+    assert "indices=((1, 3, 6, 10, 15),), values=(3.0, -0.0, 0.0, 9.0, -4.0)" in want
+    split = []
+    parts = engine._ArrayRun.parts
+    monkeypatch.setattr(
+        engine._ArrayRun, "parts",
+        lambda run, s, *args: split.append(type(s).__name__) or parts(run, s, *args),
+    )
+    for rows in (1, 3):
+        frame_budget(rows)
+        assert repr(execute(kernel, programs, {"x": x})) == want
+    assert split == ["ForPositions", "ForPositions"]
+
+
 @pytest.mark.parametrize(
     "out,shape,coords",
     [

@@ -214,7 +214,7 @@ def test_cmd_convert_roundtrip(tmp_path, mat_a):
         ["convert", "--input", str(src), "--from", "csr", "--to", "csc", "--output", str(out)]
     )
     assert code == 0
-    assert read_tensor(str(out)).entries == mat_a.normalize().entries
+    assert read_tensor(str(out)).entries == mat_a.to_coo(drop_zeros=False).entries
 
 
 @pytest.mark.parametrize("b", ["4.0", "0.0"])

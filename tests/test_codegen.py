@@ -1,5 +1,6 @@
 """Structural checks on lowering: strategies, IR shape, emission."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 import sparsec
-from sparsec import codegen, lattice
+from sparsec import codegen, engine, lattice
 from sparsec import expr as expr_module
 from sparsec.codegen import (
     CompressWs,
@@ -108,6 +109,25 @@ def test_scale_in_place():
     assert len(loops) == 1
     assert _nodes(prog.body, StoreInPlace)
     assert not _nodes(prog.body, ForDense)
+
+
+def test_every_ir_statement_has_a_handler():
+    # The IR's statements are the dataclasses `codegen` defines, less the
+    # expression leaves, a co-iteration's case, the strategy and the
+    # Program; the engine and the text emitter each handle every one.
+    others = {"ValRef", "AccRef", "CoiterCase", "OutputStrategy", "Program"}
+    statements = [
+        name
+        for name, cls in vars(codegen).items()
+        if isinstance(cls, type)
+        and dataclasses.is_dataclass(cls)
+        and cls.__module__ == codegen.__name__
+        and name not in others
+    ]
+    assert {"StoreDense", "InsertLex", "ScatterWs", "StoreInPlace"} <= set(statements)
+    for name in statements:
+        assert callable(getattr(engine._ArrayRun, f"_{name}", None)), name
+        assert callable(getattr(codegen._Emitter, f"_{name}", None)), name
 
 
 def test_dot_product_single_coiteration():

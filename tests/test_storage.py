@@ -131,18 +131,18 @@ def test_pack_bit_width_overflow():
 
 
 def test_unpack_csr(mat_a):
-    coo = pack(mat_a, csr()).to_coo()
+    coo = pack(mat_a, csr()).to_coo(drop_zeros=False)
     assert coo.entries == [((0, 0), refs.A00), ((0, 3), refs.A03), ((2, 0), refs.A20)]
 
 
 def test_unpack_empty():
     s = pack(CooTensor((3, 4)), csr())
     assert s.pointers[1] == (0, 0, 0, 0)
-    assert s.to_coo().entries == []
+    assert s.to_coo(drop_zeros=False).entries == []
 
 
 def test_unpack_preserves_explicit_zeros(mat_a):
-    coo = pack(mat_a, make_encoding([COMPRESSED, DENSE])).to_coo()
+    coo = pack(mat_a, make_encoding([COMPRESSED, DENSE])).to_coo(drop_zeros=False)
     assert coo.nnz == 8
     assert coo.to_coo(drop_zeros=True).nnz == 3
 
@@ -189,7 +189,7 @@ def _check_columns(value):
 def test_every_class_reads_out_one_column_per_dimension(mat_a, tensor_t):
     for coo in (mat_a, tensor_t, CooTensor((), [((), 2.0)]), CooTensor((5,), [])):
         _check_columns(coo)
-        _check_columns(coo.normalize())
+        _check_columns(coo.to_coo(drop_zeros=False))
         _check_columns(coo.to_dense())
         _check_columns(coo.to_dense().to_coo(drop_zeros=False))
         if coo.rank:
@@ -469,7 +469,7 @@ def _check_pack_matches_reference(coo, encodings):
         got = _outcome(lambda: _layout(pack(coo, enc)))
         want = _outcome(lambda: _layout(_reference_pack(coo, enc)))
         assert got == want, (coo, enc.describe())
-    assert repr(coo.normalize().entries) == repr(_merged_entries(coo))
+    assert repr(coo.to_coo(drop_zeros=False).entries) == repr(_merged_entries(coo))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -497,7 +497,7 @@ def test_duplicate_runs_sum_in_entry_order():
     for v in values:
         total += v
     assert pack(coo, make_encoding([COMPRESSED])).values == (total,)
-    assert coo.normalize().entries == [((1,), total)]
+    assert coo.to_coo(drop_zeros=False).entries == [((1,), total)]
     assert coo.to_dense().data.tolist() == [0.0, total]
 
 
@@ -587,7 +587,7 @@ def test_coordinates_must_be_integers(coord):
     coo = CooTensor((4,), [((coord,), 2.0)])
     steps = (
         lambda: pack(coo, make_encoding([COMPRESSED])).indices,
-        lambda: coo.normalize().entries,
+        lambda: coo.to_coo(drop_zeros=False).entries,
         lambda: coo.to_dense().data.tolist(),
     )
     assert [step() for step in steps] == [((1,),), [((1,), 2.0)], [0.0, 2.0, 0.0, 0.0]]
@@ -600,6 +600,7 @@ def test_tensors_refuse_extents_below_one(shape):
         lambda: CooTensor(shape, []),
         lambda: CooTensor.from_arrays(shape, [np.zeros(0, np.int64)] * len(shape), []),
         lambda: DenseTensor(shape, []),
+        lambda: DenseTensor.zeros(shape),
     ]
     for make in makers:
         with pytest.raises(ShapeMismatch) as caught:
@@ -616,6 +617,7 @@ def test_tensors_refuse_extents_that_are_not_integers(shape):
         lambda: CooTensor(shape, []),
         lambda: CooTensor.from_arrays(shape, [np.zeros(0, np.int64)] * len(shape), []),
         lambda: DenseTensor(shape, []),
+        lambda: DenseTensor.zeros(shape),
     ]
     for make in makers:
         with pytest.raises(ShapeMismatch) as caught:
@@ -713,8 +715,7 @@ def _check_coo_matches_reference(shape, pairs):
     assert [c.tolist() for c in columns] == want_coords.T.tolist()
     assert values.dtype == np.float64 and repr(values.tolist()) == repr(want_values.tolist())
     merged = _plain(_merged_entries(ref))
-    assert repr(coo.normalize().entries) == repr(merged)
-    assert repr(coo.to_coo().entries) == repr(merged)
+    assert repr(coo.to_coo(drop_zeros=False).entries) == repr(merged)
     nonzero = [(c, v) for c, v in merged if v != 0.0]
     assert repr(coo.to_coo(drop_zeros=True).entries) == repr(nonzero)
     dense = [0.0] * math.prod(shape)
@@ -726,7 +727,7 @@ def _check_coo_matches_reference(shape, pairs):
     assert repr(coo.to_dense().data.tolist()) == repr(dense)
     twin = CooTensor.from_arrays(shape, want_coords.T, want_values)
     assert coo == twin and twin == coo and repr(twin.entries) == repr(coo.entries)
-    assert coo.normalize() == CooTensor(shape, merged)
+    assert coo.to_coo(drop_zeros=False) == CooTensor(shape, merged)
     if ref.entries:
         assert coo != CooTensor.from_arrays(shape, want_coords.T, want_values + 1.0)
     assert coo != CooTensor(shape + (1,), [])
@@ -749,7 +750,7 @@ def test_coo_takes_any_pair_iterable():
     # A coordinate without len() is materialised once, at construction.
     lazy = CooTensor((3, 3), [(iter(c), v) for c, v in want])
     assert repr(lazy.entries) == repr(want)
-    assert lazy.to_coo() == CooTensor((3, 3), want).to_coo()
+    assert lazy.to_coo(drop_zeros=False) == CooTensor((3, 3), want).to_coo(drop_zeros=False)
     # One that is not iterable at all is a typed error that names it.
     for scalar in (1, None, np.int64(1), np.array(1), 2.5):
         with pytest.raises(RankMismatch) as caught:
@@ -858,6 +859,13 @@ def test_from_arrays_checks_its_arrays():
     with pytest.raises(CoordOutOfBounds) as caught:
         CooTensor.from_arrays((3, 4), np.array([[3], [0]], np.int32), np.ones(1))
     assert str(caught.value) == "coordinate (3, 0) outside shape (3, 4)"
+    # An unsigned coordinate past the int64 maximum is refused as past 64
+    # bits, before the int64 cast would wrap it to -1.
+    with pytest.raises(CoordOutOfBounds) as caught:
+        CooTensor.from_arrays((4,), [np.array([2**64 - 1], np.uint64)], [1.0])
+    assert str(caught.value) == "coordinates of shape (4,) exceed 64 bits"
+    unsigned = CooTensor.from_arrays((4,), [np.array([3], np.uint64)], [1.0])
+    assert unsigned.entries == [((3,), 1.0)]
     empty = CooTensor.from_arrays((3, 4), np.zeros((2, 0)), [])
     assert empty == CooTensor((3, 4))
     assert [c.dtype for c in empty.arrays()[0]] == [np.int64, np.int64]
@@ -947,7 +955,7 @@ def _check_readers(storage, dense):
     coords = zip(*[c.tolist() for c in columns])
     assert repr(list(zip(coords, values.tolist()))) == repr(walked)
     merged = _merged_entries(CooTensor(storage.shape, walked))
-    assert repr(storage.to_coo().entries) == repr(merged)
+    assert repr(storage.to_coo(drop_zeros=False).entries) == repr(merged)
     nonzero = [(c, v) for c, v in merged if v != 0.0]
     assert repr(storage.to_coo(drop_zeros=True).entries) == repr(nonzero)
     for drop_zeros in (True, False):
@@ -999,7 +1007,7 @@ def test_readers_equal_per_element_references(rank):
 def test_scalar_dense_tensor_readers(tmp_path, x):
     scalar = DenseTensor((), [x])
     nonzero = [((), x)] if x else []
-    assert scalar.to_coo().entries == nonzero
+    assert scalar.to_coo(drop_zeros=True).entries == nonzero
     assert scalar.to_coo(drop_zeros=False).entries == [((), x)]
     copy = engine.convert(scalar, None)
     assert copy == scalar and copy.data is not scalar.data

@@ -27,7 +27,8 @@ MM_GENERAL = """%%MatrixMarket matrix coordinate real general
 def test_matrix_market_general(tmp_path, mat_a):
     path = tmp_path / "a.mtx"
     path.write_text(MM_GENERAL)
-    assert read_tensor(str(path)).normalize().entries == mat_a.normalize().entries
+    got = read_tensor(str(path)).to_coo(drop_zeros=False)
+    assert got.entries == mat_a.to_coo(drop_zeros=False).entries
 
 
 def test_matrix_market_pattern(tmp_path):
@@ -42,10 +43,10 @@ def test_matrix_market_symmetric(tmp_path):
     path.write_text(
         "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 4.0\n2 1 5.0\n3 3 6.0\n"
     )
-    coo = read_tensor(str(path)).normalize()
+    coo = read_tensor(str(path)).to_coo(drop_zeros=False)
     # The off-diagonal entry is mirrored; this equals its expanded twin.
     twin = CooTensor((3, 3), [((0, 0), 4.0), ((1, 0), 5.0), ((0, 1), 5.0), ((2, 2), 6.0)])
-    assert coo.entries == twin.normalize().entries
+    assert coo.entries == twin.to_coo(drop_zeros=False).entries
 
 
 def test_matrix_market_integer_field(tmp_path):
@@ -117,7 +118,7 @@ def test_extended_frostt_detected_and_read(tmp_path, mat_a):
     path = tmp_path / "a.tns"
     write_tensor(mat_a, str(path))
     assert detect_format(str(path)) is FileFormat.EXTENDED_FROSTT
-    assert read_tensor(str(path)).entries == mat_a.normalize().entries
+    assert read_tensor(str(path)).entries == mat_a.to_coo(drop_zeros=False).entries
 
 
 @pytest.mark.parametrize(
@@ -180,7 +181,7 @@ def test_roundtrip_random_tensors(tmp_path):
         for _ in range(rng.randint(0, 12)):
             coords = tuple(rng.randrange(e) for e in shape)
             entries[coords] = rng.uniform(-5, 5)
-        coo = CooTensor(shape, list(entries.items())).normalize()
+        coo = CooTensor(shape, list(entries.items())).to_coo(drop_zeros=False)
         path = tmp_path / f"r{case}.tns"
         write_tensor(coo, str(path))
         back = read_tensor(str(path))
@@ -189,7 +190,7 @@ def test_roundtrip_random_tensors(tmp_path):
 
 def _write_per_entry(coo, path):
     """The reference for `write_tensor`: one formatted line per entry."""
-    coo = coo.normalize()
+    coo = coo.to_coo(drop_zeros=False)
     with open(path, "w") as fh:
         fh.write("# extended frostt: `rank nnz` header, extents line, 1-based entries\n")
         fh.write(f"{coo.rank} {coo.nnz}\n")
@@ -219,7 +220,8 @@ def test_write_tensor_bytes_equal_per_entry_writer(tmp_path):
         _write_per_entry(coo, str(want))
         assert got.read_bytes() == want.read_bytes(), coo
         back = read_tensor(str(got))
-        assert back.shape == coo.shape and repr(back.entries) == repr(coo.normalize().entries)
+        assert back.shape == coo.shape
+        assert repr(back.entries) == repr(coo.to_coo(drop_zeros=False).entries)
 
 
 @pytest.mark.parametrize("entries", [[((), 2.5)], [((), -0.0)], []])
@@ -231,7 +233,7 @@ def test_scalar_file_reads_back(tmp_path, entries):
     write_tensor(coo, str(path))
     assert detect_format(str(path)) is FileFormat.EXTENDED_FROSTT
     back = read_tensor(str(path))
-    assert back.shape == () and repr(back.entries) == repr(coo.normalize().entries)
+    assert back.shape == () and repr(back.entries) == repr(coo.to_coo(drop_zeros=False).entries)
 
 
 def test_extended_header_count_mismatch(tmp_path):
