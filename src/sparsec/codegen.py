@@ -21,6 +21,13 @@ workspace row or a buffer of the output's volume; the two differ only in
 that the dense store drops sums exactly zero. In-place updates are
 generated for the one pattern that allows them: scaling a compressed
 vector by constants.
+
+One recursion lowers the loops for every strategy. The strategy only picks
+the leaf statement that writes a value into the output (a dense store, an
+insertion, a scatter into the workspace or an in-place store) and at most
+one wrap at one loop depth: the workspace's compress after the loops of
+its prefix, or, for an insertion under reductions, an accumulator that
+sums each coordinate's value before it is inserted.
 """
 
 import enum
@@ -254,14 +261,11 @@ class Program:
 # Lowering
 
 
-_FIRST_SINK = {
-    StrategyKind.DENSE_STORE: ("dense",),
-    StrategyKind.DIRECT_LEX: ("insert",),
-    StrategyKind.EXPAND_COMPRESS: ("pre-scatter",),
-}
-
-
 class _Lowerer:
+    """Lowers a kernel for every output strategy through one recursion
+    (`emit`). The strategy picks the leaf store (`_store`) and the depth
+    of its one wrap, if it has one, fixed here."""
+
     def __init__(self, kernel: Kernel, topo, lattices=None):
         an = kernel.analysis
         self.kernel = kernel
@@ -282,10 +286,13 @@ class _Lowerer:
         # held here, so no id is reused while the lowering runs.
         self.lattices = {(id(self.rhs), v): lat for v, lat in (lattices or {}).items()}
         self.strategy = choose_output_strategy(kernel, self.topo)
-        self.free = kernel.lhs.indices
-        self.reductions = an.reduction_vars
         self.acc_count = 0
-        self.out_svars = output_storage_vars(kernel)
+        free = len(kernel.lhs.indices)  # the output's loops lead the order
+        self.wrap_depth = None  # the loop depth of the strategy's one wrap
+        if self.strategy.kind is StrategyKind.EXPAND_COMPRESS:
+            self.wrap_depth = free - 1
+        elif self.strategy.kind is StrategyKind.DIRECT_LEX and an.reduction_vars:
+            self.wrap_depth = free
 
     # -- helpers
 
@@ -312,42 +319,40 @@ class _Lowerer:
             return Neg(self._link_expr(expr.operand))
         return type(expr)(self._link_expr(expr.lhs), self._link_expr(expr.rhs))
 
-    def _sink(self, sink, expr: Expr):
-        linked = self._link_expr(expr)
-        kind = sink[0]
-        if kind == "dense":
-            return StoreDense(self.kernel.lhs.indices, linked)
-        if kind == "insert":
-            return InsertLex(self.kernel.lhs.indices, linked)
-        if kind == "scatter":
-            return ScatterWs(self.strategy.var, linked)
-        if kind == "acc":
-            return AccumAcc(sink[1], linked)
-        raise AssertionError(f"unknown sink {sink!r}")
+    def _store(self):
+        """The strategy's leaf: the statement that writes a linked
+        expression into the output. The in-place update stores at the
+        position of the output's one access, the whole right-hand side's
+        only access (`_is_inplace_scale`)."""
+        kind, coords = self.strategy.kind, self.kernel.lhs.indices
+        if kind is StrategyKind.DENSE_STORE:
+            return lambda e: StoreDense(coords, e)
+        if kind is StrategyKind.DIRECT_LEX:
+            return lambda e: InsertLex(coords, e)
+        if kind is StrategyKind.EXPAND_COMPRESS:
+            return lambda e: ScatterWs(self.strategy.var, e)
+        (out,) = self.accesses
+        return lambda e: StoreInPlace(out.uid, 0, e)
 
     # -- main recursion
 
     def emit(self, depth: int, expr: Expr, sink) -> list:
-        strat = self.strategy.kind
-        if (
-            strat is StrategyKind.EXPAND_COMPRESS
-            and depth == len(self.out_svars) - 1
-            and sink[0] != "scatter"
-        ):
-            inner = self.emit(depth, expr, ("scatter",))
-            return inner + [CompressWs(self.out_svars[:-1])]
-        if (
-            strat is StrategyKind.DIRECT_LEX
-            and self.reductions
-            and depth == len(self.free)
-            and sink[0] != "acc"
-        ):
-            slot = self.acc_count
-            self.acc_count += 1
-            inner = self.emit(depth, expr, ("acc", slot))
-            return [DeclAcc(slot), *inner, InsertLex(self.kernel.lhs.indices, AccRef(slot))]
+        """The statements that compute `expr` over the loops from `depth`
+        on, each value written by `sink`, a function from a linked
+        expression to one statement. At the wrap depth the loops below
+        run inside the strategy's wrap."""
+        if depth != self.wrap_depth:
+            return self._descend(depth, expr, sink)
+        if self.strategy.kind is StrategyKind.EXPAND_COMPRESS:
+            return self._descend(depth, expr, sink) + [CompressWs(self.topo[:depth])]
+        slot = self.acc_count
+        self.acc_count += 1
+        inner = self._descend(depth, expr, lambda e: AccumAcc(slot, e))
+        return [DeclAcc(slot), *inner, sink(AccRef(slot))]
+
+    def _descend(self, depth: int, expr: Expr, sink) -> list:
         if depth == len(self.topo):
-            return [self._sink(sink, expr)]
+            return [sink(self._link_expr(expr))]
         return self._emit_var(depth, expr, sink)
 
     def _emit_var(self, depth: int, expr: Expr, sink) -> list:
@@ -398,26 +403,11 @@ class _Lowerer:
             self.lattices[id(expr), var] = lat
         return lat
 
-    def _lower_in_place(self) -> list:
-        out_ref = next(
-            a for a in self.accesses if a.tensor == self.kernel.lhs.tensor
-        )
-        body = [LoadVal(uid) for uid in self.bound_at[0]] + [
-            StoreInPlace(out_ref.uid, 0, self._link_expr(self.rhs))
-        ]
-        return [
-            LoadRange(out_ref.uid, 0),
-            ForPositions(out_ref.uid, 0, self.topo[0], tuple(body)),
-        ]
-
     def lower(self) -> Program:
         prologue = [LoadVal(uid) for uid in self.bound_at[-1]]
-        if self.strategy.kind is StrategyKind.IN_PLACE:
-            body = self._lower_in_place()
-        else:
-            if self.strategy.kind is StrategyKind.EXPAND_COMPRESS:
-                prologue.append(ExpandWs(self.extents[self.strategy.var]))
-            body = self.emit(0, self.rhs, _FIRST_SINK[self.strategy.kind])
+        if self.strategy.kind is StrategyKind.EXPAND_COMPRESS:
+            prologue.append(ExpandWs(self.extents[self.strategy.var]))
+        body = self.emit(0, self.rhs, self._store())
         return Program(
             self.kernel,
             self.strategy,
@@ -498,7 +488,8 @@ def _expr_text(node, names) -> str:
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Neg):
-        return f"-{_expr_text(node.operand, names)}"
+        operand = _expr_text(node.operand, names)
+        return f"-({operand})" if isinstance(node.operand, (Add, Sub)) else f"-{operand}"
     op = {"Add": " + ", "Sub": " - ", "Mul": " * "}[type(node).__name__]
     lhs, rhs = node.lhs, node.rhs
     lt = _expr_text(lhs, names)

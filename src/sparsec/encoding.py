@@ -126,8 +126,10 @@ def make_encoding(
 
     Raises:
         RankMismatch: ordering length differs from the number of levels.
-        NotAPermutation: ordering is not a bijection on 0..d-1.
-        InvalidBitWidth: a width outside {0, 8, 16, 32, 64}.
+        NotAPermutation: ordering is not a bijection on 0..d-1, or holds
+            a non-integer.
+        InvalidBitWidth: a width outside {0, 8, 16, 32, 64}, or not an
+            integer.
     """
     levels = tuple(levels)
     if not levels:
@@ -138,7 +140,11 @@ def make_encoding(
     if ordering is None:
         ordering = tuple(range(d))
     else:
-        ordering = tuple(int(p) for p in ordering)
+        ordering = tuple(ordering)
+        try:
+            ordering = tuple(map(operator.index, ordering))  # numpy's too, never truncated
+        except TypeError:
+            raise NotAPermutation(f"ordering {ordering} is not a permutation of 0..{d - 1}") from None
         if len(ordering) != d:
             raise RankMismatch(
                 f"ordering {ordering} has length {len(ordering)}, expected {d}"
@@ -147,7 +153,10 @@ def make_encoding(
             raise NotAPermutation(f"ordering {ordering} is not a permutation of 0..{d - 1}")
     widths = []
     for w in (pointer_width, index_width):
-        w = 0 if w is None else int(w)
+        try:
+            w = 0 if w is None else operator.index(w)
+        except TypeError:
+            raise InvalidBitWidth(f"bit width {w!r} is not an integer") from None
         if w not in ALLOWED_BIT_WIDTHS:
             raise InvalidBitWidth(f"bit width {w} not in {ALLOWED_BIT_WIDTHS}")
         widths.append(w)

@@ -211,23 +211,16 @@ def _sparse_output(ttype: TensorType, columns, values: np.ndarray) -> SparseStor
     """The storage of `ttype` holding `values` at the coordinates of
     `columns`, one array per logical dimension, laid out by
     `_build_levels` once the rows are checked to strictly increase in
-    storage order (OutOfOrderInsertion otherwise, duplicates included).
+    storage order (`_row_order`; OutOfOrderInsertion otherwise, naming the
+    first pair that does not, duplicates included).
     Widths are checked by `validate`. The arrays are taken over: the
     columns are frozen, so the last level's can become its indices."""
     columns = [_read_only(c) for c in columns]
     levels = [columns[ttype.encoding.dim_of_level(l)] for l in range(ttype.rank)]
-    extents = ttype.storage_shape()
-    if math.prod(extents) < 1 << 63:
-        key = _row_key(levels, extents, len(values))
-        follows = key[1:] > key[:-1]
-    else:
-        # Row r + 1 follows row r when it is greater at the first storage
-        # level where the two differ.
-        follows = np.zeros(max(len(values) - 1, 0), bool)
-        for column in reversed(levels):
-            follows = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & follows)
-    if not follows.all():
-        r = int(np.argmin(follows))
+    perm, first = _row_order(levels, ttype.storage_shape(), len(values))
+    if perm is not None or not first.all():
+        rows = list(zip(*(c.tolist() for c in levels)))
+        r = next(r for r in range(len(rows) - 1) if rows[r + 1] <= rows[r])
         raise OutOfOrderInsertion(
             f"insertion at {tuple(int(c[r + 1]) for c in columns)} does not follow "
             f"{tuple(int(c[r]) for c in columns)} in storage order"
@@ -413,7 +406,8 @@ class _ArrayRun:
 
     def drain(self, target):
         """The columns of every sink into `target` so far, concatenated in
-        the loops' order, or None if none ran."""
+        the loops' order (the stable `_row_order` of their rows' loop
+        variables), or None if none ran."""
         writes = self.sinks.pop(target, None)
         if writes is None or len(writes) == 1:
             return writes and writes[0][2]
@@ -425,12 +419,9 @@ class _ArrayRun:
         names = writes[0][1].key
         extents = [self.p.kernel.analysis.var_extents[v] for v in names]
         keys = [np.concatenate([frame.col(("v", v)) for _, frame, _ in writes]) for v in names]
-        if math.prod(extents) < 1 << 63:
-            n = sum(frame.n for _, frame, _ in writes)
-            perm = np.argsort(_row_key(keys, extents, n), kind="stable")
-        else:
-            perm = np.lexsort(keys[::-1])
-        return tuple(np.concatenate(run)[perm] for run in runs)
+        perm, _ = _row_order(keys, extents, sum(frame.n for _, frame, _ in writes))
+        runs = [np.concatenate(run) for run in runs]
+        return tuple(runs if perm is None else (run[perm] for run in runs))
 
     def parts(self, s, frame: _Frame, counts, split):
         """Run loop `s` over `frame` in parts whose body frames fit

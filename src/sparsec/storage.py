@@ -275,9 +275,11 @@ def _row_order(columns: list, extents: list, n: int):
     shift = (n - 1).bit_length()
     if math.prod(extents) << shift >= 1 << 63:
         perm = np.lexsort(columns[::-1])
+        if (perm[1:] > perm[:-1]).all():  # the identity
+            perm = None
         first[1:] = False
         for column in columns:
-            column = column[perm]
+            column = column if perm is None else column[perm]
             first[1:] |= column[1:] != column[:-1]
         return perm, first
     key = _row_key(columns, extents, n)

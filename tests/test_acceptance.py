@@ -383,6 +383,25 @@ GOLDEN_KERNELS = {
         "tensor C(3, 4) format(dense, compressed)\n"
         "C(i, j) = A(i, k) * B(k, j)\n"
     ),
+    # A direct insertion under a reduction: an accumulator per row.
+    "spmv": (
+        "tensor A(3, 4) format(dense, compressed)\ntensor x(4)\n"
+        "tensor y(3) format(compressed)\ny(i) = A(i, j) * x(j)\n"
+    ),
+    # A dense store into a sparse output: the loop order leads with k.
+    "atb": (
+        "tensor A(4, 3) format(dense, compressed)\n"
+        "tensor B(4, 3) format(dense, compressed)\n"
+        "tensor C(3, 3) format(dense, compressed)\n"
+        "C(i, j) = A(k, i) * B(k, j)\n"
+    ),
+    # A union: one co-iteration loop per lattice point, each inserting.
+    "add": (
+        "tensor A(3, 4) format(dense, compressed)\n"
+        "tensor B(3, 4) format(dense, compressed)\n"
+        "tensor C(3, 4) format(dense, compressed)\n"
+        "C(i, j) = A(i, j) + B(i, j)\n"
+    ),
 }
 
 

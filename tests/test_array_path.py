@@ -236,13 +236,18 @@ def test_accumulate_into_seeded_dense_output():
 
 
 def test_in_place_scale():
-    text = "tensor x(16) format(compressed)\nx(i) *= 2.0\n"
-    (program,) = compile_kernel(parse_kernel(text))
-    assert program.strategy.kind is StrategyKind.IN_PLACE
-    x = SparseStorage(program.kernel.tensors["x"], ((0, 3),), ((3, 6, 10),), (1.5, -0.0, 4.5))
-    got = _same(text, {"x": x})
-    assert "indices=((3, 6, 10),), values=(3.0, -0.0, 9.0)" in got
-    assert x.values == (1.5, -0.0, 4.5)  # the bound input is not written
+    for rhs, values in [
+        ("x(i) *= 2.0", "(3.0, -0.0, 9.0)"),
+        ("x(i) = 2.0 * x(i) * 3.0", "(9.0, -0.0, 27.0)"),
+        ("x(i) = -(1.0 + 0.5) * x(i)", "(-2.25, 0.0, -6.75)"),
+    ]:
+        text = f"tensor x(16) format(compressed)\n{rhs}\n"
+        (program,) = compile_kernel(parse_kernel(text))
+        assert program.strategy.kind is StrategyKind.IN_PLACE, rhs
+        x = SparseStorage(program.kernel.tensors["x"], ((0, 3),), ((3, 6, 10),), (1.5, -0.0, 4.5))
+        got = _same(text, {"x": x})
+        assert f"indices=((3, 6, 10),), values={values}" in got, rhs
+        assert x.values == (1.5, -0.0, 4.5)  # the bound input is not written
 
 
 def test_in_place_scale_in_parts(frame_budget, monkeypatch):

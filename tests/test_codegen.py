@@ -102,13 +102,17 @@ def test_scalar_output_uses_accumulator_buffer():
     assert prog.strategy.kind is StrategyKind.DENSE_STORE
 
 
+IN_PLACE_SCALES = ["x(i) *= 2.0", "x(i) = 2.0 * x(i) * 3.0", "x(i) = -(1.0 + 0.5) * x(i)"]
+
+
 def test_scale_in_place():
-    k, topo, prog = _lowered("tensor x(16) format(compressed)\nx(i) *= 2.0\n")
-    assert prog.strategy.kind is StrategyKind.IN_PLACE
-    loops = _nodes(prog.body, ForPositions)
-    assert len(loops) == 1
-    assert _nodes(prog.body, StoreInPlace)
-    assert not _nodes(prog.body, ForDense)
+    for rhs in IN_PLACE_SCALES:
+        k, topo, prog = _lowered(f"tensor x(16) format(compressed)\n{rhs}\n")
+        assert prog.strategy.kind is StrategyKind.IN_PLACE, rhs
+        loops = _nodes(prog.body, ForPositions)
+        assert len(loops) == 1, rhs
+        assert _nodes(prog.body, StoreInPlace), rhs
+        assert not _nodes(prog.body, ForDense), rhs
 
 
 def test_every_ir_statement_has_a_handler():
@@ -232,6 +236,17 @@ def test_emit_dot_contains_while_and_advances():
     text = emit_text(prog)
     assert text.count("while ") == 1
     assert text.count("advance ") == 2
+
+
+def test_emit_negated_sum_keeps_its_parentheses():
+    _, _, prog = _lowered(
+        "tensor a(4)\ntensor b(4)\ntensor c(4)\n"
+        "c(i) = -(a(i) + b(i)) * -(a(i) - b(i)) + -a(i) * b(i)\n"
+    )
+    body_lines = [ln for ln in emit_text(prog).splitlines() if not ln.startswith("//")]
+    assert body_lines[-1].strip() == (
+        "c[i] += -(a_val + b_val) * -(a_1_val - b_1_val) + -a_2_val * b_2_val"
+    )
 
 
 def test_emit_scalar_assign_single_line():

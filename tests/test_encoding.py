@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from sparsec.encoding import (
@@ -32,14 +33,25 @@ def test_ordering_length_mismatch():
 
 
 def test_not_a_permutation():
-    with pytest.raises(NotAPermutation):
-        make_encoding([DENSE, DENSE], [0, 0])
+    # A non-integer is refused, not truncated: (1.5, 0) is not (1, 0).
+    for levels, ordering in [
+        ([DENSE, DENSE], [0, 0]),
+        ([DENSE, COMPRESSED], (1.5, 0)),
+        ([DENSE, COMPRESSED], ("1", 0)),
+    ]:
+        with pytest.raises(NotAPermutation):
+            make_encoding(levels, ordering)
+    assert make_encoding([DENSE, COMPRESSED], np.array([1, 0])).ordering == (1, 0)
 
 
-@pytest.mark.parametrize("width", [1, 7, 128, -8])
+@pytest.mark.parametrize("width", [1, 7, 128, -8, 8.9, 16.2, "8"])
 def test_invalid_bit_width(width):
     with pytest.raises(InvalidBitWidth):
         make_encoding([COMPRESSED], None, width, None)
+    with pytest.raises(InvalidBitWidth):
+        make_encoding([COMPRESSED], None, None, width)
+    enc = make_encoding([COMPRESSED], None, np.int32(8), np.uint8(16))
+    assert (enc.pointer_width, enc.index_width) == (8, 16)
 
 
 def test_make_encoding_is_pure():

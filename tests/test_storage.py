@@ -278,11 +278,12 @@ def test_builder_rejects_duplicate():
     ids=["duplicate", "descending last level", "descending first level"],
 )
 def test_builder_names_the_pair_out_of_storage_order(monkeypatch, shape, enc, pair):
-    # `pair` in storage order, after an entry it follows. A volume below
-    # 2**63 is checked on one int64 key, a larger one level by level.
+    # `pair` in storage order, after an entry it follows. The order is
+    # checked by `storage._row_order`: on one int64 key for a small volume,
+    # by `np.lexsort` over the levels for a volume past 2**63.
     keys = []
-    row_key = engine._row_key
-    monkeypatch.setattr(engine, "_row_key", lambda *args: keys.append(1) or row_key(*args))
+    row_key = sparsec.storage._row_key
+    monkeypatch.setattr(sparsec.storage, "_row_key", lambda *args: keys.append(1) or row_key(*args))
     ttype = TensorType(shape, enc)
     logical = [tuple(p[enc.level_of_dim(k)] for k in range(2)) for p in [(0, 2), *pair]]
     want = f"insertion at {logical[2]} does not follow {logical[1]} in storage order"

@@ -361,9 +361,10 @@ def test_sorted_duplicate_runs_keep_the_identity():
     ]
     coo = CooTensor((3, 4), entries)
     columns, _ = coo.arrays()
-    perm, first = _row_order(list(columns), [3, 4], len(entries))
-    assert perm is None
-    assert first.tolist() == [True, True, False, False, True, False, True, False, True]
+    for extents in ([3, 4], [2**40, 2**40]):  # one int64 key, and np.lexsort
+        perm, first = _row_order(list(columns), extents, len(entries))
+        assert perm is None
+        assert first.tolist() == [True, True, False, False, True, False, True, False, True]
     for order in ([0, 1], [1, 0]):
         assert _got_sorted_unique(coo, order) == _reference_sorted_unique(coo, order)
 
