@@ -37,7 +37,6 @@ from typing import Optional
 from .encoding import COMPRESSED
 from .errors import UnsupportedKernel
 from .expr import (
-    Access,
     Add,
     Const,
     Expr,
@@ -45,12 +44,12 @@ from .expr import (
     Mul,
     Neg,
     Sub,
+    accesses,
     analyze_reductions,
     expr_to_text,
     has_access,
 )
 from .lattice import (
-    RANGE_DRIVER,
     AccessRef,
     LatticePoint,
     MergeLattice,
@@ -89,8 +88,8 @@ def output_storage_vars(kernel: Kernel) -> tuple:
 
 def _is_inplace_scale(kernel: Kernel) -> bool:
     # The in-place form is reserved for scaling a compressed vector by
-    # constants: the output access is the sole tensor factor of a pure
-    # multiplication chain.
+    # constants: the output access is a factor of a pure multiplication
+    # chain and the right-hand side's only access.
     out = kernel.output_type
     if kernel.accumulate or out.encoding is None:
         return False
@@ -104,12 +103,7 @@ def _is_inplace_scale(kernel: Kernel) -> bool:
             stack += [node.lhs, node.rhs]
         else:
             factors.append(node)
-    out_hits = [f for f in factors if isinstance(f, Access)]
-    if len(out_hits) != 1 or out_hits[0].tensor != kernel.lhs.tensor:
-        return False
-    if out_hits[0].indices != kernel.lhs.indices:
-        return False
-    return all(isinstance(f, Access) or not has_access(f) for f in factors)
+    return kernel.lhs in factors and accesses(kernel.rhs) == [kernel.lhs]
 
 
 def choose_output_strategy(kernel: Kernel, topo_order) -> OutputStrategy:
@@ -188,7 +182,7 @@ class RangeInit:
 
 @dataclass(frozen=True)
 class CoiterCase:
-    iterators: frozenset  # uids that must hold the candidate (range excluded)
+    iterators: frozenset  # uids that must hold the candidate
     body: tuple
 
 
@@ -302,13 +296,10 @@ class _Lowerer:
 
     def _hoist_loads(self, depth: int, point: LatticePoint) -> list:
         # An access bound at this depth reads the loop's variable, so it is
-        # in the point's expression exactly when the point merges or
-        # locates it.
-        return [
-            LoadVal(uid)
-            for uid in self.bound_at[depth]
-            if uid in point.iterators or uid in point.locators
-        ]
+        # a leaf of the point's expression exactly when the point merges it
+        # or reads it by random access.
+        leaves = {a.uid for a in accesses(point.expr)}
+        return [LoadVal(uid) for uid in self.bound_at[depth] if uid in leaves]
 
     def _link_expr(self, expr: Expr):
         if isinstance(expr, AccessRef):
@@ -362,16 +353,11 @@ class _Lowerer:
             point = lat.first
             body = self._hoist_loads(depth, point) + self.emit(depth + 1, point.expr, sink)
             return [ForDense(var, lat.extent, tuple(body))]
-        stmts: list = []
-        uid_levels = [(uid, self._iter_level(self.accesses[uid], var)) for uid in lat.iterator_uids()]
-        level_of = dict(uid_levels)
-        for uid, level in uid_levels:
-            stmts.append(LoadRange(uid, level))
-        if (
-            not lat.range_driven
-            and len(lat.points) == 1
-            and len(lat.first.iterators) == 1
-        ):
+        level_of = {
+            uid: self._iter_level(self.accesses[uid], var) for uid in sorted(lat.first.iterators)
+        }
+        stmts: list = [LoadRange(uid, level) for uid, level in level_of.items()]
+        if len(lat.points) == 1 and len(lat.first.iterators) == 1:
             (uid,) = lat.first.iterators
             point = lat.first
             body = self._hoist_loads(depth, point) + self.emit(depth + 1, point.expr, sink)
@@ -383,17 +369,9 @@ class _Lowerer:
             cases = []
             for q in lat.sub_points(point):
                 body = self._hoist_loads(depth, q) + self.emit(depth + 1, q.expr, sink)
-                cases.append(CoiterCase(q.iterators - {RANGE_DRIVER}, tuple(body)))
-            its = tuple((uid, level_of[uid]) for uid in sorted(point.iterators - {RANGE_DRIVER}))
-            stmts.append(
-                WhileCoiter(
-                    var,
-                    its,
-                    RANGE_DRIVER in point.iterators,
-                    lat.extent,
-                    tuple(cases),
-                )
-            )
+                cases.append(CoiterCase(q.iterators, tuple(body)))
+            its = tuple((uid, level_of[uid]) for uid in sorted(point.iterators))
+            stmts.append(WhileCoiter(var, its, lat.range_driven, lat.extent, tuple(cases)))
         return stmts
 
     def _lattice(self, expr: Expr, var: str) -> MergeLattice:

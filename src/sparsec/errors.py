@@ -59,7 +59,8 @@ class OracleMismatch(SparsecError):
 
 
 class ParseError(SparsecError):
-    """Malformed tensor file; carries the 1-based line number when known."""
+    """Malformed input: a tensor file, a kernel, a literal or a command
+    line. Carries the 1-based line number when known."""
 
     def __init__(self, reason, line=None):
         self.line = line

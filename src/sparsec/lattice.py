@@ -10,13 +10,15 @@ as stored, which surfaces as OrderConflict: conversions are explicit
 here, never implicit transposes.
 
 A merge lattice describes how one variable's loop visits coordinates.
-Compressed levels contribute sparse iterators; dense levels and
-loop-invariant subexpressions are random-access locators that never drive
+A point is a set of sparse iterators and the subexpression active where
+they coincide. Compressed levels contribute iterators; dense levels and
+loop-invariant subexpressions are read by random access and never drive
 the merge. Multiplication intersects (pairwise conjunction of points),
 addition and subtraction union (conjunctions plus both operand lattices).
-When a union makes the whole extent reachable, a synthetic dense range
-driver joins every point so the loop sweeps all coordinates while the
-sparse iterators advance alongside.
+When a union makes the whole extent reachable, a point without iterators
+remains, and the lattice is range-driven: its loops sweep every coordinate
+while the sparse iterators advance alongside. That, like whether the loop
+is dense, is read off the sorted points, not stored.
 """
 
 from dataclasses import dataclass
@@ -151,44 +153,42 @@ def _find_cycle(graph: IterationGraph, remaining: set) -> list:
 
 @dataclass(frozen=True)
 class LatticePoint:
-    """One co-iteration case: the sparse iterators that must coincide, the
-    random-access operands read alongside, and the active subexpression."""
+    """One co-iteration case: the sparse iterators that must coincide at a
+    coordinate, and the subexpression active there. The expression's other
+    accesses are read by random access or do not depend on the variable;
+    a point without iterators covers every coordinate."""
 
-    iterators: frozenset  # uids of sparse iterators merged here
-    locators: frozenset  # uids of dense/random-access operands
+    iterators: frozenset  # uids of the compressed accesses merged here
     expr: Expr
-    full: bool  # iteration space covers every coordinate
-
-
-RANGE_DRIVER = -1  # pseudo-iterator uid: the dense 0..extent sweep
 
 
 @dataclass(frozen=True)
 class MergeLattice:
+    """One variable's points, closed under union and sorted largest
+    first, so the first holds every iterator. The loop facts are read off
+    them: a dense loop has no iterator, and a range-driven lattice has
+    iterators and a point without any, so its loops sweep the whole extent
+    while the iterators advance alongside."""
+
     var: str
     points: tuple
     extent: int
-    range_driven: bool  # a dense range driver joined the merge
 
     @property
     def first(self) -> LatticePoint:
         return self.points[0]
 
     @property
+    def range_driven(self) -> bool:
+        return bool(self.first.iterators) and not self.points[-1].iterators
+
+    @property
     def is_dense_loop(self) -> bool:
         """True when no sparse iterator exists: a plain for-loop suffices."""
-        return not any(p.iterators - {RANGE_DRIVER} for p in self.points)
+        return not self.first.iterators
 
     def sub_points(self, point: LatticePoint) -> tuple:
         return tuple(q for q in self.points if q.iterators <= point.iterators)
-
-    def iterator_uids(self) -> tuple:
-        out = []
-        for p in self.points:
-            for u in sorted(p.iterators):
-                if u != RANGE_DRIVER and u not in out:
-                    out.append(u)
-        return tuple(out)
 
 
 def build_lattice(kernel: Kernel, var: str) -> MergeLattice:
@@ -201,45 +201,24 @@ def build_lattice(kernel: Kernel, var: str) -> MergeLattice:
 
 def build_lattice_for(expr: Expr, var: str, tensors: dict, extent: int) -> MergeLattice:
     points = _points(expr, var, tensors)
-    full = any(p.full for p in points)
-    has_iterators = any(p.iterators for p in points)
-    range_driven = full and has_iterators
-    if range_driven:
-        points = [
-            LatticePoint(p.iterators | {RANGE_DRIVER}, p.locators, p.expr, p.full)
-            for p in points
-            if p.full or p.iterators
-        ]
-        points = _dedupe(points)
     points.sort(key=lambda p: -len(p.iterators))
-    return MergeLattice(var, tuple(points), extent, range_driven)
+    return MergeLattice(var, tuple(points), extent)
 
 
 def _points(expr: Expr, var: str, tensors: dict) -> list:
-    if isinstance(expr, AccessRef):
-        if var not in expr.indices:
-            return [LatticePoint(frozenset(), frozenset(), expr, True)]
+    if isinstance(expr, AccessRef) and var in expr.indices:
         enc = tensors[expr.tensor].encoding
-        if enc is None or enc.levels[enc.level_of_dim(expr.indices.index(var))] is DENSE:
-            return [LatticePoint(frozenset(), frozenset({expr.uid}), expr, True)]
-        return [LatticePoint(frozenset({expr.uid}), frozenset(), expr, False)]
-    if isinstance(expr, Const):
-        return [LatticePoint(frozenset(), frozenset(), expr, True)]
+        if enc is not None and enc.levels[enc.level_of_dim(expr.indices.index(var))] is not DENSE:
+            return [LatticePoint(frozenset({expr.uid}), expr)]
+    if isinstance(expr, (AccessRef, Const)):
+        return [LatticePoint(frozenset(), expr)]
     if isinstance(expr, Neg):
-        return [
-            LatticePoint(p.iterators, p.locators, Neg(p.expr), p.full)
-            for p in _points(expr.operand, var, tensors)
-        ]
+        return _negated(_points(expr.operand, var, tensors))
     left = _points(expr.lhs, var, tensors)
     right = _points(expr.rhs, var, tensors)
     node_type = type(expr)
     combined = [
-        LatticePoint(
-            a.iterators | b.iterators,
-            a.locators | b.locators,
-            node_type(a.expr, b.expr),
-            a.full and b.full,
-        )
+        LatticePoint(a.iterators | b.iterators, node_type(a.expr, b.expr))
         for a in left
         for b in right
     ]
@@ -247,12 +226,11 @@ def _points(expr: Expr, var: str, tensors: dict) -> list:
         return _dedupe(combined)
     # Union semantics: either side alone still contributes. A right-only
     # point of a subtraction contributes its negation (0 - y).
-    tail = list(left)
-    if isinstance(expr, Sub):
-        tail += [LatticePoint(p.iterators, p.locators, Neg(p.expr), p.full) for p in right]
-    else:
-        tail += right
-    return _dedupe(combined + tail)
+    return _dedupe(combined + left + (_negated(right) if isinstance(expr, Sub) else right))
+
+
+def _negated(points: list) -> list:
+    return [LatticePoint(p.iterators, Neg(p.expr)) for p in points]
 
 
 def _dedupe(points: list) -> list:
@@ -266,14 +244,12 @@ def _dedupe(points: list) -> list:
 
 
 def lattice_to_text(lat: MergeLattice, names: Optional[dict] = None) -> str:
-    """Deterministic dump used by --emit=lattice and golden tests."""
-    def itname(uid):
-        if uid == RANGE_DRIVER:
-            return "<range>"
-        return names.get(uid, str(uid)) if names else str(uid)
-
+    """Deterministic dump used by --emit=lattice and golden tests. A
+    range-driven lattice lists `<range>` first in every point."""
+    names = names or {}
+    lead = ["<range>"] if lat.range_driven else []
     lines = [f"lattice {lat.var}: {len(lat.points)} point(s), extent {lat.extent}"]
     for p in lat.points:
-        its = ", ".join(itname(u) for u in sorted(p.iterators))
+        its = ", ".join(lead + [names.get(u, str(u)) for u in sorted(p.iterators)])
         lines.append(f"  {{{its}}} -> {expr_to_text(p.expr)}")
     return "\n".join(lines)

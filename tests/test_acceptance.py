@@ -12,7 +12,7 @@ import time
 import pytest
 
 import conftest as refs
-from sparsec.cli import run_search
+from sparsec.cli import main, run_search
 from sparsec.codegen import StrategyKind, emit_text, lower
 from sparsec.encoding import (
     COMPRESSED,
@@ -402,6 +402,13 @@ GOLDEN_KERNELS = {
         "tensor C(3, 4) format(dense, compressed)\n"
         "C(i, j) = A(i, j) + B(i, j)\n"
     ),
+    # A union with a dense operand: the range drives every co-iteration
+    # loop, and the last one runs the range alone.
+    "range": (
+        "tensor a(8) format(compressed)\ntensor b(8) format(compressed)\n"
+        "tensor B(8)\ntensor c(8)\n"
+        "c(i) = a(i) * B(i) + b(i) - B(i)\n"
+    ),
 }
 
 
@@ -416,3 +423,14 @@ def test_10_golden_ir_texts(request):
             )
             want = (golden_dir / f"{name}.ir.txt").read_bytes()
             assert emit_text(program).encode() == want, name
+
+
+def test_10_golden_lattice_text(request, tmp_path, capsys):
+    # `sparsec emit --emit lattice` of the range-driven kernel: the range
+    # is listed first in each point.
+    with criterion(10, "golden-lattice-text", 1.0):
+        kernel_file = tmp_path / "range.kernel"
+        kernel_file.write_text(GOLDEN_KERNELS["range"])
+        assert main(["emit", "--kernel-file", str(kernel_file), "--emit", "lattice"]) == 0
+        want = (request.path.parent / "golden" / "range.lattice.txt").read_text()
+        assert capsys.readouterr().out == want

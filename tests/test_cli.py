@@ -380,6 +380,24 @@ def test_cmd_bench_scale_below_one_is_one_parse_error_line(capsys, scale):
     assert err == [f"sparsec: error[ParseError]: --scale must be at least 1, got {scale}"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["emit", "--emit", "foo"],
+        ["bench", "--suite", "nope"],
+        ["run", "--seed", "abc"],
+        ["run"],
+        [],
+    ],
+)
+def test_argument_errors_are_one_parse_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith("sparsec: error[ParseError]: "), line
+
+
 def test_cmd_search_with_every_row_in_conflict_is_one_line(tmp_path, capsys):
     # B(j, i) in CSR puts j before i, the CSR output i before j: whatever
     # A's encoding, no row compiles.

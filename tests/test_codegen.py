@@ -115,6 +115,31 @@ def test_scale_in_place():
         assert not _nodes(prog.body, ForDense), rhs
 
 
+NOT_IN_PLACE = [
+    "x(i) = (x(i) + 1.0) * 2.0",
+    "x(i) = 2.0 * -x(i)",
+    "x(i) = x(i) * y(i)",
+    "x(i) = x(i) * x(i)",
+    "x(i) += 2.0 * x(i)",
+    "d(i) *= 2.0",
+    "z(i, j) *= 2.0",
+]
+
+
+@pytest.mark.parametrize("rhs", NOT_IN_PLACE)
+def test_only_a_scale_by_constants_is_in_place(rhs):
+    # The output must be a compressed vector and a factor of a pure
+    # product whose other factors read no tensor.
+    k = analyze_reductions(
+        parse_kernel(
+            "tensor x(16) format(compressed)\ntensor y(16) format(compressed)\n"
+            f"tensor d(16)\ntensor z(4, 4) format(dense, compressed)\n{rhs}\n"
+        )
+    )
+    strategy = codegen.choose_output_strategy(k, topo_sort(build_iteration_graph(k)))
+    assert strategy.kind is not StrategyKind.IN_PLACE
+
+
 def test_every_ir_statement_has_a_handler():
     # The IR's statements are the dataclasses `codegen` defines, less the
     # expression leaves, a co-iteration's case, the strategy and the

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from sparsec import codegen
 from sparsec.engine import compile_kernel, prepare_kernels
 from sparsec.errors import OrderConflict
-from sparsec.expr import analyze_reductions, parse_kernel
+from sparsec.encoding import COMPRESSED
+from sparsec.expr import accesses, analyze_reductions, parse_kernel
 from sparsec.lattice import (
-    RANGE_DRIVER,
     build_iteration_graph,
     build_lattice,
     build_lattice_for,
@@ -123,8 +123,7 @@ def test_dense_add_makes_range_driver():
     )
     lat = build_lattice(k, "i")
     assert lat.range_driven
-    assert all(RANGE_DRIVER in p.iterators for p in lat.points)
-    assert len(lat.points) == 2
+    assert [len(p.iterators) for p in lat.points] == [1, 0]
 
 
 def test_dense_mul_stays_intersection():
@@ -135,7 +134,8 @@ def test_dense_mul_stays_intersection():
     lat = build_lattice(k, "i")
     assert not lat.range_driven
     assert len(lat.points) == 1
-    assert lat.first.locators  # the dense operand is located, not merged
+    # the dense operand is read by random access, not merged
+    assert lat.first.iterators == {k.analysis.accesses[0].uid}
 
 
 def test_pure_dense_lattice_is_for_loop():
@@ -182,19 +182,20 @@ def test_topo_respects_every_tensor_chain():
 
 
 def _lattices(text) -> list:
-    """Every merge lattice of kernel `text`: `build_lattice`'s for each
-    piece and variable, and each one lowering builds for a subexpression
-    (none where the loop orders conflict)."""
+    """Every merge lattice of kernel `text`, each with the tensor types it
+    was built over: `build_lattice`'s for each piece and variable, and each
+    one lowering builds for a subexpression (none where the loop orders
+    conflict)."""
     kernel = parse_kernel(text)
     built = [
-        build_lattice(piece, var)
+        (build_lattice(piece, var), piece.tensors)
         for piece in prepare_kernels(kernel)
         for var in piece.analysis.var_extents
     ]
 
-    def record(*args):
-        built.append(build_lattice_for(*args))
-        return built[-1]
+    def record(expr, var, tensors, extent):
+        built.append((build_lattice_for(expr, var, tensors, extent), tensors))
+        return built[-1][0]
 
     with mock.patch.object(codegen, "build_lattice_for", record):
         try:
@@ -204,16 +205,29 @@ def _lattices(text) -> list:
     return built
 
 
+def _compressed_at(access, var, tensors) -> bool:
+    enc = tensors[access.tensor].encoding
+    if enc is None or var not in access.indices:
+        return False
+    return enc.levels[enc.level_of_dim(access.indices.index(var))] is COMPRESSED
+
+
 @settings(SETTINGS, max_examples=300)
 @given(st.one_of(product_case(), mix_case()))
 def test_lattice_points_are_closed_under_union(case):
     # The array form runs a co-iteration's sibling loops, one per point,
     # as the first one alone (`engine._ArrayRun._WhileCoiter`): it holds
     # every iterator, its cases are every point, and the range alone, the
-    # last point of a range-driven lattice, runs every index.
-    for lat in _lattices(case[0]):
+    # last point of a range-driven lattice, runs every index. A point is
+    # its iterators and its expression: the iterators are the expression's
+    # accesses compressed along the variable.
+    for lat, tensors in _lattices(case[0]):
         sets = [p.iterators for p in lat.points]
         assert all(a | b in sets for a in sets for b in sets), lattice_to_text(lat)
         assert sets[0] == frozenset().union(*sets), lattice_to_text(lat)
+        assert lat.range_driven == (bool(sets[0]) and not sets[-1]), lattice_to_text(lat)
         if lat.range_driven:
-            assert sets[-1] == {RANGE_DRIVER}, lattice_to_text(lat)
+            assert sets[-1] == frozenset(), lattice_to_text(lat)
+        for p in lat.points:
+            compressed = {a.uid for a in accesses(p.expr) if _compressed_at(a, lat.var, tensors)}
+            assert p.iterators == compressed, lattice_to_text(lat)
