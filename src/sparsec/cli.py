@@ -9,7 +9,6 @@ import argparse
 import csv
 import hashlib
 import math
-import re
 import statistics
 import sys
 import time
@@ -77,8 +76,6 @@ def result_checksum(result) -> str:
 # ----------------------------------------------------------------------------
 # Argument helpers
 
-_GENERATOR_RE = re.compile(r"^(uniform|rowband|identity)(:[^:]+)?(:[^:]+)?$")
-
 _NAMED_ENCODINGS = {
     "csr": csr,
     "csc": csc,
@@ -110,17 +107,22 @@ def _read_value(spec: str):
 
 def parse_input_spec(spec: str, shape: tuple, default_seed: int):
     """Resolve one --input value: a generator of `shape`, or `_read_value`.
-    A generator spec whose arguments do not convert, that `GeneratorSpec`
-    refuses, or that gives `identity` any, is a ParseError."""
-    m = _GENERATOR_RE.match(spec)
-    if not m:
+    A spec is a generator's when it is `uniform`, `rowband` or `identity`,
+    or starts with one of them and a colon. An empty argument, more than
+    two (any for `identity`), one that does not convert or a spec that
+    `GeneratorSpec` refuses is a ParseError."""
+    kind, colon, rest = spec.partition(":")
+    if kind not in ("uniform", "rowband", "identity"):
         return _read_value(spec)
-    kind = m.group(1)
-    arg1 = m.group(2)[1:] if m.group(2) else None
-    arg2 = m.group(3)[1:] if m.group(3) else None
+    args = rest.split(":") if colon else []
     try:
-        if kind == "identity" and arg1 is not None:
+        if kind == "identity" and args:
             raise ValueError("identity takes no arguments")
+        if len(args) > 2:
+            raise ValueError(f"{kind} takes at most 2 arguments")
+        if "" in args:
+            raise ValueError("empty argument")
+        arg1, arg2 = args + [None] * (2 - len(args))
         seed = int(arg2) if arg2 is not None else default_seed
         if kind == "uniform":
             gen = GeneratorSpec(shape, "uniform", density=float(arg1 or 0.1), seed=seed)
@@ -563,8 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="sweep the format state space of one operand")
     search.add_argument("--kernel-file", required=True)
     search.add_argument("--input", action="append", metavar="NAME=PATH|GEN")
-    search.add_argument("--sweep", help="operand to sweep (default: the sparse input)")
-    search.add_argument(
+    swept = search.add_mutually_exclusive_group()
+    swept.add_argument("--sweep", help="operand to sweep (default: the sparse input)")
+    swept.add_argument(
         "--sweep-all",
         action="store_true",
         help="sweep every bound sparse operand jointly; conflicting combinations are skipped",

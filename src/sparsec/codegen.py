@@ -22,12 +22,13 @@ that the dense store drops sums exactly zero. In-place updates are
 generated for the one pattern that allows them: scaling a compressed
 vector by constants.
 
-One recursion lowers the loops for every strategy. The strategy only picks
-the leaf statement that writes a value into the output (a dense store, an
-insertion, a scatter into the workspace or an in-place store) and at most
-one wrap at one loop depth: the workspace's compress after the loops of
-its prefix, or, for an insertion under reductions, an accumulator that
-sums each coordinate's value before it is inserted.
+One recursion lowers the loops for every strategy, and one statement,
+`Store`, writes each value into the output. The Program's strategy says
+how a store is written (a dense store, an insertion, a scatter into the
+workspace or an in-place store) and adds at most one wrap at one loop
+depth: the workspace's compress after the loops of its prefix, or, for an
+insertion under reductions, an accumulator that sums each coordinate's
+value before it is inserted.
 """
 
 import enum
@@ -207,14 +208,9 @@ class AccumAcc:
 
 
 @dataclass(frozen=True)
-class StoreDense:
-    coords: tuple  # var names, logical order
-    expr: object
+class Store:
+    """Writes a value into the output, as the Program's strategy says."""
 
-
-@dataclass(frozen=True)
-class InsertLex:
-    coords: tuple  # var names, logical order
     expr: object
 
 
@@ -224,21 +220,8 @@ class ExpandWs:
 
 
 @dataclass(frozen=True)
-class ScatterWs:
-    var: str
-    expr: object
-
-
-@dataclass(frozen=True)
 class CompressWs:
     prefix: tuple  # var names, output storage order, outermost first
-
-
-@dataclass(frozen=True)
-class StoreInPlace:
-    uid: int
-    level: int
-    expr: object
 
 
 @dataclass(frozen=True)
@@ -257,8 +240,8 @@ class Program:
 
 class _Lowerer:
     """Lowers a kernel for every output strategy through one recursion
-    (`emit`). The strategy picks the leaf store (`_store`) and the depth
-    of its one wrap, if it has one, fixed here."""
+    (`emit`), whose leaf is always `Store`. The strategy fixes only the
+    depth of its one wrap, if it has one (`wrap_depth`)."""
 
     def __init__(self, kernel: Kernel, topo, lattices=None):
         an = kernel.analysis
@@ -309,21 +292,6 @@ class _Lowerer:
         if isinstance(expr, Neg):
             return Neg(self._link_expr(expr.operand))
         return type(expr)(self._link_expr(expr.lhs), self._link_expr(expr.rhs))
-
-    def _store(self):
-        """The strategy's leaf: the statement that writes a linked
-        expression into the output. The in-place update stores at the
-        position of the output's one access, the whole right-hand side's
-        only access (`_is_inplace_scale`)."""
-        kind, coords = self.strategy.kind, self.kernel.lhs.indices
-        if kind is StrategyKind.DENSE_STORE:
-            return lambda e: StoreDense(coords, e)
-        if kind is StrategyKind.DIRECT_LEX:
-            return lambda e: InsertLex(coords, e)
-        if kind is StrategyKind.EXPAND_COMPRESS:
-            return lambda e: ScatterWs(self.strategy.var, e)
-        (out,) = self.accesses
-        return lambda e: StoreInPlace(out.uid, 0, e)
 
     # -- main recursion
 
@@ -385,7 +353,7 @@ class _Lowerer:
         prologue = [LoadVal(uid) for uid in self.bound_at[-1]]
         if self.strategy.kind is StrategyKind.EXPAND_COMPRESS:
             prologue.append(ExpandWs(self.extents[self.strategy.var]))
-        body = self.emit(0, self.rhs, self._store())
+        body = self.emit(0, self.rhs, Store)
         return Program(
             self.kernel,
             self.strategy,
@@ -582,38 +550,30 @@ class _Emitter:
     def _AccumAcc(self, s, depth):
         self.out(f"acc{s.slot} += {_expr_text(s.expr, self.names)}", depth)
 
-    def _StoreDense(self, s, depth):
-        out = self.p.kernel.lhs.tensor
-        coords = ", ".join(s.coords)
-        target = f"{out}[{coords}]" if coords else out
-        self.out(f"{target} += {_expr_text(s.expr, self.names)}", depth)
-
-    def _InsertLex(self, s, depth):
-        out = self.p.kernel.lhs.tensor
-        self.out(
-            f"insert {out}({', '.join(s.coords)}) = {_expr_text(s.expr, self.names)}",
-            depth,
-        )
+    def _Store(self, s, depth):
+        out, strategy = self.p.kernel.lhs, self.p.strategy
+        value = _expr_text(s.expr, self.names)
+        coords = ", ".join(out.indices)
+        if strategy.kind is StrategyKind.DENSE_STORE:
+            target = f"{out.tensor}[{coords}]" if coords else out.tensor
+            self.out(f"{target} += {value}", depth)
+        elif strategy.kind is StrategyKind.DIRECT_LEX:
+            self.out(f"insert {out.tensor}({coords}) = {value}", depth)
+        elif strategy.kind is StrategyKind.EXPAND_COMPRESS:
+            self.out(f"if not filled[{strategy.var}]: mark {strategy.var} added", depth)
+            self.out(f"workspace[{strategy.var}] += {value}", depth)
+        else:
+            # In place: at the position of the output's one access, the
+            # right-hand side's only access (uid 0), at its one level.
+            self.out(f"store {self.name(0)}.value[{self.pos(0, 0)}] = {value}", depth)
 
     def _ExpandWs(self, s, depth):
         self.out(f"workspace = expand({s.extent})", depth)
-
-    def _ScatterWs(self, s, depth):
-        self.out(f"if not filled[{s.var}]: mark {s.var} added", depth)
-        self.out(f"workspace[{s.var}] += {_expr_text(s.expr, self.names)}", depth)
 
     def _CompressWs(self, s, depth):
         out = self.p.kernel.lhs.tensor
         at = ", ".join(s.prefix)
         self.out(f"compress workspace into {out} at ({at})", depth)
-
-    def _StoreInPlace(self, s, depth):
-        n = self.name(s.uid)
-        self.out(
-            f"store {n}.value[{self.pos(s.uid, s.level)}] = "
-            f"{_expr_text(s.expr, self.names)}",
-            depth,
-        )
 
 
 def emit_text(program: Program) -> str:

@@ -367,12 +367,12 @@ class _ArrayRun:
 
     A sink statement hands its writes to `sink` and they are applied when
     read (`drain`): an accumulator's when the accumulator is read, the
-    output's at the end, by `run`, which returns them. The four store
-    statements are one handler (`_StoreDense`): stored, inserted,
-    scattered into the workspace or updated in place, a write is the
-    output's coordinate columns and the value, and only `interpret` reads
-    the strategy that finishes them. One sink statement writes its rows in
-    loop order. Several that write one target, the cases of a
+    output's at the end, by `run`, which returns them. The one store
+    statement (`_Store`) writes the output whatever its strategy: stored,
+    inserted, scattered into the workspace or updated in place, a write is
+    the output's coordinate columns and the value, and only `interpret`
+    reads the strategy that finishes them. One sink statement writes its
+    rows in loop order. Several that write one target, the cases of a
     co-iteration, sit under the same loops, and are merged by their rows'
     values of those loops' variables first (`_Frame.key`). Then
     `np.add.at` adds in index order and the output's merge sorts stably,
@@ -673,19 +673,18 @@ class _ArrayRun:
     def _AccumAcc(self, s: AccumAcc, frame):
         self.sink(("acc", s.slot), s, frame, frame.col(("acc", s.slot)), self.values(s.expr, frame))
 
-    def _StoreDense(self, s, frame):
+    def _Store(self, s, frame):
         """Sink the output's writes, whatever its strategy: its coordinate
-        columns, logical order, and the values."""
+        columns, logical order, and the values.
+
+        The workspace's scatters are the output's writes, merged at the
+        end as the dense store's are, so expanding and compressing it run
+        nothing. Its prefix variables lead the loops, so each coordinate's
+        writes come from one compress row, in scatter order. The in-place
+        update's loop visits every stored position of its vector in order,
+        so its writes are that storage's coordinates."""
         columns = [frame.col(("v", v)) for v in self.p.kernel.lhs.indices]
         self.sink("out", s, frame, *columns, self.values(s.expr, frame))
-
-    # The workspace's scatters are the output's writes, merged at the end
-    # as the dense store's are, so expanding and compressing it run
-    # nothing. Its prefix variables lead the loops, so each coordinate's
-    # writes come from one compress row, in scatter order. The in-place
-    # update's loop visits every stored position of its vector in order,
-    # so its writes are that storage's coordinates.
-    _InsertLex = _ScatterWs = _StoreInPlace = _StoreDense
 
     def _ExpandWs(self, s: ExpandWs, frame):
         pass

@@ -72,10 +72,11 @@ class CooTensor:
 
     The exchange format of the readers and writers in `tensor_io`. Build it
     from (coords, value) pairs, parsed once here, or with `from_arrays`.
-    Everything is checked at construction: values are converted with
-    `float`, each coordinate is checked for its rank, type, width and
-    bounds (RankMismatch, CoordNotInteger, CoordOutOfBounds), and the shape
-    as a `TensorType` checks it (ShapeMismatch). `to_coo` sorts entries
+    Everything is checked at construction: the values as `SparseStorage`
+    checks its own (`_typed_array`: a value that is not a real number
+    raises MalformedStorage), each coordinate for its rank, type, width
+    and bounds (RankMismatch, CoordNotInteger, CoordOutOfBounds), and the
+    shape as a `TensorType` checks it (ShapeMismatch). `to_coo` sorts entries
     lexicographically by coordinate and sums duplicates (Matrix Market
     convention).
     """
@@ -89,7 +90,8 @@ class CooTensor:
         for c, v in entries:
             coords.append(c)
             values.append(v)
-        self._values = _read_only(np.fromiter(map(float, values), np.float64, len(values)))
+        bad = MalformedStorage("COO values must be real numbers")
+        self._values = _typed_array(values, np.float64, "biuf", "d", bad)
         self._columns = _in_bounds(_coord_columns(coords, self.shape), self.shape)
 
     @classmethod
@@ -100,17 +102,19 @@ class CooTensor:
         (`_frozen`)."""
         coo = cls.__new__(cls)
         coo.shape = TensorType(shape).shape
-        coo._values = _frozen(np.asarray(values), np.float64)
+        values = np.asarray(values)
         columns = [np.asarray(c) for c in columns]
         if (
-            coo._values.ndim != 1
+            values.ndim != 1
             or len(columns) != coo.rank
-            or any(c.shape != coo._values.shape for c in columns)
+            or any(c.shape != values.shape for c in columns)
         ):
             raise RankMismatch(
                 f"coordinate columns of shapes {[c.shape for c in columns]} for values "
-                f"of shape {coo._values.shape} in a rank-{coo.rank} tensor"
+                f"of shape {values.shape} in a rank-{coo.rank} tensor"
             )
+        bad = MalformedStorage("COO values must be real numbers")
+        coo._values = _typed_array(values, np.float64, "biuf", "d", bad)
         for c in columns:
             if c.size and c.dtype.kind not in "iu":
                 raise CoordNotInteger(f"coordinates of dtype {c.dtype} are not integers")

@@ -7,14 +7,16 @@ that `codegen.emit_text` prints, one element at a time, so the library's
 array form (`engine.interpret`) is checked against it bit for bit: both
 add in loop order from the same 0.0.
 
-A sparse output's entries, inserted directly or drained from the
-workspace (`expand`, `Workspace.scatter`, `compress`), are appended in
-storage order to two flat arrays, one of coordinates and one of values,
-and laid out by the engine's own `_sparse_output`. The dense store adds
-into a buffer of the output's whole volume, which starts from the engine's
-`_dense_output` seed; for a sparse output the buffer is then packed
-(`convert`), the independent reference for the array form's merge of the
-same writes. CPython compiles at most 20 statically nested loops into
+The IR's one store statement is written as the Program's strategy says
+(`_Generator._Store`). A sparse output's entries, inserted directly or
+drained from the workspace (`expand`, `Workspace.scatter`, `compress`),
+are appended in storage order to two flat arrays, one of coordinates and
+one of values, and laid out by the engine's own `_sparse_output`. The
+dense store adds into a buffer of the output's whole volume, which starts
+from the engine's `_dense_output` seed; for a sparse output the buffer is
+then packed (`convert`), the independent reference for the array form's
+merge of the same writes. The in-place update writes each stored value of
+the output's storage at its position. CPython compiles at most 20 statically nested loops into
 one function, so a deeper loop nest fails to compile here; the array form
 has no such limit.
 """
@@ -225,36 +227,37 @@ class _Generator:
     def _AccumAcc(self, s, depth):
         self.line(depth, f"a{s.slot} += {self._expr(s.expr)}")
 
-    def _StoreDense(self, s, depth):
-        stride, terms = 1, []
-        for v, extent in zip(reversed(s.coords), reversed(self.p.kernel.output_type.shape)):
-            terms.append(self.var[v] if stride == 1 else f"{self.var[v]}*{stride}")
-            stride *= extent
-        offset = " + ".join(reversed(terms)) or "0"
-        self.line(depth, f"out[{offset}] += {self._expr(s.expr)}")
-
-    def _InsertLex(self, s, depth):
-        enc = self.p.kernel.output_type.encoding
-        scoords = [s.coords[enc.dim_of_level(l)] for l in range(len(s.coords))]
-        self.line(depth, f"coords.extend({self._tuple(scoords)})")
-        self.line(depth, f"values.append({self._expr(s.expr)})")
+    def _Store(self, s, depth):
+        strategy, value = self.p.strategy, self._expr(s.expr)
+        coords = self.p.kernel.lhs.indices
+        if strategy.kind is StrategyKind.DENSE_STORE:
+            stride, terms = 1, []
+            for v, extent in zip(reversed(coords), reversed(self.p.kernel.output_type.shape)):
+                terms.append(self.var[v] if stride == 1 else f"{self.var[v]}*{stride}")
+                stride *= extent
+            offset = " + ".join(reversed(terms)) or "0"
+            self.line(depth, f"out[{offset}] += {value}")
+        elif strategy.kind is StrategyKind.DIRECT_LEX:
+            enc = self.p.kernel.output_type.encoding
+            scoords = [coords[enc.dim_of_level(l)] for l in range(len(coords))]
+            self.line(depth, f"coords.extend({self._tuple(scoords)})")
+            self.line(depth, f"values.append({value})")
+        elif strategy.kind is StrategyKind.EXPAND_COMPRESS:
+            j = self.var[strategy.var]
+            self.line(depth, f"wv[{j}] += {value}")
+            self.line(depth, f"if not wf[{j}]:")
+            self.line(depth + 1, f"wf[{j}] = True")
+            self.line(depth + 1, f"wa.append({j})")
+        else:
+            # In place: at the position of the output's one access (uid 0).
+            self.line(depth, f"out[q0_0] = {value}")
 
     def _ExpandWs(self, s, depth):
         self.line(depth, f"ws = expand({s.extent})")
         self.line(depth, "wv, wf, wa = ws.values, ws.filled, ws.added")
 
-    def _ScatterWs(self, s, depth):
-        j = self.var[s.var]
-        self.line(depth, f"wv[{j}] += {self._expr(s.expr)}")
-        self.line(depth, f"if not wf[{j}]:")
-        self.line(depth + 1, f"wf[{j}] = True")
-        self.line(depth + 1, f"wa.append({j})")
-
     def _CompressWs(self, s, depth):
         self.line(depth, f"compress(ws, {self._tuple(s.prefix)}, coords, values)")
-
-    def _StoreInPlace(self, s, depth):
-        self.line(depth, f"out[q{s.uid}_{s.level}] = {self._expr(s.expr)}")
 
     def function(self, **bound):
         """Generate the source, `exec` it once, and return the function."""

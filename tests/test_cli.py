@@ -99,6 +99,13 @@ def test_cmd_convert_malformed_encoding_is_one_line(tmp_path, capsys, text):
         "identity:abc",
         "identity:1",
         "identity:1:2",
+        # Empty or extra arguments: a generator's spec all the same, never
+        # a file path.
+        "uniform:",
+        "uniform:0.5:",
+        "uniform::3",
+        "rowband:1:2:3",
+        "identity:",
     ],
 )
 def test_cmd_run_bad_generator_spec_is_one_line(tmp_path, capsys, spec):
@@ -388,6 +395,7 @@ def test_cmd_bench_scale_below_one_is_one_parse_error_line(capsys, scale):
         ["run", "--seed", "abc"],
         ["run"],
         [],
+        ["search", "--kernel-file", "k.kernel", "--sweep-all", "--sweep", "a"],
     ],
 )
 def test_argument_errors_are_one_parse_error_line(capsys, argv):

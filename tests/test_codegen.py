@@ -18,9 +18,7 @@ from sparsec.codegen import (
     ExpandWs,
     ForDense,
     ForPositions,
-    InsertLex,
-    ScatterWs,
-    StoreInPlace,
+    Store,
     StrategyKind,
     WhileCoiter,
     emit_text,
@@ -33,7 +31,8 @@ from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.lattice import build_iteration_graph, build_lattice, topo_sort
 from sparsec.oracle import dense_eval
 from sparsec.storage import DenseTensor
-from test_acceptance import _random_kernel_case
+import loops_reference
+from test_acceptance import GOLDEN_KERNELS, _random_kernel_case
 
 
 def _lowered(text):
@@ -69,7 +68,7 @@ def test_spmspm_takes_workspace_strategy():
     k, topo, prog = _lowered(SPMSPM)
     assert prog.strategy.kind is StrategyKind.EXPAND_COMPRESS
     assert prog.strategy.var == "j"  # the reduction loop k intervenes
-    assert _nodes(prog.body, ExpandWs) and _nodes(prog.body, ScatterWs)
+    assert _nodes(prog.body, ExpandWs) and _nodes(prog.body, Store)
     assert _nodes(prog.body, CompressWs)[0].prefix == ("i",)
 
 
@@ -82,7 +81,7 @@ def test_elementwise_add_direct_lex():
     )
     assert prog.strategy.kind is StrategyKind.DIRECT_LEX
     assert not _nodes(prog.body, ExpandWs) and not _nodes(prog.body, CompressWs)
-    assert _nodes(prog.body, InsertLex)
+    assert _nodes(prog.body, Store)
 
 
 def test_dense_output_matmul_dense_store():
@@ -111,7 +110,7 @@ def test_scale_in_place():
         assert prog.strategy.kind is StrategyKind.IN_PLACE, rhs
         loops = _nodes(prog.body, ForPositions)
         assert len(loops) == 1, rhs
-        assert _nodes(prog.body, StoreInPlace), rhs
+        assert _nodes(prog.body, Store), rhs
         assert not _nodes(prog.body, ForDense), rhs
 
 
@@ -143,7 +142,8 @@ def test_only_a_scale_by_constants_is_in_place(rhs):
 def test_every_ir_statement_has_a_handler():
     # The IR's statements are the dataclasses `codegen` defines, less the
     # expression leaves, a co-iteration's case, the strategy and the
-    # Program; the engine and the text emitter each handle every one.
+    # Program; the engine, the text emitter and the reference loops each
+    # handle every one.
     others = {"ValRef", "AccRef", "CoiterCase", "OutputStrategy", "Program"}
     statements = [
         name
@@ -153,10 +153,21 @@ def test_every_ir_statement_has_a_handler():
         and cls.__module__ == codegen.__name__
         and name not in others
     ]
-    assert {"StoreDense", "InsertLex", "ScatterWs", "StoreInPlace"} <= set(statements)
+    assert "Store" in statements
     for name in statements:
-        assert callable(getattr(engine._ArrayRun, f"_{name}", None)), name
-        assert callable(getattr(codegen._Emitter, f"_{name}", None)), name
+        for walker in (engine._ArrayRun, codegen._Emitter, loops_reference._Generator):
+            assert callable(getattr(walker, f"_{name}", None)), (walker.__name__, name)
+
+
+def test_golden_kernels_cover_every_strategy():
+    # So each of the store statement's printed forms is pinned byte for
+    # byte by a golden IR text.
+    strategies = {
+        program.strategy.kind
+        for text in GOLDEN_KERNELS.values()
+        for program in compile_kernel(parse_kernel(text))
+    }
+    assert strategies == set(StrategyKind)
 
 
 def test_dot_product_single_coiteration():

@@ -22,9 +22,7 @@ from sparsec.codegen import (
     AccumAcc,
     ForDense,
     ForPositions,
-    InsertLex,
-    ScatterWs,
-    StoreDense,
+    Store,
     WhileCoiter,
 )
 from sparsec.encoding import COMPRESSED, DENSE, make_encoding
@@ -181,8 +179,8 @@ def test_arrays_and_loops_agree_on_random_sums_and_products(case):
 
 def _sink_loops(stmts, loops=(), found=None) -> dict:
     """The variables of the loops around each sink statement of `stmts`,
-    outermost first, as a set per target: the output (a dense store, an
-    insertion or a workspace scatter) or an accumulator slot."""
+    outermost first, as a set per target: the output (a `Store`, whatever
+    the strategy) or an accumulator slot."""
     found = {} if found is None else found
     for s in stmts:
         if isinstance(s, (ForDense, ForPositions)):
@@ -190,7 +188,7 @@ def _sink_loops(stmts, loops=(), found=None) -> dict:
         elif isinstance(s, WhileCoiter):
             for case in s.cases:
                 _sink_loops(case.body, loops + (s.var,), found)
-        elif isinstance(s, (StoreDense, InsertLex, ScatterWs)):
+        elif isinstance(s, Store):
             found.setdefault("out", set()).add(loops)
         elif isinstance(s, AccumAcc):
             found.setdefault(("acc", s.slot), set()).add(loops)

@@ -10,9 +10,10 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from array import array
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from operator import itemgetter
 
 import numpy as np
@@ -813,14 +814,27 @@ def test_bad_coordinates_raise_at_the_first_read(shape, pairs):
 
 @pytest.mark.parametrize("value", ["abc", None, 1j, 10**400, "2.5", True, np.float32(0.5)])
 def test_values_convert_with_float_at_construction(value):
+    # A real number converts as `float` converts it, from pairs and from
+    # arrays. Anything else, a string `float` would parse included, is
+    # MalformedStorage, as in `DenseTensor` and `SparseStorage`: never
+    # cast with a warning that drops an imaginary part.
     try:
-        want = float(value)
-    except Exception as e:  # noqa: BLE001 - the type itself is compared
-        with pytest.raises(type(e)):
-            CooTensor((2,), [((0,), 1.0), ((1,), value)])
-        return
-    coo = CooTensor((2,), [((0,), 1.0), ((1,), value)])
-    assert repr(coo.entries) == repr([((0,), 1.0), ((1,), want)])
+        want = float(value) if isinstance(value, Real) else None
+    except OverflowError:
+        want = None
+    makes = [
+        lambda: CooTensor((2,), [((0,), 1.0), ((1,), value)]),
+        lambda: CooTensor.from_arrays((2,), [np.array([0, 1])], [1.0, value]),
+    ]
+    for make in makes:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                with pytest.raises(MalformedStorage):
+                    make()
+                continue
+            coo = make()
+        assert repr(coo.entries) == repr([((0,), 1.0), ((1,), want)])
 
 
 def test_coo_arrays_are_read_only():
