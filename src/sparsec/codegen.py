@@ -2,12 +2,15 @@
 
 The IR is a plain statement tree. Dense-driven variables become counted
 for-loops; a variable whose lattice holds a single sparse iterator becomes
-a loop over that iterator's position range; anything else becomes a
-sequence of co-iteration while-loops, one per lattice point in dominance
-order, whose cases dispatch on which iterators hold the candidate index.
-Values are loaded once at the loop depth where their access becomes fully
-bound, mirroring the invariant hoisting visible in hand-written sparse
-kernels.
+a loop over that iterator's position range; anything else becomes one
+co-iteration statement, `WhileCoiter`, whose cases are the lattice's
+points in dominance order, each lowered once, dispatched on which
+iterators hold the candidate index. The paper spells that statement as one
+while loop per point (`WhileCoiter.loops`), and the text emitter prints
+those loops. Values are loaded once at the loop depth where their access
+becomes fully bound, mirroring the invariant hoisting visible in
+hand-written sparse kernels, and the expressions' leaves are the
+analysis's own `AccessRef`s.
 
 Sparse outputs are built either by direct lexicographic insertion (legal
 when the left-hand-side variables lead the loop order in the output's
@@ -32,7 +35,7 @@ value before it is inserted.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .encoding import COMPRESSED
@@ -136,14 +139,6 @@ def choose_output_strategy(kernel: Kernel, topo_order) -> OutputStrategy:
 
 
 @dataclass(frozen=True)
-class ValRef:
-    """Expression leaf: the hoisted value of one access occurrence."""
-
-    uid: int
-    name: str
-
-
-@dataclass(frozen=True)
 class AccRef:
     """Expression leaf: a scalar accumulator."""
 
@@ -177,11 +172,6 @@ class ForPositions:
 
 
 @dataclass(frozen=True)
-class RangeInit:
-    var: str
-
-
-@dataclass(frozen=True)
 class CoiterCase:
     iterators: frozenset  # uids that must hold the candidate
     body: tuple
@@ -189,11 +179,27 @@ class CoiterCase:
 
 @dataclass(frozen=True)
 class WhileCoiter:
+    """One co-iterated variable: its cases are its lattice's points."""
+
     var: str
     iterators: tuple  # (uid, level) pairs co-iterated by this loop
     has_range: bool
     extent: int
     cases: tuple  # CoiterCase, dominance order
+
+    def loops(self) -> tuple:
+        """The while loops the paper spells this statement as, one per case
+        in order: each over the case's iterators, keeping the range, with
+        every case whose iterators are a subset of them. The first equals
+        this statement."""
+        return tuple(
+            replace(
+                self,
+                iterators=tuple(it for it in self.iterators if it[0] in case.iterators),
+                cases=tuple(c for c in self.cases if c.iterators <= case.iterators),
+            )
+            for case in self.cases
+        )
 
 
 @dataclass(frozen=True)
@@ -229,8 +235,6 @@ class Program:
     kernel: Kernel
     strategy: OutputStrategy
     topo: tuple
-    accesses: tuple  # AccessRef occurrences, uid order
-    names: dict  # uid -> display name
     body: tuple
 
 
@@ -256,8 +260,6 @@ class _Lowerer:
         self.bound_at = {d: [] for d in range(-1, len(self.topo))}
         for a in self.accesses:
             self.bound_at[max((depth_of[v] for v in a.indices), default=-1)].append(a.uid)
-        self.names = access_display_names(self.accesses)
-        self.values = [ValRef(a.uid, f"{self.names[a.uid]}_val") for a in self.accesses]
         # (id(expr), var) -> that expression's lattice for var, built on first
         # use. Every expression lowered is self.rhs or a point of a lattice
         # held here, so no id is reused while the lowering runs.
@@ -284,22 +286,13 @@ class _Lowerer:
         leaves = {a.uid for a in accesses(point.expr)}
         return [LoadVal(uid) for uid in self.bound_at[depth] if uid in leaves]
 
-    def _link_expr(self, expr: Expr):
-        if isinstance(expr, AccessRef):
-            return self.values[expr.uid]
-        if isinstance(expr, Const):
-            return expr
-        if isinstance(expr, Neg):
-            return Neg(self._link_expr(expr.operand))
-        return type(expr)(self._link_expr(expr.lhs), self._link_expr(expr.rhs))
-
     # -- main recursion
 
     def emit(self, depth: int, expr: Expr, sink) -> list:
         """The statements that compute `expr` over the loops from `depth`
-        on, each value written by `sink`, a function from a linked
-        expression to one statement. At the wrap depth the loops below
-        run inside the strategy's wrap."""
+        on, each value written by `sink`, a function from an expression
+        to one statement. At the wrap depth the loops below run inside
+        the strategy's wrap."""
         if depth != self.wrap_depth:
             return self._descend(depth, expr, sink)
         if self.strategy.kind is StrategyKind.EXPAND_COMPRESS:
@@ -311,7 +304,7 @@ class _Lowerer:
 
     def _descend(self, depth: int, expr: Expr, sink) -> list:
         if depth == len(self.topo):
-            return [sink(self._link_expr(expr))]
+            return [sink(expr)]
         return self._emit_var(depth, expr, sink)
 
     def _emit_var(self, depth: int, expr: Expr, sink) -> list:
@@ -331,15 +324,12 @@ class _Lowerer:
             body = self._hoist_loads(depth, point) + self.emit(depth + 1, point.expr, sink)
             stmts.append(ForPositions(uid, level_of[uid], var, tuple(body)))
             return stmts
-        if lat.range_driven:
-            stmts.append(RangeInit(var))
+        cases = []
         for point in lat.points:
-            cases = []
-            for q in lat.sub_points(point):
-                body = self._hoist_loads(depth, q) + self.emit(depth + 1, q.expr, sink)
-                cases.append(CoiterCase(q.iterators, tuple(body)))
-            its = tuple((uid, level_of[uid]) for uid in sorted(point.iterators))
-            stmts.append(WhileCoiter(var, its, lat.range_driven, lat.extent, tuple(cases)))
+            body = self._hoist_loads(depth, point) + self.emit(depth + 1, point.expr, sink)
+            cases.append(CoiterCase(point.iterators, tuple(body)))
+        its = tuple(level_of.items())
+        stmts.append(WhileCoiter(var, its, lat.range_driven, lat.extent, tuple(cases)))
         return stmts
 
     def _lattice(self, expr: Expr, var: str) -> MergeLattice:
@@ -354,14 +344,7 @@ class _Lowerer:
         if self.strategy.kind is StrategyKind.EXPAND_COMPRESS:
             prologue.append(ExpandWs(self.extents[self.strategy.var]))
         body = self.emit(0, self.rhs, Store)
-        return Program(
-            self.kernel,
-            self.strategy,
-            self.topo,
-            self.accesses,
-            self.names,
-            tuple(prologue + body),
-        )
+        return Program(self.kernel, self.strategy, self.topo, tuple(prologue + body))
 
 
 def reject_unsupported_output(kernel: Kernel):
@@ -426,34 +409,16 @@ def lower(kernel: Kernel, topo_order, lattices=None) -> Program:
 # Text emission
 
 
-def _expr_text(node, names) -> str:
-    if isinstance(node, ValRef):
-        return node.name
-    if isinstance(node, AccRef):
-        return f"acc{node.slot}"
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Neg):
-        operand = _expr_text(node.operand, names)
-        return f"-({operand})" if isinstance(node.operand, (Add, Sub)) else f"-{operand}"
-    op = {"Add": " + ", "Sub": " - ", "Mul": " * "}[type(node).__name__]
-    lhs, rhs = node.lhs, node.rhs
-    lt = _expr_text(lhs, names)
-    rt = _expr_text(rhs, names)
-    if isinstance(node, Mul):
-        if isinstance(lhs, (Add, Sub)):
-            lt = f"({lt})"
-        if isinstance(rhs, (Add, Sub)):
-            rt = f"({rt})"
-    elif isinstance(rhs, (Add, Sub)):
-        rt = f"({rt})"
-    return f"{lt}{op}{rt}"
-
-
 class _Emitter:
+    """Prints a Program. Accumulators are named `acc0`, `acc1`, ... in print
+    order, as MLIR's printer numbers values, so a case body printed in
+    several of a co-iteration's loops declares a new one in each."""
+
     def __init__(self, program: Program):
         self.p = program
-        self.names = program.names
+        self.names = access_display_names(program.kernel.analysis.accesses)
+        self.accs: dict = {}  # slot -> the name its latest declaration printed
+        self.acc_count = 0  # the accumulators printed so far
         self.lines: list = []
 
     def name(self, uid: int) -> str:
@@ -467,6 +432,29 @@ class _Emitter:
 
     def out(self, line: str, depth: int):
         self.lines.append("  " * depth + line)
+
+    def expr(self, node) -> str:
+        if isinstance(node, AccessRef):
+            return f"{self.name(node.uid)}_val"
+        if isinstance(node, AccRef):
+            return self.accs[node.slot]
+        if isinstance(node, Const):
+            return repr(node.value)
+        if isinstance(node, Neg):
+            operand = self.expr(node.operand)
+            return f"-({operand})" if isinstance(node.operand, (Add, Sub)) else f"-{operand}"
+        op = {"Add": " + ", "Sub": " - ", "Mul": " * "}[type(node).__name__]
+        lhs, rhs = node.lhs, node.rhs
+        lt = self.expr(lhs)
+        rt = self.expr(rhs)
+        if isinstance(node, Mul):
+            if isinstance(lhs, (Add, Sub)):
+                lt = f"({lt})"
+            if isinstance(rhs, (Add, Sub)):
+                rt = f"({rt})"
+        elif isinstance(rhs, (Add, Sub)):
+            rt = f"({rt})"
+        return f"{lt}{op}{rt}"
 
     def emit(self) -> str:
         p = self.p
@@ -505,10 +493,13 @@ class _Emitter:
         self.out(f"{s.var} = {n}.index[{l}][{p}]", depth + 1)
         self.block(s.body, depth + 1)
 
-    def _RangeInit(self, s, depth):
-        self.out(f"{s.var} = 0", depth)
-
     def _WhileCoiter(self, s, depth):
+        if s.has_range:
+            self.out(f"{s.var} = 0", depth)
+        for loop in s.loops():
+            self.loop(loop, depth)
+
+    def loop(self, s, depth):
         conds = [f"{self.pos(u, l)} < {self.name(u)}{l}_hi" for u, l in s.iterators]
         if s.has_range:
             conds.append(f"{s.var} < {s.extent}")
@@ -545,14 +536,16 @@ class _Emitter:
             self.out(f"advance {s.var}", inner)
 
     def _DeclAcc(self, s, depth):
-        self.out(f"acc{s.slot} = 0.0", depth)
+        self.accs[s.slot] = f"acc{self.acc_count}"
+        self.acc_count += 1
+        self.out(f"{self.accs[s.slot]} = 0.0", depth)
 
     def _AccumAcc(self, s, depth):
-        self.out(f"acc{s.slot} += {_expr_text(s.expr, self.names)}", depth)
+        self.out(f"{self.accs[s.slot]} += {self.expr(s.expr)}", depth)
 
     def _Store(self, s, depth):
         out, strategy = self.p.kernel.lhs, self.p.strategy
-        value = _expr_text(s.expr, self.names)
+        value = self.expr(s.expr)
         coords = ", ".join(out.indices)
         if strategy.kind is StrategyKind.DENSE_STORE:
             target = f"{out.tensor}[{coords}]" if coords else out.tensor

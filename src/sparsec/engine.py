@@ -17,16 +17,16 @@ are gathers, except at positions that form one run: a position loop's
 consecutive ranges, and each dense loop over a whole extent below them,
 whose indices and values are read as slices.
 
-A co-iterated variable lowers to one `WhileCoiter` per point of its merge
-lattice, run one after another. The points are closed under union, so the
-first loop holds every iterator and its cases are every point: it runs
-the candidates of all the loops, the merged indices of its iterators up
-to each row's reach (`_ArrayRun._reach`) or every index of a range, each
-in the first case whose iterators all hold it, as its own loop would. The
-sinks, an accumulator's adds and the output's writes, are applied in
-the loops' order across cases: every loop visits its indices in ascending
-order and each iteration runs in one case, so that order is the
-lexicographic order of the loop variables' values. It generates no source.
+A co-iterated variable lowers to one `WhileCoiter`, over every iterator of
+its merge lattice, whose cases are the lattice's points. It runs, in one
+pass, what the paper's while loops, one per point, run one after another:
+the merged indices of its iterators up to each row's reach
+(`_ArrayRun._reach`), or every index of a range, each in the first case
+whose iterators all hold it. The sinks, an accumulator's adds and the
+output's writes, are applied in the loops' order across cases: every loop
+visits its indices in ascending order and each iteration runs in one
+case, so that order is the lexicographic order of the loop variables'
+values. It generates no source.
 
 No frame holds more than `_MAX_FRAME_ROWS` rows. A loop whose frame would
 pass it runs in parts, in loop order: consecutive groups of its parent's
@@ -79,7 +79,6 @@ from .codegen import (
     LoadVal,
     Program,
     StrategyKind,
-    ValRef,
     WhileCoiter,
     lower,
 )
@@ -91,6 +90,7 @@ from .errors import (
 )
 from .expr import (
     Access,
+    AccessRef,
     Add,
     Kernel,
     Mul,
@@ -151,19 +151,15 @@ def convert(value: TensorValue, to_type: Union[TensorType, Encoding, None]) -> T
 _MAX_FRAME_ROWS = 1 << 22
 
 
-def _binding(program: Program, env: dict, uid: int):
-    ref = program.accesses[uid]
-    try:
-        return env[ref.tensor]
-    except KeyError:
-        raise UnknownTensor(f"no binding for tensor {ref.tensor!r}")
-
-
 def _bound_part(program: Program, env: dict, uid: int, part: str, level: int = 0):
     """The read-only `pointers`, `indices` or `values` array of access
     `uid`'s binding: a storage's own, or a dense tensor's data."""
-    value = _binding(program, env, uid)
-    if not program.kernel.tensors[program.accesses[uid].tensor].is_sparse:
+    tensor = program.kernel.analysis.accesses[uid].tensor
+    try:
+        value = env[tensor]
+    except KeyError:
+        raise UnknownTensor(f"no binding for tensor {tensor!r}")
+    if not program.kernel.tensors[tensor].is_sparse:
         return value.data
     if part == "values":
         return value.value_array
@@ -175,7 +171,7 @@ def _position_steps(program: Program, uid: int, upto: Optional[int]):
     (all when None) is found, from its declared type: the last compressed
     level among them, whose position it starts from (None: from 0), and
     the (variable, extent) steps of the dense levels after it."""
-    ref = program.accesses[uid]
+    ref = program.kernel.analysis.accesses[uid]
     ttype = program.kernel.tensors[ref.tensor]
     if not ttype.is_sparse:
         return None, list(zip(ref.indices, ttype.shape))
@@ -353,13 +349,14 @@ class _ArrayRun:
     The IR is walked once, so every statement runs once, over all the rows
     of its frame. Each loop turns the rows of its frame into the rows of
     its body's frame: a dense loop repeats each row `extent` times, a
-    position loop as many times as its iterator's range holds, and the
-    first loop of a co-iterated variable (`_WhileCoiter`) once per
-    candidate of all its sibling loops. Loads are gathers, and the
-    expression is evaluated elementwise in float64. A position loop whose
-    rows' ranges are consecutive, as under a dense loop or at the first
-    level, holds one run of positions (`_Frame.runs`), and so does a dense
-    loop over a whole extent below such a run, or at the top: the indices
+    position loop as many times as its iterator's range holds, and a
+    co-iteration (`_WhileCoiter`) once per candidate, which runs in the
+    first case whose iterators all hold it (`cases`). Loads are gathers,
+    and the expression is evaluated elementwise in float64. A position
+    loop whose rows' ranges are consecutive, as under a dense loop or at
+    the first level, holds one run of positions (`_Frame.runs`), and so
+    does a dense loop over a whole extent below such a run, or at the
+    top: the indices
     and the values loaded at positions that form a run are slices of the
     bound arrays, read in place. The body frame of a dense loop, and of a
     position loop over one run, repeats its parent's rows
@@ -465,7 +462,7 @@ class _ArrayRun:
         return _column(self.expr(node, frame), frame.n)
 
     def expr(self, node, frame: _Frame):
-        if isinstance(node, ValRef):
+        if isinstance(node, AccessRef):
             return frame.col(("x", node.uid))
         if isinstance(node, AccRef):
             adds = self.drain(("acc", node.slot))
@@ -479,9 +476,7 @@ class _ArrayRun:
         return _ARITH[type(node)](self.expr(node.lhs, frame), self.expr(node.rhs, frame))
 
     def block(self, stmts, frame: _Frame):
-        for index, s in enumerate(stmts):
-            if type(s) is WhileCoiter and index and type(stmts[index - 1]) is WhileCoiter:
-                continue  # a later sibling loop: the first ran its candidates
+        for s in stmts:
             getattr(self, f"_{type(s).__name__}")(s, frame)
         if self.in_parts:
             # A frame a sink holds is read again only for its loop
@@ -568,9 +563,9 @@ class _ArrayRun:
         return reduce(np.maximum, cutoffs)
 
     def _WhileCoiter(self, s: WhileCoiter, frame, start=0, stop=None):
-        """Run `s`, the first of its sibling loops, for all of them over
-        `frame`. With a window [start, stop), on a one-row frame past the
-        budget (`_windows`), only the candidates in it run, which fit."""
+        """Run co-iteration `s` over `frame`. With a window [start, stop),
+        on a one-row frame past the budget (`_windows`), only the
+        candidates in it run, which fit."""
         its = self._iterators(s, frame)
         if s.has_range:  # the range alone, the last case, runs every index
             rows, reach = np.arange(frame.n), None
@@ -601,7 +596,8 @@ class _ArrayRun:
     def _candidates(self, s: WhileCoiter, frame, its, spans, rows, reach, start, width):
         """The frame of `s`'s candidates on `frame`'s live `rows` (with a
         range, `width` indices from `start` each), each iterator's position
-        where it holds one, and each candidate's holders, one bit each."""
+        where it holds one, and which candidates each iterator holds: uid ->
+        one boolean per candidate."""
         # Each iterator's positions: the live row, position and index of
         # each. Past its row's reach no case's iterators all hold an index.
         held = []
@@ -619,12 +615,13 @@ class _ArrayRun:
             owner, var, lands = _merged_candidates(held, len(rows), s.extent)
             child = frame.sub(rows[owner], s.var)
             child.cols["v", s.var] = var
-        holders = np.zeros(child.n, np.int64)
-        for bit, ((uid, level), (_, pos, _), land) in enumerate(zip(s.iterators, held, lands)):
-            holders[land] |= 1 << bit
+        holds = {}
+        for (uid, level), (_, pos, _), land in zip(s.iterators, held, lands):
+            holds[uid] = np.zeros(child.n, bool)
+            holds[uid][land] = True
             q = child.cols["q", uid, level] = np.zeros(child.n, np.int64)
             q[land] = pos
-        return child, holders
+        return child, holds
 
     def _windows(self, s: WhileCoiter, part: _Frame):
         """Run co-iteration loop `s` over `part`, one row past the budget,
@@ -648,19 +645,18 @@ class _ArrayRun:
             self._WhileCoiter(s, part, a, b)
             a = b
 
-    def cases(self, s: WhileCoiter, child: _Frame, holders):
+    def cases(self, s: WhileCoiter, child: _Frame, holds):
         """Run each candidate of co-iteration loop `s`, the rows of `child`,
         in the first case, in dominance order, whose iterators all hold it
-        (`holders`, one bit per iterator)."""
-        bits = {uid: 1 << bit for bit, (uid, _) in enumerate(s.iterators)}
-        needs = [sum(bits[uid] for uid in case.iterators) for case in s.cases]
-        first_case = [
-            next((c for c, need in enumerate(needs) if mask & need == need), -1)
-            for mask in range(1 << len(bits))
-        ]
-        case_of = np.array(first_case)[holders]
-        for c, case in enumerate(s.cases):
-            taken = (case_of == c).nonzero()[0]
+        (`holds`, one mask per iterator): each case takes the rows not yet
+        taken that all its iterators hold."""
+        free = np.ones(child.n, bool)
+        for case in s.cases:
+            mask = free.copy()
+            for uid in case.iterators:
+                mask &= holds[uid]
+            free &= ~mask
+            taken = mask.nonzero()[0]
             if len(taken) == child.n:
                 self.block(case.body, child)
             elif len(taken):
@@ -689,8 +685,7 @@ class _ArrayRun:
     def _ExpandWs(self, s: ExpandWs, frame):
         pass
 
-    # The range counter is each candidate's index (`_WhileCoiter`).
-    _CompressWs = _RangeInit = _ExpandWs
+    _CompressWs = _ExpandWs
 
 
 def interpret(program: Program, env: dict):
@@ -808,7 +803,7 @@ def _operands(kernel: Kernel, programs: tuple) -> dict:
     temp_names = {program.kernel.lhs.tensor for program in programs[:-1]}
     operands: dict = {}
     for program in programs:
-        for access in program.accesses:
+        for access in program.kernel.analysis.accesses:
             if access.tensor not in temp_names:
                 operands.setdefault(access.tensor, kernel.tensors[access.tensor])
     if kernel.accumulate:

@@ -187,9 +187,6 @@ class MergeLattice:
         """True when no sparse iterator exists: a plain for-loop suffices."""
         return not self.first.iterators
 
-    def sub_points(self, point: LatticePoint) -> tuple:
-        return tuple(q for q in self.points if q.iterators <= point.iterators)
-
 
 def build_lattice(kernel: Kernel, var: str) -> MergeLattice:
     """Merge lattice of the whole right-hand side for one index variable."""

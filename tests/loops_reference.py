@@ -5,7 +5,9 @@ source of one Python function whose loop variables and positions are
 locals, and `exec`s it once. That function is the Python form of the IR
 that `codegen.emit_text` prints, one element at a time, so the library's
 array form (`engine.interpret`) is checked against it bit for bit: both
-add in loop order from the same 0.0.
+add in loop order from the same 0.0. A co-iteration is written as the
+paper's while loops, one per lattice point (`WhileCoiter.loops`), one
+after another, where the array form runs all their candidates at once.
 
 The IR's one store statement is written as the Program's strategy says
 (`_Generator._Store`). A sparse output's entries, inserted directly or
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsec.codegen import AccRef, Const, Program, StrategyKind, ValRef
+from sparsec.codegen import AccRef, Const, Program, StrategyKind
 from sparsec.engine import (
     _bound_part,
     _dense_output,
@@ -36,7 +38,7 @@ from sparsec.engine import (
     convert,
 )
 from sparsec.errors import ShapeMismatch
-from sparsec.expr import Add, Mul, Neg, Sub
+from sparsec.expr import AccessRef, Add, Mul, Neg, Sub
 from sparsec.storage import DenseTensor
 
 # ----------------------------------------------------------------------------
@@ -117,7 +119,7 @@ class _Generator:
     def _array(self, name: str, uid: int, part: str, level: int = 0) -> str:
         """Bind a bound tensor's `pointers`, `indices` or `values` to the
         global `name` as a list, taking one `tolist()` per bound array."""
-        key = (self.p.accesses[uid].tensor, part, level)
+        key = (self.p.kernel.analysis.accesses[uid].tensor, part, level)
         if key not in self.lists:
             self.lists[key] = _bound_part(self.p, self.env, uid, part, level).tolist()
         self.globals[name] = self.lists[key]
@@ -132,7 +134,7 @@ class _Generator:
         return src or "0"
 
     def _expr(self, node) -> str:
-        if isinstance(node, ValRef):
+        if isinstance(node, AccessRef):
             return f"x{node.uid}"
         if isinstance(node, AccRef):
             return f"a{node.slot}"
@@ -176,10 +178,14 @@ class _Generator:
         self.line(depth + 1, f"{self.var[s.var]} = {idx}[q{it}]")
         self.block(s.body, depth + 1)
 
-    def _RangeInit(self, s, depth):
-        self.line(depth, f"r{self.var[s.var][1:]} = 0")
-
     def _WhileCoiter(self, s, depth):
+        # The paper's loops, one per case, the range's counter shared.
+        if s.has_range:
+            self.line(depth, f"r{self.var[s.var][1:]} = 0")
+        for loop in s.loops():
+            self._loop(loop, depth)
+
+    def _loop(self, s, depth):
         # Coordinates are named per (uid, level): a nested loop over a
         # deeper level of the same access must not overwrite them.
         its = [f"{uid}_{level}" for uid, level in s.iterators]

@@ -6,6 +6,7 @@ to see the report lines as they complete.
 """
 
 import contextlib
+import hashlib
 import random
 import time
 
@@ -23,7 +24,7 @@ from sparsec.encoding import (
     dcsr,
     make_encoding,
 )
-from sparsec.engine import convert, run_kernel
+from sparsec.engine import compile_kernel, convert, run_kernel
 from sparsec.errors import OrderConflict
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.lattice import build_iteration_graph, build_lattice, topo_sort
@@ -395,7 +396,8 @@ GOLDEN_KERNELS = {
         "tensor C(3, 3) format(dense, compressed)\n"
         "C(i, j) = A(k, i) * B(k, j)\n"
     ),
-    # A union: one co-iteration loop per lattice point, each inserting.
+    # A union: one co-iteration statement, printed as one loop per lattice
+    # point, each inserting.
     "add": (
         "tensor A(3, 4) format(dense, compressed)\n"
         "tensor B(3, 4) format(dense, compressed)\n"
@@ -408,6 +410,14 @@ GOLDEN_KERNELS = {
         "tensor a(8) format(compressed)\ntensor b(8) format(compressed)\n"
         "tensor B(8)\ntensor c(8)\n"
         "c(i) = a(i) * B(i) + b(i) - B(i)\n"
+    ),
+    # A per-row accumulator under a union along i: the bodies of {A} and {B}
+    # print in two loops each, and each print declares the next accumulator.
+    "union_rows": (
+        "tensor A(3, 4) format(compressed, compressed)\n"
+        "tensor B(3, 4) format(compressed, compressed)\n"
+        "tensor x(4)\ntensor y(3) format(compressed)\n"
+        "y(i) = A(i, j) * x(j) + B(i, j) * x(j)\n"
     ),
 }
 
@@ -423,6 +433,29 @@ def test_10_golden_ir_texts(request):
             )
             want = (golden_dir / f"{name}.ir.txt").read_bytes()
             assert emit_text(program).encode() == want, name
+
+
+def test_random_kernel_ir_hash(request):
+    """The sha256 of the IR text of every Program of 400 random kernels,
+    those whose loop orders conflict left out: 577 Programs, 127 of them
+    with a co-iteration printed as several loops, 5 of those with an
+    accumulator that prints in more than one of them. A change that
+    prints any of them differently changes the hash; any later change to
+    the pinned hash is stated in CHANGES.md, with why."""
+    rng = random.Random(2024)
+    digest, programs = hashlib.sha256(), 0
+    for _ in range(400):
+        text, _ = _random_kernel_case(rng, integer_data=False)
+        try:
+            compiled = compile_kernel(parse_kernel(text))
+        except OrderConflict:
+            continue
+        for program in compiled:
+            digest.update(emit_text(program).encode())
+            programs += 1
+    assert programs == 577
+    want = (request.path.parent / "golden" / "random_kernels.ir.sha256").read_text()
+    assert digest.hexdigest() == want.strip()
 
 
 def test_10_golden_lattice_text(request, tmp_path, capsys):

@@ -608,6 +608,17 @@ def test_sibling_loops_that_do_not_nest_agree(rhs, d, lasts):
     _same(SIBLINGS.format(rhs=rhs, d=d), _sibling_bindings(lasts), budgets=(1, 3, 1 << 22))
 
 
+@pytest.mark.parametrize("k", [64, 200])
+def test_coiteration_of_many_iterators(k):
+    # One case over k iterators of one vector: the dispatch keeps a mask per
+    # iterator, not a bitmask of them all or a table over its 2**k subsets.
+    text = "tensor a(2) format(compressed)\ntensor x()\nx() = " + " * ".join(["a(i)"] * k) + "\n"
+    a = CooTensor((2,), [((0,), 2.0), ((1,), 0.5)])
+    got = _same(text, {"a": a})
+    want = dense_eval(parse_kernel(text), {"a": a.to_dense()})
+    assert got == repr(want) == repr(DenseTensor((), np.array([2.0**k + 0.5**k])))
+
+
 # ----------------------------------------------------------------------------
 # Co-iteration at scale, against scipy
 

@@ -144,7 +144,7 @@ def test_every_ir_statement_has_a_handler():
     # expression leaves, a co-iteration's case, the strategy and the
     # Program; the engine, the text emitter and the reference loops each
     # handle every one.
-    others = {"ValRef", "AccRef", "CoiterCase", "OutputStrategy", "Program"}
+    others = {"AccRef", "CoiterCase", "OutputStrategy", "Program"}
     statements = [
         name
         for name, cls in vars(codegen).items()
@@ -186,11 +186,14 @@ def test_union_emits_loop_per_lattice_point():
         "tensor a(8) format(compressed)\ntensor b(8) format(compressed)\n"
         "tensor c(8) format(compressed)\nc(i) = a(i) + b(i)\n"
     )
-    loops = _nodes(prog.body, WhileCoiter)
-    assert len(loops) == 3
+    # One statement, whose cases are the lattice's points, each lowered
+    # once; the text prints the paper's loops, one per point.
+    (loop,) = _nodes(prog.body, WhileCoiter)
     lat = build_lattice(k, "i")
-    # Case completeness: the head loop dispatches one case per point.
-    assert len(loops[0].cases) == len(lat.points)
+    assert [case.iterators for case in loop.cases] == [p.iterators for p in lat.points]
+    assert len(lat.points) == 3
+    assert [len(inner.cases) for inner in loop.loops()] == [3, 1, 1]
+    assert sum(line.lstrip().startswith("while ") for line in emit_text(prog).splitlines()) == 3
 
 
 def test_advance_progress_everywhere():
@@ -430,8 +433,9 @@ def test_lattices_built_on_demand_match_the_up_front_ones():
 
 def test_one_index_and_one_lattice_per_expression_and_variable(monkeypatch):
     # A union of three doubly compressed matrices co-iterates along i in
-    # seven loops, one per lattice point; their 19 cases re-enter the seven
-    # point expressions along j, and each of those lattices is built once.
+    # one statement whose seven cases are the lattice's points, each
+    # lowered once; they enter the seven point expressions along j, and
+    # each of those lattices is built once.
     text = (
         "tensor A(4, 4) format(compressed, compressed)\n"
         "tensor B(4, 4) format(compressed, compressed)\n"
@@ -455,7 +459,7 @@ def test_one_index_and_one_lattice_per_expression_and_variable(monkeypatch):
     monkeypatch.setattr(lattice, "build_lattice_for", counting_build)
     (program,) = compile_kernel(parse_kernel(text))
     assert len(indexed) == 1
-    loops = [s for s in program.body if isinstance(s, WhileCoiter)]
-    assert len(loops) == 7 and sum(len(loop.cases) for loop in loops) == 19
+    (loop,) = [s for s in program.body if isinstance(s, WhileCoiter)]
+    assert len(loop.cases) == 7
     assert [v for _, v in built] == ["i"] + ["j"] * 7
     assert len({(id(e), v) for e, v in built}) == len(built)

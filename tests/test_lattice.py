@@ -215,12 +215,12 @@ def _compressed_at(access, var, tensors) -> bool:
 @settings(SETTINGS, max_examples=300)
 @given(st.one_of(product_case(), mix_case()))
 def test_lattice_points_are_closed_under_union(case):
-    # The array form runs a co-iteration's sibling loops, one per point,
-    # as the first one alone (`engine._ArrayRun._WhileCoiter`): it holds
-    # every iterator, its cases are every point, and the range alone, the
-    # last point of a range-driven lattice, runs every index. A point is
-    # its iterators and its expression: the iterators are the expression's
-    # accesses compressed along the variable.
+    # A co-iteration is one statement over the first point's iterators,
+    # whose cases are every point (`codegen.WhileCoiter`): the first point
+    # holds every iterator, and the range alone, the last point of a
+    # range-driven lattice, runs every index. A point is its iterators and
+    # its expression: the iterators are the expression's accesses
+    # compressed along the variable.
     for lat, tensors in _lattices(case[0]):
         sets = [p.iterators for p in lat.points]
         assert all(a | b in sets for a in sets for b in sets), lattice_to_text(lat)

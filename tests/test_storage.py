@@ -859,6 +859,30 @@ def test_coo_arrays_are_read_only():
     assert coo.entries == [((0, 1), 1.0), ((2, 3), 2.0)]
 
 
+def test_coo_equality_compares_arrays(monkeypatch):
+    # `==` answers as comparing the entries would, without building them:
+    # -0.0 equals 0.0, the entries' order matters, and NaN equals nothing.
+    pairs = [
+        ([((0, 1), 1.0), ((2, 3), -0.0)], [((0, 1), 1.0), ((2, 3), 0.0)]),
+        ([((0, 1), 1.0), ((2, 3), 2.0)], [((2, 3), 2.0), ((0, 1), 1.0)]),
+        ([((0, 1), math.nan)], [((0, 1), math.nan)]),
+        ([((0, 1), 1.0)], [((0, 1), 1.0), ((0, 1), 0.0)]),
+        ([((0, 1), 1.0)], [((0, 2), 1.0)]),
+        ([], []),
+    ]
+    tensors = [(CooTensor((3, 4), a), CooTensor((3, 4), b)) for a, b in pairs]
+    tensors.append((CooTensor((), [((), 2.0)]), CooTensor((), [((), 2.0)])))
+    want = [a.entries == b.entries for a, b in tensors]
+    assert want == [True, False, False, False, False, True, True]
+
+    def unread(self):
+        raise AssertionError("entries read")
+
+    monkeypatch.setattr(CooTensor, "entries", property(unread))
+    assert [a == b for a, b in tensors] == want
+    assert [a != b for a, b in tensors] == [not w for w in want]
+
+
 def test_from_arrays_checks_its_arrays():
     # Columns are given one per dimension: (3, 2) is three columns of 2.
     with pytest.raises(RankMismatch):
