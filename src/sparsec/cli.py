@@ -50,7 +50,7 @@ from .lattice import (
 )
 from .oracle import GeneratorSpec, dense_eval, density, generate
 from .storage import DenseTensor
-from .tensor_io import read_dense_literal, read_sparse_literal, read_tensor, write_tensor
+from .tensor_io import _read_text, read_dense_literal, read_sparse_literal, read_tensor, write_tensor
 
 
 def _nonzero_arrays(result):
@@ -158,8 +158,7 @@ def _write_result(result, path: str):
 
 
 def cmd_run(args) -> int:
-    with open(args.kernel_file) as fh:
-        kernel = parse_kernel(fh.read())
+    kernel = parse_kernel(_read_text(args.kernel_file))
     bindings = _bind_inputs(kernel, args.input, args.seed)
     started = time.perf_counter()
     result = run_kernel(kernel, bindings)
@@ -179,8 +178,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    with open(args.kernel_file) as fh:
-        kernel = parse_kernel(fh.read())
+    kernel = parse_kernel(_read_text(args.kernel_file))
     # The recursive walks below fail as NestingTooDeep on a kernel too deep
     # for them, as in `compile_kernel`.
     with nesting_guard(kernel):
@@ -301,8 +299,7 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
 
 
 def cmd_search(args) -> int:
-    with open(args.kernel_file) as fh:
-        kernel = parse_kernel(fh.read())
+    kernel = parse_kernel(_read_text(args.kernel_file))
     bindings = _bind_inputs(kernel, args.input, args.seed)
     for name, value in bindings.items():
         # As for a literal: a dense operand visits its zeros (0 * inf =

@@ -1,16 +1,15 @@
 """Lowering: sorted kernel + merge lattices -> explicit imperative loop IR.
 
-The IR is a plain statement tree. Dense-driven variables become counted
-for-loops; a variable whose lattice holds a single sparse iterator becomes
-a loop over that iterator's position range; anything else becomes one
-co-iteration statement, `WhileCoiter`, whose cases are the lattice's
-points in dominance order, each lowered once, dispatched on which
-iterators hold the candidate index. The paper spells that statement as one
-while loop per point (`WhileCoiter.loops`), and the text emitter prints
-those loops. Values are loaded once at the loop depth where their access
-becomes fully bound, mirroring the invariant hoisting visible in
-hand-written sparse kernels, and the expressions' leaves are the
-analysis's own `AccessRef`s.
+The IR is a plain statement tree. A variable's loop is read off its
+lattice's points, each lowered once: with no iterator, a counted for-loop;
+with one point over one sparse iterator, a loop over its positions; else
+one co-iteration, `WhileCoiter`, whose cases are the points in dominance
+order, dispatched on which iterators hold the candidate index. The paper
+spells that as one while loop per point (`WhileCoiter.loops`), as the text
+emitter prints it. A sparse loop loads its own iterators' ranges. Values
+are loaded once at the loop depth where their access becomes fully bound,
+mirroring the invariant hoisting visible in hand-written sparse kernels,
+and the expressions' leaves are the analysis's own `AccessRef`s.
 
 Sparse outputs are built either by direct lexicographic insertion (legal
 when the left-hand-side variables lead the loop order in the output's
@@ -143,12 +142,6 @@ class AccRef:
     """Expression leaf: a scalar accumulator."""
 
     slot: int
-
-
-@dataclass(frozen=True)
-class LoadRange:
-    uid: int
-    level: int
 
 
 @dataclass(frozen=True)
@@ -305,32 +298,26 @@ class _Lowerer:
     def _descend(self, depth: int, expr: Expr, sink) -> list:
         if depth == len(self.topo):
             return [sink(expr)]
-        return self._emit_var(depth, expr, sink)
+        return [self._emit_var(depth, expr, sink)]
 
-    def _emit_var(self, depth: int, expr: Expr, sink) -> list:
+    def _emit_var(self, depth: int, expr: Expr, sink):
+        """The loop over the variable at `depth`, its kind read off its
+        lattice's points, each lowered once into a case."""
         var = self.topo[depth]
         lat = self._lattice(expr, var)
-        if lat.is_dense_loop:
-            point = lat.first
-            body = self._hoist_loads(depth, point) + self.emit(depth + 1, point.expr, sink)
-            return [ForDense(var, lat.extent, tuple(body))]
-        level_of = {
-            uid: self._iter_level(self.accesses[uid], var) for uid in sorted(lat.first.iterators)
-        }
-        stmts: list = [LoadRange(uid, level) for uid, level in level_of.items()]
-        if len(lat.points) == 1 and len(lat.first.iterators) == 1:
-            (uid,) = lat.first.iterators
-            point = lat.first
-            body = self._hoist_loads(depth, point) + self.emit(depth + 1, point.expr, sink)
-            stmts.append(ForPositions(uid, level_of[uid], var, tuple(body)))
-            return stmts
         cases = []
         for point in lat.points:
             body = self._hoist_loads(depth, point) + self.emit(depth + 1, point.expr, sink)
             cases.append(CoiterCase(point.iterators, tuple(body)))
-        its = tuple(level_of.items())
-        stmts.append(WhileCoiter(var, its, lat.range_driven, lat.extent, tuple(cases)))
-        return stmts
+        first = cases[0]
+        if not first.iterators:
+            return ForDense(var, lat.extent, first.body)
+        its = tuple(
+            (uid, self._iter_level(self.accesses[uid], var)) for uid in sorted(first.iterators)
+        )
+        if len(cases) == 1 and len(its) == 1:
+            return ForPositions(*its[0], var, first.body)
+        return WhileCoiter(var, its, lat.range_driven, lat.extent, tuple(cases))
 
     def _lattice(self, expr: Expr, var: str) -> MergeLattice:
         lat = self.lattices.get((id(expr), var))
@@ -474,10 +461,6 @@ class _Emitter:
         name = type(s).__name__
         getattr(self, f"_{name}")(s, depth)
 
-    def _LoadRange(self, s, depth):
-        n, l = self.name(s.uid), s.level
-        self.out(f"{n}{l}_lo, {n}{l}_hi = load-range {n} level {l}", depth)
-
     def _LoadVal(self, s, depth):
         n = self.name(s.uid)
         self.out(f"{n}_val = load {n}", depth)
@@ -486,14 +469,21 @@ class _Emitter:
         self.out(f"for {s.var} in [0, {s.extent}):", depth)
         self.block(s.body, depth + 1)
 
+    def load_range(self, uid: int, level: int, depth: int):
+        n = self.name(uid)
+        self.out(f"{n}{level}_lo, {n}{level}_hi = load-range {n} level {level}", depth)
+
     def _ForPositions(self, s, depth):
         n, l = self.name(s.uid), s.level
         p = self.pos(s.uid, l)
+        self.load_range(s.uid, l, depth)
         self.out(f"for {p} in [{n}{l}_lo, {n}{l}_hi):", depth)
         self.out(f"{s.var} = {n}.index[{l}][{p}]", depth + 1)
         self.block(s.body, depth + 1)
 
     def _WhileCoiter(self, s, depth):
+        for uid, level in s.iterators:
+            self.load_range(uid, level, depth)
         if s.has_range:
             self.out(f"{s.var} = 0", depth)
         for loop in s.loops():

@@ -10,9 +10,11 @@ merge lattice only when its loops reach it.
 
 The interpreter runs every Program as whole-array numpy passes that walk
 the IR directly. Each loop nest is flattened into a frame of rows, one per
-iteration in loop order. A dense loop's frame, and a position loop's whose
-rows have consecutive ranges, repeats each parent row in order, so a
-column it reads from above is repeated, not gathered by a row map. Loads
+iteration in loop order. A sparse loop reads its iterators' ranges from
+their pointers itself (`_ArrayRun._range`). A dense loop's frame, and a
+position loop's whose rows have consecutive ranges, repeats each parent
+row in order, so a column it reads from above is repeated, not gathered
+by a row map. Loads
 are gathers, except at positions that form one run: a position loop's
 consecutive ranges, and each dense loop over a whole extent below them,
 whose indices and values are read as slices.
@@ -75,7 +77,6 @@ from .codegen import (
     ExpandWs,
     ForDense,
     ForPositions,
-    LoadRange,
     LoadVal,
     Program,
     StrategyKind,
@@ -262,16 +263,15 @@ class _Frame:
     """The iterations of the enclosing loops, one row each, in loop order.
 
     Columns are arrays over the rows, keyed by what they hold: `("v", var)`
-    a loop variable, `("q"|"h", uid, level)` an iterator's position and
-    end, `("x", uid)` a hoisted value, `("acc", slot)` the row of the
-    frame that declared an accumulator. A
-    column the frame lacks is made from its parent's on first read, so
-    only the columns the body below reads are ever built: repeated, in a
-    frame whose rows repeat their parent's in order (`counts` rows from
-    each parent row: a dense loop's, or a position loop's whose ranges
-    form one run), else gathered by the frame's row map (`rows`: a
-    co-iteration's candidates, a case's or a part's rows, a position
-    loop's scattered ranges).
+    a loop variable, `("q", uid, level)` an iterator's position, `("x",
+    uid)` a hoisted value, `("acc", slot)` the row of the frame that
+    declared an accumulator. A column the frame lacks is made from its
+    parent's on first read, so only the columns the body below reads are
+    ever built: repeated, in a frame whose rows repeat their parent's in
+    order (`counts` rows from each parent row: a dense loop's, or a
+    position loop's whose ranges form one run), else gathered by the
+    frame's row map (`rows`: a co-iteration's candidates, a case's or a
+    part's rows, a position loop's scattered ranges).
 
     `key` names the variables of the enclosing loops, outermost first. A
     row's values of them tell its iteration from every other, and compare
@@ -351,7 +351,8 @@ class _ArrayRun:
     its body's frame: a dense loop repeats each row `extent` times, a
     position loop as many times as its iterator's range holds, and a
     co-iteration (`_WhileCoiter`) once per candidate, which runs in the
-    first case whose iterators all hold it (`cases`). Loads are gathers,
+    first case whose iterators all hold it (`cases`); each reads its
+    iterators' ranges itself (`_range`). Loads are gathers,
     and the expression is evaluated elementwise in float64. A position
     loop whose rows' ranges are consecutive, as under a dense loop or at
     the first level, holds one run of positions (`_Frame.runs`), and so
@@ -443,6 +444,16 @@ class _ArrayRun:
             start = stop
         self.in_parts = outer
 
+    def _range(self, uid: int, level: int, frame: _Frame):
+        """The position range, lo and hi, of access `uid`'s iterator at
+        compressed `level` at every row of `frame`, read from the level's
+        pointers as slices where the parent positions form a run."""
+        ptrs = _bound_part(self.p, self.env, uid, "pointers", level)
+        parent = self.position(uid, frame, upto=level)
+        if isinstance(parent, slice):
+            return ptrs[parent], ptrs[parent.start + 1 : parent.stop + 1]
+        return ptrs[parent], ptrs[parent + 1]
+
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
         """The flat position of access `uid` after its first `upto` levels
         (all when None) at every row of `frame`: a slice where they form a
@@ -484,16 +495,6 @@ class _ArrayRun:
             # more, so that the frames of parts run so far do not add up.
             frame.cols = {key: column for key, column in frame.cols.items() if key[0] == "v"}
 
-    def _LoadRange(self, s: LoadRange, frame):
-        ptrs = _bound_part(self.p, self.env, s.uid, "pointers", s.level)
-        parent = self.position(s.uid, frame, upto=s.level)
-        if isinstance(parent, slice):
-            after = slice(parent.start + 1, parent.stop + 1)
-        else:
-            after = parent + 1
-        frame.cols["q", s.uid, s.level] = ptrs[parent]
-        frame.cols["h", s.uid, s.level] = ptrs[after]
-
     def _LoadVal(self, s: LoadVal, frame):
         values = _bound_part(self.p, self.env, s.uid, "values")
         frame.cols["x", s.uid] = values[self.position(s.uid, frame)]
@@ -512,7 +513,7 @@ class _ArrayRun:
 
     def _ForPositions(self, s: ForPositions, frame, lo=None, hi=None):
         if lo is None:
-            lo, hi = frame.col(("q", s.uid, s.level)), frame.col(("h", s.uid, s.level))
+            lo, hi = self._range(s.uid, s.level, frame)
         # Each row's range starts where the previous one ends, so the
         # positions are one run, and the indices (and the values, see
         # `_LoadVal`) are read as slices of it, not gathered.
@@ -544,9 +545,9 @@ class _ArrayRun:
         self.block(s.body, child)
 
     def _iterators(self, s: WhileCoiter, frame):
-        """Each iterator of `s` at `frame`'s rows: uid, `q`, `h` and indices."""
+        """Each iterator of `s` at `frame`'s rows: uid, lo, hi (`_range`), indices."""
         return [
-            (uid, frame.col(("q", uid, level)), frame.col(("h", uid, level)),
+            (uid, *self._range(uid, level, frame),
              _bound_part(self.p, self.env, uid, "indices", level))
             for uid, level in s.iterators
         ]

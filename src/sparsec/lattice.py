@@ -182,11 +182,6 @@ class MergeLattice:
     def range_driven(self) -> bool:
         return bool(self.first.iterators) and not self.points[-1].iterators
 
-    @property
-    def is_dense_loop(self) -> bool:
-        """True when no sparse iterator exists: a plain for-loop suffices."""
-        return not self.first.iterators
-
 
 def build_lattice(kernel: Kernel, var: str) -> MergeLattice:
     """Merge lattice of the whole right-hand side for one index variable."""

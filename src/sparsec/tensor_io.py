@@ -32,6 +32,17 @@ class FileFormat(Enum):
     EXTENDED_FROSTT = "extended-frostt"
 
 
+def _read_text(path: str) -> str:
+    """The whole text of the file at `path`, read as UTF-8; a ParseError
+    naming the path and the byte offset where it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        bad = f"byte {e.object[e.start]:#04x} at offset {e.start}"
+        raise ParseError(f"{path} is not UTF-8 text: {bad}") from None
+
+
 def detect_format(path: str) -> FileFormat:
     """Pick a format from the extension, falling back to the header.
 
@@ -40,8 +51,7 @@ def detect_format(path: str) -> FileFormat:
     header: two integers whose rank matches the following extents line and
     whose nnz matches the number of entry lines.
     """
-    with open(path) as fh:
-        return _detect(path, fh.read())[0]
+    return _detect(path, _read_text(path))[0]
 
 
 def _detect(path: str, text: str):
@@ -87,8 +97,7 @@ def read_tensor(src: str) -> CooTensor:
     `detect_format` finds. The file is read once, and an extended FROSTT
     header is parsed once, by the detection. Every coordinate is checked
     against the shape as the CooTensor is made."""
-    with open(src) as fh:
-        text = fh.read()
+    text = _read_text(src)
     format, data, header = _detect(src, text)
     if format is FileFormat.MATRIX_MARKET:
         return _read_matrix_market(text)

@@ -7,7 +7,10 @@ that `codegen.emit_text` prints, one element at a time, so the library's
 array form (`engine.interpret`) is checked against it bit for bit: both
 add in loop order from the same 0.0. A co-iteration is written as the
 paper's while loops, one per lattice point (`WhileCoiter.loops`), one
-after another, where the array form runs all their candidates at once.
+after another, where the array form runs all their candidates at once. A
+sparse loop first loads its iterators' ranges, in the loop's iterator
+order, as the emitter prints them. Expressions carry only the parentheses
+their tree needs, so a long chain of operators compiles.
 
 The IR's one store statement is written as the Program's strategy says
 (`_Generator._Store`). A sparse output's entries, inserted directly or
@@ -18,9 +21,9 @@ dense store adds into a buffer of the output's whole volume, which starts
 from the engine's `_dense_output` seed; for a sparse output the buffer is
 then packed (`convert`), the independent reference for the array form's
 merge of the same writes. The in-place update writes each stored value of
-the output's storage at its position. CPython compiles at most 20 statically nested loops into
-one function, so a deeper loop nest fails to compile here; the array form
-has no such limit.
+the output's storage at its position. CPython compiles at most 20
+statically nested loops into one function, so a deeper loop nest fails to
+compile here; the array form has no such limit.
 """
 
 import math
@@ -133,7 +136,12 @@ class _Generator:
             src = self.var[v] if src is None else f"({src}*{extent}+{self.var[v]})"
         return src or "0"
 
-    def _expr(self, node) -> str:
+    def _expr(self, node, parent_prec: int = 0) -> str:
+        """`node` as Python source, with the parentheses the tree needs
+        alone, by `expr_to_text`'s rule: a binary operator's right operand
+        one precedence level higher, a negation's operand at the highest.
+        Python parses the same tree, so it adds in the same order, and a
+        chain of operators nests no parentheses."""
         if isinstance(node, AccessRef):
             return f"x{node.uid}"
         if isinstance(node, AccRef):
@@ -141,9 +149,11 @@ class _Generator:
         if isinstance(node, Const):
             return repr(node.value)
         if isinstance(node, Neg):
-            return f"(-{self._expr(node.operand)})"
+            return f"-{self._expr(node.operand, 3)}"
+        prec = 2 if isinstance(node, Mul) else 1
         op = {Mul: "*", Add: "+", Sub: "-"}[type(node)]
-        return f"({self._expr(node.lhs)} {op} {self._expr(node.rhs)})"
+        text = f"{self._expr(node.lhs, prec)} {op} {self._expr(node.rhs, prec + 1)}"
+        return f"({text})" if prec < parent_prec else text
 
     def _tuple(self, variables) -> str:
         names = [self.var[v] for v in variables]
@@ -156,13 +166,6 @@ class _Generator:
         for s in stmts:
             getattr(self, f"_{type(s).__name__}")(s, depth)
 
-    def _LoadRange(self, s, depth):
-        it = f"{s.uid}_{s.level}"
-        ptrs = self._array(f"P{it}", s.uid, "pointers", s.level)
-        parent = self._position(s.uid, upto=s.level)
-        self.line(depth, f"q{it} = {ptrs}[{parent}]")
-        self.line(depth, f"h{it} = {ptrs}[{parent} + 1]")
-
     def _LoadVal(self, s, depth):
         name = self._array(f"V{s.uid}", s.uid, "values")
         self.line(depth, f"x{s.uid} = {name}[{self._position(s.uid)}]")
@@ -171,15 +174,27 @@ class _Generator:
         self.line(depth, f"for {self.var[s.var]} in range({s.extent}):")
         self.block(s.body, depth + 1)
 
+    def _load_range(self, uid: int, level: int, depth: int):
+        """Start `q` and end `h` of access `uid`'s iterator at `level`."""
+        it = f"{uid}_{level}"
+        ptrs = self._array(f"P{it}", uid, "pointers", level)
+        parent = self._position(uid, upto=level)
+        self.line(depth, f"q{it} = {ptrs}[{parent}]")
+        self.line(depth, f"h{it} = {ptrs}[{parent} + 1]")
+
     def _ForPositions(self, s, depth):
         it = f"{s.uid}_{s.level}"
+        self._load_range(s.uid, s.level, depth)
         idx = self._array(f"I{it}", s.uid, "indices", s.level)
         self.line(depth, f"for q{it} in range(q{it}, h{it}):")
         self.line(depth + 1, f"{self.var[s.var]} = {idx}[q{it}]")
         self.block(s.body, depth + 1)
 
     def _WhileCoiter(self, s, depth):
-        # The paper's loops, one per case, the range's counter shared.
+        # The paper's loops, one per case, the ranges and the range's
+        # counter shared.
+        for uid, level in s.iterators:
+            self._load_range(uid, level, depth)
         if s.has_range:
             self.line(depth, f"r{self.var[s.var][1:]} = 0")
         for loop in s.loops():

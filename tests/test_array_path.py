@@ -12,7 +12,7 @@ missing entry: they must be the same, bit for bit.
 import random
 import sys
 import tracemalloc
-from itertools import product
+from itertools import islice, permutations, product
 from unittest import mock
 
 import numpy as np
@@ -21,11 +21,12 @@ import pytest
 from conftest import row_budget
 from loops_reference import run_loops
 from sparsec import engine
-from sparsec.cli import main
-from sparsec.codegen import StrategyKind
-from sparsec.engine import compile_kernel, execute
+from sparsec.cli import main, result_checksum
+from sparsec.codegen import StrategyKind, lower
+from sparsec.engine import compile_kernel, execute, prepare_kernels
 from sparsec.errors import OrderConflict, SparsecError
 from sparsec.expr import analyze_reductions, parse_kernel
+from sparsec.lattice import build_iteration_graph, check_order, topo_sort
 from sparsec.oracle import GeneratorSpec, dense_eval, generate
 from sparsec.storage import CooTensor, DenseTensor, SparseStorage
 from test_acceptance import _random_kernel_case
@@ -110,6 +111,49 @@ def test_random_kernels_agree():
             continue
         assert chosen == loops, text
         done += 1
+
+
+def _legal_orders(piece) -> list:
+    """Every loop order of `piece` that `check_order` accepts."""
+    orders = []
+    for order in permutations(piece.index_vars):
+        try:
+            check_order(piece, order)
+        except OrderConflict:
+            continue
+        orders.append(order)
+    return orders
+
+
+def test_every_legal_loop_order_gives_one_result():
+    # The goldens pin `topo_sort`'s order alone. Each draw runs every
+    # combination of its pieces' legal orders, at most 8, and each gives
+    # the oracle's result: the values are integers, so every order adds
+    # exactly. On one order that is not `topo_sort`'s, the reference loops
+    # agree with the arrays.
+    rng = random.Random(5)
+    runs = several = 0
+    for _ in range(400):
+        text, bindings = _random_kernel_case(rng, integer_data=True)
+        kernel = analyze_reductions(parse_kernel(text))
+        pieces = [p if p.analysis else analyze_reductions(p) for p in prepare_kernels(kernel)]
+        combos = list(islice(product(*map(_legal_orders, pieces)), 8))
+        if not combos:
+            continue  # no loop order serves every operand as stored
+        want = result_checksum(dense_eval(kernel, {n: v.to_dense() for n, v in bindings.items()}))
+        for combo in combos:
+            programs = tuple(lower(p, order) for p, order in zip(pieces, combo))
+            assert result_checksum(execute(kernel, programs, bindings)) == want, (text, combo)
+            runs += 1
+        default = tuple(tuple(topo_sort(build_iteration_graph(p))) for p in pieces)
+        other = next((combo for combo in combos if combo != default), None)
+        if other is not None:
+            several += 1
+            programs = tuple(lower(p, order) for p, order in zip(pieces, other))
+            arrays = _outcome(kernel, programs, bindings)
+            with mock.patch.object(engine, "interpret", run_loops):
+                assert _outcome(kernel, programs, bindings) == arrays, (text, other)
+    assert (runs, several) == (1110, 214)
 
 
 @pytest.mark.parametrize(
@@ -608,10 +652,12 @@ def test_sibling_loops_that_do_not_nest_agree(rhs, d, lasts):
     _same(SIBLINGS.format(rhs=rhs, d=d), _sibling_bindings(lasts), budgets=(1, 3, 1 << 22))
 
 
-@pytest.mark.parametrize("k", [64, 200])
+@pytest.mark.parametrize("k", [64, 200, 260])
 def test_coiteration_of_many_iterators(k):
     # One case over k iterators of one vector: the dispatch keeps a mask per
     # iterator, not a bitmask of them all or a table over its 2**k subsets.
+    # At 260 factors the reference loops' product nests no parentheses, past
+    # the 200 levels CPython's parser takes.
     text = "tensor a(2) format(compressed)\ntensor x()\nx() = " + " * ".join(["a(i)"] * k) + "\n"
     a = CooTensor((2,), [((0,), 2.0), ((1,), 0.5)])
     got = _same(text, {"a": a})

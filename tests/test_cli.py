@@ -406,6 +406,51 @@ def test_argument_errors_are_one_parse_error_line(capsys, argv):
     assert line.startswith("sparsec: error[ParseError]: "), line
 
 
+CONVERT = ["convert", "--input", "{path}", "--from", "dense", "--to", "dense", "--output", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("k.kernel", ["emit", "--kernel-file", "{path}"]), ("t.tns", CONVERT), ("t.mtx", CONVERT)],
+)
+def test_a_file_that_is_not_utf8_is_one_parse_error_line(tmp_path, capsys, name, argv):
+    path = tmp_path / name
+    path.write_bytes(b"tensor x()\nx() = 1.0 \xff\n")
+    assert main([a.format(path=path, out=tmp_path / "out.tns") for a in argv]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line == f"sparsec: error[ParseError]: {path} is not UTF-8 text: byte 0xff at offset 21"
+
+
+AB = (
+    "tensor A(4, 4) format(dense, compressed)\ntensor B(4, 4) format(dense, compressed)\n"
+    "tensor C(4, 4)\nC(i, j) = A(i, j) * B(i, j)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "category, argv",
+    [
+        ("ParseError", ["run", "--kernel-file", "{ab}", "--input", "A"]),
+        ("ParseError", ["run", "--kernel-file", "{ab}", "--input", "Z=uniform"]),
+        ("ParseError", ["search", "--kernel-file", "{ab}", "--input", "A=uniform", "--sweep", "B"]),
+        ("ParseError", ["search", "--kernel-file", "{ab}", "--input", "A=uniform",
+                        "--input", "B=uniform:0.5:2"]),
+        ("ParseError", ["search", "--kernel-file", "{ab}", "--sweep-all"]),
+        ("IoError", ["run", "--kernel-file", "{missing}"]),
+    ],
+)
+def test_command_line_mistakes_are_one_line(tmp_path, capsys, category, argv):
+    # Bad --input items, a swept operand that --sweep, --sweep-all or the
+    # bindings cannot name, and a kernel file that is not there.
+    (tmp_path / "ab.kernel").write_text(AB)
+    paths = {"ab": tmp_path / "ab.kernel", "missing": tmp_path / "missing.kernel"}
+    assert main([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith(f"sparsec: error[{category}]: "), line
+
+
 def test_cmd_search_with_every_row_in_conflict_is_one_line(tmp_path, capsys):
     # B(j, i) in CSR puts j before i, the CSR output i before j: whatever
     # A's encoding, no row compiles.

@@ -143,7 +143,7 @@ def test_every_ir_statement_has_a_handler():
     # The IR's statements are the dataclasses `codegen` defines, less the
     # expression leaves, a co-iteration's case, the strategy and the
     # Program; the engine, the text emitter and the reference loops each
-    # handle every one.
+    # handle every one, and have a `_Capitalized` method for no other.
     others = {"AccRef", "CoiterCase", "OutputStrategy", "Program"}
     statements = [
         name
@@ -154,9 +154,12 @@ def test_every_ir_statement_has_a_handler():
         and name not in others
     ]
     assert "Store" in statements
-    for name in statements:
-        for walker in (engine._ArrayRun, codegen._Emitter, loops_reference._Generator):
+    for walker in (engine._ArrayRun, codegen._Emitter, loops_reference._Generator):
+        for name in statements:
             assert callable(getattr(walker, f"_{name}", None)), (walker.__name__, name)
+        # And no handler is left for a statement that is gone.
+        handlers = {name[1:] for name in dir(walker) if name[:1] == "_" and name[1:2].isupper()}
+        assert handlers <= set(statements), (walker.__name__, handlers - set(statements))
 
 
 def test_golden_kernels_cover_every_strategy():

@@ -141,7 +141,7 @@ def test_dense_mul_stays_intersection():
 def test_pure_dense_lattice_is_for_loop():
     k = _kernel("tensor A(4, 5)\ntensor C(4, 5)\nC(i, j) = A(i, j)\n")
     lat = build_lattice(k, "i")
-    assert lat.is_dense_loop
+    assert not lat.first.iterators
 
 
 def test_conjunction_point_counts():
