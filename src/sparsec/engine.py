@@ -12,12 +12,12 @@ The interpreter runs every Program as whole-array numpy passes that walk
 the IR directly. Each loop nest is flattened into a frame of rows, one per
 iteration in loop order. A sparse loop reads its iterators' ranges from
 their pointers itself (`_ArrayRun._range`). A dense loop's frame, and a
-position loop's whose rows have consecutive ranges, repeats each parent
-row in order, so a column it reads from above is repeated, not gathered
-by a row map. Loads
-are gathers, except at positions that form one run: a position loop's
-consecutive ranges, and each dense loop over a whole extent below them,
-whose indices and values are read as slices.
+position loop's, repeats each parent row in order, so a column it reads
+from above is repeated, not gathered by a row map. Loads are gathers,
+except at positions that form one run: a position loop's consecutive
+ranges, and each dense loop over a whole extent below them, whose indices
+and values are read as slices. A position loop's other ranges are laid
+end to end as one column of positions (`_range_positions`).
 
 A co-iterated variable lowers to one `WhileCoiter`, over every iterator of
 its merge lattice, whose cases are the lattice's points. It runs, in one
@@ -230,12 +230,17 @@ def _no_entries(rank: int):
     return [np.zeros(0, np.int64)] * rank, np.zeros(0)
 
 
-def _segments(lo, counts, ends):
+def _range_positions(lo, counts, ends):
     """Row r's positions `lo[r]`, `lo[r] + 1`, ... (`counts[r]` of them,
-    `ends` their running total) for every row, laid end to end: the row of
-    each, and the position."""
-    owner = np.arange(len(counts)).repeat(counts)
-    return owner, np.arange(len(owner)) + (lo - ends + counts)[owner]
+    `ends` their running total) for every row, laid end to end."""
+    positions = (lo - ends + counts).repeat(counts)
+    positions += np.arange(len(positions))
+    return positions
+
+
+def _segments(lo, counts, ends):
+    """The row of each position of `_range_positions`, and the position."""
+    return np.arange(len(counts)).repeat(counts), _range_positions(lo, counts, ends)
 
 
 def _column(value, n: int) -> np.ndarray:
@@ -268,10 +273,9 @@ class _Frame:
     declared an accumulator. A column the frame lacks is made from its
     parent's on first read, so only the columns the body below reads are
     ever built: repeated, in a frame whose rows repeat their parent's in
-    order (`counts` rows from each parent row: a dense loop's, or a
-    position loop's whose ranges form one run), else gathered by the
-    frame's row map (`rows`: a co-iteration's candidates, a case's or a
-    part's rows, a position loop's scattered ranges).
+    order (`counts` rows from each parent row: a dense loop's or a
+    position loop's), else gathered by the frame's row map (`rows`: a
+    co-iteration's candidates, a case's or a part's rows).
 
     `key` names the variables of the enclosing loops, outermost first. A
     row's values of them tell its iteration from every other, and compare
@@ -357,11 +361,12 @@ class _ArrayRun:
     loop whose rows' ranges are consecutive, as under a dense loop or at
     the first level, holds one run of positions (`_Frame.runs`), and so
     does a dense loop over a whole extent below such a run, or at the
-    top: the indices
-    and the values loaded at positions that form a run are slices of the
-    bound arrays, read in place. The body frame of a dense loop, and of a
-    position loop over one run, repeats its parent's rows
-    (`_Frame.repeat`) rather than gathering them.
+    top: the indices and the values loaded at positions that form a run
+    are slices of the bound arrays, read in place. Any other position
+    loop lays its ranges end to end in one column of positions
+    (`_range_positions`). The body frame of a dense loop, and of every
+    position loop, repeats its parent's rows (`_Frame.repeat`) rather
+    than gathering them.
 
     A sink statement hands its writes to `sink` and they are applied when
     read (`drain`): an accumulator's when the accumulator is read, the
@@ -518,10 +523,10 @@ class _ArrayRun:
         # positions are one run, and the indices (and the values, see
         # `_LoadVal`) are read as slices of it, not gathered.
         run = frame.n and not np.count_nonzero(lo[1:] != hi[:-1])
+        counts = hi - lo
         if run:
             total = int(hi[-1]) - int(lo[0])
         else:
-            counts = hi - lo
             ends = counts.cumsum()
             total = int(ends[-1]) if frame.n else 0
         if total > _MAX_FRAME_ROWS:
@@ -532,14 +537,13 @@ class _ArrayRun:
                     b = min(a + _MAX_FRAME_ROWS, last)
                     self._ForPositions(s, part, np.array([a]), np.array([b]))
 
-            return self.parts(s, frame, hi - lo, split)
+            return self.parts(s, frame, counts, split)
+        child = frame.repeat(counts, total, s.var)
         if run:
             read = slice(int(lo[0]), int(hi[-1]))
-            child = frame.repeat(hi - lo, total, s.var)
             child.runs = {(("q", s.uid, s.level), ()): read}
         else:
-            owner, read = _segments(lo, counts, ends)
-            child = frame.sub(owner, s.var)
+            read = _range_positions(lo, counts, ends)
             child.cols["q", s.uid, s.level] = read
         child.cols["v", s.var] = _bound_part(self.p, self.env, s.uid, "indices", s.level)[read]
         self.block(s.body, child)
@@ -721,6 +725,7 @@ def interpret(program: Program, env: dict):
     # from 0.0 in loop order, as a dense buffer or the workspace adds them.
     order = [columns[out_type.encoding.dim_of_level(l)] for l in range(out_type.rank)]
     rows, sums = _merge_runs(order, out_type.storage_shape(), values)
+    del writes, values  # the unsorted values, freed before the gathers
     if strat is StrategyKind.DENSE_STORE:
         # The sums exactly zero dropped, as packing a dense buffer drops
         # them; the workspace stores its touched coordinates, zero or not.

@@ -258,11 +258,16 @@ def _in_bounds(columns: tuple, shape: tuple) -> tuple:
 def _row_key(columns: list, extents: list, n: int) -> np.ndarray:
     """The int64 key `(c0 * e1 + c1) * e2 + c2 ...` of the `n` rows of
     `columns` (integer arrays, the most significant first, each in `range`
-    of its extent): the first column itself, or zeros with no column. The
-    caller keeps the volume below 2**63."""
-    key = columns[0] if columns else np.zeros(n, np.int64)
-    for column, extent in zip(columns[1:], extents[1:]):
-        key = key * extent + column
+    of its extent): the first column itself with one column, zeros with
+    none, and otherwise one fresh array, built in place. The caller keeps
+    the volume below 2**63."""
+    if len(columns) < 2:
+        return columns[0] if columns else np.zeros(n, np.int64)
+    key = columns[0] * extents[1]
+    key += columns[1]
+    for column, extent in zip(columns[2:], extents[2:]):
+        key *= extent
+        key += column
     return key
 
 
@@ -276,7 +281,9 @@ def _row_order(columns: list, extents: list, n: int):
     descend is already in order. Otherwise each key carries its row index
     in its low `shift` bits, so no two tagged keys are equal and an
     unstable in-place sort (numpy's vectorised quicksort) puts equal keys
-    in index order: the low bits read back the stable permutation.
+    in index order: the low bits read back the stable permutation. The
+    key is tagged, sorted and untagged in place, in a copy when it is the
+    caller's one column.
     `np.lexsort` over the columns runs only where the volume shifted by
     `shift` bits reaches 2**63.
     """
@@ -295,11 +302,13 @@ def _row_order(columns: list, extents: list, n: int):
     key = _row_key(columns, extents, n)
     perm = None
     if np.count_nonzero(key[1:] < key[:-1]):
-        tagged = key << shift
-        tagged |= np.arange(n)
-        tagged.sort()
-        perm = tagged & ((1 << shift) - 1)
-        key = tagged >> shift
+        if len(columns) == 1:
+            key = key.copy()  # the caller's own column
+        key <<= shift
+        key |= np.arange(n)
+        key.sort()
+        perm = key & ((1 << shift) - 1)
+        key >>= shift
     np.not_equal(key[1:], key[:-1], out=first[1:])
     return perm, first
 
@@ -326,15 +335,16 @@ def _merge_runs(columns: list, extents: list, values: np.ndarray):
         if first.all():
             return None, values + 0.0
         perm = np.arange(len(values))
-    starts = np.flatnonzero(first)
-    firsts = perm[starts]
+    firsts = perm[first]
     sums = values[firsts]
     sums += 0.0
-    if len(starts) < len(values):
-        group = first.cumsum()  # each sorted row's distinct row, from 1
+    if len(firsts) < len(values):
         repeats = np.flatnonzero(~first)
+        # The k-th repeat (from 0), at sorted row r, follows r - k distinct
+        # rows: it adds into the last of them.
+        group = repeats - np.arange(1, len(repeats) + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(sums, group[repeats] - 1, values[perm[repeats]])
+            np.add.at(sums, group, values[perm[repeats]])
     return firsts, sums
 
 

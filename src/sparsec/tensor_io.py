@@ -33,11 +33,12 @@ class FileFormat(Enum):
 
 
 def _read_text(path: str) -> str:
-    """The whole text of the file at `path`, read as UTF-8; a ParseError
-    naming the path and the byte offset where it is not UTF-8."""
+    """The whole text of the file at `path`, read as UTF-8 past a leading
+    byte-order mark; a ParseError naming the path and the byte offset where
+    it is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         bad = f"byte {e.object[e.start]:#04x} at offset {e.start}"
         raise ParseError(f"{path} is not UTF-8 text: {bad}") from None

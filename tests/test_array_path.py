@@ -128,9 +128,9 @@ def _legal_orders(piece) -> list:
 def test_every_legal_loop_order_gives_one_result():
     # The goldens pin `topo_sort`'s order alone. Each draw runs every
     # combination of its pieces' legal orders, at most 8, and each gives
-    # the oracle's result: the values are integers, so every order adds
-    # exactly. On one order that is not `topo_sort`'s, the reference loops
-    # agree with the arrays.
+    # the oracle's result and the same nonzeros, by `repr`: the values are
+    # integers, so every order adds exactly. On one order that is not
+    # `topo_sort`'s, the reference loops agree with the arrays.
     rng = random.Random(5)
     runs = several = 0
     for _ in range(400):
@@ -141,10 +141,14 @@ def test_every_legal_loop_order_gives_one_result():
         if not combos:
             continue  # no loop order serves every operand as stored
         want = result_checksum(dense_eval(kernel, {n: v.to_dense() for n, v in bindings.items()}))
+        nonzeros = set()
         for combo in combos:
             programs = tuple(lower(p, order) for p, order in zip(pieces, combo))
-            assert result_checksum(execute(kernel, programs, bindings)) == want, (text, combo)
+            result = execute(kernel, programs, bindings)
+            assert result_checksum(result) == want, (text, combo)
+            nonzeros.add(repr(result.to_coo(drop_zeros=True)))
             runs += 1
+        assert len(nonzeros) == 1, text
         default = tuple(tuple(topo_sort(build_iteration_graph(p))) for p in pieces)
         other = next((combo for combo in combos if combo != default), None)
         if other is not None:
@@ -409,22 +413,24 @@ def test_overflow_rounds_without_a_warning(text, entries, want):
 
 # ----------------------------------------------------------------------------
 # Position runs: a position loop whose rows' ranges are consecutive reads
-# its indices and values as slices; any other gathers through `_segments`.
+# its indices and values as slices; any other builds a column of its
+# positions (`_range_positions`) and gathers through it.
 
 
 @pytest.fixture
 def gathered(monkeypatch):
     """The row counts of the frames whose position loop built its positions
-    with `_segments`, in call order (other callers are not counted)."""
+    with `_range_positions`, in call order (other callers are not
+    counted)."""
     calls = []
-    segments = engine._segments
+    range_positions = engine._range_positions
 
     def spy(lo, counts, ends):
         if sys._getframe(1).f_code.co_name == "_ForPositions":
             calls.append(len(counts))
-        return segments(lo, counts, ends)
+        return range_positions(lo, counts, ends)
 
-    monkeypatch.setattr(engine, "_segments", spy)
+    monkeypatch.setattr(engine, "_range_positions", spy)
     return calls
 
 
@@ -524,6 +530,95 @@ def test_row_band_matvec_peaks_at_its_product_columns(a, columns):
     (i, j), values = bindings["A"].arrays()
     want = np.bincount(i, weights=values * env["v"].data[j], minlength=n)
     np.testing.assert_allclose(got.data, want, rtol=1e-10)
+
+
+def test_workspace_product_peaks_at_its_product_columns():
+    # CSR x CSR -> CSR at n=256, density 0.04: about 27k products through
+    # the workspace. B's ranges are not consecutive, and its loop's frame
+    # repeats its parent's rows, with no row map. What the loops hold at
+    # the store is, per product, B's position, j and value, i and A's value
+    # repeated, and the product: six columns. The merge sorts one key in
+    # place, and the unsorted values are freed before the output's columns
+    # are gathered. The peak stays under seven columns, against 8.6 with a
+    # row map and a running count of the merge's rows.
+    sparse = pytest.importorskip("scipy.sparse")
+    n = 256
+    kernel = parse_kernel(_spmspm(n))
+    (program,) = compile_kernel(kernel)
+    assert program.strategy.kind is StrategyKind.EXPAND_COMPRESS
+    bindings = {
+        name: generate(GeneratorSpec((n, n), "uniform", density=0.04, seed=seed))
+        for name, seed in (("A", 25), ("B", 26))
+    }
+    env = {name: engine.convert(v, kernel.tensors[name]) for name, v in bindings.items()}
+    pointers_b = env["B"].level_arrays(1)[0]
+    products = int(np.diff(pointers_b)[env["A"].level_arrays(1)[1]].sum())
+    engine.interpret(program, env)  # warm: nothing cached is counted below
+    tracemalloc.start()
+    try:
+        got = engine.interpret(program, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert products > 25_000
+    assert peak <= 7 * 8 * products
+    a, b = (
+        sparse.csr_array((v.arrays()[1], tuple(v.arrays()[0])), shape=(n, n))
+        for v in bindings.values()
+    )
+    want = (a @ b).tocsr()
+    want.sort_indices()
+    pointers, indices = got.level_arrays(1)
+    assert np.array_equal(pointers, want.indptr)
+    assert np.array_equal(indices, want.indices)
+    np.testing.assert_allclose(got.value_array, want.data, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x(j) = A(i, j)\n",
+        "tensor v(6) format(compressed)\nx(j) = A(i, j) * v(i)\n",
+    ],
+    ids=["runs", "scattered"],
+)
+def test_the_merge_of_one_key_column_changes_no_column(monkeypatch, text):
+    # x(j), summed over i through the workspace: the writes' one key
+    # column, j, descends at each new row, so the merge sorts it. That
+    # column is the frame's own: a slice of A's indices where its positions
+    # run, else gathered through them (under v's scattered rows), and in
+    # parts their concatenation. The sort works on a copy.
+    text = "tensor A(6, 6) format(dense, compressed)\ntensor x(6) format(compressed)\n" + text
+    rng = random.Random(6)
+    entries = [
+        ((r, c), v)
+        for r in range(6)
+        for c, v in zip(sorted(rng.sample(range(6), 3)), _wide(rng, 3))
+    ]
+    bindings = {
+        "A": CooTensor((6, 6), entries),
+        "v": CooTensor((6,), [((i,), v) for i, v in zip((0, 2, 5), _wide(rng, 3))]),
+    }
+    kernel = parse_kernel(text)
+    (program,) = compile_kernel(kernel)
+    assert program.strategy.kind is StrategyKind.EXPAND_COMPRESS
+    env = {
+        name: engine.convert(value, kernel.tensors[name])
+        for name, value in bindings.items()
+        if name in kernel.tensors
+    }
+    stored = {name: repr(value) for name, value in env.items()}
+    sunk = []
+    sink = engine._ArrayRun.sink
+
+    def spy(run, target, s, frame, *columns):
+        sunk.extend((column, column.copy()) for column in columns)
+        return sink(run, target, s, frame, *columns)
+
+    monkeypatch.setattr(engine._ArrayRun, "sink", spy)
+    _same(text, env)
+    assert {name: repr(value) for name, value in env.items()} == stored
+    assert sunk and all(np.array_equal(column, copy) for column, copy in sunk)
 
 
 def test_row_budget_runs_the_loops_in_parts(monkeypatch, frame_budget):
@@ -734,8 +829,9 @@ def test_dense_store_into_a_sparse_output_at_scale_matches_scipy(n, peak_mb):
     # C = A^T B, all CSR, 100k entries each: loop order k, i, j leads with
     # neither of C's variables, so C's writes are merged in loop order. A
     # buffer of C's volume would take 512 MiB at n=8192 and pass the element
-    # budget at n=60000. The loops and the merge peak at 70-80 bytes a
-    # product: 86 MB for n=8192's 1.2M products, 13 MB for n=60000's 168k.
+    # budget at n=60000. The loops and the merge peak at 51 bytes a product
+    # for n=8192's 1.2M products (60 MiB), and at 78 for n=60000's 168k
+    # (12 MiB), where the arrays of C's extent weigh more.
     entries = 100_000
     sparse = pytest.importorskip("scipy.sparse")
     kernel = parse_kernel(ATB.format(n=n))
@@ -793,9 +889,8 @@ def _run_in_parts(kernel, bindings):
 def test_workspace_past_the_row_budget_matches_scipy():
     # CSR x CSR -> CSR at n=8192, density 0.004: about 8.9M products, more
     # than twice the row budget, so B's loop runs in three parts. The peak,
-    # in the workspace's merge, is about 76 bytes a product: its row, j and
-    # value as the parts scattered them and concatenated, the row of each
-    # in its part's frame, and the merge's sort.
+    # as the workspace's writes are merged, is about 50 bytes a product:
+    # its row, j and value as the parts scattered them and concatenated.
     sparse = pytest.importorskip("scipy.sparse")
     n = 8192
     kernel = parse_kernel(_spmspm(n))

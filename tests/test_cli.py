@@ -421,6 +421,34 @@ def test_a_file_that_is_not_utf8_is_one_parse_error_line(tmp_path, capsys, name,
     assert line == f"sparsec: error[ParseError]: {path} is not UTF-8 text: byte 0xff at offset 21"
 
 
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("k.kernel", "tensor a(4) format(compressed)\ntensor x(4)\nx(i) = -a(i)\n",
+         ["emit", "--kernel-file", "{path}"]),
+        ("t.tns", "1 2 1.5\n3 1 -2.0\n", CONVERT),
+    ],
+    ids=["kernel", "tns"],
+)
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys, name, text, argv):
+    # Saved with a UTF-8 byte-order mark, a file reads as it does without
+    # one, and a byte that is not UTF-8 is named at its offset in the file.
+    printed = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path, out = tmp_path / name, tmp_path / "out.tns"
+        path.write_bytes(mark + text.encode())
+        assert main([a.format(path=path, out=out) for a in argv]) == 0
+        printed.append((capsys.readouterr().out, out.read_text() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert printed[0] == printed[1]
+    assert any(printed[0])
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"\xff\n")
+    assert main([a.format(path=path, out=tmp_path / "out.tns") for a in argv]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    offset = 3 + len(text.encode())
+    assert line == f"sparsec: error[ParseError]: {path} is not UTF-8 text: byte 0xff at offset {offset}"
+
+
 AB = (
     "tensor A(4, 4) format(dense, compressed)\ntensor B(4, 4) format(dense, compressed)\n"
     "tensor C(4, 4)\nC(i, j) = A(i, j) * B(i, j)\n"
