@@ -12,7 +12,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ from .encoding import (
     COMPRESSED,
     DENSE,
     Encoding,
-    TensorType,
     csc,
     csr,
     dcsc,
@@ -40,7 +39,7 @@ from .engine import (
     run_kernel,
 )
 from .errors import OracleMismatch, OrderConflict, ParseError, SparsecError
-from .expr import expr_to_text, nesting_guard, parse_encoding, parse_kernel
+from .expr import Kernel, expr_to_text, nesting_guard, parse_encoding, parse_kernel
 from .lattice import (
     access_display_names,
     build_iteration_graph,
@@ -247,7 +246,13 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
     `execute` coerces the operands to: each packed operand is adopted under
     the row's widths with only those checked, as is a binding stored in
     the group's layout, and so is a swept output. A group whose orderings
-    conflict is skipped whole. Every row executes. Only the current group
+    conflict is skipped whole. Every row executes. So that a row pays for
+    its loops and its width checks alone, its kernel is built directly,
+    its swept types re-typed from the declared ones (`with_encoding`,
+    which checks only the new encodings' ranks), each width check compares
+    against the packed arrays' largest values, taken once per group
+    (`SparseStorage.with_type`), and each Program derives its position
+    recipes on its first run (`Program.positions`). Only the current group
     and the last result are held: a result whose own buffers
     (`_result_key`) equal the last one's reuses its checksum.
     """
@@ -263,10 +268,8 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
     ]
     rows = []
     for combo in itertools.product(*spaces):
-        types = {
-            name: TensorType(kernel.tensors[name].shape, enc) for name, enc in zip(names, combo)
-        }
-        swept = replace(kernel, tensors={**kernel.tensors, **types}, analysis=None)
+        types = {name: kernel.tensors[name].with_encoding(enc) for name, enc in zip(names, combo)}
+        swept = Kernel(kernel.lhs, kernel.rhs, {**kernel.tensors, **types}, kernel.accumulate)
         started = time.perf_counter()
         key = tuple((enc.levels, enc.ordering) for enc in combo)
         if key != group:
@@ -284,7 +287,7 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
             inputs = dict(coerced)
             for name, layout in zip(names, key):
                 if name in bindings:
-                    native = TensorType(types[name].shape, Encoding(*layout))
+                    native = types[name].with_encoding(Encoding(*layout))
                     inputs[name] = _coerce(bindings[name], native, name)
         elif programs is None:
             continue

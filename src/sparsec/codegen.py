@@ -34,7 +34,7 @@ value before it is inserted.
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .encoding import COMPRESSED
@@ -229,6 +229,12 @@ class Program:
     strategy: OutputStrategy
     topo: tuple
     body: tuple
+    # How the interpreter finds each access's flat position: (uid, upto) ->
+    # `engine._position_steps`' recipe, filled on first use, so a Program
+    # run many times derives each recipe once. Not part of its value; a
+    # recipe depends on the Program alone, so runs that race fill in the
+    # same one.
+    positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 # ----------------------------------------------------------------------------

@@ -94,9 +94,18 @@ class TensorType:
         if any(e <= 0 for e in self.shape):
             raise ShapeMismatch(f"extents must be positive, got {self.shape}")
         if self.encoding is not None and self.encoding.rank != len(self.shape):
-            raise RankMismatch(
-                f"encoding has {self.encoding.rank} levels for a rank-{len(self.shape)} shape"
-            )
+            raise _rank_mismatch(self.encoding, self.shape)
+
+    def with_encoding(self, encoding: Optional[Encoding]) -> "TensorType":
+        """This type's shape under `encoding` (None: dense). The shape was
+        checked when this type was made, so only what a new encoding can
+        break is checked: its rank against the shape (RankMismatch)."""
+        if encoding is not None and encoding.rank != len(self.shape):
+            raise _rank_mismatch(encoding, self.shape)
+        ttype = object.__new__(TensorType)
+        object.__setattr__(ttype, "shape", self.shape)
+        object.__setattr__(ttype, "encoding", encoding)
+        return ttype
 
     @property
     def rank(self) -> int:
@@ -111,6 +120,10 @@ class TensorType:
         if self.encoding is None:
             return self.shape
         return tuple(self.shape[self.encoding.dim_of_level(l)] for l in range(self.rank))
+
+
+def _rank_mismatch(encoding: Encoding, shape: tuple) -> RankMismatch:
+    return RankMismatch(f"encoding has {encoding.rank} levels for a rank-{len(shape)} shape")
 
 
 def make_encoding(

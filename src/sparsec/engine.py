@@ -169,13 +169,16 @@ def _bound_part(program: Program, env: dict, uid: int, part: str, level: int = 0
 
 def _position_steps(program: Program, uid: int, upto: Optional[int]):
     """How the flat position of access `uid` after its first `upto` levels
-    (all when None) is found, from its declared type: the last compressed
-    level among them, whose position it starts from (None: from 0), and
-    the (variable, extent) steps of the dense levels after it."""
+    (all when None) is found, from its declared type: the frame column of
+    the last compressed level among them, `("q", uid, level)`, whose
+    position it starts from (None: from 0), and the tuple of (variable,
+    extent) steps of the dense levels after it. It depends on the Program
+    alone, so the interpreter derives it once per Program
+    (`Program.positions`)."""
     ref = program.kernel.analysis.accesses[uid]
     ttype = program.kernel.tensors[ref.tensor]
     if not ttype.is_sparse:
-        return None, list(zip(ref.indices, ttype.shape))
+        return None, tuple(zip(ref.indices, ttype.shape))
     # Positions at a compressed level are absolute, so the walk only needs
     # the dense levels after the last compressed one.
     enc = ttype.encoding
@@ -183,10 +186,10 @@ def _position_steps(program: Program, uid: int, upto: Optional[int]):
     start, steps = None, []
     for level in range(ttype.rank if upto is None else upto):
         if enc.levels[level] is COMPRESSED:
-            start, steps = level, []
+            start, steps = ("q", uid, level), []
         else:
             steps.append((ref.indices[enc.dim_of_level(level)], sshape[level]))
-    return start, steps
+    return start, tuple(steps)
 
 
 def _check_dense_volume(name: str, shape: tuple):
@@ -281,12 +284,13 @@ class _Frame:
     row's values of them tell its iteration from every other, and compare
     in the order the loops run them, across frames too.
 
-    `runs` maps a flat position, written as `_position_steps` writes it
-    (the key of the column it starts from or None, and its dense steps),
-    to the slice of consecutive positions it takes over the frame's rows:
-    a run a position loop starts, which each dense loop over a whole
-    extent below it widens. Loads read such positions as slices, and a run
-    of positions is built as a column only when read (`col`).
+    `runs` maps a flat position, written as the recipe `_position_steps`
+    derives (the key of the column it starts from or None, and the tuple
+    of its dense steps), to the slice of consecutive positions it takes
+    over the frame's rows: a run a position loop starts, which each dense
+    loop over a whole extent below it widens. Loads read such positions as
+    slices, and a run of positions is built as a column only when read
+    (`col`).
     """
 
     def __init__(self, n: int, parent: Optional["_Frame"] = None, rows=None, key=(), counts=None):
@@ -462,12 +466,16 @@ class _ArrayRun:
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
         """The flat position of access `uid` after its first `upto` levels
         (all when None) at every row of `frame`: a slice where they form a
-        run (`_Frame.runs`), else a column."""
-        start, steps = _position_steps(self.p, uid, upto)
-        start = None if start is None else ("q", uid, start)
-        run = frame.runs.get((start, tuple(steps)))
+        run (`_Frame.runs`), else a column. Its recipe (`_position_steps`)
+        is derived once per Program, on first use, and kept in the
+        Program's table (`Program.positions`)."""
+        recipe = self.p.positions.get((uid, upto))
+        if recipe is None:
+            recipe = self.p.positions[uid, upto] = _position_steps(self.p, uid, upto)
+        run = frame.runs.get(recipe)
         if run is not None:
             return run
+        start, steps = recipe
         pos = None if start is None else frame.col(start)
         for v, extent in steps:
             pos = frame.col(("v", v)) if pos is None else pos * extent + frame.col(("v", v))
@@ -491,13 +499,14 @@ class _ArrayRun:
             return np.negative(self.expr(node.operand, frame))
         return _ARITH[type(node)](self.expr(node.lhs, frame), self.expr(node.rhs, frame))
 
-    def block(self, stmts, frame: _Frame):
+    def block(self, stmts, frame: _Frame, case: bool = False):
         for s in stmts:
             getattr(self, f"_{type(s).__name__}")(s, frame)
-        if self.in_parts:
+        if case or self.in_parts:
             # A frame a sink holds is read again only for its loop
-            # variables, which order its writes (`drain`). Parts keep no
-            # more, so that the frames of parts run so far do not add up.
+            # variables, which order its writes (`drain`). Parts and a
+            # co-iteration's cases keep no more, so that the frames of the
+            # parts or cases run so far do not add up.
             frame.cols = {key: column for key, column in frame.cols.items() if key[0] == "v"}
 
     def _LoadVal(self, s: LoadVal, frame):
@@ -662,10 +671,10 @@ class _ArrayRun:
                 mask &= holds[uid]
             free &= ~mask
             taken = mask.nonzero()[0]
-            if len(taken) == child.n:
-                self.block(case.body, child)
+            if len(taken) == child.n:  # no later case takes a row
+                self.block(case.body, child, case=True)
             elif len(taken):
-                self.block(case.body, child.sub(taken))
+                self.block(case.body, child.sub(taken), case=True)
 
     def _DeclAcc(self, s: DeclAcc, frame):
         frame.cols["acc", s.slot] = np.arange(frame.n)
@@ -717,7 +726,7 @@ def interpret(program: Program, env: dict):
     if not out_type.is_sparse:
         out = np.zeros(math.prod(out_type.shape)) if seed is None else seed.copy()
         np.add.at(out, _row_key(columns, out_type.shape, len(values)), values)
-        return DenseTensor(out_type.shape, _read_only(out))
+        return DenseTensor(out_type, _read_only(out))
     strat = program.strategy.kind
     if strat is StrategyKind.DIRECT_LEX or strat is StrategyKind.IN_PLACE:
         return _sparse_output(out_type, columns, values)

@@ -106,16 +106,16 @@ def depth(node: Expr) -> int:
 
 
 @contextmanager
-def nesting_guard(kernel: "Kernel"):
+def nesting_guard(kernel: "Kernel", walker: str = "the compiler"):
     """Run the recursive walks of `kernel`'s expression in the `with`
     body: a RecursionError there becomes NestingTooDeep, naming the
-    expression's depth."""
+    expression's depth and `walker`, what walks it."""
     try:
         yield
     except RecursionError:
         raise NestingTooDeep(
-            f"kernel expression nests {depth(kernel.rhs)} levels deep, past what the "
-            f"compiler can walk within Python's recursion limit of {sys.getrecursionlimit()}"
+            f"kernel expression nests {depth(kernel.rhs)} levels deep, past what "
+            f"{walker} can walk within Python's recursion limit of {sys.getrecursionlimit()}"
         ) from None
 
 

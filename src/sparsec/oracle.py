@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .expr import Access, Add, Const, Kernel, Mul, Neg, Sub, analyze_reductions
+from .expr import Access, Add, Const, Kernel, Mul, Neg, Sub, analyze_reductions, nesting_guard
 from .storage import CooTensor, DenseTensor, _check_budget
 
 
@@ -29,8 +29,14 @@ def dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
     captures all their uses. Inputs are DenseTensor per referenced tensor;
     accumulation seeds the output from its binding when present. An output
     past the element budget raises DenseOutputTooLarge before it is
-    allocated.
+    allocated. The loops walk the expression recursively, so one nested
+    past Python's recursion limit raises NestingTooDeep.
     """
+    with nesting_guard(kernel, "the dense oracle"):
+        return _dense_eval(kernel, inputs)
+
+
+def _dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
     if kernel.analysis is None:
         kernel = analyze_reductions(kernel)
     an = kernel.analysis

@@ -393,14 +393,17 @@ def _scatter(shape, columns, values: np.ndarray) -> "DenseTensor":
 class DenseTensor:
     """Flat row-major dense tensor of 64-bit reals, immutable.
 
-    `data` is a read-only float64 array: a numpy array, flattened in C
-    order, or a sequence, kept as `SparseStorage` keeps its values
-    (`_typed_array`); a non-real value raises MalformedStorage, and an
-    extent below 1 ShapeMismatch.
+    `shape` is a tuple of extents, checked as a `TensorType` checks them
+    (an extent below 1 raises ShapeMismatch), or a `TensorType`, whose
+    shape was checked when it was made and is taken as it is. `data` is a
+    read-only float64 array: a numpy array, flattened in C order, or a
+    sequence, kept as `SparseStorage` keeps its values (`_typed_array`); a
+    non-real value raises MalformedStorage, and a count of values other
+    than the shape's volume ShapeMismatch.
     """
 
     def __init__(self, shape, data):
-        self.shape = TensorType(shape).shape
+        self.shape = (shape if isinstance(shape, TensorType) else TensorType(shape)).shape
         if isinstance(data, np.ndarray) and data.ndim != 1:
             data = data.reshape(-1)
         bad = MalformedStorage("dense tensor values must be real numbers")
@@ -412,8 +415,8 @@ class DenseTensor:
 
     @classmethod
     def zeros(cls, shape) -> "DenseTensor":
-        shape = TensorType(shape).shape
-        return cls(shape, _read_only(np.zeros(math.prod(shape))))
+        ttype = TensorType(shape)
+        return cls(ttype, _read_only(np.zeros(math.prod(ttype.shape))))
 
     @property
     def rank(self) -> int:
@@ -480,12 +483,9 @@ def _same_layout(a: TensorType, b: TensorType) -> bool:
     )
 
 
-def _width_limit_check(values: np.ndarray, width: int, what: str):
-    if width == 0 or not values.size:
-        return
-    top = int(values.max())
-    if top > (1 << width) - 1:
-        raise BitWidthOverflow(f"{what} value {top} does not fit in {width} bits")
+def _largest(values: np.ndarray) -> int:
+    """The largest of the integer `values`, -1 when there are none."""
+    return int(values.max()) if values.size else -1
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -552,6 +552,7 @@ class SparseStorage:
         self._indices = tuple(_level_array(i, l, "indices") for l, i in enumerate(indices))
         bad = MalformedStorage("values must be a flat sequence of real numbers")
         self._values = _typed_array(values, np.float64, "biuf", "d", bad)
+        self._tops: dict = {}  # (level, part) -> its array's largest value (`_top`)
         self.validate()
 
     @property
@@ -592,8 +593,10 @@ class SparseStorage:
         When `ttype` differs from this storage's type only in its bit
         widths (`_same_layout`), the layout checks this storage passed hold
         for it too, so only the widths are checked (`_check_widths`), with
-        the error a full `validate` would raise. Any other `ttype` is
-        checked in full.
+        the error a full `validate` would raise. The arrays' largest values
+        taken so far are shared too, so an array's is taken once for every
+        storage adopted from this one. Any other `ttype` is checked in
+        full.
         """
         if ttype == self.ttype:
             return self
@@ -602,7 +605,7 @@ class SparseStorage:
         storage = object.__new__(SparseStorage)
         storage.ttype = ttype
         storage._pointers, storage._indices = self._pointers, self._indices
-        storage._values = self._values
+        storage._values, storage._tops = self._values, self._tops
         storage._check_widths()
         return storage
 
@@ -679,7 +682,8 @@ class SparseStorage:
                     raise MalformedStorage(
                         f"level {l}: indices within a segment must strictly increase"
                     )
-                if idxs.min() < 0 or idxs.max() >= sshape[l]:
+                top = self._tops[l, 1] = _largest(idxs)  # kept for `_check_widths`
+                if idxs.min() < 0 or top >= sshape[l]:
                     raise MalformedStorage(f"level {l}: index outside extent {sshape[l]}")
             positions = len(idxs)
         if len(self._values) != positions:
@@ -689,11 +693,31 @@ class SparseStorage:
     def _check_widths(self):
         """Raise BitWidthOverflow for the first level, in storage order,
         whose largest pointer or (after its pointers) index does not fit in
-        the declared width. A dense level's arrays are empty."""
+        the declared width. A dense level's arrays are empty, and a native
+        width (0) fits anything. Each array's largest value is taken on
+        the first check that needs it (`_top`; `validate` keeps each
+        indices array's from its bounds check) and kept, so checking the
+        widths of storages that share their arrays (`with_type`) costs a
+        comparison per array."""
         enc = self.encoding
-        for ptrs, idxs in zip(self._pointers, self._indices):
-            _width_limit_check(ptrs, enc.pointer_width, "pointer")
-            _width_limit_check(idxs, enc.index_width, "index")
+        if not (enc.pointer_width or enc.index_width):
+            return
+        widths = ((enc.pointer_width, "pointer"), (enc.index_width, "index"))
+        for level in range(self.rank):
+            for part, (width, what) in enumerate(widths):
+                top = width and self._top(level, part)
+                if top > (1 << width) - 1:
+                    raise BitWidthOverflow(f"{what} value {top} does not fit in {width} bits")
+
+    def _top(self, level: int, part: int) -> int:
+        """The largest value of storage `level`'s pointers (`part` 0) or
+        indices (1), -1 when there are none: taken once (`_largest`), then
+        kept. The arrays never change, so threads that race to take it
+        keep the same value."""
+        top = self._tops.get((level, part))
+        if top is None:
+            top = self._tops[level, part] = _largest(self.level_arrays(level)[part])
+        return top
 
     def arrays(self):
         """Every stored entry, explicit zeros included, in storage order:

@@ -131,7 +131,7 @@ class _Generator:
     def _position(self, uid: int, upto=None) -> str:
         """Flat position of access `uid` after its first `upto` levels."""
         start, steps = _position_steps(self.p, uid, upto)
-        src = None if start is None else f"q{uid}_{start}"
+        src = None if start is None else "q%d_%d" % start[1:]
         for v, extent in steps:
             src = self.var[v] if src is None else f"({src}*{extent}+{self.var[v]})"
         return src or "0"

@@ -23,6 +23,7 @@ from loops_reference import run_loops
 from sparsec import engine
 from sparsec.cli import main, result_checksum
 from sparsec.codegen import StrategyKind, lower
+from sparsec.encoding import COMPRESSED
 from sparsec.engine import compile_kernel, execute, prepare_kernels
 from sparsec.errors import OrderConflict, SparsecError
 from sparsec.expr import analyze_reductions, parse_kernel
@@ -129,10 +130,13 @@ def test_every_legal_loop_order_gives_one_result():
     # The goldens pin `topo_sort`'s order alone. Each draw runs every
     # combination of its pieces' legal orders, at most 8, and each gives
     # the oracle's result and the same nonzeros, by `repr`: the values are
-    # integers, so every order adds exactly. On one order that is not
-    # `topo_sort`'s, the reference loops agree with the arrays.
+    # integers, so every order adds exactly. The stored zeros follow the
+    # strategies: runs whose pieces take the same ones store the same
+    # entries, and the dense store keeps no sum that is exactly zero
+    # unless a dense level of the output fills it in. On one order that is
+    # not `topo_sort`'s, the reference loops agree with the arrays.
     rng = random.Random(5)
-    runs = several = 0
+    runs = several = filled = 0
     for _ in range(400):
         text, bindings = _random_kernel_case(rng, integer_data=True)
         kernel = analyze_reductions(parse_kernel(text))
@@ -142,13 +146,22 @@ def test_every_legal_loop_order_gives_one_result():
             continue  # no loop order serves every operand as stored
         want = result_checksum(dense_eval(kernel, {n: v.to_dense() for n, v in bindings.items()}))
         nonzeros = set()
+        stored = {}  # the pieces' strategies -> the entries their runs store
         for combo in combos:
             programs = tuple(lower(p, order) for p, order in zip(pieces, combo))
             result = execute(kernel, programs, bindings)
             assert result_checksum(result) == want, (text, combo)
             nonzeros.add(repr(result.to_coo(drop_zeros=True)))
+            strategies = tuple(p.strategy.kind for p in programs)
+            stored.setdefault(strategies, set()).add(repr(result.to_coo(drop_zeros=False)))
+            if strategies[-1] is StrategyKind.DENSE_STORE and isinstance(result, SparseStorage):
+                zeros = np.count_nonzero(result.value_array == 0.0)
+                if all(level is COMPRESSED for level in result.encoding.levels):
+                    assert not zeros, (text, combo)
+                filled += zeros > 0
             runs += 1
         assert len(nonzeros) == 1, text
+        assert all(len(entries) == 1 for entries in stored.values()), text
         default = tuple(tuple(topo_sort(build_iteration_graph(p))) for p in pieces)
         other = next((combo for combo in combos if combo != default), None)
         if other is not None:
@@ -157,7 +170,7 @@ def test_every_legal_loop_order_gives_one_result():
             arrays = _outcome(kernel, programs, bindings)
             with mock.patch.object(engine, "interpret", run_loops):
                 assert _outcome(kernel, programs, bindings) == arrays, (text, other)
-    assert (runs, several) == (1110, 214)
+    assert (runs, several, filled) == (1110, 214, 69)
 
 
 @pytest.mark.parametrize(
@@ -791,6 +804,32 @@ def test_coiteration_at_scale_matches_scipy(op):
     assert np.array_equal(pointers, want.indptr)
     assert np.array_equal(indices, want.indices)
     assert np.array_equal(got.value_array, want.data)
+
+
+def test_union_case_frames_keep_only_their_loop_variables():
+    # CSR + CSR -> CSR at n=1024, density 0.01: each of the union's three
+    # cases stores, and the output drains once, at the end. A case frame
+    # that a sink holds keeps only its loop variables, so the positions and
+    # values that the cases loaded do not add up: the peak is 145 bytes an
+    # input entry, against 153 with every case frame kept whole.
+    n = 1024
+    kernel = parse_kernel(UNION.format(n=n))
+    (program,) = compile_kernel(kernel)
+    bindings = {
+        name: generate(GeneratorSpec((n, n), "uniform", density=0.01, seed=seed))
+        for name, seed in (("A", 1), ("B", 2))
+    }
+    env = {name: engine.convert(v, kernel.tensors[name]) for name, v in bindings.items()}
+    entries = sum(len(v.value_array) for v in env.values())
+    tracemalloc.start()
+    try:
+        got = engine.interpret(program, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entries > 20_000
+    assert peak <= 149 * entries
+    assert repr(got) == repr(run_loops(program, env))
 
 
 def test_workspace_at_scale_matches_scipy():

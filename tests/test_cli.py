@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sparsec
-from sparsec import cli, engine, expr
+from sparsec import cli, engine, expr, storage
 from sparsec.cli import main, parse_encoding_text, result_checksum
 from sparsec.codegen import emit_text
 from sparsec.encoding import COMPRESSED, DENSE, TensorType, enumerate_encodings, make_encoding
@@ -904,11 +904,16 @@ def test_run_search_uses_a_binding_of_the_rows_type_as_it_is(monkeypatch, own):
             assert repr(value.with_type(ttype)) == repr(convert(storage, ttype)), enc
 
 
-@pytest.mark.parametrize("name", ["A", "y"])
-def test_run_search_width_overflow_is_raised_on_the_same_row(monkeypatch, name):
+@pytest.mark.parametrize(
+    "name, pointers", [("A", False), ("y", False), ("A", True)], ids=["A", "y", "A-pointers"]
+)
+def test_run_search_width_overflow_is_raised_on_the_same_row(monkeypatch, name, pointers):
     # Index 299 does not fit in 8 bits: the first compressed row of the
     # swept input A or output y with idx(8) raises, after every row before
-    # it ran.
+    # it ran. With `pointers`, A holds over 255 entries at extents that
+    # fit in 8 bits, so only its pointers overflow: the first row with a
+    # compressed level and ptr(8) raises, on its group's packed arrays,
+    # what a fresh pack raises.
     kernel = parse_kernel(
         "tensor A(300, 300) format(dense, compressed)\ntensor x(300)\n"
         "tensor y(300) format(compressed)\ny(i) = A(i, j) * x(j)\n"
@@ -917,6 +922,16 @@ def test_run_search_width_overflow_is_raised_on_the_same_row(monkeypatch, name):
         "A": CooTensor((300, 300), [((0, 0), 1.0), ((5, 299), 2.0), ((299, 7), 3.0)]),
         "x": generate(GeneratorSpec((300,), "uniform", density=1.0, seed=5)),
     }
+    if pointers:
+        kernel = parse_kernel(
+            "tensor A(20, 20) format(dense, compressed)\ntensor x(20)\n"
+            "tensor y(20) format(compressed)\ny(i) = A(i, j) * x(j)\n"
+        )
+        bindings = {
+            "A": generate(GeneratorSpec((20, 20), "uniform", density=0.8, seed=5)),
+            "x": generate(GeneratorSpec((20,), "uniform", density=1.0, seed=6)),
+        }
+        assert bindings["A"].nnz > 255
     ttype = kernel.tensors[name]
     ran = 0
     with pytest.raises(BitWidthOverflow) as want:
@@ -924,7 +939,11 @@ def test_run_search_width_overflow_is_raised_on_the_same_row(monkeypatch, name):
             swept = replace(kernel, tensors={**kernel.tensors, name: TensorType(ttype.shape, enc)})
             execute(swept, compile_kernel(replace(swept, analysis=None)), bindings)
             ran += 1
-    assert (enc.levels[-1], enc.index_width) == (COMPRESSED, 8) and ran
+    if pointers:
+        assert (enc.levels[-1], enc.pointer_width, enc.index_width) == (COMPRESSED, 8, 0) and ran
+        assert str(want.value).startswith("pointer value ")
+    else:
+        assert (enc.levels[-1], enc.index_width) == (COMPRESSED, 8) and ran
     done = []
 
     def recording_execute(kernel, programs, inputs):
@@ -1088,6 +1107,66 @@ def test_run_search_pays_per_width_row_only_for_its_run_and_widths(monkeypatch):
     assert counts["widths"] == counts["validate"] + len(rows) - len(groups)
     changes = sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
     assert counts["nonzeros"] == changes == 1
+
+
+def test_run_search_derives_each_position_recipe_once_per_program(monkeypatch):
+    # 200 rows run 8 groups' Programs; each finds a position the same way
+    # on every row, so its recipe is derived on the Program's first run.
+    kernel, bindings = _spmm_search_case()
+    calls = []  # the Programs are kept, so no id is reused
+
+    def recording(program, uid, upto):
+        calls.append((program, uid, upto))
+        return position_steps(program, uid, upto)
+
+    position_steps = engine._position_steps
+    monkeypatch.setattr(engine, "_position_steps", recording)
+    rows = cli.run_search(kernel, bindings, "A", include_widths=True)
+    assert len(rows) == 200
+    keys = [(id(program), uid, upto) for program, uid, upto in calls]
+    assert len(keys) == len(set(keys)) > 8
+    assert len({id(program) for program, _, _ in calls}) == 8
+
+
+def test_run_search_takes_each_array_maximum_once(monkeypatch):
+    # A's width variants are checked on every row, against the largest
+    # values of its group's packed arrays, each taken once: one per
+    # pointers or indices array of each group's A.
+    kernel, bindings = _spmm_search_case()
+    taken, checks = [], []
+    largest, check_widths = storage._largest, SparseStorage._check_widths
+    monkeypatch.setattr(storage, "_largest", lambda array: taken.append(array) or largest(array))
+    monkeypatch.setattr(
+        SparseStorage, "_check_widths", lambda self: checks.append(self) or check_widths(self)
+    )
+    rows = cli.run_search(kernel, bindings, "A", include_widths=True)
+    assert len(rows) == len(checks) == 200
+    assert len(taken) == 8 * 2 * 2
+
+
+def test_one_program_runs_other_bindings_and_width_variants():
+    # A Program keeps how it finds positions, which depend on its types'
+    # layouts alone: run again on other bindings, or under a kernel whose
+    # types differ only in widths, it gives what a fresh compile gives.
+    kernel = parse_kernel(
+        "tensor A(6, 5) format(compressed, dense)\ntensor B(5, 7) format(dense, compressed)\n"
+        "tensor C(6, 7) format(compressed, compressed)\nC(i, j) = A(i, k) * B(k, j)\n"
+    )
+    programs = compile_kernel(kernel)
+    narrow = {
+        name: kernel.tensors[name].with_encoding(replace(kernel.tensors[name].encoding, **widths))
+        for name, widths in (("A", dict(index_width=8)), ("C", dict(pointer_width=16)))
+    }
+    variant = replace(kernel, tensors={**kernel.tensors, **narrow}, analysis=None)
+    for seed in (1, 2):
+        bindings = {
+            name: generate(GeneratorSpec(kernel.tensors[name].shape, "uniform", rho, seed + i))
+            for i, (name, rho) in enumerate((("A", 0.3), ("B", 0.5)))
+        }
+        for swept in (kernel, variant):
+            got = execute(swept, programs, bindings)
+            assert repr(got) == repr(engine.run_kernel(swept, bindings)), (seed, swept)
+    assert programs[0].positions
 
 
 # ----------------------------------------------------------------------------

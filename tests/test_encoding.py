@@ -105,6 +105,20 @@ def test_tensor_type_rank_check():
         TensorType((3, 4, 5), make_encoding([DENSE, COMPRESSED]))
 
 
+def test_with_encoding_checks_only_the_new_encodings_rank():
+    dense = TensorType((3, 4))
+    csr = make_encoding([DENSE, COMPRESSED])
+    retyped = dense.with_encoding(csr)
+    assert retyped == TensorType((3, 4), csr) and hash(retyped) == hash(TensorType((3, 4), csr))
+    assert retyped.shape is dense.shape and retyped.with_encoding(None) == dense
+    wrong = make_encoding([COMPRESSED])
+    with pytest.raises(RankMismatch) as got:
+        dense.with_encoding(wrong)
+    with pytest.raises(RankMismatch) as want:
+        TensorType((3, 4), wrong)
+    assert str(got.value) == str(want.value)
+
+
 def test_storage_shape_permutes_extents():
     tt = TensorType((3, 4), make_encoding([COMPRESSED, COMPRESSED], [1, 0]))
     assert tt.storage_shape() == (4, 3)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsec.errors import DenseOutputTooLarge, ShapeMismatch
+from sparsec.errors import DenseOutputTooLarge, NestingTooDeep, ShapeMismatch
 from sparsec.expr import parse_kernel
 from sparsec.oracle import GeneratorSpec, dense_eval, density, generate
 from sparsec.storage import CooTensor, DenseTensor, pack
@@ -80,6 +80,14 @@ def test_dense_eval_output_past_the_budget_raises_before_allocating():
     # Below the budget the same kernel runs.
     small = {"a": DenseTensor((2,), [1.0, 2.0]), "b": DenseTensor((2,), [3.0, 4.0])}
     assert dense_eval(parse_kernel(OUTER.format(n=2)), small).data.tolist() == [3.0, 4.0, 6.0, 8.0]
+
+
+def test_dense_eval_of_a_kernel_too_deep_to_walk_is_typed():
+    # The compiler runs a 600-term sum; the oracle's loops walk it two
+    # frames a level, past Python's recursion limit.
+    text = "tensor a(2)\ntensor b(2)\nb(i) = " + " + ".join(["a(i)"] * 600) + "\n"
+    with pytest.raises(NestingTooDeep, match="nests 600 levels deep, past what the dense oracle"):
+        dense_eval(parse_kernel(text), {"a": DenseTensor((2,), [1.0, 2.0])})
 
 
 def test_generate_uniform_is_deterministic():

@@ -1,7 +1,8 @@
 """Property tests: the array form, whole and in parts, and the reference
 loops agree on random kernels; tensors round-trip through storage, binary
 dumps and files; the literal, kernel and tensor-file readers turn
-malformed text into a SparsecError.
+malformed text into a SparsecError; every stage either runs a kernel
+nested around Python's recursion limit or raises NestingTooDeep.
 
 Hypothesis draws the cases from a fixed seed (`derandomize`) and keeps no
 example database, so the suite stays deterministic. (`conftest.py` moves
@@ -10,31 +11,38 @@ Hypothesis's cache out of the checkout.)
 
 import os
 import re
+import sys
 import tempfile
 from numbers import Integral
+from unittest import mock
 
 import numpy as np
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from loops_reference import run_loops
+from sparsec import engine
 from sparsec.codegen import (
     AccumAcc,
     ForDense,
     ForPositions,
     Store,
     WhileCoiter,
+    emit_text,
 )
 from sparsec.encoding import COMPRESSED, DENSE, make_encoding
-from sparsec.engine import compile_kernel, convert
+from sparsec.engine import compile_kernel, convert, execute, run_kernel
 from sparsec.errors import (
     BitWidthOverflow,
     DenseOutputTooLarge,
+    NestingTooDeep,
     OrderConflict,
     SparsecError,
     UnsupportedKernel,
 )
 from sparsec.expr import parse_kernel
+from sparsec.oracle import dense_eval
 from sparsec.storage import CooTensor, DenseTensor, SparseStorage, dump_binary, load_binary, pack
 from sparsec.tensor_io import (
     read_dense_literal,
@@ -474,3 +482,62 @@ def test_read_tensor_reads_or_raises_a_sparsec_error_on_mutated_files(case):
         convert(coo, csr)
     except DenseOutputTooLarge:
         pass
+
+
+@st.composite
+def deep_kernel(draw) -> str:
+    """The text of `b(i) = ...` over a dense `a(i)`, nested 500 to 1,300
+    levels deep, around where each stage meets Python's recursion limit:
+    one to three runs of parentheses, negations, sum terms or product
+    factors, each run around what the runs before built, sharing the
+    depth. The parser takes about four frames per parenthesis, so a run
+    of them is a third as long, which still reaches past its limit."""
+    kinds = draw(st.lists(st.sampled_from("(-+*"), min_size=1, max_size=3))
+    shares = [draw(st.integers(1, 4)) for _ in kinds]
+    levels = draw(st.integers(500, 1300))
+    rhs = "a(i)"
+    for kind, share in zip(kinds, shares):
+        count = levels * share // sum(shares)
+        if kind == "(":
+            count //= 3
+            rhs = "(" * count + rhs + ")" * count
+        elif kind == "-":
+            rhs = "-" * count + rhs
+        else:
+            rhs = f" {kind} ".join([rhs] + ["a(i)"] * count)
+    return f"tensor a(4)\ntensor b(4)\nb(i) = {rhs}\n"
+
+
+@settings(SETTINGS, max_examples=25)
+@given(deep_kernel())
+def test_deep_kernels_run_or_raise_nesting_too_deep(text):
+    # Each stage walks the expression recursively. Past what it can walk
+    # it raises NestingTooDeep, never RecursionError, and every stage that
+    # runs the kernel gives one result. The stages run at Python's default
+    # recursion limit, which Hypothesis raises while a test runs.
+    inputs = {"a": DenseTensor((4,), [1.0, 0.5, 0.0, -1.0])}
+
+    def outcome(stage):
+        try:
+            return stage()
+        except NestingTooDeep:
+            return None
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        kernel = outcome(lambda: parse_kernel(text))
+        if kernel is None:
+            return
+        results = [
+            outcome(lambda: run_kernel(kernel, inputs)),
+            outcome(lambda: dense_eval(kernel, inputs)),
+        ]
+        programs = outcome(lambda: compile_kernel(kernel))
+        if programs is not None:
+            outcome(lambda: list(map(emit_text, programs)))
+            with mock.patch.object(engine, "interpret", run_loops):
+                results.append(outcome(lambda: execute(kernel, programs, inputs)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len({repr(r) for r in results if r is not None}) <= 1

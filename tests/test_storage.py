@@ -3,6 +3,7 @@ sparse-output build and the workspace, randomized round-trips, the
 whole-array paths against per-element layouts and walks, and typed errors
 for malformed storage and dumps."""
 
+import ast
 import math
 import os
 import random
@@ -1247,6 +1248,19 @@ def test_with_type_to_another_layout_is_validated_in_full(monkeypatch, mat_a):
             lambda: SparseStorage(ttype, square.pointers, square.indices, square.values)
         )
         assert got == want and len(validated) == 2
+
+
+def test_no_module_of_the_library_asserts():
+    # `python -O` strips every `assert`, so an invariant checked by one
+    # would not hold there: the library raises its typed errors instead.
+    package = os.path.dirname(sparsec.__file__)
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "storage.py" in modules
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"assert in {name} at lines {lines}"
 
 
 def test_malformed_storage_is_typed_under_optimize():

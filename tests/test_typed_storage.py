@@ -19,7 +19,7 @@ from loops_reference import run_loops
 from sparsec import engine
 from sparsec.cli import main
 from sparsec.encoding import COMPRESSED, DENSE, TensorType, csr, enumerate_encodings, make_encoding
-from sparsec.errors import DenseOutputTooLarge, MalformedStorage, SparsecError
+from sparsec.errors import DenseOutputTooLarge, MalformedStorage, ShapeMismatch, SparsecError
 from sparsec.expr import parse_kernel
 from sparsec.storage import (
     CooTensor,
@@ -203,6 +203,18 @@ def test_other_bad_arrays_are_malformed(pointers, indices, values):
 def test_non_real_dense_values_are_a_sparsec_error(data):
     with pytest.raises(SparsecError):
         DenseTensor((2,), data)
+
+
+def test_dense_tensor_of_a_type_keeps_its_value_checks():
+    # A TensorType's shape is checked already and taken as it is; the
+    # values are checked as they are for a tuple of extents.
+    ttype = TensorType((2, 3))
+    got = DenseTensor(ttype, np.arange(6.0))
+    assert got.shape is ttype.shape and got == DenseTensor((2, 3), np.arange(6.0))
+    with pytest.raises(ShapeMismatch, match="5 values for shape"):
+        DenseTensor(ttype, np.zeros(5))
+    with pytest.raises(SparsecError):
+        DenseTensor(ttype, np.zeros(6, complex))
 
 
 # ----------------------------------------------------------------------------
