@@ -226,8 +226,8 @@ def _result_key(result):
     if isinstance(result, DenseTensor):
         return result.shape, result.data.tobytes()
     enc = result.encoding
-    arrays = [a.tobytes() for l in range(result.rank) for a in result.level_arrays(l)]
-    return (result.shape, enc.levels, enc.ordering, *arrays, result.value_array.tobytes())
+    arrays = (*result.pointers, *result.indices, result.values)
+    return (result.shape, enc.levels, enc.ordering, *(a.tobytes() for a in arrays))
 
 
 def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
@@ -250,9 +250,10 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
     its loops and its width checks alone, its kernel is built directly,
     its swept types re-typed from the declared ones (`with_encoding`,
     which checks only the new encodings' ranks), each width check compares
-    against the packed arrays' largest values, taken once per group
-    (`SparseStorage.with_type`), and each Program derives its position
-    recipes on its first run (`Program.positions`). Only the current group
+    against the largest pointer and index of each level, which `validate`
+    keeps when the group packs them (`SparseStorage.with_type`), and each
+    Program derives its position recipes on its first run
+    (`Program.positions`). Only the current group
     and the last result are held: a result whose own buffers
     (`_result_key`) equal the last one's reuses its checksum.
     """

@@ -152,9 +152,10 @@ def convert(value: TensorValue, to_type: Union[TensorType, Encoding, None]) -> T
 _MAX_FRAME_ROWS = 1 << 22
 
 
-def _bound_part(program: Program, env: dict, uid: int, part: str, level: int = 0):
-    """The read-only `pointers`, `indices` or `values` array of access
-    `uid`'s binding: a storage's own, or a dense tensor's data."""
+def _bound_part(program: Program, env: dict, uid: int, part: str, level: Optional[int] = None):
+    """The read-only `pointers` or `indices` array of storage `level`, or
+    the `values` array (no level), of access `uid`'s binding: a storage's
+    own, or a dense tensor's data."""
     tensor = program.kernel.analysis.accesses[uid].tensor
     try:
         value = env[tensor]
@@ -162,9 +163,8 @@ def _bound_part(program: Program, env: dict, uid: int, part: str, level: int = 0
         raise UnknownTensor(f"no binding for tensor {tensor!r}")
     if not program.kernel.tensors[tensor].is_sparse:
         return value.data
-    if part == "values":
-        return value.value_array
-    return value.level_arrays(level)[part == "indices"]
+    arrays = getattr(value, part)
+    return arrays if level is None else arrays[level]
 
 
 def _position_steps(program: Program, uid: int, upto: Optional[int]):
@@ -284,13 +284,13 @@ class _Frame:
     row's values of them tell its iteration from every other, and compare
     in the order the loops run them, across frames too.
 
-    `runs` maps a flat position, written as the recipe `_position_steps`
-    derives (the key of the column it starts from or None, and the tuple
-    of its dense steps), to the slice of consecutive positions it takes
-    over the frame's rows: a run a position loop starts, which each dense
-    loop over a whole extent below it widens. Loads read such positions as
-    slices, and a run of positions is built as a column only when read
-    (`col`).
+    `run` is None or one pair: a flat position, written as the recipe
+    `_position_steps` derives (the key of the column it starts from or
+    None, and the tuple of its dense steps), and the slice of consecutive
+    positions it takes over the frame's rows. The top frame holds one, a
+    position loop starts one, and each dense loop over a whole extent below
+    it widens it. Loads read such positions as slices, and a run of
+    positions is built as a column only when read (`col`).
     """
 
     def __init__(self, n: int, parent: Optional["_Frame"] = None, rows=None, key=(), counts=None):
@@ -300,14 +300,13 @@ class _Frame:
         self.counts = counts  # how many rows each parent row makes
         self.key = key
         self.cols: dict = {}
-        self.runs: dict = {} if parent else {(None, ()): slice(0, 1)}
+        self.run = None if parent else ((None, ()), slice(0, 1))
 
     def col(self, key):
         column = self.cols.get(key)
         if column is None:
-            run = self.runs.get((key, ()))
-            if run is not None:
-                column = np.arange(run.start, run.stop)
+            if self.run and self.run[0] == (key, ()):
+                column = np.arange(self.run[1].start, self.run[1].stop)
             elif self.rows is None:
                 column = self.parent.col(key).repeat(self.counts)
             else:
@@ -338,13 +337,11 @@ class _Frame:
         column = np.empty((self.n, width), np.int64)
         column[:] = np.arange(start, stop)
         child.cols["v", var] = column.reshape(-1)
-        if width == extent:
+        if width == extent and self.run:
             # Under a run of positions p, the positions p * extent + var
             # over the whole extent are a run too.
-            child.runs = {
-                (begin, steps + ((var, width),)): slice(run.start * width, run.stop * width)
-                for (begin, steps), run in self.runs.items()
-            }
+            (begin, steps), run = self.run
+            child.run = (begin, (*steps, (var, width))), slice(run.start * width, run.stop * width)
         return child
 
 
@@ -363,7 +360,7 @@ class _ArrayRun:
     iterators' ranges itself (`_range`). Loads are gathers,
     and the expression is evaluated elementwise in float64. A position
     loop whose rows' ranges are consecutive, as under a dense loop or at
-    the first level, holds one run of positions (`_Frame.runs`), and so
+    the first level, holds one run of positions (`_Frame.run`), and so
     does a dense loop over a whole extent below such a run, or at the
     top: the indices and the values loaded at positions that form a run
     are slices of the bound arrays, read in place. Any other position
@@ -466,15 +463,14 @@ class _ArrayRun:
     def position(self, uid: int, frame: _Frame, upto: Optional[int] = None):
         """The flat position of access `uid` after its first `upto` levels
         (all when None) at every row of `frame`: a slice where they form a
-        run (`_Frame.runs`), else a column. Its recipe (`_position_steps`)
+        run (`_Frame.run`), else a column. Its recipe (`_position_steps`)
         is derived once per Program, on first use, and kept in the
         Program's table (`Program.positions`)."""
         recipe = self.p.positions.get((uid, upto))
         if recipe is None:
             recipe = self.p.positions[uid, upto] = _position_steps(self.p, uid, upto)
-        run = frame.runs.get(recipe)
-        if run is not None:
-            return run
+        if frame.run and frame.run[0] == recipe:
+            return frame.run[1]
         start, steps = recipe
         pos = None if start is None else frame.col(start)
         for v, extent in steps:
@@ -550,7 +546,7 @@ class _ArrayRun:
         child = frame.repeat(counts, total, s.var)
         if run:
             read = slice(int(lo[0]), int(hi[-1]))
-            child.runs = {(("q", s.uid, s.level), ()): read}
+            child.run = (("q", s.uid, s.level), ()), read
         else:
             read = _range_positions(lo, counts, ends)
             child.cols["q", s.uid, s.level] = read

@@ -48,30 +48,29 @@ def _dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
 
     data = {name: inputs[name].data.tolist() for name in kernel.tensors if name in inputs}
 
-    def _raw(node, path, env):
-        reduced = an.node_reductions.get(path)
+    def _eval(node, path, env, reduce=True):
+        # One frame a level: a reducing node re-enters itself once, its
+        # reduction off, for each combination of its reduced variables.
+        reduced = reduce and an.node_reductions.get(path)
         if reduced:
             total = 0.0
             extents = [range(an.var_extents[v]) for v in reduced]
             for combo in itertools.product(*extents):
                 for v, i in zip(reduced, combo):
                     env[v] = i
-                total += _plain(node, path, env)
+                total += _eval(node, path, env, reduce=False)
             for v in reduced:
                 del env[v]
             return total
-        return _plain(node, path, env)
-
-    def _plain(node, path, env):
         if isinstance(node, Access):
             coords = [env[v] for v in node.indices]
             return data[node.tensor][inputs[node.tensor].offset(coords)]
         if isinstance(node, Const):
             return node.value
         if isinstance(node, Neg):
-            return -_raw(node.operand, path + (0,), env)
-        a = _raw(node.lhs, path + (0,), env)
-        b = _raw(node.rhs, path + (1,), env)
+            return -_eval(node.operand, path + (0,), env)
+        a = _eval(node.lhs, path + (0,), env)
+        b = _eval(node.rhs, path + (1,), env)
         if isinstance(node, Add):
             return a + b
         if isinstance(node, Sub):
@@ -88,7 +87,7 @@ def _dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
         out = [0.0] * math.prod(out_shape)
     free = kernel.lhs.indices  # distinct, so the combos run in row-major order
     for off, combo in enumerate(itertools.product(*[range(an.var_extents[v]) for v in free])):
-        out[off] += _raw(kernel.rhs, (), dict(zip(free, combo)))
+        out[off] += _eval(kernel.rhs, (), dict(zip(free, combo)))
     return DenseTensor(out_shape, out)
 
 

@@ -27,16 +27,14 @@ own array, checked once when it is made, so its `arrays()` hands them out
 as they are, `to_coo` hands merged columns to a new one
 (`CooTensor.from_arrays`) with no per-entry work, and `pack` of entries
 already in storage order keeps the last level's column as that level's
-indices array. A `SparseStorage` holds
-its per-level pointers and indices as read-only int64 arrays and its
-values as a read-only float64 array, the typed buffers of the paper's
-runtime; `pack`, `validate`, `arrays()` and the engine read them whole.
-Nothing in the pipeline reads a tensor one element at a time. Two
-per-element views stay, built on each read: `SparseStorage`'s tuple views
-(`pointers`, `indices`, `values`) and `CooTensor.entries`, because the
-benchmark's reference reads them and `__repr__` prints them. A
-`DenseTensor` holds its elements, in row-major order, as one read-only
-float64 array, typed as those values.
+indices array. A `SparseStorage` keeps its per-level `pointers` and
+`indices` as read-only int64 arrays and its `values` as a read-only
+float64 array, the typed buffers of the paper's runtime; `pack`,
+`validate`, `arrays()` and the engine read them whole. A `DenseTensor`
+keeps its elements, in row-major order, as one read-only float64 array,
+`data`. Nothing in the pipeline reads a tensor one element at a time. One
+per-element view stays, built on each read: `CooTensor.entries`, because
+the benchmark reads it and `__repr__` prints it.
 
 Stored positions are budgeted: a dense output, a `to_dense` result, or a
 format whose dense levels would hold more than `_MAX_DENSE_ELEMENTS`
@@ -531,28 +529,25 @@ def _level_array(values, level: int, what: str) -> np.ndarray:
 
 
 class SparseStorage:
-    """Packed tensor: per-level pointers/indices plus a flat values array.
+    """Packed tensor: per storage level a pointers and an indices array,
+    and one values array.
 
-    The arrays are read-only numpy arrays, int64 for the pointers and
-    indices of each storage level (empty for a dense level) and float64 for
-    the values, so instances are immutable and safe to share. The
-    constructor takes sequences or arrays, keeps a read-only array of the
-    right dtype that owns its memory as it is and copies anything else,
-    then runs `validate`.
-    `level_arrays` and `value_array` hand out the arrays; the `pointers`,
-    `indices` and `values` views build tuples of Python numbers on each
-    read, and stay because the benchmark's reference reads them and
-    `__repr__` prints them. Build instances with `pack` (or, in the
-    engine, `_build_levels`), never by hand.
+    `pointers` and `indices` hold one read-only int64 array per storage
+    level (both empty for a dense level), and `values` is a read-only
+    float64 array: the storage's own buffers, read whole, as the paper's
+    runtime hands them to the generated code. Instances are immutable and
+    safe to share. The constructor takes sequences or arrays, keeps a
+    read-only array of the right dtype that owns its memory as it is and
+    copies anything else, then runs `validate`. Build instances with `pack`
+    (or, in the engine, `_build_levels`), never by hand.
     """
 
     def __init__(self, ttype: TensorType, pointers, indices, values):
         self.ttype = ttype
-        self._pointers = tuple(_level_array(p, l, "pointers") for l, p in enumerate(pointers))
-        self._indices = tuple(_level_array(i, l, "indices") for l, i in enumerate(indices))
+        self.pointers = tuple(_level_array(p, l, "pointers") for l, p in enumerate(pointers))
+        self.indices = tuple(_level_array(i, l, "indices") for l, i in enumerate(indices))
         bad = MalformedStorage("values must be a flat sequence of real numbers")
-        self._values = _typed_array(values, np.float64, "biuf", "d", bad)
-        self._tops: dict = {}  # (level, part) -> its array's largest value (`_top`)
+        self.values = _typed_array(values, np.float64, "biuf", "d", bad)
         self.validate()
 
     @property
@@ -570,21 +565,11 @@ class SparseStorage:
     @property
     def nnz(self) -> int:
         """Count of stored values that are not explicit zeros (-0.0 too)."""
-        return int(np.count_nonzero(self._values))
-
-    def level_arrays(self, level: int) -> tuple:
-        """The read-only int64 pointers and indices arrays of one storage
-        level, both empty for a dense level."""
-        return self._pointers[level], self._indices[level]
-
-    @property
-    def value_array(self) -> np.ndarray:
-        """The read-only float64 values array."""
-        return self._values
+        return int(np.count_nonzero(self.values))
 
     def with_values(self, values) -> "SparseStorage":
         """The same layout, its arrays shared, holding `values` instead."""
-        return SparseStorage(self.ttype, self._pointers, self._indices, values)
+        return SparseStorage(self.ttype, self.pointers, self.indices, values)
 
     def with_type(self, ttype: TensorType) -> "SparseStorage":
         """The same arrays, shared, under `ttype`: this storage itself when
@@ -592,52 +577,37 @@ class SparseStorage:
 
         When `ttype` differs from this storage's type only in its bit
         widths (`_same_layout`), the layout checks this storage passed hold
-        for it too, so only the widths are checked (`_check_widths`), with
-        the error a full `validate` would raise. The arrays' largest values
-        taken so far are shared too, so an array's is taken once for every
-        storage adopted from this one. Any other `ttype` is checked in
-        full.
+        for it too, so only the widths are checked (`_check_widths`), against
+        the arrays' largest values `validate` kept, with the error a full
+        `validate` would raise. Any other `ttype` is checked in full.
         """
         if ttype == self.ttype:
             return self
         if not _same_layout(self.ttype, ttype):
-            return SparseStorage(ttype, self._pointers, self._indices, self._values)
+            return SparseStorage(ttype, self.pointers, self.indices, self.values)
         storage = object.__new__(SparseStorage)
         storage.ttype = ttype
-        storage._pointers, storage._indices = self._pointers, self._indices
-        storage._values, storage._tops = self._values, self._tops
+        storage.pointers, storage.indices = self.pointers, self.indices
+        storage.values, storage._maxima = self.values, self._maxima
         storage._check_widths()
         return storage
-
-    @property
-    def pointers(self) -> tuple:
-        """Every level's pointers as a tuple of Python ints."""
-        return tuple(tuple(p.tolist()) for p in self._pointers)
-
-    @property
-    def indices(self) -> tuple:
-        """Every level's indices as a tuple of Python ints."""
-        return tuple(tuple(i.tolist()) for i in self._indices)
-
-    @property
-    def values(self) -> tuple:
-        """The values as a tuple of Python floats."""
-        return tuple(self._values.tolist())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
             self.ttype == other.ttype
-            and all(map(np.array_equal, self._pointers, other._pointers))
-            and all(map(np.array_equal, self._indices, other._indices))
-            and np.array_equal(self._values, other._values)
+            and all(map(np.array_equal, self.pointers, other.pointers))
+            and all(map(np.array_equal, self.indices, other.indices))
+            and np.array_equal(self.values, other.values)
         )
 
     def __repr__(self):
+        pointers = tuple(tuple(p.tolist()) for p in self.pointers)
+        indices = tuple(tuple(i.tolist()) for i in self.indices)
         return (
-            f"SparseStorage(ttype={self.ttype!r}, pointers={self.pointers!r}, "
-            f"indices={self.indices!r}, values={self.values!r})"
+            f"SparseStorage(ttype={self.ttype!r}, pointers={pointers!r}, "
+            f"indices={indices!r}, values={tuple(self.values.tolist())!r})"
         )
 
     def validate(self):
@@ -645,22 +615,25 @@ class SparseStorage:
         layout of every level, then the bit widths (`_check_widths`).
 
         Raises MalformedStorage for a bad layout and BitWidthOverflow for a
-        narrow width, so the checks hold under `python -O` too.
+        narrow width, so the checks hold under `python -O` too. Keeps each
+        level's largest pointer and index for the width checks.
         """
         enc = self.ttype.encoding
         if enc is None:
             raise ShapeMismatch("SparseStorage requires an encoding on its TensorType")
         sshape = self.ttype.storage_shape()
         d = self.rank
-        if len(self._pointers) != d or len(self._indices) != d:
+        if len(self.pointers) != d or len(self.indices) != d:
             raise RankMismatch("need one pointers and one indices array per level")
         positions = 1
+        maxima = []  # per level, its largest pointer and index, -1 for none
         for l in range(d):
-            ptrs, idxs = self._pointers[l], self._indices[l]
+            ptrs, idxs = self.pointers[l], self.indices[l]
             if enc.levels[l] is DENSE:
                 if len(ptrs) or len(idxs):
                     raise MalformedStorage(f"dense level {l} must keep empty arrays")
                 positions *= sshape[l]
+                maxima.append((-1, -1))
                 continue
             if len(ptrs) != positions + 1:
                 raise MalformedStorage(
@@ -672,6 +645,7 @@ class SparseStorage:
                 raise MalformedStorage(f"level {l}: pointers must be non-decreasing")
             if ptrs[-1] != len(idxs):
                 raise MalformedStorage(f"level {l}: pointers must cover the indices")
+            top = -1
             if len(idxs):
                 # Each index must exceed its predecessor, except where a
                 # segment starts.
@@ -682,42 +656,30 @@ class SparseStorage:
                     raise MalformedStorage(
                         f"level {l}: indices within a segment must strictly increase"
                     )
-                top = self._tops[l, 1] = _largest(idxs)  # kept for `_check_widths`
+                top = _largest(idxs)
                 if idxs.min() < 0 or top >= sshape[l]:
                     raise MalformedStorage(f"level {l}: index outside extent {sshape[l]}")
+            # The pointers do not decrease, so the last is the largest.
+            maxima.append((int(ptrs[-1]), top))
             positions = len(idxs)
-        if len(self._values) != positions:
-            raise MalformedStorage(f"{len(self._values)} values for {positions} stored positions")
+        if len(self.values) != positions:
+            raise MalformedStorage(f"{len(self.values)} values for {positions} stored positions")
+        self._maxima = tuple(maxima)
         self._check_widths()
 
     def _check_widths(self):
         """Raise BitWidthOverflow for the first level, in storage order,
-        whose largest pointer or (after its pointers) index does not fit in
-        the declared width. A dense level's arrays are empty, and a native
-        width (0) fits anything. Each array's largest value is taken on
-        the first check that needs it (`_top`; `validate` keeps each
-        indices array's from its bounds check) and kept, so checking the
-        widths of storages that share their arrays (`with_type`) costs a
-        comparison per array."""
+        whose largest pointer or (after its pointers) index, as `validate`
+        kept them, does not fit in the declared width. A dense level stores
+        neither, and a native width (0) fits anything."""
         enc = self.encoding
         if not (enc.pointer_width or enc.index_width):
             return
         widths = ((enc.pointer_width, "pointer"), (enc.index_width, "index"))
-        for level in range(self.rank):
-            for part, (width, what) in enumerate(widths):
-                top = width and self._top(level, part)
-                if top > (1 << width) - 1:
+        for tops in self._maxima:
+            for top, (width, what) in zip(tops, widths):
+                if width and top > (1 << width) - 1:
                     raise BitWidthOverflow(f"{what} value {top} does not fit in {width} bits")
-
-    def _top(self, level: int, part: int) -> int:
-        """The largest value of storage `level`'s pointers (`part` 0) or
-        indices (1), -1 when there are none: taken once (`_largest`), then
-        kept. The arrays never change, so threads that race to take it
-        keep the same value."""
-        top = self._tops.get((level, part))
-        if top is None:
-            top = self._tops[level, part] = _largest(self.level_arrays(level)[part])
-        return top
 
     def arrays(self):
         """Every stored entry, explicit zeros included, in storage order:
@@ -738,12 +700,12 @@ class SparseStorage:
                 columns.append(np.tile(np.arange(extent), positions))
                 positions *= extent
             else:
-                counts = np.diff(self._pointers[l])
+                counts = np.diff(self.pointers[l])
                 columns = [np.repeat(c, counts) for c in columns]
-                columns.append(self._indices[l])
-                positions = len(self._indices[l])
+                columns.append(self.indices[l])
+                positions = len(self.indices[l])
         columns = [_read_only(c) for c in columns]
-        return tuple(columns[enc.level_of_dim(d)] for d in range(self.rank)), self._values
+        return tuple(columns[enc.level_of_dim(d)] for d in range(self.rank)), self.values
 
     def to_coo(self, *, drop_zeros: bool) -> CooTensor:
         """Unpack to sorted unique-coordinate COO, explicit zeros included
@@ -852,10 +814,9 @@ def dump_binary(storage: SparseStorage) -> bytes:
     arrays = []
     for l in range(storage.rank):
         if enc.levels[l] is COMPRESSED:
-            pointers, indices = storage.level_arrays(l)
-            arrays += [(pointers, _DUMP_DTYPES[enc.pointer_width])]
-            arrays += [(indices, _DUMP_DTYPES[enc.index_width])]
-    arrays.append((storage.value_array, "<f8"))
+            arrays += [(storage.pointers[l], _DUMP_DTYPES[enc.pointer_width])]
+            arrays += [(storage.indices[l], _DUMP_DTYPES[enc.index_width])]
+    arrays.append((storage.values, "<f8"))
     for arr, dtype in arrays:
         out += struct.pack("<Q", len(arr))
         out += arr.astype(dtype).tobytes()

@@ -50,6 +50,12 @@ def tensor_t():
     )
 
 
+def tuples(arrays) -> tuple:
+    """Each of `arrays` as a tuple of Python numbers: a storage's
+    `pointers` or `indices` in the form the tests spell them."""
+    return tuple(tuple(a.tolist()) for a in arrays)
+
+
 @contextmanager
 def row_budget(rows: int):
     """Run the engine with its frame budget, `_MAX_FRAME_ROWS`, at `rows`,

@@ -119,7 +119,7 @@ class _Generator:
         self.lists: dict = {}  # (tensor, part, level) -> a bound array as a list
         self.lines = ["def program():"]
 
-    def _array(self, name: str, uid: int, part: str, level: int = 0) -> str:
+    def _array(self, name: str, uid: int, part: str, level=None) -> str:
         """Bind a bound tensor's `pointers`, `indices` or `values` to the
         global `name` as a list, taking one `tolist()` per bound array."""
         key = (self.p.kernel.analysis.accesses[uid].tensor, part, level)
@@ -303,7 +303,7 @@ def run_loops(program: Program, env: dict):
         return convert(DenseTensor(out_type.shape, out), out_type)
     if strat is StrategyKind.IN_PLACE:
         base = env[kernel.lhs.tensor]
-        out = base.value_array.tolist()
+        out = base.values.tolist()
         generator.function(out=out)()
         return base.with_values(out)
     coords, values = array("q"), array("d")  # in storage order

@@ -24,7 +24,7 @@ from sparsec.encoding import (
     dcsr,
     make_encoding,
 )
-from sparsec.engine import compile_kernel, convert, run_kernel
+from sparsec.engine import compile_kernel, convert, execute, run_kernel
 from sparsec.errors import OrderConflict
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.lattice import build_iteration_graph, build_lattice, topo_sort
@@ -52,35 +52,35 @@ def criterion(number: int, name: str, budget_s: float):
 def test_01_storage_layout_fidelity(vec_x, mat_a, tensor_t):
     with criterion(1, "storage-layout-fidelity", 1.0):
         s = pack(vec_x, make_encoding([COMPRESSED]))
-        assert s.pointers[0] == (0, 4)
-        assert s.indices[0] == (3, 6, 7, 10)
-        assert s.values == (refs.X3, refs.X6, refs.X7, refs.X10)
+        assert s.pointers[0].tolist() == [0, 4]
+        assert s.indices[0].tolist() == [3, 6, 7, 10]
+        assert s.values.tolist() == [refs.X3, refs.X6, refs.X7, refs.X10]
 
         s = pack(mat_a, csr())
-        assert s.pointers[1] == (0, 2, 2, 3)  # the repeated 2: row 1 is empty
-        assert s.indices[1] == (0, 3, 0)
-        assert s.values == (refs.A00, refs.A03, refs.A20)
+        assert s.pointers[1].tolist() == [0, 2, 2, 3]  # the repeated 2: row 1 is empty
+        assert s.indices[1].tolist() == [0, 3, 0]
+        assert s.values.tolist() == [refs.A00, refs.A03, refs.A20]
 
         s = pack(mat_a, make_encoding([COMPRESSED, DENSE]))
-        assert s.pointers[0] == (0, 2)
-        assert s.indices[0] == (0, 2)
-        assert s.values == (refs.A00, 0.0, 0.0, refs.A03, refs.A20, 0.0, 0.0, 0.0)
+        assert s.pointers[0].tolist() == [0, 2]
+        assert s.indices[0].tolist() == [0, 2]
+        assert s.values.tolist() == [refs.A00, 0.0, 0.0, refs.A03, refs.A20, 0.0, 0.0, 0.0]
 
         s = pack(mat_a, dcsc())
-        assert s.pointers[0] == (0, 2)
-        assert s.indices[0] == (0, 3)
-        assert s.pointers[1] == (0, 2, 3)
-        assert s.indices[1] == (0, 2, 0)
-        assert s.values == (refs.A00, refs.A20, refs.A03)
+        assert s.pointers[0].tolist() == [0, 2]
+        assert s.indices[0].tolist() == [0, 3]
+        assert s.pointers[1].tolist() == [0, 2, 3]
+        assert s.indices[1].tolist() == [0, 2, 0]
+        assert s.values.tolist() == [refs.A00, refs.A20, refs.A03]
 
         s = pack(tensor_t, make_encoding([COMPRESSED, COMPRESSED, COMPRESSED]))
-        assert s.pointers[0] == (0, 2)
-        assert s.indices[0] == (0, 2)
-        assert s.pointers[1] == (0, 1, 3)
-        assert s.indices[1] == (0, 0, 1)
-        assert s.pointers[2] == (0, 1, 3, 5)
-        assert s.indices[2] == (0, 0, 2, 2, 3)
-        assert s.values == (refs.T000, refs.T200, refs.T202, refs.T212, refs.T213)
+        assert s.pointers[0].tolist() == [0, 2]
+        assert s.indices[0].tolist() == [0, 2]
+        assert s.pointers[1].tolist() == [0, 1, 3]
+        assert s.indices[1].tolist() == [0, 0, 1]
+        assert s.pointers[2].tolist() == [0, 1, 3, 5]
+        assert s.indices[2].tolist() == [0, 0, 2, 2, 3]
+        assert s.values.tolist() == [refs.T000, refs.T200, refs.T202, refs.T212, refs.T213]
 
 
 # -- 2 ------------------------------------------------------------------------
@@ -455,6 +455,28 @@ def test_random_kernel_ir_hash(request):
             programs += 1
     assert programs == 577
     want = (request.path.parent / "golden" / "random_kernels.ir.sha256").read_text()
+    assert digest.hexdigest() == want.strip()
+
+
+def test_random_kernel_result_hash(request):
+    """The sha256 of the `repr` of `execute`'s result for each kernel that
+    `test_random_kernel_ir_hash` compiles: 378 results. A change to the
+    layout of a stored result, to its values or to a `__repr__` text
+    changes the hash; any later change to the pinned hash is stated in
+    CHANGES.md, with why."""
+    rng = random.Random(2024)
+    digest, results = hashlib.sha256(), 0
+    for _ in range(400):
+        text, bindings = _random_kernel_case(rng, integer_data=False)
+        kernel = parse_kernel(text)
+        try:
+            compiled = compile_kernel(kernel)
+        except OrderConflict:
+            continue
+        digest.update(repr(execute(kernel, compiled, bindings)).encode())
+        results += 1
+    assert results == 378
+    want = (request.path.parent / "golden" / "random_kernels.repr.sha256").read_text()
     assert digest.hexdigest() == want.strip()
 
 

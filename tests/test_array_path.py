@@ -155,7 +155,7 @@ def test_every_legal_loop_order_gives_one_result():
             strategies = tuple(p.strategy.kind for p in programs)
             stored.setdefault(strategies, set()).add(repr(result.to_coo(drop_zeros=False)))
             if strategies[-1] is StrategyKind.DENSE_STORE and isinstance(result, SparseStorage):
-                zeros = np.count_nonzero(result.value_array == 0.0)
+                zeros = np.count_nonzero(result.values == 0.0)
                 if all(level is COMPRESSED for level in result.encoding.levels):
                     assert not zeros, (text, combo)
                 filled += zeros > 0
@@ -308,7 +308,7 @@ def test_in_place_scale():
         x = SparseStorage(program.kernel.tensors["x"], ((0, 3),), ((3, 6, 10),), (1.5, -0.0, 4.5))
         got = _same(text, {"x": x})
         assert f"indices=((3, 6, 10),), values={values}" in got, rhs
-        assert x.values == (1.5, -0.0, 4.5)  # the bound input is not written
+        assert x.values.tolist() == [1.5, -0.0, 4.5]  # the bound input is not written
 
 
 def test_in_place_scale_in_parts(frame_budget, monkeypatch):
@@ -564,8 +564,7 @@ def test_workspace_product_peaks_at_its_product_columns():
         for name, seed in (("A", 25), ("B", 26))
     }
     env = {name: engine.convert(v, kernel.tensors[name]) for name, v in bindings.items()}
-    pointers_b = env["B"].level_arrays(1)[0]
-    products = int(np.diff(pointers_b)[env["A"].level_arrays(1)[1]].sum())
+    products = int(np.diff(env["B"].pointers[1])[env["A"].indices[1]].sum())
     engine.interpret(program, env)  # warm: nothing cached is counted below
     tracemalloc.start()
     try:
@@ -581,10 +580,9 @@ def test_workspace_product_peaks_at_its_product_columns():
     )
     want = (a @ b).tocsr()
     want.sort_indices()
-    pointers, indices = got.level_arrays(1)
-    assert np.array_equal(pointers, want.indptr)
-    assert np.array_equal(indices, want.indices)
-    np.testing.assert_allclose(got.value_array, want.data, rtol=1e-10)
+    assert np.array_equal(got.pointers[1], want.indptr)
+    assert np.array_equal(got.indices[1], want.indices)
+    np.testing.assert_allclose(got.values, want.data, rtol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -799,11 +797,10 @@ def test_coiteration_at_scale_matches_scipy(op):
     want = (a + b if op == "+" else a.multiply(b)).tocsr()
     want.sort_indices()
     got = execute(kernel, compile_kernel(kernel), bindings)
-    pointers, indices = got.level_arrays(1)
-    assert len(got.value_array) > (80_000 if op == "+" else 300)
-    assert np.array_equal(pointers, want.indptr)
-    assert np.array_equal(indices, want.indices)
-    assert np.array_equal(got.value_array, want.data)
+    assert len(got.values) > (80_000 if op == "+" else 300)
+    assert np.array_equal(got.pointers[1], want.indptr)
+    assert np.array_equal(got.indices[1], want.indices)
+    assert np.array_equal(got.values, want.data)
 
 
 def test_union_case_frames_keep_only_their_loop_variables():
@@ -820,7 +817,7 @@ def test_union_case_frames_keep_only_their_loop_variables():
         for name, seed in (("A", 1), ("B", 2))
     }
     env = {name: engine.convert(v, kernel.tensors[name]) for name, v in bindings.items()}
-    entries = sum(len(v.value_array) for v in env.values())
+    entries = sum(len(v.values) for v in env.values())
     tracemalloc.start()
     try:
         got = engine.interpret(program, env)
@@ -857,10 +854,9 @@ def test_workspace_at_scale_matches_scipy():
     want = (a @ b).tocsr()
     want.sort_indices()
     got = execute(kernel, [program], bindings)
-    pointers, indices = got.level_arrays(1)
-    assert np.array_equal(pointers, want.indptr)
-    assert np.array_equal(indices, want.indices)
-    np.testing.assert_allclose(got.value_array, want.data, rtol=1e-10)
+    assert np.array_equal(got.pointers[1], want.indptr)
+    assert np.array_equal(got.indices[1], want.indices)
+    np.testing.assert_allclose(got.values, want.data, rtol=1e-10)
 
 
 @pytest.mark.parametrize("n,peak_mb", [(8192, 96), (60_000, 64)])
@@ -894,11 +890,10 @@ def test_dense_store_into_a_sparse_output_at_scale_matches_scipy(n, peak_mb):
     assert peak < peak_mb << 20
     want = (mats[0].T @ mats[1]).tocsr()
     want.sort_indices()
-    pointers, indices = got.level_arrays(1)
-    assert len(indices) > 130_000
-    assert np.array_equal(pointers, want.indptr)
-    assert np.array_equal(indices, want.indices)
-    assert np.array_equal(got.value_array, want.data)
+    assert len(got.indices[1]) > 130_000
+    assert np.array_equal(got.pointers[1], want.indptr)
+    assert np.array_equal(got.indices[1], want.indices)
+    assert np.array_equal(got.values, want.data)
 
 
 # ----------------------------------------------------------------------------
@@ -947,10 +942,9 @@ def test_workspace_past_the_row_budget_matches_scipy():
     assert peak < 88 * products
     want = (a @ b).tocsr()
     want.sort_indices()
-    pointers, indices = got.level_arrays(1)
-    assert np.array_equal(pointers, want.indptr)
-    assert np.array_equal(indices, want.indices)
-    np.testing.assert_allclose(got.value_array, want.data, rtol=1e-10)
+    assert np.array_equal(got.pointers[1], want.indptr)
+    assert np.array_equal(got.indices[1], want.indices)
+    np.testing.assert_allclose(got.values, want.data, rtol=1e-10)
 
 
 def test_dense_matvec_past_the_row_budget_matches_numpy():

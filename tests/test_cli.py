@@ -873,7 +873,7 @@ def test_run_search_sweeps_several_operands_with_widths(monkeypatch):
 def test_run_search_uses_a_binding_of_the_rows_type_as_it_is(monkeypatch, own):
     kernel, bindings = _spmm_search_case()
     storage = pack(bindings["A"], own)
-    values = storage.value_array.copy()
+    values = storage.values.copy()
     values[::2] = -0.0  # stored -0.0, which packing again turns into 0.0
     storage = storage.with_values(values)
     layout = (own.levels, own.ordering)
@@ -894,13 +894,16 @@ def test_run_search_uses_a_binding_of_the_rows_type_as_it_is(monkeypatch, own):
         assert isinstance(value, SparseStorage)
         if (enc.levels, enc.ordering) == layout:
             # Any widths: the binding's arrays, read as stored, -0.0 kept.
-            assert np.shares_memory(value.value_array, storage.value_array), enc
-            assert value.value_array.tobytes() == storage.value_array.tobytes()
+            assert np.shares_memory(value.values, storage.values), enc
+            assert value.values.tobytes() == storage.values.tobytes()
             for level in range(2):
-                for got, kept in zip(value.level_arrays(level), storage.level_arrays(level)):
+                for got, kept in zip(
+                    (value.pointers[level], value.indices[level]),
+                    (storage.pointers[level], storage.indices[level]),
+                ):
                     assert not kept.size or np.shares_memory(got, kept), enc
         else:
-            assert not np.shares_memory(value.value_array, storage.value_array), enc
+            assert not np.shares_memory(value.values, storage.values), enc
             assert repr(value.with_type(ttype)) == repr(convert(storage, ttype)), enc
 
 
@@ -1130,8 +1133,10 @@ def test_run_search_derives_each_position_recipe_once_per_program(monkeypatch):
 
 def test_run_search_takes_each_array_maximum_once(monkeypatch):
     # A's width variants are checked on every row, against the largest
-    # values of its group's packed arrays, each taken once: one per
-    # pointers or indices array of each group's A.
+    # values `validate` kept for its group's packed arrays: each indices
+    # array's taken once, one per compressed level of each group's A (none,
+    # one, one and two for the four level pairs, under both orderings). A
+    # level's largest pointer is its last one, and takes none.
     kernel, bindings = _spmm_search_case()
     taken, checks = [], []
     largest, check_widths = storage._largest, SparseStorage._check_widths
@@ -1141,7 +1146,7 @@ def test_run_search_takes_each_array_maximum_once(monkeypatch):
     )
     rows = cli.run_search(kernel, bindings, "A", include_widths=True)
     assert len(rows) == len(checks) == 200
-    assert len(taken) == 8 * 2 * 2
+    assert len(taken) == (0 + 1 + 1 + 2) * 2
 
 
 def test_one_program_runs_other_bindings_and_width_variants():

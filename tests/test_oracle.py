@@ -1,9 +1,12 @@
+import contextlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from sparsec.engine import run_kernel
 from sparsec.errors import DenseOutputTooLarge, NestingTooDeep, ShapeMismatch
 from sparsec.expr import parse_kernel
 from sparsec.oracle import GeneratorSpec, dense_eval, density, generate
@@ -82,12 +85,40 @@ def test_dense_eval_output_past_the_budget_raises_before_allocating():
     assert dense_eval(parse_kernel(OUTER.format(n=2)), small).data.tolist() == [3.0, 4.0, 6.0, 8.0]
 
 
+@contextlib.contextmanager
+def default_recursion_limit():
+    """Run the body at Python's default recursion limit, which Hypothesis
+    raises while its tests run."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _long_sum(terms: int) -> str:
+    return "tensor a(2)\ntensor b(2)\nb(i) = " + " + ".join(["a(i)"] * terms) + "\n"
+
+
 def test_dense_eval_of_a_kernel_too_deep_to_walk_is_typed():
-    # The compiler runs a 600-term sum; the oracle's loops walk it two
-    # frames a level, past Python's recursion limit.
-    text = "tensor a(2)\ntensor b(2)\nb(i) = " + " + ".join(["a(i)"] * 600) + "\n"
-    with pytest.raises(NestingTooDeep, match="nests 600 levels deep, past what the dense oracle"):
-        dense_eval(parse_kernel(text), {"a": DenseTensor((2,), [1.0, 2.0])})
+    # The oracle's loops walk a 1,200-term sum one frame a level, past
+    # Python's recursion limit.
+    kernel = parse_kernel(_long_sum(1200))
+    message = "nests 1200 levels deep, past what the dense oracle"
+    with default_recursion_limit(), pytest.raises(NestingTooDeep, match=message):
+        dense_eval(kernel, {"a": DenseTensor((2,), [1.0, 2.0])})
+
+
+def test_dense_eval_checks_a_sum_the_compiler_runs():
+    # A 700-term sum, which `run_kernel` runs, is within the oracle's
+    # reach too: one frame a level.
+    kernel = parse_kernel(_long_sum(700))
+    inputs = {"a": DenseTensor((2,), [1.0, 2.0])}
+    with default_recursion_limit():
+        want = dense_eval(kernel, inputs)
+        got = run_kernel(kernel, inputs)
+    assert got == want and want.data.tolist() == [700.0, 1400.0]
 
 
 def test_generate_uniform_is_deterministic():

@@ -67,52 +67,52 @@ from test_typed_storage import _python_layout
 
 def test_pack_sparse_vector(vec_x):
     s = pack(vec_x, make_encoding([COMPRESSED]))
-    assert s.pointers[0] == (0, 4)
-    assert s.indices[0] == (3, 6, 7, 10)
-    assert s.values == (refs.X3, refs.X6, refs.X7, refs.X10)
+    assert s.pointers[0].tolist() == [0, 4]
+    assert s.indices[0].tolist() == [3, 6, 7, 10]
+    assert s.values.tolist() == [refs.X3, refs.X6, refs.X7, refs.X10]
 
 
 def test_pack_csr(mat_a):
     s = pack(mat_a, csr())
-    assert s.pointers[0] == () and s.indices[0] == ()
+    assert s.pointers[0].tolist() == [] and s.indices[0].tolist() == []
     # Row 1 is empty, so the boundary 2 repeats.
-    assert s.pointers[1] == (0, 2, 2, 3)
-    assert s.indices[1] == (0, 3, 0)
-    assert s.values == (refs.A00, refs.A03, refs.A20)
+    assert s.pointers[1].tolist() == [0, 2, 2, 3]
+    assert s.indices[1].tolist() == [0, 3, 0]
+    assert s.values.tolist() == [refs.A00, refs.A03, refs.A20]
 
 
 def test_pack_compressed_dense(mat_a):
     s = pack(mat_a, make_encoding([COMPRESSED, DENSE]))
-    assert s.pointers[0] == (0, 2)
-    assert s.indices[0] == (0, 2)
+    assert s.pointers[0].tolist() == [0, 2]
+    assert s.indices[0].tolist() == [0, 2]
     # Stored rows are fully materialized, explicit zeros included.
-    assert s.values == (refs.A00, 0.0, 0.0, refs.A03, refs.A20, 0.0, 0.0, 0.0)
+    assert s.values.tolist() == [refs.A00, 0.0, 0.0, refs.A03, refs.A20, 0.0, 0.0, 0.0]
 
 
 def test_pack_dcsc(mat_a):
     s = pack(mat_a, dcsc())
-    assert s.pointers[0] == (0, 2)
-    assert s.indices[0] == (0, 3)
-    assert s.pointers[1] == (0, 2, 3)
-    assert s.indices[1] == (0, 2, 0)
-    assert s.values == (refs.A00, refs.A20, refs.A03)
+    assert s.pointers[0].tolist() == [0, 2]
+    assert s.indices[0].tolist() == [0, 3]
+    assert s.pointers[1].tolist() == [0, 2, 3]
+    assert s.indices[1].tolist() == [0, 2, 0]
+    assert s.values.tolist() == [refs.A00, refs.A20, refs.A03]
 
 
 def test_pack_three_tensor(tensor_t):
     s = pack(tensor_t, make_encoding([COMPRESSED, COMPRESSED, COMPRESSED]))
-    assert s.pointers[0] == (0, 2)
-    assert s.indices[0] == (0, 2)
-    assert s.pointers[1] == (0, 1, 3)
-    assert s.indices[1] == (0, 0, 1)
-    assert s.pointers[2] == (0, 1, 3, 5)
-    assert s.indices[2] == (0, 0, 2, 2, 3)
-    assert s.values == (refs.T000, refs.T200, refs.T202, refs.T212, refs.T213)
+    assert s.pointers[0].tolist() == [0, 2]
+    assert s.indices[0].tolist() == [0, 2]
+    assert s.pointers[1].tolist() == [0, 1, 3]
+    assert s.indices[1].tolist() == [0, 0, 1]
+    assert s.pointers[2].tolist() == [0, 1, 3, 5]
+    assert s.indices[2].tolist() == [0, 0, 2, 2, 3]
+    assert s.values.tolist() == [refs.T000, refs.T200, refs.T202, refs.T212, refs.T213]
 
 
 def test_pack_sums_duplicates():
     coo = CooTensor((4,), [((1,), 2.0), ((1,), 3.0)])
     s = pack(coo, make_encoding([COMPRESSED]))
-    assert s.indices[0] == (1,) and s.values == (5.0,)
+    assert s.indices[0].tolist() == [1] and s.values.tolist() == [5.0]
 
 
 def test_pack_out_of_bounds():
@@ -139,7 +139,7 @@ def test_unpack_csr(mat_a):
 
 def test_unpack_empty():
     s = pack(CooTensor((3, 4)), csr())
-    assert s.pointers[1] == (0, 0, 0, 0)
+    assert s.pointers[1].tolist() == [0, 0, 0, 0]
     assert s.to_coo(drop_zeros=False).entries == []
 
 
@@ -167,12 +167,12 @@ def test_iterate_dense_level_expansion():
 
 def test_level_views(mat_a):
     s = pack(mat_a, csr())
-    pointers, indices = s.level_arrays(1)
+    pointers, indices = s.pointers[1], s.indices[1]
     assert indices.tolist() == [0, 3, 0]
     assert pointers.tolist() == [0, 2, 2, 3]
-    assert s.value_array.tolist() == [refs.A00, refs.A03, refs.A20]
+    assert s.values.tolist() == [refs.A00, refs.A03, refs.A20]
     # A dense level stores no arrays.
-    assert [a.size for a in s.level_arrays(0)] == [0, 0]
+    assert [s.pointers[0].size, s.indices[0].size] == [0, 0]
 
 
 def _check_columns(value):
@@ -211,14 +211,14 @@ def test_pack_of_sorted_entries_keeps_the_index_column():
     coo = generate(GeneratorSpec((64, 64), "rowband", dense_rows=5, seed=8))
     columns, _ = coo.arrays()
     packed = pack(coo, csr())
-    assert packed.level_arrays(1)[1] is columns[1]
+    assert packed.indices[1] is columns[1]
     assert packed.arrays()[0][1] is columns[1]
     rng = np.random.default_rng(8)
     shuffle = rng.permutation(coo.nnz)
     values = coo.arrays()[1]
     shuffled = CooTensor.from_arrays(coo.shape, [c[shuffle] for c in columns], values[shuffle])
     again = pack(shuffled, csr())
-    assert again == packed and not np.shares_memory(again.level_arrays(1)[1], columns[1])
+    assert again == packed and not np.shares_memory(again.indices[1], columns[1])
 
 
 def test_level_build_and_sparse_output_take_columns(mat_a):
@@ -292,7 +292,7 @@ def test_builder_names_the_pair_out_of_storage_order(monkeypatch, shape, enc, pa
     with pytest.raises(OutOfOrderInsertion, match=re.escape(want)):
         _sparse_output(ttype, list(zip(logical, (1.0, 2.0, 3.0))))
     built = _sparse_output(ttype, list(zip(logical[:2], (1.0, 2.0))))
-    assert built.value_array.tolist() == [1.0, 2.0]
+    assert built.values.tolist() == [1.0, 2.0]
     assert len(keys) == (2 if shape == (4, 4) else 0)
 
 
@@ -325,11 +325,11 @@ def test_builder_inserts_equal_pack_under_permuted_orderings(enc):
 
 def test_builder_empty_finalize():
     s = _sparse_output(TensorType((3, 4), csr()), [])
-    assert s.pointers[1] == (0, 0, 0, 0)
-    assert s.values == ()
+    assert s.pointers[1].tolist() == [0, 0, 0, 0]
+    assert s.values.tolist() == []
     assert s == pack(CooTensor((3, 4)), csr())
     s = _sparse_output(TensorType((5,), make_encoding([COMPRESSED])), [])
-    assert s.pointers[0] == (0,) * 2 and s.values == ()
+    assert s.pointers[0].tolist() == [0] * 2 and s.values.tolist() == []
     assert s == pack(CooTensor((5,)), make_encoding([COMPRESSED]))
 
 
@@ -342,8 +342,8 @@ def test_workspace_scatter_and_compress():
     assert ws.added == [5, 1]
     compress(ws, (0,), coords, values)
     s = _collected(TensorType((2, 8), csr()), coords, values)
-    assert s.indices[1] == (1, 5)
-    assert s.values == (5.0, 1.0)
+    assert s.indices[1].tolist() == [1, 5]
+    assert s.values.tolist() == [5.0, 1.0]
     assert not any(ws.filled) and all(v == 0.0 for v in ws.values) and ws.added == []
 
 
@@ -351,7 +351,8 @@ def test_workspace_compress_untouched_is_noop():
     ws = expand(4)
     coords, values = array("q"), array("d")
     compress(ws, (), coords, values)
-    assert _collected(TensorType((4,), make_encoding([COMPRESSED])), coords, values).values == ()
+    empty = _collected(TensorType((4,), make_encoding([COMPRESSED])), coords, values)
+    assert empty.values.tolist() == []
 
 
 def test_workspace_single_touch():
@@ -360,7 +361,7 @@ def test_workspace_single_touch():
     ws.scatter(0, 7.0)
     compress(ws, (), coords, values)
     s = _collected(TensorType((4,), make_encoding([COMPRESSED])), coords, values)
-    assert s.indices[0] == (0,) and s.values == (7.0,)
+    assert s.indices[0].tolist() == [0] and s.values.tolist() == [7.0]
     assert not any(ws.filled)
 
 
@@ -451,7 +452,8 @@ def _outcome(fn):
 
 def _layout(storage):
     # repr of the values, so 0.0 and -0.0 count as different.
-    return storage.pointers, storage.indices, repr(storage.values)
+    values = repr(tuple(storage.values.tolist()))
+    return refs.tuples(storage.pointers), refs.tuples(storage.indices), values
 
 
 def _random_entries(rng, shape, n):
@@ -499,7 +501,7 @@ def test_duplicate_runs_sum_in_entry_order():
     total = 0.0
     for v in values:
         total += v
-    assert pack(coo, make_encoding([COMPRESSED])).values == (total,)
+    assert pack(coo, make_encoding([COMPRESSED])).values.tolist() == [total]
     assert coo.to_coo(drop_zeros=False).entries == [((1,), total)]
     assert coo.to_dense().data.tolist() == [0.0, total]
 
@@ -573,11 +575,11 @@ def test_pack_at_scale_matches_scipy_and_the_sequential_merge():
         for enc, levels, entries in want:
             got = pack(coo, enc)
             for level, (pointers, indices) in enumerate(levels):
-                got_pointers, got_indices = got.level_arrays(level)
+                got_pointers, got_indices = got.pointers[level], got.indices[level]
                 assert np.array_equal(got_pointers, pointers), (enc.describe(), level)
                 assert np.array_equal(got_indices, indices), (enc.describe(), level)
             want_values = np.array([v for _, v in entries])
-            assert got.value_array.tobytes() == want_values.tobytes(), enc.describe()
+            assert got.values.tobytes() == want_values.tobytes(), enc.describe()
 
 
 @pytest.mark.parametrize("coord", [1, np.int64(1), 1.5])
@@ -589,7 +591,7 @@ def test_coordinates_must_be_integers(coord):
         return
     coo = CooTensor((4,), [((coord,), 2.0)])
     steps = (
-        lambda: pack(coo, make_encoding([COMPRESSED])).indices,
+        lambda: refs.tuples(pack(coo, make_encoding([COMPRESSED])).indices),
         lambda: coo.to_coo(drop_zeros=False).entries,
         lambda: coo.to_dense().data.tolist(),
     )
@@ -923,20 +925,22 @@ def _reference_iterate(storage):
     d = storage.rank
     scoords = [0] * d
     inverse = [enc.dim_of_level(l) for l in range(d)]
+    pointers, indices = refs.tuples(storage.pointers), refs.tuples(storage.indices)
+    values = storage.values.tolist()
 
     def walk(level, pos):
         if level == d:
             coords = [0] * d
             for l, c in enumerate(scoords):
                 coords[inverse[l]] = c
-            yield tuple(coords), storage.values[pos]
+            yield tuple(coords), values[pos]
             return
         if enc.levels[level] is DENSE:
             for i in range(sshape[level]):
                 scoords[level] = i
                 yield from walk(level + 1, pos * sshape[level] + i)
         else:
-            ptrs, idxs = storage.pointers[level], storage.indices[level]
+            ptrs, idxs = pointers[level], indices[level]
             for p in range(ptrs[pos], ptrs[pos + 1]):
                 scoords[level] = idxs[p]
                 yield from walk(level + 1, p)
@@ -1212,18 +1216,18 @@ def test_with_type_checks_widths_as_a_fresh_storage_does(monkeypatch):
                 base = pack(coo, layout)
             except DenseOutputTooLarge:  # a dense level of 2**32 + 1 positions
                 continue
-            arrays = [base.level_arrays(l) for l in range(2)]
+            arrays = list(zip(base.pointers, base.indices))
             for ptr, idx in sorted(pairs):
                 ttype = TensorType(coo.shape, make_encoding(layout.levels, layout.ordering, ptr, idx))
                 validated.clear()
                 got = _typed_outcome(lambda: base.with_type(ttype))
                 assert validated == []  # the widths only
                 want = _typed_outcome(
-                    lambda: SparseStorage(ttype, *zip(*arrays), base.value_array)
+                    lambda: SparseStorage(ttype, *zip(*arrays), base.values)
                 )
                 if isinstance(want, SparseStorage):
                     assert got.ttype == ttype and got == want, (coo.shape, ttype)
-                    assert all(a is b for a, b in zip(got.level_arrays(1), arrays[1]))
+                    assert got.pointers[1] is arrays[1][0] and got.indices[1] is arrays[1][1]
                 else:
                     assert got == want, (coo.shape, ttype)
                     raised.add(want[1].split(" value ")[0])

@@ -1,5 +1,5 @@
 """`SparseStorage` and `DenseTensor` held as read-only typed arrays:
-construction from any sequence or array, the tuple views against a
+construction from any sequence or array, the arrays against a
 pure-Python layout, the one
 int64 sort key (its three paths and the bound of its index-tagged form)
 against `lexsort`, the whole-array binary dump against the
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import tuples
 from loops_reference import run_loops
 from sparsec import engine
 from sparsec.cli import main
@@ -80,10 +81,10 @@ def test_every_form_builds_the_same_storage():
     for storage in built:
         assert storage == built[0]
         assert repr(storage) == want
-        assert storage.pointers == POINTERS and storage.indices == INDICES
-        for pointers, indices in map(storage.level_arrays, range(2)):
+        assert tuples(storage.pointers) == POINTERS and tuples(storage.indices) == INDICES
+        for pointers, indices in zip(storage.pointers, storage.indices):
             assert pointers.dtype == indices.dtype == np.int64
-        assert storage.value_array.dtype == np.float64
+        assert storage.values.dtype == np.float64
     dense = [DenseTensor((3,), form[2]) for form in _forms()]
     for tensor in dense:
         assert tensor == dense[0]
@@ -99,15 +100,15 @@ def test_stored_arrays_reject_writes():
         with pytest.raises(ValueError):
             data.sort()
         storage = SparseStorage(CSR_34, *form)
-        pointers, indices = storage.level_arrays(1)
+        pointers, indices = storage.pointers[1], storage.indices[1]
         with pytest.raises(ValueError):
             pointers[0] = 1
         with pytest.raises(ValueError):
             indices[0] = 2
         with pytest.raises(ValueError):
-            storage.value_array[0] = 5.0
+            storage.values[0] = 5.0
         with pytest.raises(ValueError):
-            storage.value_array.sort()
+            storage.values.sort()
 
 
 @pytest.mark.parametrize(
@@ -128,8 +129,8 @@ def test_a_callers_writable_array_is_copied(hand_over):
     pointers[1][1] = 1
     indices[1][0] = 2
     values[0] = 7.0
-    assert storage.pointers == POINTERS and storage.indices == INDICES
-    assert repr(storage.values) == repr(VALUES)
+    assert tuples(storage.pointers) == POINTERS and tuples(storage.indices) == INDICES
+    assert repr(tuple(storage.values.tolist())) == repr(VALUES)
     assert repr(dense.data.tolist()) == repr(list(VALUES))
 
 
@@ -140,10 +141,10 @@ def test_a_read_only_array_of_the_right_dtype_is_shared():
     for a in (pointers, indices, values):
         a.flags.writeable = False
     storage = SparseStorage(CSR_34, ((), pointers), ((), indices), values)
-    assert storage.level_arrays(1)[0] is pointers
-    assert storage.level_arrays(1)[1] is indices
-    assert storage.value_array is values
-    assert storage.with_values([1.0, 2.0, 3.0]).level_arrays(1)[0] is pointers
+    assert storage.pointers[1] is pointers
+    assert storage.indices[1] is indices
+    assert storage.values is values
+    assert storage.with_values([1.0, 2.0, 3.0]).pointers[1] is pointers
     dense = DenseTensor((3,), values)
     assert dense.data is values
     # Converting to dense still makes a distinct tensor.
@@ -218,7 +219,7 @@ def test_dense_tensor_of_a_type_keeps_its_value_checks():
 
 
 # ----------------------------------------------------------------------------
-# The tuple views, `repr`, `==` and `nnz` against a pure-Python layout
+# The arrays, `repr`, `==` and `nnz` against a pure-Python layout
 
 
 def _python_layout(shape, enc, merged: dict) -> tuple:
@@ -271,7 +272,7 @@ def test_views_repr_and_eq_match_tuples_on_every_rank2_encoding():
         )
         assert repr(packed) == repr(from_tuples) == want, enc.describe()
         assert packed == from_tuples
-        assert (packed.pointers, packed.indices) == (pointers, indices)
+        assert (tuples(packed.pointers), tuples(packed.indices)) == (pointers, indices)
         assert packed.nnz == sum(1 for v in values if v != 0.0)
         assert packed != packed.with_values(values[:-1] + (values[-1] + 1.0,))
 
@@ -395,9 +396,7 @@ def test_long_shuffled_duplicate_runs_sum_in_entry_order(shape):
 
 
 def _stored_arrays(storage) -> list:
-    return [a for l in range(storage.rank) for a in storage.level_arrays(l)] + [
-        storage.value_array
-    ]
+    return [*storage.pointers, *storage.indices, storage.values]
 
 
 def test_sorted_unique_entries_pack_without_a_permutation():
@@ -421,7 +420,7 @@ def test_sorted_unique_entries_pack_without_a_permutation():
         packed = pack(coo, enc)
         assert repr(packed) == repr(pack(shuffled, enc)), enc.describe()
         shared = enc.ordering == (0, 1) and enc.levels[1] is COMPRESSED
-        assert (packed.level_arrays(1)[1] is columns[1]) == shared, enc.describe()
+        assert (packed.indices[1] is columns[1]) == shared, enc.describe()
         for stored in _stored_arrays(packed):
             if stored is not columns[1]:
                 assert not any(np.shares_memory(stored, a) for a in (*columns, values))
@@ -480,9 +479,9 @@ def _struct_dump(storage) -> bytes:
             continue
         for arr, fmt in ((storage.pointers[l], ptr_fmt), (storage.indices[l], idx_fmt)):
             out += struct.pack("<Q", len(arr))
-            out += struct.pack(f"<{len(arr)}{fmt}", *arr)
+            out += struct.pack(f"<{len(arr)}{fmt}", *arr.tolist())
     out += struct.pack("<Q", len(storage.values))
-    out += struct.pack(f"<{len(storage.values)}d", *storage.values)
+    out += struct.pack(f"<{len(storage.values)}d", *storage.values.tolist())
     return bytes(out)
 
 
@@ -492,7 +491,7 @@ def test_binary_dump_is_byte_identical_to_the_struct_writer():
     coo = CooTensor((16, 16), entries + [((3, 3), 0.0), ((3, 3), -0.0)])
     for enc in enumerate_encodings(2, include_bitwidths=True):
         storage = pack(coo, enc)
-        values = storage.value_array.copy()
+        values = storage.values.copy()
         values[values == 0.0] = -0.0  # every stored zero as -0.0
         storage = storage.with_values(values)
         blob = dump_binary(storage)
