@@ -192,18 +192,14 @@ def _position_steps(program: Program, uid: int, upto: Optional[int]):
     return start, tuple(steps)
 
 
-def _check_dense_volume(name: str, shape: tuple):
-    """Raise DenseOutputTooLarge, before anything is allocated, for a dense
-    output buffer past `_MAX_DENSE_ELEMENTS` elements."""
-    _check_budget(math.prod(shape), f"dense output {name!r} of shape {shape}")
-
-
 def _dense_output(kernel: Kernel, env: dict):
-    """The seed of a dense output buffer, after `_check_dense_volume`: the
-    previous output's data when the kernel accumulates into a bound one,
-    else None for all zeros."""
-    _check_dense_volume(kernel.lhs.tensor, kernel.output_type.shape)
-    seed = env.get(kernel.lhs.tensor) if kernel.accumulate else None
+    """The seed of a dense output buffer: the previous output's data when
+    the kernel accumulates into a bound one, else None for all zeros.
+    Raises DenseOutputTooLarge first, before anything is allocated, for a
+    buffer past `_MAX_DENSE_ELEMENTS` elements."""
+    name, shape = kernel.lhs.tensor, kernel.output_type.shape
+    _check_budget(math.prod(shape), f"dense output {name!r} of shape {shape}")
+    seed = env.get(name) if kernel.accumulate else None
     return None if seed is None else seed.data
 
 
@@ -327,6 +323,14 @@ class _Frame:
         in order."""
         return _Frame(n, self, None, self.key + (var,), counts)
 
+    def finish(self):
+        """Drop every column but the loop variables'. A finished frame is
+        read again only through the sinks that hold it or its rows, for the
+        loop variables that order their writes (`_ArrayRun.drain`), so the
+        frames run so far (of loops, of parts, of cases, whose writes wait
+        for the drain) do not add up."""
+        self.cols = {key: column for key, column in self.cols.items() if key[0] == "v"}
+
     def span(self, var: str, start: int, stop: int, extent: int) -> "_Frame":
         """The frame of a dense loop over `var`'s indices from `start` to
         `stop`, of `extent`: each row of this one makes `stop - start`."""
@@ -392,11 +396,9 @@ class _ArrayRun:
     def __init__(self, program: Program, env: dict):
         self.p = program
         self.env = env
-        self.accs: dict = {}  # slot -> one sum per row of the declaring frame
         # target -> [(statement, frame, columns)], one per run of a sink
         # statement so far: "out" or ("acc", slot)
         self.sinks: dict = {}
-        self.in_parts = False  # whether a loop is running in parts
 
     def run(self):
         """Run the Program. Returns the output's writes in loop order (its
@@ -437,7 +439,6 @@ class _ArrayRun:
         `split` on its frame, which slices the row's own iterations.
         """
         ends = counts.cumsum()
-        outer, self.in_parts = self.in_parts, True
         start = 0
         while start < frame.n:
             base = int(ends[start - 1]) if start else 0
@@ -447,8 +448,8 @@ class _ArrayRun:
                 split(part)
             else:
                 getattr(self, f"_{type(s).__name__}")(s, part)
+            part.finish()
             start = stop
-        self.in_parts = outer
 
     def _range(self, uid: int, level: int, frame: _Frame):
         """The position range, lo and hi, of access `uid`'s iterator at
@@ -485,25 +486,22 @@ class _ArrayRun:
         if isinstance(node, AccessRef):
             return frame.col(("x", node.uid))
         if isinstance(node, AccRef):
+            # Its one read is in the frame that declared it (`_DeclAcc`).
+            sums = np.zeros(frame.n)
             adds = self.drain(("acc", node.slot))
             if adds is not None:
-                np.add.at(self.accs[node.slot], *adds)
-            return self.accs[node.slot]
+                np.add.at(sums, *adds)
+            return sums
         if isinstance(node, Const):
             return node.value
         if isinstance(node, Neg):
             return np.negative(self.expr(node.operand, frame))
         return _ARITH[type(node)](self.expr(node.lhs, frame), self.expr(node.rhs, frame))
 
-    def block(self, stmts, frame: _Frame, case: bool = False):
+    def block(self, stmts, frame: _Frame):
         for s in stmts:
             getattr(self, f"_{type(s).__name__}")(s, frame)
-        if case or self.in_parts:
-            # A frame a sink holds is read again only for its loop
-            # variables, which order its writes (`drain`). Parts and a
-            # co-iteration's cases keep no more, so that the frames of the
-            # parts or cases run so far do not add up.
-            frame.cols = {key: column for key, column in frame.cols.items() if key[0] == "v"}
+        frame.finish()
 
     def _LoadVal(self, s: LoadVal, frame):
         values = _bound_part(self.p, self.env, s.uid, "values")
@@ -668,13 +666,13 @@ class _ArrayRun:
             free &= ~mask
             taken = mask.nonzero()[0]
             if len(taken) == child.n:  # no later case takes a row
-                self.block(case.body, child, case=True)
+                self.block(case.body, child)
             elif len(taken):
-                self.block(case.body, child.sub(taken), case=True)
+                self.block(case.body, child.sub(taken))
+        child.finish()
 
     def _DeclAcc(self, s: DeclAcc, frame):
         frame.cols["acc", s.slot] = np.arange(frame.n)
-        self.accs[s.slot] = np.zeros(frame.n)
 
     def _AccumAcc(self, s: AccumAcc, frame):
         self.sink(("acc", s.slot), s, frame, frame.col(("acc", s.slot)), self.values(s.expr, frame))
@@ -763,13 +761,6 @@ def _coerce(value: TensorValue, ttype: TensorType, name: str) -> TensorValue:
     return convert(value, ttype)
 
 
-def _empty_value(ttype: TensorType, name: str) -> TensorValue:
-    if ttype.is_sparse:
-        return _build_levels(ttype, *_no_entries(ttype.rank))
-    _check_dense_volume(name, ttype.shape)
-    return DenseTensor.zeros(ttype.shape)
-
-
 def prepare_kernels(kernel: Kernel) -> list:
     """Normalize a kernel into directly executable pieces.
 
@@ -839,10 +830,13 @@ def execute(kernel: Kernel, programs: tuple, inputs: dict):
         for name, declared in _operands(kernel, programs).items():
             if name in inputs:
                 env[name] = _coerce(inputs[name], declared, name)
-            elif name == kernel.lhs.tensor:
-                env[name] = _empty_value(declared, name)
-            else:
+            elif name != kernel.lhs.tensor:
                 raise UnknownTensor(f"no binding for input tensor {name!r}")
+            elif declared.is_sparse:  # an unbound output reads as empty
+                env[name] = _build_levels(declared, *_no_entries(declared.rank))
+            else:  # as zeros, once its volume is checked before any piece runs
+                _dense_output(kernel, env)
+                env[name] = DenseTensor.zeros(declared.shape)
         result = None
         for program in programs:
             result = interpret(program, env)

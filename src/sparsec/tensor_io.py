@@ -17,19 +17,12 @@ Values are written as their shortest round-trippable decimal.
 import ast
 import os
 import re
-from enum import Enum
 from numbers import Real
 
 import numpy as np
 
 from .errors import LengthMismatch, ParseError, ShapeMismatch, UnsupportedField
 from .storage import CooTensor, DenseTensor
-
-
-class FileFormat(Enum):
-    MATRIX_MARKET = "matrix-market"
-    FROSTT = "frostt"
-    EXTENDED_FROSTT = "extended-frostt"
 
 
 def _read_text(path: str) -> str:
@@ -42,32 +35,6 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as e:
         bad = f"byte {e.object[e.start]:#04x} at offset {e.start}"
         raise ParseError(f"{path} is not UTF-8 text: {bad}") from None
-
-
-def detect_format(path: str) -> FileFormat:
-    """Pick a format from the extension, falling back to the header.
-
-    `.mtx` (or a `%%MatrixMarket` banner) means Matrix Market. For the
-    FROSTT family the extended variant is recognized by its `rank nnz`
-    header: two integers whose rank matches the following extents line and
-    whose nnz matches the number of entry lines.
-    """
-    return _detect(path, _read_text(path))[0]
-
-
-def _detect(path: str, text: str):
-    """`detect_format` of a file's `text`; for the FROSTT family also its
-    numbered data lines, and for an extended file its shape and entry lines
-    (`_extended_header`), which the reader then parses (None where they do
-    not apply)."""
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".mtx" or text.lstrip().startswith("%%MatrixMarket"):
-        return FileFormat.MATRIX_MARKET, None, None
-    data = _numbered_data_lines(text.splitlines())
-    header = _extended_header(data)
-    if header is None:
-        return FileFormat.FROSTT, data, None
-    return FileFormat.EXTENDED_FROSTT, data, header
 
 
 def _extended_header(data):
@@ -94,15 +61,18 @@ def _extended_header(data):
 
 
 def read_tensor(src: str) -> CooTensor:
-    """Materialize a CooTensor from a file path, in the format
-    `detect_format` finds. The file is read once, and an extended FROSTT
-    header is parsed once, by the detection. Every coordinate is checked
-    against the shape as the CooTensor is made."""
+    """Materialize a CooTensor from a file path, in the format its name or
+    text tells: `.mtx` (or a `%%MatrixMarket` banner) means Matrix Market,
+    and otherwise FROSTT, extended when a `rank nnz` header and a line of
+    extents open the data lines and match them (`_extended_header`). The
+    file is read once, and its data lines are parsed once. Every
+    coordinate is checked against the shape as the CooTensor is made."""
     text = _read_text(src)
-    format, data, header = _detect(src, text)
-    if format is FileFormat.MATRIX_MARKET:
+    if os.path.splitext(src)[1].lower() == ".mtx" or text.lstrip().startswith("%%MatrixMarket"):
         return _read_matrix_market(text)
-    if format is FileFormat.FROSTT:
+    data = _numbered_data_lines(text.splitlines())
+    header = _extended_header(data)
+    if header is None:
         return _read_plain_frostt(data)
     shape, lines = header
     return CooTensor(shape, _parse_entry_lines(lines, len(shape)))

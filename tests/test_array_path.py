@@ -633,12 +633,16 @@ def test_the_merge_of_one_key_column_changes_no_column(monkeypatch, text):
 
 
 def test_row_budget_runs_the_loops_in_parts(monkeypatch, frame_budget):
-    # A product through the workspace, and a union that co-iterates: at a
-    # budget of 4 rows every loop runs in parts, and each row of the union
-    # that holds more than 4 candidates in windows of its own indices.
+    # A product through the workspace, a union that co-iterates, and a
+    # union driven by a dense operand's range: at a budget of 4 rows every
+    # loop runs in parts, and each row of a union that holds more than 4
+    # candidates in windows of its own indices.
     bindings = {
-        name: generate(GeneratorSpec((16, 16), "uniform", density=0.3, seed=seed))
-        for name, seed in (("A", 8), ("B", 9))
+        name: generate(GeneratorSpec(shape, "uniform", density=density, seed=seed))
+        for name, shape, density, seed in (
+            ("A", (16, 16), 0.3, 8), ("B", (16, 16), 0.3, 9),
+            ("a", (16,), 0.3, 10), ("d", (16,), 1.0, 11),
+        )
     }
     split = []
     parts, windows = engine._ArrayRun.parts, engine._ArrayRun._windows
@@ -653,6 +657,9 @@ def test_row_budget_runs_the_loops_in_parts(monkeypatch, frame_budget):
     cases = {
         _spmspm(16): {"ForDense", "ForPositions"},
         UNION.format(n=16): {"ForDense", "WhileCoiter", "windows"},
+        "tensor a(16) format(compressed)\ntensor d(16)\ntensor x(16)\nx(i) = a(i) + d(i)\n": {
+            "WhileCoiter", "windows"
+        },
     }
     for text, loops in cases.items():
         kernel = parse_kernel(text)

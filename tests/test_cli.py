@@ -980,6 +980,32 @@ def test_run_search_checksums_a_diverging_row(monkeypatch):
     assert checksums[:29] + checksums[30:] == [result_checksum(calls[0])] * 199
 
 
+def test_cmd_search_reports_a_divergence_in_one_line(tmp_path, monkeypatch, capsys):
+    # Rows with two checksums: every row is still written, then one error
+    # line, and the exit code is 1.
+    kfile = tmp_path / "spmv.kernel"
+    kfile.write_text(
+        "tensor A(4, 4) format(dense, compressed)\ntensor b(4)\ntensor x(4)\n"
+        "x(i) = A(i, j) * b(j)\n"
+    )
+    encodings = list(enumerate_encodings(2, False))
+    rows = [
+        cli.SearchRow({"A": enc}, "dense-store", 0.25, f"sum{n % 2}")
+        for n, enc in enumerate(encodings)
+    ]
+    monkeypatch.setattr(cli, "run_search", lambda *args: rows)
+    out = tmp_path / "report.csv"
+    argv = ["search", "--kernel-file", str(kfile), "--input", "A=uniform:0.5:1"]
+    assert main(argv + ["--input", "b=uniform:1.0:2", "--output", str(out)]) == 1
+    with open(out) as fh:
+        written = list(csv.reader(fh))
+    assert [r[6] for r in written[1:]] == [row.checksum for row in rows]
+    assert capsys.readouterr().err.splitlines() == [
+        f"sparsec: error[ChecksumDivergence]: 2 distinct results across {len(rows)} "
+        "encodings (compiler bug)"
+    ]
+
+
 # Each case: kernel text, the swept operand(s), and the bindings' densities
 # (the swept output C of "swept output" is bound to nothing).
 REBIND_CASES = {

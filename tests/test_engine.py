@@ -17,7 +17,13 @@ from sparsec.encoding import (
     make_encoding,
 )
 from sparsec.engine import compile_kernel, convert, execute, run_kernel
-from sparsec.errors import BitWidthOverflow, OrderConflict, ShapeMismatch, UnknownTensor
+from sparsec.errors import (
+    BitWidthOverflow,
+    DenseOutputTooLarge,
+    OrderConflict,
+    ShapeMismatch,
+    UnknownTensor,
+)
 from sparsec.expr import analyze_reductions, parse_kernel
 from sparsec.oracle import dense_eval
 from sparsec.storage import CooTensor, DenseTensor, SparseStorage, pack
@@ -348,6 +354,59 @@ def test_accumulate_kernels_match_oracle(decl, lhs, rhs):
     want = dense_eval(kernel, dense_in)
     for x, y in zip(got.data, want.data):
         assert abs(x - y) <= 1e-10 * max(abs(x), abs(y), 1.0), text
+
+
+@pytest.mark.parametrize(
+    "rhs,pieces",
+    [("A(i, j) * v(j)", 1), ("A(i, j) * (B(j, k) * c(k) + 1.0)", 2)],
+    ids=["one piece", "split temporary"],
+)
+def test_unbound_dense_accumulate_adds_into_zeros(rhs, pieces):
+    # A dense `+=` output left unbound is bound to zeros, so the result is
+    # the `=` kernel's.
+    rng = random.Random(31)
+    decls = (
+        "tensor A(6, 5) format(dense, compressed)\ntensor B(5, 4) format(compressed, compressed)\n"
+        "tensor v(5)\ntensor c(4)\ntensor x(6)\n"
+    )
+    bindings = {}
+    for name, shape in (("A", (6, 5)), ("B", (5, 4)), ("v", (5,)), ("c", (4,))):
+        held = [c for c in np.ndindex(*shape) if rng.random() < 0.5]
+        bindings[name] = CooTensor(shape, [(c, rng.uniform(-2, 2)) for c in held])
+    kernel = parse_kernel(decls + f"x(i) += {rhs}\n")
+    assert len(compile_kernel(kernel)) == pieces
+    got = run_kernel(kernel, bindings)
+    assert repr(got) == repr(run_kernel(parse_kernel(decls + f"x(i) = {rhs}\n"), bindings))
+    want = dense_eval(kernel, {name: v.to_dense() for name, v in bindings.items()})
+    np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "op,rhs,want", [("=", "x(i) + v(i)", [1.0, 2.0, 3.0, 4.0]), ("+=", "x(i) * v(i)", [0.0] * 4)]
+)
+def test_an_unbound_dense_output_a_piece_reads_is_zeros(op, rhs, want):
+    kernel = parse_kernel(f"tensor v(4)\ntensor x(4)\nx(i) {op} {rhs}\n")
+    assert run_kernel(kernel, {"v": DenseTensor((4,), [1.0, 2.0, 3.0, 4.0])}).data.tolist() == want
+
+
+def test_unbound_dense_accumulate_past_the_budget_runs_no_piece(monkeypatch):
+    # The zeros of an unbound dense `+=` output are checked before the
+    # temporaries' pieces run, not once the output's own piece is reached.
+    kernel = parse_kernel(
+        "tensor A(32768, 4) format(dense, compressed)\n"
+        "tensor B(4, 4) format(compressed, compressed)\n"
+        "tensor c(4)\ntensor d(32768)\ntensor C(32768, 32768)\n"
+        "C(i, l) += A(i, j) * (B(j, k) * c(k) + 1.0) * d(l)\n"
+    )
+    programs = compile_kernel(kernel)
+    assert len(programs) > 1
+    interpreted = []
+    monkeypatch.setattr(engine, "interpret", lambda *args: interpreted.append(args))
+    inputs = {"A": CooTensor((32768, 4), [((0, 1), 2.0)]), "B": CooTensor((4, 4), [((1, 2), 3.0)])}
+    inputs.update(c=CooTensor((4,), [((2,), 1.0)]), d=CooTensor((32768,), [((5,), 1.0)]))
+    with pytest.raises(DenseOutputTooLarge, match="'C'"):
+        execute(kernel, programs, inputs)
+    assert interpreted == []
 
 
 # ----------------------------------------------------------------------------

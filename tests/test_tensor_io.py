@@ -6,14 +6,7 @@ import conftest as refs
 from sparsec import tensor_io
 from sparsec.errors import LengthMismatch, ParseError, ShapeMismatch, UnsupportedField
 from sparsec.storage import CooTensor
-from sparsec.tensor_io import (
-    FileFormat,
-    detect_format,
-    read_dense_literal,
-    read_sparse_literal,
-    read_tensor,
-    write_tensor,
-)
+from sparsec.tensor_io import read_dense_literal, read_sparse_literal, read_tensor, write_tensor
 
 MM_GENERAL = """%%MatrixMarket matrix coordinate real general
 % comment line
@@ -62,6 +55,7 @@ def test_matrix_market_integer_field(tmp_path):
         ("%%MatrixMarket matrix array real general", "array"),
         ("%%MatrixMarket matrix coordinate real skew-symmetric", "skew-symmetric"),
         ("%%MatrixMarket matrix coordinate real hermitian", "hermitian"),
+        ("%%MatrixMarket vector coordinate real general", "vector"),
     ],
 )
 def test_matrix_market_rejects_out_of_scope(tmp_path, banner, offending):
@@ -117,24 +111,28 @@ def test_plain_frostt_infers_shape(tmp_path):
 def test_extended_frostt_detected_and_read(tmp_path, mat_a):
     path = tmp_path / "a.tns"
     write_tensor(mat_a, str(path))
-    assert detect_format(str(path)) is FileFormat.EXTENDED_FROSTT
-    assert read_tensor(str(path)).entries == mat_a.to_coo(drop_zeros=False).entries
+    # Read as plain FROSTT, the `rank nnz` header would be an entry line.
+    back = read_tensor(str(path))
+    assert back.shape == mat_a.shape
+    assert back.entries == mat_a.to_coo(drop_zeros=False).entries
 
 
 @pytest.mark.parametrize(
-    "name, text, format",
+    "name, text, shape",
     [
         (
             "m.mtx",
-            "%%MatrixMarket matrix coordinate real general\n% c\n2 3 2\n1 1 1.5\n2 3 -0.0\n",
-            FileFormat.MATRIX_MARKET,
+            "%%MatrixMarket matrix coordinate real general\n% c\n4 5 2\n1 1 1.5\n2 3 -0.0\n",
+            (4, 5),
         ),
-        ("p.tns", "# c\n1 1 1.5\n2 3 -0.0\n", FileFormat.FROSTT),
-        ("e.tns", "# c\n2 2\n2 3\n1 1 1.5\n2 3 -0.0\n", FileFormat.EXTENDED_FROSTT),
+        ("p.tns", "# c\n1 1 1.5\n2 3 -0.0\n", (2, 3)),
+        ("e.tns", "# c\n2 2\n3 4\n1 1 1.5\n2 3 -0.0\n", (3, 4)),
     ],
     ids=["matrix-market", "frostt", "extended-frostt"],
 )
-def test_read_tensor_opens_the_file_once(tmp_path, monkeypatch, name, text, format):
+def test_read_tensor_opens_the_file_once(tmp_path, monkeypatch, name, text, shape):
+    # The same entries in each format; the declared shapes tell the reads
+    # apart from a plain FROSTT read, which infers (2, 3).
     path = str(tmp_path / name)
     with open(path, "w") as fh:
         fh.write(text)
@@ -145,10 +143,7 @@ def test_read_tensor_opens_the_file_once(tmp_path, monkeypatch, name, text, form
         return open(*args, **kwargs)
 
     monkeypatch.setattr(tensor_io, "open", counting_open, raising=False)
-    assert detect_format(path) is format
-    assert opened == [path]
-    opened.clear()
-    want = "CooTensor(shape=(2, 3), entries=[((0, 0), 1.5), ((1, 2), -0.0)])"
+    want = f"CooTensor(shape={shape}, entries=[((0, 0), 1.5), ((1, 2), -0.0)])"
     assert repr(read_tensor(path)) == want
     assert opened == [path]
 
@@ -227,11 +222,10 @@ def test_write_tensor_bytes_equal_per_entry_writer(tmp_path):
 @pytest.mark.parametrize("entries", [[((), 2.5)], [((), -0.0)], []])
 def test_scalar_file_reads_back(tmp_path, entries):
     # A scalar's extents line is blank, so the file is told from plain
-    # FROSTT by its `0 nnz` header.
+    # FROSTT, which has no rank-0 entry lines, by its `0 nnz` header.
     path = tmp_path / "s.tns"
     coo = CooTensor((), entries)
     write_tensor(coo, str(path))
-    assert detect_format(str(path)) is FileFormat.EXTENDED_FROSTT
     back = read_tensor(str(path))
     assert back.shape == () and repr(back.entries) == repr(coo.to_coo(drop_zeros=False).entries)
 
@@ -239,9 +233,8 @@ def test_scalar_file_reads_back(tmp_path, entries):
 def test_extended_header_count_mismatch(tmp_path):
     path = tmp_path / "bad.tns"
     path.write_text("2 3\n4 4\n1 1 1.0\n")
-    # Three entries declared, one given: not detected as extended, the file
-    # reads as plain FROSTT, whose lines then disagree on the rank.
-    assert detect_format(str(path)) is FileFormat.FROSTT
+    # Three entries declared, one given: not extended, the file reads as
+    # plain FROSTT, whose lines then disagree on the rank.
     with pytest.raises(ParseError) as err:
         read_tensor(str(path))
     assert err.value.line == 3
@@ -260,6 +253,8 @@ def test_sparse_literal():
 def test_sparse_literal_length_mismatch():
     with pytest.raises(LengthMismatch):
         read_sparse_literal("sparse<4>([[0], [1], [2]], [1.0, 2.0])")
+    with pytest.raises(LengthMismatch, match="wrong arity"):
+        read_sparse_literal("sparse<4x4>([[0]], [1.0])")
 
 
 def test_dense_literal():
@@ -272,6 +267,9 @@ def test_dense_literal():
 def test_dense_literal_ragged():
     with pytest.raises(ParseError):
         read_dense_literal("[[1, 2], [3]]")
+    # A list where the first row has a number: past the literal's depth.
+    with pytest.raises(ParseError, match="ragged dense literal"):
+        read_dense_literal("[[1.0, 2.0], [3.0, [4.0]]]")
 
 
 @pytest.mark.parametrize(
