@@ -262,6 +262,7 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
     names = [sweep] if isinstance(sweep, str) else list(sweep)
     coerced = None  # the bindings, with the operands not swept coerced once
     group = programs = None  # the current group's key and Programs (None: conflict)
+    opt = None  # the current group's strategy, described
     content = checksum = None  # the last result's `_result_key`, its checksum
     spaces = [
         list(enumerate_encodings(kernel.tensors[name].rank, include_widths))
@@ -280,6 +281,7 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
             except OrderConflict:
                 programs = None
                 continue
+            opt = programs[-1].strategy.describe()
             if coerced is None:
                 coerced = dict(bindings)
                 for name, declared in _operands(swept, programs).items():
@@ -297,7 +299,6 @@ def run_search(kernel, bindings, sweep, include_widths: bool) -> list:
         this = _result_key(result)
         if this != content:
             content, checksum = this, _checksum(*_nonzero_arrays(result))
-        opt = programs[-1].strategy.describe()
         rows.append(SearchRow(dict(zip(names, combo)), opt, elapsed_ms, checksum))
     return rows
 

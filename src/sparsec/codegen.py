@@ -35,6 +35,7 @@ value before it is inserted.
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from .encoding import COMPRESSED
@@ -229,6 +230,13 @@ class Program:
     strategy: OutputStrategy
     topo: tuple
     body: tuple
+    # What the interpreter reads of the Program, found while lowering and not
+    # part of its value: the tensor each access reads and whether its type is
+    # sparse, by uid, and the sink targets that several statements write (a
+    # co-iteration's cases), "out" for the stores and a slot for an
+    # accumulator's adds.
+    bindings: tuple = field(repr=False, compare=False)
+    merged: frozenset = field(repr=False, compare=False)
     # How the interpreter finds each access's flat position: (uid, upto) ->
     # `engine._position_steps`' recipe, filled on first use, so a Program
     # run many times derives each recipe once. Not part of its value; a
@@ -265,6 +273,7 @@ class _Lowerer:
         self.lattices = {(id(self.rhs), v): lat for v, lat in (lattices or {}).items()}
         self.strategy = choose_output_strategy(kernel, self.topo)
         self.acc_count = 0
+        self.merged: set = set()  # the sink targets that several statements write
         free = len(kernel.lhs.indices)  # the output's loops lead the order
         self.wrap_depth = None  # the loop depth of the strategy's one wrap
         if self.strategy.kind is StrategyKind.EXPAND_COMPRESS:
@@ -298,7 +307,7 @@ class _Lowerer:
             return self._descend(depth, expr, sink) + [CompressWs(self.topo[:depth])]
         slot = self.acc_count
         self.acc_count += 1
-        inner = self._descend(depth, expr, lambda e: AccumAcc(slot, e))
+        inner = self._descend(depth, expr, partial(AccumAcc, slot))
         return [DeclAcc(slot), *inner, sink(AccRef(slot))]
 
     def _descend(self, depth: int, expr: Expr, sink) -> list:
@@ -323,6 +332,10 @@ class _Lowerer:
         )
         if len(cases) == 1 and len(its) == 1:
             return ForPositions(*its[0], var, first.body)
+        if len(cases) > 1:
+            # Every case writes `sink`'s target, the output or the
+            # accumulator whose adds these loops lower, at least once.
+            self.merged.add("out" if sink is Store else sink.args[0])
         return WhileCoiter(var, its, lat.range_driven, lat.extent, tuple(cases))
 
     def _lattice(self, expr: Expr, var: str) -> MergeLattice:
@@ -337,7 +350,11 @@ class _Lowerer:
         if self.strategy.kind is StrategyKind.EXPAND_COMPRESS:
             prologue.append(ExpandWs(self.extents[self.strategy.var]))
         body = self.emit(0, self.rhs, Store)
-        return Program(self.kernel, self.strategy, self.topo, tuple(prologue + body))
+        return Program(
+            self.kernel, self.strategy, self.topo, tuple(prologue + body),
+            tuple([(a.tensor, self.tensors[a.tensor].is_sparse) for a in self.accesses]),
+            frozenset(self.merged),
+        )
 
 
 def reject_unsupported_output(kernel: Kernel):

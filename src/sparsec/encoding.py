@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import InvalidBitWidth, NotAPermutation, RankMismatch, ShapeMismatch
+from .errors import InvalidBitWidth, NotAPermutation, RankMismatch, ShapeMismatch, clip
 
 ALLOWED_BIT_WIDTHS = (0, 8, 16, 32, 64)
 
@@ -89,10 +89,11 @@ class TensorType:
             # Integers only, numpy's too: `int` would truncate 2.5 to 2.
             shape = tuple(map(operator.index, self.shape))
         except TypeError:
-            raise ShapeMismatch(f"extents must be integers, got {self.shape!r}") from None
+            shape = clip(repr(self.shape))
+            raise ShapeMismatch(f"extents must be integers, got {shape}") from None
         object.__setattr__(self, "shape", shape)
         if any(e <= 0 for e in self.shape):
-            raise ShapeMismatch(f"extents must be positive, got {self.shape}")
+            raise ShapeMismatch(f"extents must be positive, got {clip(str(self.shape))}")
         if self.encoding is not None and self.encoding.rank != len(self.shape):
             raise _rank_mismatch(self.encoding, self.shape)
 

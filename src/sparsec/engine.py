@@ -28,7 +28,9 @@ whose iterators all hold it. The sinks, an accumulator's adds and the
 output's writes, are applied in the loops' order across cases: every loop
 visits its indices in ascending order and each iteration runs in one
 case, so that order is the lexicographic order of the loop variables'
-values. It generates no source.
+values. A sink keeps the writes, not their frame. It generates no
+source, and what it reads of a Program alone (`Program.bindings`,
+`Program.positions`, each statement's handler) is resolved once.
 
 No frame holds more than `_MAX_FRAME_ROWS` rows. A loop whose frame would
 pass it runs in parts, in loop order: consecutive groups of its parent's
@@ -52,8 +54,9 @@ the workspace keeps every coordinate it touched. No workspace row and no
 buffer of a sparse output's volume is made. Every sum is added in loop
 order from 0.0, as the loops `codegen.emit_text` prints add it, so the
 result is theirs bit for bit. A dense output past `_MAX_DENSE_ELEMENTS`
-elements, or a sparse one whose dense levels would pass it, raises
-DenseOutputTooLarge before it is allocated.
+elements, or a sparse one whose leading dense levels would pass it,
+raises DenseOutputTooLarge before any piece runs (`execute`); a sparse
+one whose other dense levels would, before they are allocated.
 
 Each access's layout is taken from its declared type, which `execute`
 coerces the binding to, and the binding's read-only arrays are read as
@@ -72,6 +75,7 @@ import numpy as np
 from .codegen import (
     AccRef,
     AccumAcc,
+    CompressWs,
     Const,
     DeclAcc,
     ExpandWs,
@@ -79,6 +83,7 @@ from .codegen import (
     ForPositions,
     LoadVal,
     Program,
+    Store,
     StrategyKind,
     WhileCoiter,
     lower,
@@ -155,13 +160,14 @@ _MAX_FRAME_ROWS = 1 << 22
 def _bound_part(program: Program, env: dict, uid: int, part: str, level: Optional[int] = None):
     """The read-only `pointers` or `indices` array of storage `level`, or
     the `values` array (no level), of access `uid`'s binding: a storage's
-    own, or a dense tensor's data."""
-    tensor = program.kernel.analysis.accesses[uid].tensor
+    own, or a dense tensor's data. The tensor and whether it is sparse are
+    the Program's (`Program.bindings`)."""
+    tensor, sparse = program.bindings[uid]
     try:
         value = env[tensor]
     except KeyError:
         raise UnknownTensor(f"no binding for tensor {tensor!r}")
-    if not program.kernel.tensors[tensor].is_sparse:
+    if not sparse:
         return value.data
     arrays = getattr(value, part)
     return arrays if level is None else arrays[level]
@@ -198,9 +204,19 @@ def _dense_output(kernel: Kernel, env: dict):
     Raises DenseOutputTooLarge first, before anything is allocated, for a
     buffer past `_MAX_DENSE_ELEMENTS` elements."""
     name, shape = kernel.lhs.tensor, kernel.output_type.shape
-    _check_budget(math.prod(shape), f"dense output {name!r} of shape {shape}")
+    _check_budget(math.prod(shape), "dense output {!r} of shape {}", name, shape)
     seed = env.get(name) if kernel.accumulate else None
     return None if seed is None else seed.data
+
+
+def _check_output(kernel: Kernel, env: dict):
+    """Check the output's volume before anything is allocated: a sparse
+    output's leading dense levels, which `_build_levels` would check only
+    once every entry is collected, or a dense output's buffer, whose seed
+    is returned (`_dense_output`)."""
+    if kernel.output_type.is_sparse:
+        return _check_leading_dense(kernel.output_type)
+    return _dense_output(kernel, env)
 
 
 def _sparse_output(ttype: TensorType, columns, values: np.ndarray) -> SparseStorage:
@@ -278,7 +294,9 @@ class _Frame:
 
     `key` names the variables of the enclosing loops, outermost first. A
     row's values of them tell its iteration from every other, and compare
-    in the order the loops run them, across frames too.
+    in the order the loops run them, across frames too. A frame lives while
+    its loop's body (or its part, or its case) runs: a sink keeps what it
+    needs of it, not the frame (`_ArrayRun.sink`).
 
     `run` is None or one pair: a flat position, written as the recipe
     `_position_steps` derives (the key of the column it starts from or
@@ -323,14 +341,6 @@ class _Frame:
         in order."""
         return _Frame(n, self, None, self.key + (var,), counts)
 
-    def finish(self):
-        """Drop every column but the loop variables'. A finished frame is
-        read again only through the sinks that hold it or its rows, for the
-        loop variables that order their writes (`_ArrayRun.drain`), so the
-        frames run so far (of loops, of parts, of cases, whose writes wait
-        for the drain) do not add up."""
-        self.cols = {key: column for key, column in self.cols.items() if key[0] == "v"}
-
     def span(self, var: str, start: int, stop: int, extent: int) -> "_Frame":
         """The frame of a dense loop over `var`'s indices from `start` to
         `stop`, of `extent`: each row of this one makes `stop - start`."""
@@ -373,19 +383,22 @@ class _ArrayRun:
     position loop, repeats its parent's rows (`_Frame.repeat`) rather
     than gathering them.
 
-    A sink statement hands its writes to `sink` and they are applied when
-    read (`drain`): an accumulator's when the accumulator is read, the
-    output's at the end, by `run`, which returns them. The one store
-    statement (`_Store`) writes the output whatever its strategy: stored,
-    inserted, scattered into the workspace or updated in place, a write is
-    the output's coordinate columns and the value, and only `interpret`
-    reads the strategy that finishes them. One sink statement writes its
-    rows in loop order. Several that write one target, the cases of a
+    Each statement runs by its class's handler (`_HANDLERS`, the `_Name`
+    methods). A sink statement hands its writes to `sink`, which keeps
+    their columns, and they are applied when read (`drain`): an
+    accumulator's when the accumulator is read, the output's at the end,
+    by `run`, which returns them. The one store statement (`_Store`)
+    writes the output whatever its strategy: stored, inserted, scattered
+    into the workspace or updated in place, a write is the output's
+    coordinate columns and the value, and only `interpret` reads the
+    strategy that finishes them. One sink statement writes its rows in
+    loop order. Several that write one target, the cases of a
     co-iteration, sit under the same loops, and are merged by their rows'
-    values of those loops' variables first (`_Frame.key`). Then
-    `np.add.at` adds in index order and the output's merge sorts stably,
-    so every sum is taken in the order the loops take it, from the same
-    0.0, and rounds the same.
+    values of those loops' variables first (`_Frame.key`), which `sink`
+    keeps beside the writes for the targets the lowering found so written
+    (`Program.merged`). Then `np.add.at` adds in index order and the
+    output's merge sorts stably, so every sum is taken in the order the
+    loops take it, from the same 0.0, and rounds the same.
 
     A loop whose body frame would pass `_MAX_FRAME_ROWS` rows runs in parts
     (`parts`), one after another in loop order, each with a body frame that
@@ -396,8 +409,8 @@ class _ArrayRun:
     def __init__(self, program: Program, env: dict):
         self.p = program
         self.env = env
-        # target -> [(statement, frame, columns)], one per run of a sink
-        # statement so far: "out" or ("acc", slot)
+        # target -> [(statement, columns, keys)], one per run of a sink
+        # statement so far: "out" or an accumulator's slot
         self.sinks: dict = {}
 
     def run(self):
@@ -408,7 +421,14 @@ class _ArrayRun:
         return self.drain("out")
 
     def sink(self, target, s, frame: _Frame, *columns):
-        self.sinks.setdefault(target, []).append((s, frame, columns))
+        """Keep the writes of sink statement `s` into `target`, `columns`
+        over `frame`'s rows. For a target that several statements write
+        (`Program.merged`), the columns of `frame.key`, which order their
+        writes (`drain`), are kept too; the frame itself is not."""
+        keys = None
+        if target in self.p.merged:
+            keys = frame.key, [frame.col(("v", v)) for v in frame.key]
+        self.sinks.setdefault(target, []).append((s, columns, keys))
 
     def drain(self, target):
         """The columns of every sink into `target` so far, concatenated in
@@ -416,17 +436,16 @@ class _ArrayRun:
         variables), or None if none ran."""
         writes = self.sinks.pop(target, None)
         if writes is None or len(writes) == 1:
-            return writes and writes[0][2]
-        runs = list(zip(*(columns for _, _, columns in writes)))
+            return writes and writes[0][1]
+        runs = [np.concatenate(run) for run in zip(*(columns for _, columns, _ in writes))]
         if all(w[0] is writes[0][0] for w in writes):
             # One statement, run in parts: they ran in the loops' order.
-            return tuple(map(np.concatenate, runs))
+            return tuple(runs)
         # Every sink into one target sits under the same loops.
-        names = writes[0][1].key
+        names, _ = writes[0][2]
         extents = [self.p.kernel.analysis.var_extents[v] for v in names]
-        keys = [np.concatenate([frame.col(("v", v)) for _, frame, _ in writes]) for v in names]
-        perm, _ = _row_order(keys, extents, sum(frame.n for _, frame, _ in writes))
-        runs = [np.concatenate(run) for run in runs]
+        keys = [np.concatenate(key) for key in zip(*(columns for _, _, (_, columns) in writes))]
+        perm, _ = _row_order(keys, extents, len(runs[-1]))
         return tuple(runs if perm is None else (run[perm] for run in runs))
 
     def parts(self, s, frame: _Frame, counts, split):
@@ -447,8 +466,7 @@ class _ArrayRun:
             if counts[start] > _MAX_FRAME_ROWS:
                 split(part)
             else:
-                getattr(self, f"_{type(s).__name__}")(s, part)
-            part.finish()
+                _HANDLERS[type(s)](self, s, part)
             start = stop
 
     def _range(self, uid: int, level: int, frame: _Frame):
@@ -488,7 +506,7 @@ class _ArrayRun:
         if isinstance(node, AccRef):
             # Its one read is in the frame that declared it (`_DeclAcc`).
             sums = np.zeros(frame.n)
-            adds = self.drain(("acc", node.slot))
+            adds = self.drain(node.slot)
             if adds is not None:
                 np.add.at(sums, *adds)
             return sums
@@ -500,8 +518,7 @@ class _ArrayRun:
 
     def block(self, stmts, frame: _Frame):
         for s in stmts:
-            getattr(self, f"_{type(s).__name__}")(s, frame)
-        frame.finish()
+            _HANDLERS[type(s)](self, s, frame)
 
     def _LoadVal(self, s: LoadVal, frame):
         values = _bound_part(self.p, self.env, s.uid, "values")
@@ -669,13 +686,12 @@ class _ArrayRun:
                 self.block(case.body, child)
             elif len(taken):
                 self.block(case.body, child.sub(taken))
-        child.finish()
 
     def _DeclAcc(self, s: DeclAcc, frame):
         frame.cols["acc", s.slot] = np.arange(frame.n)
 
     def _AccumAcc(self, s: AccumAcc, frame):
-        self.sink(("acc", s.slot), s, frame, frame.col(("acc", s.slot)), self.values(s.expr, frame))
+        self.sink(s.slot, s, frame, frame.col(("acc", s.slot)), self.values(s.expr, frame))
 
     def _Store(self, s, frame):
         """Sink the output's writes, whatever its strategy: its coordinate
@@ -696,6 +712,16 @@ class _ArrayRun:
     _CompressWs = _ExpandWs
 
 
+# Each IR statement's handler, by statement class.
+_HANDLERS = {
+    cls: getattr(_ArrayRun, f"_{cls.__name__}")
+    for cls in (
+        LoadVal, ForDense, ForPositions, WhileCoiter, DeclAcc, AccumAcc, Store, ExpandWs,
+        CompressWs,
+    )
+}
+
+
 def interpret(program: Program, env: dict):
     """Execute a lowered Program against concrete tensor bindings.
 
@@ -708,13 +734,7 @@ def interpret(program: Program, env: dict):
     """
     kernel = program.kernel
     out_type = kernel.output_type
-    if out_type.is_sparse:
-        # The output's leading dense levels are checked before the loops
-        # run: `_build_levels` would check them only once every entry is
-        # collected.
-        _check_leading_dense(out_type)
-    else:
-        seed = _dense_output(kernel, env)
+    seed = _check_output(kernel, env)
     writes = _ArrayRun(program, env).run()
     columns, values = _no_entries(out_type.rank) if writes is None else (writes[:-1], writes[-1])
     if not out_type.is_sparse:
@@ -800,14 +820,14 @@ def compile_kernel(kernel: Kernel) -> tuple:
 def _operands(kernel: Kernel, programs: tuple) -> dict:
     """The tensors `execute` binds before it runs `programs`, in the order
     they are first read, each with its type declared in `kernel`: every
-    tensor a piece reads that no earlier piece writes, and the output when
-    `kernel` accumulates into it."""
+    tensor a piece reads (`Program.bindings`) that no earlier piece writes,
+    and the output when `kernel` accumulates into it."""
     temp_names = {program.kernel.lhs.tensor for program in programs[:-1]}
     operands: dict = {}
     for program in programs:
-        for access in program.kernel.analysis.accesses:
-            if access.tensor not in temp_names:
-                operands.setdefault(access.tensor, kernel.tensors[access.tensor])
+        for name, _ in program.bindings:
+            if name not in temp_names:
+                operands.setdefault(name, kernel.tensors[name])
     if kernel.accumulate:
         operands.setdefault(kernel.lhs.tensor, kernel.tensors[kernel.lhs.tensor])
     return operands
@@ -827,6 +847,9 @@ def execute(kernel: Kernel, programs: tuple, inputs: dict):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         env: dict = {}
+        # Before any piece runs, so that no temporary is built, and no
+        # zeros are made, for a result that cannot be.
+        _check_output(kernel, env)
         for name, declared in _operands(kernel, programs).items():
             if name in inputs:
                 env[name] = _coerce(inputs[name], declared, name)
@@ -834,8 +857,7 @@ def execute(kernel: Kernel, programs: tuple, inputs: dict):
                 raise UnknownTensor(f"no binding for input tensor {name!r}")
             elif declared.is_sparse:  # an unbound output reads as empty
                 env[name] = _build_levels(declared, *_no_entries(declared.rank))
-            else:  # as zeros, once its volume is checked before any piece runs
-                _dense_output(kernel, env)
+            else:  # as zeros
                 env[name] = DenseTensor.zeros(declared.shape)
         result = None
         for program in programs:

@@ -1,12 +1,19 @@
 """Exception hierarchy shared by all sparsec modules.
 
 Every error raised on a user-facing path derives from SparsecError so the
-CLI can catch one type and print a single-line diagnostic. Storage
+CLI can catch one type and print a single-line diagnostic; a message that
+quotes input quotes it `clip`ped, so that line stays short. Storage
 invariants raise MalformedStorage rather than asserting, because storage
 can arrive from outside (binary dumps, hand-built arrays) and the checks
 must survive `python -O`. Other internal invariant violations use plain
 AssertionError: those indicate compiler bugs, not user mistakes.
 """
+
+
+def clip(text: str, limit: int = 60) -> str:
+    """`text` cut to `limit` characters, `...` marking the cut, so that a
+    message quoting an input of any size stays one short line."""
+    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 class SparsecError(Exception):

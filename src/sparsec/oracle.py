@@ -80,7 +80,7 @@ def _dense_eval(kernel: Kernel, inputs: dict) -> DenseTensor:
         raise AssertionError(f"unknown node {node!r}")
 
     out_shape = kernel.output_type.shape
-    _check_budget(math.prod(out_shape), f"dense_eval output of shape {out_shape}")
+    _check_budget(math.prod(out_shape), "dense_eval output of shape {}", out_shape)
     if kernel.accumulate and kernel.lhs.tensor in inputs:
         out = inputs[kernel.lhs.tensor].data.tolist()
     else:
@@ -141,7 +141,7 @@ def generate(spec: GeneratorSpec) -> CooTensor:
         count = spec.dense_rows * spec.shape[1]
     else:
         count = (min if spec.kind == "identity" else math.prod)(spec.shape)
-    _check_budget(count, f"{spec.kind} input of shape {spec.shape}")
+    _check_budget(count, "{} input of shape {}", spec.kind, spec.shape)
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "identity":
         columns = [np.arange(count)] * len(spec.shape)

@@ -60,6 +60,7 @@ from .errors import (
     RankMismatch,
     ShapeMismatch,
     SparsecError,
+    clip,
 )
 
 
@@ -88,8 +89,9 @@ class CooTensor:
         for c, v in entries:
             coords.append(c)
             values.append(v)
-        bad = MalformedStorage("COO values must be real numbers")
-        self._values = _typed_array(values, np.float64, "biuf", "d", bad)
+        self._values = _typed_array(
+            values, np.float64, "biuf", "d", "COO values must be real numbers"
+        )
         self._columns = _in_bounds(_coord_columns(coords, self.shape), self.shape)
 
     @classmethod
@@ -107,18 +109,25 @@ class CooTensor:
             or len(columns) != coo.rank
             or any(c.shape != values.shape for c in columns)
         ):
+            shapes = ", ".join(str(c.shape) for c in columns[:3])
+            shapes += ", ..." if len(columns) > 3 else ""
             raise RankMismatch(
-                f"coordinate columns of shapes {[c.shape for c in columns]} for values "
-                f"of shape {values.shape} in a rank-{coo.rank} tensor"
+                f"{len(columns)} coordinate columns of shapes {clip(shapes)} for values "
+                f"of shape {clip(str(values.shape))} in a rank-{coo.rank} tensor"
             )
-        bad = MalformedStorage("COO values must be real numbers")
-        coo._values = _typed_array(values, np.float64, "biuf", "d", bad)
+        coo._values = _typed_array(
+            values, np.float64, "biuf", "d", "COO values must be real numbers"
+        )
         for c in columns:
             if c.size and c.dtype.kind not in "iu":
-                raise CoordNotInteger(f"coordinates of dtype {c.dtype} are not integers")
+                raise CoordNotInteger(
+                    f"coordinates of dtype {clip(str(c.dtype))} are not integers"
+                )
             # Checked before the int64 cast, which would wrap it negative.
             if c.size and c.dtype.kind == "u" and c.max() > _INT64_MAX:
-                raise CoordOutOfBounds(f"coordinates of shape {coo.shape} exceed 64 bits")
+                raise CoordOutOfBounds(
+                    f"coordinates of shape {clip(str(coo.shape))} exceed 64 bits"
+                )
         coo._columns = _in_bounds(tuple(_frozen(c, np.int64) for c in columns), coo.shape)
         return coo
 
@@ -176,13 +185,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _MAX_DENSE_ELEMENTS = 1 << 28
 
 
-def _check_budget(count: int, what):
+def _check_budget(count: int, what, *args):
     """Raise DenseOutputTooLarge, before anything is allocated, when `what`
-    (a name, or the TensorType of a storage) needs `count` elements, past
-    `_MAX_DENSE_ELEMENTS`."""
+    needs `count` elements, past `_MAX_DENSE_ELEMENTS`: the TensorType of a
+    storage, or a name, filled in with `args` (`str.format`) only then."""
     if count > _MAX_DENSE_ELEMENTS:
         if isinstance(what, TensorType):
             what = f"{what.encoding.describe()} storage of shape {what.shape}"
+        else:
+            what = what.format(*args)
         raise DenseOutputTooLarge(
             f"{what} needs {count} elements, past the budget of {_MAX_DENSE_ELEMENTS}"
         )
@@ -215,12 +226,12 @@ def _coord_columns(coords: list, shape: tuple) -> tuple:
                 sized.append(tuple(c))
             except TypeError:
                 raise RankMismatch(
-                    f"coordinate {c!r} in a rank-{rank} tensor is not a sequence"
+                    f"coordinate {clip(repr(c))} in a rank-{rank} tensor is not a sequence"
                 ) from None
         coords, lengths = sized, set(map(len, sized))
     if n and lengths != {rank}:
         bad = next(c for c in coords if len(c) != rank)
-        raise RankMismatch(f"coordinate {bad} in a rank-{rank} tensor")
+        raise RankMismatch(f"coordinate {clip(str(bad))} in a rank-{rank} tensor")
     try:
         # A signed 64-bit array takes only integers (`np.int64` too) and
         # raises TypeError on 1.5, which a numpy int64 conversion would
@@ -228,9 +239,9 @@ def _coord_columns(coords: list, shape: tuple) -> tuple:
         flat = array("q", list(chain.from_iterable(coords)))
     except TypeError:
         bad = next(c for c in coords if not all(isinstance(x, Integral) for x in c))
-        raise CoordNotInteger(f"coordinate {bad} is not an integer") from None
+        raise CoordNotInteger(f"coordinate {clip(str(bad))} is not an integer") from None
     except OverflowError:
-        raise CoordOutOfBounds(f"coordinates of shape {shape} exceed 64 bits") from None
+        raise CoordOutOfBounds(f"coordinates of shape {clip(str(shape))} exceed 64 bits") from None
     rows = np.asarray(flat).reshape(n, rank)
     return tuple(_read_only(rows[:, k].copy()) for k in range(rank))
 
@@ -249,7 +260,7 @@ def _in_bounds(columns: tuple, shape: tuple) -> tuple:
             outside |= c.view(np.uint64) >= e
         r = outside.argmax()
         bad = tuple(int(c[r]) for c in columns)
-        raise CoordOutOfBounds(f"coordinate {bad} outside shape {shape}")
+        raise CoordOutOfBounds(f"coordinate {clip(str(bad))} outside shape {clip(str(shape))}")
     return columns
 
 
@@ -381,7 +392,7 @@ def _scatter(shape, columns, values: np.ndarray) -> "DenseTensor":
     """A dense tensor holding `values` at the coordinates of `columns`
     (unique), and 0.0 elsewhere; raises DenseOutputTooLarge, before
     allocating, past the budget."""
-    _check_budget(math.prod(shape), f"dense tensor of shape {shape}")
+    _check_budget(math.prod(shape), "dense tensor of shape {}", shape)
     flat = _row_key(list(columns), shape, len(values))
     data = np.zeros(math.prod(shape))
     data[flat] = values
@@ -404,8 +415,9 @@ class DenseTensor:
         self.shape = (shape if isinstance(shape, TensorType) else TensorType(shape)).shape
         if isinstance(data, np.ndarray) and data.ndim != 1:
             data = data.reshape(-1)
-        bad = MalformedStorage("dense tensor values must be real numbers")
-        self.data = _typed_array(data, np.float64, "biuf", "d", bad)
+        self.data = _typed_array(
+            data, np.float64, "biuf", "d", "dense tensor values must be real numbers"
+        )
         if len(self.data) != self.volume:
             raise ShapeMismatch(
                 f"{len(self.data)} values for shape {self.shape} (need {self.volume})"
@@ -501,31 +513,34 @@ def _frozen(values: np.ndarray, dtype) -> np.ndarray:
     return _read_only(values.astype(dtype))
 
 
-def _typed_array(values, dtype, kinds: str, code: str, bad: SparsecError) -> np.ndarray:
+def _typed_array(values, dtype, kinds: str, code: str, message: str, *args) -> np.ndarray:
     """`values`, a flat array of a dtype kind in `kinds` or a sequence, as a
     read-only `dtype` array, shared or copied as `_frozen` decides. A
     sequence goes through an `array` of typecode `code`, which rejects
-    what numpy would truncate (a float among integers) or wrap; then `bad`
-    is raised."""
+    what numpy would truncate (a float among integers) or wrap; then
+    MalformedStorage is raised, its `message` filled in with `args`
+    (`str.format`) only then."""
     if isinstance(values, np.ndarray):
         if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
-            raise bad
+            raise MalformedStorage(message.format(*args))
         return _frozen(values, dtype)
     try:
         return _read_only(np.array(array(code, values), dtype))
     except (OverflowError, TypeError):
-        raise bad from None
+        raise MalformedStorage(message.format(*args)) from None
+
+
+_LEVEL_WIDTH = "level {}: {} must be 64-bit integers"
 
 
 def _level_array(values, level: int, what: str) -> np.ndarray:
     """A level's pointers or indices as a read-only int64 array
     (`_typed_array`): a float, or an integer past 64 bits, raises
     MalformedStorage rather than truncate."""
-    bad = MalformedStorage(f"level {level}: {what} must be 64-bit integers")
     if isinstance(values, np.ndarray) and values.dtype.kind == "u" and values.size:
         if values.max() > _INT64_MAX:
-            raise bad
-    return _typed_array(values, np.int64, "iu", "q", bad)
+            raise MalformedStorage(_LEVEL_WIDTH.format(level, what))
+    return _typed_array(values, np.int64, "iu", "q", _LEVEL_WIDTH, level, what)
 
 
 class SparseStorage:
@@ -546,8 +561,9 @@ class SparseStorage:
         self.ttype = ttype
         self.pointers = tuple(_level_array(p, l, "pointers") for l, p in enumerate(pointers))
         self.indices = tuple(_level_array(i, l, "indices") for l, i in enumerate(indices))
-        bad = MalformedStorage("values must be a flat sequence of real numbers")
-        self.values = _typed_array(values, np.float64, "biuf", "d", bad)
+        self.values = _typed_array(
+            values, np.float64, "biuf", "d", "values must be a flat sequence of real numbers"
+        )
         self.validate()
 
     @property

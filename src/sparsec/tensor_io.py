@@ -21,7 +21,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import LengthMismatch, ParseError, ShapeMismatch, UnsupportedField
+from .errors import LengthMismatch, ParseError, ShapeMismatch, UnsupportedField, clip
 from .storage import CooTensor, DenseTensor
 
 
@@ -91,13 +91,13 @@ def _read_matrix_market(text: str) -> CooTensor:
         raise ParseError(f"banner needs 5 tokens, got {len(banner)}", line=1)
     _, obj, fmt, fieldkind, symmetry = (tok.lower() for tok in banner)
     if obj != "matrix":
-        raise UnsupportedField(f"unsupported object {obj!r}")
+        raise UnsupportedField(f"unsupported object {clip(repr(obj))}")
     if fmt != "coordinate":
-        raise ParseError(f"unsupported format {fmt!r} (only coordinate)", line=1)
+        raise ParseError(f"unsupported format {clip(repr(fmt))} (only coordinate)", line=1)
     if fieldkind not in _MM_FIELDS:
-        raise UnsupportedField(f"unsupported field {fieldkind!r}")
+        raise UnsupportedField(f"unsupported field {clip(repr(fieldkind))}")
     if symmetry not in _MM_SYMMETRIES:
-        raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
+        raise ParseError(f"unsupported symmetry {clip(repr(symmetry))}", line=1)
 
     # Only `%` lines, the banner among them, are comments.
     data = _numbered_data_lines(lines, "%")
@@ -110,10 +110,12 @@ def _read_matrix_market(text: str) -> CooTensor:
     try:
         rows, cols, nnz = (int(t) for t in toks)
     except ValueError as e:
-        raise ParseError(f"bad size line: {e}", line=size_no)
+        raise ParseError(f"bad size line: {clip(str(e))}", line=size_no)
     entries = _parse_entry_lines(data[1:], 2, pattern=fieldkind == "pattern")
     if nnz != len(entries):
-        raise ShapeMismatch(f"size line declares {nnz} entries, file has {len(entries)}")
+        raise ShapeMismatch(
+            f"size line declares {clip(str(nnz))} entries, file has {len(entries)}"
+        )
     if symmetry == "symmetric":
         # An entry off the diagonal stands for its mirror too, which
         # follows it.
@@ -140,7 +142,7 @@ def _parse_entry_lines(data_lines, rank, pattern=False) -> list:
             coords = tuple(int(t) - 1 for t in toks[:rank])
             value = 1.0 if pattern else float(toks[rank])
         except ValueError as e:
-            raise ParseError(f"bad entry: {e}", line=lineno)
+            raise ParseError(f"bad entry: {clip(str(e))}", line=lineno)
         if any(c < 0 for c in coords):
             raise ParseError("coordinates are 1-based and must be positive", line=lineno)
         entries.append((coords, value))
@@ -193,7 +195,9 @@ def _literal_value(value) -> float:
             return float(value)
     except OverflowError:
         pass
-    raise ParseError(f"literal value {value!r} is not a real number in the float range")
+    raise ParseError(
+        f"literal value {clip(repr(value))} is not a real number in the float range"
+    )
 
 
 def read_dense_literal(text: str) -> DenseTensor:
@@ -201,7 +205,7 @@ def read_dense_literal(text: str) -> DenseTensor:
     try:
         nested = ast.literal_eval(text.strip())
     except (ValueError, SyntaxError) as e:
-        raise ParseError(f"bad dense literal: {e}")
+        raise ParseError(f"bad dense literal: {clip(str(e))}")
     shape, flat = [], []
     probe = nested
     while isinstance(probe, (list, tuple)):
@@ -232,14 +236,14 @@ def read_sparse_literal(text: str) -> CooTensor:
     try:
         shape = tuple(int(tok) for tok in m.group(1).split("x"))
     except ValueError:  # an empty or blank-split extent: `4x`, `x`, `4 4`
-        raise ParseError(f"bad sparse literal shape {m.group(1)!r}") from None
+        raise ParseError(f"bad sparse literal shape {clip(repr(m.group(1)))}") from None
     try:
         coords_list, values_list = ast.literal_eval("(" + m.group(2) + ")")
     except (ValueError, SyntaxError, TypeError) as e:
-        raise ParseError(f"bad sparse literal body: {e}")
+        raise ParseError(f"bad sparse literal body: {clip(str(e))}")
     for part, what in ((coords_list, "coordinates"), (values_list, "values")):
         if not isinstance(part, (list, tuple)):
-            raise ParseError(f"sparse literal {what} must be a list, got {part!r}")
+            raise ParseError(f"sparse literal {what} must be a list, got {clip(repr(part))}")
     if len(coords_list) != len(values_list):
         raise LengthMismatch(
             f"{len(coords_list)} coordinate tuples but {len(values_list)} values"
@@ -249,6 +253,8 @@ def read_sparse_literal(text: str) -> CooTensor:
         # Coordinates pass through unconverted: `CooTensor` rejects 1.5.
         coords = tuple(coords) if isinstance(coords, (list, tuple)) else (coords,)
         if len(coords) != len(shape):
-            raise LengthMismatch(f"coordinate {coords} has wrong arity for shape {shape}")
+            raise LengthMismatch(
+                f"coordinate {clip(str(coords))} has wrong arity for shape {clip(str(shape))}"
+            )
         entries.append((coords, _literal_value(value)))
     return CooTensor(shape, entries)

@@ -390,23 +390,25 @@ def test_an_unbound_dense_output_a_piece_reads_is_zeros(op, rhs, want):
 
 
 def test_unbound_dense_accumulate_past_the_budget_runs_no_piece(monkeypatch):
-    # The zeros of an unbound dense `+=` output are checked before the
-    # temporaries' pieces run, not once the output's own piece is reached.
-    kernel = parse_kernel(
-        "tensor A(32768, 4) format(dense, compressed)\n"
-        "tensor B(4, 4) format(compressed, compressed)\n"
-        "tensor c(4)\ntensor d(32768)\ntensor C(32768, 32768)\n"
-        "C(i, l) += A(i, j) * (B(j, k) * c(k) + 1.0) * d(l)\n"
-    )
-    programs = compile_kernel(kernel)
-    assert len(programs) > 1
+    # A dense output past the budget is checked before the temporaries'
+    # pieces run, not once the output's own piece is reached: the zeros of
+    # an unbound `+=` output, and the buffer of an `=` output.
     interpreted = []
     monkeypatch.setattr(engine, "interpret", lambda *args: interpreted.append(args))
     inputs = {"A": CooTensor((32768, 4), [((0, 1), 2.0)]), "B": CooTensor((4, 4), [((1, 2), 3.0)])}
     inputs.update(c=CooTensor((4,), [((2,), 1.0)]), d=CooTensor((32768,), [((5,), 1.0)]))
-    with pytest.raises(DenseOutputTooLarge, match="'C'"):
-        execute(kernel, programs, inputs)
-    assert interpreted == []
+    for op in ("+=", "="):
+        kernel = parse_kernel(
+            "tensor A(32768, 4) format(dense, compressed)\n"
+            "tensor B(4, 4) format(compressed, compressed)\n"
+            "tensor c(4)\ntensor d(32768)\ntensor C(32768, 32768)\n"
+            f"C(i, l) {op} A(i, j) * (B(j, k) * c(k) + 1.0) * d(l)\n"
+        )
+        programs = compile_kernel(kernel)
+        assert len(programs) > 1
+        with pytest.raises(DenseOutputTooLarge, match="'C'"):
+            execute(kernel, programs, inputs)
+        assert interpreted == [], op
 
 
 # ----------------------------------------------------------------------------

@@ -203,10 +203,24 @@ def _sink_loops(stmts, loops=(), found=None) -> dict:
     return found
 
 
+def _sink_targets(stmts):
+    """The target of each sink statement of `stmts`, as `Program.merged`
+    names them: "out" for a `Store`, the slot for an `AccumAcc`."""
+    for s in stmts:
+        if isinstance(s, Store):
+            yield "out"
+        elif isinstance(s, AccumAcc):
+            yield s.slot
+        for body in [getattr(s, "body", ())] + [case.body for case in getattr(s, "cases", ())]:
+            yield from _sink_targets(body)
+
+
 def _check_sinks_share_their_loops(text: str):
     """Every sink statement into one target sits under the same loops, the
     leading ones of the Program's loop order: the premise on which the
-    engine merges several sinks' writes by their loop variables alone."""
+    engine merges several sinks' writes by their loop variables alone. The
+    targets it merges so (`Program.merged`, found while lowering) are
+    those that several statements write."""
     try:
         programs = compile_kernel(parse_kernel(text))
     except (OrderConflict, UnsupportedKernel):
@@ -216,6 +230,8 @@ def _check_sinks_share_their_loops(text: str):
             assert len(loops) == 1, (text, target, loops)
             (variables,) = loops
             assert variables == program.topo[: len(variables)], (text, target)
+        targets = list(_sink_targets(program.body))
+        assert program.merged == {t for t in targets if targets.count(t) > 1}, text
 
 
 @settings(SETTINGS, max_examples=500)
@@ -482,6 +498,87 @@ def test_read_tensor_reads_or_raises_a_sparsec_error_on_mutated_files(case):
         convert(coo, csr)
     except DenseOutputTooLarge:
         pass
+
+
+# ----------------------------------------------------------------------------
+# Errors in one bounded line
+
+# The longest message that reading a tensor, a literal or arrays may raise.
+ERROR_LENGTH = 200
+# Tokens longer than any message may quote whole.
+LONG_TOKENS = [
+    "z" * 5000, "9" * 5000, "-" + "1" * 4000 + ".5", "'" + "q" * 3000 + "'",
+    "[" + ", ".join(["1"] * 2000) + "]", "x".join(["1"] * 2000),
+]
+
+
+def _one_bounded_line(read, *args):
+    """Run `read`; a SparsecError it raises must be one line of at most
+    ERROR_LENGTH characters."""
+    try:
+        read(*args)
+    except SparsecError as e:
+        text = str(e)
+        assert "\n" not in text and len(text) <= ERROR_LENGTH, (len(text), text[:300])
+
+
+@st.composite
+def with_long_token(draw, text):
+    """`text` with one of LONG_TOKENS in place of a number, a word or a
+    separator, or at the start of a line."""
+    spans = [m.span() for m in re.finditer(r"[\w.+-]+|[x,<>()\[\]]", text)]
+    starts = [(i, i) for i in [0] + [m.end() for m in re.finditer("\n", text)]]
+    lo, hi = draw(st.sampled_from(spans + starts))
+    return text[:lo] + draw(st.sampled_from(LONG_TOKENS)) + text[hi:]
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.sampled_from([case for case in READER_TEXTS if case[0] is not parse_kernel]).flatmap(
+    lambda case: st.tuples(st.just(case[0]), with_long_token(case[1]))
+))
+def test_literal_errors_are_one_bounded_line(case):
+    reader, text = case
+    _one_bounded_line(reader, text)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(mutated_file().flatmap(lambda case: st.tuples(st.just(case[0]), with_long_token(case[1]))))
+def test_tensor_file_errors_are_one_bounded_line(case):
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        _one_bounded_line(read_tensor, path)
+
+
+@st.composite
+def arrays_case(draw):
+    """A shape, coordinate columns and values for `CooTensor.from_arrays`,
+    of any rank, count, shape and dtype, mostly wrong."""
+    n = draw(st.sampled_from([0, 1, 3, 4096]))
+    shape = draw(st.sampled_from([(), (8,), (n or 1, 5), (0, 3), (2,) * 40, (2.5,), "abc"]))
+    kind = draw(st.sampled_from(["rows", "per row", "floats", "unsigned", "records", "ragged"]))
+    if kind == "rows":  # a (n, k) array, iterated as its n rows
+        columns = np.zeros((n, draw(st.integers(1, 3))), np.int64)
+    elif kind == "per row":
+        columns = [np.arange(n) % 8 for _ in range(draw(st.integers(1, 40)))]
+    elif kind == "floats":
+        columns = [np.full(n, 1.5)]
+    elif kind == "unsigned":
+        columns = [np.full(n, 2**64 - 1, np.uint64)]
+    elif kind == "records":
+        columns = [np.zeros(n, [(f"f{i}", "f8") for i in range(300)])]
+    else:
+        columns = [np.zeros(k) for k in range(draw(st.integers(2, 300)))]
+    values = draw(st.sampled_from([np.ones(n), np.ones((n, 40)), np.ones((1,) * 40), ["a"] * n]))
+    return shape, columns, values
+
+
+@settings(SETTINGS, max_examples=300)
+@given(arrays_case())
+def test_from_arrays_errors_are_one_bounded_line(case):
+    _one_bounded_line(CooTensor.from_arrays, *case)
 
 
 @st.composite
